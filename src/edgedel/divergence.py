@@ -128,10 +128,12 @@ def exact_kl(
 def single_edge_evaluate(derivs: np.ndarray, params: EdgeParams):
     """Evidence probability and its parameter derivatives for one deleted edge.
 
-    ``derivs`` is the derivative table of the source network's evidence
-    probability with respect to the edge's equivalence CPT (rows: parent
-    state, columns: clone state).  Returns (pr', d pr'/d pm, d pr'/d se),
-    each a plain sum over the table -- no inference happens here.
+    ``derivs`` is the evidence probability with the edge's own CPTs left out,
+    over (rows: parent state, columns: clone state): the derivative table with
+    respect to the equivalence CPT in the source network, or
+    ``engine.kept_table`` over (parent, clone) without the clone prior and
+    soft-evidence CPT in an approximate one.  Returns (pr', d pr'/d pm,
+    d pr'/d se), each a plain sum over the table -- no inference happens here.
     """
     d = np.asarray(derivs, dtype=float)
     if d.ndim != 2 or d.shape[0] != params.se.size or d.shape[1] != params.pm.size:
@@ -219,8 +221,9 @@ def score_edges(
 
     The input may be an original network (every edge is scored) or an
     augmented one (its intact equivalence edges are scored).  One engine
-    compile serves all edges; ranking is ascending with declaration-order
-    tie-breaks, and infinite scores sort last.
+    compile serves all edges, plus one derivative elimination per edge;
+    ranking is ascending with declaration-order tie-breaks, and infinite
+    scores sort last.
     """
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")
@@ -230,10 +233,13 @@ def score_edges(
         aug = net
     records = [r for r in aug.clone_edges if r.sevid is None]
     st = engine.compile(aug, ev, width_cap)
+    if records and st.pr_e <= 0.0:
+        raise InconsistentEvidenceError("evidence has zero probability")
     scored = []
     for idx, rec in enumerate(records):
         derivs = engine.cpt_derivatives(st, aug.cpt(rec.clone))
-        true_marg = engine.posterior_marginal(st, rec.parent)
+        # the equivalence CPT is the identity, so Pr(u, e) = derivs[u, u]
+        true_marg = np.diag(derivs) / st.pr_e
         params, score, iterations, converged = _optimize_single_edge(
             derivs, true_marg, st.pr_e
         )

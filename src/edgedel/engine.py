@@ -1,8 +1,9 @@
 """Exact inference by variable elimination.
 
 Answers evidence probability, posterior and pairwise marginals, CPT-entry
-derivatives (valid at zero parameters), and exact MAP, plus greedy min-fill
-elimination orders with an optional eliminate-these-last constraint.
+derivatives (valid at zero parameters), tables of Pr(e) over kept variables
+with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
+orders with an optional eliminate-these-last constraint.
 """
 
 from __future__ import annotations
@@ -130,12 +131,20 @@ def induced_width(net: Network, order) -> int:
     return width
 
 
-def _eliminate_sum(factors: list[Factor], keep: set[str], decl_index) -> Factor:
-    """Sum out every scope variable not in ``keep``; product of what remains."""
+def _eliminate_sum(
+    factors: list[Factor], keep: set[str], decl_index, width_cap=None
+) -> Factor:
+    """Sum out every scope variable not in ``keep``; product of what remains.
+
+    With ``width_cap`` set, an order wider than the cap raises CapacityError
+    before any table is built.
+    """
     scopes = [f.names() for f in factors]
     adj = _moral_adjacency(scopes)
     target = [n for n in adj if n not in keep]
-    order, _ = _greedy_phases(adj, [target], decl_index)
+    order, width = _greedy_phases(adj, [target], decl_index)
+    if width_cap is not None and width > width_cap:
+        raise CapacityError(f"induced width {width} exceeds the cap of {width_cap}")
     work = list(factors)
     for name in order:
         bucket = [f for f in work if name in f.names()]
@@ -237,6 +246,45 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     return out
 
 
+def kept_table(
+    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
+) -> np.ndarray:
+    """Pr(e) with the CPTs of the variables in ``without`` left out, summed
+    down to the variables in ``keep`` (axes in ``keep`` order).
+
+    Kept variables stay unreduced: an observed one gets an indicator factor
+    instead, and one that no remaining factor mentions gets a ones factor.
+    Leaving out one CPT and keeping its family gives that CPT's derivative
+    table; leaving out a deleted edge's clone prior and soft-evidence CPT and
+    keeping (parent, clone) gives the table ``g`` with Pr'(e') = se g pm.
+    """
+    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
+    keep = tuple(keep)
+    factors: list[Factor] = []
+    for cpt in net.cpts():
+        if cpt.child.name in without:
+            continue
+        f = Factor(cpt.scope(), cpt.shaped, _trusted=True)
+        for name in f.names():
+            if name in ev_index and name not in keep:
+                f = f.reduce(name, ev_index[name])
+        factors.append(f)
+    covered = set()
+    for f in factors:
+        covered.update(f.names())
+    for name in keep:
+        var = net.var(name)
+        if name in ev_index:
+            ind = np.zeros(var.card)
+            ind[ev_index[name]] = 1.0
+            factors.append(Factor((var,), ind, _trusted=True))
+        elif name not in covered:
+            # e.g. an unobserved leaf child: the table is flat across its states
+            factors.append(Factor((var,), np.ones(var.card), _trusted=True))
+    result = _eliminate_sum(factors, set(keep), net.decl_index, width_cap)
+    return result.reorder(keep).values
+
+
 def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     """Partial derivatives of Pr(e) with respect to every entry of one CPT.
 
@@ -247,33 +295,8 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     net = st.net
     if net.cpt(cpt.child.name) is not cpt and net.cpt(cpt.child.name) != cpt:
         raise ModelError(f"cpt for {cpt.child.name!r} does not belong to this network")
-    family = set(n.name for n in cpt.scope())
-    factors: list[Factor] = []
-    for other in net.cpts():
-        if other.child.name == cpt.child.name:
-            continue
-        f = Factor(other.scope(), other.shaped, _trusted=True)
-        for name in f.names():
-            if name in st._ev_index and name not in family:
-                f = f.reduce(name, st._ev_index[name])
-        factors.append(f)
-    covered = set()
-    for f in factors:
-        covered.update(f.names())
-    for name in family:
-        if name in st._ev_index:
-            var = net.var(name)
-            ind = np.zeros(var.card)
-            ind[st._ev_index[name]] = 1.0
-            factors.append(Factor((var,), ind, _trusted=True))
-        elif name not in covered:
-            # family variable absent from every remaining factor (an
-            # unobserved leaf child): its derivative is flat across states
-            var = net.var(name)
-            factors.append(Factor((var,), np.ones(var.card), _trusted=True))
-    result = _eliminate_sum(factors, family, net.decl_index)
-    order = [p.name for p in cpt.parents] + [cpt.child.name]
-    d = result.reorder(order).values
+    family = [p.name for p in cpt.parents] + [cpt.child.name]
+    d = kept_table(net, st.evidence, (cpt.child.name,), family, st.width_cap)
     euler = float((cpt.shaped * d).sum())
     scale = max(abs(st.pr_e), abs(euler), 1e-300)
     if abs(euler - st.pr_e) > EULER_RTOL * scale:
@@ -281,8 +304,6 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
             f"derivative table for {cpt.child.name!r} violates the "
             f"sum(theta * d) = Pr(e) identity: {euler} vs {st.pr_e}"
         )
-    d = np.ascontiguousarray(d)
-    d.setflags(write=False)
     return d
 
 

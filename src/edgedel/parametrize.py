@@ -20,6 +20,7 @@ import numpy as np
 
 from . import engine
 from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records
+from .divergence import single_edge_evaluate
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, InconsistentEvidenceError, ModelError, Network
 
@@ -95,16 +96,6 @@ def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.nda
     return _normalize(mixed, what)
 
 
-def _edge_derivatives(st, rec):
-    """(d pm, d se) for one deleted edge: derivative of Pr'(e') with respect
-    to the clone prior entries and to the observed soft-evidence row."""
-    clone_cpt = st.net.cpt(rec.clone)
-    sevid_cpt = st.net.cpt(rec.sevid)
-    d_pm = engine.cpt_derivatives(st, clone_cpt)
-    d_se = engine.cpt_derivatives(st, sevid_cpt)[:, 0]
-    return np.asarray(d_pm, dtype=float).reshape(-1), np.asarray(d_se, dtype=float)
-
-
 def _edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     out = np.zeros_like(deriv)
     for i, (t, d) in enumerate(zip(true_marg, deriv)):
@@ -123,84 +114,88 @@ def _edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     return out
 
 
-def _sweep(
-    nprime, plan, evp, method, true_marginals, damping, sequential, width_cap
-):
-    """One full pass over the plan's edges; returns (plan, per-edge residuals).
+def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
+    """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
+    with respect to that vector (``own``) and to its partner (``cross``)."""
+    if method == "ed-bp":
+        # cross-pairing: the prior comes from the soft-evidence derivative
+        # and the soft evidence from the prior derivative
+        if not np.any(cross > 0):
+            raise DegenerateUpdateError(
+                f"all-zero derivative vector for {label} ({which} update)"
+            )
+        return _normalize(cross, label)
+    if pr_ep <= 0.0:
+        raise InconsistentEvidenceError(
+            "approximate network assigns zero probability to the augmented evidence"
+        )
+    return _normalize(_edkl_vector(true_marg, pr_ep, own, label), label)
 
-    Sequential mode updates one parameter set at a time: the clone prior is
-    updated, the engine state is recomputed, then the soft-evidence row is
-    updated, edge by edge.  Simultaneous mode computes every update from the
-    single engine state compiled at the start of the sweep.
+
+def _chained(expected, got, label) -> float:
+    """Pr'(e') from one edge table, checked against the value carried so far."""
+    if expected is None:
+        return got
+    if abs(got - expected) > engine.EULER_RTOL * max(abs(expected), abs(got), 1e-300):
+        raise ModelError(f"edge table for {label} gives Pr'(e') = {got}, expected {expected}")
+    return expected
+
+
+def _sweep(
+    nprime, plan, evp, method, true_marginals, damping, sequential, width_cap,
+    pr_ep=None,
+):
+    """One full pass over the plan's edges; returns (plan, per-edge residuals,
+    Pr'(e') at the returned plan, or None in simultaneous mode).
+
+    Each edge costs one elimination: the table g over (parent, clone) of N'
+    with that edge's clone prior and soft-evidence CPT left out, so that
+    Pr'(e') = se g pm and both derivative vectors follow in closed form.
+    Sequential mode builds g from the other edges' current parameters and
+    re-evaluates it between the prior and the soft-evidence update;
+    simultaneous mode builds every g from the sweep-start parameters.  Each
+    g must reproduce ``pr_ep``, the Pr'(e') the previous update ended with
+    (sequential) or the sweep-start value (simultaneous).
     """
     records = deleted_records(nprime, plan)
     residuals = []
-    if not records:
-        return plan, residuals
-    start_params = plan.params
-    shared = None
-    if not sequential:
-        shared = engine.compile(apply_params(nprime, plan), evp, width_cap)
     for i, rec in enumerate(records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
-        old = start_params[i]
+        old = plan.params[i]
+        if sequential or i == 0:
+            current = apply_params(nprime, plan)
+        g = engine.kept_table(
+            current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
+        )
+        pr, d_pm, d_se = single_edge_evaluate(g, old)
+        pr_ep = _chained(pr_ep, pr, label)
+        pm = _damp(
+            _update_rule(method, true_marg, pr, d_pm, d_se, "pm", label),
+            old.pm, damping, label,
+        )
         if sequential:
-            st = engine.compile(apply_params(nprime, plan), evp, width_cap)
-            pm = _damp(
-                _update_vector(st, rec, method, true_marg, "pm", label),
-                plan.params[i].pm, damping, label,
-            )
-            plan = plan.with_params(i, EdgeParams(pm, plan.params[i].se))
-            st = engine.compile(apply_params(nprime, plan), evp, width_cap)
-            se = _damp(
-                _update_vector(st, rec, method, true_marg, "se", label),
-                plan.params[i].se, damping, label,
-            )
-            plan = plan.with_params(i, EdgeParams(pm, se))
-        else:
-            pm = _damp(
-                _update_vector(shared, rec, method, true_marg, "pm", label),
-                old.pm, damping, label,
-            )
-            se = _damp(
-                _update_vector(shared, rec, method, true_marg, "se", label),
-                old.se, damping, label,
-            )
-            plan = plan.with_params(i, EdgeParams(pm, se))
+            pr, d_pm, d_se = single_edge_evaluate(g, EdgeParams(pm, old.se))
+        se = _damp(
+            _update_rule(method, true_marg, pr, d_se, d_pm, "se", label),
+            old.se, damping, label,
+        )
+        plan = plan.with_params(i, EdgeParams(pm, se))
+        if sequential:
+            pr_ep = single_edge_evaluate(g, plan.params[i])[0]
         residuals.append(
             max(
                 float(np.max(np.abs(pm - old.pm))),
                 float(np.max(np.abs(se - old.se))),
             )
         )
-    return plan, residuals
-
-
-def _update_vector(st, rec, method, true_marg, which, label) -> np.ndarray:
-    """One new parameter vector ("pm" or "se") from the given engine state."""
-    d_pm, d_se = _edge_derivatives(st, rec)
-    if method == "ed-bp":
-        # cross-pairing: the prior comes from the soft-evidence derivative
-        # and the soft evidence from the prior derivative
-        source = d_se if which == "pm" else d_pm
-        if not np.any(source > 0):
-            raise DegenerateUpdateError(
-                f"all-zero derivative vector for {label} ({which} update)"
-            )
-        return _normalize(source, label)
-    if st.pr_e <= 0.0:
-        raise InconsistentEvidenceError(
-            "approximate network assigns zero probability to the augmented evidence"
-        )
-    deriv = d_pm if which == "pm" else d_se
-    return _normalize(_edkl_vector(true_marg, st.pr_e, deriv, label), label)
+    return plan, residuals, pr_ep if sequential else None
 
 
 def edbp_step(nprime, plan, evp, *, damping=0.0, schedule="simultaneous",
               width_cap=WIDTH_CAP_DEFAULT):
     """One belief-propagation-style sweep; returns the updated plan."""
-    plan, _ = _sweep(
+    plan, _, _ = _sweep(
         nprime, plan, evp, "ed-bp", None, damping, schedule == "sequential", width_cap
     )
     return plan
@@ -213,7 +208,7 @@ def edkl_step(nprime, plan, evp, true_marginals, *, damping=0.0,
     ``true_marginals`` holds, per plan edge, the exact posterior of the
     parent in the source network (computed once by the caller).
     """
-    plan, _ = _sweep(
+    plan, _, _ = _sweep(
         nprime, plan, evp, "ed-kl", true_marginals, damping,
         schedule == "sequential", width_cap
     )
@@ -278,19 +273,22 @@ def run(
     residuals: tuple[float, ...] = ()
     converged = False
     iterations = 0
+    pr_ep = None
     for sweep in range(1, cfg.max_iterations + 1):
-        plan, res = _sweep(
+        plan, res, pr_ep = _sweep(
             nprime, plan, evp, cfg.method, true_marginals, cfg.damping,
-            sequential, width_cap
+            sequential, width_cap, pr_ep
         )
         iterations = sweep
         residuals = tuple(res)
         worst = max(res) if res else 0.0
         kl = None
         if true_marginals is not None and pr_e is not None and pr_e > 0:
-            st = engine.compile(apply_params(nprime, plan), evp, width_cap)
-            if st.pr_e > 0:
-                kl = _plan_kl_bound(plan, true_marginals, pr_e, st.pr_e)
+            if pr_ep is None:
+                # simultaneous mode moved every edge at once: one compile
+                pr_ep = engine.compile(apply_params(nprime, plan), evp, width_cap).pr_e
+            if pr_ep > 0:
+                kl = _plan_kl_bound(plan, true_marginals, pr_e, pr_ep)
         trace.append(SweepRecord(sweep, worst, kl))
         if worst < cfg.tolerance:
             converged = True

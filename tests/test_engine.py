@@ -4,21 +4,29 @@ import pytest
 from edgedel import (
     CapacityError,
     Cpt,
+    EdgeParams,
     Evidence,
     InconsistentEvidenceError,
     ModelError,
     Network,
     Variable,
+    apply_params,
+    approximate_network,
+    augmented_evidence,
     compile,
     constrained_order,
     cpt_derivatives,
+    deleted_records,
     enumerate_joint,
     exact_map,
     induced_width,
+    kept_table,
     min_fill_order,
     pairwise_marginal,
     posterior_marginal,
+    single_edge_evaluate,
 )
+from edgedel.harness import chain_network, grid_network
 
 from conftest import brute_posterior, positive_evidence, random_network
 
@@ -257,6 +265,62 @@ class TestDerivatives:
         other = Cpt(Variable("Z", ("0", "1")), (), [0.5, 0.5])
         with pytest.raises(ModelError):
             cpt_derivatives(st, other)
+
+
+def deleted(net, ev, edges, rng):
+    """N' with random edge parameters written in, its augmented evidence, plan."""
+    cards = [net.var(u).card for u, _ in edges]
+    params = [EdgeParams(rng.dirichlet(np.ones(c)), rng.uniform(0.05, 0.95, c)) for c in cards]
+    _, nprime, plan = approximate_network(net, edges, params)
+    return apply_params(nprime, plan), augmented_evidence(nprime, ev), plan
+
+
+def zero_entry_net():
+    """U has a zero CPT entry and is observed; both of its out-edges get deleted."""
+    a = Variable("A", ("a0", "a1"))
+    u = Variable("U", ("u0", "u1", "u2"))
+    x = Variable("X", ("x0", "x1"))
+    y = Variable("Y", ("y0", "y1"))
+    net = Network(
+        [a, u, x, y],
+        [
+            Cpt(a, (), [0.4, 0.6]),
+            Cpt(u, (a,), [0.0, 0.3, 0.7, 0.5, 0.25, 0.25]),
+            Cpt(x, (u,), [0.9, 0.1, 0.2, 0.8, 0.6, 0.4]),
+            Cpt(y, (u, x), [0.3, 0.7, 0.0, 1.0, 0.5, 0.5, 0.1, 0.9, 0.8, 0.2, 0.4, 0.6]),
+        ],
+    )
+    return net, Evidence({"U": "u1", "Y": "y0"}), [("U", "Y"), ("U", "X")]
+
+
+class TestKeptTable:
+    @pytest.mark.parametrize("case", ["grid4x4-k5", "chain3state", "zero-entry-observed-parent"])
+    def test_edge_table_matches_compile_and_derivatives(self, case):
+        rng = np.random.default_rng(21)
+        if case == "grid4x4-k5":
+            net = grid_network(4, 4, rng=rng)
+            ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+            edges = net.edges()[:5]
+        elif case == "chain3state":
+            net = chain_network(6, states=3, rng=rng)
+            ev, edges = Evidence({"X6": "s2", "X3": "s0"}), [("X2", "X3"), ("X4", "X5")]
+        else:
+            net, ev, edges = zero_entry_net()
+        current, evp, plan = deleted(net, ev, edges, rng)
+        st = compile(current, evp)
+        for rec, params in zip(deleted_records(current, plan), plan.params):
+            g = kept_table(current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone))
+            pr, d_pm, d_se = single_edge_evaluate(g, params)
+            want_pm = cpt_derivatives(st, current.cpt(rec.clone))
+            want_se = cpt_derivatives(st, current.cpt(rec.sevid))[:, 0]
+            assert pr == pytest.approx(st.pr_e, rel=1e-12)
+            assert np.allclose(d_pm, want_pm, rtol=1e-12, atol=0)
+            assert np.allclose(d_se, want_se, rtol=1e-12, atol=0)
+
+    def test_width_cap_refusal(self):
+        net = grid3x3(np.random.default_rng(5))
+        with pytest.raises(CapacityError, match="width"):
+            kept_table(net, Evidence({}), ("G22",), ("G00",), width_cap=1)
 
 
 class TestExactMap:

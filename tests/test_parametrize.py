@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import edgedel.engine as engine_module
 from edgedel import (
     EdgeParams,
     Evidence,
@@ -10,14 +11,18 @@ from edgedel import (
     augmented_evidence,
     check_conditions,
     compile,
+    cpt_derivatives,
+    deleted_records,
     edbp_step,
     edkl_step,
     kl_bound,
     posterior_marginal,
     run,
+    score_edges,
 )
 from edgedel.deletion import apply_params
-from edgedel.parametrize import true_edge_marginals
+from edgedel.harness import grid_network
+from edgedel.parametrize import _sweep, true_edge_marginals
 
 from bp_reference import FactorGraphBP
 from conftest import (
@@ -272,3 +277,131 @@ class TestFixedPointGuarantees:
                 posterior_marginal(exact, v.name),
                 atol=1e-9,
             )
+
+
+def grid_case(k=4, seed=0):
+    """grid(4x4) with leaf evidence and its first k edges deleted."""
+    net = grid_network(4, 4, rng=np.random.default_rng(seed))
+    ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+    return (net, ev) + build(net, ev, net.edges()[:k])
+
+
+def oracle_sweep(nprime, plan, evp, method, true_marginals, sequential):
+    """One sweep with every derivative from compile + cpt_derivatives."""
+    start = plan
+
+    def evaluate(p, rec):
+        st = compile(apply_params(nprime, p), evp)
+        d_pm = cpt_derivatives(st, st.net.cpt(rec.clone))
+        d_se = cpt_derivatives(st, st.net.cpt(rec.sevid))[:, 0]
+        return st.pr_e, d_pm, d_se
+
+    def rule(pr, own, cross, tm):
+        new = cross if method == "ed-bp" else tm * pr / own
+        return new / new.sum()
+
+    for i, rec in enumerate(deleted_records(nprime, plan)):
+        tm = true_marginals[i] if true_marginals is not None else None
+        old = plan.params[i]
+        pr, d_pm, d_se = evaluate(plan if sequential else start, rec)
+        pm = rule(pr, d_pm, d_se, tm)
+        if sequential:
+            pr, d_pm, d_se = evaluate(plan.with_params(i, EdgeParams(pm, old.se)), rec)
+        plan = plan.with_params(i, EdgeParams(pm, rule(pr, d_se, d_pm, tm)))
+    return plan
+
+
+class TestEdgeTableSweep:
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    def test_step_matches_oracle_sweep(self, method, schedule):
+        net, ev, aug, nprime, plan, evp = grid_case(k=5, seed=1)
+        rng = np.random.default_rng(2)
+        plan = plan.with_all_params(
+            EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
+        )
+        tm, _ = true_edge_marginals(aug, ev, plan)
+        if method == "ed-kl":
+            got = edkl_step(nprime, plan, evp, tm, schedule=schedule)
+        else:
+            got = edbp_step(nprime, plan, evp, schedule=schedule)
+        want = oracle_sweep(
+            nprime, plan, evp, method, tm if method == "ed-kl" else None,
+            schedule == "sequential",
+        )
+        for a, b in zip(got.params, want.params):
+            assert np.allclose(a.pm, b.pm, rtol=0, atol=1e-12)
+            assert np.allclose(a.se, b.se, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_trace_bound_matches_kl_bound(self, schedule):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4, seed=3)
+        for max_iterations in (1, 3):
+            cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=max_iterations)
+            plan2, _, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            want = kl_bound(aug, nprime, plan2, ev, evp).total
+            assert trace[-1].kl_bound == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_corrupted_edge_table_fails_chain_check(self, monkeypatch, schedule, k):
+        # with k = 1 the mismatch shows only against the previous sweep
+        net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
+        real = engine_module.kept_table
+        calls = []
+
+        def corrupted(*args, **kwargs):
+            calls.append(1)
+            g = real(*args, **kwargs)
+            return g * (1 + 1e-6) if len(calls) == 2 else g
+
+        monkeypatch.setattr(engine_module, "kept_table", corrupted)
+        cfg = IterationConfig(method="ed-kl", schedule=schedule)
+        with pytest.raises(ModelError, match="edge table"):
+            run(nprime, plan, evp, cfg, reference=(aug, ev))
+
+
+class TestWorkCounts:
+    """Eliminations per unit of work on grid(4x4), k = 4.
+
+    These pin the engine work; a change that alters them should mean to.
+    """
+
+    def _count(self, monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(engine_module, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(engine_module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_one_elimination_per_edge_per_sweep(self, monkeypatch, sequential):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        tm, _ = true_edge_marginals(aug, ev, plan)
+        calls = self._count(
+            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "_eliminate_sum"]
+        )
+        _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
+        assert calls == {"compile": 0, "cpt_derivatives": 0, "kept_table": 4, "_eliminate_sum": 4}
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_run_compiles_once_plus_once_per_simultaneous_sweep(self, monkeypatch, schedule):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        calls = self._count(monkeypatch, ["compile"])
+        cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert report.iterations == 3
+        per_sweep = 1 if schedule == "simultaneous" else 0
+        assert calls["compile"] == 1 + per_sweep * report.iterations
+
+    def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
+        net, ev, *_ = grid_case(k=4)
+        calls = self._count(monkeypatch, ["compile", "cpt_derivatives", "posterior_marginal"])
+        score_edges(net, ev)
+        n_edges = len(net.edges())
+        assert calls == {"compile": 1, "cpt_derivatives": n_edges, "posterior_marginal": 0}
