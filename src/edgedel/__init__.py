@@ -54,8 +54,6 @@ from .model import (
     Variable,
     Violation,
     enumerate_joint,
-    marginalize_factor,
-    multiply_factors,
     validate_network,
 )
 from .netio import (

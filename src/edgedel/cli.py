@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from . import divergence, harness, netio, parametrize
-from .deletion import approximate_network, apply_params, augmented_evidence
+from .deletion import approximate_network, apply_params
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
-from .mapapprox import approximate_map, default_map_vars, map_quality
+from .mapapprox import default_map_vars
 from .model import CapacityError, ModelError, Network
-from .netio import FormatError, ReportRow
+from .netio import FormatError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -120,6 +119,27 @@ def _resolve_edges(net, ev, args, width_fn):
     return ranking[:k], warm
 
 
+def _run_deletion(args, net, ev, edges, warm, **kwargs):
+    """``harness.run_deletion_instance`` with the shared deletion flags."""
+    return harness.run_deletion_instance(
+        net,
+        ev,
+        edges,
+        args.method,
+        network_id=args.network,
+        instance_id=0,
+        selection_tag=args.select,
+        warm_params=warm,
+        max_iterations=args.max_iters,
+        tolerance=args.tol,
+        damping=args.damping,
+        schedule=args.schedule,
+        width_cap=args.width_cap,
+        real_timings=args.timings == "real",
+        **kwargs,
+    )
+
+
 def cmd_score(args) -> int:
     net = load_network(args.network)
     ev = load_evidence(args.evidence, net)
@@ -140,23 +160,7 @@ def cmd_approx(args) -> int:
     edges, warm = _resolve_edges(
         net, ev, args, lambda n: min_fill_order(n).width
     )
-    outcome = harness.run_deletion_instance(
-        net,
-        ev,
-        edges,
-        args.method,
-        network_id=args.network,
-        instance_id=0,
-        selection_tag=args.select,
-        warm_params=warm,
-        max_iterations=args.max_iters,
-        tolerance=args.tol,
-        damping=args.damping,
-        schedule=args.schedule,
-        width_cap=args.width_cap,
-        compute_marginals=True,
-        real_timings=args.timings == "real",
-    )
+    outcome = _run_deletion(args, net, ev, edges, warm, compute_marginals=True)
     for name in sorted(outcome.marginals, key=net.decl_index):
         dist = outcome.marginals[name]
         states = net.var(name).states
@@ -178,52 +182,16 @@ def cmd_map(args) -> int:
     edges, warm = _resolve_edges(
         net, ev, args, lambda n: constrained_order(n, map_vars).width
     )
-    start = time.perf_counter()
-    aug, nprime, plan = approximate_network(net, edges, warm)
-    evp = augmented_evidence(nprime, ev)
-    cfg = parametrize.IterationConfig(
-        method=args.method,
-        max_iterations=args.max_iters,
-        tolerance=args.tol,
-        damping=args.damping,
-        schedule=args.schedule,
-        initialization="plan" if warm is not None else "uniform",
+    outcome = _run_deletion(
+        args, net, ev, edges, warm, compute_exact_kl=False, map_vars=map_vars
     )
-    plan, report, _ = parametrize.run(
-        nprime, plan, evp, cfg, reference=(aug, ev), width_cap=args.width_cap
-    )
-    assignment, value = approximate_map(
-        nprime, plan, evp, map_vars, width_cap=args.width_cap
-    )
-    result = map_quality(
-        aug, ev, assignment, map_vars,
-        value_in_approx=value, width_cap=args.width_cap,
-    )
+    result = outcome.map_result
     for name in map_vars:
-        sys.stdout.write(f"{name} = {assignment[name]}\n")
+        sys.stdout.write(f"{name} = {result.assignment[name]}\n")
     ratio_txt = "n/a" if result.ratio is None else f"{result.ratio:.12g}"
     sys.stdout.write(f"value {result.value:.12g} ratio {ratio_txt}\n")
-    current = apply_params(nprime, plan)
-    elapsed = int(round((time.perf_counter() - start) * 1000)) if args.timings == "real" else 0
-    kl_total = divergence.kl_bound(aug, nprime, plan, ev, evp, width_cap=args.width_cap).total
-    if -1e-9 <= kl_total < 0.0:
-        kl_total = 0.0
-    row = ReportRow(
-        network=args.network,
-        instance=0,
-        method=args.method,
-        selection=args.select,
-        edges_deleted=len(edges),
-        iterations=report.iterations,
-        converged=report.converged,
-        kl_bound=kl_total,
-        exact_kl=None,
-        map_ratio=result.ratio,
-        constrained_treewidth=constrained_order(current, map_vars).width,
-        wall_time_ms=elapsed,
-    )
-    _emit_report([row], args.report)
-    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
+    _emit_report([outcome.row], args.report)
+    return EXIT_OK if outcome.row.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_experiment(args) -> int:

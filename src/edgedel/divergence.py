@@ -16,6 +16,7 @@ costs constant time per update after that one evaluation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .model import (
 
 INNER_MAX_ITERATIONS = 50
 INNER_TOLERANCE = 1e-10
+
+DENOM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,14 @@ def _edge_term(diag: np.ndarray, params: EdgeParams) -> float:
     return term
 
 
+def kl_breakdown(marginals, params, pr_e: float, pr_ep: float) -> KlBreakdown:
+    """The bound from per-edge parent posteriors and parameters, and Pr(e), Pr'(e')."""
+    terms = tuple(_edge_term(m, p) for m, p in zip(marginals, params))
+    correction = math.log(pr_ep / pr_e)
+    total = sum(terms) + correction if all(map(math.isfinite, terms)) else math.inf
+    return KlBreakdown(terms, correction, total)
+
+
 def kl_bound(
     aug: Network,
     nprime: Network,
@@ -79,14 +90,8 @@ def kl_bound(
         raise InconsistentEvidenceError(
             "approximate network: augmented evidence has zero probability"
         )
-    terms = []
-    for rec, params in zip(plan.edges, plan.params):
-        pw = engine.pairwise_marginal(st, rec.parent, rec.clone)
-        diag = np.diag(pw)
-        terms.append(_edge_term(diag, params))
-    correction = math.log(st_p.pr_e / st.pr_e)
-    total = sum(terms) + correction if all(map(math.isfinite, terms)) else math.inf
-    return KlBreakdown(tuple(terms), correction, total)
+    diags = [np.diag(engine.pairwise_marginal(st, r.parent, r.clone)) for r in plan.edges]
+    return kl_breakdown(diags, plan.params, st.pr_e, st_p.pr_e)
 
 
 def exact_kl(
@@ -154,7 +159,31 @@ class EdgeScore:
     converged: bool
 
 
-def _optimize_single_edge(derivs, true_marg, pr_e):
+def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
+    """The ed-kl rule before normalization: true posterior times Pr'(e') over
+    the derivative, entry by entry.
+
+    A zero derivative against positive true mass is clamped to DENOM_FLOOR,
+    with a warning; against zero true mass the entry is 0.
+    """
+    out = np.zeros_like(deriv)
+    for i, (t, d) in enumerate(zip(true_marg, deriv)):
+        if d <= 0.0:
+            if t <= 0.0:
+                out[i] = 0.0
+            else:
+                warnings.warn(
+                    f"zero derivative against positive true mass for {label}; "
+                    f"clamping denominator",
+                    RuntimeWarning,
+                )
+                out[i] = t * pr_ep / DENOM_FLOOR
+        else:
+            out[i] = t * pr_ep / d
+    return out
+
+
+def _optimize_single_edge(derivs, true_marg, pr_e, label):
     """Single-edge fixed-point recursion on the closed-form quantities.
 
     One parameter set at a time: the prior is updated, the closed-form
@@ -170,7 +199,7 @@ def _optimize_single_edge(derivs, true_marg, pr_e):
         pr_ep, d_pm, _ = single_edge_evaluate(derivs, params)
         if pr_ep <= 0.0:
             break
-        pm_new = _scaled(true_marg, pr_ep, d_pm)
+        pm_new = edkl_vector(true_marg, pr_ep, d_pm, label)
         s_pm = pm_new.sum()
         if not (s_pm > 0):
             break
@@ -178,7 +207,7 @@ def _optimize_single_edge(derivs, true_marg, pr_e):
         pr_ep, _, d_se = single_edge_evaluate(derivs, params)
         if pr_ep <= 0.0:
             break
-        se_new = _scaled(true_marg, pr_ep, d_se)
+        se_new = edkl_vector(true_marg, pr_ep, d_se, label)
         s_se = se_new.sum()
         if not (s_se > 0):
             break
@@ -197,18 +226,6 @@ def _optimize_single_edge(derivs, true_marg, pr_e):
     else:
         score = math.inf
     return params, score, iterations, converged
-
-
-def _scaled(true_marg, pr_ep, deriv):
-    out = np.zeros_like(deriv)
-    for i, (t, d) in enumerate(zip(true_marg, deriv)):
-        if t <= 0.0:
-            out[i] = 0.0
-        elif d <= 0.0:
-            out[i] = t * pr_ep / 1e-12
-        else:
-            out[i] = t * pr_ep / d
-    return out
 
 
 def score_edges(
@@ -241,7 +258,7 @@ def score_edges(
         # the equivalence CPT is the identity, so Pr(u, e) = derivs[u, u]
         true_marg = np.diag(derivs) / st.pr_e
         params, score, iterations, converged = _optimize_single_edge(
-            derivs, true_marg, st.pr_e
+            derivs, true_marg, st.pr_e, f"edge {rec.parent} -> {rec.child}"
         )
         scored.append(
             (score, idx, EdgeScore(rec.parent, rec.child, score, params, iterations, converged))

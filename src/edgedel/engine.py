@@ -4,6 +4,12 @@ Answers evidence probability, posterior and pairwise marginals, CPT-entry
 derivatives (valid at zero parameters), tables of Pr(e) over kept variables
 with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
 orders with an optional eliminate-these-last constraint.
+
+Every query takes the same three steps: reduce (``_factors``: the CPTs as
+factors sliced by the evidence), order (``_order``: one greedy min-fill
+order, checked against the width cap before any table is built), and
+eliminate (``_eliminate``: one bucket loop that sums out each variable in
+turn, or maximizes it out with an argmax traceback for MAP).
 """
 
 from __future__ import annotations
@@ -56,210 +62,13 @@ def _fill_cost(adj, n) -> int:
     return cost
 
 
-def _greedy_phases(adj: dict[str, set[str]], phases, decl_index) -> tuple[list[str], int]:
-    """Eliminate each phase's variables greedily by min fill; returns order and width.
+def _factors(net: Network, ev_index, without=(), keep=()) -> list[Factor]:
+    """The CPTs of the variables outside ``without`` as factors reduced by
+    the evidence, except that the variables in ``keep`` stay unreduced.
 
-    Width is the largest elimination-time neighborhood (clique size - 1).
-    Ties break toward the lowest declaration index, so runs are deterministic.
+    A kept observed variable gets an indicator factor instead, and a kept
+    variable that no remaining factor mentions gets a ones factor.
     """
-    adj = {n: set(nb) for n, nb in adj.items()}
-    order: list[str] = []
-    width = 0
-    for phase in phases:
-        remaining = set(phase)
-        while remaining:
-            best = None
-            best_key = None
-            for n in remaining:
-                key = (_fill_cost(adj, n), decl_index(n))
-                if best_key is None or key < best_key:
-                    best, best_key = n, key
-            nbrs = list(adj[best])
-            width = max(width, len(nbrs))
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    adj[nbrs[i]].add(nbrs[j])
-                    adj[nbrs[j]].add(nbrs[i])
-            for n in nbrs:
-                adj[n].discard(best)
-            del adj[best]
-            remaining.discard(best)
-            order.append(best)
-    return order, width
-
-
-def min_fill_order(net: Network, query=()) -> EliminationOrder:
-    """Greedy min-fill order over all variables outside ``query``."""
-    query = set(query)
-    for q in query:
-        net.var(q)
-    adj = _moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
-    target = [v.name for v in net.variables if v.name not in query]
-    order, width = _greedy_phases(adj, [target], net.decl_index)
-    return EliminationOrder(tuple(order), width)
-
-
-def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
-    """Full elimination order with ``map_vars`` forced last.
-
-    The reported width is the constrained-treewidth estimate.
-    """
-    map_vars = set(map_vars)
-    for q in map_vars:
-        net.var(q)
-    adj = _moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
-    first = [v.name for v in net.variables if v.name not in map_vars]
-    last = [v.name for v in net.variables if v.name in map_vars]
-    order, width = _greedy_phases(adj, [first, last], net.decl_index)
-    return EliminationOrder(tuple(order), width)
-
-
-def induced_width(net: Network, order) -> int:
-    """Recompute the width obtained by eliminating ``order`` in sequence."""
-    adj = _moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
-    width = 0
-    for n in order:
-        nbrs = list(adj[n])
-        width = max(width, len(nbrs))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for m in nbrs:
-            adj[m].discard(n)
-        del adj[n]
-    return width
-
-
-def _eliminate_sum(
-    factors: list[Factor], keep: set[str], decl_index, width_cap=None
-) -> Factor:
-    """Sum out every scope variable not in ``keep``; product of what remains.
-
-    With ``width_cap`` set, an order wider than the cap raises CapacityError
-    before any table is built.
-    """
-    scopes = [f.names() for f in factors]
-    adj = _moral_adjacency(scopes)
-    target = [n for n in adj if n not in keep]
-    order, width = _greedy_phases(adj, [target], decl_index)
-    if width_cap is not None and width > width_cap:
-        raise CapacityError(f"induced width {width} exceeds the cap of {width_cap}")
-    work = list(factors)
-    for name in order:
-        bucket = [f for f in work if name in f.names()]
-        if not bucket:
-            continue
-        work = [f for f in work if name not in f.names()]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = prod.multiply(f)
-        work.append(prod.marginalize_to(set(prod.names()) - {name}))
-    result = Factor.unit()
-    for f in work:
-        result = result.multiply(f)
-    return result
-
-
-class EngineState:
-    """Compiled (network, evidence) pair: evidence-reduced factors plus Pr(e).
-
-    Immutable after compile; queries are read-only.
-    """
-
-    __slots__ = ("net", "evidence", "width", "width_cap", "pr_e", "_reduced", "_ev_index")
-
-    def __init__(self, net, evidence, width, width_cap, pr_e, reduced, ev_index):
-        self.net = net
-        self.evidence = evidence
-        self.width = width
-        self.width_cap = width_cap
-        self.pr_e = pr_e
-        self._reduced = reduced
-        self._ev_index = ev_index
-
-    def _keep(self, names) -> Factor:
-        return _eliminate_sum(self._reduced, set(names), self.net.decl_index)
-
-    def posterior_marginal(self, name: str) -> np.ndarray:
-        return posterior_marginal(self, name)
-
-    def pairwise_marginal(self, a: str, b: str) -> np.ndarray:
-        return pairwise_marginal(self, a, b)
-
-
-def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
-    """Reduce the network's factors by evidence and cache Pr(e)."""
-    ev.validate(net)
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
-    reduced = []
-    for cpt in net.cpts():
-        f = Factor(cpt.scope(), cpt.shaped, _trusted=True)
-        for name in f.names():
-            if name in ev_index:
-                f = f.reduce(name, ev_index[name])
-        reduced.append(f)
-    adj = _moral_adjacency([f.names() for f in reduced])
-    _, width = _greedy_phases(adj, [list(adj)], net.decl_index)
-    if width > width_cap:
-        raise CapacityError(
-            f"induced width {width} exceeds the cap of {width_cap}"
-        )
-    pr_e = float(
-        _eliminate_sum(reduced, set(), net.decl_index).values.reshape(())
-    )
-    return EngineState(net, ev, width, width_cap, pr_e, tuple(reduced), ev_index)
-
-
-def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
-    """Normalized posterior over the states of one variable."""
-    var = st.net.var(name)
-    if st.pr_e <= 0.0:
-        raise InconsistentEvidenceError("evidence has zero probability")
-    if name in st._ev_index:
-        out = np.zeros(var.card)
-        out[st._ev_index[name]] = 1.0
-        return out
-    f = st._keep({name})
-    return np.asarray(f.values, dtype=float) / st.pr_e
-
-
-def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
-    """Normalized joint over the states of (a, b); diagonal posterior if a == b."""
-    va, vb = st.net.var(a), st.net.var(b)
-    if st.pr_e <= 0.0:
-        raise InconsistentEvidenceError("evidence has zero probability")
-    if a == b:
-        return np.diag(posterior_marginal(st, a))
-    a_obs = a in st._ev_index
-    b_obs = b in st._ev_index
-    out = np.zeros((va.card, vb.card))
-    if a_obs and b_obs:
-        out[st._ev_index[a], st._ev_index[b]] = 1.0
-    elif a_obs:
-        out[st._ev_index[a], :] = posterior_marginal(st, b)
-    elif b_obs:
-        out[:, st._ev_index[b]] = posterior_marginal(st, a)
-    else:
-        f = st._keep({a, b}).reorder((a, b))
-        out = np.asarray(f.values, dtype=float) / st.pr_e
-    return out
-
-
-def kept_table(
-    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
-) -> np.ndarray:
-    """Pr(e) with the CPTs of the variables in ``without`` left out, summed
-    down to the variables in ``keep`` (axes in ``keep`` order).
-
-    Kept variables stay unreduced: an observed one gets an indicator factor
-    instead, and one that no remaining factor mentions gets a ones factor.
-    Leaving out one CPT and keeping its family gives that CPT's derivative
-    table; leaving out a deleted edge's clone prior and soft-evidence CPT and
-    keeping (parent, clone) gives the table ``g`` with Pr'(e') = se g pm.
-    """
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
-    keep = tuple(keep)
     factors: list[Factor] = []
     for cpt in net.cpts():
         if cpt.child.name in without:
@@ -281,8 +90,191 @@ def kept_table(
         elif name not in covered:
             # e.g. an unobserved leaf child: the table is flat across its states
             factors.append(Factor((var,), np.ones(var.card), _trusted=True))
-    result = _eliminate_sum(factors, set(keep), net.decl_index, width_cap)
-    return result.reorder(keep).values
+    return factors
+
+
+def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> EliminationOrder:
+    """Greedy min-fill order of every scope variable outside ``keep``, with
+    the variables in ``last`` eliminated after all the others.
+
+    Width is the largest elimination-time neighborhood (clique size - 1).
+    Ties break toward the lowest declaration index, so runs are deterministic.
+    With ``width_cap`` set, a wider order raises CapacityError before any
+    table is built.
+    """
+    adj = _moral_adjacency([f.names() for f in factors])
+    phases = (
+        [n for n in adj if n not in keep and n not in last],
+        [n for n in adj if n in last],
+    )
+    order: list[str] = []
+    width = 0
+    for phase in phases:
+        remaining = set(phase)
+        while remaining:
+            best = min(remaining, key=lambda n: (_fill_cost(adj, n), decl_index(n)))
+            nbrs = adj.pop(best)
+            width = max(width, len(nbrs))
+            for n in nbrs:
+                adj[n] |= nbrs
+                adj[n] -= {n, best}
+            remaining.discard(best)
+            order.append(best)
+    if width_cap is not None and width > width_cap:
+        what = "constrained induced width" if last else "induced width"
+        raise CapacityError(f"{what} {width} exceeds the cap of {width_cap}")
+    return EliminationOrder(tuple(order), width)
+
+
+def _eliminate(factors, order, maximize=()) -> tuple[Factor, list]:
+    """Eliminate ``order`` one bucket at a time; returns the product of what
+    remains and the argmax traceback of the variables in ``maximize``.
+
+    Each variable is summed out, or maximized out if it is in ``maximize``,
+    in which case (variable, rest of the bucket's scope, argmax table) is
+    recorded.
+    """
+    work = list(factors)
+    traceback = []
+    for name in order:
+        bucket = [f for f in work if name in f.names()]
+        if not bucket:
+            continue
+        work = [f for f in work if name not in f.names()]
+        prod = bucket[0]
+        for f in bucket[1:]:
+            prod = prod.multiply(f)
+        rest = set(prod.names()) - {name}
+        if name in maximize:
+            ax = prod.axis_of(name)
+            argmax = np.argmax(prod.values, axis=ax)
+            traceback.append((name, prod.scope[:ax] + prod.scope[ax + 1 :], argmax))
+            work.append(prod.maximize_to(rest))
+        else:
+            work.append(prod.marginalize_to(rest))
+    result = Factor.unit()
+    for f in work:
+        result = result.multiply(f)
+    return result, traceback
+
+
+def min_fill_order(net: Network, query=()) -> EliminationOrder:
+    """Greedy min-fill order over all variables outside ``query``."""
+    query = set(query)
+    for q in query:
+        net.var(q)
+    return _order(_factors(net, {}), net.decl_index, keep=query)
+
+
+def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
+    """Full elimination order with ``map_vars`` forced last.
+
+    The reported width is the constrained-treewidth estimate.
+    """
+    map_vars = set(map_vars)
+    for q in map_vars:
+        net.var(q)
+    return _order(_factors(net, {}), net.decl_index, last=map_vars)
+
+
+def induced_width(net: Network, order) -> int:
+    """Recompute the width obtained by eliminating ``order`` in sequence."""
+    adj = _moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
+    width = 0
+    for n in order:
+        nbrs = list(adj[n])
+        width = max(width, len(nbrs))
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for m in nbrs:
+            adj[m].discard(n)
+        del adj[n]
+    return width
+
+
+class EngineState:
+    """Compiled (network, evidence) pair: evidence-reduced factors plus Pr(e).
+
+    Immutable after compile; queries are read-only.
+    """
+
+    __slots__ = ("net", "evidence", "width", "width_cap", "pr_e", "_reduced", "_ev_index")
+
+    def __init__(self, net, evidence, width, width_cap, pr_e, reduced, ev_index):
+        self.net = net
+        self.evidence = evidence
+        self.width = width
+        self.width_cap = width_cap
+        self.pr_e = pr_e
+        self._reduced = reduced
+        self._ev_index = ev_index
+
+
+def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
+    """Reduce the network's factors by evidence and cache Pr(e)."""
+    ev.validate(net)
+    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
+    reduced = _factors(net, ev_index)
+    elim = _order(reduced, net.decl_index, width_cap=width_cap)
+    pr_e = float(_eliminate(reduced, elim.order)[0].values.reshape(()))
+    return EngineState(net, ev, elim.width, width_cap, pr_e, tuple(reduced), ev_index)
+
+
+def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
+    """Normalized posterior over the states of one variable."""
+    var = st.net.var(name)
+    if st.pr_e <= 0.0:
+        raise InconsistentEvidenceError("evidence has zero probability")
+    if name in st._ev_index:
+        out = np.zeros(var.card)
+        out[st._ev_index[name]] = 1.0
+        return out
+    order = _order(st._reduced, st.net.decl_index, keep={name}).order
+    f, _ = _eliminate(st._reduced, order)
+    return np.asarray(f.values, dtype=float) / st.pr_e
+
+
+def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
+    """Normalized joint over the states of (a, b); diagonal posterior if a == b."""
+    va, vb = st.net.var(a), st.net.var(b)
+    if st.pr_e <= 0.0:
+        raise InconsistentEvidenceError("evidence has zero probability")
+    if a == b:
+        return np.diag(posterior_marginal(st, a))
+    a_obs = a in st._ev_index
+    b_obs = b in st._ev_index
+    out = np.zeros((va.card, vb.card))
+    if a_obs and b_obs:
+        out[st._ev_index[a], st._ev_index[b]] = 1.0
+    elif a_obs:
+        out[st._ev_index[a], :] = posterior_marginal(st, b)
+    elif b_obs:
+        out[:, st._ev_index[b]] = posterior_marginal(st, a)
+    else:
+        order = _order(st._reduced, st.net.decl_index, keep={a, b}).order
+        f = _eliminate(st._reduced, order)[0].reorder((a, b))
+        out = np.asarray(f.values, dtype=float) / st.pr_e
+    return out
+
+
+def kept_table(
+    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
+) -> np.ndarray:
+    """Pr(e) with the CPTs of the variables in ``without`` left out, summed
+    down to the variables in ``keep`` (axes in ``keep`` order).
+
+    Kept variables stay unreduced (see ``_factors``).  Leaving out one CPT and
+    keeping its family gives that CPT's derivative table; leaving out a
+    deleted edge's clone prior and soft-evidence CPT and keeping (parent,
+    clone) gives the table ``g`` with Pr'(e') = se g pm.
+    """
+    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
+    keep = tuple(keep)
+    factors = _factors(net, ev_index, without, keep)
+    order = _order(factors, net.decl_index, keep=set(keep), width_cap=width_cap).order
+    return _eliminate(factors, order)[0].reorder(keep).values
 
 
 def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
@@ -330,44 +322,8 @@ def exact_map(st: EngineState, map_vars) -> tuple[dict[str, str], float]:
         else:
             hidden_map.append(name)
 
-    scopes = [f.names() for f in st._reduced]
-    adj = _moral_adjacency(scopes)
-    sum_phase = [n for n in adj if n not in hidden_map]
-    order, width = _greedy_phases(adj, [sum_phase, [n for n in hidden_map if n in adj]], net.decl_index)
-    if width > st.width_cap:
-        raise CapacityError(
-            f"constrained induced width {width} exceeds the cap of {st.width_cap}"
-        )
-
-    work = list(st._reduced)
-    for name in order[: len(sum_phase)]:
-        bucket = [f for f in work if name in f.names()]
-        if not bucket:
-            continue
-        work = [f for f in work if name not in f.names()]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = prod.multiply(f)
-        work.append(prod.marginalize_to(set(prod.names()) - {name}))
-
-    traceback = []
-    for name in order[len(sum_phase) :]:
-        bucket = [f for f in work if name in f.names()]
-        if not bucket:
-            continue
-        work = [f for f in work if name not in f.names()]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = prod.multiply(f)
-        ax = prod.axis_of(name)
-        rest = tuple(v for i, v in enumerate(prod.scope) if i != ax)
-        argmax = np.argmax(prod.values, axis=ax)
-        traceback.append((name, rest, argmax))
-        work.append(prod.maximize_to(set(prod.names()) - {name}))
-
-    value = Factor.unit()
-    for f in work:
-        value = value.multiply(f)
+    elim = _order(st._reduced, net.decl_index, last=hidden_map, width_cap=st.width_cap)
+    value, traceback = _eliminate(st._reduced, elim.order, maximize=hidden_map)
     q = float(value.values.reshape(()))
 
     chosen: dict[str, int] = {}

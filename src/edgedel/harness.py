@@ -21,7 +21,8 @@ from .deletion import (
     apply_params,
     augmented_evidence,
 )
-from .engine import WIDTH_CAP_DEFAULT, min_fill_order
+from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
+from .mapapprox import MapResult, approximate_map, map_quality
 from .model import (
     ENUM_CAP_DEFAULT,
     CapacityError,
@@ -226,6 +227,7 @@ class InstanceOutcome:
     plan: DeletionPlan | None = None
     marginals: dict[str, np.ndarray] = field(default_factory=dict)
     trace: list = field(default_factory=list)
+    map_result: MapResult | None = None
 
 
 def run_deletion_instance(
@@ -247,11 +249,14 @@ def run_deletion_instance(
     compute_exact_kl: bool = True,
     compute_marginals: bool = False,
     real_timings: bool = False,
+    map_vars=None,
 ) -> InstanceOutcome:
     """Delete ``edges`` from ``net``, parametrize with ``method``, measure.
 
     ``warm_params`` (one EdgeParams per edge) switches initialization from
-    uniform to the given values.
+    uniform to the given values.  With ``map_vars`` set, the fitted network
+    also answers MAP over them: the row carries the p/q ratio and the
+    constrained width instead of the min-fill width.
     """
     start = time.perf_counter()
     aug, nprime, plan = approximate_network(net, edges, warm_params)
@@ -280,7 +285,15 @@ def run_deletion_instance(
         except CapacityError:
             exact = None
     current = apply_params(nprime, plan)
-    width = min_fill_order(current).width
+    map_result = None
+    if map_vars is None:
+        width = min_fill_order(current).width
+    else:
+        assignment, value = approximate_map(nprime, plan, evp, map_vars, width_cap=width_cap)
+        map_result = map_quality(
+            aug, ev, assignment, map_vars, value_in_approx=value, width_cap=width_cap
+        )
+        width = constrained_order(current, map_vars).width
     elapsed_ms = int(round((time.perf_counter() - start) * 1000)) if real_timings else 0
     row = ReportRow(
         network=network_id,
@@ -292,11 +305,11 @@ def run_deletion_instance(
         converged=report.converged,
         kl_bound=kl_total,
         exact_kl=exact,
-        map_ratio=None,
+        map_ratio=None if map_result is None else map_result.ratio,
         constrained_treewidth=width,
         wall_time_ms=elapsed_ms,
     )
-    outcome = InstanceOutcome(row=row, plan=plan, trace=trace)
+    outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
         from .deletion import recover_marginals
 
@@ -316,13 +329,9 @@ def rank_edges(net: Network, ev: Evidence, selection: str, rng,
         scores = divergence.score_edges(net, ev, width_cap=width_cap)
         return [(s.parent, s.child) for s in scores], [s.params for s in scores]
     if selection == "mi":
-        ranked = mutual_information_rank(net, ev, width_cap)
-        return ranked, None
+        scores = divergence.mutual_information_scores(net, ev, width_cap=width_cap)
+        return [(u, x) for u, x, _ in scores], None
     raise ModelError(f"unknown selection {selection!r}")
-
-
-def mutual_information_rank(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT):
-    return [(u, x) for u, x, _ in divergence.mutual_information_scores(net, ev, width_cap=width_cap)]
 
 
 def run_experiment(spec: ExperimentSpec, load_network=None) -> list[ReportRow]:

@@ -540,14 +540,6 @@ def _aligned(f: Factor, scope: tuple[Variable, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def multiply_factors(f: Factor, g: Factor) -> Factor:
-    return f.multiply(g)
-
-
-def marginalize_factor(f: Factor, keep) -> Factor:
-    return f.marginalize_to(keep)
-
-
 def enumerate_joint(net: Network, ev: Evidence, cap: int = ENUM_CAP_DEFAULT) -> Factor:
     """Materialize the unnormalized joint over all unobserved variables.
 

@@ -12,23 +12,19 @@ between the source network and its approximation.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
 from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records
-from .divergence import single_edge_evaluate
+from .divergence import edkl_vector, kl_breakdown, single_edge_evaluate
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, InconsistentEvidenceError, ModelError, Network
 
 METHODS = ("ed-bp", "ed-kl")
 SCHEDULES = ("sequential", "simultaneous")
 INITS = ("uniform", "plan")
-
-DENOM_FLOOR = 1e-12
 
 
 class DegenerateUpdateError(ModelError):
@@ -96,24 +92,6 @@ def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.nda
     return _normalize(mixed, what)
 
 
-def _edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
-    out = np.zeros_like(deriv)
-    for i, (t, d) in enumerate(zip(true_marg, deriv)):
-        if d <= 0.0:
-            if t <= 0.0:
-                out[i] = 0.0
-            else:
-                warnings.warn(
-                    f"zero derivative against positive true mass for {label}; "
-                    f"clamping denominator",
-                    RuntimeWarning,
-                )
-                out[i] = t * pr_ep / DENOM_FLOOR
-        else:
-            out[i] = t * pr_ep / d
-    return out
-
-
 def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
     """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
     with respect to that vector (``own``) and to its partner (``cross``)."""
@@ -129,7 +107,7 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
         raise InconsistentEvidenceError(
             "approximate network assigns zero probability to the augmented evidence"
         )
-    return _normalize(_edkl_vector(true_marg, pr_ep, own, label), label)
+    return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
 def _chained(expected, got, label) -> float:
@@ -223,19 +201,6 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     return marginals, st.pr_e
 
 
-def _plan_kl_bound(plan, true_marginals, pr_e, pr_ep) -> float:
-    total = 0.0
-    for params, tm in zip(plan.params, true_marginals):
-        prod = params.pm * params.se
-        for t, pq in zip(tm, prod):
-            if t <= 0.0:
-                continue
-            if pq <= 0.0:
-                return math.inf
-            total -= t * math.log(pq)
-    return total + math.log(pr_ep / pr_e)
-
-
 def run(
     nprime: Network,
     plan: DeletionPlan,
@@ -288,7 +253,7 @@ def run(
                 # simultaneous mode moved every edge at once: one compile
                 pr_ep = engine.compile(apply_params(nprime, plan), evp, width_cap).pr_e
             if pr_ep > 0:
-                kl = _plan_kl_bound(plan, true_marginals, pr_e, pr_ep)
+                kl = kl_breakdown(true_marginals, plan.params, pr_e, pr_ep).total
         trace.append(SweepRecord(sweep, worst, kl))
         if worst < cfg.tolerance:
             converged = True

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from edgedel import (
     single_edge_evaluate,
 )
 from edgedel.deletion import apply_params
+from edgedel.divergence import DENOM_FLOOR, edkl_vector
+from edgedel.harness import grid_network
 
 from conftest import bridged_net, positive_evidence, random_network
 
@@ -197,6 +200,30 @@ class TestSingleEdgeEvaluate:
         pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params)
         assert float(params.pm @ d_pm) == pytest.approx(pr_ep, rel=1e-12)
         assert float(params.se @ d_se) == pytest.approx(pr_ep, rel=1e-12)
+
+
+class TestEdklVector:
+    def test_zero_derivative_against_positive_mass_clamps_and_warns(self):
+        t = np.array([0.25, 0.75])
+        d = np.array([0.5, 0.0])
+        with pytest.warns(RuntimeWarning, match="edge U -> X"):
+            out = edkl_vector(t, 0.3, d, "edge U -> X")
+        assert out[0] == 0.25 * 0.3 / 0.5
+        assert out[1] == 0.75 * 0.3 / DENOM_FLOOR
+
+    def test_zero_derivative_against_zero_mass_gives_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = edkl_vector(np.array([0.0, 1.0]), 0.3, np.array([0.0, 0.5]), "edge U -> X")
+        assert out.tolist() == [0.0, 1.0 * 0.3 / 0.5]
+
+    def test_score_edges_never_clamps(self, coins_fixture):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score_edges(net, ev)
+            score_edges(*coins_fixture)
 
 
 class TestScoreEdges:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
     Cpt,
@@ -376,3 +377,41 @@ class TestExactMap:
         m, q = exact_map(st, ["A", "B"])
         assert m == {"A": "first", "B": "first"}
         assert q == pytest.approx(0.25)
+
+
+class TestOneOrderPerQuery:
+    """Each query computes exactly one elimination order."""
+
+    def _count_orders(self, monkeypatch):
+        calls = []
+        original = engine_module._order
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "_order", counting)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 6)])
+    def test_compile_orders_once(self, monkeypatch, shape):
+        net = grid_network(*shape, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        calls = self._count_orders(monkeypatch)
+        compile(net, ev)
+        assert len(calls) == 1
+
+    def test_kept_table_orders_once(self, monkeypatch):
+        net = grid_network(4, 4, rng=np.random.default_rng(1))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        calls = self._count_orders(monkeypatch)
+        kept_table(net, ev, ("N1_1",), ("N0_1", "N1_0", "N1_1"))
+        assert len(calls) == 1
+
+    def test_exact_map_orders_once(self, monkeypatch):
+        net = grid_network(4, 4, rng=np.random.default_rng(2))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        st = compile(net, ev)
+        calls = self._count_orders(monkeypatch)
+        exact_map(st, ["N0_0", "N1_1", "N2_2"])
+        assert len(calls) == 1

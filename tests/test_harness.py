@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from edgedel import Cpt, Evidence, ModelError, Network, Variable, compile, posterior_marginal
+from edgedel import (
+    Cpt,
+    Evidence,
+    ModelError,
+    Network,
+    Variable,
+    apply_params,
+    approximate_map_quality,
+    approximate_network,
+    augmented_evidence,
+    compile,
+    constrained_order,
+    posterior_marginal,
+)
 from edgedel.harness import (
     ExperimentSpec,
     chain_network,
@@ -9,6 +22,7 @@ from edgedel.harness import (
     grid_network,
     parse_experiment_spec,
     parse_synthetic,
+    run_deletion_instance,
     run_experiment,
     sample_evidence,
 )
@@ -187,3 +201,25 @@ class TestRunExperiment:
             assert row.kl_bound >= 0
             if row.exact_kl is not None:
                 assert row.exact_kl <= row.kl_bound + 1e-9
+
+
+class TestRunDeletionInstance:
+    def test_map_vars_add_map_quality_and_constrained_width(self):
+        rng = np.random.default_rng(2)
+        net = grid_network(3, 3, rng=rng)
+        ev = sample_evidence(net, "leaves-from-joint", rng)
+        edges = net.edges()[:3]
+        map_vars = ["N0_0", "N1_1"]
+        got = run_deletion_instance(
+            net, ev, edges, "ed-kl", compute_exact_kl=False, map_vars=map_vars
+        )
+        aug, nprime, _ = approximate_network(net, edges)
+        evp = augmented_evidence(nprime, ev)
+        want = approximate_map_quality(aug, nprime, got.plan, ev, evp, map_vars)
+        assert got.map_result == want
+        assert got.row.map_ratio == want.ratio
+        current = apply_params(nprime, got.plan)
+        assert got.row.constrained_treewidth == constrained_order(current, map_vars).width
+        plain = run_deletion_instance(net, ev, edges, "ed-kl", compute_exact_kl=False)
+        assert plain.map_result is None and plain.row.map_ratio is None
+        assert plain.row.kl_bound == got.row.kl_bound

@@ -14,8 +14,6 @@ from edgedel import (
     Network,
     Variable,
     enumerate_joint,
-    marginalize_factor,
-    multiply_factors,
     validate_network,
 )
 from edgedel.model import equivalence_table
@@ -83,14 +81,14 @@ class TestFactorOps:
         a = Variable("A", ("a0", "a1"))
         f = Factor((a,), [0.5, 0.5])
         g = Factor((a,), [1.0, 0.0])
-        assert multiply_factors(f, g).values.tolist() == [0.5, 0.0]
+        assert f.multiply(g).values.tolist() == [0.5, 0.0]
 
     def test_multiply_disjoint_is_outer_product(self):
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1"))
         f = Factor((a,), [0.5, 0.5])
         g = Factor((b,), [0.5, 0.5])
-        prod = multiply_factors(f, g)
+        prod = f.multiply(g)
         assert prod.names() == ("A", "B")
         assert np.allclose(prod.values, 0.25)
 
@@ -101,7 +99,7 @@ class TestFactorOps:
         c = Variable("C", ("c0", "c1"))
         f = Factor((a, b), rng.random((2, 2)))
         g = Factor((b, c), rng.random((2, 2)))
-        prod = multiply_factors(f, g)
+        prod = f.multiply(g)
         for i, j, k in itertools.product(range(2), repeat=3):
             want = f.values[i, j] * g.values[j, k]
             assert prod.value_at({"A": i, "B": j, "C": k}) == pytest.approx(want, abs=1e-12)
@@ -110,18 +108,18 @@ class TestFactorOps:
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1"))
         f = Factor((a, b), np.full((2, 2), 0.25))
-        assert marginalize_factor(f, {"A"}).values.tolist() == [0.5, 0.5]
+        assert f.marginalize_to({"A"}).values.tolist() == [0.5, 0.5]
 
     def test_marginalize_keep_all_is_identity(self):
         a = Variable("A", ("a0", "a1"))
         f = Factor((a,), [0.3, 0.7])
-        assert marginalize_factor(f, {"A"}) == f
+        assert f.marginalize_to({"A"}) == f
 
     def test_marginalize_matches_explicit_sums(self):
         rng = np.random.default_rng(1)
         scope = tuple(Variable(n, ("x", "y", "z")[: 2 + i % 2]) for i, n in enumerate("ABC"))
         f = Factor(scope, rng.random(tuple(v.card for v in scope)))
-        kept = marginalize_factor(f, {"B"})
+        kept = f.marginalize_to({"B"})
         for j in range(scope[1].card):
             want = sum(
                 f.values[i, j, k]
@@ -135,7 +133,7 @@ class TestFactorOps:
         a = Variable("A", ("a0", "a1", "a2"))
         b = Variable("B", ("b0", "b1"))
         f = Factor((a, b), rng.random((3, 2)))
-        assert marginalize_factor(f, {"B"}).total() == pytest.approx(f.total(), rel=1e-12)
+        assert f.marginalize_to({"B"}).total() == pytest.approx(f.total(), rel=1e-12)
 
     def test_negative_values_rejected(self):
         a = Variable("A", ("a0", "a1"))
@@ -146,7 +144,7 @@ class TestFactorOps:
         a1 = Variable("A", ("a0", "a1"))
         a2 = Variable("A", ("other", "labels"))
         with pytest.raises(ModelError):
-            multiply_factors(Factor((a1,), [1, 1]), Factor((a2,), [1, 1]))
+            Factor((a1,), [1, 1]).multiply(Factor((a2,), [1, 1]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -161,15 +159,15 @@ class TestFactorOps:
             scope = tuple(variables[n] for n in sorted(chosen))
             factors.append(Factor(scope, rng.random(tuple(v.card for v in scope))))
         f, g, h = factors
-        fg = multiply_factors(f, g)
-        gf = multiply_factors(g, f)
+        fg = f.multiply(g)
+        gf = g.multiply(f)
         assert np.allclose(
             fg.reorder(sorted(fg.names())).values,
             gf.reorder(sorted(gf.names())).values,
             rtol=1e-12,
         )
-        left = multiply_factors(fg, h)
-        right = multiply_factors(f, multiply_factors(g, h))
+        left = fg.multiply(h)
+        right = f.multiply(g.multiply(h))
         assert np.allclose(
             left.reorder(sorted(left.names())).values,
             right.reorder(sorted(right.names())).values,

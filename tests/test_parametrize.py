@@ -384,10 +384,10 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         calls = self._count(
-            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "_eliminate_sum"]
+            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "_eliminate"]
         )
         _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
-        assert calls == {"compile": 0, "cpt_derivatives": 0, "kept_table": 4, "_eliminate_sum": 4}
+        assert calls == {"compile": 0, "cpt_derivatives": 0, "kept_table": 4, "_eliminate": 4}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_compiles_once_plus_once_per_simultaneous_sweep(self, monkeypatch, schedule):
