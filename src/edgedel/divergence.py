@@ -8,9 +8,9 @@ restricted to the source variables, which is computed here by brute-force
 enumeration.
 
 ``score_edges`` ranks every network edge by the divergence achievable when
-it alone is deleted with optimized parameters.  All per-edge quantities come
-from derivative tables of a single compiled engine state, so scoring an edge
-costs constant time per update after that one evaluation.
+it alone is deleted with optimized parameters.  One compile gives Pr(e) for
+all edges; each edge then costs one derivative elimination (its clone's CPT
+table), after which every optimizer update takes constant time.
 """
 
 from __future__ import annotations
@@ -238,9 +238,11 @@ def score_edges(
 
     The input may be an original network (every edge is scored) or an
     augmented one (its intact equivalence edges are scored).  One engine
-    compile serves all edges, plus one derivative elimination per edge;
-    ranking is ascending with declaration-order tie-breaks, and infinite
-    scores sort last.
+    compile serves all edges, plus one derivative elimination per edge.
+    Ranking is ascending and infinite scores sort last.  Declaration order
+    breaks ties between bitwise-equal scores only: edges that tie
+    mathematically, such as the two out-edges of a root with two children,
+    can differ in the last bits and are then ordered by roundoff.
     """
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")

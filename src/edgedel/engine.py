@@ -53,13 +53,11 @@ def _moral_adjacency(scopes) -> dict[str, set[str]]:
 
 
 def _fill_cost(adj, n) -> int:
-    nbrs = list(adj[n])
-    cost = 0
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if nbrs[j] not in adj[nbrs[i]]:
-                cost += 1
-    return cost
+    """Number of missing edges among the neighbours of ``n``."""
+    nbrs = adj[n]
+    # each neighbour m misses len(nbrs - adj[m]) - 1 of the others (m itself
+    # is in the difference); every missing pair is counted from both ends
+    return (sum([len(nbrs - adj[m]) for m in nbrs]) - len(nbrs)) // 2
 
 
 def _factors(net: Network, ev_index, without=(), keep=()) -> list[Factor]:
@@ -101,6 +99,11 @@ def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> Elimination
     Ties break toward the lowest declaration index, so runs are deterministic.
     With ``width_cap`` set, a wider order raises CapacityError before any
     table is built.
+
+    Each phase keeps a table of (fill cost, declaration index) keys.
+    Eliminating a node changes only its neighbours' neighbourhoods and adds
+    edges only among them, so only the keys of those neighbours and of their
+    neighbours are recomputed.
     """
     adj = _moral_adjacency([f.names() for f in factors])
     phases = (
@@ -110,15 +113,23 @@ def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> Elimination
     order: list[str] = []
     width = 0
     for phase in phases:
-        remaining = set(phase)
-        while remaining:
-            best = min(remaining, key=lambda n: (_fill_cost(adj, n), decl_index(n)))
+        key = {n: (_fill_cost(adj, n), decl_index(n)) for n in phase}
+        while key:
+            best = min(key, key=key.__getitem__)
+            del key[best]
             nbrs = adj.pop(best)
             width = max(width, len(nbrs))
             for n in nbrs:
                 adj[n] |= nbrs
                 adj[n] -= {n, best}
-            remaining.discard(best)
+            stale = set(nbrs)
+            for n in nbrs:
+                stale |= adj[n]
+            for n in stale:
+                # outside nbrs, a node's cost moves only if a new edge joins
+                # two of its neighbours, so it must touch two of nbrs
+                if n in key and (n in nbrs or len(adj[n] & nbrs) > 1):
+                    key[n] = (_fill_cost(adj, n), key[n][1])
             order.append(best)
     if width_cap is not None and width > width_cap:
         what = "constrained induced width" if last else "induced width"
@@ -133,14 +144,23 @@ def _eliminate(factors, order, maximize=()) -> tuple[Factor, list]:
     Each variable is summed out, or maximized out if it is in ``maximize``,
     in which case (variable, rest of the bucket's scope, argmax table) is
     recorded.
+
+    Live factors are keyed by creation number (inputs first, then each
+    bucket's result), and ``holding`` lists the factors that mention each
+    variable, so a bucket is found without rescanning every scope and is
+    multiplied in creation order.
     """
-    work = list(factors)
+    work = dict(enumerate(factors))
+    holding: dict[str, list[int]] = {}
+    for i, f in work.items():
+        for n in f.names():
+            holding.setdefault(n, []).append(i)
+    created = len(work)
     traceback = []
     for name in order:
-        bucket = [f for f in work if name in f.names()]
+        bucket = [work.pop(i) for i in holding.pop(name, ()) if i in work]
         if not bucket:
             continue
-        work = [f for f in work if name not in f.names()]
         prod = bucket[0]
         for f in bucket[1:]:
             prod = prod.multiply(f)
@@ -149,11 +169,14 @@ def _eliminate(factors, order, maximize=()) -> tuple[Factor, list]:
             ax = prod.axis_of(name)
             argmax = np.argmax(prod.values, axis=ax)
             traceback.append((name, prod.scope[:ax] + prod.scope[ax + 1 :], argmax))
-            work.append(prod.maximize_to(rest))
+            work[created] = prod.maximize_to(rest)
         else:
-            work.append(prod.marginalize_to(rest))
+            work[created] = prod.marginalize_to(rest)
+        for n in rest:
+            holding[n].append(created)
+        created += 1
     result = Factor.unit()
-    for f in work:
+    for f in work.values():
         result = result.multiply(f)
     return result, traceback
 

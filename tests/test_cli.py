@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgedel import serialize_network
+from edgedel import Evidence, augment, compile, serialize_evidence, serialize_network
 from edgedel.cli import main
 from edgedel.harness import grid_network
 
@@ -92,6 +92,20 @@ class TestApproxCommand:
              "--delete", "1"]
         )
         assert code == 0
+
+    def test_width_cap_below_width_exits_4_without_output(self, tmp_path, capsys):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        width = compile(augment(net, net.edges()), ev).width
+        net_file = tmp_path / "grid.bn"
+        net_file.write_text(serialize_network(net))
+        ev_file = tmp_path / "grid.ev"
+        ev_file.write_text(serialize_evidence(ev))
+        code = main(["score", str(net_file), str(ev_file), "--width-cap", str(width - 1)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("capacity:")
 
     def test_score_out_file(self, fixture_files, tmp_path):
         net_file, ev_file = fixture_files

@@ -6,6 +6,7 @@ import pytest
 
 import edgedel.engine as engine_module
 from edgedel import (
+    CapacityError,
     DeletionPlan,
     EdgeParams,
     Evidence,
@@ -293,6 +294,31 @@ class TestScoreEdges:
         scores = score_edges(net, ev)
         values = [s.score for s in scores]
         assert values == sorted(values)
+
+    def test_root_edges_tie_up_to_roundoff(self):
+        # the two out-edges of a grid's root score the same mathematically;
+        # only roundoff orders them, so the ranking promises nothing here
+        net = grid_network(4, 4, rng=np.random.default_rng(4))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        by_edge = {(s.parent, s.child): s.score for s in score_edges(net, ev)}
+        right, down = by_edge[("N0_0", "N0_1")], by_edge[("N0_0", "N1_0")]
+        assert right == pytest.approx(down, rel=1e-12, abs=0)
+
+    def test_width_cap_below_compile_width_refuses_before_any_table(self, monkeypatch):
+        net = grid_network(4, 4, rng=np.random.default_rng(5))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        width = compile(augment(net, net.edges()), ev).width
+        calls = []
+        original = engine_module._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "_eliminate", counting)
+        with pytest.raises(CapacityError, match=f"induced width {width} exceeds the cap of {width - 1}"):
+            score_edges(net, ev, width_cap=width - 1)
+        assert calls == []
 
     def test_converged_scores_satisfy_exactness_on_their_edge(self):
         rng = np.random.default_rng(9)

@@ -107,6 +107,143 @@ class TestOrders:
             assert constrained_order(net, set(chosen)).width >= min_fill_order(net).width
 
 
+def pairwise_fill_cost(adj, n):
+    nbrs = list(adj[n])
+    return sum(
+        1
+        for i in range(len(nbrs))
+        for j in range(i + 1, len(nbrs))
+        if nbrs[j] not in adj[nbrs[i]]
+    )
+
+
+def full_rescan_order(factors, decl_index, keep=(), last=(), width_cap=None):
+    """Reference greedy min-fill: every remaining node's fill cost is
+    recounted pair by pair at every step.  Kept apart from the engine's
+    incremental ``_order`` on purpose, the way ``induced_width`` is."""
+    adj = {}
+    for f in factors:
+        names = f.names()
+        for n in names:
+            adj.setdefault(n, set())
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+
+    phases = (
+        [n for n in adj if n not in keep and n not in last],
+        [n for n in adj if n in last],
+    )
+    order, width = [], 0
+    for phase in phases:
+        remaining = set(phase)
+        while remaining:
+            best = min(remaining, key=lambda n: (pairwise_fill_cost(adj, n), decl_index(n)))
+            nbrs = adj.pop(best)
+            width = max(width, len(nbrs))
+            for n in nbrs:
+                adj[n] |= nbrs
+                adj[n] -= {n, best}
+            remaining.discard(best)
+            order.append(best)
+    if width_cap is not None and width > width_cap:
+        raise CapacityError(f"width {width} exceeds the cap of {width_cap}")
+    return tuple(order), width
+
+
+def reduced_factors(net, ev):
+    ev_index = {n: net.var(n).index_of(s) for n, s in ev.items()}
+    return engine_module._factors(net, ev_index)
+
+
+def tie_heavy_network(rng):
+    """Two disjoint 3x3 grids, a chain and isolated roots, declared in a
+    shuffled order: many nodes share each fill cost at every step, so the
+    declaration index decides most choices."""
+    parts = [
+        grid_network(3, 3, rng=rng),
+        grid_network(3, 3, states=3, rng=rng),
+        chain_network(5, rng=rng),
+    ]
+    variables, cpts = [], []
+    for i, part in enumerate(parts):
+        rename = {v.name: Variable(f"P{i}{v.name}", v.states) for v in part.variables}
+        for v in part.variables:
+            c = part.cpt(v.name)
+            variables.append(rename[v.name])
+            cpts.append(
+                Cpt(rename[v.name], tuple(rename[p.name] for p in c.parents), c.table)
+            )
+    for i in range(4):
+        v = Variable(f"R{i}", ("0", "1"))
+        variables.append(v)
+        cpts.append(Cpt(v, (), [0.5, 0.5]))
+    perm = rng.permutation(len(variables))
+    return Network([variables[i] for i in perm], cpts)
+
+
+def order_cases():
+    rng = np.random.default_rng(11)
+    cases = [("chain", chain_network(9, rng=rng)), ("chain3", chain_network(7, 3, rng=rng))]
+    for shape in [(3, 3), (4, 4), (5, 5), (6, 6), (3, 7)]:
+        cases.append((f"grid{shape}", grid_network(*shape, rng=rng)))
+    cases.append(("grid3-state", grid_network(4, 4, states=3, rng=rng)))
+    for i in range(8):
+        cases.append((f"dag{i}", random_network(rng, n_vars=8 + 2 * i, max_card=3, max_parents=4)))
+    for i in range(3):
+        cases.append((f"ties{i}", tie_heavy_network(rng)))
+    return cases
+
+
+class TestIncrementalOrder:
+    """The engine's incremental min-fill gives exactly the full-rescan order."""
+
+    @pytest.mark.parametrize("name,net", order_cases(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_same_order_and_width(self, name, net):
+        rng = np.random.default_rng(len(net.variables))
+        names = [v.name for v in net.variables]
+        leaves = net.leaves()
+        evidences = [
+            Evidence({}),
+            Evidence({n: net.var(n).states[0] for n in leaves}),
+            Evidence({n: net.var(n).states[-1] for n in rng.choice(names, size=3, replace=False)}),
+        ]
+        picks = [tuple(rng.choice(names, size=k, replace=False)) for k in (1, 2, 4)]
+        for ev in evidences:
+            factors = reduced_factors(net, ev)
+            queries = [{}] + [{"keep": set(p)} for p in picks] + [{"last": set(p)} for p in picks]
+            for kwargs in queries:
+                got = engine_module._order(factors, net.decl_index, **kwargs)
+                want = full_rescan_order(factors, net.decl_index, **kwargs)
+                assert (got.order, got.width) == want, (name, dict(ev.items()), kwargs)
+
+    def test_fill_cost_counts_missing_pairs(self):
+        rng = np.random.default_rng(12)
+        for density in (0.2, 0.5, 0.8):
+            adj = {n: set() for n in range(14)}
+            for a in range(14):
+                for b in range(a + 1, 14):
+                    if rng.random() < density:
+                        adj[a].add(b)
+                        adj[b].add(a)
+            for n in adj:
+                assert engine_module._fill_cost(adj, n) == pairwise_fill_cost(adj, n)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_width_cap_raises_at_the_same_width(self, last):
+        net = grid_network(5, 5, rng=np.random.default_rng(3))
+        factors = reduced_factors(net, Evidence({}))
+        kwargs = {"last": {"N0_0", "N4_4", "N2_2"}} if last else {}
+        width = full_rescan_order(factors, net.decl_index, **kwargs)[1]
+        for cap in range(width):
+            with pytest.raises(CapacityError, match=f"width {width} exceeds the cap of {cap}"):
+                engine_module._order(factors, net.decl_index, width_cap=cap, **kwargs)
+            with pytest.raises(CapacityError):
+                full_rescan_order(factors, net.decl_index, width_cap=cap, **kwargs)
+        assert engine_module._order(factors, net.decl_index, width_cap=width, **kwargs).width == width
+
+
 class TestCompileAndMarginals:
     def test_equality_witness_evidence_probability(self, coins_fixture):
         net, ev = coins_fixture
@@ -407,6 +544,22 @@ class TestOneOrderPerQuery:
         calls = self._count_orders(monkeypatch)
         kept_table(net, ev, ("N1_1",), ("N0_1", "N1_0", "N1_1"))
         assert len(calls) == 1
+
+    def test_compile_fill_cost_evaluations(self, monkeypatch):
+        # only the neighbours of each eliminated node, and their neighbours
+        # touching two of them, are re-costed; a full rescan makes 630
+        net = grid_network(6, 6, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        calls = []
+        original = engine_module._fill_cost
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(engine_module, "_fill_cost", counting)
+        compile(net, ev)
+        assert len(calls) == 270
 
     def test_exact_map_orders_once(self, monkeypatch):
         net = grid_network(4, 4, rng=np.random.default_rng(2))
