@@ -45,6 +45,7 @@ from .mapapprox import MapResult, approximate_map, approximate_map_quality, map_
 from .model import (
     CapacityError,
     Cpt,
+    DegenerateUpdateError,
     EdgeRecord,
     Evidence,
     Factor,
@@ -69,7 +70,6 @@ from .netio import (
     write_report,
 )
 from .parametrize import (
-    DegenerateUpdateError,
     FixedPointReport,
     IterationConfig,
     check_conditions,

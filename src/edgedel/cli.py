@@ -21,7 +21,7 @@ from . import divergence, harness, netio, parametrize
 from .deletion import approximate_network, apply_params
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import default_map_vars
-from .model import CapacityError, ModelError, Network
+from .model import CapacityError, Evidence, ModelError, Network, validate_network
 from .netio import FormatError
 
 EXIT_OK = 0
@@ -31,8 +31,6 @@ EXIT_CAPACITY = 4
 
 
 def load_network(path: str) -> Network:
-    from .model import validate_network
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".net"):
@@ -47,8 +45,6 @@ def load_network(path: str) -> Network:
 
 
 def load_evidence(path: str | None, net: Network):
-    from .model import Evidence
-
     if path is None:
         return Evidence({})
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import posterior_marginal
 from .model import (
     Cpt,
     EdgeRecord,
@@ -155,6 +156,12 @@ def augment(net: Network, edges) -> Network:
     )
 
 
+def _edge_cpts(clone: Variable, parent: Variable, sevid: Variable, params: EdgeParams):
+    """The clone prior and the soft-evidence CPT that encode ``params``."""
+    se_table = np.column_stack([params.se, 1.0 - params.se]).reshape(-1)
+    return Cpt(clone, (), params.pm), Cpt(sevid, (parent,), se_table)
+
+
 def delete_edges(net: Network, plan: DeletionPlan) -> Network:
     """Cut the plan's equivalence edges, installing the plan's parameters.
 
@@ -188,10 +195,7 @@ def delete_edges(net: Network, plan: DeletionPlan) -> Network:
         taken.add(sevid_name)
         sevid = Variable(sevid_name, SE_STATES)
         variables.append(sevid)
-        cpt_map[rec.clone] = Cpt(clone, (), params.pm)
-        cpt_map[sevid_name] = Cpt(
-            sevid, (parent,), np.column_stack([params.se, 1.0 - params.se]).reshape(-1)
-        )
+        cpt_map[rec.clone], cpt_map[sevid_name] = _edge_cpts(clone, parent, sevid, params)
         new_records[rec.key()] = EdgeRecord(
             parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid_name
         )
@@ -233,12 +237,8 @@ def apply_params(nprime: Network, plan: DeletionPlan) -> Network:
     """New network with the plan's current pm/se written into the CPTs."""
     replacements: dict[str, Cpt] = {}
     for rec, params in zip(deleted_records(nprime, plan), plan.params):
-        clone = nprime.var(rec.clone)
-        parent = nprime.var(rec.parent)
-        sevid = nprime.var(rec.sevid)
-        replacements[rec.clone] = Cpt(clone, (), params.pm)
-        replacements[rec.sevid] = Cpt(
-            sevid, (parent,), np.column_stack([params.se, 1.0 - params.se]).reshape(-1)
+        replacements[rec.clone], replacements[rec.sevid] = _edge_cpts(
+            nprime.var(rec.clone), nprime.var(rec.parent), nprime.var(rec.sevid), params
         )
     return nprime.replace_cpts(replacements)
 
@@ -271,8 +271,6 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    from .engine import posterior_marginal
-
     return {
         name: posterior_marginal(st, name) for name in nprime.original_names()
     }

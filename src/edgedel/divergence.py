@@ -7,10 +7,13 @@ quantity upper-bounds ``exact_kl``, the divergence between the posteriors
 restricted to the source variables, which is computed here by brute-force
 enumeration.
 
-``score_edges`` ranks every network edge by the divergence achievable when
-it alone is deleted with optimized parameters.  One compile gives Pr(e) for
-all edges; each edge then costs one derivative elimination (its clone's CPT
-table), after which every optimizer update takes constant time.
+``edge_update`` is the one fixed-point update of a single deleted edge
+(ed-bp or ed-kl), read off that edge's table over (parent, clone); the
+parametrization sweeps call it once per edge.  ``score_edges`` ranks every
+network edge by the divergence achievable when it alone is deleted with
+ed-kl parameters: one compile gives Pr(e) for all edges, each edge costs one
+derivative elimination (its clone's CPT table), and the scorer then iterates
+the sweep's ed-kl edge update on that table, in constant time per step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .deletion import DeletionPlan, EdgeParams, apply_params, augment
 from .engine import WIDTH_CAP_DEFAULT
 from .model import (
     ENUM_CAP_DEFAULT,
+    DegenerateUpdateError,
     Evidence,
     InconsistentEvidenceError,
     ModelError,
@@ -183,49 +187,73 @@ def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     return out
 
 
-def _optimize_single_edge(derivs, true_marg, pr_e, label):
-    """Single-edge fixed-point recursion on the closed-form quantities.
+def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
+    # update vectors are nonnegative, so a non-finite entry shows in the sum
+    s = float(vec.sum())
+    if not math.isfinite(s):
+        raise DegenerateUpdateError(f"update for {what} overflowed (sum {s})")
+    if not s > 0:
+        raise DegenerateUpdateError(f"update for {what} is degenerate (sum {s})")
+    return vec / s
 
-    One parameter set at a time: the prior is updated, the closed-form
-    quantities are recomputed (constant time), then the soft-evidence row.
-    """
-    card_c = derivs.shape[1]
-    params = EdgeParams.uniform(card_c)
-    converged = False
-    iterations = 0
-    for it in range(1, INNER_MAX_ITERATIONS + 1):
-        iterations = it
-        old_pm, old_se = params.pm, params.se
-        pr_ep, d_pm, _ = single_edge_evaluate(derivs, params)
-        if pr_ep <= 0.0:
-            break
-        pm_new = edkl_vector(true_marg, pr_ep, d_pm, label)
-        s_pm = pm_new.sum()
-        if not (s_pm > 0):
-            break
-        params = EdgeParams(pm_new / s_pm, params.se)
-        pr_ep, _, d_se = single_edge_evaluate(derivs, params)
-        if pr_ep <= 0.0:
-            break
-        se_new = edkl_vector(true_marg, pr_ep, d_se, label)
-        s_se = se_new.sum()
-        if not (s_se > 0):
-            break
-        params = EdgeParams(params.pm, se_new / s_se)
-        residual = max(
-            float(np.max(np.abs(params.pm - old_pm))),
-            float(np.max(np.abs(params.se - old_se))),
+
+def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.ndarray:
+    if damping == 0.0:
+        return new
+    mixed = new ** (1.0 - damping) * old**damping
+    return _normalize(mixed, what)
+
+
+def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
+    """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
+    with respect to that vector (``own``) and to its partner (``cross``)."""
+    if method == "ed-bp":
+        # cross-pairing: the prior comes from the soft-evidence derivative
+        # and the soft evidence from the prior derivative
+        if not np.any(cross > 0):
+            raise DegenerateUpdateError(
+                f"all-zero derivative vector for {label} ({which} update)"
+            )
+        return _normalize(cross, label)
+    if pr_ep <= 0.0:
+        raise InconsistentEvidenceError(
+            "approximate network assigns zero probability to the augmented evidence"
         )
-        if residual < INNER_TOLERANCE:
-            converged = True
-            break
-    pr_ep, _, _ = single_edge_evaluate(derivs, params)
-    score = _edge_term(true_marg, params)
-    if math.isfinite(score) and pr_ep > 0 and pr_e > 0:
-        score += math.log(pr_ep / pr_e)
-    else:
-        score = math.inf
-    return params, score, iterations, converged
+    return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
+
+
+def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, sequential=True):
+    """One fixed-point update of one deleted edge; returns (new params,
+    residual, Pr'(e') at ``old``).
+
+    ``g`` is the edge's table over (parent, clone), as for
+    ``single_edge_evaluate``.  The prior ``pm`` is updated first; sequential
+    mode re-evaluates ``g`` at the new prior before updating the
+    soft-evidence row ``se``, simultaneous mode updates both from ``old``.
+    ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
+    the largest parameter change.  An all-zero or non-finite update raises
+    ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
+    ``InconsistentEvidenceError``.  Neither can happen when scoring: from a
+    uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
+    with true mass, since g_uu = Pr(u, e).
+    """
+    pr_old, d_pm, d_se = single_edge_evaluate(g, old)
+    pm = _damp(
+        _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label),
+        old.pm, damping, label,
+    )
+    mid = EdgeParams(pm, old.se)
+    pr, d_pm, d_se = single_edge_evaluate(g, mid) if sequential else (pr_old, d_pm, d_se)
+    se = _damp(
+        _update_rule(method, true_marg, pr, d_se, d_pm, "se", label),
+        old.se, damping, label,
+    )
+    new = EdgeParams(mid.pm, se)
+    residual = max(
+        float(np.max(np.abs(new.pm - old.pm))),
+        float(np.max(np.abs(new.se - old.se))),
+    )
+    return new, residual, pr_old
 
 
 def score_edges(
@@ -239,6 +267,10 @@ def score_edges(
     The input may be an original network (every edge is scored) or an
     augmented one (its intact equivalence edges are scored).  One engine
     compile serves all edges, plus one derivative elimination per edge.
+    Each edge's parameters come from ``edge_update`` ("ed-kl", sequential,
+    no damping) iterated from uniform on its derivative table until the
+    residual drops below INNER_TOLERANCE, at most INNER_MAX_ITERATIONS
+    times: the ``parametrize.run`` fit of a one-edge plan.
     Ranking is ascending and infinite scores sort last.  Declaration order
     breaks ties between bitwise-equal scores only: edges that tie
     mathematically, such as the two out-edges of a root with two children,
@@ -259,9 +291,16 @@ def score_edges(
         derivs = engine.cpt_derivatives(st, aug.cpt(rec.clone))
         # the equivalence CPT is the identity, so Pr(u, e) = derivs[u, u]
         true_marg = np.diag(derivs) / st.pr_e
-        params, score, iterations, converged = _optimize_single_edge(
-            derivs, true_marg, st.pr_e, f"edge {rec.parent} -> {rec.child}"
-        )
+        label = f"edge {rec.parent} -> {rec.child}"
+        params = EdgeParams.uniform(derivs.shape[1])
+        converged = False
+        for iterations in range(1, INNER_MAX_ITERATIONS + 1):
+            params, residual, _ = edge_update(derivs, params, "ed-kl", true_marg, label)
+            if residual < INNER_TOLERANCE:
+                converged = True
+                break
+        pr_ep = single_edge_evaluate(derivs, params)[0]
+        score = kl_breakdown([true_marg], [params], st.pr_e, pr_ep).total
         scored.append(
             (score, idx, EdgeScore(rec.parent, rec.child, score, params, iterations, converged))
         )

@@ -20,6 +20,7 @@ from .deletion import (
     approximate_network,
     apply_params,
     augmented_evidence,
+    recover_marginals,
 )
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map, map_quality
@@ -245,7 +246,6 @@ def run_deletion_instance(
     damping: float = 0.0,
     schedule: str = "sequential",
     width_cap: int = WIDTH_CAP_DEFAULT,
-    enum_cap: int = ENUM_CAP_DEFAULT,
     compute_exact_kl: bool = True,
     compute_marginals: bool = False,
     real_timings: bool = False,
@@ -279,7 +279,7 @@ def run_deletion_instance(
     exact = None
     if compute_exact_kl:
         try:
-            exact = divergence.exact_kl(aug, nprime, plan, ev, evp, cap=enum_cap)
+            exact = divergence.exact_kl(aug, nprime, plan, ev, evp, cap=ENUM_CAP_DEFAULT)
             if -1e-9 <= exact < 0.0:
                 exact = 0.0
         except CapacityError:
@@ -311,8 +311,6 @@ def run_deletion_instance(
     )
     outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
-        from .deletion import recover_marginals
-
         st = engine.compile(current, evp, width_cap)
         outcome.marginals = recover_marginals(current, plan, st)
     return outcome

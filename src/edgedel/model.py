@@ -33,6 +33,10 @@ class InconsistentEvidenceError(ModelError):
     """Query conditioned on evidence that has zero probability."""
 
 
+class DegenerateUpdateError(ModelError):
+    """An edge update produced an all-zero or non-finite parameter vector."""
+
+
 @dataclass(frozen=True)
 class Variable:
     """A finite discrete variable: a name plus an ordered tuple of state labels."""

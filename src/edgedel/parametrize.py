@@ -1,6 +1,7 @@
 """Fixed-point search for edge parameters.
 
-Two update rules are provided.  The belief-propagation rule ("ed-bp") sets
+Sweeps apply one of two update rules, both implemented by
+``divergence.edge_update``.  The belief-propagation rule ("ed-bp") sets
 each clone prior from the derivative of the approximate evidence probability
 with respect to the soft-evidence row, and vice versa; its fixed points make
 the parent and clone posteriors agree.  The divergence rule ("ed-kl") scales
@@ -17,18 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records
-from .divergence import edkl_vector, kl_breakdown, single_edge_evaluate
+from .deletion import DeletionPlan, apply_params, deleted_records
+from .divergence import edge_update, kl_breakdown, single_edge_evaluate
 from .engine import WIDTH_CAP_DEFAULT
-from .model import Evidence, InconsistentEvidenceError, ModelError, Network
+from .model import Evidence, ModelError, Network
 
 METHODS = ("ed-bp", "ed-kl")
 SCHEDULES = ("sequential", "simultaneous")
 INITS = ("uniform", "plan")
-
-
-class DegenerateUpdateError(ModelError):
-    """An update produced an all-zero parameter vector."""
 
 
 @dataclass(frozen=True)
@@ -78,38 +75,6 @@ class FixedPointReport:
     converged: bool
 
 
-def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
-    s = vec.sum()
-    if not (s > 0) or not np.all(np.isfinite(vec)):
-        raise DegenerateUpdateError(f"update for {what} is degenerate (sum {s!r})")
-    return vec / s
-
-
-def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.ndarray:
-    if damping == 0.0:
-        return new
-    mixed = new ** (1.0 - damping) * old**damping
-    return _normalize(mixed, what)
-
-
-def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
-    """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
-    with respect to that vector (``own``) and to its partner (``cross``)."""
-    if method == "ed-bp":
-        # cross-pairing: the prior comes from the soft-evidence derivative
-        # and the soft evidence from the prior derivative
-        if not np.any(cross > 0):
-            raise DegenerateUpdateError(
-                f"all-zero derivative vector for {label} ({which} update)"
-            )
-        return _normalize(cross, label)
-    if pr_ep <= 0.0:
-        raise InconsistentEvidenceError(
-            "approximate network assigns zero probability to the augmented evidence"
-        )
-    return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
-
-
 def _chained(expected, got, label) -> float:
     """Pr'(e') from one edge table, checked against the value carried so far."""
     if expected is None:
@@ -128,9 +93,8 @@ def _sweep(
 
     Each edge costs one elimination: the table g over (parent, clone) of N'
     with that edge's clone prior and soft-evidence CPT left out, so that
-    Pr'(e') = se g pm and both derivative vectors follow in closed form.
-    Sequential mode builds g from the other edges' current parameters and
-    re-evaluates it between the prior and the soft-evidence update;
+    Pr'(e') = se g pm and ``divergence.edge_update`` fits the edge from g.
+    Sequential mode builds g from the other edges' current parameters;
     simultaneous mode builds every g from the sweep-start parameters.  Each
     g must reproduce ``pr_ep``, the Pr'(e') the previous update ended with
     (sequential) or the sweep-start value (simultaneous).
@@ -140,33 +104,19 @@ def _sweep(
     for i, rec in enumerate(records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
-        old = plan.params[i]
         if sequential or i == 0:
             current = apply_params(nprime, plan)
         g = engine.kept_table(
             current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
         )
-        pr, d_pm, d_se = single_edge_evaluate(g, old)
+        new, residual, pr = edge_update(
+            g, plan.params[i], method, true_marg, label, damping, sequential
+        )
         pr_ep = _chained(pr_ep, pr, label)
-        pm = _damp(
-            _update_rule(method, true_marg, pr, d_pm, d_se, "pm", label),
-            old.pm, damping, label,
-        )
+        plan = plan.with_params(i, new)
         if sequential:
-            pr, d_pm, d_se = single_edge_evaluate(g, EdgeParams(pm, old.se))
-        se = _damp(
-            _update_rule(method, true_marg, pr, d_se, d_pm, "se", label),
-            old.se, damping, label,
-        )
-        plan = plan.with_params(i, EdgeParams(pm, se))
-        if sequential:
-            pr_ep = single_edge_evaluate(g, plan.params[i])[0]
-        residuals.append(
-            max(
-                float(np.max(np.abs(pm - old.pm))),
-                float(np.max(np.abs(se - old.se))),
-            )
-        )
+            pr_ep = single_edge_evaluate(g, new)[0]
+        residuals.append(residual)
     return plan, residuals, pr_ep if sequential else None
 
 

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+import edgedel
 import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
     DeletionPlan,
     EdgeParams,
     Evidence,
+    IterationConfig,
     approximate_network,
     augment,
     augmented_evidence,
@@ -20,12 +22,19 @@ from edgedel import (
     kl_bound,
     mutual_information_scores,
     posterior_marginal,
+    run,
     score_edges,
     single_edge_evaluate,
 )
 from edgedel.deletion import apply_params
-from edgedel.divergence import DENOM_FLOOR, edkl_vector
-from edgedel.harness import grid_network
+from edgedel.divergence import (
+    DENOM_FLOOR,
+    INNER_MAX_ITERATIONS,
+    INNER_TOLERANCE,
+    edge_update,
+    edkl_vector,
+)
+from edgedel.harness import chain_network, grid_network, sample_evidence
 
 from conftest import bridged_net, positive_evidence, random_network
 
@@ -225,6 +234,56 @@ class TestEdklVector:
             warnings.simplefilter("error")
             score_edges(net, ev)
             score_edges(*coins_fixture)
+
+
+class TestEdgeUpdate:
+    def test_overflow_is_reported_as_overflow(self):
+        g = np.array([[1.0, 1e-310], [0.0, 1e-310]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(edgedel.DegenerateUpdateError) as info:
+                edge_update(g, EdgeParams.uniform(2), "ed-kl", np.array([0.5, 0.5]), "edge U -> X")
+        message = str(info.value)
+        assert message == "update for edge U -> X overflowed (sum inf)"
+        assert "np.float64" not in message
+
+    def test_zero_sum_is_reported_as_degenerate(self):
+        g = np.array([[0.5, 0.1], [0.2, 0.4]])
+        with pytest.raises(edgedel.DegenerateUpdateError) as info:
+            edge_update(g, EdgeParams.uniform(2), "ed-kl", np.zeros(2), "edge U -> X")
+        assert str(info.value) == "update for edge U -> X is degenerate (sum 0.0)"
+
+
+class TestScoreIsOneEdgeRun:
+    """Scoring an edge is the ed-kl ``run`` of its one-edge plan."""
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            grid_network(4, 4, 2, rng=np.random.default_rng(11)),
+            chain_network(8, 3, rng=np.random.default_rng(12)),
+        ],
+        ids=["grid(4x4)", "chain(8)x3"],
+    )
+    def test_every_edge_matches_run(self, net):
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(13))
+        cfg = IterationConfig(
+            method="ed-kl",
+            schedule="sequential",
+            initialization="uniform",
+            max_iterations=INNER_MAX_ITERATIONS,
+            tolerance=INNER_TOLERANCE,
+        )
+        scores = score_edges(net, ev)
+        assert len(scores) == len(net.edges())
+        for s in scores:
+            aug, nprime, plan, evp = build(net, ev, [(s.parent, s.child)])
+            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            (params,) = fitted.params
+            np.testing.assert_allclose(params.pm, s.params.pm, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(params.se, s.params.se, rtol=0, atol=1e-12)
+            assert (report.iterations, report.converged) == (s.iterations, s.converged)
+            assert trace[-1].kl_bound == pytest.approx(s.score, rel=1e-12, abs=0)
 
 
 class TestScoreEdges:
