@@ -70,6 +70,7 @@ from .netio import (
     write_report,
 )
 from .parametrize import (
+    ConditionGaps,
     FixedPointReport,
     IterationConfig,
     check_conditions,

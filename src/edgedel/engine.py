@@ -5,11 +5,16 @@ derivatives (valid at zero parameters), tables of Pr(e) over kept variables
 with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
 orders with an optional eliminate-these-last constraint.
 
-Every query takes the same three steps: reduce (``_factors``: the CPTs as
-factors sliced by the evidence), order (``_order``: one greedy min-fill
-order, checked against the width cap before any table is built), and
-eliminate (``_eliminate``: one bucket loop that sums out each variable in
-turn, or maximizes it out with an argmax traceback for MAP).
+Every query takes the same steps: reduce (``_factors``: which CPTs enter
+and which evidence slices they take), order (``_order``: one greedy min-fill
+order, checked against the width cap before any table is built), and record
+(``record``: a ``Program`` naming, bucket by bucket, the operands, each
+operand's transpose and broadcast shape, and the summed or maximized axis).
+Then ``replay`` runs exactly those numpy operations on the network's CPT
+arrays, with an argmax traceback for the maximized variables.  A program
+depends on the structure, the evidence and the query, not on the CPT
+entries, so a caller that only changes entries (the sweeps of
+``parametrize.run``) records once and replays many times.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .model import (
     CapacityError,
     Cpt,
     Evidence,
-    Factor,
     InconsistentEvidenceError,
     ModelError,
     Network,
@@ -60,35 +64,66 @@ def _fill_cost(adj, n) -> int:
     return (sum([len(nbrs - adj[m]) for m in nbrs]) - len(nbrs)) // 2
 
 
-def _factors(net: Network, ev_index, without=(), keep=()) -> list[Factor]:
-    """The CPTs of the variables outside ``without`` as factors reduced by
-    the evidence, except that the variables in ``keep`` stay unreduced.
+@dataclass(frozen=True)
+class _Input:
+    """One input table of an elimination, named rather than held.
 
-    A kept observed variable gets an indicator factor instead, and a kept
-    variable that no remaining factor mentions gets a ones factor.
+    A CPT input is ``net.cpt(cpt).shaped``, which must have ``shape``, with
+    the evidence index ``take`` applied if it is set; a fixed input (``cpt``
+    None) is ``table``.  ``scope`` names the axes and ``reduced`` gives
+    their sizes.
     """
-    factors: list[Factor] = []
+
+    scope: tuple[str, ...]
+    reduced: tuple[int, ...]
+    cpt: str | None = None
+    shape: tuple[int, ...] = ()
+    take: tuple | None = None
+    table: np.ndarray | None = None
+
+    def names(self) -> tuple[str, ...]:
+        return self.scope
+
+
+def _factors(net: Network, ev_index, without=(), keep=()) -> list[_Input]:
+    """The CPTs of the variables outside ``without``, each sliced by the
+    evidence on its scope, except that the variables in ``keep`` stay
+    unsliced.
+
+    A kept observed variable gets an indicator input instead, and a kept
+    variable that no remaining input mentions gets a ones input.
+    """
+    inputs: list[_Input] = []
+    covered = set()
     for cpt in net.cpts():
         if cpt.child.name in without:
             continue
-        f = Factor(cpt.scope(), cpt.shaped, _trusted=True)
-        for name in f.names():
-            if name in ev_index and name not in keep:
-                f = f.reduce(name, ev_index[name])
-        factors.append(f)
-    covered = set()
-    for f in factors:
-        covered.update(f.names())
+        vars_ = cpt.scope()
+        sliced = [v.name in ev_index and v.name not in keep for v in vars_]
+        take = None
+        if any(sliced):
+            take = tuple(
+                ev_index[v.name] if s else slice(None) for v, s in zip(vars_, sliced)
+            )
+        kept = [v for v, s in zip(vars_, sliced) if not s]
+        scope = tuple(v.name for v in kept)
+        inputs.append(
+            _Input(scope, tuple(v.card for v in kept), cpt.child.name, cpt.shape, take)
+        )
+        covered.update(scope)
     for name in keep:
         var = net.var(name)
         if name in ev_index:
             ind = np.zeros(var.card)
             ind[ev_index[name]] = 1.0
-            factors.append(Factor((var,), ind, _trusted=True))
         elif name not in covered:
             # e.g. an unobserved leaf child: the table is flat across its states
-            factors.append(Factor((var,), np.ones(var.card), _trusted=True))
-    return factors
+            ind = np.ones(var.card)
+        else:
+            continue
+        ind.setflags(write=False)
+        inputs.append(_Input((name,), (var.card,), table=ind))
+    return inputs
 
 
 def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> EliminationOrder:
@@ -137,48 +172,182 @@ def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> Elimination
     return EliminationOrder(tuple(order), width)
 
 
-def _eliminate(factors, order, maximize=()) -> tuple[Factor, list]:
-    """Eliminate ``order`` one bucket at a time; returns the product of what
-    remains and the argmax traceback of the variables in ``maximize``.
+@dataclass(frozen=True)
+class _Bucket:
+    """One recorded elimination step.
 
-    Each variable is summed out, or maximized out if it is in ``maximize``,
-    in which case (variable, rest of the bucket's scope, argmax table) is
-    recorded.
-
-    Live factors are keyed by creation number (inputs first, then each
-    bucket's result), and ``holding`` lists the factors that mention each
-    variable, so a bucket is found without rescanning every scope and is
-    multiplied in creation order.
+    The operands (ids in creation order: inputs first, then bucket results)
+    are multiplied left to right; ``steps`` holds, per product, the views
+    that align the running product and the next operand (see ``_view``).
+    ``axis`` of the product is summed out, or maximized out if ``rest`` (the
+    product's other axes, for the traceback) is set; the result has
+    ``shape``.
     """
-    work = dict(enumerate(factors))
+
+    var: str
+    operands: tuple[int, ...]
+    steps: tuple
+    axis: int
+    shape: tuple[int, ...]
+    rest: tuple[str, ...] | None
+
+
+@dataclass(frozen=True)
+class Program:
+    """A recorded elimination: inputs by name, then buckets, then the
+    product of what remains (``final`` ids, aligned by ``final_steps``
+    starting from a scalar one), permuted by ``perm`` into the kept
+    variables' order and reshaped to ``shape``.
+
+    ``width`` is the order's induced width.  Replaying a program on a
+    network reads only CPT entries, so any network with the recorded
+    structure will do (``replay`` checks each CPT's shape).
+    """
+
+    inputs: tuple[_Input, ...]
+    buckets: tuple[_Bucket, ...]
+    final: tuple[int, ...]
+    final_steps: tuple
+    perm: tuple[int, ...]
+    shape: tuple[int, ...]
+    width: int
+
+
+def _view(src, scope, card):
+    """(transpose, reshape) that broadcast a table over ``src`` against
+    ``scope``, as ``Factor.multiply`` aligns its operands; either part is
+    None where it would be the identity."""
+    pos = {n: i for i, n in enumerate(scope)}
+    order = tuple(sorted(range(len(src)), key=lambda i: pos[src[i]]))
+    have = set(src)
+    shape = tuple(card[n] if n in have else 1 for n in scope)
+    transposed = tuple(card[src[i]] for i in order)
+    return (
+        None if order == tuple(range(len(src))) else order,
+        None if shape == transposed else shape,
+    )
+
+
+def _product_steps(scopes, card):
+    """Scope and alignment steps of multiplying tables over ``scopes`` left
+    to right; each product appends the next table's new variables."""
+    scope = scopes[0]
+    steps = []
+    for other in scopes[1:]:
+        mine = set(scope)
+        joint = scope + tuple(n for n in other if n not in mine)
+        steps.append((_view(scope, joint, card), _view(other, joint, card)))
+        scope = joint
+    return scope, tuple(steps)
+
+
+def record(
+    net: Network, ev_index, without=(), keep=(), last=(), maximize=(), width_cap=None
+) -> Program:
+    """Reduce, order and record one elimination without building a table.
+
+    ``without``/``keep`` are as in ``_factors``; ``last`` and ``width_cap``
+    as in ``_order``; the variables in ``maximize`` are maximized out with
+    an argmax traceback instead of summed out.
+    """
+    keep = tuple(keep)
+    inputs = _factors(net, ev_index, without, keep)
+    elim = _order(inputs, net.decl_index, keep=set(keep), last=last, width_cap=width_cap)
+    card = {}
+    scopes = []
     holding: dict[str, list[int]] = {}
-    for i, f in work.items():
-        for n in f.names():
+    for i, inp in enumerate(inputs):
+        card.update(zip(inp.scope, inp.reduced))
+        scopes.append(inp.scope)
+        for n in inp.scope:
             holding.setdefault(n, []).append(i)
-    created = len(work)
-    traceback = []
-    for name in order:
-        bucket = [work.pop(i) for i in holding.pop(name, ()) if i in work]
-        if not bucket:
+    live = set(range(len(scopes)))
+    buckets = []
+    for name in elim.order:
+        ids = tuple(i for i in holding.pop(name, ()) if i in live)
+        if not ids:
             continue
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = prod.multiply(f)
-        rest = set(prod.names()) - {name}
-        if name in maximize:
-            ax = prod.axis_of(name)
-            argmax = np.argmax(prod.values, axis=ax)
-            traceback.append((name, prod.scope[:ax] + prod.scope[ax + 1 :], argmax))
-            work[created] = prod.maximize_to(rest)
-        else:
-            work[created] = prod.marginalize_to(rest)
+        live.difference_update(ids)
+        scope, steps = _product_steps([scopes[i] for i in ids], card)
+        axis = scope.index(name)
+        rest = scope[:axis] + scope[axis + 1 :]
+        buckets.append(
+            _Bucket(
+                name, ids, steps, axis, tuple(card[n] for n in rest),
+                rest if name in maximize else None,
+            )
+        )
         for n in rest:
-            holding[n].append(created)
-        created += 1
-    result = Factor.unit()
-    for f in work.values():
-        result = result.multiply(f)
-    return result, traceback
+            holding[n].append(len(scopes))
+        live.add(len(scopes))
+        scopes.append(rest)
+    final = tuple(sorted(live))
+    scope, final_steps = _product_steps([()] + [scopes[i] for i in final], card)
+    if sorted(scope) != sorted(keep):
+        raise ModelError("reorder must name the full scope")
+    return Program(
+        tuple(inputs), tuple(buckets), final, final_steps,
+        tuple(scope.index(n) for n in keep), tuple(card[n] for n in keep), elim.width,
+    )
+
+
+def _aligned(arr, view):
+    transpose, shape = view
+    if transpose is not None:
+        arr = arr.transpose(transpose)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    return arr
+
+
+def _multiply(tables, prod, operands, steps):
+    """Multiply ``prod`` by each operand in turn, releasing the operands."""
+    for j, (mine, theirs) in zip(operands, steps):
+        other = tables[j]
+        tables[j] = None
+        prod = _aligned(prod, mine) * _aligned(other, theirs)
+        if not np.isfinite(prod).all():
+            raise ModelError("numerical overflow in factor product")
+    return prod
+
+
+def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
+    """Run a recorded elimination on ``net``'s CPT entries.
+
+    Returns the table over the kept variables (axes in the order given to
+    ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
+    (variable, names of the other axes, argmax table) per maximized
+    variable, in elimination order.
+    """
+    tables = []
+    for inp in program.inputs:
+        if inp.cpt is None:
+            tables.append(inp.table)
+            continue
+        arr = net.cpt(inp.cpt).shaped
+        if arr.shape != inp.shape:
+            raise ModelError(
+                f"cpt for {inp.cpt!r} has shape {arr.shape}; "
+                f"the program was recorded for {inp.shape}"
+            )
+        if inp.take is not None:
+            # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
+            arr = np.ascontiguousarray(arr[inp.take]).reshape(inp.reduced)
+        tables.append(arr)
+    traceback = []
+    for b in program.buckets:
+        first = b.operands[0]
+        prod = _multiply(tables, tables[first], b.operands[1:], b.steps)
+        tables[first] = None
+        if b.rest is None:
+            out = prod.sum(axis=(b.axis,))
+        else:
+            traceback.append((b.var, b.rest, np.argmax(prod, axis=b.axis)))
+            out = prod.max(axis=(b.axis,))
+        tables.append(np.ascontiguousarray(out).reshape(b.shape))
+    prod = _multiply(tables, np.array(1.0), program.final, program.final_steps)
+    table = np.ascontiguousarray(prod.transpose(program.perm)).reshape(program.shape)
+    return table, traceback
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:
@@ -218,31 +387,33 @@ def induced_width(net: Network, order) -> int:
 
 
 class EngineState:
-    """Compiled (network, evidence) pair: evidence-reduced factors plus Pr(e).
+    """Compiled (network, evidence) pair: the evidence index plus Pr(e).
 
     Immutable after compile; queries are read-only.
     """
 
-    __slots__ = ("net", "evidence", "width", "width_cap", "pr_e", "_reduced", "_ev_index")
+    __slots__ = ("net", "evidence", "width", "width_cap", "pr_e", "_ev_index")
 
-    def __init__(self, net, evidence, width, width_cap, pr_e, reduced, ev_index):
+    def __init__(self, net, evidence, width, width_cap, pr_e, ev_index):
         self.net = net
         self.evidence = evidence
         self.width = width
         self.width_cap = width_cap
         self.pr_e = pr_e
-        self._reduced = reduced
         self._ev_index = ev_index
 
 
+def _evidence_index(net: Network, ev: Evidence) -> dict[str, int]:
+    return {name: net.var(name).index_of(state) for name, state in ev.items()}
+
+
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
-    """Reduce the network's factors by evidence and cache Pr(e)."""
+    """Check the evidence against the network and compute Pr(e)."""
     ev.validate(net)
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
-    reduced = _factors(net, ev_index)
-    elim = _order(reduced, net.decl_index, width_cap=width_cap)
-    pr_e = float(_eliminate(reduced, elim.order)[0].values.reshape(()))
-    return EngineState(net, ev, elim.width, width_cap, pr_e, tuple(reduced), ev_index)
+    ev_index = _evidence_index(net, ev)
+    program = record(net, ev_index, width_cap=width_cap)
+    pr_e = float(replay(program, net)[0])
+    return EngineState(net, ev, program.width, width_cap, pr_e, ev_index)
 
 
 def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
@@ -254,9 +425,8 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
         out = np.zeros(var.card)
         out[st._ev_index[name]] = 1.0
         return out
-    order = _order(st._reduced, st.net.decl_index, keep={name}).order
-    f, _ = _eliminate(st._reduced, order)
-    return np.asarray(f.values, dtype=float) / st.pr_e
+    table, _ = replay(record(st.net, st._ev_index, keep=(name,)), st.net)
+    return table / st.pr_e
 
 
 def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
@@ -276,10 +446,17 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     elif b_obs:
         out[:, st._ev_index[b]] = posterior_marginal(st, a)
     else:
-        order = _order(st._reduced, st.net.decl_index, keep={a, b}).order
-        f = _eliminate(st._reduced, order)[0].reorder((a, b))
-        out = np.asarray(f.values, dtype=float) / st.pr_e
+        table, _ = replay(record(st.net, st._ev_index, keep=(a, b)), st.net)
+        out = table / st.pr_e
     return out
+
+
+def kept_program(
+    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
+) -> Program:
+    """The recorded elimination behind ``kept_table``; replay it on any
+    network with ``net``'s structure."""
+    return record(net, _evidence_index(net, ev), without, keep, width_cap=width_cap)
 
 
 def kept_table(
@@ -293,11 +470,7 @@ def kept_table(
     deleted edge's clone prior and soft-evidence CPT and keeping (parent,
     clone) gives the table ``g`` with Pr'(e') = se g pm.
     """
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
-    keep = tuple(keep)
-    factors = _factors(net, ev_index, without, keep)
-    order = _order(factors, net.decl_index, keep=set(keep), width_cap=width_cap).order
-    return _eliminate(factors, order)[0].reorder(keep).values
+    return replay(kept_program(net, ev, without, keep, width_cap), net)[0]
 
 
 def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
@@ -345,13 +518,15 @@ def exact_map(st: EngineState, map_vars) -> tuple[dict[str, str], float]:
         else:
             hidden_map.append(name)
 
-    elim = _order(st._reduced, net.decl_index, last=hidden_map, width_cap=st.width_cap)
-    value, traceback = _eliminate(st._reduced, elim.order, maximize=hidden_map)
-    q = float(value.values.reshape(()))
+    program = record(
+        net, st._ev_index, last=hidden_map, maximize=hidden_map, width_cap=st.width_cap
+    )
+    value, traceback = replay(program, net)
+    q = float(value)
 
     chosen: dict[str, int] = {}
     for name, rest, argmax in reversed(traceback):
-        idx = tuple(chosen[v.name] for v in rest)
+        idx = tuple(chosen[n] for n in rest)
         chosen[name] = int(argmax[idx] if rest else argmax)
     for name in hidden_map:
         var = net.var(name)

@@ -59,20 +59,24 @@ class SweepRecord:
     kl_bound: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedPointReport:
-    """Residuals and condition gaps for a plan.
+    """How a ``run`` ended: the last sweep's per-edge residuals, the number
+    of sweeps, and whether the largest residual fell below tolerance."""
 
-    ``run`` fills residuals/iterations/converged; ``check_conditions`` fills
-    the per-edge gaps (parent/clone posterior agreement, and agreement with
-    the true posterior) and leaves residuals None.
-    """
-
-    residuals: tuple[float, ...] | None
-    eq_match_gaps: tuple[float, ...] | None
-    eq_exact_gaps: tuple[float, ...] | None
+    residuals: tuple[float, ...]
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class ConditionGaps:
+    """Per-edge fixed-point condition gaps from ``check_conditions``:
+    parent/clone posterior agreement (``eq_match_gaps``) and agreement with
+    the true posterior (``eq_exact_gaps``)."""
+
+    eq_match_gaps: tuple[float, ...]
+    eq_exact_gaps: tuple[float, ...]
 
 
 def _chained(expected, got, label) -> float:
@@ -86,7 +90,7 @@ def _chained(expected, got, label) -> float:
 
 def _sweep(
     nprime, plan, evp, method, true_marginals, damping, sequential, width_cap,
-    pr_ep=None,
+    pr_ep=None, programs=None,
 ):
     """One full pass over the plan's edges; returns (plan, per-edge residuals,
     Pr'(e') at the returned plan, or None in simultaneous mode).
@@ -98,7 +102,14 @@ def _sweep(
     simultaneous mode builds every g from the sweep-start parameters.  Each
     g must reproduce ``pr_ep``, the Pr'(e') the previous update ended with
     (sequential) or the sweep-start value (simultaneous).
+
+    ``programs`` maps a plan index to that edge's recorded elimination
+    (``engine.kept_program`` on N'); missing ones are recorded and added, so
+    a caller that passes the same dict to every sweep records each edge's
+    program once and only replays it afterwards.
     """
+    if programs is None:
+        programs = {}
     records = deleted_records(nprime, plan)
     residuals = []
     for i, rec in enumerate(records):
@@ -106,9 +117,11 @@ def _sweep(
         true_marg = true_marginals[i] if true_marginals is not None else None
         if sequential or i == 0:
             current = apply_params(nprime, plan)
-        g = engine.kept_table(
-            current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
-        )
+        if i not in programs:
+            programs[i] = engine.kept_program(
+                nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
+            )
+        g = engine.replay(programs[i], current)[0]
         new, residual, pr = edge_update(
             g, plan.params[i], method, true_marg, label, damping, sequential
         )
@@ -162,6 +175,11 @@ def run(
 ):
     """Iterate sweeps until the parameter residual drops below tolerance.
 
+    Each deleted edge's elimination over (parent, clone) is recorded once
+    per run, on the first sweep, and replayed on the current parameters in
+    every sweep (see ``_sweep``): N' keeps its structure and evidence, and
+    only the CPT entries the replay reads change.
+
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
     parent posteriors) and optional for "ed-bp", where it only enables the
@@ -189,10 +207,11 @@ def run(
     converged = False
     iterations = 0
     pr_ep = None
+    programs: dict = {}
     for sweep in range(1, cfg.max_iterations + 1):
         plan, res, pr_ep = _sweep(
             nprime, plan, evp, cfg.method, true_marginals, cfg.damping,
-            sequential, width_cap, pr_ep
+            sequential, width_cap, pr_ep, programs
         )
         iterations = sweep
         residuals = tuple(res)
@@ -208,14 +227,7 @@ def run(
         if worst < cfg.tolerance:
             converged = True
             break
-    report = FixedPointReport(
-        residuals=residuals,
-        eq_match_gaps=None,
-        eq_exact_gaps=None,
-        iterations=iterations,
-        converged=converged,
-    )
-    return plan, report, trace
+    return plan, FixedPointReport(residuals, iterations, converged), trace
 
 
 def check_conditions(
@@ -226,7 +238,7 @@ def check_conditions(
     evp: Evidence,
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
-) -> FixedPointReport:
+) -> ConditionGaps:
     """Measure both fixed-point conditions for every plan edge.
 
     Per edge the "match" gap is the larger of
@@ -257,10 +269,4 @@ def check_conditions(
                 float(np.max(np.abs(puc - true))),
             )
         )
-    return FixedPointReport(
-        residuals=None,
-        eq_match_gaps=tuple(match_gaps),
-        eq_exact_gaps=tuple(exact_gaps),
-        iterations=0,
-        converged=False,
-    )
+    return ConditionGaps(tuple(match_gaps), tuple(exact_gaps))

@@ -368,13 +368,13 @@ class TestScoreEdges:
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         width = compile(augment(net, net.edges()), ev).width
         calls = []
-        original = engine_module._eliminate
+        original = engine_module.replay
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "_eliminate", counting)
+        monkeypatch.setattr(engine_module, "replay", counting)
         with pytest.raises(CapacityError, match=f"induced width {width} exceeds the cap of {width - 1}"):
             score_edges(net, ev, width_cap=width - 1)
         assert calls == []

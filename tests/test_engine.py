@@ -29,6 +29,7 @@ from edgedel import (
 )
 from edgedel.harness import chain_network, grid_network
 
+import elimination_reference as ref
 from conftest import brute_posterior, positive_evidence, random_network
 
 
@@ -568,3 +569,157 @@ class TestOneOrderPerQuery:
         calls = self._count_orders(monkeypatch)
         exact_map(st, ["N0_0", "N1_1", "N2_2"])
         assert len(calls) == 1
+
+
+def leaf_evidence(net):
+    return Evidence({n: net.var(n).states[0] for n in net.leaves()})
+
+
+def replay_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for rows, cols in [(3, 3), (4, 4), (5, 5)]:
+        net = grid_network(rows, cols, rng=rng)
+        cases.append(pytest.param(net, leaf_evidence(net), id=f"grid{rows}x{cols}"))
+    net = grid_network(3, 3, states=3, rng=rng)
+    cases.append(pytest.param(net, leaf_evidence(net), id="grid3x3-3state"))
+    net = chain_network(8, rng=rng)
+    cases.append(pytest.param(net, Evidence({"X8": "s1", "X3": "s0"}), id="chain8"))
+    net = chain_network(6, states=3, rng=rng)
+    cases.append(pytest.param(net, Evidence({"X6": "s2", "X2": "s1"}), id="chain6-3state"))
+    net, ev, _ = zero_entry_net()
+    cases.append(pytest.param(net, ev, id="zero-entries"))
+    # every bucket of X1's side sums a table over X1 alone down to a scalar
+    net = chain_network(8, rng=rng)
+    ev = Evidence({f"X{i}": "s1" for i in range(2, 9, 2)})
+    cases.append(pytest.param(net, ev, id="scalar-buckets"))
+    return cases
+
+
+class TestReplayMatchesFactorLoop:
+    """Record + replay gives the bytes of the Factor-based bucket loop
+    (``elimination_reference``) on every query, on the same order."""
+
+    @pytest.mark.parametrize("net,ev", replay_cases())
+    def test_every_query_byte_identical(self, net, ev):
+        st = compile(net, ev)
+        assert np.float64(st.pr_e).tobytes() == np.float64(ref.reference_pr_e(net, ev)).tobytes()
+        hidden = [v.name for v in net.variables if v.name not in ev]
+        for n in hidden:
+            want = ref.reference_marginal(net, ev, n) / st.pr_e
+            assert posterior_marginal(st, n).tobytes() == want.tobytes(), n
+        for a, b in zip(hidden, hidden[2:]):
+            want = ref.reference_table(net, ev, keep=(a, b))[0] / st.pr_e
+            assert pairwise_marginal(st, a, b).tobytes() == want.tobytes(), (a, b)
+        for cpt in net.cpts():
+            family = [p.name for p in cpt.parents] + [cpt.child.name]
+            want = ref.reference_table(net, ev, (cpt.child.name,), family)[0]
+            assert cpt_derivatives(st, cpt).tobytes() == want.tobytes(), cpt
+        map_vars = hidden[::2] + [v.name for v in net.variables if v.name in ev][:1]
+        m, q = exact_map(st, map_vars)
+        want_m, want_q = ref.reference_map(net, ev, map_vars)
+        assert m == want_m
+        assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
+
+    @pytest.mark.parametrize("case", ["grid4x4-k5", "chain3state", "zero-entry-observed-parent"])
+    def test_edge_tables_byte_identical(self, case):
+        rng = np.random.default_rng(22)
+        if case == "grid4x4-k5":
+            net = grid_network(4, 4, rng=rng)
+            ev = leaf_evidence(net)
+            edges = net.edges()[:5]
+        elif case == "chain3state":
+            net = chain_network(6, states=3, rng=rng)
+            ev, edges = Evidence({"X6": "s2", "X3": "s0"}), [("X2", "X3"), ("X4", "X5")]
+        else:
+            net, ev, edges = zero_entry_net()
+        current, evp, plan = deleted(net, ev, edges, rng)
+        for rec in deleted_records(current, plan):
+            without, keep = (rec.clone, rec.sevid), (rec.parent, rec.clone)
+            want = ref.reference_table(current, evp, without, keep)[0]
+            assert kept_table(current, evp, without, keep).tobytes() == want.tobytes()
+
+    def test_kept_observed_variable_is_an_indicator_input(self):
+        net = chain_network(8, rng=np.random.default_rng(23))
+        ev = Evidence({"X4": "s1", "X8": "s0"})
+        without, keep = ("X5",), ("X4", "X5")
+        program = engine_module.kept_program(net, ev, without, keep)
+        fixed = [inp for inp in program.inputs if inp.cpt is None]
+        assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X4",), [0.0, 1.0])]
+        want = ref.reference_table(net, ev, without, keep)[0]
+        assert kept_table(net, ev, without, keep).tobytes() == want.tobytes()
+
+    def test_kept_unmentioned_leaf_is_a_ones_input(self):
+        net = chain_network(8, states=3, rng=np.random.default_rng(24))
+        ev = Evidence({"X3": "s2"})
+        without, keep = ("X8",), ("X7", "X8")
+        program = engine_module.kept_program(net, ev, without, keep)
+        fixed = [inp for inp in program.inputs if inp.cpt is None]
+        assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X8",), [1.0, 1.0, 1.0])]
+        want = ref.reference_table(net, ev, without, keep)[0]
+        assert kept_table(net, ev, without, keep).tobytes() == want.tobytes()
+
+    def test_scalar_intermediates(self):
+        net = chain_network(8, rng=np.random.default_rng(25))
+        ev = Evidence({f"X{i}": "s0" for i in range(2, 9)})
+        program = engine_module.record(net, engine_module._evidence_index(net, ev))
+        assert [b.shape for b in program.buckets] == [()]
+        assert all(inp.reduced == () for inp in program.inputs[2:])
+        st = compile(net, ev)
+        assert np.float64(st.pr_e).tobytes() == np.float64(ref.reference_pr_e(net, ev)).tobytes()
+        m, q = exact_map(st, ["X1"])
+        want_m, want_q = ref.reference_map(net, ev, ["X1"])
+        assert m == want_m
+        assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
+
+    def test_fully_observed_network_has_no_buckets(self):
+        net = grid_network(3, 3, states=3, rng=np.random.default_rng(26))
+        ev = Evidence({v.name: v.states[1] for v in net.variables})
+        program = engine_module.record(net, engine_module._evidence_index(net, ev))
+        assert program.buckets == () and len(program.final) == len(net.variables)
+        assert np.float64(compile(net, ev).pr_e).tobytes() == np.float64(
+            ref.reference_pr_e(net, ev)
+        ).tobytes()
+
+
+def overflowing_network():
+    """A -> B with entries near the float limit: the first bucket product is inf."""
+    a = Variable("A", ("a0", "a1"))
+    b = Variable("B", ("b0", "b1"))
+    return Network([a, b], [Cpt(a, (), [1e200, 1e200]), Cpt(b, (a,), [1e200] * 4)])
+
+
+class TestReplayGuards:
+    def test_replayed_program_raises_the_overflow_error(self):
+        net = overflowing_network()
+        with pytest.raises(ModelError, match="numerical overflow in factor product") as want:
+            kept_table(net, Evidence({}), (), ("B",))
+        with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
+            ref.reference_table(net, Evidence({}), (), ("B",))
+        program = engine_module.kept_program(net, Evidence({}), (), ("B",))
+        with pytest.raises(ModelError) as replayed:
+            engine_module.replay(program, net)
+        assert str(replayed.value) == str(want.value) == str(got.value)
+
+    def test_replay_on_mismatched_cpt_shapes_raises(self):
+        net = chain3()
+        program = engine_module.kept_program(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        a = Variable("A", ("a0", "a1"))
+        b = Variable("B", ("b0", "b1", "b2"))
+        c = Variable("C", ("c0", "c1"))
+        other = Network(
+            [a, b, c],
+            [
+                Cpt(a, (), [0.2, 0.8]),
+                Cpt(b, (a,), [0.3, 0.3, 0.4, 0.6, 0.2, 0.2]),
+                Cpt(c, (b,), [0.9, 0.1, 0.25, 0.75, 0.5, 0.5]),
+            ],
+        )
+        with pytest.raises(ModelError, match="cpt for 'C' has shape"):
+            engine_module.replay(program, other)
+
+    def test_replay_on_a_network_missing_an_input_raises(self):
+        program = engine_module.kept_program(chain3(), Evidence({}), (), ("C",))
+        a = Variable("A", ("a0", "a1"))
+        with pytest.raises(ModelError, match="unknown variable"):
+            engine_module.replay(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))

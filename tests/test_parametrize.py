@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import edgedel.engine as engine_module
 from edgedel import (
+    ConditionGaps,
     EdgeParams,
     Evidence,
+    FixedPointReport,
     IterationConfig,
     ModelError,
     approximate_network,
@@ -347,15 +351,23 @@ class TestEdgeTableSweep:
     def test_corrupted_edge_table_fails_chain_check(self, monkeypatch, schedule, k):
         # with k = 1 the mismatch shows only against the previous sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
-        real = engine_module.kept_table
-        calls = []
+        real_program, real_replay = engine_module.kept_program, engine_module.replay
+        edge_programs, calls = [], []
 
-        def corrupted(*args, **kwargs):
-            calls.append(1)
-            g = real(*args, **kwargs)
-            return g * (1 + 1e-6) if len(calls) == 2 else g
+        def recording(*args, **kwargs):
+            edge_programs.append(real_program(*args, **kwargs))
+            return edge_programs[-1]
 
-        monkeypatch.setattr(engine_module, "kept_table", corrupted)
+        def corrupted(program, net):
+            g, traceback = real_replay(program, net)
+            if any(program is p for p in edge_programs):
+                calls.append(1)
+                if len(calls) == 2:
+                    g = g * (1 + 1e-6)
+            return g, traceback
+
+        monkeypatch.setattr(engine_module, "kept_program", recording)
+        monkeypatch.setattr(engine_module, "replay", corrupted)
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
         with pytest.raises(ModelError, match="edge table"):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
@@ -384,10 +396,33 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         calls = self._count(
-            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "_eliminate"]
+            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "kept_program", "replay"]
         )
         _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
-        assert calls == {"compile": 0, "cpt_derivatives": 0, "kept_table": 4, "_eliminate": 4}
+        assert calls == {
+            "compile": 0, "cpt_derivatives": 0, "kept_table": 0, "kept_program": 4, "replay": 4
+        }
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        calls = self._count(monkeypatch, ["compile", "kept_program", "_order", "replay"])
+        true_edge_marginals(aug, ev, plan)
+        own = dict(calls)
+        cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert report.iterations == 3
+        got = {name: calls[name] - 2 * own[name] for name in calls}
+        # beyond true_edge_marginals: 4 recordings (one order each), 12
+        # replays, and in simultaneous mode one compile (one order, one
+        # replay) per sweep for the KL bound
+        per_sweep = 3 if schedule == "simultaneous" else 0
+        assert got == {
+            "compile": per_sweep,
+            "kept_program": 4,
+            "_order": 4 + per_sweep,
+            "replay": 12 + per_sweep,
+        }
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_compiles_once_plus_once_per_simultaneous_sweep(self, monkeypatch, schedule):
@@ -405,3 +440,17 @@ class TestWorkCounts:
         score_edges(net, ev)
         n_edges = len(net.edges())
         assert calls == {"compile": 1, "cpt_derivatives": n_edges, "posterior_marginal": 0}
+
+
+class TestReportTypes:
+    def test_run_and_check_conditions_each_fill_their_own_type(self):
+        net, ev, aug, nprime, plan, evp = grid_case(k=2)
+        cfg = IterationConfig(method="ed-kl", max_iterations=2)
+        plan2, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        gaps = check_conditions(aug, nprime, plan2, ev, evp)
+        assert isinstance(report, FixedPointReport)
+        assert [f.name for f in dataclasses.fields(report)] == ["residuals", "iterations", "converged"]
+        assert len(report.residuals) == 2 and report.iterations == 2
+        assert isinstance(gaps, ConditionGaps)
+        assert [f.name for f in dataclasses.fields(gaps)] == ["eq_match_gaps", "eq_exact_gaps"]
+        assert len(gaps.eq_match_gaps) == len(gaps.eq_exact_gaps) == 2
