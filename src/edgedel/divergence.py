@@ -7,13 +7,16 @@ quantity upper-bounds ``exact_kl``, the divergence between the posteriors
 restricted to the source variables, which is computed here by brute-force
 enumeration.
 
-``edge_update`` is the one fixed-point update of a single deleted edge
-(ed-bp or ed-kl), read off that edge's table over (parent, clone); the
-parametrization sweeps call it once per edge.  ``score_edges`` ranks every
-network edge by the divergence achievable when it alone is deleted with
-ed-kl parameters: one compile gives Pr(e) for all edges, each edge costs one
-derivative elimination (its clone's CPT table), and the scorer then iterates
-the sweep's ed-kl edge update on that table, in constant time per step.
+``true_edge_marginals`` reads the true parent posteriors, which the
+bound's edge terms and the ed-kl update need, off one forward/backward pass
+on the source network.  ``edge_update`` is the one fixed-point update of a
+single deleted edge (ed-bp or ed-kl), read off that edge's table over
+(parent, clone) or off the derivatives of Pr'(e'); the parametrization
+sweeps call it once per edge.  ``score_edges`` ranks every network edge by
+the divergence achievable when it alone is deleted with ed-kl parameters:
+one compile gives Pr(e) for all edges, each edge costs one derivative
+elimination (its clone's CPT table), and the scorer then iterates the
+sweep's ed-kl edge update on that table, in constant time per step.
 """
 
 from __future__ import annotations
@@ -76,6 +79,36 @@ def kl_breakdown(marginals, params, pr_e: float, pr_ep: float) -> KlBreakdown:
     return KlBreakdown(terms, correction, total)
 
 
+def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
+                        width_cap=WIDTH_CAP_DEFAULT):
+    """Exact parent posteriors per plan edge, plus Pr(e), from the source network.
+
+    One recorded elimination of Pr(e) on (aug, e), replayed forward and
+    backward (``engine.adjoints``), gives every CPT's derivative table.  An
+    unobserved parent U's posterior is read from its own CPT:
+    Pr(u | e) = sum over U's parents of theta * dPr(e)/dtheta, over Pr(e).
+    An observed parent's posterior is its one-hot.  Each table read is
+    checked by the Euler identity.  A non-empty plan under evidence of
+    probability zero raises ``InconsistentEvidenceError``.
+    """
+    grads = engine.adjoints(engine.evidence_program(aug, ev, width_cap), aug)
+    if len(plan) and grads.pr_e <= 0.0:
+        raise InconsistentEvidenceError("source network: evidence has zero probability")
+    posteriors: dict[str, np.ndarray] = {}
+    for rec in plan.edges:
+        if rec.parent in posteriors:
+            continue
+        var = aug.var(rec.parent)
+        if rec.parent in ev:
+            post = np.zeros(var.card)
+            post[var.index_of(ev[rec.parent])] = 1.0
+        else:
+            joint = aug.cpt(rec.parent).shaped * grads.cpt(rec.parent)
+            post = joint.reshape(-1, var.card).sum(axis=0) / grads.pr_e
+        posteriors[rec.parent] = post
+    return [posteriors[rec.parent] for rec in plan.edges], grads.pr_e
+
+
 def kl_bound(
     aug: Network,
     nprime: Network,
@@ -86,16 +119,15 @@ def kl_bound(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
     """Closed-form divergence over all augmented-network variables."""
-    st = engine.compile(aug, ev, width_cap)
-    if st.pr_e <= 0.0:
+    marginals, pr_e = true_edge_marginals(aug, ev, plan, width_cap)
+    if pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
     st_p = engine.compile(apply_params(nprime, plan), evp, width_cap)
     if st_p.pr_e <= 0.0:
         raise InconsistentEvidenceError(
             "approximate network: augmented evidence has zero probability"
         )
-    diags = [np.diag(engine.pairwise_marginal(st, r.parent, r.clone)) for r in plan.edges]
-    return kl_breakdown(diags, plan.params, st.pr_e, st_p.pr_e)
+    return kl_breakdown(marginals, plan.params, pr_e, st_p.pr_e)
 
 
 def exact_kl(
@@ -122,16 +154,13 @@ def exact_kl(
     if set(p.names()) != set(q.names()):
         raise ModelError("posteriors cover different source variables")
     q = q.reorder(p.names())
-    total = 0.0
-    p_flat = p.values.reshape(-1)
-    q_flat = q.values.reshape(-1)
-    for pi, qi in zip(p_flat, q_flat):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
+    mass = p.values > 0.0
+    p_mass, q_mass = p.values[mass], q.values[mass]
+    if np.any(q_mass <= 0.0):
+        return math.inf
+    # an elementwise sum: a BLAS dot over a joint this large starts threads
+    # that keep spinning after it returns
+    return float(np.sum(p_mass * np.log(p_mass / q_mass)))
 
 
 def single_edge_evaluate(derivs: np.ndarray, params: EdgeParams):
@@ -222,14 +251,16 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
-def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, sequential=True):
+def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, derivatives=None):
     """One fixed-point update of one deleted edge; returns (new params,
     residual, Pr'(e') at ``old``).
 
-    ``g`` is the edge's table over (parent, clone), as for
-    ``single_edge_evaluate``.  The prior ``pm`` is updated first; sequential
-    mode re-evaluates ``g`` at the new prior before updating the
-    soft-evidence row ``se``, simultaneous mode updates both from ``old``.
+    The prior ``pm`` is updated first.  Sequential form: ``g`` is the
+    edge's table over (parent, clone), as for ``single_edge_evaluate``, and
+    is re-evaluated at the new prior before the soft-evidence row ``se`` is
+    updated.  Simultaneous form: ``derivatives`` holds (Pr'(e'), d/dpm,
+    d/dse) at ``old``, read off the sweep-start network, and both vectors
+    are updated from it (``g`` is unused).
     ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
     the largest parameter change.  An all-zero or non-finite update raises
     ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
@@ -237,7 +268,8 @@ def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, seque
     uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
     with true mass, since g_uu = Pr(u, e).
     """
-    pr_old, d_pm, d_se = single_edge_evaluate(g, old)
+    sequential = derivatives is None
+    pr_old, d_pm, d_se = single_edge_evaluate(g, old) if sequential else derivatives
     pm = _damp(
         _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label),
         old.pm, damping, label,

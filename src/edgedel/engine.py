@@ -15,10 +15,20 @@ arrays, with an argmax traceback for the maximized variables.  A program
 depends on the structure, the evidence and the query, not on the CPT
 entries, so a caller that only changes entries (the sweeps of
 ``parametrize.run``) records once and replays many times.
+
+A program that keeps no variable computes Pr(e), which is multilinear in
+the CPT entries.  ``adjoints`` replays such a program forward and then
+walks the same buckets and alignments in reverse (Darwiche, "A
+differential approach to inference in Bayesian networks", JACM 2003): one
+pass gives dPr(e)/d(entry) for every entry of every CPT, each a sum of
+products of the other operands, so it stays exact at zero parameters.
+``Adjoints.cpt`` reads one CPT's table, checked by the Euler identity
+sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -202,6 +212,7 @@ class Program:
     ``width`` is the order's induced width.  Replaying a program on a
     network reads only CPT entries, so any network with the recorded
     structure will do (``replay`` checks each CPT's shape).
+    ``cpt_inputs`` maps each CPT name to its input's position.
     """
 
     inputs: tuple[_Input, ...]
@@ -211,6 +222,7 @@ class Program:
     perm: tuple[int, ...]
     shape: tuple[int, ...]
     width: int
+    cpt_inputs: dict[str, int]
 
 
 def _view(src, scope, card):
@@ -288,6 +300,7 @@ def record(
     return Program(
         tuple(inputs), tuple(buckets), final, final_steps,
         tuple(scope.index(n) for n in keep), tuple(card[n] for n in keep), elim.width,
+        {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
     )
 
 
@@ -300,25 +313,48 @@ def _aligned(arr, view):
     return arr
 
 
-def _multiply(tables, prod, operands, steps):
-    """Multiply ``prod`` by each operand in turn, releasing the operands."""
+def _unaligned(grad, view, shape):
+    """The adjoint of ``_aligned``: ``grad``, over the whole aligned scope,
+    summed over the axes the view broadcast and transposed back to a table
+    of ``shape``.  (Summing an axis of size one also drops the axes of
+    one-state variables; the final reshape restores them.)"""
+    transpose, aligned = view
+    if aligned is not None:
+        grad = grad.sum(axis=tuple(i for i, n in enumerate(aligned) if n == 1))
+    if transpose is not None:
+        grad = grad.reshape(tuple(shape[i] for i in transpose)).transpose(
+            sorted(range(len(transpose)), key=transpose.__getitem__)
+        )
+    return grad.reshape(shape)
+
+
+def _multiply(tables, prod, operands, steps, prefixes=None):
+    """Multiply ``prod`` by each operand in turn.  The operands are
+    released, unless ``prefixes`` collects the running product before each
+    step for ``_multiply_back``."""
     for j, (mine, theirs) in zip(operands, steps):
         other = tables[j]
-        tables[j] = None
+        if prefixes is None:
+            tables[j] = None
+        else:
+            prefixes.append(prod)
         prod = _aligned(prod, mine) * _aligned(other, theirs)
         if not np.isfinite(prod).all():
             raise ModelError("numerical overflow in factor product")
     return prod
 
 
-def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
-    """Run a recorded elimination on ``net``'s CPT entries.
+def _multiply_back(grad, prefixes, tables, operands, steps, adj):
+    """The reverse of ``_multiply``: given the adjoint of the product, set
+    each operand's adjoint in ``adj`` and return the starting product's."""
+    for j, (mine, theirs), prev in reversed(tuple(zip(operands, steps, prefixes))):
+        other = tables[j]
+        adj[j] = _unaligned(grad * _aligned(prev, mine), theirs, other.shape)
+        grad = _unaligned(grad * _aligned(other, theirs), mine, prev.shape)
+    return grad
 
-    Returns the table over the kept variables (axes in the order given to
-    ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
-    (variable, names of the other axes, argmax table) per maximized
-    variable, in elimination order.
-    """
+
+def _input_tables(program: Program, net: Network) -> list:
     tables = []
     for inp in program.inputs:
         if inp.cpt is None:
@@ -334,6 +370,18 @@ def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
             # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
             arr = np.ascontiguousarray(arr[inp.take]).reshape(inp.reduced)
         tables.append(arr)
+    return tables
+
+
+def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
+    """Run a recorded elimination on ``net``'s CPT entries.
+
+    Returns the table over the kept variables (axes in the order given to
+    ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
+    (variable, names of the other axes, argmax table) per maximized
+    variable, in elimination order.
+    """
+    tables = _input_tables(program, net)
     traceback = []
     for b in program.buckets:
         first = b.operands[0]
@@ -348,6 +396,78 @@ def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
     prod = _multiply(tables, np.array(1.0), program.final, program.final_steps)
     table = np.ascontiguousarray(prod.transpose(program.perm)).reshape(program.shape)
     return table, traceback
+
+
+def _check_euler(theta, d, pr_e, what):
+    euler = float((theta * d).sum())
+    scale = max(abs(pr_e), abs(euler), 1e-300)
+    if not (math.isfinite(euler) and abs(euler - pr_e) <= EULER_RTOL * scale):
+        raise ModelError(
+            f"{what} violates the sum(theta * d) = Pr(e) identity: {euler} vs {pr_e}"
+        )
+
+
+@dataclass(frozen=True)
+class Adjoints:
+    """Pr(e) and its adjoints from one forward/backward pass of a Pr(e)
+    program on ``net``: ``tables[i]`` is dPr(e)/d(input i) in that input's
+    evidence-reduced shape."""
+
+    program: Program
+    net: Network
+    pr_e: float
+    tables: tuple[np.ndarray, ...]
+
+    def cpt(self, name: str) -> np.ndarray:
+        """Partial derivatives of Pr(e) with respect to every entry of the
+        CPT of ``name``, shaped like the CPT table: the input's adjoint in
+        its evidence slice and zero elsewhere (entries that disagree with
+        the evidence do not enter Pr(e)).  Checked by the Euler identity.
+        """
+        i = self.program.cpt_inputs[name]
+        inp = self.program.inputs[i]
+        d = self.tables[i]
+        if inp.take is not None:
+            full = np.zeros(inp.shape)
+            full[inp.take] = d
+            d = full
+        _check_euler(self.net.cpt(name).shaped, d, self.pr_e, f"adjoint of {name!r}")
+        return d
+
+
+def adjoints(program: Program, net: Network) -> Adjoints:
+    """Replay a Pr(e) program (one recorded with nothing kept) forward, then
+    backward over the same buckets and alignments.
+
+    The forward pass keeps every table and running product, with
+    ``replay``'s overflow check; the backward pass gives each operand of a
+    product the product of the others times the result's adjoint, summed
+    down to the operand's scope, so no adjoint is ever a quotient.
+    """
+    if program.shape != ():
+        raise ModelError("adjoints need a program that keeps no variable")
+    if any(b.rest is not None for b in program.buckets):
+        raise ModelError("adjoints need a summing program, not a maximizing one")
+    tables = _input_tables(program, net)
+    saved = []
+    for b in program.buckets:
+        prefixes = []
+        prod = _multiply(tables, tables[b.operands[0]], b.operands[1:], b.steps, prefixes)
+        # the result's adjoint, over the product's axes, is flat along b.axis
+        flat = prod.shape[: b.axis] + (1,) + prod.shape[b.axis + 1 :]
+        saved.append((prefixes, flat, prod.shape[b.axis]))
+        tables.append(np.ascontiguousarray(prod.sum(axis=(b.axis,))).reshape(b.shape))
+    final = []
+    pr_e = float(_multiply(tables, np.array(1.0), program.final, program.final_steps, final))
+    adj = [None] * len(tables)
+    _multiply_back(np.array(1.0), final, tables, program.final, program.final_steps, adj)
+    n = len(program.inputs)
+    for k in reversed(range(len(program.buckets))):
+        b = program.buckets[k]
+        prefixes, flat, card = saved[k]
+        grad = adj[n + k].reshape(flat).repeat(card, axis=b.axis)
+        adj[b.operands[0]] = _multiply_back(grad, prefixes, tables, b.operands[1:], b.steps, adj)
+    return Adjoints(program, net, pr_e, tuple(adj[:n]))
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:
@@ -405,6 +525,15 @@ class EngineState:
 
 def _evidence_index(net: Network, ev: Evidence) -> dict[str, int]:
     return {name: net.var(name).index_of(state) for name, state in ev.items()}
+
+
+def evidence_program(
+    net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT
+) -> Program:
+    """Check the evidence against the network and record the elimination
+    of Pr(e); replay it with ``replay`` or ``adjoints``."""
+    ev.validate(net)
+    return record(net, _evidence_index(net, ev), width_cap=width_cap)
 
 
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
@@ -485,13 +614,7 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
         raise ModelError(f"cpt for {cpt.child.name!r} does not belong to this network")
     family = [p.name for p in cpt.parents] + [cpt.child.name]
     d = kept_table(net, st.evidence, (cpt.child.name,), family, st.width_cap)
-    euler = float((cpt.shaped * d).sum())
-    scale = max(abs(st.pr_e), abs(euler), 1e-300)
-    if abs(euler - st.pr_e) > EULER_RTOL * scale:
-        raise ModelError(
-            f"derivative table for {cpt.child.name!r} violates the "
-            f"sum(theta * d) = Pr(e) identity: {euler} vs {st.pr_e}"
-        )
+    _check_euler(cpt.shaped, d, st.pr_e, f"derivative table for {cpt.child.name!r}")
     return d
 
 

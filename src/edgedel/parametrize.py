@@ -19,7 +19,12 @@ import numpy as np
 
 from . import engine
 from .deletion import DeletionPlan, apply_params, deleted_records
-from .divergence import edge_update, kl_breakdown, single_edge_evaluate
+from .divergence import (
+    edge_update,
+    kl_breakdown,
+    single_edge_evaluate,
+    true_edge_marginals,
+)
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, ModelError, Network
 
@@ -88,6 +93,14 @@ def _chained(expected, got, label) -> float:
     return expected
 
 
+def _evidence_program(programs, nprime, evp, width_cap):
+    """The run's one recorded elimination of Pr'(e') on N', kept in
+    ``programs`` under None."""
+    if None not in programs:
+        programs[None] = engine.evidence_program(nprime, evp, width_cap)
+    return programs[None]
+
+
 def _sweep(
     nprime, plan, evp, method, true_marginals, damping, sequential, width_cap,
     pr_ep=None, programs=None,
@@ -95,40 +108,48 @@ def _sweep(
     """One full pass over the plan's edges; returns (plan, per-edge residuals,
     Pr'(e') at the returned plan, or None in simultaneous mode).
 
-    Each edge costs one elimination: the table g over (parent, clone) of N'
-    with that edge's clone prior and soft-evidence CPT left out, so that
+    Sequential mode costs one elimination per edge: the table g over
+    (parent, clone) of N' with that edge's clone prior and soft-evidence CPT
+    left out, built from the other edges' current parameters, so that
     Pr'(e') = se g pm and ``divergence.edge_update`` fits the edge from g.
-    Sequential mode builds g from the other edges' current parameters;
-    simultaneous mode builds every g from the sweep-start parameters.  Each
-    g must reproduce ``pr_ep``, the Pr'(e') the previous update ended with
-    (sequential) or the sweep-start value (simultaneous).
+    Each g must reproduce ``pr_ep``, the Pr'(e') the previous update ended
+    with.  ``programs`` maps a plan index to that edge's recorded
+    elimination (``engine.kept_program`` on N').
 
-    ``programs`` maps a plan index to that edge's recorded elimination
-    (``engine.kept_program`` on N'); missing ones are recorded and added, so
-    a caller that passes the same dict to every sweep records each edge's
-    program once and only replays it afterwards.
+    Simultaneous mode costs one forward/backward pass of the Pr'(e')
+    program (``engine.adjoints``) at the sweep-start parameters: every
+    edge's dPr'/dpm and dPr'/dse are the adjoints of its clone prior and
+    soft-evidence CPT, each checked by the Euler identity against the
+    forward value, Pr'(e').  The program is kept in ``programs`` under None.
+
+    Missing programs are recorded and added, so a caller that passes the
+    same dict to every sweep records each once and only replays afterwards.
     """
     if programs is None:
         programs = {}
     records = deleted_records(nprime, plan)
     residuals = []
+    if not sequential and records:
+        program = _evidence_program(programs, nprime, evp, width_cap)
+        grads = engine.adjoints(program, apply_params(nprime, plan))
     for i, rec in enumerate(records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
-        if sequential or i == 0:
-            current = apply_params(nprime, plan)
-        if i not in programs:
-            programs[i] = engine.kept_program(
-                nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
-            )
-        g = engine.replay(programs[i], current)[0]
-        new, residual, pr = edge_update(
-            g, plan.params[i], method, true_marg, label, damping, sequential
-        )
-        pr_ep = _chained(pr_ep, pr, label)
-        plan = plan.with_params(i, new)
         if sequential:
+            if i not in programs:
+                programs[i] = engine.kept_program(
+                    nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
+                )
+            g = engine.replay(programs[i], apply_params(nprime, plan))[0]
+            new, residual, pr = edge_update(g, plan.params[i], method, true_marg, label, damping)
+            _chained(pr_ep, pr, label)
             pr_ep = single_edge_evaluate(g, new)[0]
+        else:
+            derivatives = (grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0])
+            new, residual, _ = edge_update(
+                None, plan.params[i], method, true_marg, label, damping, derivatives
+            )
+        plan = plan.with_params(i, new)
         residuals.append(residual)
     return plan, residuals, pr_ep if sequential else None
 
@@ -156,14 +177,6 @@ def edkl_step(nprime, plan, evp, true_marginals, *, damping=0.0,
     return plan
 
 
-def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
-                        width_cap=WIDTH_CAP_DEFAULT):
-    """Exact parent posteriors per plan edge, plus Pr(e), from the source network."""
-    st = engine.compile(aug, ev, width_cap)
-    marginals = [engine.posterior_marginal(st, rec.parent) for rec in plan.edges]
-    return marginals, st.pr_e
-
-
 def run(
     nprime: Network,
     plan: DeletionPlan,
@@ -175,10 +188,15 @@ def run(
 ):
     """Iterate sweeps until the parameter residual drops below tolerance.
 
-    Each deleted edge's elimination over (parent, clone) is recorded once
-    per run, on the first sweep, and replayed on the current parameters in
-    every sweep (see ``_sweep``): N' keeps its structure and evidence, and
-    only the CPT entries the replay reads change.
+    Every elimination a sweep needs is recorded once per run, on first
+    use, and replayed on the current parameters afterwards (see
+    ``_sweep``): N' keeps its structure and evidence, and only the CPT
+    entries the replay reads change.  Sequential sweeps replay one
+    (parent, clone) program per deleted edge; simultaneous sweeps make one
+    forward/backward pass of the run's one Pr'(e') program, and replay it
+    forward once more for the KL bound at the sweep's new parameters.  The
+    true parent posteriors come from one forward/backward pass on the
+    source network (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -219,8 +237,9 @@ def run(
         kl = None
         if true_marginals is not None and pr_e is not None and pr_e > 0:
             if pr_ep is None:
-                # simultaneous mode moved every edge at once: one compile
-                pr_ep = engine.compile(apply_params(nprime, plan), evp, width_cap).pr_e
+                # simultaneous mode moved every edge at once: one replay
+                program = _evidence_program(programs, nprime, evp, width_cap)
+                pr_ep = float(engine.replay(program, apply_params(nprime, plan))[0])
             if pr_ep > 0:
                 kl = kl_breakdown(true_marginals, plan.params, pr_e, pr_ep).total
         trace.append(SweepRecord(sweep, worst, kl))
@@ -251,10 +270,10 @@ def check_conditions(
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
     st_p = engine.compile(current, evp, width_cap)
-    st = engine.compile(aug, ev, width_cap)
+    true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
     match_gaps = []
     exact_gaps = []
-    for rec, params in zip(records, plan.params):
+    for rec, params, true in zip(records, plan.params, true_marginals):
         pu = engine.posterior_marginal(st_p, rec.parent)
         puc = engine.posterior_marginal(st_p, rec.clone)
         gap_a = float(np.max(np.abs(pu - puc)))
@@ -262,7 +281,6 @@ def check_conditions(
         pu_r = engine.posterior_marginal(st_r, rec.parent)
         gap_b = float(np.max(np.abs(pu_r - params.pm)))
         match_gaps.append(max(gap_a, gap_b))
-        true = engine.posterior_marginal(st, rec.parent)
         exact_gaps.append(
             max(
                 float(np.max(np.abs(pu - true))),

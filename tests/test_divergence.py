@@ -162,6 +162,37 @@ class TestExactKl:
         assert exact_kl(aug, nprime, p, ev, evp) == pytest.approx(want, abs=1e-12)
         assert exact_kl(aug, nprime, p, ev, evp) > 0
 
+    def test_positive_mass_against_zero_approximate_mass_is_infinite(self, coins_fixture):
+        # pm = (1, 0) leaves the approximate posterior no mass on (t, t),
+        # where the source posterior has 0.5
+        net, ev = coins_fixture
+        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        p = plan.with_params(0, EdgeParams([1.0, 0.0], [0.5, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_kl(aug, nprime, p, ev, evp) == math.inf
+
+    def test_zero_true_mass_contributes_nothing(self, coins_fixture):
+        # the source posterior is zero off the diagonal of (U1, U2); those
+        # worlds add nothing, with or without approximate mass there
+        net, ev = coins_fixture
+        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        for se in ([0.5, 0.5], [0.2, 0.9]):
+            p = plan.with_params(0, EdgeParams([0.7, 0.3], se))
+            source = enumerate_joint(aug, ev).marginalize_to({"U1", "U2"}).normalize()
+            approx = enumerate_joint(apply_params(nprime, p), evp)
+            approx = approx.marginalize_to({"U1", "U2"}).normalize().reorder(source.names())
+            assert np.count_nonzero(source.values == 0.0) == 2
+            want = 0.0
+            for pi, qi in zip(source.values.reshape(-1), approx.values.reshape(-1)):
+                if pi > 0.0:
+                    want += pi * math.log(pi / qi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = exact_kl(aug, nprime, p, ev, evp)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert got <= kl_bound(aug, nprime, p, ev, evp).total + 1e-9
+
 
 class TestSingleEdgeEvaluate:
     def test_agrees_with_direct_compilation(self):

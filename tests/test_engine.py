@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
     Cpt,
+    DeletionPlan,
     EdgeParams,
     Evidence,
     InconsistentEvidenceError,
@@ -28,6 +31,7 @@ from edgedel import (
     single_edge_evaluate,
 )
 from edgedel.harness import chain_network, grid_network
+from edgedel.divergence import true_edge_marginals
 
 import elimination_reference as ref
 from conftest import brute_posterior, positive_evidence, random_network
@@ -723,3 +727,134 @@ class TestReplayGuards:
         a = Variable("A", ("a0", "a1"))
         with pytest.raises(ModelError, match="unknown variable"):
             engine_module.replay(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
+
+
+def adjoint_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for rows, cols in [(3, 3), (4, 4), (5, 5)]:
+        net = grid_network(rows, cols, rng=rng)
+        cases.append(pytest.param(net, leaf_evidence(net), id=f"grid{rows}x{cols}"))
+    net = grid_network(3, 3, states=3, rng=rng)
+    cases.append(pytest.param(net, leaf_evidence(net), id="grid3x3-3state"))
+    net = chain_network(8, rng=rng)
+    cases.append(pytest.param(net, Evidence({"X8": "s1", "X3": "s0"}), id="chain8"))
+    # U has a zero CPT entry and is an observed parent of X and Y
+    net, ev, _ = zero_entry_net()
+    cases.append(pytest.param(net, ev, id="zero-entries-observed-parent"))
+    net = grid_network(3, 3, states=3, rng=rng)
+    cases.append(
+        pytest.param(net, Evidence({v.name: v.states[1] for v in net.variables}), id="all-observed")
+    )
+    return cases
+
+
+def posterior_from(grads, net, name):
+    """Pr(name | e) read from the adjoint of the variable's own CPT."""
+    card = net.var(name).card
+    joint = net.cpt(name).shaped * grads.cpt(name)
+    return joint.reshape(-1, card).sum(axis=0) / grads.pr_e
+
+
+class TestAdjoints:
+    """One forward/backward pass gives every CPT's derivative table."""
+
+    @pytest.mark.parametrize("net,ev", adjoint_cases())
+    def test_match_cpt_derivatives_and_posteriors(self, net, ev):
+        st = compile(net, ev)
+        program = engine_module.evidence_program(net, ev)
+        grads = engine_module.adjoints(program, net)
+        # the forward pass is replay's arithmetic
+        assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
+        for i, inp in enumerate(program.inputs):
+            want = cpt_derivatives(st, net.cpt(inp.cpt))
+            if inp.take is not None:
+                want = want[inp.take]
+            got = grads.tables[i]
+            assert got.shape == inp.reduced
+            assert np.allclose(got, want, rtol=1e-12, atol=0), inp.cpt
+            assert np.allclose(grads.cpt(inp.cpt), cpt_derivatives(st, net.cpt(inp.cpt)),
+                               rtol=1e-12, atol=0)
+        for v in net.variables:
+            if v.name not in ev:
+                want = posterior_marginal(st, v.name)
+                assert np.allclose(posterior_from(grads, net, v.name), want, rtol=1e-12, atol=0)
+
+    def test_exact_at_zero_parameters(self):
+        # theta(b0 | a0) = 0, yet dPr(c0)/dtheta(b0 | a0) = Pr(a0) Pr(c0 | b0)
+        net = chain3()
+        net = net.replace_cpts({"B": Cpt(net.var("B"), (net.var("A"),), [0.0, 1.0, 0.6, 0.4])})
+        ev = Evidence({"C": "c0"})
+        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        assert grads.cpt("B")[0, 0] == pytest.approx(0.2 * 0.9, rel=1e-15)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_true_edge_marginals_match_posterior_marginal(self, observed):
+        net = grid_network(4, 4, rng=np.random.default_rng(42))
+        ev = leaf_evidence(net)
+        edges = net.edges()[:6]
+        if observed:
+            # the first deleted edge's parent is observed
+            ev = ev.with_added({edges[0][0]: net.var(edges[0][0]).states[1]})
+        aug, _, plan = approximate_network(net, edges)
+        marginals, pr_e = true_edge_marginals(aug, ev, plan)
+        st = compile(aug, ev)
+        assert pr_e == st.pr_e
+        for rec, got in zip(plan.edges, marginals):
+            want = posterior_marginal(st, rec.parent)
+            assert np.allclose(got, want, rtol=1e-12, atol=0), rec.parent
+        if observed:
+            assert marginals[0].tolist() == [0.0, 1.0]
+
+    def test_zero_probability_evidence(self):
+        a = Variable("A", ("a0", "a1"))
+        b = Variable("B", ("b0", "b1"))
+        net = Network([a, b], [Cpt(a, (), [1.0, 0.0]), Cpt(b, (a,), [0.9, 0.1, 0.2, 0.8])])
+        aug, _, plan = approximate_network(net, [("A", "B")])
+        with pytest.raises(InconsistentEvidenceError, match="source network"):
+            true_edge_marginals(aug, Evidence({"B": "b1", "A": "a1"}), plan)
+        # with nothing to read, Pr(e) = 0 is an answer
+        empty = DeletionPlan((), ())
+        assert true_edge_marginals(net, Evidence({"A": "a1"}), empty) == ([], 0.0)
+
+
+class TestAdjointGuards:
+    def test_corrupted_adjoint_fails_the_euler_check(self, monkeypatch):
+        net = grid_network(4, 4, rng=np.random.default_rng(43))
+        ev = leaf_evidence(net)
+        aug, _, plan = approximate_network(net, net.edges()[:3])
+        real = engine_module.adjoints
+
+        def corrupted(program, net):
+            grads = real(program, net)
+            return dataclasses.replace(grads, tables=tuple(t * (1 + 1e-6) for t in grads.tables))
+
+        monkeypatch.setattr(engine_module, "adjoints", corrupted)
+        with pytest.raises(ModelError, match="violates the sum"):
+            true_edge_marginals(aug, ev, plan)
+
+    def test_non_finite_adjoint_fails_the_euler_check(self):
+        net = chain3()
+        grads = engine_module.adjoints(engine_module.evidence_program(net, Evidence({})), net)
+        tables = list(grads.tables)
+        tables[1] = tables[1] * np.nan
+        with pytest.raises(ModelError, match="adjoint of 'B' violates"):
+            dataclasses.replace(grads, tables=tuple(tables)).cpt("B")
+
+    def test_maximize_program_refused(self):
+        net = chain3()
+        program = engine_module.record(net, {}, last=("A",), maximize=("A",))
+        with pytest.raises(ModelError, match="maximizing"):
+            engine_module.adjoints(program, net)
+
+    def test_kept_variable_program_refused(self):
+        net = chain3()
+        program = engine_module.kept_program(net, Evidence({}), (), ("C",))
+        with pytest.raises(ModelError, match="keeps no variable"):
+            engine_module.adjoints(program, net)
+
+    def test_overflow_raises_the_replay_error(self):
+        net = overflowing_network()
+        program = engine_module.evidence_program(net, Evidence({}))
+        with pytest.raises(ModelError, match="numerical overflow in factor product"):
+            engine_module.adjoints(program, net)

@@ -349,28 +349,48 @@ class TestEdgeTableSweep:
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_corrupted_edge_table_fails_chain_check(self, monkeypatch, schedule, k):
-        # with k = 1 the mismatch shows only against the previous sweep
+        # sequential: the second replay of an edge program is corrupted, and
+        # with k = 1 the mismatch shows only against the previous sweep;
+        # simultaneous: the second adjoint pass on N' is, and the Euler check
+        # on the first derivative it reads fails
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
-        real_program, real_replay = engine_module.kept_program, engine_module.replay
-        edge_programs, calls = [], []
+        if schedule == "sequential":
+            real_program, real_replay = engine_module.kept_program, engine_module.replay
+            edge_programs, calls = [], []
 
-        def recording(*args, **kwargs):
-            edge_programs.append(real_program(*args, **kwargs))
-            return edge_programs[-1]
+            def recording(*args, **kwargs):
+                edge_programs.append(real_program(*args, **kwargs))
+                return edge_programs[-1]
 
-        def corrupted(program, net):
-            g, traceback = real_replay(program, net)
-            if any(program is p for p in edge_programs):
-                calls.append(1)
-                if len(calls) == 2:
-                    g = g * (1 + 1e-6)
-            return g, traceback
+            def corrupted(program, net):
+                g, traceback = real_replay(program, net)
+                if any(program is p for p in edge_programs):
+                    calls.append(1)
+                    if len(calls) == 2:
+                        g = g * (1 + 1e-6)
+                return g, traceback
 
-        monkeypatch.setattr(engine_module, "kept_program", recording)
-        monkeypatch.setattr(engine_module, "replay", corrupted)
+            monkeypatch.setattr(engine_module, "kept_program", recording)
+            monkeypatch.setattr(engine_module, "replay", corrupted)
+            message = "edge table"
+        else:
+            real_adjoints, calls = engine_module.adjoints, []
+
+            def corrupted(program, net):
+                grads = real_adjoints(program, net)
+                if net.kind == "approximate":
+                    calls.append(1)
+                    if len(calls) == 2:
+                        tables = tuple(t * (1 + 1e-6) for t in grads.tables)
+                        grads = dataclasses.replace(grads, tables=tables)
+                return grads
+
+            monkeypatch.setattr(engine_module, "adjoints", corrupted)
+            message = "adjoint of .* violates the sum"
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
-        with pytest.raises(ModelError, match="edge table"):
+        with pytest.raises(ModelError, match=message):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert len(calls) == 2
 
 
 class TestWorkCounts:
@@ -393,46 +413,63 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("sequential", [True, False])
     def test_one_elimination_per_edge_per_sweep(self, monkeypatch, sequential):
+        # sequential: one (parent, clone) elimination per edge; simultaneous:
+        # one forward/backward pass of Pr'(e') for all edges
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
-        calls = self._count(
-            monkeypatch, ["compile", "cpt_derivatives", "kept_table", "kept_program", "replay"]
-        )
+        names = [
+            "compile", "cpt_derivatives", "kept_table", "kept_program", "replay",
+            "evidence_program", "adjoints",
+        ]
+        calls = self._count(monkeypatch, names)
         _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
-        assert calls == {
-            "compile": 0, "cpt_derivatives": 0, "kept_table": 0, "kept_program": 4, "replay": 4
-        }
+        if sequential:
+            want = {"kept_program": 4, "replay": 4}
+        else:
+            want = {"evidence_program": 1, "adjoints": 1}
+        assert calls == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile", "kept_program", "_order", "replay"])
+        names = [
+            "compile", "posterior_marginal", "kept_program", "evidence_program",
+            "record", "_order", "replay", "adjoints",
+        ]
+        calls = self._count(monkeypatch, names)
         true_edge_marginals(aug, ev, plan)
         own = dict(calls)
+        # true_edge_marginals: one recording and one forward/backward pass
+        assert own == {
+            **dict.fromkeys(names, 0),
+            "evidence_program": 1, "record": 1, "_order": 1, "adjoints": 1,
+        }
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - 2 * own[name] for name in calls}
-        # beyond true_edge_marginals: 4 recordings (one order each), 12
-        # replays, and in simultaneous mode one compile (one order, one
-        # replay) per sweep for the KL bound
-        per_sweep = 3 if schedule == "simultaneous" else 0
-        assert got == {
-            "compile": per_sweep,
-            "kept_program": 4,
-            "_order": 4 + per_sweep,
-            "replay": 12 + per_sweep,
-        }
+        # beyond true_edge_marginals, sequential: 4 edge recordings (one
+        # order each) and 12 replays; simultaneous: one Pr'(e') recording,
+        # and per sweep one forward/backward pass plus one replay for the
+        # KL bound
+        if schedule == "sequential":
+            want = {"kept_program": 4, "record": 4, "_order": 4, "replay": 12}
+        else:
+            want = {"evidence_program": 1, "record": 1, "_order": 1, "adjoints": 3, "replay": 3}
+        assert got == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_compiles_once_plus_once_per_simultaneous_sweep(self, monkeypatch, schedule):
+        # no run compiles: Pr(e) and the true posteriors come from one
+        # recording on the source network, and simultaneous mode records
+        # Pr'(e') once per run and replays it every sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile"])
+        calls = self._count(monkeypatch, ["compile", "evidence_program"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
-        per_sweep = 1 if schedule == "simultaneous" else 0
-        assert calls["compile"] == 1 + per_sweep * report.iterations
+        per_run = 1 if schedule == "simultaneous" else 0
+        assert calls == {"compile": 0, "evidence_program": 1 + per_run}
 
     def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
