@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import posterior_marginal
+from . import engine
 from .model import (
     Cpt,
     EdgeRecord,
@@ -260,7 +260,8 @@ def approximate_network(net: Network, edges, params=None):
 
 def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.ndarray]:
     """Posterior marginals for every source variable of N' (clones and
-    soft-evidence variables excluded).
+    soft-evidence variables excluded), all read off one forward/backward
+    pass (``engine.adjoints``) on the state's network and evidence.
 
     ``st`` must be compiled on this network, possibly with different edge
     parameters applied (structure and registry must match).
@@ -271,6 +272,5 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    return {
-        name: posterior_marginal(st, name) for name in nprime.original_names()
-    }
+    grads = engine.adjoints(engine.evidence_program(st.net, st.evidence, st.width_cap), st.net)
+    return {name: grads.posterior(name) for name in nprime.original_names()}

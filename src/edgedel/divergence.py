@@ -84,28 +84,16 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     """Exact parent posteriors per plan edge, plus Pr(e), from the source network.
 
     One recorded elimination of Pr(e) on (aug, e), replayed forward and
-    backward (``engine.adjoints``), gives every CPT's derivative table.  An
-    unobserved parent U's posterior is read from its own CPT:
-    Pr(u | e) = sum over U's parents of theta * dPr(e)/dtheta, over Pr(e).
-    An observed parent's posterior is its one-hot.  Each table read is
-    checked by the Euler identity.  A non-empty plan under evidence of
-    probability zero raises ``InconsistentEvidenceError``.
+    backward (``engine.adjoints``), gives every CPT's derivative table, and
+    ``Adjoints.posterior`` reads each parent's posterior off its own CPT's
+    table (each checked by the Euler identity).  A non-empty plan under
+    evidence of probability zero raises ``InconsistentEvidenceError``.
     """
     grads = engine.adjoints(engine.evidence_program(aug, ev, width_cap), aug)
     if len(plan) and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
-    posteriors: dict[str, np.ndarray] = {}
-    for rec in plan.edges:
-        if rec.parent in posteriors:
-            continue
-        var = aug.var(rec.parent)
-        if rec.parent in ev:
-            post = np.zeros(var.card)
-            post[var.index_of(ev[rec.parent])] = 1.0
-        else:
-            joint = aug.cpt(rec.parent).shaped * grads.cpt(rec.parent)
-            post = joint.reshape(-1, var.card).sum(axis=0) / grads.pr_e
-        posteriors[rec.parent] = post
+    parents = dict.fromkeys(rec.parent for rec in plan.edges)
+    posteriors = {u: grads.posterior(u) for u in parents}
     return [posteriors[rec.parent] for rec in plan.edges], grads.pr_e
 
 
@@ -348,22 +336,27 @@ def mutual_information_scores(
 ) -> list[tuple[str, str, float]]:
     """Edges ranked ascending by conditional mutual information given evidence.
 
-    Weak dependencies rank first (best to delete).  Ties break toward
-    declaration order.
+    Weak dependencies rank first (best to delete).  One forward/backward
+    pass (``engine.adjoints``) gives every child's family table, and
+    Pr(u, x | e) is that table summed over the child's other parents.  An
+    edge with an observed endpoint scores exactly 0.0, its conditional
+    mutual information.  Ties break toward declaration order.
     """
-    st = engine.compile(net, ev, width_cap)
+    grads = engine.adjoints(engine.evidence_program(net, ev, width_cap), net)
+    edges = net.edges()
+    if edges and grads.pr_e <= 0.0:
+        raise InconsistentEvidenceError("evidence has zero probability")
     out = []
-    for idx, (u, x) in enumerate(net.edges()):
-        joint = engine.pairwise_marginal(st, u, x)
-        pu = joint.sum(axis=1)
-        px = joint.sum(axis=0)
+    for idx, (u, x) in enumerate(edges):
         mi = 0.0
-        for i in range(joint.shape[0]):
-            for j in range(joint.shape[1]):
-                pij = joint[i, j]
-                if pij <= 0.0:
-                    continue
-                mi += pij * math.log(pij / (pu[i] * px[j]))
-        out.append((max(mi, 0.0), idx, u, x))
+        if u not in ev and x not in ev:
+            parents = net.parent_names(x)
+            others = tuple(i for i, p in enumerate(parents) if p != u)
+            joint = grads.family(x).sum(axis=others) / grads.pr_e
+            indep = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            mass = joint > 0.0
+            p = joint[mass]
+            mi = max(float(np.sum(p * np.log(p / indep[mass]))), 0.0)
+        out.append((mi, idx, u, x))
     out.sort(key=lambda t: (t[0], t[1]))
     return [(u, x, mi) for mi, _, u, x in out]

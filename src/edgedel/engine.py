@@ -23,7 +23,11 @@ differential approach to inference in Bayesian networks", JACM 2003): one
 pass gives dPr(e)/d(entry) for every entry of every CPT, each a sum of
 products of the other operands, so it stays exact at zero parameters.
 ``Adjoints.cpt`` reads one CPT's table, checked by the Euler identity
-sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.
+sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.  The CPT
+times its table is the family's joint with the evidence
+(``Adjoints.family``), so ``Adjoints.posterior`` reads Pr(X | e) for every
+X off the same pass: the only bulk-marginal route.  ``posterior_marginal``
+and ``pairwise_marginal`` answer one query each with their own elimination.
 """
 
 from __future__ import annotations
@@ -212,7 +216,9 @@ class Program:
     ``width`` is the order's induced width.  Replaying a program on a
     network reads only CPT entries, so any network with the recorded
     structure will do (``replay`` checks each CPT's shape).
-    ``cpt_inputs`` maps each CPT name to its input's position.
+    ``cpt_inputs`` maps each CPT name to its input's position, and
+    ``ev_index`` is the evidence (variable name to state index) it was
+    recorded under.
     """
 
     inputs: tuple[_Input, ...]
@@ -223,6 +229,7 @@ class Program:
     shape: tuple[int, ...]
     width: int
     cpt_inputs: dict[str, int]
+    ev_index: dict[str, int]
 
 
 def _view(src, scope, card):
@@ -301,6 +308,7 @@ def record(
         tuple(inputs), tuple(buckets), final, final_steps,
         tuple(scope.index(n) for n in keep), tuple(card[n] for n in keep), elim.width,
         {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
+        dict(ev_index),
     )
 
 
@@ -434,6 +442,23 @@ class Adjoints:
         _check_euler(self.net.cpt(name).shaped, d, self.pr_e, f"adjoint of {name!r}")
         return d
 
+    def family(self, name: str) -> np.ndarray:
+        """Pr(family of ``name``, e), shaped like its CPT table: the CPT
+        times ``cpt(name)``, zero where the family disagrees with the
+        evidence."""
+        return self.net.cpt(name).shaped * self.cpt(name)
+
+    def posterior(self, name: str) -> np.ndarray:
+        """Pr(``name`` | e): ``family(name)`` summed down to ``name``, over
+        Pr(e), or the indicator of the observed state.  Evidence of
+        probability zero raises ``InconsistentEvidenceError``."""
+        var = self.net.var(name)
+        if self.pr_e <= 0.0:
+            raise InconsistentEvidenceError("evidence has zero probability")
+        if name in self.program.ev_index:
+            return np.eye(var.card)[self.program.ev_index[name]]
+        return self.family(name).reshape(-1, var.card).sum(axis=0) / self.pr_e
+
 
 def adjoints(program: Program, net: Network) -> Adjoints:
     """Replay a Pr(e) program (one recorded with nothing kept) forward, then
@@ -538,11 +563,9 @@ def evidence_program(
 
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
-    ev.validate(net)
-    ev_index = _evidence_index(net, ev)
-    program = record(net, ev_index, width_cap=width_cap)
+    program = evidence_program(net, ev, width_cap)
     pr_e = float(replay(program, net)[0])
-    return EngineState(net, ev, program.width, width_cap, pr_e, ev_index)
+    return EngineState(net, ev, program.width, width_cap, pr_e, program.ev_index)
 
 
 def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
@@ -618,32 +641,24 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     return d
 
 
-def exact_map(st: EngineState, map_vars) -> tuple[dict[str, str], float]:
+def exact_map(
+    net: Network, ev: Evidence, map_vars, *, width_cap: int = WIDTH_CAP_DEFAULT
+) -> tuple[dict[str, str], float]:
     """Most probable instantiation of ``map_vars`` and its value Pr(m, e).
 
-    Sums out all other unobserved variables first, then max-eliminates the
-    MAP variables with argmax traceback.  Ties break toward the lowest state
-    index at each traceback step.
+    Checks the evidence against the network, sums out all other unobserved
+    variables first, then max-eliminates the MAP variables with argmax
+    traceback.  Ties break toward the lowest state index at each traceback
+    step.
     """
-    net = st.net
-    map_list = []
-    seen = set()
-    for name in map_vars:
-        net.var(name)
-        if name not in seen:
-            seen.add(name)
-            map_list.append(name)
-    assignment: dict[str, str] = {}
-    hidden_map = []
+    ev.validate(net)
+    ev_index = _evidence_index(net, ev)
+    map_list = list(dict.fromkeys(map_vars))
     for name in map_list:
-        if name in st._ev_index:
-            assignment[name] = st.evidence[name]
-        else:
-            hidden_map.append(name)
-
-    program = record(
-        net, st._ev_index, last=hidden_map, maximize=hidden_map, width_cap=st.width_cap
-    )
+        net.var(name)
+    assignment = {name: ev[name] for name in map_list if name in ev_index}
+    hidden_map = [name for name in map_list if name not in ev_index]
+    program = record(net, ev_index, last=hidden_map, maximize=hidden_map, width_cap=width_cap)
     value, traceback = replay(program, net)
     q = float(value)
 

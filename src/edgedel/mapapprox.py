@@ -45,8 +45,9 @@ def approximate_map(
         nprime.var(name)
         if name in aux:
             raise ModelError(f"{name!r} is an auxiliary variable, not a source variable")
-    st = engine.compile(apply_params(nprime, plan), evp, width_cap)
-    assignment, value = engine.exact_map(st, map_vars)
+    assignment, value = engine.exact_map(
+        apply_params(nprime, plan), evp, map_vars, width_cap=width_cap
+    )
     return {k: assignment[k] for k in map_vars}, value
 
 
@@ -74,8 +75,7 @@ def map_quality(
     best = None
     ratio = None
     try:
-        st = engine.compile(net, ev, width_cap)
-        _, best = engine.exact_map(st, map_vars)
+        _, best = engine.exact_map(net, ev, map_vars, width_cap=width_cap)
     except CapacityError:
         best = None
     if best is not None and best > 0:

@@ -289,11 +289,13 @@ class Network:
     def roots(self) -> list[str]:
         return [v.name for v in self.variables if not self.cpt(v.name).parents]
 
-    def topo_order(self) -> list[str]:
-        """Topological order of variable names; raises on a cycle."""
+    def _kahn(self) -> tuple[list[str], list[str]]:
+        """Kahn's algorithm: the topological order of every variable it can
+        place, and the rest (each on or downstream of a cycle) in
+        declaration order."""
         indeg = {v.name: len(self.cpt(v.name).parents) for v in self.variables}
         kids = self.children_map()
-        ready = [n for n, d in sorted(indeg.items(), key=lambda kv: self._index[kv[0]]) if d == 0]
+        ready = [v.name for v in self.variables if indeg[v.name] == 0]
         out: list[str] = []
         while ready:
             n = ready.pop(0)
@@ -302,16 +304,17 @@ class Network:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
-        if len(out) != len(self.variables):
+        return out, [v.name for v in self.variables if indeg[v.name] > 0]
+
+    def topo_order(self) -> list[str]:
+        """Topological order of variable names; raises on a cycle."""
+        out, rest = self._kahn()
+        if rest:
             raise ModelError("network graph has a cycle")
         return out
 
     def is_acyclic(self) -> bool:
-        try:
-            self.topo_order()
-            return True
-        except ModelError:
-            return False
+        return not self._kahn()[1]
 
     def joint_size(self) -> int:
         size = 1
@@ -394,9 +397,9 @@ def validate_network(net: Network) -> list[Violation]:
                     f"row {int(i)} sums to {sums[i]!r}",
                 )
             )
-    if not net.is_acyclic():
-        cyc = _some_cycle_member(net)
-        out.append(Violation(cyc, "acyclicity", "graph of child<-parents edges has a cycle"))
+    cyclic = net._kahn()[1]
+    if cyclic:
+        out.append(Violation(cyclic[0], "acyclicity", "graph of child<-parents edges has a cycle"))
     for rec in net.clone_edges:
         if rec.sevid is None:
             cpt = net.cpt(rec.clone)
@@ -412,20 +415,6 @@ def validate_network(net: Network) -> list[Violation]:
     if net.kind == "original" and net.clone_edges:
         out.append(Violation("", "registry", "original network carries a clone registry"))
     return out
-
-
-def _some_cycle_member(net: Network) -> str:
-    indeg = {v.name: len(net.cpt(v.name).parents) for v in net.variables}
-    kids = net.children_map()
-    ready = [n for n, d in indeg.items() if d == 0]
-    while ready:
-        n = ready.pop()
-        for c in kids[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    leftovers = [v.name for v in net.variables if indeg[v.name] > 0]
-    return leftovers[0] if leftovers else ""
 
 
 class Factor:

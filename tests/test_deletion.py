@@ -240,3 +240,24 @@ class TestRecoverMarginals:
                 continue
             want = joint.marginalize_to({name}).values / total
             assert np.allclose(dist, want, atol=1e-10)
+
+    def test_observed_parent_matches_single_queries_and_enumeration(self):
+        rng = np.random.default_rng(6)
+        net = random_network(rng, n_vars=6, max_card=2)
+        edges = net.edges()[:3]
+        # the parent of the first deleted edge is observed
+        ev = Evidence({edges[0][0]: net.var(edges[0][0]).states[1]})
+        aug, nprime, plan = approximate_network(net, edges)
+        plan = plan.with_params(0, EdgeParams([0.35, 0.65], [0.2, 0.9]))
+        evp = augmented_evidence(nprime, ev)
+        current = apply_params(nprime, plan)
+        st = compile(current, evp)
+        recovered = recover_marginals(current, plan, st)
+        joint = enumerate_joint(current, evp)
+        assert list(recovered) == [v.name for v in net.variables]
+        for name, dist in recovered.items():
+            assert np.allclose(dist, posterior_marginal(st, name), rtol=0, atol=1e-12), name
+            if name in evp:
+                continue
+            want = joint.marginalize_to({name}).values / joint.total()
+            assert np.allclose(dist, want, rtol=0, atol=1e-12), name

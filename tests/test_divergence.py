@@ -21,6 +21,7 @@ from edgedel import (
     exact_kl,
     kl_bound,
     mutual_information_scores,
+    pairwise_marginal,
     posterior_marginal,
     run,
     score_edges,
@@ -450,6 +451,42 @@ class TestMutualInformation:
         assert ranked[0][2] == pytest.approx(0.0, abs=1e-12)
         assert (ranked[-1][0], ranked[-1][1]) == ("B", "C")
         assert ranked[-1][2] == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_observed_endpoint_ties_break_by_declaration_order(self):
+        # N3_3 is observed; its in-edges tie at exactly zero, so they rank
+        # first and in declaration order, not in roundoff order
+        rng = np.random.default_rng(0)
+        net = grid_network(4, 4, 2, rng)
+        ev = sample_evidence(net, "leaves-from-joint", rng)
+        assert set(ev) == {"N3_3"}
+        ranked = mutual_information_scores(net, ev)
+        assert ranked[:2] == [("N2_3", "N3_3", 0.0), ("N3_2", "N3_3", 0.0)]
+        assert all(mi > 0.0 for _, _, mi in ranked[2:])
+
+    def test_values_match_single_queries_and_enumeration(self):
+        # N1_1 is an observed parent of N1_2 and N2_1, and a child of N0_1
+        # and N1_0
+        net = grid_network(3, 3, rng=np.random.default_rng(11))
+        ev = Evidence({"N2_2": "s0", "N1_1": "s1"})
+        st = compile(net, ev)
+        joint = enumerate_joint(net, ev)
+        ranked = mutual_information_scores(net, ev)
+        assert len(ranked) == len(net.edges())
+        for u, x, mi in ranked:
+            pair = pairwise_marginal(st, u, x)
+            pu, px = pair.sum(axis=1), pair.sum(axis=0)
+            want = sum(
+                pair[i, j] * math.log(pair[i, j] / (pu[i] * px[j]))
+                for i in range(pair.shape[0])
+                for j in range(pair.shape[1])
+                if pair[i, j] > 0
+            )
+            assert mi == pytest.approx(want, abs=1e-12), (u, x)
+            if u in ev or x in ev:
+                assert mi == 0.0
+                continue
+            pair = joint.marginalize_to({u, x}).reorder((u, x)).values / joint.total()
+            assert np.allclose(pairwise_marginal(st, u, x), pair, rtol=0, atol=1e-12)
 
     def test_values_match_enumeration(self):
         rng = np.random.default_rng(10)

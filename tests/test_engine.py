@@ -470,8 +470,7 @@ class TestExactMap:
     def test_single_variable_reduces_to_argmax(self):
         net = chain3()
         ev = Evidence({"C": "c0"})
-        st = compile(net, ev)
-        m, q = exact_map(st, ["A"])
+        m, q = exact_map(net, ev, ["A"])
         joint = enumerate_joint(net, ev)
         vals = joint.marginalize_to({"A"}).values
         assert m["A"] == net.var("A").states[int(np.argmax(vals))]
@@ -484,8 +483,7 @@ class TestExactMap:
             ev = positive_evidence(net, rng)
             names = [v.name for v in net.variables if v.name not in ev]
             chosen = [names[0], names[2], names[4]]
-            st = compile(net, ev)
-            m, q = exact_map(st, chosen)
+            m, q = exact_map(net, ev, chosen)
             joint = enumerate_joint(net, ev)
             table = joint.marginalize_to(set(chosen)).reorder(chosen)
             assert q == pytest.approx(table.values.max(), rel=1e-10)
@@ -497,15 +495,13 @@ class TestExactMap:
     def test_zero_probability_map_flagged(self):
         a = Variable("A", ("a0", "a1"))
         net = Network([a], [Cpt(a, (), [1.0, 0.0])])
-        st = compile(net, Evidence({"A": "a1"}))
         with pytest.warns(RuntimeWarning):
-            m, q = exact_map(st, ["A"])
+            m, q = exact_map(net, Evidence({"A": "a1"}), ["A"])
         assert q == 0.0
 
     def test_observed_map_variable_forced(self):
         net = chain3()
-        st = compile(net, Evidence({"A": "a1"}))
-        m, q = exact_map(st, ["A", "C"])
+        m, q = exact_map(net, Evidence({"A": "a1"}), ["A", "C"])
         assert m["A"] == "a1"
 
     def test_ties_break_toward_first_states(self):
@@ -515,8 +511,7 @@ class TestExactMap:
             [a, b],
             [Cpt(a, (), [0.5, 0.5]), Cpt(b, (a,), [0.5, 0.5, 0.5, 0.5])],
         )
-        st = compile(net, Evidence({}))
-        m, q = exact_map(st, ["A", "B"])
+        m, q = exact_map(net, Evidence({}), ["A", "B"])
         assert m == {"A": "first", "B": "first"}
         assert q == pytest.approx(0.25)
 
@@ -569,9 +564,8 @@ class TestOneOrderPerQuery:
     def test_exact_map_orders_once(self, monkeypatch):
         net = grid_network(4, 4, rng=np.random.default_rng(2))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
-        st = compile(net, ev)
         calls = self._count_orders(monkeypatch)
-        exact_map(st, ["N0_0", "N1_1", "N2_2"])
+        exact_map(net, ev, ["N0_0", "N1_1", "N2_2"])
         assert len(calls) == 1
 
 
@@ -620,7 +614,7 @@ class TestReplayMatchesFactorLoop:
             want = ref.reference_table(net, ev, (cpt.child.name,), family)[0]
             assert cpt_derivatives(st, cpt).tobytes() == want.tobytes(), cpt
         map_vars = hidden[::2] + [v.name for v in net.variables if v.name in ev][:1]
-        m, q = exact_map(st, map_vars)
+        m, q = exact_map(net, ev, map_vars)
         want_m, want_q = ref.reference_map(net, ev, map_vars)
         assert m == want_m
         assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
@@ -671,7 +665,7 @@ class TestReplayMatchesFactorLoop:
         assert all(inp.reduced == () for inp in program.inputs[2:])
         st = compile(net, ev)
         assert np.float64(st.pr_e).tobytes() == np.float64(ref.reference_pr_e(net, ev)).tobytes()
-        m, q = exact_map(st, ["X1"])
+        m, q = exact_map(net, ev, ["X1"])
         want_m, want_q = ref.reference_map(net, ev, ["X1"])
         assert m == want_m
         assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
@@ -749,13 +743,6 @@ def adjoint_cases():
     return cases
 
 
-def posterior_from(grads, net, name):
-    """Pr(name | e) read from the adjoint of the variable's own CPT."""
-    card = net.var(name).card
-    joint = net.cpt(name).shaped * grads.cpt(name)
-    return joint.reshape(-1, card).sum(axis=0) / grads.pr_e
-
-
 class TestAdjoints:
     """One forward/backward pass gives every CPT's derivative table."""
 
@@ -776,9 +763,40 @@ class TestAdjoints:
             assert np.allclose(grads.cpt(inp.cpt), cpt_derivatives(st, net.cpt(inp.cpt)),
                                rtol=1e-12, atol=0)
         for v in net.variables:
-            if v.name not in ev:
-                want = posterior_marginal(st, v.name)
-                assert np.allclose(posterior_from(grads, net, v.name), want, rtol=1e-12, atol=0)
+            want = posterior_marginal(st, v.name)
+            assert np.allclose(grads.posterior(v.name), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "net,ev",
+        [c for c in adjoint_cases() if c.id not in ("grid4x4", "grid5x5")],
+    )
+    def test_posterior_and_family_match_enumeration(self, net, ev):
+        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        joint = enumerate_joint(net, ev)
+        hidden = set(joint.names())
+        for v in net.variables:
+            if v.name in ev:
+                want = np.zeros(v.card)
+                want[v.index_of(ev[v.name])] = 1.0
+            else:
+                want = joint.marginalize_to({v.name}).values / joint.total()
+            assert np.allclose(grads.posterior(v.name), want, rtol=0, atol=1e-12), v.name
+            # Pr(family, e) is the enumerated table in the evidence slice
+            cpt = net.cpt(v.name)
+            family = [p.name for p in cpt.parents] + [v.name]
+            free = [n for n in family if n in hidden]
+            want = np.zeros(cpt.shape)
+            at = tuple(net.var(n).index_of(ev[n]) if n in ev else slice(None) for n in family)
+            want[at] = joint.marginalize_to(set(free)).reorder(free).values
+            assert np.allclose(grads.family(v.name), want, rtol=0, atol=1e-12), v.name
+
+    def test_posterior_under_zero_probability_evidence_raises(self):
+        a = Variable("A", ("a0", "a1"))
+        net = Network([a], [Cpt(a, (), [1.0, 0.0])])
+        ev = Evidence({"A": "a1"})
+        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        with pytest.raises(InconsistentEvidenceError):
+            grads.posterior("A")
 
     def test_exact_at_zero_parameters(self):
         # theta(b0 | a0) = 0, yet dPr(c0)/dtheta(b0 | a0) = Pr(a0) Pr(c0 | b0)

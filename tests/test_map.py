@@ -37,8 +37,7 @@ class TestApproximateMap:
         aug, nprime, plan, evp = fitted(net, ev, [])
         map_vars = [v.name for v in net.variables if v.name not in ev][:3]
         got, value = approximate_map(nprime, plan, evp, map_vars)
-        st = compile(net, ev)
-        want, q = exact_map(st, map_vars)
+        want, q = exact_map(net, ev, map_vars)
         assert value == pytest.approx(q, rel=1e-10)
         assert {k: want[k] for k in map_vars} == got
 
@@ -96,9 +95,8 @@ class TestMapQuality:
         rng = np.random.default_rng(4)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
-        st = compile(net, ev)
         map_vars = [v.name for v in net.variables if v.name not in ev][:2]
-        m, q = exact_map(st, map_vars)
+        m, q = exact_map(net, ev, map_vars)
         result = map_quality(net, ev, m, map_vars)
         assert result.ratio == pytest.approx(1.0, abs=1e-12)
 

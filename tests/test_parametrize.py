@@ -19,8 +19,11 @@ from edgedel import (
     deleted_records,
     edbp_step,
     edkl_step,
+    enumerate_joint,
     kl_bound,
+    mutual_information_scores,
     posterior_marginal,
+    recover_marginals,
     run,
     score_edges,
 )
@@ -471,12 +474,81 @@ class TestWorkCounts:
         per_run = 1 if schedule == "simultaneous" else 0
         assert calls == {"compile": 0, "evidence_program": 1 + per_run}
 
+    def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        calls = self._count(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
+        check_conditions(aug, nprime, plan, ev, evp)
+        # one pass on the source network, one on N'
+        assert calls == {"compile": 0, "posterior_marginal": 0, "adjoints": 2}
+
+    def test_recover_marginals_reads_one_pass(self, monkeypatch):
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        st = engine_module.compile(nprime, evp)
+        calls = self._count(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
+        recover_marginals(nprime, plan, st)
+        assert calls == {"compile": 0, "posterior_marginal": 0, "adjoints": 1}
+
+    def test_mutual_information_scores_read_one_pass(self, monkeypatch):
+        net, ev, *_ = grid_case(k=4)
+        calls = self._count(monkeypatch, ["compile", "pairwise_marginal", "adjoints"])
+        mutual_information_scores(net, ev)
+        assert calls == {"compile": 0, "pairwise_marginal": 0, "adjoints": 1}
+
     def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
         calls = self._count(monkeypatch, ["compile", "cpt_derivatives", "posterior_marginal"])
         score_edges(net, ev)
         n_edges = len(net.edges())
         assert calls == {"compile": 1, "cpt_derivatives": n_edges, "posterior_marginal": 0}
+
+
+def enumerated_posterior(net, ev, name):
+    if name in ev:
+        out = np.zeros(net.var(name).card)
+        out[net.var(name).index_of(ev[name])] = 1.0
+        return out
+    joint = enumerate_joint(net, ev)
+    return joint.marginalize_to({name}).values / joint.total()
+
+
+def compiled_posterior(net, ev, name):
+    return posterior_marginal(compile(net, ev), name)
+
+
+class TestCheckConditionsAgreement:
+    """The gaps read off two adjoint passes match the gaps from one query
+    per posterior, on the same definitions."""
+
+    @staticmethod
+    def reference_gaps(aug, nprime, plan, ev, evp, posterior):
+        current = apply_params(nprime, plan)
+        match, exact = [], []
+        for rec, params in zip(deleted_records(nprime, plan), plan.params):
+            pu = posterior(current, evp, rec.parent)
+            puc = posterior(current, evp, rec.clone)
+            pu_r = posterior(current, evp.without(rec.sevid), rec.parent)
+            true = posterior(aug, ev, rec.parent)
+            match.append(max(np.max(np.abs(pu - puc)), np.max(np.abs(pu_r - params.pm))))
+            exact.append(max(np.max(np.abs(pu - true)), np.max(np.abs(puc - true))))
+        return match, exact
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("posterior", [compiled_posterior, enumerated_posterior])
+    def test_gaps_match_single_queries(self, observed, posterior):
+        net = grid_network(3, 3, rng=np.random.default_rng(5))
+        ev = Evidence({"N2_2": "s0"})
+        edges = net.edges()[:4]
+        if observed:
+            # the parent of the first deleted edge is observed
+            ev = ev.with_added({edges[0][0]: "s1"})
+        aug, nprime, plan, evp = build(net, ev, edges)
+        cfg = IterationConfig(method="ed-kl", max_iterations=2)
+        plan, _, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        gaps = check_conditions(aug, nprime, plan, ev, evp)
+        match, exact = self.reference_gaps(aug, nprime, plan, ev, evp, posterior)
+        assert np.allclose(gaps.eq_match_gaps, match, rtol=0, atol=1e-12)
+        assert np.allclose(gaps.eq_exact_gaps, exact, rtol=0, atol=1e-12)
+        assert max(gaps.eq_match_gaps) > 1e-6
 
 
 class TestReportTypes:
