@@ -74,8 +74,6 @@ from .parametrize import (
     FixedPointReport,
     IterationConfig,
     check_conditions,
-    edbp_step,
-    edkl_step,
     run,
 )
 

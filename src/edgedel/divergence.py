@@ -10,8 +10,8 @@ enumeration.
 ``true_edge_marginals`` reads the true parent posteriors, which the
 bound's edge terms and the ed-kl update need, off one forward/backward pass
 on the source network.  ``edge_update`` is the one fixed-point update of a
-single deleted edge (ed-bp or ed-kl), read off that edge's table over
-(parent, clone) or off the derivatives of Pr'(e'); the parametrization
+single deleted edge (ed-bp or ed-kl), read off an evaluator of Pr'(e') and
+its derivatives with respect to the edge's parameters; the parametrization
 sweeps call it once per edge.  ``score_edges`` ranks every network edge by
 the divergence achievable when it alone is deleted with ed-kl parameters:
 one compile gives Pr(e) for all edges, each edge costs one derivative
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def kl_bound(
 
 
 def exact_kl(
-    aug: Network,
+    source: Network,
     nprime: Network,
     plan: DeletionPlan,
     ev: Evidence,
@@ -129,12 +130,14 @@ def exact_kl(
 ) -> float:
     """Divergence between the two posteriors restricted to source variables.
 
-    Clone variables are summed out of the approximate posterior first.  Both
-    posteriors are materialized by enumeration, so this refuses on networks
-    beyond the cap.
+    ``source`` is the source network or its augmentation; both give the same
+    posterior over the source variables, and the source network enumerates
+    fewer worlds (no clone axes).  Clone variables are summed out first.
+    Both posteriors are materialized by enumeration, so this refuses on
+    networks beyond the cap.
     """
-    originals = set(aug.original_names())
-    joint = enumerate_joint(aug, ev, cap)
+    originals = set(source.original_names())
+    joint = enumerate_joint(source, ev, cap)
     p = joint.marginalize_to(originals & set(joint.names())).normalize()
     current = apply_params(nprime, plan)
     joint_p = enumerate_joint(current, evp, cap)
@@ -239,16 +242,18 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
-def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, derivatives=None):
+def edge_update(evaluate, old: EdgeParams, method, true_marg, label, damping=0.0):
     """One fixed-point update of one deleted edge; returns (new params,
     residual, Pr'(e') at ``old``).
 
-    The prior ``pm`` is updated first.  Sequential form: ``g`` is the
-    edge's table over (parent, clone), as for ``single_edge_evaluate``, and
-    is re-evaluated at the new prior before the soft-evidence row ``se`` is
-    updated.  Simultaneous form: ``derivatives`` holds (Pr'(e'), d/dpm,
-    d/dse) at ``old``, read off the sweep-start network, and both vectors
-    are updated from it (``g`` is unused).
+    ``evaluate(params)`` returns (Pr'(e'), d/dpm, d/dse) at ``params``.  The
+    prior ``pm`` is updated first, from ``evaluate(old)``; ``evaluate`` is
+    then called again at the new prior before the soft-evidence row ``se``
+    is updated.  The sequential sweep and ``score_edges`` pass
+    ``functools.partial(single_edge_evaluate, g)`` for the edge's table g
+    over (parent, clone), so the second call sees the new prior; the
+    simultaneous sweep passes a function that returns the sweep-start
+    derivatives whatever its argument, so both vectors move from them.
     ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
     the largest parameter change.  An all-zero or non-finite update raises
     ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
@@ -256,14 +261,13 @@ def edge_update(g, old: EdgeParams, method, true_marg, label, damping=0.0, deriv
     uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
     with true mass, since g_uu = Pr(u, e).
     """
-    sequential = derivatives is None
-    pr_old, d_pm, d_se = single_edge_evaluate(g, old) if sequential else derivatives
+    pr_old, d_pm, d_se = evaluate(old)
     pm = _damp(
         _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label),
         old.pm, damping, label,
     )
     mid = EdgeParams(pm, old.se)
-    pr, d_pm, d_se = single_edge_evaluate(g, mid) if sequential else (pr_old, d_pm, d_se)
+    pr, d_pm, d_se = evaluate(mid)
     se = _damp(
         _update_rule(method, true_marg, pr, d_se, d_pm, "se", label),
         old.se, damping, label,
@@ -312,14 +316,15 @@ def score_edges(
         # the equivalence CPT is the identity, so Pr(u, e) = derivs[u, u]
         true_marg = np.diag(derivs) / st.pr_e
         label = f"edge {rec.parent} -> {rec.child}"
+        evaluate = partial(single_edge_evaluate, derivs)
         params = EdgeParams.uniform(derivs.shape[1])
         converged = False
         for iterations in range(1, INNER_MAX_ITERATIONS + 1):
-            params, residual, _ = edge_update(derivs, params, "ed-kl", true_marg, label)
+            params, residual, _ = edge_update(evaluate, params, "ed-kl", true_marg, label)
             if residual < INNER_TOLERANCE:
                 converged = True
                 break
-        pr_ep = single_edge_evaluate(derivs, params)[0]
+        pr_ep = evaluate(params)[0]
         score = kl_breakdown([true_marg], [params], st.pr_e, pr_ep).total
         scored.append(
             (score, idx, EdgeScore(rec.parent, rec.child, score, params, iterations, converged))

@@ -23,7 +23,7 @@ from .deletion import (
     recover_marginals,
 )
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
-from .mapapprox import MapResult, approximate_map, map_quality
+from .mapapprox import MapResult, approximate_map_quality
 from .model import (
     ENUM_CAP_DEFAULT,
     CapacityError,
@@ -33,7 +33,7 @@ from .model import (
     Network,
     Variable,
 )
-from .netio import FormatError, ReportRow
+from .netio import SELECTION_TAGS, FormatError, ReportRow
 
 EVIDENCE_MODES = ("leaves-from-joint", "random")
 
@@ -164,10 +164,14 @@ class ExperimentSpec:
         if self.evidence not in EVIDENCE_MODES:
             raise ModelError(f"unknown evidence mode {self.evidence!r}")
         for m in self.methods:
-            if m not in parametrize.METHODS:
-                raise ModelError(f"unknown method {m!r}")
+            parametrize.IterationConfig(
+                method=m,
+                max_iterations=self.max_iterations,
+                tolerance=self.tolerance,
+                damping=self.damping,
+            )
         for s in self.selections:
-            if s not in ("rand", "guided", "mi"):
+            if s not in SELECTION_TAGS:
                 raise ModelError(f"unknown selection {s!r}")
 
 
@@ -267,7 +271,7 @@ def run_deletion_instance(
         tolerance=tolerance,
         damping=damping,
         schedule=schedule,
-        initialization="plan" if warm_params is not None else "uniform",
+        initialization="plan",
     )
     plan, report, trace = parametrize.run(
         nprime, plan, evp, cfg, reference=(aug, ev), width_cap=width_cap
@@ -279,7 +283,7 @@ def run_deletion_instance(
     exact = None
     if compute_exact_kl:
         try:
-            exact = divergence.exact_kl(aug, nprime, plan, ev, evp, cap=ENUM_CAP_DEFAULT)
+            exact = divergence.exact_kl(net, nprime, plan, ev, evp, cap=ENUM_CAP_DEFAULT)
             if -1e-9 <= exact < 0.0:
                 exact = 0.0
         except CapacityError:
@@ -289,9 +293,8 @@ def run_deletion_instance(
     if map_vars is None:
         width = min_fill_order(current).width
     else:
-        assignment, value = approximate_map(nprime, plan, evp, map_vars, width_cap=width_cap)
-        map_result = map_quality(
-            aug, ev, assignment, map_vars, value_in_approx=value, width_cap=width_cap
+        map_result = approximate_map_quality(
+            aug, nprime, plan, ev, evp, map_vars, width_cap=width_cap
         )
         width = constrained_order(current, map_vars).width
     elapsed_ms = int(round((time.perf_counter() - start) * 1000)) if real_timings else 0

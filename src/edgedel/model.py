@@ -313,9 +313,6 @@ class Network:
             raise ModelError("network graph has a cycle")
         return out
 
-    def is_acyclic(self) -> bool:
-        return not self._kahn()[1]
-
     def joint_size(self) -> int:
         size = 1
         for v in self.variables:
@@ -335,17 +332,12 @@ class Network:
         aux = self.auxiliary_names()
         return [v.name for v in self.variables if v.name not in aux]
 
-    def replace_cpts(self, replacements: dict[str, Cpt], kind=None, clone_edges=None) -> "Network":
+    def replace_cpts(self, replacements: dict[str, Cpt]) -> "Network":
         """Functional update: a new network with some CPTs swapped out."""
         for name in replacements:
             self.var(name)
         new_cpts = [replacements.get(v.name, self._cpts[v.name]) for v in self.variables]
-        return Network(
-            self.variables,
-            new_cpts,
-            kind=self.kind if kind is None else kind,
-            clone_edges=self.clone_edges if clone_edges is None else clone_edges,
-        )
+        return Network(self.variables, new_cpts, kind=self.kind, clone_edges=self.clone_edges)
 
     def __eq__(self, other):
         return (

@@ -32,6 +32,7 @@ import numpy as np
 
 from .deletion import DeletionPlan, EdgeParams
 from .model import Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
+from .parametrize import METHODS
 
 REPORT_COLUMNS = (
     "network",
@@ -48,7 +49,6 @@ REPORT_COLUMNS = (
     "wall_time_ms",
 )
 
-METHOD_TAGS = ("ed-bp", "ed-kl")
 SELECTION_TAGS = ("rand", "guided", "mi")
 
 
@@ -298,7 +298,7 @@ class ReportRow:
     wall_time_ms: int
 
     def validate(self) -> None:
-        if self.method not in METHOD_TAGS:
+        if self.method not in METHODS:
             raise ModelError(f"unknown method tag {self.method!r}")
         if self.selection not in SELECTION_TAGS:
             raise ModelError(f"unknown selection tag {self.selection!r}")

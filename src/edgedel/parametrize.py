@@ -9,11 +9,16 @@ the true parent posterior by the approximate evidence probability over the
 matching derivative; its fixed points make both posteriors agree with the
 true one, which is exactly stationarity of the true-weighted KL divergence
 between the source network and its approximation.
+
+``run`` is the one entry point: the method, the schedule, the number of
+sweeps and whether to start from the plan's parameters all come from its
+``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -101,6 +106,12 @@ def _evidence_program(programs, nprime, evp, width_cap):
     return programs[None]
 
 
+def _fixed(derivatives):
+    """An evaluator that returns the sweep-start (Pr'(e'), d/dpm, d/dse)
+    whatever parameters it is given."""
+    return lambda _params: derivatives
+
+
 def _sweep(
     nprime, plan, evp, method, true_marginals, damping, sequential, width_cap,
     pr_ep=None, programs=None,
@@ -120,7 +131,8 @@ def _sweep(
     program (``engine.adjoints``) at the sweep-start parameters: every
     edge's dPr'/dpm and dPr'/dse are the adjoints of its clone prior and
     soft-evidence CPT, each checked by the Euler identity against the
-    forward value, Pr'(e').  The program is kept in ``programs`` under None.
+    forward value, Pr'(e'), and ``edge_update`` moves both of the edge's
+    vectors from them.  The program is kept in ``programs`` under None.
 
     Missing programs are recorded and added, so a caller that passes the
     same dict to every sweep records each once and only replays afterwards.
@@ -141,40 +153,16 @@ def _sweep(
                     nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
                 )
             g = engine.replay(programs[i], apply_params(nprime, plan))[0]
-            new, residual, pr = edge_update(g, plan.params[i], method, true_marg, label, damping)
-            _chained(pr_ep, pr, label)
-            pr_ep = single_edge_evaluate(g, new)[0]
+            evaluate = partial(single_edge_evaluate, g)
         else:
-            derivatives = (grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0])
-            new, residual, _ = edge_update(
-                None, plan.params[i], method, true_marg, label, damping, derivatives
-            )
+            evaluate = _fixed((grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]))
+        new, residual, pr = edge_update(evaluate, plan.params[i], method, true_marg, label, damping)
+        if sequential:
+            _chained(pr_ep, pr, label)
+            pr_ep = evaluate(new)[0]
         plan = plan.with_params(i, new)
         residuals.append(residual)
     return plan, residuals, pr_ep if sequential else None
-
-
-def edbp_step(nprime, plan, evp, *, damping=0.0, schedule="simultaneous",
-              width_cap=WIDTH_CAP_DEFAULT):
-    """One belief-propagation-style sweep; returns the updated plan."""
-    plan, _, _ = _sweep(
-        nprime, plan, evp, "ed-bp", None, damping, schedule == "sequential", width_cap
-    )
-    return plan
-
-
-def edkl_step(nprime, plan, evp, true_marginals, *, damping=0.0,
-              schedule="sequential", width_cap=WIDTH_CAP_DEFAULT):
-    """One divergence-stationarity sweep; returns the updated plan.
-
-    ``true_marginals`` holds, per plan edge, the exact posterior of the
-    parent in the source network (computed once by the caller).
-    """
-    plan, _, _ = _sweep(
-        nprime, plan, evp, "ed-kl", true_marginals, damping,
-        schedule == "sequential", width_cap
-    )
-    return plan
 
 
 def run(
@@ -187,6 +175,11 @@ def run(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ):
     """Iterate sweeps until the parameter residual drops below tolerance.
+
+    This is the one way to fit edge parameters: ``cfg`` picks the update
+    rule (``method``), the ``schedule``, the sweep budget and the starting
+    point, and ``max_iterations=1`` with ``initialization="plan"`` is one
+    sweep from the plan's current parameters.
 
     Every elimination a sweep needs is recorded once per run, on first
     use, and replayed on the current parameters afterwards (see

@@ -359,11 +359,13 @@ def test_criterion_08_bp_equivalence():
         aug, nprime, plan = approximate_network(net, extras)
         evp = augmented_evidence(nprime, ev)
         oracle = FactorGraphBP(net, ev, extras)
-        from edgedel import edbp_step
+        one_sweep = IterationConfig(
+            method="ed-bp", schedule="simultaneous", max_iterations=1, initialization="plan"
+        )
 
         ok = True
         for _sweep in range(8):
-            plan = edbp_step(nprime, plan, evp, schedule="simultaneous")
+            plan, _, _ = run(nprime, plan, evp, one_sweep)
             oracle.outer_iteration()
             for i, e in enumerate(extras):
                 pm_msg, se_msg = oracle.cross_messages(*e)

@@ -197,6 +197,14 @@ seed = 17
     def test_missing_spec_file_exits_3(self, capsys):
         assert main(["experiment", "/nonexistent.spec"]) == 3
 
+    def test_bad_fit_value_exits_3_without_rows(self, tmp_path, capsys):
+        spec_file = tmp_path / "bad.spec"
+        spec_file.write_text(self.SPEC + "tol = -1\n")
+        out = tmp_path / "bad.csv"
+        assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
+        assert "tolerance must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_network_source(self, tmp_path, fixture_files, capsys):
         net_file, _ = fixture_files
         spec_file = tmp_path / "file.spec"

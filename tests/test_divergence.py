@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -194,6 +195,22 @@ class TestExactKl:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert got <= kl_bound(aug, nprime, p, ev, evp).total + 1e-9
 
+    @pytest.mark.parametrize("shape", ["chain", "grid"])
+    def test_source_network_and_augmentation_agree_exactly(self, shape):
+        # the augmentation's clone axes hold one nonzero entry per source
+        # world, so summing them out reproduces the source joint bit for bit
+        for seed in range(6):
+            rng = np.random.default_rng([31, seed])
+            if shape == "chain":
+                net = chain_network(6, rng=rng)
+            else:
+                net = grid_network(3, 3, 3 if seed % 2 else 2, rng=rng)
+            ev = sample_evidence(net, "leaves-from-joint", rng)
+            k = 1 + seed % 3
+            aug, nprime, plan, evp = build(net, ev, net.edges()[:k])
+            plan, _, _ = run(nprime, plan, evp, IterationConfig(), reference=(aug, ev))
+            assert exact_kl(net, nprime, plan, ev, evp) == exact_kl(aug, nprime, plan, ev, evp)
+
 
 class TestSingleEdgeEvaluate:
     def test_agrees_with_direct_compilation(self):
@@ -274,7 +291,10 @@ class TestEdgeUpdate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(edgedel.DegenerateUpdateError) as info:
-                edge_update(g, EdgeParams.uniform(2), "ed-kl", np.array([0.5, 0.5]), "edge U -> X")
+                edge_update(
+                    partial(single_edge_evaluate, g), EdgeParams.uniform(2), "ed-kl",
+                    np.array([0.5, 0.5]), "edge U -> X",
+                )
         message = str(info.value)
         assert message == "update for edge U -> X overflowed (sum inf)"
         assert "np.float64" not in message
@@ -282,7 +302,10 @@ class TestEdgeUpdate:
     def test_zero_sum_is_reported_as_degenerate(self):
         g = np.array([[0.5, 0.1], [0.2, 0.4]])
         with pytest.raises(edgedel.DegenerateUpdateError) as info:
-            edge_update(g, EdgeParams.uniform(2), "ed-kl", np.zeros(2), "edge U -> X")
+            edge_update(
+                partial(single_edge_evaluate, g), EdgeParams.uniform(2), "ed-kl",
+                np.zeros(2), "edge U -> X",
+            )
         assert str(info.value) == "update for edge U -> X is degenerate (sum 0.0)"
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgedel import divergence
 from edgedel import (
     Cpt,
     Evidence,
@@ -134,6 +135,13 @@ class TestExperimentSpec:
         with pytest.raises(ModelError):
             parse_experiment_spec("network = chain(3)\nmethods = gibbs\n")
 
+    @pytest.mark.parametrize(
+        "line", ["tol = -1", "tol = 0", "max_iters = -1", "damping = 1", "damping = -0.1"]
+    )
+    def test_bad_fit_values_rejected(self, line):
+        with pytest.raises(ModelError):
+            parse_experiment_spec(f"network = chain(3)\nmethods = ed-kl,ed-bp\n{line}\n")
+
 
 class TestRunExperiment:
     def test_row_arity(self):
@@ -204,6 +212,22 @@ class TestRunExperiment:
 
 
 class TestRunDeletionInstance:
+    def test_exact_kl_enumerates_the_source_network(self, monkeypatch):
+        net = grid_network(3, 3, rng=np.random.default_rng(4))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(5))
+        sizes = []
+        original = divergence.enumerate_joint
+
+        def counting(network, evidence, cap):
+            sizes.append(network.joint_size())
+            return original(network, evidence, cap)
+
+        monkeypatch.setattr(divergence, "enumerate_joint", counting)
+        outcome = run_deletion_instance(net, ev, net.edges()[:2], "ed-kl")
+        assert outcome.row.exact_kl is not None
+        # the source side, then N' (two clones and two soft-evidence nodes)
+        assert sizes == [net.joint_size(), net.joint_size() * 2**4]
+
     def test_map_vars_add_map_quality_and_constrained_width(self):
         rng = np.random.default_rng(2)
         net = grid_network(3, 3, rng=rng)

@@ -17,8 +17,6 @@ from edgedel import (
     compile,
     cpt_derivatives,
     deleted_records,
-    edbp_step,
-    edkl_step,
     enumerate_joint,
     kl_bound,
     mutual_information_scores,
@@ -176,21 +174,28 @@ class TestRunControl:
         assert report.converged
 
     def test_single_steps_match_run_sweeps(self):
+        # two chained one-sweep runs are one two-sweep run; the tolerance
+        # keeps the longer run from stopping after its first sweep
         rng = np.random.default_rng(4)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
         edges = net.edges()[:2]
         aug, nprime, plan, evp = build(net, ev, edges)
-        tm, _ = true_edge_marginals(aug, ev, plan)
-        stepped = edkl_step(nprime, plan, evp, tm)
-        ran, _, _ = run(
-            nprime, plan, evp,
-            IterationConfig(method="ed-kl", max_iterations=1),
-            reference=(aug, ev),
-        )
-        for a, b in zip(stepped.params, ran.params):
-            assert np.allclose(a.pm, b.pm, atol=1e-15)
-            assert np.allclose(a.se, b.se, atol=1e-15)
+        for method in ("ed-kl", "ed-bp"):
+            for schedule in ("sequential", "simultaneous"):
+                cfg = IterationConfig(
+                    method=method, schedule=schedule, tolerance=1e-300,
+                    max_iterations=1, initialization="plan",
+                )
+                stepped = plan
+                for _ in range(2):
+                    stepped, _, _ = run(nprime, stepped, evp, cfg, reference=(aug, ev))
+                ran, report, _ = run(
+                    nprime, plan, evp, dataclasses.replace(cfg, max_iterations=2),
+                    reference=(aug, ev),
+                )
+                assert report.iterations == 2
+                assert stepped.params == ran.params
 
 
 class TestFixedPointGuarantees:
@@ -260,8 +265,12 @@ class TestFixedPointGuarantees:
             ev = Evidence({leaves[0]: net.var(leaves[0]).states[0]}) if leaves else Evidence({})
             aug, nprime, plan, evp = build(net, ev, extras)
             oracle = FactorGraphBP(net, ev, extras)
+            one_sweep = IterationConfig(
+                method="ed-bp", schedule="simultaneous", max_iterations=1,
+                initialization="plan",
+            )
             for _sweep in range(8):
-                plan = edbp_step(nprime, plan, evp, schedule="simultaneous")
+                plan, _, _ = run(nprime, plan, evp, one_sweep)
                 oracle.outer_iteration()
                 pm_msg, se_msg = oracle.cross_messages(*extras[0])
                 assert np.allclose(plan.params[0].pm, pm_msg, atol=1e-9)
@@ -328,10 +337,13 @@ class TestEdgeTableSweep:
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
         )
         tm, _ = true_edge_marginals(aug, ev, plan)
-        if method == "ed-kl":
-            got = edkl_step(nprime, plan, evp, tm, schedule=schedule)
-        else:
-            got = edbp_step(nprime, plan, evp, schedule=schedule)
+        got, _, _ = run(
+            nprime, plan, evp,
+            IterationConfig(
+                method=method, schedule=schedule, max_iterations=1, initialization="plan"
+            ),
+            reference=(aug, ev),
+        )
         want = oracle_sweep(
             nprime, plan, evp, method, tm if method == "ed-kl" else None,
             schedule == "sequential",
