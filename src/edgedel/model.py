@@ -12,6 +12,7 @@ Both conventions coincide with C-order numpy arrays of shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -531,16 +532,18 @@ def enumerate_joint(net: Network, ev: Evidence, cap: int = ENUM_CAP_DEFAULT) -> 
     The entry for a world w is the product of the CPT entries compatible with
     (w, ev); summing all entries gives Pr(ev).  This is the oracle every
     engine query is tested against: it never eliminates variables early and
-    uses no factor algebra.
+    uses no factor algebra.  A joint of more than ``cap`` entries (the
+    product of the unobserved cardinalities) is refused before anything is
+    allocated.
     """
     ev.validate(net)
-    size = net.joint_size()
+    hidden = [v for v in net.variables if v.name not in ev]
+    shape = tuple(v.card for v in hidden)
+    size = math.prod(shape)
     if size > cap:
         raise CapacityError(
             f"joint state space has {size} entries, exceeding the cap of {cap}"
         )
-    hidden = [v for v in net.variables if v.name not in ev]
-    shape = tuple(v.card for v in hidden)
     axis = {v.name: i for i, v in enumerate(hidden)}
     fixed = {name: net.var(name).index_of(state) for name, state in ev.items()}
     grids = np.indices(shape, sparse=True) if shape else ()

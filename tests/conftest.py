@@ -27,6 +27,36 @@ def random_network(rng, n_vars=8, max_card=3, max_parents=3, prefix="V"):
     return Network(variables, cpts)
 
 
+def count_engine_calls(monkeypatch, names):
+    """Count calls to the named ``edgedel.engine`` functions; returns the
+    live {name: count} dict."""
+    import edgedel.engine as engine_module
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(engine_module, name)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, name, counting)
+    return calls
+
+
+def tied_edges(scores):
+    """Number of edges in runs of two or more adjacent ``EdgeScore``s whose
+    scores tie within ``divergence.TIE_TOL``."""
+    from edgedel.divergence import TIE_TOL
+
+    tied = set()
+    for i in range(len(scores) - 1):
+        a, b = scores[i].score, scores[i + 1].score
+        if abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b)):
+            tied.update((i, i + 1))
+    return len(tied)
+
+
 def random_evidence(net, rng, max_obs=2):
     names = [v.name for v in net.variables]
     k = int(rng.integers(0, max_obs + 1))

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-import edgedel.engine as engine_module
 from edgedel import (
     Cpt,
     DeletionPlan,
@@ -43,10 +42,12 @@ from edgedel.mapapprox import approximate_map_quality
 from bp_reference import FactorGraphBP
 from conftest import (
     bridged_net,
+    count_engine_calls,
     equality_witness_net,
     loopy_polytree_net,
     positive_evidence,
     random_network,
+    tied_edges,
 )
 
 
@@ -248,7 +249,7 @@ def test_criterion_05_converged_edkl_matches_true_marginals():
 def test_criterion_06_single_edge_closed_form(monkeypatch):
     """Closed-form single-edge quantities agree with direct compilation at
     1e-10 relative on 50 instances, and the scorer's inner loop never touches
-    the engine after its one compile."""
+    the engine after its one adjoint pass (and its tie refits)."""
     worst = 0.0
     done = 0
     seed = 0
@@ -282,23 +283,18 @@ def test_criterion_06_single_edge_closed_form(monkeypatch):
             worst = max(worst, rel)
             assert rel <= 1e-10
         done += 1
-    # structural half: one engine compile serves the whole scoring pass
+    # structural half: one adjoint pass serves the whole scoring pass, and
+    # only the edges of a tie run take their own derivative elimination
     rng = np.random.default_rng([106, 999])
     net = random_network(rng, n_vars=7)
     ev = positive_evidence(net, rng)
-    calls = {"n": 0}
-    original = engine_module.compile
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "compile", counting)
-    score_edges(net, ev)
+    calls = count_engine_calls(monkeypatch, ["compile", "adjoints", "cpt_derivatives"])
+    scores = score_edges(net, ev)
     monkeypatch.undo()
-    assert calls["n"] == 1
+    assert calls == {"compile": 0, "adjoints": 1, "cpt_derivatives": tied_edges(scores)}
     _ok("criterion 6 single-edge closed form",
-        f"50 instances, worst rel {worst:.2e}; scorer used {calls['n']} compile")
+        f"50 instances, worst rel {worst:.2e}; scorer used {calls['adjoints']} adjoint pass, "
+        f"{calls['cpt_derivatives']} tie refits")
 
 
 def test_criterion_07_equality_fixture():

@@ -33,12 +33,19 @@ from edgedel.divergence import (
     DENOM_FLOOR,
     INNER_MAX_ITERATIONS,
     INNER_TOLERANCE,
+    _fit_edge,
     edge_update,
     edkl_vector,
 )
 from edgedel.harness import chain_network, grid_network, sample_evidence
 
-from conftest import bridged_net, positive_evidence, random_network
+from conftest import (
+    bridged_net,
+    count_engine_calls,
+    positive_evidence,
+    random_network,
+    tied_edges,
+)
 
 
 def build(net, ev, edges, params=None):
@@ -386,20 +393,15 @@ class TestScoreEdges:
         assert s.score == pytest.approx(want, abs=1e-9)
         assert s.score > 0.0
 
-    def test_single_engine_compile_for_all_edges(self, monkeypatch):
+    def test_one_adjoint_pass_for_all_edges(self, monkeypatch):
+        # Pr(e) and every clone table come from one forward/backward pass;
+        # only edges in a tie run take their own derivative elimination
         rng = np.random.default_rng(7)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
-        calls = {"n": 0}
-        original = engine_module.compile
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "compile", counting)
-        score_edges(net, ev)
-        assert calls["n"] == 1
+        calls = count_engine_calls(monkeypatch, ["compile", "adjoints", "cpt_derivatives"])
+        scores = score_edges(net, ev)
+        assert calls == {"compile": 0, "adjoints": 1, "cpt_derivatives": tied_edges(scores)}
 
     def test_ranking_ascending_with_declaration_tiebreak(self):
         rng = np.random.default_rng(8)
@@ -411,7 +413,7 @@ class TestScoreEdges:
 
     def test_root_edges_tie_up_to_roundoff(self):
         # the two out-edges of a grid's root score the same mathematically;
-        # only roundoff orders them, so the ranking promises nothing here
+        # only roundoff tells them apart (TestTieRule pins their order)
         net = grid_network(4, 4, rng=np.random.default_rng(4))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         by_edge = {(s.parent, s.child): s.score for s in score_edges(net, ev)}
@@ -422,17 +424,10 @@ class TestScoreEdges:
         net = grid_network(4, 4, rng=np.random.default_rng(5))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         width = compile(augment(net, net.edges()), ev).width
-        calls = []
-        original = engine_module.replay
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "replay", counting)
+        calls = count_engine_calls(monkeypatch, ["replay", "adjoints"])
         with pytest.raises(CapacityError, match=f"induced width {width} exceeds the cap of {width - 1}"):
             score_edges(net, ev, width_cap=width - 1)
-        assert calls == []
+        assert calls == {"replay": 0, "adjoints": 0}
 
     def test_converged_scores_satisfy_exactness_on_their_edge(self):
         rng = np.random.default_rng(9)
@@ -452,6 +447,45 @@ class TestScoreEdges:
             pr_ep, d_pm, _ = single_edge_evaluate(derivs, s.params)
             clone_posterior = s.params.pm * d_pm / pr_ep
             assert np.allclose(clone_posterior, true_marg, atol=1e-8)
+
+
+def routed_scores(net, ev, one_pass):
+    """Every edge fitted on its clone table, sorted by (score, declaration
+    index): tables from one adjoint pass, or from one ``cpt_derivatives``
+    elimination per edge."""
+    aug = augment(net, net.edges())
+    records = [r for r in aug.clone_edges if r.sevid is None]
+    if one_pass:
+        grads = engine_module.adjoints(engine_module.evidence_program(aug, ev), aug)
+        table, pr_e = grads.cpt, grads.pr_e
+    else:
+        st = compile(aug, ev)
+        table, pr_e = (lambda name: cpt_derivatives(st, aug.cpt(name))), st.pr_e
+    fits = [(_fit_edge(r, table(r.clone), pr_e), i) for i, r in enumerate(records)]
+    return [s for s, _ in sorted(fits, key=lambda t: (t[0].score, t[1]))]
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("size,seed", [(4, 1), (4, 4), (5, 0), (5, 1)])
+    def test_ranking_follows_the_per_edge_route(self, monkeypatch, size, seed):
+        net = grid_network(size, size, rng=np.random.default_rng(seed))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        want = routed_scores(net, ev, one_pass=False)
+        edges = lambda scores: [(s.parent, s.child) for s in scores]
+        # the fixture is one where sorting the one-pass scores swaps the root's edges
+        assert edges(routed_scores(net, ev, one_pass=True)) != edges(want)
+        calls = count_engine_calls(monkeypatch, ["cpt_derivatives"])
+        got = score_edges(net, ev)
+        assert calls == {"cpt_derivatives": 2} and tied_edges(got) == 2
+        assert edges(got) == edges(want)
+        values = [s.score for s in got]
+        assert values == sorted(values)
+        root = [(s, w) for s, w in zip(got, want) if s.parent == "N0_0"]
+        assert len(root) == 2
+        for s, w in root:
+            assert s == w
+        for s, w in zip(got, want):
+            assert s.score == pytest.approx(w.score, rel=1e-12, abs=1e-14)
 
 
 class TestMutualInformation:

@@ -228,6 +228,15 @@ class TestRunDeletionInstance:
         # the source side, then N' (two clones and two soft-evidence nodes)
         assert sizes == [net.joint_size(), net.joint_size() * 2**4]
 
+    def test_exact_kl_caps_only_unobserved_states(self):
+        # N' has 26 variables (2^26 worlds), but the 5 soft-evidence nodes
+        # and the leaf are observed, so the enumerated joint has 2^20 entries
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        outcome = run_deletion_instance(net, ev, net.edges()[:5], "ed-kl")
+        assert outcome.row.exact_kl is not None
+        assert 0.0 <= outcome.row.exact_kl <= outcome.row.kl_bound
+
     def test_map_vars_add_map_quality_and_constrained_width(self):
         rng = np.random.default_rng(2)
         net = grid_network(3, 3, rng=rng)

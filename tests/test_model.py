@@ -212,6 +212,24 @@ class TestEnumerateJoint:
         with pytest.raises(CapacityError, match="64"):
             enumerate_joint(net, Evidence({}), cap=63)
 
+    def test_cap_counts_unobserved_states_and_refuses_before_allocating(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, n_vars=6, max_card=2)
+        ev = Evidence({v.name: v.states[0] for v in net.variables[:2]})
+        hidden = 1
+        for v in net.variables[2:]:
+            hidden *= v.card
+        assert hidden < net.joint_size()
+        assert enumerate_joint(net, ev, cap=hidden).values.size == hidden
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr(np, "ones", no_allocation)
+        monkeypatch.setattr(np, "indices", no_allocation)
+        with pytest.raises(CapacityError, match=f"has {hidden} entries"):
+            enumerate_joint(net, ev, cap=hidden - 1)
+
     def test_tables_are_write_locked(self):
         net = chain_ab()
         with pytest.raises(ValueError):

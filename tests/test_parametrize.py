@@ -32,6 +32,7 @@ from edgedel.parametrize import _sweep, true_edge_marginals
 from bp_reference import FactorGraphBP
 from conftest import (
     bridged_net,
+    count_engine_calls,
     loopy_polytree_net,
     positive_evidence,
     random_network,
@@ -414,18 +415,6 @@ class TestWorkCounts:
     These pin the engine work; a change that alters them should mean to.
     """
 
-    def _count(self, monkeypatch, names):
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            original = getattr(engine_module, name)
-
-            def counting(*args, _name=name, _fn=original, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(engine_module, name, counting)
-        return calls
-
     @pytest.mark.parametrize("sequential", [True, False])
     def test_one_elimination_per_edge_per_sweep(self, monkeypatch, sequential):
         # sequential: one (parent, clone) elimination per edge; simultaneous:
@@ -436,7 +425,7 @@ class TestWorkCounts:
             "compile", "cpt_derivatives", "kept_table", "kept_program", "replay",
             "evidence_program", "adjoints",
         ]
-        calls = self._count(monkeypatch, names)
+        calls = count_engine_calls(monkeypatch, names)
         _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
         if sequential:
             want = {"kept_program": 4, "replay": 4}
@@ -451,7 +440,7 @@ class TestWorkCounts:
             "compile", "posterior_marginal", "kept_program", "evidence_program",
             "record", "_order", "replay", "adjoints",
         ]
-        calls = self._count(monkeypatch, names)
+        calls = count_engine_calls(monkeypatch, names)
         true_edge_marginals(aug, ev, plan)
         own = dict(calls)
         # true_edge_marginals: one recording and one forward/backward pass
@@ -479,7 +468,7 @@ class TestWorkCounts:
         # recording on the source network, and simultaneous mode records
         # Pr'(e') once per run and replays it every sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile", "evidence_program"])
+        calls = count_engine_calls(monkeypatch, ["compile", "evidence_program"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
@@ -488,7 +477,7 @@ class TestWorkCounts:
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
         check_conditions(aug, nprime, plan, ev, evp)
         # one pass on the source network, one on N'
         assert calls == {"compile": 0, "posterior_marginal": 0, "adjoints": 2}
@@ -496,22 +485,25 @@ class TestWorkCounts:
     def test_recover_marginals_reads_one_pass(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         st = engine_module.compile(nprime, evp)
-        calls = self._count(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
         recover_marginals(nprime, plan, st)
         assert calls == {"compile": 0, "posterior_marginal": 0, "adjoints": 1}
 
     def test_mutual_information_scores_read_one_pass(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile", "pairwise_marginal", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["compile", "pairwise_marginal", "adjoints"])
         mutual_information_scores(net, ev)
         assert calls == {"compile": 0, "pairwise_marginal": 0, "adjoints": 1}
 
     def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
-        calls = self._count(monkeypatch, ["compile", "cpt_derivatives", "posterior_marginal"])
+        names = ["compile", "adjoints", "cpt_derivatives", "posterior_marginal"]
+        calls = count_engine_calls(monkeypatch, names)
         score_edges(net, ev)
-        n_edges = len(net.edges())
-        assert calls == {"compile": 1, "cpt_derivatives": n_edges, "posterior_marginal": 0}
+        # one pass gives every clone table; only the root's two
+        # mathematically tied out-edges take their own derivative elimination
+        want = {"compile": 0, "adjoints": 1, "cpt_derivatives": 2, "posterior_marginal": 0}
+        assert calls == want
 
 
 def enumerated_posterior(net, ev, name):
