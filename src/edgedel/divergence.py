@@ -65,9 +65,9 @@ class KlBreakdown:
         return math.isinf(self.total)
 
 
-def _edge_term(diag: np.ndarray, params: EdgeParams) -> float:
+def _edge_term(diag: np.ndarray, pm: np.ndarray, se: np.ndarray) -> float:
     term = 0.0
-    prod = params.pm * params.se
+    prod = pm * se
     for t, pq in zip(diag, prod):
         if t <= 0.0:
             continue
@@ -77,9 +77,10 @@ def _edge_term(diag: np.ndarray, params: EdgeParams) -> float:
     return term
 
 
-def kl_breakdown(marginals, params, pr_e: float, pr_ep: float) -> KlBreakdown:
-    """The bound from per-edge parent posteriors and parameters, and Pr(e), Pr'(e')."""
-    terms = tuple(_edge_term(m, p) for m, p in zip(marginals, params))
+def kl_breakdown(marginals, vectors, pr_e: float, pr_ep: float) -> KlBreakdown:
+    """The bound from per-edge parent posteriors and (pm, se) vectors, and
+    Pr(e), Pr'(e')."""
+    terms = tuple(_edge_term(m, pm, se) for m, (pm, se) in zip(marginals, vectors))
     correction = math.log(pr_ep / pr_e)
     total = sum(terms) + correction if all(map(math.isfinite, terms)) else math.inf
     return KlBreakdown(terms, correction, total)
@@ -95,7 +96,8 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     table (each checked by the Euler identity).  A non-empty plan under
     evidence of probability zero raises ``InconsistentEvidenceError``.
     """
-    grads = engine.adjoints(engine.evidence_program(aug, ev, width_cap), aug)
+    program = engine.evidence_program(aug, ev, width_cap)
+    grads = engine.adjoints(program, engine.bind(program, aug))
     if len(plan) and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
     parents = dict.fromkeys(rec.parent for rec in plan.edges)
@@ -121,7 +123,8 @@ def kl_bound(
         raise InconsistentEvidenceError(
             "approximate network: augmented evidence has zero probability"
         )
-    return kl_breakdown(marginals, plan.params, pr_e, st_p.pr_e)
+    vectors = [(p.pm, p.se) for p in plan.params]
+    return kl_breakdown(marginals, vectors, pr_e, st_p.pr_e)
 
 
 def exact_kl(
@@ -159,8 +162,9 @@ def exact_kl(
     return float(np.sum(p_mass * np.log(p_mass / q_mass)))
 
 
-def single_edge_evaluate(derivs: np.ndarray, params: EdgeParams):
-    """Evidence probability and its parameter derivatives for one deleted edge.
+def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
+    """Evidence probability and its derivatives with respect to the clone
+    prior ``pm`` and the soft-evidence row ``se`` of one deleted edge.
 
     ``derivs`` is the evidence probability with the edge's own CPTs left out,
     over (rows: parent state, columns: clone state): the derivative table with
@@ -170,11 +174,11 @@ def single_edge_evaluate(derivs: np.ndarray, params: EdgeParams):
     d pr'/d se), each a plain sum over the table -- no inference happens here.
     """
     d = np.asarray(derivs, dtype=float)
-    if d.ndim != 2 or d.shape[0] != params.se.size or d.shape[1] != params.pm.size:
+    if d.ndim != 2 or d.shape[0] != se.size or d.shape[1] != pm.size:
         raise ModelError("derivative table shape does not match the edge parameters")
-    d_pm = params.se @ d
-    d_se = d @ params.pm
-    pr_ep = float(params.se @ d @ params.pm)
+    d_pm = se @ d
+    d_se = d @ pm
+    pr_ep = float(se @ d @ pm)
     return pr_ep, d_pm, d_se
 
 
@@ -247,42 +251,49 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
-def edge_update(evaluate, old: EdgeParams, method, true_marg, label, damping=0.0):
-    """One fixed-point update of one deleted edge; returns (new params,
-    residual, Pr'(e') at ``old``).
+def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
+    """One fixed-point update of one deleted edge from its clone prior
+    ``pm`` and soft-evidence row ``se``; returns (new pm, new se, residual,
+    Pr'(e') at the old vectors).
 
-    ``evaluate(params)`` returns (Pr'(e'), d/dpm, d/dse) at ``params``.  The
-    prior ``pm`` is updated first, from ``evaluate(old)``; ``evaluate`` is
-    then called again at the new prior before the soft-evidence row ``se``
-    is updated.  The sequential sweep and ``score_edges`` pass
+    ``evaluate(pm, se)`` returns (Pr'(e'), d/dpm, d/dse) at those vectors.
+    The prior is updated first, from ``evaluate(pm, se)``; ``evaluate`` is
+    then called again at the new prior before the row is updated.  The
+    sequential sweep and ``score_edges`` pass
     ``functools.partial(single_edge_evaluate, g)`` for the edge's table g
     over (parent, clone), so the second call sees the new prior; the
     simultaneous sweep passes a function that returns the sweep-start
-    derivatives whatever its argument, so both vectors move from them.
+    derivatives whatever its arguments, so both vectors move from them.
     ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
     the largest parameter change.  An all-zero or non-finite update raises
     ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
     ``InconsistentEvidenceError``.  Neither can happen when scoring: from a
     uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
     with true mass, since g_uu = Pr(u, e).
+
+    The vectors stay plain arrays; ``EdgeParams`` is built only where a fit
+    hands its result back (``EdgeParams.fitted``).  Each new vector still
+    takes the value operations ``EdgeParams`` applies: the prior is divided
+    by its sum when it is set and again when the row is, and the row is
+    clipped into [0, 1].  Fitted values depend on them bit for bit
+    (``tests/data/fit_golden.json``).
     """
-    pr_old, d_pm, d_se = evaluate(old)
-    pm = _damp(
-        _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label),
-        old.pm, damping, label,
+    pr_old, d_pm, d_se = evaluate(pm, se)
+    new_pm = _damp(
+        _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label), pm, damping, label
     )
-    mid = EdgeParams(pm, old.se)
-    pr, d_pm, d_se = evaluate(mid)
-    se = _damp(
-        _update_rule(method, true_marg, pr, d_se, d_pm, "se", label),
-        old.se, damping, label,
+    new_pm = new_pm / new_pm.sum()
+    pr, d_pm, d_se = evaluate(new_pm, se)
+    new_se = _damp(
+        _update_rule(method, true_marg, pr, d_se, d_pm, "se", label), se, damping, label
     )
-    new = EdgeParams(mid.pm, se)
+    new_pm = new_pm / new_pm.sum()
+    new_se = np.clip(new_se, 0.0, 1.0)
     residual = max(
-        float(np.max(np.abs(new.pm - old.pm))),
-        float(np.max(np.abs(new.se - old.se))),
+        float(np.max(np.abs(new_pm - pm))),
+        float(np.max(np.abs(new_se - se))),
     )
-    return new, residual, pr_old
+    return new_pm, new_se, residual, pr_old
 
 
 def _fit_edge(rec, derivs: np.ndarray, pr_e: float) -> EdgeScore:
@@ -298,15 +309,17 @@ def _fit_edge(rec, derivs: np.ndarray, pr_e: float) -> EdgeScore:
     true_marg = np.diag(derivs) / pr_e
     label = f"edge {rec.parent} -> {rec.child}"
     evaluate = partial(single_edge_evaluate, derivs)
-    params = EdgeParams.uniform(derivs.shape[1])
+    start = EdgeParams.uniform(derivs.shape[1])
+    pm, se = start.pm, start.se
     converged = False
     for iterations in range(1, INNER_MAX_ITERATIONS + 1):
-        params, residual, _ = edge_update(evaluate, params, "ed-kl", true_marg, label)
+        pm, se, residual, _ = edge_update(evaluate, pm, se, "ed-kl", true_marg, label)
         if residual < INNER_TOLERANCE:
             converged = True
             break
-    pr_ep = evaluate(params)[0]
-    score = kl_breakdown([true_marg], [params], pr_e, pr_ep).total
+    pr_ep = evaluate(pm, se)[0]
+    score = kl_breakdown([true_marg], [(pm, se)], pr_e, pr_ep).total
+    params = EdgeParams.fitted(pm, se)
     return EdgeScore(rec.parent, rec.child, score, params, iterations, converged)
 
 
@@ -353,7 +366,7 @@ def score_edges(
         aug = net
     records = [r for r in aug.clone_edges if r.sevid is None]
     program = engine.evidence_program(aug, ev, width_cap)
-    grads = engine.adjoints(program, aug)
+    grads = engine.adjoints(program, engine.bind(program, aug))
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
     st = engine.EngineState(aug, ev, program.width, width_cap, grads.pr_e, program.ev_index)
@@ -394,7 +407,8 @@ def mutual_information_scores(
     edge with an observed endpoint scores exactly 0.0, its conditional
     mutual information.  Ties break toward declaration order.
     """
-    grads = engine.adjoints(engine.evidence_program(net, ev, width_cap), net)
+    program = engine.evidence_program(net, ev, width_cap)
+    grads = engine.adjoints(program, engine.bind(program, net))
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")

@@ -10,18 +10,22 @@ and which evidence slices they take), order (``_order``: one greedy min-fill
 order, checked against the width cap before any table is built), and record
 (``record``: a ``Program`` naming, bucket by bucket, the operands, each
 operand's transpose and broadcast shape, and the summed or maximized axis).
-Then ``replay`` runs exactly those numpy operations on the network's CPT
-arrays, with an argmax traceback for the maximized variables.  A program
-depends on the structure, the evidence and the query, not on the CPT
-entries, so a caller that only changes entries (the sweeps of
-``parametrize.run``) records once and replays many times.
+Then ``bind`` reads the program's input tables off a network once,
+checking each CPT's shape and applying the evidence slices, and ``replay``
+runs exactly the recorded numpy operations on that list, with an argmax
+traceback for the maximized variables.  A program depends on the
+structure, the evidence and the query, not on the CPT entries, and
+``replay`` never writes into the bound list, so a caller that only changes
+some entries (the sweeps of ``parametrize.run``) records and binds once,
+then overwrites just those slots before each replay.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
-the CPT entries.  ``adjoints`` replays such a program forward and then
-walks the same buckets and alignments in reverse (Darwiche, "A
-differential approach to inference in Bayesian networks", JACM 2003): one
-pass gives dPr(e)/d(entry) for every entry of every CPT, each a sum of
-products of the other operands, so it stays exact at zero parameters.
+the CPT entries.  ``adjoints`` runs such a program forward on its bound
+tables and then walks the same buckets and alignments in reverse
+(Darwiche, "A differential approach to inference in Bayesian networks",
+JACM 2003): one pass gives dPr(e)/d(entry) for every entry of every CPT,
+each a sum of products of the other operands, so it stays exact at zero
+parameters.
 ``Adjoints.cpt`` reads one CPT's table, checked by the Euler identity
 sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.  The CPT
 times its table is the family's joint with the evidence
@@ -213,9 +217,9 @@ class Program:
     starting from a scalar one), permuted by ``perm`` into the kept
     variables' order and reshaped to ``shape``.
 
-    ``width`` is the order's induced width.  Replaying a program on a
+    ``width`` is the order's induced width.  Binding a program to a
     network reads only CPT entries, so any network with the recorded
-    structure will do (``replay`` checks each CPT's shape).
+    structure will do (``bind`` checks each CPT's shape).
     ``cpt_inputs`` maps each CPT name to its input's position, and
     ``ev_index`` is the evidence (variable name to state index) it was
     recorded under.
@@ -362,7 +366,15 @@ def _multiply_back(grad, prefixes, tables, operands, steps, adj):
     return grad
 
 
-def _input_tables(program: Program, net: Network) -> list:
+def bind(program: Program, net: Network) -> list[np.ndarray]:
+    """The program's input tables, read off ``net`` once: each CPT must
+    have the shape the program was recorded for, and is sliced by the
+    program's evidence.
+
+    ``replay`` and ``adjoints`` take this list and never write into it, so
+    a caller that changes some CPTs can overwrite just their slots (each
+    sliced as here) and replay again without binding anew.
+    """
     tables = []
     for inp in program.inputs:
         if inp.cpt is None:
@@ -381,15 +393,15 @@ def _input_tables(program: Program, net: Network) -> list:
     return tables
 
 
-def replay(program: Program, net: Network) -> tuple[np.ndarray, list]:
-    """Run a recorded elimination on ``net``'s CPT entries.
+def replay(program: Program, bound: list) -> tuple[np.ndarray, list]:
+    """Run a recorded elimination on its bound input tables (``bind``).
 
     Returns the table over the kept variables (axes in the order given to
     ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
     (variable, names of the other axes, argmax table) per maximized
-    variable, in elimination order.
+    variable, in elimination order.  ``bound`` is left as it was.
     """
-    tables = _input_tables(program, net)
+    tables = list(bound)
     traceback = []
     for b in program.buckets:
         first = b.operands[0]
@@ -415,16 +427,41 @@ def _check_euler(theta, d, pr_e, what):
         )
 
 
+def _scattered(inp: _Input, table: np.ndarray) -> np.ndarray:
+    """A table over an input's evidence slice, shaped like its CPT table:
+    zero off the slice."""
+    if inp.take is None:
+        return table
+    full = np.zeros(inp.shape)
+    full[inp.take] = table
+    return full
+
+
 @dataclass(frozen=True)
 class Adjoints:
     """Pr(e) and its adjoints from one forward/backward pass of a Pr(e)
-    program on ``net``: ``tables[i]`` is dPr(e)/d(input i) in that input's
-    evidence-reduced shape."""
+    program on its bound input tables ``bound``: ``tables[i]`` is
+    dPr(e)/d(input i) in that input's evidence-reduced shape."""
 
     program: Program
-    net: Network
+    bound: tuple[np.ndarray, ...]
     pr_e: float
     tables: tuple[np.ndarray, ...]
+
+    def _position(self, name: str) -> int:
+        i = self.program.cpt_inputs.get(name)
+        if i is None:
+            raise ModelError(f"unknown variable {name!r}")
+        return i
+
+    def _checked(self, name: str) -> tuple[_Input, np.ndarray, np.ndarray]:
+        """The CPT's input, its bound table and its adjoint, checked by the
+        Euler identity sum(theta * d) = Pr(e) over the evidence slice (the
+        entries off it do not enter Pr(e))."""
+        i = self._position(name)
+        theta, d = self.bound[i], self.tables[i]
+        _check_euler(theta, d, self.pr_e, f"adjoint of {name!r}")
+        return self.program.inputs[i], theta, d
 
     def cpt(self, name: str) -> np.ndarray:
         """Partial derivatives of Pr(e) with respect to every entry of the
@@ -432,48 +469,46 @@ class Adjoints:
         its evidence slice and zero elsewhere (entries that disagree with
         the evidence do not enter Pr(e)).  Checked by the Euler identity.
         """
-        i = self.program.cpt_inputs[name]
-        inp = self.program.inputs[i]
-        d = self.tables[i]
-        if inp.take is not None:
-            full = np.zeros(inp.shape)
-            full[inp.take] = d
-            d = full
-        _check_euler(self.net.cpt(name).shaped, d, self.pr_e, f"adjoint of {name!r}")
-        return d
+        inp, _, d = self._checked(name)
+        return _scattered(inp, d)
 
     def family(self, name: str) -> np.ndarray:
         """Pr(family of ``name``, e), shaped like its CPT table: the CPT
         times ``cpt(name)``, zero where the family disagrees with the
         evidence."""
-        return self.net.cpt(name).shaped * self.cpt(name)
+        inp, theta, d = self._checked(name)
+        return _scattered(inp, theta * d)
 
     def posterior(self, name: str) -> np.ndarray:
         """Pr(``name`` | e): ``family(name)`` summed down to ``name``, over
         Pr(e), or the indicator of the observed state.  Evidence of
         probability zero raises ``InconsistentEvidenceError``."""
-        var = self.net.var(name)
+        card = self.program.inputs[self._position(name)].shape[-1]
         if self.pr_e <= 0.0:
             raise InconsistentEvidenceError("evidence has zero probability")
         if name in self.program.ev_index:
-            return np.eye(var.card)[self.program.ev_index[name]]
-        return self.family(name).reshape(-1, var.card).sum(axis=0) / self.pr_e
+            return np.eye(card)[self.program.ev_index[name]]
+        return self.family(name).reshape(-1, card).sum(axis=0) / self.pr_e
 
 
-def adjoints(program: Program, net: Network) -> Adjoints:
-    """Replay a Pr(e) program (one recorded with nothing kept) forward, then
-    backward over the same buckets and alignments.
+def adjoints(program: Program, bound: list) -> Adjoints:
+    """Run a Pr(e) program (one recorded with nothing kept) forward on its
+    bound input tables (``bind``), then backward over the same buckets and
+    alignments.
 
     The forward pass keeps every table and running product, with
     ``replay``'s overflow check; the backward pass gives each operand of a
     product the product of the others times the result's adjoint, summed
-    down to the operand's scope, so no adjoint is ever a quotient.
+    down to the operand's scope, so no adjoint is ever a quotient.  The
+    result keeps the input tables it was given; ``bound`` itself is left as
+    it was.
     """
     if program.shape != ():
         raise ModelError("adjoints need a program that keeps no variable")
     if any(b.rest is not None for b in program.buckets):
         raise ModelError("adjoints need a summing program, not a maximizing one")
-    tables = _input_tables(program, net)
+    bound = tuple(bound)
+    tables = list(bound)
     saved = []
     for b in program.buckets:
         prefixes = []
@@ -492,7 +527,7 @@ def adjoints(program: Program, net: Network) -> Adjoints:
         prefixes, flat, card = saved[k]
         grad = adj[n + k].reshape(flat).repeat(card, axis=b.axis)
         adj[b.operands[0]] = _multiply_back(grad, prefixes, tables, b.operands[1:], b.steps, adj)
-    return Adjoints(program, net, pr_e, tuple(adj[:n]))
+    return Adjoints(program, bound, pr_e, tuple(adj[:n]))
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:
@@ -556,7 +591,7 @@ def evidence_program(
     net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT
 ) -> Program:
     """Check the evidence against the network and record the elimination
-    of Pr(e); replay it with ``replay`` or ``adjoints``."""
+    of Pr(e); bind it and run it with ``replay`` or ``adjoints``."""
     ev.validate(net)
     return record(net, _evidence_index(net, ev), width_cap=width_cap)
 
@@ -564,7 +599,7 @@ def evidence_program(
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
     program = evidence_program(net, ev, width_cap)
-    pr_e = float(replay(program, net)[0])
+    pr_e = float(replay(program, bind(program, net))[0])
     return EngineState(net, ev, program.width, width_cap, pr_e, program.ev_index)
 
 
@@ -577,7 +612,8 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
         out = np.zeros(var.card)
         out[st._ev_index[name]] = 1.0
         return out
-    table, _ = replay(record(st.net, st._ev_index, keep=(name,)), st.net)
+    program = record(st.net, st._ev_index, keep=(name,))
+    table, _ = replay(program, bind(program, st.net))
     return table / st.pr_e
 
 
@@ -598,7 +634,8 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     elif b_obs:
         out[:, st._ev_index[b]] = posterior_marginal(st, a)
     else:
-        table, _ = replay(record(st.net, st._ev_index, keep=(a, b)), st.net)
+        program = record(st.net, st._ev_index, keep=(a, b))
+        table, _ = replay(program, bind(program, st.net))
         out = table / st.pr_e
     return out
 
@@ -606,8 +643,8 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
 def kept_program(
     net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
 ) -> Program:
-    """The recorded elimination behind ``kept_table``; replay it on any
-    network with ``net``'s structure."""
+    """The recorded elimination behind ``kept_table``; bind it to any
+    network with ``net``'s structure and replay it."""
     return record(net, _evidence_index(net, ev), without, keep, width_cap=width_cap)
 
 
@@ -622,7 +659,8 @@ def kept_table(
     deleted edge's clone prior and soft-evidence CPT and keeping (parent,
     clone) gives the table ``g`` with Pr'(e') = se g pm.
     """
-    return replay(kept_program(net, ev, without, keep, width_cap), net)[0]
+    program = kept_program(net, ev, without, keep, width_cap)
+    return replay(program, bind(program, net))[0]
 
 
 def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
@@ -659,7 +697,7 @@ def exact_map(
     assignment = {name: ev[name] for name in map_list if name in ev_index}
     hidden_map = [name for name in map_list if name not in ev_index]
     program = record(net, ev_index, last=hidden_map, maximize=hidden_map, width_cap=width_cap)
-    value, traceback = replay(program, net)
+    value, traceback = replay(program, bind(program, net))
     q = float(value)
 
     chosen: dict[str, int] = {}

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import engine
-from .deletion import DeletionPlan, apply_params, deleted_records
+from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records
 from .divergence import (
     edge_update,
     kl_breakdown,
@@ -98,71 +98,159 @@ def _chained(expected, got, label) -> float:
     return expected
 
 
-def _evidence_program(programs, nprime, evp, width_cap):
-    """The run's one recorded elimination of Pr'(e') on N', kept in
-    ``programs`` under None."""
-    if None not in programs:
-        programs[None] = engine.evidence_program(nprime, evp, width_cap)
-    return programs[None]
-
-
 def _fixed(derivatives):
     """An evaluator that returns the sweep-start (Pr'(e'), d/dpm, d/dse)
-    whatever parameters it is given."""
-    return lambda _params: derivatives
+    whatever vectors it is given."""
+    return lambda _pm, _se: derivatives
 
 
-def _sweep(
-    nprime, plan, evp, method, true_marginals, damping, sequential, width_cap,
-    pr_ep=None, programs=None,
-):
-    """One full pass over the plan's edges; returns (plan, per-edge residuals,
-    Pr'(e') at the returned plan, or None in simultaneous mode).
+def _start_vectors(nprime, records, plan):
+    """The plan's (pm, se) vectors, each checked against its clone's and
+    parent's cardinality in N'."""
+    vectors = []
+    for rec, params in zip(records, plan.params):
+        if (
+            params.pm.size != nprime.var(rec.clone).card
+            or params.se.size != nprime.var(rec.parent).card
+        ):
+            raise ModelError(
+                f"parameters for {rec.parent} -> {rec.clone} have the wrong length"
+            )
+        vectors.append((params.pm, params.se))
+    return vectors
 
-    Sequential mode costs one elimination per edge: the table g over
-    (parent, clone) of N' with that edge's clone prior and soft-evidence CPT
-    left out, built from the other edges' current parameters, so that
-    Pr'(e') = se g pm and ``divergence.edge_update`` fits the edge from g.
-    Each g must reproduce ``pr_ep``, the Pr'(e') the previous update ended
-    with.  ``programs`` maps a plan index to that edge's recorded
-    elimination (``engine.kept_program`` on N').
+
+def _slots(program, rec):
+    """Where ``program`` reads one deleted edge's vectors: a (position,
+    source, index, shape) per input it has of the edge's clone prior or
+    soft-evidence CPT.
+
+    The input is ``source`` ("pm", "se", or "table": the whole
+    soft-evidence CPT) indexed by ``index`` (None: all of it) and reshaped
+    to ``shape``, which gives ``bind``'s evidence slice of the CPT.  Under
+    augmented evidence the soft-evidence variable is observed positive, so
+    that slice is the ``se`` column, sliced once more if the parent is
+    observed.
+    """
+    out = []
+    for name, source in ((rec.clone, "pm"), (rec.sevid, "se")):
+        i = program.cpt_inputs.get(name)
+        if i is None:
+            continue
+        index = program.inputs[i].take
+        if source == "se":
+            if index is None or index[1] != 0:
+                source = "table"
+            else:
+                index = None if index[0] == slice(None) else index[:1]
+        out.append((i, source, index, program.inputs[i].reduced))
+    return out
+
+
+def _write(tables, slots, pm, se):
+    """Write one edge's vectors into a bound list at its ``_slots``."""
+    for i, source, index, shape in slots:
+        if source == "table":
+            vec = np.column_stack([se, 1.0 - se])
+        else:
+            vec = pm if source == "pm" else se
+        if index is not None:
+            vec = np.ascontiguousarray(vec[index]).reshape(shape)
+        tables[i] = vec
+
+
+class _Fit:
+    """One ``run``'s current edge vectors and its recorded programs, each
+    bound once to N' (``engine.bind``).
+
+    A program is recorded and bound on first use; from then on, setting an
+    edge's vectors writes them into the slots where every bound program
+    reads that edge's clone prior and soft-evidence CPT (``_slots``), and
+    no other input is read again.
+    """
+
+    def __init__(self, nprime, evp, records, vectors, width_cap):
+        self.nprime = nprime
+        self.evp = evp
+        self.records = records
+        self.vectors = vectors
+        self.width_cap = width_cap
+        # plan index (an edge's (parent, clone) program) or None (Pr'(e'))
+        # -> (program, bound tables, per-edge slots)
+        self.bound = {}
+
+    def _bind(self, key, program):
+        tables = engine.bind(program, self.nprime)
+        slots = [_slots(program, rec) for rec in self.records]
+        for j, (pm, se) in enumerate(self.vectors):
+            _write(tables, slots[j], pm, se)
+        self.bound[key] = (program, tables, slots)
+
+    def edge_table(self, i):
+        """The table g over (parent, clone) of N' without edge i's clone
+        prior and soft-evidence CPT, at the current vectors."""
+        if i not in self.bound:
+            rec = self.records[i]
+            self._bind(i, engine.kept_program(
+                self.nprime, self.evp, (rec.clone, rec.sevid), (rec.parent, rec.clone),
+                self.width_cap,
+            ))
+        program, tables, _ = self.bound[i]
+        return engine.replay(program, tables)[0]
+
+    def evidence(self):
+        """The Pr'(e') program and its bound tables at the current vectors."""
+        if None not in self.bound:
+            self._bind(None, engine.evidence_program(self.nprime, self.evp, self.width_cap))
+        return self.bound[None][:2]
+
+    def set(self, j, pm, se):
+        """Make (pm, se) edge j's vectors in every bound program."""
+        self.vectors[j] = (pm, se)
+        for _, tables, slots in self.bound.values():
+            _write(tables, slots[j], pm, se)
+
+
+def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
+    """One full pass over the plan's edges; returns (per-edge residuals,
+    Pr'(e') at the new vectors, or None in simultaneous mode).
+
+    A sweep reads N' only through ``fit``'s bound programs, and writes only
+    the edges' new (pm, se) vectors into them (``_Fit.set``).
+
+    Sequential mode costs one replay per edge: the table g over (parent,
+    clone) of N' with that edge's clone prior and soft-evidence CPT left
+    out, at the other edges' current vectors, so that Pr'(e') = se g pm and
+    ``divergence.edge_update`` fits the edge from g.  Each g must reproduce
+    ``pr_ep``, the Pr'(e') the previous update ended with.
 
     Simultaneous mode costs one forward/backward pass of the Pr'(e')
-    program (``engine.adjoints``) at the sweep-start parameters: every
-    edge's dPr'/dpm and dPr'/dse are the adjoints of its clone prior and
+    program (``engine.adjoints``) at the sweep-start vectors: every edge's
+    dPr'/dpm and dPr'/dse are the adjoints of its clone prior and
     soft-evidence CPT, each checked by the Euler identity against the
     forward value, Pr'(e'), and ``edge_update`` moves both of the edge's
-    vectors from them.  The program is kept in ``programs`` under None.
-
-    Missing programs are recorded and added, so a caller that passes the
-    same dict to every sweep records each once and only replays afterwards.
+    vectors from them.  The pass keeps the tables it ran on, so the writes
+    that follow it do not disturb it.
     """
-    if programs is None:
-        programs = {}
-    records = deleted_records(nprime, plan)
     residuals = []
-    if not sequential and records:
-        program = _evidence_program(programs, nprime, evp, width_cap)
-        grads = engine.adjoints(program, apply_params(nprime, plan))
-    for i, rec in enumerate(records):
+    if not sequential and fit.records:
+        grads = engine.adjoints(*fit.evidence())
+    for i, rec in enumerate(fit.records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
         if sequential:
-            if i not in programs:
-                programs[i] = engine.kept_program(
-                    nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone), width_cap
-                )
-            g = engine.replay(programs[i], apply_params(nprime, plan))[0]
-            evaluate = partial(single_edge_evaluate, g)
+            evaluate = partial(single_edge_evaluate, fit.edge_table(i))
         else:
             evaluate = _fixed((grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]))
-        new, residual, pr = edge_update(evaluate, plan.params[i], method, true_marg, label, damping)
+        pm, se, residual, pr = edge_update(
+            evaluate, *fit.vectors[i], method, true_marg, label, damping
+        )
         if sequential:
             _chained(pr_ep, pr, label)
-            pr_ep = evaluate(new)[0]
-        plan = plan.with_params(i, new)
+            pr_ep = evaluate(pm, se)[0]
+        fit.set(i, pm, se)
         residuals.append(residual)
-    return plan, residuals, pr_ep if sequential else None
+    return residuals, pr_ep if sequential else None
 
 
 def run(
@@ -179,17 +267,20 @@ def run(
     This is the one way to fit edge parameters: ``cfg`` picks the update
     rule (``method``), the ``schedule``, the sweep budget and the starting
     point, and ``max_iterations=1`` with ``initialization="plan"`` is one
-    sweep from the plan's current parameters.
+    sweep from the plan's current parameters.  Each plan vector must have
+    its clone's (``pm``) or parent's (``se``) cardinality; a wrong length
+    raises ``ModelError`` before any sweep.
 
-    Every elimination a sweep needs is recorded once per run, on first
-    use, and replayed on the current parameters afterwards (see
-    ``_sweep``): N' keeps its structure and evidence, and only the CPT
-    entries the replay reads change.  Sequential sweeps replay one
-    (parent, clone) program per deleted edge; simultaneous sweeps make one
-    forward/backward pass of the run's one Pr'(e') program, and replay it
-    forward once more for the KL bound at the sweep's new parameters.  The
-    true parent posteriors come from one forward/backward pass on the
-    source network (``true_edge_marginals``).
+    Every elimination a sweep needs is recorded and bound to N' once per
+    run, on first use (see ``_Fit``): N' keeps its structure and evidence,
+    and a sweep writes only the edges' new (pm, se) vectors into the bound
+    lists before replaying them.  The vectors stay plain arrays inside the
+    loop; the returned plan holds one ``EdgeParams`` per edge, built at the
+    end.  Sequential sweeps replay one (parent, clone) program per deleted
+    edge; simultaneous sweeps make one forward/backward pass of the run's
+    one Pr'(e') program, and replay it forward once more for the KL bound
+    at the sweep's new vectors.  The true parent posteriors come from one
+    forward/backward pass on the source network (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -203,6 +294,8 @@ def run(
     """
     if cfg.initialization == "uniform":
         plan = DeletionPlan.uniform(nprime, plan.edges) if len(plan) else plan
+    records = deleted_records(nprime, plan)
+    fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), width_cap)
     true_marginals = None
     pr_e = None
     if reference is not None:
@@ -218,12 +311,8 @@ def run(
     converged = False
     iterations = 0
     pr_ep = None
-    programs: dict = {}
     for sweep in range(1, cfg.max_iterations + 1):
-        plan, res, pr_ep = _sweep(
-            nprime, plan, evp, cfg.method, true_marginals, cfg.damping,
-            sequential, width_cap, pr_ep, programs
-        )
+        res, pr_ep = _sweep(fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep)
         iterations = sweep
         residuals = tuple(res)
         worst = max(res) if res else 0.0
@@ -231,14 +320,15 @@ def run(
         if true_marginals is not None and pr_e is not None and pr_e > 0:
             if pr_ep is None:
                 # simultaneous mode moved every edge at once: one replay
-                program = _evidence_program(programs, nprime, evp, width_cap)
-                pr_ep = float(engine.replay(program, apply_params(nprime, plan))[0])
+                pr_ep = float(engine.replay(*fit.evidence())[0])
             if pr_ep > 0:
-                kl = kl_breakdown(true_marginals, plan.params, pr_e, pr_ep).total
+                kl = kl_breakdown(true_marginals, fit.vectors, pr_e, pr_ep).total
         trace.append(SweepRecord(sweep, worst, kl))
         if worst < cfg.tolerance:
             converged = True
             break
+    if iterations:
+        plan = plan.with_all_params(EdgeParams.fitted(pm, se) for pm, se in fit.vectors)
     return plan, FixedPointReport(residuals, iterations, converged), trace
 
 
@@ -267,7 +357,8 @@ def check_conditions(
     """
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
-    grads = engine.adjoints(engine.evidence_program(current, evp, width_cap), current)
+    program = engine.evidence_program(current, evp, width_cap)
+    grads = engine.adjoints(program, engine.bind(program, current))
     true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
     match_gaps = []
     exact_gaps = []

@@ -267,7 +267,7 @@ def test_criterion_06_single_edge_closed_form(monkeypatch):
         rec = aug.clone_edges[0]
         derivs = cpt_derivatives(st, aug.cpt(rec.clone))
         params = _random_params(net, [edge], rng)[0]
-        pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params)
+        pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params.pm, params.se)
         plan = DeletionPlan((rec,), (params,))
         nprime = delete_edges(aug, plan)
         evp = augmented_evidence(nprime, ev)

@@ -236,7 +236,7 @@ class TestSingleEdgeEvaluate:
             derivs = cpt_derivatives(st, aug.cpt(rec.clone))
             for _ in range(3):
                 params = random_params(net, [edge], rng)[0]
-                pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params)
+                pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params.pm, params.se)
                 plan = DeletionPlan((rec,), (params,))
                 from edgedel import delete_edges
 
@@ -263,7 +263,7 @@ class TestSingleEdgeEvaluate:
         st = compile(aug, ev)
         derivs = cpt_derivatives(st, aug.cpt(aug.clone_edges[0].clone))
         params = random_params(net, [edge], rng)[0]
-        pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params)
+        pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params.pm, params.se)
         assert float(params.pm @ d_pm) == pytest.approx(pr_ep, rel=1e-12)
         assert float(params.se @ d_se) == pytest.approx(pr_ep, rel=1e-12)
 
@@ -292,6 +292,11 @@ class TestEdklVector:
             score_edges(*coins_fixture)
 
 
+def uniform_vectors(card):
+    params = EdgeParams.uniform(card)
+    return params.pm, params.se
+
+
 class TestEdgeUpdate:
     def test_overflow_is_reported_as_overflow(self):
         g = np.array([[1.0, 1e-310], [0.0, 1e-310]])
@@ -299,7 +304,7 @@ class TestEdgeUpdate:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(edgedel.DegenerateUpdateError) as info:
                 edge_update(
-                    partial(single_edge_evaluate, g), EdgeParams.uniform(2), "ed-kl",
+                    partial(single_edge_evaluate, g), *uniform_vectors(2), "ed-kl",
                     np.array([0.5, 0.5]), "edge U -> X",
                 )
         message = str(info.value)
@@ -310,7 +315,7 @@ class TestEdgeUpdate:
         g = np.array([[0.5, 0.1], [0.2, 0.4]])
         with pytest.raises(edgedel.DegenerateUpdateError) as info:
             edge_update(
-                partial(single_edge_evaluate, g), EdgeParams.uniform(2), "ed-kl",
+                partial(single_edge_evaluate, g), *uniform_vectors(2), "ed-kl",
                 np.zeros(2), "edge U -> X",
             )
         assert str(info.value) == "update for edge U -> X is degenerate (sum 0.0)"
@@ -444,7 +449,7 @@ class TestScoreEdges:
             )
             derivs = cpt_derivatives(st, aug_all.cpt(rec.clone))
             true_marg = posterior_marginal(st, s.parent)
-            pr_ep, d_pm, _ = single_edge_evaluate(derivs, s.params)
+            pr_ep, d_pm, _ = single_edge_evaluate(derivs, s.params.pm, s.params.se)
             clone_posterior = s.params.pm * d_pm / pr_ep
             assert np.allclose(clone_posterior, true_marg, atol=1e-8)
 
@@ -456,7 +461,8 @@ def routed_scores(net, ev, one_pass):
     aug = augment(net, net.edges())
     records = [r for r in aug.clone_edges if r.sevid is None]
     if one_pass:
-        grads = engine_module.adjoints(engine_module.evidence_program(aug, ev), aug)
+        program = engine_module.evidence_program(aug, ev)
+        grads = engine_module.adjoints(program, engine_module.bind(program, aug))
         table, pr_e = grads.cpt, grads.pr_e
     else:
         st = compile(aug, ev)

@@ -453,7 +453,7 @@ class TestKeptTable:
         st = compile(current, evp)
         for rec, params in zip(deleted_records(current, plan), plan.params):
             g = kept_table(current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone))
-            pr, d_pm, d_se = single_edge_evaluate(g, params)
+            pr, d_pm, d_se = single_edge_evaluate(g, params.pm, params.se)
             want_pm = cpt_derivatives(st, current.cpt(rec.clone))
             want_se = cpt_derivatives(st, current.cpt(rec.sevid))[:, 0]
             assert pr == pytest.approx(st.pr_e, rel=1e-12)
@@ -695,11 +695,21 @@ class TestReplayGuards:
         with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
             ref.reference_table(net, Evidence({}), (), ("B",))
         program = engine_module.kept_program(net, Evidence({}), (), ("B",))
+        bound = engine_module.bind(program, net)
         with pytest.raises(ModelError) as replayed:
-            engine_module.replay(program, net)
+            engine_module.replay(program, bound)
         assert str(replayed.value) == str(want.value) == str(got.value)
 
-    def test_replay_on_mismatched_cpt_shapes_raises(self):
+    def test_replay_leaves_the_bound_tables_alone(self):
+        net = chain3()
+        program = engine_module.kept_program(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        bound = engine_module.bind(program, net)
+        before = list(bound)
+        first = engine_module.replay(program, bound)[0]
+        assert len(bound) == len(before) and all(a is b for a, b in zip(bound, before))
+        assert engine_module.replay(program, bound)[0].tobytes() == first.tobytes()
+
+    def test_bind_on_mismatched_cpt_shapes_raises(self):
         net = chain3()
         program = engine_module.kept_program(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
         a = Variable("A", ("a0", "a1"))
@@ -714,13 +724,19 @@ class TestReplayGuards:
             ],
         )
         with pytest.raises(ModelError, match="cpt for 'C' has shape"):
-            engine_module.replay(program, other)
+            engine_module.bind(program, other)
 
-    def test_replay_on_a_network_missing_an_input_raises(self):
+    def test_bind_on_a_network_missing_an_input_raises(self):
         program = engine_module.kept_program(chain3(), Evidence({}), (), ("C",))
         a = Variable("A", ("a0", "a1"))
         with pytest.raises(ModelError, match="unknown variable"):
-            engine_module.replay(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
+            engine_module.bind(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
+
+
+def one_pass(net, ev):
+    """One forward/backward pass of Pr(e) on (net, ev)."""
+    program = engine_module.evidence_program(net, ev)
+    return engine_module.adjoints(program, engine_module.bind(program, net))
 
 
 def adjoint_cases():
@@ -750,7 +766,7 @@ class TestAdjoints:
     def test_match_cpt_derivatives_and_posteriors(self, net, ev):
         st = compile(net, ev)
         program = engine_module.evidence_program(net, ev)
-        grads = engine_module.adjoints(program, net)
+        grads = engine_module.adjoints(program, engine_module.bind(program, net))
         # the forward pass is replay's arithmetic
         assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
         for i, inp in enumerate(program.inputs):
@@ -765,13 +781,16 @@ class TestAdjoints:
         for v in net.variables:
             want = posterior_marginal(st, v.name)
             assert np.allclose(grads.posterior(v.name), want, rtol=1e-12, atol=0)
+            # the family table is the CPT times its derivative table, bit for bit
+            family = net.cpt(v.name).shaped * grads.cpt(v.name)
+            assert grads.family(v.name).tobytes() == family.tobytes(), v.name
 
     @pytest.mark.parametrize(
         "net,ev",
         [c for c in adjoint_cases() if c.id not in ("grid4x4", "grid5x5")],
     )
     def test_posterior_and_family_match_enumeration(self, net, ev):
-        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        grads = one_pass(net, ev)
         joint = enumerate_joint(net, ev)
         hidden = set(joint.names())
         for v in net.variables:
@@ -794,7 +813,7 @@ class TestAdjoints:
         a = Variable("A", ("a0", "a1"))
         net = Network([a], [Cpt(a, (), [1.0, 0.0])])
         ev = Evidence({"A": "a1"})
-        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        grads = one_pass(net, ev)
         with pytest.raises(InconsistentEvidenceError):
             grads.posterior("A")
 
@@ -803,7 +822,7 @@ class TestAdjoints:
         net = chain3()
         net = net.replace_cpts({"B": Cpt(net.var("B"), (net.var("A"),), [0.0, 1.0, 0.6, 0.4])})
         ev = Evidence({"C": "c0"})
-        grads = engine_module.adjoints(engine_module.evidence_program(net, ev), net)
+        grads = one_pass(net, ev)
         assert grads.cpt("B")[0, 0] == pytest.approx(0.2 * 0.9, rel=1e-15)
 
     @pytest.mark.parametrize("observed", [False, True])
@@ -843,8 +862,8 @@ class TestAdjointGuards:
         aug, _, plan = approximate_network(net, net.edges()[:3])
         real = engine_module.adjoints
 
-        def corrupted(program, net):
-            grads = real(program, net)
+        def corrupted(program, bound):
+            grads = real(program, bound)
             return dataclasses.replace(grads, tables=tuple(t * (1 + 1e-6) for t in grads.tables))
 
         monkeypatch.setattr(engine_module, "adjoints", corrupted)
@@ -853,7 +872,7 @@ class TestAdjointGuards:
 
     def test_non_finite_adjoint_fails_the_euler_check(self):
         net = chain3()
-        grads = engine_module.adjoints(engine_module.evidence_program(net, Evidence({})), net)
+        grads = one_pass(net, Evidence({}))
         tables = list(grads.tables)
         tables[1] = tables[1] * np.nan
         with pytest.raises(ModelError, match="adjoint of 'B' violates"):
@@ -863,16 +882,16 @@ class TestAdjointGuards:
         net = chain3()
         program = engine_module.record(net, {}, last=("A",), maximize=("A",))
         with pytest.raises(ModelError, match="maximizing"):
-            engine_module.adjoints(program, net)
+            engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_kept_variable_program_refused(self):
         net = chain3()
         program = engine_module.kept_program(net, Evidence({}), (), ("C",))
         with pytest.raises(ModelError, match="keeps no variable"):
-            engine_module.adjoints(program, net)
+            engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_overflow_raises_the_replay_error(self):
         net = overflowing_network()
         program = engine_module.evidence_program(net, Evidence({}))
         with pytest.raises(ModelError, match="numerical overflow in factor product"):
-            engine_module.adjoints(program, net)
+            engine_module.adjoints(program, engine_module.bind(program, net))

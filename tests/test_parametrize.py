@@ -3,7 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import edgedel.deletion as deletion_module
+import edgedel.divergence as divergence_module
 import edgedel.engine as engine_module
+import edgedel.parametrize as parametrize_module
 from edgedel import (
     ConditionGaps,
     EdgeParams,
@@ -27,7 +30,7 @@ from edgedel import (
 )
 from edgedel.deletion import apply_params
 from edgedel.harness import grid_network
-from edgedel.parametrize import _sweep, true_edge_marginals
+from edgedel.parametrize import _Fit, _slots, _sweep, _write, true_edge_marginals
 
 from bp_reference import FactorGraphBP
 from conftest import (
@@ -139,6 +142,21 @@ class TestRunControl:
             nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(aug, Evidence({}))
         )
         assert report.converged and report.iterations == 1
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("vector", ["pm", "se"])
+    def test_wrong_length_vector_raises_before_any_sweep(self, monkeypatch, schedule, vector):
+        net, ev, aug, nprime, plan, evp = grid_case(k=2)
+        good = plan.params[1]
+        bad = EdgeParams(np.full(3, 1 / 3), good.se) if vector == "pm" else (
+            EdgeParams(good.pm, np.full(3, 0.5))
+        )
+        plan = plan.with_params(1, bad)
+        calls = count_engine_calls(monkeypatch, ["bind", "replay", "adjoints"])
+        cfg = IterationConfig(method="ed-kl", schedule=schedule, initialization="plan")
+        with pytest.raises(ModelError, match="N0_1 -> N0_1__clone1 have the wrong length"):
+            run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert calls == {"bind": 0, "replay": 0, "adjoints": 0}
 
     def test_edkl_without_reference_rejected(self):
         rng = np.random.default_rng(1)
@@ -378,8 +396,8 @@ class TestEdgeTableSweep:
                 edge_programs.append(real_program(*args, **kwargs))
                 return edge_programs[-1]
 
-            def corrupted(program, net):
-                g, traceback = real_replay(program, net)
+            def corrupted(program, bound):
+                g, traceback = real_replay(program, bound)
                 if any(program is p for p in edge_programs):
                     calls.append(1)
                     if len(calls) == 2:
@@ -390,23 +408,61 @@ class TestEdgeTableSweep:
             monkeypatch.setattr(engine_module, "replay", corrupted)
             message = "edge table"
         else:
-            real_adjoints, calls = engine_module.adjoints, []
+            real_program, real_adjoints = engine_module.evidence_program, engine_module.adjoints
+            nprime_programs, calls = [], []
 
-            def corrupted(program, net):
-                grads = real_adjoints(program, net)
+            def recording(net, *args, **kwargs):
+                program = real_program(net, *args, **kwargs)
                 if net.kind == "approximate":
+                    nprime_programs.append(program)
+                return program
+
+            def corrupted(program, bound):
+                grads = real_adjoints(program, bound)
+                if any(program is p for p in nprime_programs):
                     calls.append(1)
                     if len(calls) == 2:
                         tables = tuple(t * (1 + 1e-6) for t in grads.tables)
                         grads = dataclasses.replace(grads, tables=tables)
                 return grads
 
+            monkeypatch.setattr(engine_module, "evidence_program", recording)
             monkeypatch.setattr(engine_module, "adjoints", corrupted)
             message = "adjoint of .* violates the sum"
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
         with pytest.raises(ModelError, match=message):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert len(calls) == 2
+
+
+class TestBoundSlots:
+    """Writing new edge vectors into a program's bound list gives the very
+    tables ``bind`` reads off N' rebuilt with them (``apply_params``)."""
+
+    @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
+    def test_written_tables_are_the_rebuilt_network_s(self, evidence):
+        net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
+        records = deleted_records(nprime, plan)
+        if evidence == "observed-parent":
+            evp = evp.with_added({records[1].parent: "s1"})
+        elif evidence == "no-soft-evidence":
+            # the soft-evidence input is then the whole CPT
+            evp = evp.without(records[2].sevid)
+        rng = np.random.default_rng(6)
+        new = plan.with_all_params(
+            EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
+        )
+        programs = [engine_module.evidence_program(nprime, evp)] + [
+            engine_module.kept_program(nprime, evp, (r.clone, r.sevid), (r.parent, r.clone))
+            for r in records
+        ]
+        for program in programs:
+            tables = engine_module.bind(program, nprime)
+            for rec, params in zip(records, new.params):
+                _write(tables, _slots(program, rec), params.pm, params.se)
+            want = engine_module.bind(program, apply_params(nprime, new))
+            assert [t.shape for t in tables] == [w.shape for w in want]
+            assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
 
 
 class TestWorkCounts:
@@ -423,14 +479,18 @@ class TestWorkCounts:
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
             "compile", "cpt_derivatives", "kept_table", "kept_program", "replay",
-            "evidence_program", "adjoints",
+            "evidence_program", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
-        _sweep(nprime, plan, evp, "ed-kl", tm, 0.0, sequential, engine_module.WIDTH_CAP_DEFAULT)
+        vectors = [(p.pm, p.se) for p in plan.params]
+        fit = _Fit(
+            nprime, evp, deleted_records(nprime, plan), vectors, engine_module.WIDTH_CAP_DEFAULT
+        )
+        _sweep(fit, "ed-kl", tm, 0.0, sequential)
         if sequential:
-            want = {"kept_program": 4, "replay": 4}
+            want = {"kept_program": 4, "replay": 4, "bind": 4}
         else:
-            want = {"evidence_program": 1, "adjoints": 1}
+            want = {"evidence_program": 1, "adjoints": 1, "bind": 1}
         assert calls == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -438,28 +498,32 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = [
             "compile", "posterior_marginal", "kept_program", "evidence_program",
-            "record", "_order", "replay", "adjoints",
+            "record", "_order", "replay", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         true_edge_marginals(aug, ev, plan)
         own = dict(calls)
-        # true_edge_marginals: one recording and one forward/backward pass
+        # true_edge_marginals: one recording, bound once, and one
+        # forward/backward pass
         assert own == {
             **dict.fromkeys(names, 0),
-            "evidence_program": 1, "record": 1, "_order": 1, "adjoints": 1,
+            "evidence_program": 1, "record": 1, "_order": 1, "adjoints": 1, "bind": 1,
         }
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - 2 * own[name] for name in calls}
         # beyond true_edge_marginals, sequential: 4 edge recordings (one
-        # order each) and 12 replays; simultaneous: one Pr'(e') recording,
-        # and per sweep one forward/backward pass plus one replay for the
-        # KL bound
+        # order and one binding each) and 12 replays; simultaneous: one
+        # Pr'(e') recording, bound once, and per sweep one forward/backward
+        # pass plus one replay for the KL bound
         if schedule == "sequential":
-            want = {"kept_program": 4, "record": 4, "_order": 4, "replay": 12}
+            want = {"kept_program": 4, "record": 4, "_order": 4, "bind": 4, "replay": 12}
         else:
-            want = {"evidence_program": 1, "record": 1, "_order": 1, "adjoints": 3, "replay": 3}
+            want = {
+                "evidence_program": 1, "record": 1, "_order": 1, "bind": 1,
+                "adjoints": 3, "replay": 3,
+            }
         assert got == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -474,6 +538,49 @@ class TestWorkCounts:
         assert report.iterations == 3
         per_run = 1 if schedule == "simultaneous" else 0
         assert calls == {"compile": 0, "evidence_program": 1 + per_run}
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
+        # each program is bound on first use, so only the first sweep binds:
+        # k times in sequential mode, once in simultaneous mode; later sweeps
+        # only write edge vectors into the bound lists, so no sweep builds
+        # N' (apply_params) and a simultaneous sweep is one forward/backward
+        # pass plus one replay for the KL bound
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        names = ["bind", "record", "replay", "adjoints"]
+        calls = count_engine_calls(monkeypatch, names)
+        applied = []
+        for module in (parametrize_module, deletion_module, divergence_module):
+            real = module.apply_params
+
+            def counting(*args, _real=real, **kwargs):
+                applied.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "apply_params", counting)
+        starts = []
+        real_sweep = parametrize_module._sweep
+
+        def sweep(*args, **kwargs):
+            starts.append({**calls, "apply_params": len(applied)})
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(parametrize_module, "_sweep", sweep)
+        cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert report.iterations == 3
+        marks = starts + [{**calls, "apply_params": len(applied)}]
+        per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
+        if schedule == "sequential":
+            first = {"bind": 4, "record": 4, "replay": 4, "adjoints": 0}
+            later = {"bind": 0, "record": 0, "replay": 4, "adjoints": 0}
+        else:
+            first = {"bind": 1, "record": 1, "replay": 1, "adjoints": 1}
+            later = {"bind": 0, "record": 0, "replay": 1, "adjoints": 1}
+        assert per_sweep == [
+            {**first, "apply_params": 0}, {**later, "apply_params": 0},
+            {**later, "apply_params": 0},
+        ]
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
