@@ -14,7 +14,6 @@ the fitted values):
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,7 @@ from edgedel import (
 )
 from edgedel.harness import chain_network, grid_network
 
-sys.path.insert(0, str(Path(__file__).parent))
-from conftest import random_network  # noqa: E402
+from conftest import random_network
 
 GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
 
