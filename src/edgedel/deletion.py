@@ -175,10 +175,15 @@ def augment(net: Network, edges) -> Network:
     )
 
 
+def se_table(se) -> np.ndarray:
+    """The soft-evidence CPT table with positive row ``se``, shaped (parent
+    state, S' state): the observed state's column is ``se``."""
+    return np.column_stack([se, 1.0 - se])
+
+
 def _edge_cpts(clone: Variable, parent: Variable, sevid: Variable, params: EdgeParams):
     """The clone prior and the soft-evidence CPT that encode ``params``."""
-    se_table = np.column_stack([params.se, 1.0 - params.se]).reshape(-1)
-    return Cpt(clone, (), params.pm), Cpt(sevid, (parent,), se_table)
+    return Cpt(clone, (), params.pm), Cpt(sevid, (parent,), se_table(params.se))
 
 
 def delete_edges(net: Network, plan: DeletionPlan) -> Network:
@@ -291,6 +296,6 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    program = engine.evidence_program(st.net, st.evidence, st.width_cap)
+    program = engine.record(st.net, st.evidence, width_cap=st.width_cap)
     grads = engine.adjoints(program, engine.bind(program, st.net))
     return {name: grads.posterior(name) for name in nprime.original_names()}

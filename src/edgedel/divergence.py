@@ -96,7 +96,7 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     table (each checked by the Euler identity).  A non-empty plan under
     evidence of probability zero raises ``InconsistentEvidenceError``.
     """
-    program = engine.evidence_program(aug, ev, width_cap)
+    program = engine.record(aug, ev, width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, aug))
     if len(plan) and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
@@ -365,7 +365,7 @@ def score_edges(
     else:
         aug = net
     records = [r for r in aug.clone_edges if r.sevid is None]
-    program = engine.evidence_program(aug, ev, width_cap)
+    program = engine.record(aug, ev, width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, aug))
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
@@ -407,7 +407,7 @@ def mutual_information_scores(
     edge with an observed endpoint scores exactly 0.0, its conditional
     mutual information.  Ties break toward declaration order.
     """
-    program = engine.evidence_program(net, ev, width_cap)
+    program = engine.record(net, ev, width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, net))
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:

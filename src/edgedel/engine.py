@@ -5,19 +5,20 @@ derivatives (valid at zero parameters), tables of Pr(e) over kept variables
 with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
 orders with an optional eliminate-these-last constraint.
 
-Every query takes the same steps: reduce (``_factors``: which CPTs enter
+Every query takes the same steps, all inside ``record``, the one recording
+entry: check and index the evidence, reduce (``_factors``: which CPTs enter
 and which evidence slices they take), order (``_order``: one greedy min-fill
-order, checked against the width cap before any table is built), and record
-(``record``: a ``Program`` naming, bucket by bucket, the operands, each
-operand's transpose and broadcast shape, and the summed or maximized axis).
-Then ``bind`` reads the program's input tables off a network once,
-checking each CPT's shape and applying the evidence slices, and ``replay``
-runs exactly the recorded numpy operations on that list, with an argmax
-traceback for the maximized variables.  A program depends on the
-structure, the evidence and the query, not on the CPT entries, and
+order, checked against the width cap before any table is built), and
+record a ``Program`` naming, bucket by bucket, the operands, each operand's
+transpose and broadcast shape, and the summed or maximized axis.  Then
+``bind`` reads the program's input tables off a network once, each CPT
+through ``write``, which checks its shape and applies the evidence slice,
+and ``replay`` runs exactly the recorded numpy operations on that list,
+with an argmax traceback for the maximized variables.  A program depends
+on the structure, the evidence and the query, not on the CPT entries, and
 ``replay`` never writes into the bound list, so a caller that only changes
-some entries (the sweeps of ``parametrize.run``) records and binds once,
-then overwrites just those slots before each replay.
+some CPTs (the sweeps of ``parametrize.run``) records and binds once, then
+writes just those CPTs' new tables through ``write`` before each replay.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
 the CPT entries.  ``adjoints`` runs such a program forward on its bound
@@ -265,14 +266,19 @@ def _product_steps(scopes, card):
 
 
 def record(
-    net: Network, ev_index, without=(), keep=(), last=(), maximize=(), width_cap=None
+    net: Network, ev: Evidence, without=(), keep=(), last=(), maximize=(), width_cap=None
 ) -> Program:
-    """Reduce, order and record one elimination without building a table.
+    """Check the evidence against the network, then reduce, order and
+    record one elimination without building a table.
 
-    ``without``/``keep`` are as in ``_factors``; ``last`` and ``width_cap``
-    as in ``_order``; the variables in ``maximize`` are maximized out with
-    an argmax traceback instead of summed out.
+    This is the one way to record: every query and every fit program starts
+    here.  ``without``/``keep`` are as in ``_factors``; ``last`` and
+    ``width_cap`` as in ``_order``; the variables in ``maximize`` are
+    maximized out with an argmax traceback instead of summed out.  With
+    nothing kept the program computes Pr(e); bind it and run it with
+    ``replay`` or ``adjoints``.
     """
+    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
     keep = tuple(keep)
     inputs = _factors(net, ev_index, without, keep)
     elim = _order(inputs, net.decl_index, keep=set(keep), last=last, width_cap=width_cap)
@@ -312,7 +318,7 @@ def record(
         tuple(inputs), tuple(buckets), final, final_steps,
         tuple(scope.index(n) for n in keep), tuple(card[n] for n in keep), elim.width,
         {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
-        dict(ev_index),
+        ev_index,
     )
 
 
@@ -366,31 +372,40 @@ def _multiply_back(grad, prefixes, tables, operands, steps, adj):
     return grad
 
 
-def bind(program: Program, net: Network) -> list[np.ndarray]:
-    """The program's input tables, read off ``net`` once: each CPT must
-    have the shape the program was recorded for, and is sliced by the
-    program's evidence.
+def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
+    """Set the input of the CPT of ``name`` in a bound list (``bind``) to
+    ``table``, which must have the shape the program was recorded for, as
+    the program reads it: sliced by its evidence.  A program that does not
+    read that CPT is left as it was.
 
-    ``replay`` and ``adjoints`` take this list and never write into it, so
-    a caller that changes some CPTs can overwrite just their slots (each
-    sliced as here) and replay again without binding anew.
+    ``bind`` reads every CPT through here, and a caller that changes some
+    CPTs (the fit's edge tables) writes just those and replays again.
     """
-    tables = []
-    for inp in program.inputs:
-        if inp.cpt is None:
-            tables.append(inp.table)
-            continue
-        arr = net.cpt(inp.cpt).shaped
-        if arr.shape != inp.shape:
-            raise ModelError(
-                f"cpt for {inp.cpt!r} has shape {arr.shape}; "
-                f"the program was recorded for {inp.shape}"
-            )
-        if inp.take is not None:
-            # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
-            arr = np.ascontiguousarray(arr[inp.take]).reshape(inp.reduced)
-        tables.append(arr)
-    return tables
+    i = program.cpt_inputs.get(name)
+    if i is None:
+        return
+    inp = program.inputs[i]
+    if table.shape != inp.shape:
+        raise ModelError(
+            f"cpt for {name!r} has shape {table.shape}; "
+            f"the program was recorded for {inp.shape}"
+        )
+    if inp.take is not None:
+        # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
+        table = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
+    bound[i] = table
+
+
+def bind(program: Program, net: Network) -> list[np.ndarray]:
+    """The program's input tables, read off ``net`` once: each CPT through
+    ``write``.
+
+    ``replay`` and ``adjoints`` take this list and never write into it.
+    """
+    bound = [inp.table for inp in program.inputs]
+    for name in program.cpt_inputs:
+        write(program, bound, name, net.cpt(name).shaped)
+    return bound
 
 
 def replay(program: Program, bound: list) -> tuple[np.ndarray, list]:
@@ -583,22 +598,9 @@ class EngineState:
         self._ev_index = ev_index
 
 
-def _evidence_index(net: Network, ev: Evidence) -> dict[str, int]:
-    return {name: net.var(name).index_of(state) for name, state in ev.items()}
-
-
-def evidence_program(
-    net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT
-) -> Program:
-    """Check the evidence against the network and record the elimination
-    of Pr(e); bind it and run it with ``replay`` or ``adjoints``."""
-    ev.validate(net)
-    return record(net, _evidence_index(net, ev), width_cap=width_cap)
-
-
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
-    program = evidence_program(net, ev, width_cap)
+    program = record(net, ev, width_cap=width_cap)
     pr_e = float(replay(program, bind(program, net))[0])
     return EngineState(net, ev, program.width, width_cap, pr_e, program.ev_index)
 
@@ -612,7 +614,7 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
         out = np.zeros(var.card)
         out[st._ev_index[name]] = 1.0
         return out
-    program = record(st.net, st._ev_index, keep=(name,))
+    program = record(st.net, st.evidence, keep=(name,))
     table, _ = replay(program, bind(program, st.net))
     return table / st.pr_e
 
@@ -634,18 +636,10 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     elif b_obs:
         out[:, st._ev_index[b]] = posterior_marginal(st, a)
     else:
-        program = record(st.net, st._ev_index, keep=(a, b))
+        program = record(st.net, st.evidence, keep=(a, b))
         table, _ = replay(program, bind(program, st.net))
         out = table / st.pr_e
     return out
-
-
-def kept_program(
-    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
-) -> Program:
-    """The recorded elimination behind ``kept_table``; bind it to any
-    network with ``net``'s structure and replay it."""
-    return record(net, _evidence_index(net, ev), without, keep, width_cap=width_cap)
 
 
 def kept_table(
@@ -659,7 +653,7 @@ def kept_table(
     deleted edge's clone prior and soft-evidence CPT and keeping (parent,
     clone) gives the table ``g`` with Pr'(e') = se g pm.
     """
-    program = kept_program(net, ev, without, keep, width_cap)
+    program = record(net, ev, without, keep, width_cap=width_cap)
     return replay(program, bind(program, net))[0]
 
 
@@ -689,14 +683,12 @@ def exact_map(
     traceback.  Ties break toward the lowest state index at each traceback
     step.
     """
-    ev.validate(net)
-    ev_index = _evidence_index(net, ev)
     map_list = list(dict.fromkeys(map_vars))
     for name in map_list:
         net.var(name)
-    assignment = {name: ev[name] for name in map_list if name in ev_index}
-    hidden_map = [name for name in map_list if name not in ev_index]
-    program = record(net, ev_index, last=hidden_map, maximize=hidden_map, width_cap=width_cap)
+    assignment = {name: ev[name] for name in map_list if name in ev}
+    hidden_map = [name for name in map_list if name not in ev]
+    program = record(net, ev, last=hidden_map, maximize=hidden_map, width_cap=width_cap)
     value, traceback = replay(program, bind(program, net))
     q = float(value)
 

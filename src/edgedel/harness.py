@@ -25,7 +25,6 @@ from .deletion import (
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
 from .model import (
-    ENUM_CAP_DEFAULT,
     CapacityError,
     Cpt,
     Evidence,
@@ -163,6 +162,10 @@ class ExperimentSpec:
             raise ModelError("instances must be >= 1")
         if self.evidence not in EVIDENCE_MODES:
             raise ModelError(f"unknown evidence mode {self.evidence!r}")
+        if any(k < 0 for k in self.ks):
+            raise ModelError("k values must be >= 0")
+        if self.states < 2:
+            raise ModelError("states must be >= 2")
         for m in self.methods:
             parametrize.IterationConfig(
                 method=m,
@@ -283,20 +286,19 @@ def run_deletion_instance(
     exact = None
     if compute_exact_kl:
         try:
-            exact = divergence.exact_kl(net, nprime, plan, ev, evp, cap=ENUM_CAP_DEFAULT)
+            exact = divergence.exact_kl(net, nprime, plan, ev, evp)
             if -1e-9 <= exact < 0.0:
                 exact = 0.0
         except CapacityError:
             exact = None
-    current = apply_params(nprime, plan)
     map_result = None
     if map_vars is None:
-        width = min_fill_order(current).width
+        width = min_fill_order(nprime).width
     else:
         map_result = approximate_map_quality(
             aug, nprime, plan, ev, evp, map_vars, width_cap=width_cap
         )
-        width = constrained_order(current, map_vars).width
+        width = constrained_order(nprime, map_vars).width
     elapsed_ms = int(round((time.perf_counter() - start) * 1000)) if real_timings else 0
     row = ReportRow(
         network=network_id,
@@ -314,6 +316,7 @@ def run_deletion_instance(
     )
     outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
+        current = apply_params(nprime, plan)
         st = engine.compile(current, evp, width_cap)
         outcome.marginals = recover_marginals(current, plan, st)
     return outcome

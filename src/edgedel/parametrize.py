@@ -13,6 +13,11 @@ between the source network and its approximation.
 ``run`` is the one entry point: the method, the schedule, the number of
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
+Its programs come from ``engine.record`` and are bound once; an edge's new
+(pm, se) reach them as whole edge tables, the clone prior and the
+soft-evidence CPT that ``apply_params`` would install
+(``deletion.se_table``), each sliced by ``engine.write`` as ``bind``
+slices it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import engine
-from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records
+from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records, se_table
 from .divergence import (
     edge_update,
     kl_breakdown,
@@ -120,95 +125,63 @@ def _start_vectors(nprime, records, plan):
     return vectors
 
 
-def _slots(program, rec):
-    """Where ``program`` reads one deleted edge's vectors: a (position,
-    source, index, shape) per input it has of the edge's clone prior or
-    soft-evidence CPT.
-
-    The input is ``source`` ("pm", "se", or "table": the whole
-    soft-evidence CPT) indexed by ``index`` (None: all of it) and reshaped
-    to ``shape``, which gives ``bind``'s evidence slice of the CPT.  Under
-    augmented evidence the soft-evidence variable is observed positive, so
-    that slice is the ``se`` column, sliced once more if the parent is
-    observed.
-    """
-    out = []
-    for name, source in ((rec.clone, "pm"), (rec.sevid, "se")):
-        i = program.cpt_inputs.get(name)
-        if i is None:
-            continue
-        index = program.inputs[i].take
-        if source == "se":
-            if index is None or index[1] != 0:
-                source = "table"
-            else:
-                index = None if index[0] == slice(None) else index[:1]
-        out.append((i, source, index, program.inputs[i].reduced))
-    return out
-
-
-def _write(tables, slots, pm, se):
-    """Write one edge's vectors into a bound list at its ``_slots``."""
-    for i, source, index, shape in slots:
-        if source == "table":
-            vec = np.column_stack([se, 1.0 - se])
-        else:
-            vec = pm if source == "pm" else se
-        if index is not None:
-            vec = np.ascontiguousarray(vec[index]).reshape(shape)
-        tables[i] = vec
-
-
 class _Fit:
     """One ``run``'s current edge vectors and its recorded programs, each
     bound once to N' (``engine.bind``).
 
-    A program is recorded and bound on first use; from then on, setting an
-    edge's vectors writes them into the slots where every bound program
-    reads that edge's clone prior and soft-evidence CPT (``_slots``), and
-    no other input is read again.
+    Setting an edge's vectors builds its clone prior and soft-evidence CPT
+    tables once and writes them into every bound program through
+    ``engine.write``, which slices them as ``bind`` does.  A program is
+    recorded and bound on first use, and then takes every edge's current
+    tables the same way; no other input is read again.
     """
 
     def __init__(self, nprime, evp, records, vectors, width_cap):
         self.nprime = nprime
         self.evp = evp
         self.records = records
-        self.vectors = vectors
         self.width_cap = width_cap
         # plan index (an edge's (parent, clone) program) or None (Pr'(e'))
-        # -> (program, bound tables, per-edge slots)
+        # -> (program, bound tables)
         self.bound = {}
+        self.vectors = [None] * len(records)
+        # per edge: its (CPT name, table) pairs at the current vectors
+        self.tables = [None] * len(records)
+        for j, (pm, se) in enumerate(vectors):
+            self.set(j, pm, se)
 
     def _bind(self, key, program):
         tables = engine.bind(program, self.nprime)
-        slots = [_slots(program, rec) for rec in self.records]
-        for j, (pm, se) in enumerate(self.vectors):
-            _write(tables, slots[j], pm, se)
-        self.bound[key] = (program, tables, slots)
+        for edge in self.tables:
+            for name, table in edge:
+                engine.write(program, tables, name, table)
+        self.bound[key] = (program, tables)
 
     def edge_table(self, i):
         """The table g over (parent, clone) of N' without edge i's clone
         prior and soft-evidence CPT, at the current vectors."""
         if i not in self.bound:
             rec = self.records[i]
-            self._bind(i, engine.kept_program(
+            self._bind(i, engine.record(
                 self.nprime, self.evp, (rec.clone, rec.sevid), (rec.parent, rec.clone),
-                self.width_cap,
+                width_cap=self.width_cap,
             ))
-        program, tables, _ = self.bound[i]
-        return engine.replay(program, tables)[0]
+        return engine.replay(*self.bound[i])[0]
 
     def evidence(self):
         """The Pr'(e') program and its bound tables at the current vectors."""
         if None not in self.bound:
-            self._bind(None, engine.evidence_program(self.nprime, self.evp, self.width_cap))
-        return self.bound[None][:2]
+            self._bind(None, engine.record(self.nprime, self.evp, width_cap=self.width_cap))
+        return self.bound[None]
 
     def set(self, j, pm, se):
         """Make (pm, se) edge j's vectors in every bound program."""
+        rec = self.records[j]
         self.vectors[j] = (pm, se)
-        for _, tables, slots in self.bound.values():
-            _write(tables, slots[j], pm, se)
+        self.tables[j] = ((rec.clone, pm), (rec.sevid, se_table(se)))
+        for program, tables in self.bound.values():
+            for name, table in self.tables[j]:
+                engine.write(program, tables, name, table)
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
@@ -216,7 +189,7 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     Pr'(e') at the new vectors, or None in simultaneous mode).
 
     A sweep reads N' only through ``fit``'s bound programs, and writes only
-    the edges' new (pm, se) vectors into them (``_Fit.set``).
+    the edges' new tables into them (``_Fit.set``).
 
     Sequential mode costs one replay per edge: the table g over (parent,
     clone) of N' with that edge's clone prior and soft-evidence CPT left
@@ -273,8 +246,8 @@ def run(
 
     Every elimination a sweep needs is recorded and bound to N' once per
     run, on first use (see ``_Fit``): N' keeps its structure and evidence,
-    and a sweep writes only the edges' new (pm, se) vectors into the bound
-    lists before replaying them.  The vectors stay plain arrays inside the
+    and a sweep writes only the edges' new clone-prior and soft-evidence
+    tables into the bound lists before replaying them.  The vectors stay plain arrays inside the
     loop; the returned plan holds one ``EdgeParams`` per edge, built at the
     end.  Sequential sweeps replay one (parent, clone) program per deleted
     edge; simultaneous sweeps make one forward/backward pass of the run's
@@ -357,7 +330,7 @@ def check_conditions(
     """
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
-    program = engine.evidence_program(current, evp, width_cap)
+    program = engine.record(current, evp, width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, current))
     true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
     match_gaps = []

@@ -197,12 +197,21 @@ seed = 17
     def test_missing_spec_file_exits_3(self, capsys):
         assert main(["experiment", "/nonexistent.spec"]) == 3
 
-    def test_bad_fit_value_exits_3_without_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            pytest.param("tol = -1", "tolerance must be positive", id="tol = -1"),
+            # ranked[:-1] would delete all edges but one
+            pytest.param("k = -1,1", "k values must be >= 0", id="k = -1,1"),
+            pytest.param("states = 1", "states must be >= 2", id="states = 1"),
+        ],
+    )
+    def test_bad_fit_value_exits_3_without_rows(self, tmp_path, capsys, line, message):
         spec_file = tmp_path / "bad.spec"
-        spec_file.write_text(self.SPEC + "tol = -1\n")
+        spec_file.write_text(self.SPEC + line + "\n")
         out = tmp_path / "bad.csv"
         assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
-        assert "tolerance must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_file_network_source(self, tmp_path, fixture_files, capsys):

@@ -461,7 +461,7 @@ def routed_scores(net, ev, one_pass):
     aug = augment(net, net.edges())
     records = [r for r in aug.clone_edges if r.sevid is None]
     if one_pass:
-        program = engine_module.evidence_program(aug, ev)
+        program = engine_module.record(aug, ev)
         grads = engine_module.adjoints(program, engine_module.bind(program, aug))
         table, pr_e = grads.cpt, grads.pr_e
     else:

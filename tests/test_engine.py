@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgedel.engine as engine_module
 from edgedel import (
@@ -641,7 +643,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, rng=np.random.default_rng(23))
         ev = Evidence({"X4": "s1", "X8": "s0"})
         without, keep = ("X5",), ("X4", "X5")
-        program = engine_module.kept_program(net, ev, without, keep)
+        program = engine_module.record(net, ev, without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X4",), [0.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -651,7 +653,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, states=3, rng=np.random.default_rng(24))
         ev = Evidence({"X3": "s2"})
         without, keep = ("X8",), ("X7", "X8")
-        program = engine_module.kept_program(net, ev, without, keep)
+        program = engine_module.record(net, ev, without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X8",), [1.0, 1.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -660,7 +662,7 @@ class TestReplayMatchesFactorLoop:
     def test_scalar_intermediates(self):
         net = chain_network(8, rng=np.random.default_rng(25))
         ev = Evidence({f"X{i}": "s0" for i in range(2, 9)})
-        program = engine_module.record(net, engine_module._evidence_index(net, ev))
+        program = engine_module.record(net, ev)
         assert [b.shape for b in program.buckets] == [()]
         assert all(inp.reduced == () for inp in program.inputs[2:])
         st = compile(net, ev)
@@ -673,7 +675,7 @@ class TestReplayMatchesFactorLoop:
     def test_fully_observed_network_has_no_buckets(self):
         net = grid_network(3, 3, states=3, rng=np.random.default_rng(26))
         ev = Evidence({v.name: v.states[1] for v in net.variables})
-        program = engine_module.record(net, engine_module._evidence_index(net, ev))
+        program = engine_module.record(net, ev)
         assert program.buckets == () and len(program.final) == len(net.variables)
         assert np.float64(compile(net, ev).pr_e).tobytes() == np.float64(
             ref.reference_pr_e(net, ev)
@@ -694,7 +696,7 @@ class TestReplayGuards:
             kept_table(net, Evidence({}), (), ("B",))
         with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
             ref.reference_table(net, Evidence({}), (), ("B",))
-        program = engine_module.kept_program(net, Evidence({}), (), ("B",))
+        program = engine_module.record(net, Evidence({}), (), ("B",))
         bound = engine_module.bind(program, net)
         with pytest.raises(ModelError) as replayed:
             engine_module.replay(program, bound)
@@ -702,7 +704,7 @@ class TestReplayGuards:
 
     def test_replay_leaves_the_bound_tables_alone(self):
         net = chain3()
-        program = engine_module.kept_program(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        program = engine_module.record(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
         bound = engine_module.bind(program, net)
         before = list(bound)
         first = engine_module.replay(program, bound)[0]
@@ -711,7 +713,7 @@ class TestReplayGuards:
 
     def test_bind_on_mismatched_cpt_shapes_raises(self):
         net = chain3()
-        program = engine_module.kept_program(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        program = engine_module.record(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1", "b2"))
         c = Variable("C", ("c0", "c1"))
@@ -727,7 +729,7 @@ class TestReplayGuards:
             engine_module.bind(program, other)
 
     def test_bind_on_a_network_missing_an_input_raises(self):
-        program = engine_module.kept_program(chain3(), Evidence({}), (), ("C",))
+        program = engine_module.record(chain3(), Evidence({}), (), ("C",))
         a = Variable("A", ("a0", "a1"))
         with pytest.raises(ModelError, match="unknown variable"):
             engine_module.bind(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
@@ -735,7 +737,7 @@ class TestReplayGuards:
 
 def one_pass(net, ev):
     """One forward/backward pass of Pr(e) on (net, ev)."""
-    program = engine_module.evidence_program(net, ev)
+    program = engine_module.record(net, ev)
     return engine_module.adjoints(program, engine_module.bind(program, net))
 
 
@@ -765,7 +767,7 @@ class TestAdjoints:
     @pytest.mark.parametrize("net,ev", adjoint_cases())
     def test_match_cpt_derivatives_and_posteriors(self, net, ev):
         st = compile(net, ev)
-        program = engine_module.evidence_program(net, ev)
+        program = engine_module.record(net, ev)
         grads = engine_module.adjoints(program, engine_module.bind(program, net))
         # the forward pass is replay's arithmetic
         assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
@@ -880,18 +882,111 @@ class TestAdjointGuards:
 
     def test_maximize_program_refused(self):
         net = chain3()
-        program = engine_module.record(net, {}, last=("A",), maximize=("A",))
+        program = engine_module.record(net, Evidence({}), last=("A",), maximize=("A",))
         with pytest.raises(ModelError, match="maximizing"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_kept_variable_program_refused(self):
         net = chain3()
-        program = engine_module.kept_program(net, Evidence({}), (), ("C",))
+        program = engine_module.record(net, Evidence({}), (), ("C",))
         with pytest.raises(ModelError, match="keeps no variable"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_overflow_raises_the_replay_error(self):
         net = overflowing_network()
-        program = engine_module.evidence_program(net, Evidence({}))
+        program = engine_module.record(net, Evidence({}))
         with pytest.raises(ModelError, match="numerical overflow in factor product"):
             engine_module.adjoints(program, engine_module.bind(program, net))
+
+
+def degenerate_instance(net, rng, share, impossible):
+    """``net`` with about ``share`` of its CPT rows made deterministic
+    (one-hot) and as many given one zero entry, plus evidence on up to three
+    variables.  With ``impossible`` set, the first observed variable's rows
+    all put their mass on state 0 while it is observed in its last state,
+    so Pr(e) = 0."""
+    names = [v.name for v in net.variables]
+    observed = [names[int(i)] for i in rng.permutation(len(names))[: int(rng.integers(0, 4))]]
+    if impossible and not observed:
+        observed = [names[int(rng.integers(len(names)))]]
+    cpts = {}
+    for cpt in net.cpts():
+        rows = cpt.shaped.reshape(-1, cpt.child.card).copy()
+        for row in rows:
+            u = rng.random()
+            if u < share:
+                row[:] = 0.0
+                row[rng.integers(row.size)] = 1.0
+            elif u < 2 * share:
+                row[rng.integers(row.size)] = 0.0
+                row /= row.sum()
+        if impossible and cpt.child.name == observed[0]:
+            rows[:] = 0.0
+            rows[:, 0] = 1.0
+        cpts[cpt.child.name] = Cpt(cpt.child, cpt.parents, rows)
+    ev = {}
+    for i, name in enumerate(observed):
+        var = net.var(name)
+        ev[name] = var.states[-1] if impossible and i == 0 else var.states[int(rng.integers(var.card))]
+    return net.replace_cpts(cpts), Evidence(ev)
+
+
+class TestAgainstEnumeration:
+    """Differential tests against the enumeration oracle on random DAGs of
+    2- to 4-state variables, with zero and deterministic CPT rows and
+    evidence that may have probability zero."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 6),
+        share=st.sampled_from([0.0, 0.2, 0.5]),
+        impossible=st.booleans(),
+    )
+    def test_replay_adjoints_and_map(self, seed, n_vars, share, impossible):
+        rng = np.random.default_rng(seed)
+        net, ev = degenerate_instance(random_network(rng, n_vars, max_card=4), rng, share, impossible)
+        joint = enumerate_joint(net, ev)
+        total = joint.total()
+        if impossible:
+            assert total == 0.0
+        tol = dict(rtol=1e-12, atol=1e-15 * total)
+
+        program = engine_module.record(net, ev)
+        bound = engine_module.bind(program, net)
+        pr_e = float(engine_module.replay(program, bound)[0])
+        assert np.isclose(pr_e, total, **tol)
+        assert (pr_e == 0.0) == (total == 0.0)
+
+        grads = engine_module.adjoints(program, bound)
+        assert grads.pr_e == pr_e
+        hidden = set(joint.names())
+        for v in net.variables:
+            cpt = net.cpt(v.name)
+            family = [p.name for p in cpt.parents] + [v.name]
+            free = [n for n in family if n in hidden]
+            want = np.zeros(cpt.shape)
+            at = tuple(net.var(n).index_of(ev[n]) if n in ev else slice(None) for n in family)
+            want[at] = joint.marginalize_to(set(free)).reorder(free).values
+            assert np.allclose(grads.family(v.name), want, **tol), v.name
+            if total == 0.0:
+                with pytest.raises(InconsistentEvidenceError):
+                    grads.posterior(v.name)
+            else:
+                want = brute_posterior(net, ev, v.name)
+                assert np.allclose(grads.posterior(v.name), want, rtol=1e-9, atol=1e-12)
+
+        map_vars = [v.name for v in net.variables if rng.random() < 0.5]
+        map_hidden = [n for n in map_vars if n in hidden]
+        if total == 0.0:
+            with pytest.warns(RuntimeWarning, match="MAP value is zero"):
+                m, q = exact_map(net, ev, map_vars)
+            assert q == 0.0
+        else:
+            m, q = exact_map(net, ev, map_vars)
+            table = joint.marginalize_to(set(map_hidden)).reorder(map_hidden)
+            assert np.isclose(q, table.values.max(), **tol)
+            chosen = {n: net.var(n).index_of(m[n]) for n in map_hidden}
+            assert np.isclose(table.value_at(chosen), q, **tol)
+        assert sorted(m) == sorted(set(map_vars))
+        assert all(m[n] == ev[n] for n in map_vars if n in ev)

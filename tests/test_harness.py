@@ -136,7 +136,11 @@ class TestExperimentSpec:
             parse_experiment_spec("network = chain(3)\nmethods = gibbs\n")
 
     @pytest.mark.parametrize(
-        "line", ["tol = -1", "tol = 0", "max_iters = -1", "damping = 1", "damping = -0.1"]
+        "line",
+        [
+            "tol = -1", "tol = 0", "max_iters = -1", "damping = 1", "damping = -0.1",
+            "k = -1,1", "states = 1",
+        ],
     )
     def test_bad_fit_values_rejected(self, line):
         with pytest.raises(ModelError):

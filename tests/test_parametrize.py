@@ -30,7 +30,7 @@ from edgedel import (
 )
 from edgedel.deletion import apply_params
 from edgedel.harness import grid_network
-from edgedel.parametrize import _Fit, _slots, _sweep, _write, true_edge_marginals
+from edgedel.parametrize import _Fit, _sweep, true_edge_marginals
 
 from bp_reference import FactorGraphBP
 from conftest import (
@@ -388,13 +388,16 @@ class TestEdgeTableSweep:
         # simultaneous: the second adjoint pass on N' is, and the Euler check
         # on the first derivative it reads fails
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
+        real_record = engine_module.record
         if schedule == "sequential":
-            real_program, real_replay = engine_module.kept_program, engine_module.replay
+            real_replay = engine_module.replay
             edge_programs, calls = [], []
 
             def recording(*args, **kwargs):
-                edge_programs.append(real_program(*args, **kwargs))
-                return edge_programs[-1]
+                program = real_record(*args, **kwargs)
+                if program.shape != ():
+                    edge_programs.append(program)
+                return program
 
             def corrupted(program, bound):
                 g, traceback = real_replay(program, bound)
@@ -404,15 +407,14 @@ class TestEdgeTableSweep:
                         g = g * (1 + 1e-6)
                 return g, traceback
 
-            monkeypatch.setattr(engine_module, "kept_program", recording)
             monkeypatch.setattr(engine_module, "replay", corrupted)
             message = "edge table"
         else:
-            real_program, real_adjoints = engine_module.evidence_program, engine_module.adjoints
+            real_adjoints = engine_module.adjoints
             nprime_programs, calls = [], []
 
             def recording(net, *args, **kwargs):
-                program = real_program(net, *args, **kwargs)
+                program = real_record(net, *args, **kwargs)
                 if net.kind == "approximate":
                     nprime_programs.append(program)
                 return program
@@ -426,9 +428,9 @@ class TestEdgeTableSweep:
                         grads = dataclasses.replace(grads, tables=tables)
                 return grads
 
-            monkeypatch.setattr(engine_module, "evidence_program", recording)
             monkeypatch.setattr(engine_module, "adjoints", corrupted)
             message = "adjoint of .* violates the sum"
+        monkeypatch.setattr(engine_module, "record", recording)
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
         with pytest.raises(ModelError, match=message):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
@@ -436,8 +438,9 @@ class TestEdgeTableSweep:
 
 
 class TestBoundSlots:
-    """Writing new edge vectors into a program's bound list gives the very
-    tables ``bind`` reads off N' rebuilt with them (``apply_params``)."""
+    """Writing new edge vectors into the fit's bound lists (``_Fit.set``,
+    before or after a program is bound) gives the very tables ``bind``
+    reads off N' rebuilt with them (``apply_params``)."""
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
@@ -452,14 +455,19 @@ class TestBoundSlots:
         new = plan.with_all_params(
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
         )
-        programs = [engine_module.evidence_program(nprime, evp)] + [
-            engine_module.kept_program(nprime, evp, (r.clone, r.sevid), (r.parent, r.clone))
-            for r in records
-        ]
-        for program in programs:
-            tables = engine_module.bind(program, nprime)
-            for rec, params in zip(records, new.params):
-                _write(tables, _slots(program, rec), params.pm, params.se)
+        fit = _Fit(
+            nprime, evp, records, [(p.pm, p.se) for p in plan.params],
+            engine_module.WIDTH_CAP_DEFAULT,
+        )
+        # edge 0 is set before any program is bound, so binding writes it
+        fit.set(0, new.params[0].pm, new.params[0].se)
+        fit.evidence()
+        for i in range(len(records)):
+            fit.edge_table(i)
+        for j, params in enumerate(new.params[1:], start=1):
+            fit.set(j, params.pm, params.se)
+        assert len(fit.bound) == 1 + len(records)
+        for program, tables in fit.bound.values():
             want = engine_module.bind(program, apply_params(nprime, new))
             assert [t.shape for t in tables] == [w.shape for w in want]
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
@@ -478,8 +486,7 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
-            "compile", "cpt_derivatives", "kept_table", "kept_program", "replay",
-            "evidence_program", "adjoints", "bind",
+            "compile", "cpt_derivatives", "kept_table", "record", "replay", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         vectors = [(p.pm, p.se) for p in plan.params]
@@ -488,17 +495,16 @@ class TestWorkCounts:
         )
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         if sequential:
-            want = {"kept_program": 4, "replay": 4, "bind": 4}
+            want = {"record": 4, "replay": 4, "bind": 4}
         else:
-            want = {"evidence_program": 1, "adjoints": 1, "bind": 1}
+            want = {"record": 1, "adjoints": 1, "bind": 1}
         assert calls == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = [
-            "compile", "posterior_marginal", "kept_program", "evidence_program",
-            "record", "_order", "replay", "adjoints", "bind",
+            "compile", "posterior_marginal", "record", "_order", "replay", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         true_edge_marginals(aug, ev, plan)
@@ -507,7 +513,7 @@ class TestWorkCounts:
         # forward/backward pass
         assert own == {
             **dict.fromkeys(names, 0),
-            "evidence_program": 1, "record": 1, "_order": 1, "adjoints": 1, "bind": 1,
+            "record": 1, "_order": 1, "adjoints": 1, "bind": 1,
         }
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
@@ -518,12 +524,9 @@ class TestWorkCounts:
         # Pr'(e') recording, bound once, and per sweep one forward/backward
         # pass plus one replay for the KL bound
         if schedule == "sequential":
-            want = {"kept_program": 4, "record": 4, "_order": 4, "bind": 4, "replay": 12}
+            want = {"record": 4, "_order": 4, "bind": 4, "replay": 12}
         else:
-            want = {
-                "evidence_program": 1, "record": 1, "_order": 1, "bind": 1,
-                "adjoints": 3, "replay": 3,
-            }
+            want = {"record": 1, "_order": 1, "bind": 1, "adjoints": 3, "replay": 3}
         assert got == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -532,12 +535,25 @@ class TestWorkCounts:
         # recording on the source network, and simultaneous mode records
         # Pr'(e') once per run and replays it every sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = count_engine_calls(monkeypatch, ["compile", "evidence_program"])
+        calls = count_engine_calls(monkeypatch, ["compile"])
+        real_record = engine_module.record
+        kept = []
+
+        def recording(*args, **kwargs):
+            program = real_record(*args, **kwargs)
+            kept.append(program.shape != ())
+            return program
+
+        monkeypatch.setattr(engine_module, "record", recording)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
+        # Pr(e) recordings keep nothing; the 4 sequential edge programs keep
+        # (parent, clone)
         per_run = 1 if schedule == "simultaneous" else 0
-        assert calls == {"compile": 0, "evidence_program": 1 + per_run}
+        assert calls == {"compile": 0}
+        assert kept.count(False) == 1 + per_run
+        assert kept.count(True) == (0 if per_run else 4)
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
