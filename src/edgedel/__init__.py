@@ -36,7 +36,6 @@ from .engine import (
     cpt_derivatives,
     exact_map,
     induced_width,
-    kept_table,
     min_fill_order,
     pairwise_marginal,
     posterior_marginal,

@@ -7,7 +7,7 @@ Commands:
   experiment  run a seeded (instance x method x selection x k) matrix to CSV
 
 Exit codes: 0 success/converged, 2 not converged, 3 input error,
-4 capacity (width or enumeration cap).
+4 capacity (induced width cap).
 """
 
 from __future__ import annotations
@@ -178,9 +178,7 @@ def cmd_map(args) -> int:
     edges, warm = _resolve_edges(
         net, ev, args, lambda n: constrained_order(n, map_vars).width
     )
-    outcome = _run_deletion(
-        args, net, ev, edges, warm, compute_exact_kl=False, map_vars=map_vars
-    )
+    outcome = _run_deletion(args, net, ev, edges, warm, map_vars=map_vars)
     result = outcome.map_result
     for name in map_vars:
         sys.stdout.write(f"{name} = {result.assignment[name]}\n")

@@ -4,12 +4,12 @@
 closed form: one term per deleted edge built from the true parent posterior
 and the edge parameters, plus a log-ratio of evidence probabilities.  This
 quantity upper-bounds ``exact_kl``, the divergence between the posteriors
-restricted to the source variables, which is computed here by brute-force
-enumeration.
-
-``true_edge_marginals`` reads the true parent posteriors, which the
-bound's edge terms and the ed-kl update need, off one forward/backward pass
-on the source network.  ``edge_update`` is the one fixed-point update of a
+restricted to the source variables, which is local too: only the families
+of the deleted edges' children and one soft-evidence term per edge differ.
+Both read the true families and parent posteriors off one forward/backward
+pass on the source network (``engine.adjoints``), as
+``true_edge_marginals`` reads the parent posteriors that the ed-kl update
+needs.  ``edge_update`` is the one fixed-point update of a
 single deleted edge (ed-bp or ed-kl), read off an evaluator of Pr'(e') and
 its derivatives with respect to the edge's parameters; the parametrization
 sweeps call it once per edge.  ``score_edges`` ranks every network edge by
@@ -34,13 +34,12 @@ from . import engine
 from .deletion import DeletionPlan, EdgeParams, apply_params, augment
 from .engine import WIDTH_CAP_DEFAULT
 from .model import (
-    ENUM_CAP_DEFAULT,
     DegenerateUpdateError,
     Evidence,
     InconsistentEvidenceError,
     ModelError,
     Network,
-    enumerate_joint,
+    enumerate_joint,  # noqa: F401 (unused here; perfbench/test_perfbench.py checks it)
 )
 
 INNER_MAX_ITERATIONS = 50
@@ -105,6 +104,24 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     return [posteriors[rec.parent] for rec in plan.edges], grads.pr_e
 
 
+def _passes(source, nprime, plan, ev, evp, width_cap) -> tuple[engine.Adjoints, float]:
+    """A forward/backward pass of Pr(e) on ``source``, and Pr'(e') from a
+    replay on N' with the plan's parameters.  Evidence of probability zero
+    on either side raises ``InconsistentEvidenceError``."""
+    program = engine.record(source, ev, width_cap=width_cap)
+    grads = engine.adjoints(program, engine.bind(program, source))
+    if grads.pr_e <= 0.0:
+        raise InconsistentEvidenceError("source network: evidence has zero probability")
+    current = apply_params(nprime, plan)
+    program = engine.record(current, evp, width_cap=width_cap)
+    pr_ep = float(engine.replay(program, engine.bind(program, current))[0])
+    if pr_ep <= 0.0:
+        raise InconsistentEvidenceError(
+            "approximate network: augmented evidence has zero probability"
+        )
+    return grads, pr_ep
+
+
 def kl_bound(
     aug: Network,
     nprime: Network,
@@ -115,16 +132,18 @@ def kl_bound(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
     """Closed-form divergence over all augmented-network variables."""
-    marginals, pr_e = true_edge_marginals(aug, ev, plan, width_cap)
-    if pr_e <= 0.0:
-        raise InconsistentEvidenceError("source network: evidence has zero probability")
-    st_p = engine.compile(apply_params(nprime, plan), evp, width_cap)
-    if st_p.pr_e <= 0.0:
-        raise InconsistentEvidenceError(
-            "approximate network: augmented evidence has zero probability"
-        )
+    grads, pr_ep = _passes(aug, nprime, plan, ev, evp, width_cap)
+    marginals = [grads.posterior(rec.parent) for rec in plan.edges]
     vectors = [(p.pm, p.se) for p in plan.params]
-    return kl_breakdown(marginals, vectors, pr_e, st_p.pr_e)
+    return kl_breakdown(marginals, vectors, grads.pr_e, pr_ep)
+
+
+def _log_ratio_mass(p, num, den) -> float:
+    """sum(p * log(num / den)) where p > 0; inf if den = 0 at such an entry."""
+    mass = p > 0.0
+    if np.any(den[mass] <= 0.0):
+        return math.inf
+    return float(np.sum(p[mass] * np.log(num[mass] / den[mass])))
 
 
 def exact_kl(
@@ -134,32 +153,37 @@ def exact_kl(
     ev: Evidence,
     evp: Evidence,
     *,
-    cap: int = ENUM_CAP_DEFAULT,
+    width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> float:
     """Divergence between the two posteriors restricted to source variables.
 
-    ``source`` is the source network or its augmentation; both give the same
-    posterior over the source variables, and the source network enumerates
-    fewer worlds (no clone axes).  Clone variables are summed out first.
-    Both posteriors are materialized by enumeration, so this refuses on
-    networks beyond the cap.
+    ``source`` is the source network or its augmentation: both give the same
+    posterior and family layout (``augment`` puts a clone in its parent's
+    axis).  Summing the deleted clones out of N' leaves the source structure
+    with a factor se(u) per deleted edge, and, for a child X of deleted
+    edges, X's N' CPT theta_X with each clone axis contracted against the
+    clone's prior ``pm`` (theta'_X).  So KL = sum_X sum_fam Pr(fam | e)
+    log(theta_X / theta'_X) - sum_edges sum_u Pr(u | e) log se(u) +
+    log(Pr'(e') / Pr(e)), adding nothing where the true mass is zero and
+    inf where it meets theta'_X = 0 or se(u) = 0.
     """
-    originals = set(source.original_names())
-    joint = enumerate_joint(source, ev, cap)
-    p = joint.marginalize_to(originals & set(joint.names())).normalize()
-    current = apply_params(nprime, plan)
-    joint_p = enumerate_joint(current, evp, cap)
-    q = joint_p.marginalize_to(originals & set(joint_p.names())).normalize()
-    if set(p.names()) != set(q.names()):
-        raise ModelError("posteriors cover different source variables")
-    q = q.reorder(p.names())
-    mass = p.values > 0.0
-    p_mass, q_mass = p.values[mass], q.values[mass]
-    if np.any(q_mass <= 0.0):
-        return math.inf
-    # an elementwise sum: a BLAS dot over a joint this large starts threads
-    # that keep spinning after it returns
-    return float(np.sum(p_mass * np.log(p_mass / q_mass)))
+    grads, pr_ep = _passes(source, nprime, plan, ev, evp, width_cap)
+    clones = {}
+    for rec, params in zip(plan.edges, plan.params):
+        clones.setdefault(rec.child, []).append((rec.clone, params.pm))
+    total = math.log(pr_ep / grads.pr_e)
+    for child, pms in clones.items():
+        theta = theta_p = nprime.cpt(child).shaped
+        for clone, pm in pms:
+            axis = nprime.parent_names(child).index(clone)
+            along = [-1 if i == axis else 1 for i in range(theta.ndim)]
+            theta_p = (theta_p * pm.reshape(along)).sum(axis=axis, keepdims=True)
+        fam = grads.family(child) / grads.pr_e
+        total += _log_ratio_mass(fam, theta, np.broadcast_to(theta_p, theta.shape))
+    for rec, params in zip(plan.edges, plan.params):
+        ones = np.ones_like(params.se)
+        total += _log_ratio_mass(grads.posterior(rec.parent), ones, params.se)
+    return total
 
 
 def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
@@ -168,9 +192,9 @@ def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
 
     ``derivs`` is the evidence probability with the edge's own CPTs left out,
     over (rows: parent state, columns: clone state): the derivative table with
-    respect to the equivalence CPT in the source network, or
-    ``engine.kept_table`` over (parent, clone) without the clone prior and
-    soft-evidence CPT in an approximate one.  Returns (pr', d pr'/d pm,
+    respect to the equivalence CPT in the source network, or, in an
+    approximate one, a program recorded without the clone prior and
+    soft-evidence CPT and keeping (parent, clone) (``engine.record``).  Returns (pr', d pr'/d pm,
     d pr'/d se), each a plain sum over the table -- no inference happens here.
     """
     d = np.asarray(derivs, dtype=float)

@@ -642,21 +642,6 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     return out
 
 
-def kept_table(
-    net: Network, ev: Evidence, without, keep, width_cap: int = WIDTH_CAP_DEFAULT
-) -> np.ndarray:
-    """Pr(e) with the CPTs of the variables in ``without`` left out, summed
-    down to the variables in ``keep`` (axes in ``keep`` order).
-
-    Kept variables stay unreduced (see ``_factors``).  Leaving out one CPT and
-    keeping its family gives that CPT's derivative table; leaving out a
-    deleted edge's clone prior and soft-evidence CPT and keeping (parent,
-    clone) gives the table ``g`` with Pr'(e') = se g pm.
-    """
-    program = record(net, ev, without, keep, width_cap=width_cap)
-    return replay(program, bind(program, net))[0]
-
-
 def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     """Partial derivatives of Pr(e) with respect to every entry of one CPT.
 
@@ -668,7 +653,8 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     if net.cpt(cpt.child.name) is not cpt and net.cpt(cpt.child.name) != cpt:
         raise ModelError(f"cpt for {cpt.child.name!r} does not belong to this network")
     family = [p.name for p in cpt.parents] + [cpt.child.name]
-    d = kept_table(net, st.evidence, (cpt.child.name,), family, st.width_cap)
+    program = record(net, st.evidence, (cpt.child.name,), family, width_cap=st.width_cap)
+    d = replay(program, bind(program, net))[0]
     _check_euler(cpt.shaped, d, st.pr_e, f"derivative table for {cpt.child.name!r}")
     return d
 

@@ -25,7 +25,6 @@ from .deletion import (
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
 from .model import (
-    CapacityError,
     Cpt,
     Evidence,
     ModelError,
@@ -192,7 +191,10 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         values[key] = val.strip()
     if "network" not in values:
         raise FormatError("experiment spec needs a network")
-    kwargs: dict = {"network": values.pop("network")}
+    timings = values.pop("timings", "none")
+    if timings not in ("none", "real"):
+        raise FormatError(f"timings must be none or real (got {timings!r})")
+    kwargs: dict = {"network": values.pop("network"), "real_timings": timings == "real"}
     try:
         if "instances" in values:
             kwargs["instances"] = int(values.pop("instances"))
@@ -218,8 +220,6 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
             kwargs["tolerance"] = float(values.pop("tol"))
         if "damping" in values:
             kwargs["damping"] = float(values.pop("damping"))
-        if "timings" in values:
-            kwargs["real_timings"] = values.pop("timings") == "real"
     except ValueError as exc:
         raise FormatError(f"bad spec value: {exc}") from None
     if values:
@@ -253,7 +253,6 @@ def run_deletion_instance(
     damping: float = 0.0,
     schedule: str = "sequential",
     width_cap: int = WIDTH_CAP_DEFAULT,
-    compute_exact_kl: bool = True,
     compute_marginals: bool = False,
     real_timings: bool = False,
     map_vars=None,
@@ -283,14 +282,9 @@ def run_deletion_instance(
     kl_total = breakdown.total
     if -1e-9 <= kl_total < 0.0:
         kl_total = 0.0
-    exact = None
-    if compute_exact_kl:
-        try:
-            exact = divergence.exact_kl(net, nprime, plan, ev, evp)
-            if -1e-9 <= exact < 0.0:
-                exact = 0.0
-        except CapacityError:
-            exact = None
+    exact = divergence.exact_kl(aug, nprime, plan, ev, evp, width_cap=width_cap)
+    if -1e-9 <= exact < 0.0:
+        exact = 0.0
     map_result = None
     if map_vars is None:
         width = min_fill_order(nprime).width

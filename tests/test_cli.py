@@ -204,6 +204,7 @@ seed = 17
             # ranked[:-1] would delete all edges but one
             pytest.param("k = -1,1", "k values must be >= 0", id="k = -1,1"),
             pytest.param("states = 1", "states must be >= 2", id="states = 1"),
+            pytest.param("timings = rael", "timings must be none or real", id="timings = rael"),
         ],
     )
     def test_bad_fit_value_exits_3_without_rows(self, tmp_path, capsys, line, message):

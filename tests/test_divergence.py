@@ -4,15 +4,20 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgedel
 import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
+    Cpt,
     DeletionPlan,
     EdgeParams,
     Evidence,
+    InconsistentEvidenceError,
     IterationConfig,
+    ModelError,
     approximate_network,
     augment,
     augmented_evidence,
@@ -37,7 +42,7 @@ from edgedel.divergence import (
     edge_update,
     edkl_vector,
 )
-from edgedel.harness import chain_network, grid_network, sample_evidence
+from edgedel.harness import chain_network, forward_sample, grid_network, sample_evidence
 
 from conftest import (
     bridged_net,
@@ -78,6 +83,26 @@ def enumeration_kl_over_all_vars(aug, nprime, plan, ev, evp):
             return math.inf
         total += pi * math.log(pi / qi)
     return total
+
+
+def enumeration_exact_kl(source, nprime, plan, ev, evp):
+    """Brute-force divergence between the two posteriors restricted to the
+    source variables: both joints enumerated, clone variables summed out."""
+    originals = set(source.original_names())
+    joint = enumerate_joint(source, ev)
+    p = joint.marginalize_to(originals & set(joint.names())).normalize()
+    joint_p = enumerate_joint(apply_params(nprime, plan), evp)
+    q = joint_p.marginalize_to(originals & set(joint_p.names())).normalize()
+    if set(p.names()) != set(q.names()):
+        raise ModelError("posteriors cover different source variables")
+    q = q.reorder(p.names())
+    mass = p.values > 0.0
+    p_mass, q_mass = p.values[mass], q.values[mass]
+    if np.any(q_mass <= 0.0):
+        return math.inf
+    # an elementwise sum: a BLAS dot over a large joint starts threads that
+    # keep spinning after it returns
+    return float(np.sum(p_mass * np.log(p_mass / q_mass)))
 
 
 class TestKlBound:
@@ -202,21 +227,132 @@ class TestExactKl:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert got <= kl_bound(aug, nprime, p, ev, evp).total + 1e-9
 
-    @pytest.mark.parametrize("shape", ["chain", "grid"])
-    def test_source_network_and_augmentation_agree_exactly(self, shape):
-        # the augmentation's clone axes hold one nonzero entry per source
-        # world, so summing them out reproduces the source joint bit for bit
-        for seed in range(6):
-            rng = np.random.default_rng([31, seed])
-            if shape == "chain":
-                net = chain_network(6, rng=rng)
+    def test_zero_evidence_raises_on_either_side(self, coins_fixture):
+        net, ev = coins_fixture
+        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        with pytest.raises(InconsistentEvidenceError, match="source network"):
+            exact_kl(aug, nprime, plan, Evidence({"X1": "on", "X2": "off"}), evp)
+        # pm puts all mass on U1' = t and se all on U1 = h, so no world of N'
+        # satisfies both witnesses
+        p = plan.with_params(0, EdgeParams([0.0, 1.0], [1.0, 0.0]))
+        with pytest.raises(InconsistentEvidenceError, match="approximate network"):
+            exact_kl(aug, nprime, p, ev, evp)
+
+
+def closed_form_case(seed, n_vars, k, zero, zero_rows, observed_parent, fit):
+    """A random instance for the closed-form ``exact_kl``: a DAG of 2- and
+    3-state variables with a child of two parents, whose two in-edges are
+    deleted along with up to ``k`` - 2 others, and evidence drawn from one
+    forward sample (so Pr(e) > 0).  ``zero_rows`` gives about a third of
+    the CPT rows a zero entry (never the sampled world's); ``observed_parent``
+    observes a deleted edge's parent.  ``zero`` = "pm" or "se" makes the
+    divergence infinite through the last edge: its clone prior all on a
+    state c whose child rows are zero at the sampled child state, while the
+    sampled parent state is not c, or its soft evidence zero at the sampled
+    parent state.  That edge's parent and child then stay unobserved, so
+    that without zero rows Pr'(e') > 0.  Otherwise the edges get random
+    parameters, fitted by ``run`` if ``fit`` is set.
+
+    Returns (net, aug, nprime, plan, ev, evp).
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        net = random_network(rng, n_vars, max_card=3)
+        shared = [v.name for v in net.variables if len(net.parent_names(v.name)) >= 2]
+        if shared:
+            break
+    child = shared[int(rng.integers(len(shared)))]
+    edges = [(u, child) for u in net.parent_names(child)[:2]]
+    others = [e for e in net.edges() if e not in edges]
+    for i in rng.permutation(len(others))[: max(k - 2, 0)]:
+        edges.append(others[int(i)])
+    last_u, last_x = edges[-1]
+    world = forward_sample(net, rng)
+    u_at = net.var(last_u).index_of(world[last_u])
+    c = (u_at + 1) % net.var(last_u).card
+    cpts = {}
+    for cpt in net.cpts():
+        rows = cpt.shaped.copy()
+        on_world = np.zeros(rows.shape, dtype=bool)
+        on_world[tuple(v.index_of(world[v.name]) for v in cpt.scope())] = True
+        card = cpt.child.card
+        if zero_rows:
+            for row, keep in zip(rows.reshape(-1, card), on_world.reshape(-1, card)):
+                j = int(rng.integers(row.size))
+                if rng.random() < 1 / 3 and not keep[j]:
+                    row[j] = 0.0
+        if zero == "pm" and cpt.child.name == last_x:
+            axis = [p.name for p in cpt.parents].index(last_u)
+            np.moveaxis(rows, axis, 0)[c, ..., cpt.child.index_of(world[last_x])] = 0.0
+        cpts[cpt.child.name] = Cpt(cpt.child, cpt.parents, rows / rows.sum(axis=-1, keepdims=True))
+    net = net.replace_cpts(cpts)
+    names = [v.name for v in net.variables if rng.random() < 0.3]
+    if observed_parent:
+        names.append(edges[0][0])
+    if zero is not None:
+        names = [n for n in names if n not in (last_u, last_x)]
+    ev = Evidence({n: world[n] for n in dict.fromkeys(names)})
+    params = random_params(net, edges, rng)
+    if zero == "pm":
+        params[-1] = EdgeParams(np.eye(net.var(last_u).card)[c], params[-1].se)
+    elif zero == "se":
+        se = params[-1].se.copy()
+        se[u_at] = 0.0
+        params[-1] = EdgeParams(params[-1].pm, se)
+    aug, nprime, plan, evp = build(net, ev, edges, params)
+    if fit:
+        cfg = IterationConfig(initialization="plan", max_iterations=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                plan, _, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            except ModelError:
+                pass  # keep the random parameters
+    return net, aug, nprime, plan, ev, evp
+
+
+class TestClosedFormExactKl:
+    """``exact_kl`` in closed form against the enumeration oracle, called
+    with the augmented network and with the source network."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(3, 6),
+        k=st.integers(2, 4),
+        zero=st.sampled_from([None, None, "pm", "se"]),
+        zero_rows=st.booleans(),
+        observed_parent=st.booleans(),
+        fit=st.booleans(),
+    )
+    def test_matches_enumeration_and_respects_the_bound(
+        self, seed, n_vars, k, zero, zero_rows, observed_parent, fit
+    ):
+        # with zero rows, a zeroed parameter can leave Pr'(e') = 0
+        fit, zero_rows = (fit, zero_rows) if zero is None else (False, False)
+        net, aug, nprime, plan, ev, evp = closed_form_case(
+            seed, n_vars, k, zero, zero_rows, observed_parent, fit
+        )
+        try:
+            want = enumeration_exact_kl(net, nprime, plan, ev, evp)
+        except InconsistentEvidenceError:
+            assert zero is None
+            for source in (aug, net):
+                with pytest.raises(InconsistentEvidenceError):
+                    exact_kl(source, nprime, plan, ev, evp)
+            return
+        if zero is not None:
+            assert want == math.inf
+        bound = kl_bound(aug, nprime, plan, ev, evp).total
+        for source in (aug, net):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = exact_kl(source, nprime, plan, ev, evp)
+            if math.isinf(want):
+                assert got == math.inf
             else:
-                net = grid_network(3, 3, 3 if seed % 2 else 2, rng=rng)
-            ev = sample_evidence(net, "leaves-from-joint", rng)
-            k = 1 + seed % 3
-            aug, nprime, plan, evp = build(net, ev, net.edges()[:k])
-            plan, _, _ = run(nprime, plan, evp, IterationConfig(), reference=(aug, ev))
-            assert exact_kl(net, nprime, plan, ev, evp) == exact_kl(aug, nprime, plan, ev, evp)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert got <= bound + 1e-9
 
 
 class TestSingleEdgeEvaluate:

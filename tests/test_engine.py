@@ -26,7 +26,6 @@ from edgedel import (
     enumerate_joint,
     exact_map,
     induced_width,
-    kept_table,
     min_fill_order,
     pairwise_marginal,
     posterior_marginal,
@@ -37,6 +36,13 @@ from edgedel.divergence import true_edge_marginals
 
 import elimination_reference as ref
 from conftest import brute_posterior, positive_evidence, random_network
+
+
+def kept(net, ev, without, keep, width_cap=engine_module.WIDTH_CAP_DEFAULT):
+    """Pr(e) without the CPTs of ``without``, over ``keep``: one recorded
+    program, bound and replayed."""
+    program = engine_module.record(net, ev, without, keep, width_cap=width_cap)
+    return engine_module.replay(program, engine_module.bind(program, net))[0]
 
 
 def chain3():
@@ -454,7 +460,7 @@ class TestKeptTable:
         current, evp, plan = deleted(net, ev, edges, rng)
         st = compile(current, evp)
         for rec, params in zip(deleted_records(current, plan), plan.params):
-            g = kept_table(current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone))
+            g = kept(current, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone))
             pr, d_pm, d_se = single_edge_evaluate(g, params.pm, params.se)
             want_pm = cpt_derivatives(st, current.cpt(rec.clone))
             want_se = cpt_derivatives(st, current.cpt(rec.sevid))[:, 0]
@@ -465,7 +471,7 @@ class TestKeptTable:
     def test_width_cap_refusal(self):
         net = grid3x3(np.random.default_rng(5))
         with pytest.raises(CapacityError, match="width"):
-            kept_table(net, Evidence({}), ("G22",), ("G00",), width_cap=1)
+            kept(net, Evidence({}), ("G22",), ("G00",), width_cap=1)
 
 
 class TestExactMap:
@@ -544,7 +550,7 @@ class TestOneOrderPerQuery:
         net = grid_network(4, 4, rng=np.random.default_rng(1))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         calls = self._count_orders(monkeypatch)
-        kept_table(net, ev, ("N1_1",), ("N0_1", "N1_0", "N1_1"))
+        kept(net, ev, ("N1_1",), ("N0_1", "N1_0", "N1_1"))
         assert len(calls) == 1
 
     def test_compile_fill_cost_evaluations(self, monkeypatch):
@@ -637,7 +643,7 @@ class TestReplayMatchesFactorLoop:
         for rec in deleted_records(current, plan):
             without, keep = (rec.clone, rec.sevid), (rec.parent, rec.clone)
             want = ref.reference_table(current, evp, without, keep)[0]
-            assert kept_table(current, evp, without, keep).tobytes() == want.tobytes()
+            assert kept(current, evp, without, keep).tobytes() == want.tobytes()
 
     def test_kept_observed_variable_is_an_indicator_input(self):
         net = chain_network(8, rng=np.random.default_rng(23))
@@ -647,7 +653,7 @@ class TestReplayMatchesFactorLoop:
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X4",), [0.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
-        assert kept_table(net, ev, without, keep).tobytes() == want.tobytes()
+        assert kept(net, ev, without, keep).tobytes() == want.tobytes()
 
     def test_kept_unmentioned_leaf_is_a_ones_input(self):
         net = chain_network(8, states=3, rng=np.random.default_rng(24))
@@ -657,7 +663,7 @@ class TestReplayMatchesFactorLoop:
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X8",), [1.0, 1.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
-        assert kept_table(net, ev, without, keep).tobytes() == want.tobytes()
+        assert kept(net, ev, without, keep).tobytes() == want.tobytes()
 
     def test_scalar_intermediates(self):
         net = chain_network(8, rng=np.random.default_rng(25))
@@ -693,7 +699,7 @@ class TestReplayGuards:
     def test_replayed_program_raises_the_overflow_error(self):
         net = overflowing_network()
         with pytest.raises(ModelError, match="numerical overflow in factor product") as want:
-            kept_table(net, Evidence({}), (), ("B",))
+            kept(net, Evidence({}), (), ("B",))
         with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
             ref.reference_table(net, Evidence({}), (), ("B",))
         program = engine_module.record(net, Evidence({}), (), ("B",))

@@ -1,7 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
 
-from edgedel import divergence
 from edgedel import (
     Cpt,
     Evidence,
@@ -28,6 +29,8 @@ from edgedel.harness import (
     sample_evidence,
 )
 from edgedel.netio import FormatError, render_report
+
+from conftest import count_engine_calls
 
 
 class TestGenerators:
@@ -216,25 +219,39 @@ class TestRunExperiment:
 
 
 class TestRunDeletionInstance:
-    def test_exact_kl_enumerates_the_source_network(self, monkeypatch):
+    def test_enumerates_nothing_and_compiles_nothing(self, monkeypatch):
+        from edgedel import model
+
+        compiles = count_engine_calls(monkeypatch, ["compile"])
+        original = model.enumerate_joint
+        enumerations = []
+
+        def counting(*args, **kwargs):
+            enumerations.append(args)
+            return original(*args, **kwargs)
+
+        # every binding of enumerate_joint in the package
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "edgedel" and getattr(module, "enumerate_joint", None) is original:
+                monkeypatch.setattr(module, "enumerate_joint", counting)
         net = grid_network(3, 3, rng=np.random.default_rng(4))
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(5))
-        sizes = []
-        original = divergence.enumerate_joint
+        for method in ("ed-kl", "ed-bp"):
+            outcome = run_deletion_instance(net, ev, net.edges()[:3], method)
+            assert outcome.row.exact_kl is not None
+        assert enumerations == [] and compiles == {"compile": 0}
 
-        def counting(network, evidence, cap):
-            sizes.append(network.joint_size())
-            return original(network, evidence, cap)
-
-        monkeypatch.setattr(divergence, "enumerate_joint", counting)
-        outcome = run_deletion_instance(net, ev, net.edges()[:2], "ed-kl")
+    def test_ladder_size_grid_fills_exact_kl(self):
+        # 24 hidden source variables and 6 clones: too many worlds to
+        # enumerate, one pass each in closed form
+        net = grid_network(5, 5, rng=np.random.default_rng(7))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(8))
+        outcome = run_deletion_instance(net, ev, net.edges()[:6], "ed-kl")
         assert outcome.row.exact_kl is not None
-        # the source side, then N' (two clones and two soft-evidence nodes)
-        assert sizes == [net.joint_size(), net.joint_size() * 2**4]
+        assert 0.0 <= outcome.row.exact_kl <= outcome.row.kl_bound
 
     def test_exact_kl_caps_only_unobserved_states(self):
-        # N' has 26 variables (2^26 worlds), but the 5 soft-evidence nodes
-        # and the leaf are observed, so the enumerated joint has 2^20 entries
+        # N' has 26 variables, 5 of them observed soft-evidence nodes
         net = grid_network(4, 4, rng=np.random.default_rng(0))
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
         outcome = run_deletion_instance(net, ev, net.edges()[:5], "ed-kl")
@@ -247,9 +264,7 @@ class TestRunDeletionInstance:
         ev = sample_evidence(net, "leaves-from-joint", rng)
         edges = net.edges()[:3]
         map_vars = ["N0_0", "N1_1"]
-        got = run_deletion_instance(
-            net, ev, edges, "ed-kl", compute_exact_kl=False, map_vars=map_vars
-        )
+        got = run_deletion_instance(net, ev, edges, "ed-kl", map_vars=map_vars)
         aug, nprime, _ = approximate_network(net, edges)
         evp = augmented_evidence(nprime, ev)
         want = approximate_map_quality(aug, nprime, got.plan, ev, evp, map_vars)
@@ -257,6 +272,8 @@ class TestRunDeletionInstance:
         assert got.row.map_ratio == want.ratio
         current = apply_params(nprime, got.plan)
         assert got.row.constrained_treewidth == constrained_order(current, map_vars).width
-        plain = run_deletion_instance(net, ev, edges, "ed-kl", compute_exact_kl=False)
+        plain = run_deletion_instance(net, ev, edges, "ed-kl")
         assert plain.map_result is None and plain.row.map_ratio is None
         assert plain.row.kl_bound == got.row.kl_bound
+        assert got.row.exact_kl is not None
+        assert plain.row.exact_kl == got.row.exact_kl

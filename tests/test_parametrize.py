@@ -486,7 +486,7 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
-            "compile", "cpt_derivatives", "kept_table", "record", "replay", "adjoints", "bind",
+            "compile", "cpt_derivatives", "record", "replay", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         vectors = [(p.pm, p.se) for p in plan.params]
