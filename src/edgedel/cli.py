@@ -250,6 +250,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ModelError("seed must be >= 0")
         return args.func(args)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -30,52 +30,34 @@ SE_STATES = ("yes", "no")
 SE_OBSERVED = "yes"
 
 
-def _checked(pm, se) -> tuple[np.ndarray, np.ndarray]:
-    """Flat float copies of both vectors, checked: non-empty and finite,
-    ``pm`` nonnegative and summing to 1."""
-    pm = np.array(pm, dtype=float).reshape(-1)
-    se = np.array(se, dtype=float).reshape(-1)
-    if pm.size == 0 or se.size == 0:
-        raise ModelError("edge parameters must be non-empty")
-    if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(se))):
-        raise ModelError("edge parameters must be finite")
-    if np.any(pm < 0):
-        raise ModelError("pm entries must be nonnegative")
-    s = pm.sum()
-    if abs(s - 1.0) > 1e-9:
-        raise ModelError(f"pm must sum to 1 (got {s!r})")
-    return pm, se
-
-
 @dataclass(frozen=True)
 class EdgeParams:
     """Per-deleted-edge parameters: clone prior ``pm``, soft-evidence row ``se``.
 
-    ``pm`` is a distribution over the clone's states; ``se`` holds the
-    probability of the observed soft-evidence state for each parent state.
-    Only the ratios of ``se`` matter once the soft evidence is conditioned
-    on, so ``se`` is clamped into [0, 1] to stay a valid CPT row.  ``pm``
-    is divided by its sum.  Both are frozen copies.
+    ``pm`` is a distribution over the clone's states, kept as given: it must
+    be nonnegative and sum to 1 within 1e-9.  ``se`` holds the probability
+    of the observed soft-evidence state for each parent state.  Only the
+    ratios of ``se`` matter once the soft evidence is conditioned on, so
+    ``se`` is clamped into [0, 1] to stay a valid CPT row, and must keep a
+    positive entry.  Both are frozen flat float copies.
     """
 
     pm: np.ndarray
     se: np.ndarray
 
     def __post_init__(self):
-        pm, se = _checked(self.pm, self.se)
-        self._freeze(pm / pm.sum(), np.clip(se, 0.0, 1.0))
-
-    @classmethod
-    def fitted(cls, pm, se) -> "EdgeParams":
-        """Parameters holding a fit's vectors, checked like any others but
-        with ``pm`` taken as it is: the fit has already divided it by its
-        sum, and dividing again can move its last bit."""
-        params = object.__new__(cls)
-        pm, se = _checked(pm, se)
-        params._freeze(pm, np.clip(se, 0.0, 1.0))
-        return params
-
-    def _freeze(self, pm, se):
+        pm = np.array(self.pm, dtype=float).reshape(-1)
+        se = np.array(self.se, dtype=float).reshape(-1)
+        if pm.size == 0 or se.size == 0:
+            raise ModelError("edge parameters must be non-empty")
+        if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(se))):
+            raise ModelError("edge parameters must be finite")
+        if np.any(pm < 0):
+            raise ModelError("pm entries must be nonnegative")
+        s = pm.sum()
+        if abs(s - 1.0) > 1e-9:
+            raise ModelError(f"pm must sum to 1 (got {s!r})")
+        se = np.clip(se, 0.0, 1.0)
         if not np.any(se > 0):
             raise ModelError("se must not be all zero")
         pm.setflags(write=False)

@@ -202,7 +202,7 @@ def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
         raise ModelError("derivative table shape does not match the edge parameters")
     d_pm = se @ d
     d_se = d @ pm
-    pr_ep = float(se @ d @ pm)
+    pr_ep = float(d_pm @ pm)
     return pr_ep, d_pm, d_se
 
 
@@ -295,12 +295,11 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
     with true mass, since g_uu = Pr(u, e).
 
-    The vectors stay plain arrays; ``EdgeParams`` is built only where a fit
-    hands its result back (``EdgeParams.fitted``).  Each new vector still
-    takes the value operations ``EdgeParams`` applies: the prior is divided
-    by its sum when it is set and again when the row is, and the row is
-    clipped into [0, 1].  Fitted values depend on them bit for bit
-    (``tests/data/fit_golden.json``).
+    The vectors stay plain arrays; ``EdgeParams``, which keeps ``pm`` as
+    given and clips ``se``, is built only where a fit hands its result back.
+    The prior is divided by its sum after its own update and again after
+    the row's, and the row is clipped into [0, 1].  Fitted values depend on
+    these steps bit for bit (``tests/data/fit_golden.json``).
     """
     pr_old, d_pm, d_se = evaluate(pm, se)
     new_pm = _damp(
@@ -343,7 +342,7 @@ def _fit_edge(rec, derivs: np.ndarray, pr_e: float) -> EdgeScore:
             break
     pr_ep = evaluate(pm, se)[0]
     score = kl_breakdown([true_marg], [(pm, se)], pr_e, pr_ep).total
-    params = EdgeParams.fitted(pm, se)
+    params = EdgeParams(pm, se)
     return EdgeScore(rec.parent, rec.child, score, params, iterations, converged)
 
 

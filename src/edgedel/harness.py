@@ -165,6 +165,8 @@ class ExperimentSpec:
             raise ModelError("k values must be >= 0")
         if self.states < 2:
             raise ModelError("states must be >= 2")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
         for m in self.methods:
             parametrize.IterationConfig(
                 method=m,

@@ -13,9 +13,9 @@ between the source network and its approximation.
 ``run`` is the one entry point: the method, the schedule, the number of
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
-Its programs come from ``engine.record`` and are bound once; an edge's new
-(pm, se) reach them as whole edge tables, the clone prior and the
-soft-evidence CPT that ``apply_params`` would install
+Its programs come from ``engine.record`` and are bound once, before the
+first sweep; an edge's new (pm, se) reach them as whole edge tables, the
+clone prior and the soft-evidence CPT that ``apply_params`` would install
 (``deletion.se_table``), each sliced by ``engine.write`` as ``bind``
 slices it.
 """
@@ -126,62 +126,48 @@ def _start_vectors(nprime, records, plan):
 
 
 class _Fit:
-    """One ``run``'s current edge vectors and its recorded programs, each
-    bound once to N' (``engine.bind``).
+    """One ``run``'s current edge vectors and the programs its schedule
+    replays, recorded and bound to N' (``engine.bind``) when it is built:
+    one (parent, clone) program per deleted edge in sequential mode, and
+    otherwise, or with an empty plan, the one Pr'(e') program.
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
     tables once and writes them into every bound program through
-    ``engine.write``, which slices them as ``bind`` does.  A program is
-    recorded and bound on first use, and then takes every edge's current
-    tables the same way; no other input is read again.
+    ``engine.write``, which slices them as ``bind`` does; no other input is
+    read again.
     """
 
-    def __init__(self, nprime, evp, records, vectors, width_cap):
-        self.nprime = nprime
-        self.evp = evp
+    def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
-        self.width_cap = width_cap
-        # plan index (an edge's (parent, clone) program) or None (Pr'(e'))
-        # -> (program, bound tables)
-        self.bound = {}
+        if sequential and records:
+            programs = [
+                engine.record(
+                    nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone),
+                    width_cap=width_cap,
+                )
+                for rec in records
+            ]
+        else:
+            programs = [engine.record(nprime, evp, width_cap=width_cap)]
+        self.bound = [(program, engine.bind(program, nprime)) for program in programs]
         self.vectors = [None] * len(records)
-        # per edge: its (CPT name, table) pairs at the current vectors
-        self.tables = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
             self.set(j, pm, se)
 
-    def _bind(self, key, program):
-        tables = engine.bind(program, self.nprime)
-        for edge in self.tables:
-            for name, table in edge:
-                engine.write(program, tables, name, table)
-        self.bound[key] = (program, tables)
-
-    def edge_table(self, i):
-        """The table g over (parent, clone) of N' without edge i's clone
-        prior and soft-evidence CPT, at the current vectors."""
-        if i not in self.bound:
-            rec = self.records[i]
-            self._bind(i, engine.record(
-                self.nprime, self.evp, (rec.clone, rec.sevid), (rec.parent, rec.clone),
-                width_cap=self.width_cap,
-            ))
+    def replay(self, i):
+        """Bound program ``i`` replayed at the current vectors: in sequential
+        mode the table g over (parent, clone) of N' without edge i's clone
+        prior and soft-evidence CPT, otherwise (``i`` = 0) Pr'(e')."""
         return engine.replay(*self.bound[i])[0]
-
-    def evidence(self):
-        """The Pr'(e') program and its bound tables at the current vectors."""
-        if None not in self.bound:
-            self._bind(None, engine.record(self.nprime, self.evp, width_cap=self.width_cap))
-        return self.bound[None]
 
     def set(self, j, pm, se):
         """Make (pm, se) edge j's vectors in every bound program."""
         rec = self.records[j]
         self.vectors[j] = (pm, se)
-        self.tables[j] = ((rec.clone, pm), (rec.sevid, se_table(se)))
-        for program, tables in self.bound.values():
-            for name, table in self.tables[j]:
-                engine.write(program, tables, name, table)
+        tables = ((rec.clone, pm), (rec.sevid, se_table(se)))
+        for program, bound in self.bound:
+            for name, table in tables:
+                engine.write(program, bound, name, table)
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
@@ -189,7 +175,8 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     Pr'(e') at the new vectors, or None in simultaneous mode).
 
     A sweep reads N' only through ``fit``'s bound programs, and writes only
-    the edges' new tables into them (``_Fit.set``).
+    the edges' new tables into them (``_Fit.set``); it records and binds
+    nothing.
 
     Sequential mode costs one replay per edge: the table g over (parent,
     clone) of N' with that edge's clone prior and soft-evidence CPT left
@@ -207,12 +194,12 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     """
     residuals = []
     if not sequential and fit.records:
-        grads = engine.adjoints(*fit.evidence())
+        grads = engine.adjoints(*fit.bound[0])
     for i, rec in enumerate(fit.records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
         if sequential:
-            evaluate = partial(single_edge_evaluate, fit.edge_table(i))
+            evaluate = partial(single_edge_evaluate, fit.replay(i))
         else:
             evaluate = _fixed((grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]))
         pm, se, residual, pr = edge_update(
@@ -244,16 +231,18 @@ def run(
     its clone's (``pm``) or parent's (``se``) cardinality; a wrong length
     raises ``ModelError`` before any sweep.
 
-    Every elimination a sweep needs is recorded and bound to N' once per
-    run, on first use (see ``_Fit``): N' keeps its structure and evidence,
-    and a sweep writes only the edges' new clone-prior and soft-evidence
-    tables into the bound lists before replaying them.  The vectors stay plain arrays inside the
-    loop; the returned plan holds one ``EdgeParams`` per edge, built at the
-    end.  Sequential sweeps replay one (parent, clone) program per deleted
-    edge; simultaneous sweeps make one forward/backward pass of the run's
-    one Pr'(e') program, and replay it forward once more for the KL bound
-    at the sweep's new vectors.  The true parent posteriors come from one
-    forward/backward pass on the source network (``true_edge_marginals``).
+    Every elimination a sweep needs is recorded and bound to N' once, when
+    the run starts (see ``_Fit``), so a too-wide N' raises ``CapacityError``
+    there even with ``max_iterations=0``: N' keeps its structure and
+    evidence, and a sweep writes only the edges' new clone-prior and
+    soft-evidence tables into the bound lists before replaying them.  The
+    vectors stay plain arrays inside the loop; the returned plan holds one
+    ``EdgeParams`` per edge, built at the end.  Sequential sweeps replay
+    one (parent, clone) program per deleted edge; simultaneous sweeps make
+    one forward/backward pass of the run's one Pr'(e') program, and replay
+    it forward once more for the KL bound at the sweep's new vectors.  The
+    true parent posteriors come from one forward/backward pass on the
+    source network (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -265,20 +254,20 @@ def run(
 
     Returns (final plan, FixedPointReport, list of SweepRecord).
     """
+    if cfg.method == "ed-kl" and len(plan) and reference is None:
+        raise ModelError("ed-kl requires the source network (reference=...)")
     if cfg.initialization == "uniform":
         plan = DeletionPlan.uniform(nprime, plan.edges) if len(plan) else plan
     records = deleted_records(nprime, plan)
-    fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), width_cap)
+    sequential = cfg.schedule == "sequential"
+    fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
     true_marginals = None
     pr_e = None
     if reference is not None:
         true_marginals, pr_e = true_edge_marginals(
             reference[0], reference[1], plan, width_cap
         )
-    if cfg.method == "ed-kl" and len(plan) and true_marginals is None:
-        raise ModelError("ed-kl requires the source network (reference=...)")
 
-    sequential = cfg.schedule == "sequential"
     trace: list[SweepRecord] = []
     residuals: tuple[float, ...] = ()
     converged = False
@@ -292,8 +281,8 @@ def run(
         kl = None
         if true_marginals is not None and pr_e is not None and pr_e > 0:
             if pr_ep is None:
-                # simultaneous mode moved every edge at once: one replay
-                pr_ep = float(engine.replay(*fit.evidence())[0])
+                # simultaneous mode, or no edges: one replay of Pr'(e')
+                pr_ep = float(fit.replay(0))
             if pr_ep > 0:
                 kl = kl_breakdown(true_marginals, fit.vectors, pr_e, pr_ep).total
         trace.append(SweepRecord(sweep, worst, kl))
@@ -301,7 +290,7 @@ def run(
             converged = True
             break
     if iterations:
-        plan = plan.with_all_params(EdgeParams.fitted(pm, se) for pm, se in fit.vectors)
+        plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
     return plan, FixedPointReport(residuals, iterations, converged), trace
 
 

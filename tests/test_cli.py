@@ -93,6 +93,16 @@ class TestApproxCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["approx", "map"])
+    def test_negative_seed_exits_3_without_output(self, fixture_files, capsys, command):
+        net_file, ev_file = fixture_files
+        code = main([command, net_file, ev_file, "--select", "rand", "--delete", "1",
+                     "--seed", "-3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "seed must be >= 0" in captured.err
+
     def test_width_cap_below_width_exits_4_without_output(self, tmp_path, capsys):
         net = grid_network(4, 4, rng=np.random.default_rng(0))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
@@ -204,6 +214,7 @@ seed = 17
             # ranked[:-1] would delete all edges but one
             pytest.param("k = -1,1", "k values must be >= 0", id="k = -1,1"),
             pytest.param("states = 1", "states must be >= 2", id="states = 1"),
+            pytest.param("seed = -1", "seed must be >= 0", id="seed = -1"),
             pytest.param("timings = rael", "timings must be none or real", id="timings = rael"),
         ],
     )

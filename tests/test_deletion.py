@@ -38,6 +38,12 @@ class TestEdgeParams:
         with pytest.raises(ModelError):
             EdgeParams([0.5, 0.6], [0.5, 0.5])
 
+    def test_pm_kept_as_given_within_tolerance(self):
+        pm = np.array([0.5, 0.5 - 5e-10])
+        assert EdgeParams(pm, [0.5, 0.5]).pm.tobytes() == pm.tobytes()
+        with pytest.raises(ModelError, match="sum to 1"):
+            EdgeParams([0.5, 0.5 - 2e-9], [0.5, 0.5])
+
     def test_se_clamped_into_unit_interval(self):
         p = EdgeParams([0.5, 0.5], [2.0, -1.0])
         assert p.se.tolist() == [1.0, 0.0]

@@ -142,7 +142,7 @@ class TestExperimentSpec:
         "line",
         [
             "tol = -1", "tol = 0", "max_iters = -1", "damping = 1", "damping = -0.1",
-            "k = -1,1", "states = 1",
+            "k = -1,1", "states = 1", "seed = -1",
         ],
     )
     def test_bad_fit_values_rejected(self, line):

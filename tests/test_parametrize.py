@@ -438,9 +438,9 @@ class TestEdgeTableSweep:
 
 
 class TestBoundSlots:
-    """Writing new edge vectors into the fit's bound lists (``_Fit.set``,
-    before or after a program is bound) gives the very tables ``bind``
-    reads off N' rebuilt with them (``apply_params``)."""
+    """Writing new edge vectors into the fit's bound lists (``_Fit.set``, at
+    construction or later) gives the very tables ``bind`` reads off N'
+    rebuilt with them (``apply_params``)."""
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
@@ -455,19 +455,19 @@ class TestBoundSlots:
         new = plan.with_all_params(
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
         )
-        fit = _Fit(
-            nprime, evp, records, [(p.pm, p.se) for p in plan.params],
-            engine_module.WIDTH_CAP_DEFAULT,
-        )
-        # edge 0 is set before any program is bound, so binding writes it
-        fit.set(0, new.params[0].pm, new.params[0].se)
-        fit.evidence()
-        for i in range(len(records)):
-            fit.edge_table(i)
-        for j, params in enumerate(new.params[1:], start=1):
-            fit.set(j, params.pm, params.se)
-        assert len(fit.bound) == 1 + len(records)
-        for program, tables in fit.bound.values():
+        # edge 0 starts at its new vectors, so construction writes them; the
+        # other edges are set afterwards
+        start = [(p.pm, p.se) for p in (new.params[0],) + plan.params[1:]]
+        bound = []
+        for sequential in (True, False):
+            fit = _Fit(
+                nprime, evp, records, start, sequential, engine_module.WIDTH_CAP_DEFAULT
+            )
+            for j, params in enumerate(new.params[1:], start=1):
+                fit.set(j, params.pm, params.se)
+            bound += fit.bound
+        assert len(bound) == 1 + len(records)
+        for program, tables in bound:
             want = engine_module.bind(program, apply_params(nprime, new))
             assert [t.shape for t in tables] == [w.shape for w in want]
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
@@ -491,7 +491,8 @@ class TestWorkCounts:
         calls = count_engine_calls(monkeypatch, names)
         vectors = [(p.pm, p.se) for p in plan.params]
         fit = _Fit(
-            nprime, evp, deleted_records(nprime, plan), vectors, engine_module.WIDTH_CAP_DEFAULT
+            nprime, evp, deleted_records(nprime, plan), vectors, sequential,
+            engine_module.WIDTH_CAP_DEFAULT,
         )
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         if sequential:
@@ -557,10 +558,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
-        # each program is bound on first use, so only the first sweep binds:
-        # k times in sequential mode, once in simultaneous mode; later sweeps
-        # only write edge vectors into the bound lists, so no sweep builds
-        # N' (apply_params) and a simultaneous sweep is one forward/backward
+        # building the fit records and binds every program: k in sequential
+        # mode, one in simultaneous mode; a sweep only writes edge vectors
+        # into the bound lists, so no sweep records, binds or builds N'
+        # (apply_params), and a simultaneous sweep is one forward/backward
         # pass plus one replay for the KL bound
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = ["bind", "record", "replay", "adjoints"]
@@ -574,29 +575,40 @@ class TestWorkCounts:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "apply_params", counting)
-        starts = []
-        real_sweep = parametrize_module._sweep
+
+        def mark():
+            return {**calls, "apply_params": len(applied)}
+
+        built, starts = [], []
+        real_fit, real_sweep = parametrize_module._Fit, parametrize_module._sweep
+
+        def fit(*args, **kwargs):
+            before = mark()
+            out = real_fit(*args, **kwargs)
+            built.append({n: v - before[n] for n, v in mark().items()})
+            return out
 
         def sweep(*args, **kwargs):
-            starts.append({**calls, "apply_params": len(applied)})
+            starts.append(mark())
             return real_sweep(*args, **kwargs)
 
+        monkeypatch.setattr(parametrize_module, "_Fit", fit)
         monkeypatch.setattr(parametrize_module, "_sweep", sweep)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
-        marks = starts + [{**calls, "apply_params": len(applied)}]
+        marks = starts + [mark()]
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
-        if schedule == "sequential":
-            first = {"bind": 4, "record": 4, "replay": 4, "adjoints": 0}
-            later = {"bind": 0, "record": 0, "replay": 4, "adjoints": 0}
-        else:
-            first = {"bind": 1, "record": 1, "replay": 1, "adjoints": 1}
-            later = {"bind": 0, "record": 0, "replay": 1, "adjoints": 1}
-        assert per_sweep == [
-            {**first, "apply_params": 0}, {**later, "apply_params": 0},
-            {**later, "apply_params": 0},
+        programs = 4 if schedule == "sequential" else 1
+        assert built == [
+            {"bind": programs, "record": programs, "replay": 0, "adjoints": 0,
+             "apply_params": 0},
         ]
+        if schedule == "sequential":
+            each = {"bind": 0, "record": 0, "replay": 4, "adjoints": 0, "apply_params": 0}
+        else:
+            each = {"bind": 0, "record": 0, "replay": 1, "adjoints": 1, "apply_params": 0}
+        assert per_sweep == [each] * 3
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
