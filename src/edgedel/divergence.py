@@ -392,7 +392,7 @@ def score_edges(
     grads = engine.adjoints(program, engine.bind(program, aug))
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    st = engine.EngineState(aug, ev, program.width, width_cap, grads.pr_e, program.ev_index)
+    st = engine.EngineState(aug, ev, width_cap, program, grads.bound, grads.pr_e)
 
     def ranked(idxs, table):
         fits = [(_fit_edge(records[i], table(records[i].clone), st.pr_e), i) for i in idxs]

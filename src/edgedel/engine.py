@@ -266,22 +266,22 @@ def _product_steps(scopes, card):
 
 
 def record(
-    net: Network, ev: Evidence, without=(), keep=(), last=(), maximize=(), width_cap=None
+    net: Network, ev: Evidence, without=(), keep=(), maximize=(), width_cap=None
 ) -> Program:
     """Check the evidence against the network, then reduce, order and
     record one elimination without building a table.
 
     This is the one way to record: every query and every fit program starts
-    here.  ``without``/``keep`` are as in ``_factors``; ``last`` and
-    ``width_cap`` as in ``_order``; the variables in ``maximize`` are
-    maximized out with an argmax traceback instead of summed out.  With
-    nothing kept the program computes Pr(e); bind it and run it with
-    ``replay`` or ``adjoints``.
+    here.  ``without``/``keep`` are as in ``_factors`` and ``width_cap`` as
+    in ``_order``; the variables in ``maximize`` are eliminated after all
+    the others (``_order``'s ``last``), and maximized out with an argmax
+    traceback instead of summed out.  With nothing kept the program
+    computes Pr(e); bind it and run it with ``replay`` or ``adjoints``.
     """
     ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
     keep = tuple(keep)
     inputs = _factors(net, ev_index, without, keep)
-    elim = _order(inputs, net.decl_index, keep=set(keep), last=last, width_cap=width_cap)
+    elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
     card = {}
     scopes = []
     holding: dict[str, list[int]] = {}
@@ -581,28 +581,34 @@ def induced_width(net: Network, order) -> int:
     return width
 
 
+@dataclass(frozen=True, eq=False)
 class EngineState:
-    """Compiled (network, evidence) pair: the evidence index plus Pr(e).
+    """Compiled (network, evidence) pair: the recorded Pr(e) program, its
+    input tables bound to ``net`` (``bind``), and Pr(e) from them.
 
-    Immutable after compile; queries are read-only.
+    A caller that wants more than Pr(e) from the same elimination runs
+    ``adjoints(st.program, st.bound)`` (``deletion.recover_marginals``), so
+    nothing is recorded or bound twice.  Every query made through the state
+    is recorded under ``width_cap``.  Queries are read-only.
     """
 
-    __slots__ = ("net", "evidence", "width", "width_cap", "pr_e", "_ev_index")
+    net: Network
+    evidence: Evidence
+    width_cap: int | None
+    program: Program
+    bound: tuple[np.ndarray, ...]
+    pr_e: float
 
-    def __init__(self, net, evidence, width, width_cap, pr_e, ev_index):
-        self.net = net
-        self.evidence = evidence
-        self.width = width
-        self.width_cap = width_cap
-        self.pr_e = pr_e
-        self._ev_index = ev_index
+    @property
+    def width(self) -> int:
+        return self.program.width
 
 
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
     program = record(net, ev, width_cap=width_cap)
-    pr_e = float(replay(program, bind(program, net))[0])
-    return EngineState(net, ev, program.width, width_cap, pr_e, program.ev_index)
+    bound = tuple(bind(program, net))
+    return EngineState(net, ev, width_cap, program, bound, float(replay(program, bound)[0]))
 
 
 def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
@@ -610,11 +616,9 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
     var = st.net.var(name)
     if st.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    if name in st._ev_index:
-        out = np.zeros(var.card)
-        out[st._ev_index[name]] = 1.0
-        return out
-    program = record(st.net, st.evidence, keep=(name,))
+    if name in st.program.ev_index:
+        return np.eye(var.card)[st.program.ev_index[name]]
+    program = record(st.net, st.evidence, keep=(name,), width_cap=st.width_cap)
     table, _ = replay(program, bind(program, st.net))
     return table / st.pr_e
 
@@ -626,17 +630,18 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
         raise InconsistentEvidenceError("evidence has zero probability")
     if a == b:
         return np.diag(posterior_marginal(st, a))
-    a_obs = a in st._ev_index
-    b_obs = b in st._ev_index
+    ev_index = st.program.ev_index
+    a_obs = a in ev_index
+    b_obs = b in ev_index
     out = np.zeros((va.card, vb.card))
     if a_obs and b_obs:
-        out[st._ev_index[a], st._ev_index[b]] = 1.0
+        out[ev_index[a], ev_index[b]] = 1.0
     elif a_obs:
-        out[st._ev_index[a], :] = posterior_marginal(st, b)
+        out[ev_index[a], :] = posterior_marginal(st, b)
     elif b_obs:
-        out[:, st._ev_index[b]] = posterior_marginal(st, a)
+        out[:, ev_index[b]] = posterior_marginal(st, a)
     else:
-        program = record(st.net, st.evidence, keep=(a, b))
+        program = record(st.net, st.evidence, keep=(a, b), width_cap=st.width_cap)
         table, _ = replay(program, bind(program, st.net))
         out = table / st.pr_e
     return out
@@ -674,7 +679,7 @@ def exact_map(
         net.var(name)
     assignment = {name: ev[name] for name in map_list if name in ev}
     hidden_map = [name for name in map_list if name not in ev]
-    program = record(net, ev, last=hidden_map, maximize=hidden_map, width_cap=width_cap)
+    program = record(net, ev, maximize=hidden_map, width_cap=width_cap)
     value, traceback = replay(program, bind(program, net))
     q = float(value)
 

@@ -26,28 +26,14 @@ blocks with ``states`` and potential blocks with dense ``data`` only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .deletion import DeletionPlan, EdgeParams
 from .model import Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
 from .parametrize import METHODS
-
-REPORT_COLUMNS = (
-    "network",
-    "instance",
-    "method",
-    "selection",
-    "edges_deleted",
-    "iterations",
-    "converged",
-    "kl_bound",
-    "exact_kl",
-    "map_ratio",
-    "constrained_treewidth",
-    "wall_time_ms",
-)
 
 SELECTION_TAGS = ("rand", "guided", "mi")
 
@@ -79,9 +65,8 @@ def parse_network(text: str) -> Network:
     """Parse the canonical document format into a validated-shape Network."""
     kind = "original"
     section = None
-    var_lines: list[tuple[int, str]] = []
-    cpt_lines: list[tuple[int, str]] = []
-    edge_lines: list[tuple[int, str]] = []
+    # (line number, content) per line of each section
+    sections: dict[str, list[tuple[int, str]]] = {"variables": [], "cpts": [], "edges": []}
     seen_kind = False
     for ln, content in _logical_lines(text):
         low = content.lower()
@@ -90,26 +75,18 @@ def parse_network(text: str) -> Network:
                 raise FormatError("kind must appear once, before any section", ln, 1)
             kind = content.split(":", 1)[1].strip()
             seen_kind = True
-        elif low == "variables:":
-            section = "variables"
-        elif low == "cpts:":
-            section = "cpts"
-        elif low == "edges:":
-            section = "edges"
-        elif section == "variables":
-            var_lines.append((ln, content))
-        elif section == "cpts":
-            cpt_lines.append((ln, content))
-        elif section == "edges":
-            edge_lines.append((ln, content))
+        elif low.endswith(":") and low[:-1] in sections:
+            section = low[:-1]
+        elif section is not None:
+            sections[section].append((ln, content))
         else:
             raise FormatError(f"unexpected content outside any section: {content!r}", ln, 1)
-    if not var_lines:
+    if not sections["variables"]:
         raise FormatError("document declares no variables")
 
     variables: list[Variable] = []
     by_name: dict[str, Variable] = {}
-    for ln, content in var_lines:
+    for ln, content in sections["variables"]:
         tokens = content.split()
         if len(tokens) < 2:
             raise FormatError("variable line needs a name and at least one state", ln, 1)
@@ -121,7 +98,7 @@ def parse_network(text: str) -> Network:
         by_name[name] = var
 
     cpts: list[Cpt] = []
-    for ln, content in cpt_lines:
+    for ln, content in sections["cpts"]:
         if ":" not in content:
             raise FormatError("cpt line needs a ':' before the table", ln, 1)
         head, _, tail = content.partition(":")
@@ -158,7 +135,7 @@ def parse_network(text: str) -> Network:
             raise FormatError(str(exc), ln, 1) from None
 
     records: list[EdgeRecord] = []
-    for ln, content in edge_lines:
+    for ln, content in sections["edges"]:
         tokens = content.split()
         if len(tokens) != 4:
             raise FormatError(
@@ -236,8 +213,12 @@ class PlanEdgeSpec:
 
 
 def parse_plan(text: str) -> list[PlanEdgeSpec]:
-    """One deleted edge per line: 'parent -> child [| pm: ... | se: ...]'."""
+    """One deleted edge per line: 'parent -> child [| pm: ... | se: ...]'.
+
+    Either every line gives its vectors or none does.
+    """
     out = []
+    bare = []
     for ln, content in _logical_lines(text):
         head, *rest = [part.strip() for part in content.split("|")]
         if "->" not in head:
@@ -263,6 +244,10 @@ def parse_plan(text: str) -> list[PlanEdgeSpec]:
         if (pm is None) != (se is None):
             raise FormatError("plan line must give both pm and se or neither", ln, 1)
         out.append(PlanEdgeSpec(parent, child, pm, se))
+        if pm is None:
+            bare.append(ln)
+    if bare and len(bare) < len(out):
+        raise FormatError("plan line gives no pm/se vectors, but other lines do", bare[0], 1)
     return out
 
 
@@ -275,11 +260,11 @@ def serialize_plan(plan: DeletionPlan) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def plan_params_from_specs(specs: list[PlanEdgeSpec]) -> list[EdgeParams | None]:
-    return [
-        EdgeParams(np.array(s.pm), np.array(s.se)) if s.pm is not None else None
-        for s in specs
-    ]
+def plan_params_from_specs(specs: list[PlanEdgeSpec]) -> list[EdgeParams] | None:
+    """The plan's edge parameters, or None if its lines give no vectors."""
+    if not specs or specs[0].pm is None:
+        return None
+    return [EdgeParams(np.array(s.pm), np.array(s.se)) for s in specs]
 
 
 @dataclass(frozen=True)
@@ -304,46 +289,39 @@ class ReportRow:
             raise ModelError(f"unknown selection tag {self.selection!r}")
         if not (self.kl_bound >= 0.0):
             raise ModelError(f"kl_bound must be >= 0 (got {self.kl_bound!r})")
-        if self.exact_kl is not None:
-            if not (self.exact_kl <= self.kl_bound + 1e-9):
-                raise ModelError(
-                    f"exact_kl {self.exact_kl!r} exceeds kl_bound {self.kl_bound!r}"
-                )
-        if self.map_ratio is not None:
-            if not (0.0 < self.map_ratio <= 1.0):
-                raise ModelError(f"map_ratio must be in (0, 1] (got {self.map_ratio!r})")
+        if self.exact_kl is not None and not (self.exact_kl <= self.kl_bound + 1e-9):
+            raise ModelError(f"exact_kl {self.exact_kl!r} exceeds kl_bound {self.kl_bound!r}")
+        if self.map_ratio is not None and not (0.0 < self.map_ratio <= 1.0):
+            raise ModelError(f"map_ratio must be in (0, 1] (got {self.map_ratio!r})")
 
 
-def _render_float(x: float | None) -> str:
-    if x is None:
-        return ""
-    if math.isinf(x):
-        return "inf"
-    return format(float(x), ".12g")
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+_COLUMN_TYPES = tuple(typing.get_type_hints(ReportRow)[name] for name in REPORT_COLUMNS)
+
+
+def _render_cell(kind, value) -> str:
+    """One report cell, rendered by its column's declared type: ``bool`` as
+    true/false; ``float`` and ``float | None`` with 12 significant digits,
+    as inf, or empty for None; anything else with ``str``."""
+    if kind is bool:
+        return "true" if value else "false"
+    if kind in (float, float | None):
+        if value is None:
+            return ""
+        return "inf" if math.isinf(value) else format(float(value), ".12g")
+    return str(value)
 
 
 def render_report(rows) -> str:
+    """The CSV report: a header of ``ReportRow``'s field names in declaration
+    order, then one validated row per line, each cell rendered by its
+    field's declared type (``_render_cell``).  Adding a field to
+    ``ReportRow`` adds a column."""
     lines = [",".join(REPORT_COLUMNS)]
     for row in rows:
         row.validate()
-        lines.append(
-            ",".join(
-                (
-                    row.network,
-                    str(row.instance),
-                    row.method,
-                    row.selection,
-                    str(row.edges_deleted),
-                    str(row.iterations),
-                    "true" if row.converged else "false",
-                    _render_float(row.kl_bound),
-                    _render_float(row.exact_kl),
-                    _render_float(row.map_ratio),
-                    str(row.constrained_treewidth),
-                    str(row.wall_time_ms),
-                )
-            )
-        )
+        cells = (getattr(row, name) for name in REPORT_COLUMNS)
+        lines.append(",".join(map(_render_cell, _COLUMN_TYPES, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -400,9 +378,11 @@ class _HuginTokens:
                 self.tokens.append(("word", text[i:j], line))
                 i = j
         self.pos = 0
+        # the end of input sits on the text's last non-blank line
+        self.eof = ("eof", "", text.rstrip().count("\n") + 1)
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", -1)
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
 
     def next(self):
         tok = self.peek()

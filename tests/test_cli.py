@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from edgedel import Evidence, augment, compile, serialize_evidence, serialize_network
+import edgedel.cli as cli_module
+from edgedel import (
+    Evidence,
+    augment,
+    compile,
+    min_fill_order,
+    serialize_evidence,
+    serialize_network,
+)
 from edgedel.cli import main
 from edgedel.harness import grid_network
 
@@ -103,6 +111,23 @@ class TestApproxCommand:
         assert captured.out == ""
         assert "seed must be >= 0" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["score", "--width-cap", "-1"], id="score --width-cap"),
+            pytest.param(["approx", "--delete", "1", "--width-cap", "-1"], id="approx --width-cap"),
+            pytest.param(["approx", "--target-width", "-1"], id="approx --target-width"),
+            pytest.param(["map", "--target-width", "-1"], id="map --target-width"),
+        ],
+    )
+    def test_negative_limit_exits_3_without_output(self, fixture_files, capsys, argv):
+        net_file, ev_file = fixture_files
+        code = main([argv[0], net_file, ev_file] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"error: {argv[-2][2:]} must be >= 0" in captured.err
+
     def test_width_cap_below_width_exits_4_without_output(self, tmp_path, capsys):
         net = grid_network(4, 4, rng=np.random.default_rng(0))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
@@ -131,6 +156,37 @@ class TestApproxCommand:
             ["approx", net_file, ev_file, "--method", "ed-bp", "--edges", str(plan_file)]
         )
         assert code == 0
+
+    def test_plan_file_with_vectors_on_some_lines_exits_3(self, fixture_files, tmp_path, capsys):
+        net_file, ev_file = fixture_files
+        plan_file = tmp_path / "mixed.plan"
+        plan_file.write_text("U1 -> X1 | pm: 0.5 0.5 | se: 0.5 0.5\nU2 -> X2\n")
+        code = main(["approx", net_file, ev_file, "--edges", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "line 2, col 1: plan line gives no pm/se vectors" in captured.err
+
+    def test_target_width_search_measures_each_candidate_as_built(self, monkeypatch):
+        built, measured = [], []
+        real = cli_module.approximate_network
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            built.append(out[1])
+            return out
+
+        def width(nprime):
+            measured.append(nprime)
+            return min_fill_order(nprime).width
+
+        monkeypatch.setattr(cli_module, "approximate_network", spy)
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        args = cli_module.build_parser().parse_args(["approx", "grid.bn", "--target-width", "2"])
+        edges, _ = cli_module._resolve_edges(net, Evidence({}), args, width)
+        assert len(measured) == len(edges) + 1
+        assert all(m is b for m, b in zip(measured, built, strict=True))
+        assert min_fill_order(real(net, edges)[1]).width <= 2
 
     def test_target_width_reaches_requested_width(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

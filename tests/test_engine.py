@@ -338,6 +338,17 @@ class TestCompileAndMarginals:
         with pytest.raises(CapacityError, match="width"):
             compile(net, Evidence({}), width_cap=1)
 
+    def test_single_queries_are_recorded_under_the_state_width_cap(self):
+        # Pr(e) on the chain has width 1; keeping both ends joins them in
+        # every clique of the elimination
+        st = compile(chain_network(8), Evidence({}), width_cap=1)
+        assert st.width == 1
+        with pytest.raises(CapacityError, match="induced width 2 exceeds the cap of 1"):
+            pairwise_marginal(st, "X1", "X8")
+        capped = dataclasses.replace(st, width_cap=0)
+        with pytest.raises(CapacityError, match="induced width 1 exceeds the cap of 0"):
+            posterior_marginal(capped, "X4")
+
     def test_order_invariance_of_pr_e(self):
         rng = np.random.default_rng(6)
         net = random_network(rng, n_vars=7)
@@ -888,7 +899,7 @@ class TestAdjointGuards:
 
     def test_maximize_program_refused(self):
         net = chain3()
-        program = engine_module.record(net, Evidence({}), last=("A",), maximize=("A",))
+        program = engine_module.record(net, Evidence({}), maximize=("A",))
         with pytest.raises(ModelError, match="maximizing"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 

@@ -139,6 +139,11 @@ class TestEvidenceAndPlanFormats:
         with pytest.raises(FormatError):
             parse_plan("A -> B | pm: 0.5 0.5\n")
 
+    def test_plan_with_vectors_on_some_lines_names_the_first_bare_line(self):
+        text = "A -> B | pm: 0.5 0.5 | se: 1.0 0.5\n# bare lines\nC -> D\nE -> F\n"
+        with pytest.raises(FormatError, match="line 3, col 1: plan line gives no pm/se"):
+            parse_plan(text)
+
 
 def make_row(**overrides):
     base = dict(
@@ -164,9 +169,16 @@ class TestReports:
         sink = io.BytesIO()
         n = write_report([], sink)
         text = sink.getvalue().decode()
-        assert text.count("\n") == 1
-        assert text.startswith("network,instance,method,")
+        assert text == (
+            "network,instance,method,selection,edges_deleted,iterations,converged,"
+            "kl_bound,exact_kl,map_ratio,constrained_treewidth,wall_time_ms\n"
+        )
         assert n == len(sink.getvalue())
+
+    def test_cells_render_by_declared_type(self):
+        row = make_row(converged=False, kl_bound=float("inf"), exact_kl=None, map_ratio=0.5)
+        cells = render_report([row]).split("\n")[1]
+        assert cells == "chain(8),3,ed-kl,guided,2,14,false,inf,,0.5,3,0"
 
     def test_single_row_has_twelve_fields(self):
         text = render_report([make_row()])
@@ -240,6 +252,27 @@ class TestHuginSubset:
 node A { states = ( "a0" "a1" ); }
 """
         with pytest.raises(FormatError, match="no potential"):
+            parse_hugin_subset(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('node A {\n  states = ("a" "b"\n', "unexpected token ''", id="states"),
+            pytest.param(
+                'node A {\n  states = ("a" "b");\n}\npotential (A) {\n  data = (0.5 0.5',
+                "unexpected token ''",
+                id="data",
+            ),
+            pytest.param(
+                'node A {\n  states = ("a" "b");\n}\npotential (A) {\n  data = (0.5 0.5);\n\n',
+                "unterminated block",
+                id="potential-block",
+            ),
+        ],
+    )
+    def test_truncated_input_reports_the_last_line(self, text, message):
+        last = len(text.rstrip().split("\n"))
+        with pytest.raises(FormatError, match=f"^line {last}: {message}$"):
             parse_hugin_subset(text)
 
     def test_data_order_matches_convention(self):
