@@ -95,7 +95,7 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     table (each checked by the Euler identity).  A non-empty plan under
     evidence of probability zero raises ``InconsistentEvidenceError``.
     """
-    program = engine.record(aug, ev, width_cap=width_cap)
+    program = engine.record(engine.reduce(aug, ev), width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, aug))
     if len(plan) and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
@@ -108,12 +108,12 @@ def _passes(source, nprime, plan, ev, evp, width_cap) -> tuple[engine.Adjoints, 
     """A forward/backward pass of Pr(e) on ``source``, and Pr'(e') from a
     replay on N' with the plan's parameters.  Evidence of probability zero
     on either side raises ``InconsistentEvidenceError``."""
-    program = engine.record(source, ev, width_cap=width_cap)
+    program = engine.record(engine.reduce(source, ev), width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, source))
     if grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
     current = apply_params(nprime, plan)
-    program = engine.record(current, evp, width_cap=width_cap)
+    program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
     pr_ep = float(engine.replay(program, engine.bind(program, current))[0])
     if pr_ep <= 0.0:
         raise InconsistentEvidenceError(
@@ -197,11 +197,10 @@ def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
     soft-evidence CPT and keeping (parent, clone) (``engine.record``).  Returns (pr', d pr'/d pm,
     d pr'/d se), each a plain sum over the table -- no inference happens here.
     """
-    d = np.asarray(derivs, dtype=float)
-    if d.ndim != 2 or d.shape[0] != se.size or d.shape[1] != pm.size:
+    if derivs.shape != (se.size, pm.size):
         raise ModelError("derivative table shape does not match the edge parameters")
-    d_pm = se @ d
-    d_se = d @ pm
+    d_pm = se @ derivs
+    d_se = derivs @ pm
     pr_ep = float(d_pm @ pm)
     return pr_ep, d_pm, d_se
 
@@ -223,21 +222,13 @@ def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     A zero derivative against positive true mass is clamped to DENOM_FLOOR,
     with a warning; against zero true mass the entry is 0.
     """
-    out = np.zeros_like(deriv)
-    for i, (t, d) in enumerate(zip(true_marg, deriv)):
-        if d <= 0.0:
-            if t <= 0.0:
-                out[i] = 0.0
-            else:
-                warnings.warn(
-                    f"zero derivative against positive true mass for {label}; "
-                    f"clamping denominator",
-                    RuntimeWarning,
-                )
-                out[i] = t * pr_ep / DENOM_FLOOR
-        else:
-            out[i] = t * pr_ep / d
-    return out
+    floored = deriv <= 0.0
+    if (floored & (true_marg > 0.0)).any():
+        warnings.warn(
+            f"zero derivative against positive true mass for {label}; clamping denominator",
+            RuntimeWarning,
+        )
+    return true_marg * pr_ep / np.where(floored, DENOM_FLOOR, deriv)
 
 
 def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
@@ -313,8 +304,8 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     new_pm = new_pm / new_pm.sum()
     new_se = np.clip(new_se, 0.0, 1.0)
     residual = max(
-        float(np.max(np.abs(new_pm - pm))),
-        float(np.max(np.abs(new_se - se))),
+        float(np.maximum.reduce(np.abs(new_pm - pm))),
+        float(np.maximum.reduce(np.abs(new_se - se))),
     )
     return new_pm, new_se, residual, pr_old
 
@@ -388,7 +379,7 @@ def score_edges(
     else:
         aug = net
     records = [r for r in aug.clone_edges if r.sevid is None]
-    program = engine.record(aug, ev, width_cap=width_cap)
+    program = engine.record(engine.reduce(aug, ev), width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, aug))
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
@@ -430,7 +421,7 @@ def mutual_information_scores(
     edge with an observed endpoint scores exactly 0.0, its conditional
     mutual information.  Ties break toward declaration order.
     """
-    program = engine.record(net, ev, width_cap=width_cap)
+    program = engine.record(engine.reduce(net, ev), width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, net))
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:

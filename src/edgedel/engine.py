@@ -5,20 +5,26 @@ derivatives (valid at zero parameters), tables of Pr(e) over kept variables
 with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
 orders with an optional eliminate-these-last constraint.
 
-Every query takes the same steps, all inside ``record``, the one recording
-entry: check and index the evidence, reduce (``_factors``: which CPTs enter
-and which evidence slices they take), order (``_order``: one greedy min-fill
-order, checked against the width cap before any table is built), and
-record a ``Program`` naming, bucket by bucket, the operands, each operand's
-transpose and broadcast shape, and the summed or maximized axis.  Then
-``bind`` reads the program's input tables off a network once, each CPT
-through ``write``, which checks its shape and applies the evidence slice,
-and ``replay`` runs exactly the recorded numpy operations on that list,
-with an argmax traceback for the maximized variables.  A program depends
-on the structure, the evidence and the query, not on the CPT entries, and
-``replay`` never writes into the bound list, so a caller that only changes
-some CPTs (the sweeps of ``parametrize.run``) records and binds once, then
-writes just those CPTs' new tables through ``write`` before each replay.
+Every query takes the same steps: check and index the evidence and slice
+every CPT by it (``reduce``, whose result programs recorded under the same
+evidence can share), then, inside ``record``, the one recording entry, pick
+the inputs (``_factors``: which CPTs enter, and which keep a kept variable's
+axis), order (``_order``: one greedy min-fill order, popped off a heap of
+(fill cost, declaration index) keys over bitmask adjacency, and checked
+against the width cap before any table is built), and record a ``Program``
+naming, bucket by bucket, the operands, each step's transpose and
+broadcast shapes, and the summed or maximized axis.  Then ``bind`` reads
+the program's input tables off a network once, each CPT through ``write``,
+which checks its shape and applies the evidence slice, and ``replay`` runs
+exactly the recorded numpy operations on that list, with an argmax
+traceback for the maximized variables.  It checks the program's result,
+not each product, for overflow: the inputs are finite and nonnegative, and
+an inf or NaN entry survives every later product, sum and maximum.  A
+program depends on the structure, the evidence and the query, not on the
+CPT entries, and ``replay`` never writes into the bound list, so a caller
+that only changes some CPTs (the sweeps of ``parametrize.run``) records and
+binds once, then writes just those CPTs' new tables through ``write``
+before each replay.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
 the CPT entries.  ``adjoints`` runs such a program forward on its bound
@@ -37,9 +43,11 @@ and ``pairwise_marginal`` answer one query each with their own elimination.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,15 +84,21 @@ def _moral_adjacency(scopes) -> dict[str, set[str]]:
 
 
 def _fill_cost(adj, n) -> int:
-    """Number of missing edges among the neighbours of ``n``."""
+    """Number of missing edges among the neighbours of node ``n``, where
+    ``adj[m]`` is the bitmask of node ``m``'s neighbours."""
     nbrs = adj[n]
-    # each neighbour m misses len(nbrs - adj[m]) - 1 of the others (m itself
-    # is in the difference); every missing pair is counted from both ends
-    return (sum([len(nbrs - adj[m]) for m in nbrs]) - len(nbrs)) // 2
+    # each neighbour m misses the bits of nbrs & ~adj[m] but itself (its own
+    # bit is set there); every missing pair is counted from both ends
+    missing = -nbrs.bit_count()
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        missing += (nbrs & ~adj[low.bit_length() - 1]).bit_count()
+        rest ^= low
+    return missing // 2
 
 
-@dataclass(frozen=True)
-class _Input:
+class _Input(NamedTuple):
     """One input table of an elimination, named rather than held.
 
     A CPT input is ``net.cpt(cpt).shaped``, which must have ``shape``, with
@@ -104,7 +118,41 @@ class _Input:
         return self.scope
 
 
-def _factors(net: Network, ev_index, without=(), keep=()) -> list[_Input]:
+def _sliced(child, names, cards, ev_index, keep=()) -> _Input:
+    """The input of the CPT of ``child`` over ``names`` (of ``cards``),
+    sliced by the evidence on its scope outside ``keep``."""
+    sliced = [n in ev_index and n not in keep for n in names]
+    if True not in sliced:
+        return _Input(names, cards, child, cards)
+    return _Input(
+        tuple(n for n, s in zip(names, sliced) if not s),
+        tuple(c for c, s in zip(cards, sliced) if not s),
+        child, cards,
+        tuple(ev_index[n] if s else slice(None) for n, s in zip(names, sliced)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """A network's evidence, checked and indexed (variable name to state
+    index), and every CPT's input sliced by it, in declaration order: what
+    ``record`` starts from.  Programs recorded under the same evidence
+    share one (``reduce``)."""
+
+    net: Network
+    ev_index: dict[str, int]
+    inputs: tuple[_Input, ...]
+
+
+def reduce(net: Network, ev: Evidence) -> Reduction:
+    """Check the evidence against the network, index it, and slice every
+    CPT by it."""
+    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
+    inputs = tuple(_sliced(*layout, ev_index) for layout in net.layout())
+    return Reduction(net, ev_index, inputs)
+
+
+def _factors(reduced: Reduction, without=(), keep=()) -> list[_Input]:
     """The CPTs of the variables outside ``without``, each sliced by the
     evidence on its scope, except that the variables in ``keep`` stay
     unsliced.
@@ -112,24 +160,18 @@ def _factors(net: Network, ev_index, without=(), keep=()) -> list[_Input]:
     A kept observed variable gets an indicator input instead, and a kept
     variable that no remaining input mentions gets a ones input.
     """
+    net, ev_index = reduced.net, reduced.ev_index
+    kept = set(keep)
     inputs: list[_Input] = []
     covered = set()
-    for cpt in net.cpts():
-        if cpt.child.name in without:
+    for layout, inp in zip(net.layout(), reduced.inputs):
+        if inp.cpt in without:
             continue
-        vars_ = cpt.scope()
-        sliced = [v.name in ev_index and v.name not in keep for v in vars_]
-        take = None
-        if any(sliced):
-            take = tuple(
-                ev_index[v.name] if s else slice(None) for v, s in zip(vars_, sliced)
-            )
-        kept = [v for v, s in zip(vars_, sliced) if not s]
-        scope = tuple(v.name for v in kept)
-        inputs.append(
-            _Input(scope, tuple(v.card for v in kept), cpt.child.name, cpt.shape, take)
-        )
-        covered.update(scope)
+        if inp.take is not None and not kept.isdisjoint(layout[1]):
+            # the evidence slice may cut a kept variable's axis
+            inp = _sliced(*layout, ev_index, kept)
+        inputs.append(inp)
+        covered.update(inp.scope)
     for name in keep:
         var = net.var(name)
         if name in ev_index:
@@ -154,59 +196,94 @@ def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> Elimination
     With ``width_cap`` set, a wider order raises CapacityError before any
     table is built.
 
-    Each phase keeps a table of (fill cost, declaration index) keys.
-    Eliminating a node changes only its neighbours' neighbourhoods and adds
-    edges only among them, so only the keys of those neighbours and of their
-    neighbours are recomputed.
+    The variables are numbered in order of first appearance, and each one's
+    neighbours are held as a bitmask.  Each phase pops the least (fill
+    cost, declaration index) key off a heap, skipping keys that have changed
+    since they were pushed.  Eliminating a node changes only its
+    neighbours' neighbourhoods and adds edges only among them, so only the
+    keys of those neighbours and of their neighbours are recomputed.
     """
-    adj = _moral_adjacency([f.names() for f in factors])
+    ids: dict[str, int] = {}
+    adj: list[int] = []
+    for f in factors:
+        mask = 0
+        for n in f.names():
+            i = ids.get(n)
+            if i is None:
+                i = ids[n] = len(adj)
+                adj.append(0)
+            mask |= 1 << i
+        rest = mask
+        while rest:
+            low = rest & -rest
+            adj[low.bit_length() - 1] |= mask ^ low
+            rest ^= low
+    names = list(ids)
     phases = (
-        [n for n in adj if n not in keep and n not in last],
-        [n for n in adj if n in last],
+        [i for n, i in ids.items() if n not in keep and n not in last],
+        [i for n, i in ids.items() if n in last],
     )
     order: list[str] = []
     width = 0
     for phase in phases:
-        key = {n: (_fill_cost(adj, n), decl_index(n)) for n in phase}
-        while key:
-            best = min(key, key=key.__getitem__)
-            del key[best]
-            nbrs = adj.pop(best)
-            width = max(width, len(nbrs))
-            for n in nbrs:
-                adj[n] |= nbrs
-                adj[n] -= {n, best}
-            stale = set(nbrs)
-            for n in nbrs:
-                stale |= adj[n]
-            for n in stale:
+        cost = {i: _fill_cost(adj, i) for i in phase}
+        rank = {i: decl_index(names[i]) for i in phase}
+        heap = [(c, rank[i], i) for i, c in cost.items()]
+        heapq.heapify(heap)
+        while heap:
+            c, _, best = heapq.heappop(heap)
+            if cost.get(best) != c:
+                continue
+            del cost[best]
+            nbrs = adj[best]
+            adj[best] = 0
+            width = max(width, nbrs.bit_count())
+            gone = 1 << best
+            stale = rest = nbrs
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                adj[i] = (adj[i] | nbrs) & ~(low | gone)
+                stale |= adj[i]
+                rest ^= low
+            while stale:
+                low = stale & -stale
+                i = low.bit_length() - 1
+                stale ^= low
                 # outside nbrs, a node's cost moves only if a new edge joins
                 # two of its neighbours, so it must touch two of nbrs
-                if n in key and (n in nbrs or len(adj[n] & nbrs) > 1):
-                    key[n] = (_fill_cost(adj, n), key[n][1])
-            order.append(best)
+                if i in cost and (low & nbrs or (adj[i] & nbrs).bit_count() > 1):
+                    c = _fill_cost(adj, i)
+                    if c != cost[i]:
+                        cost[i] = c
+                        heapq.heappush(heap, (c, rank[i], i))
+            order.append(names[best])
     if width_cap is not None and width > width_cap:
         what = "constrained induced width" if last else "induced width"
         raise CapacityError(f"{what} {width} exceeds the cap of {width_cap}")
     return EliminationOrder(tuple(order), width)
 
 
-@dataclass(frozen=True)
-class _Bucket:
+class _Bucket(NamedTuple):
     """One recorded elimination step.
 
-    The operands (ids in creation order: inputs first, then bucket results)
-    are multiplied left to right; ``steps`` holds, per product, the views
-    that align the running product and the next operand (see ``_view``).
-    ``axis`` of the product is summed out, or maximized out if ``rest`` (the
-    product's other axes, for the traceback) is set; the result has
-    ``shape``.
+    Table ``first`` is multiplied by the table of each of ``steps`` in turn
+    (``_product_steps``; ``back`` is the reverse pass's part, None in a
+    program that keeps or maximizes a variable, which never runs
+    backward).  ``axis`` of the product, of length ``size``, is summed out,
+    or maximized out if ``rest`` (the product's other axes, for the
+    traceback) is set; the result has ``shape``, and ``flat`` is the
+    product's shape with ``axis`` cut to length one.  Tables are ids in
+    creation order: inputs first, then bucket results.
     """
 
     var: str
-    operands: tuple[int, ...]
+    first: int
     steps: tuple
+    back: tuple | None
     axis: int
+    size: int
+    flat: tuple[int, ...]
     shape: tuple[int, ...]
     rest: tuple[str, ...] | None
 
@@ -214,9 +291,10 @@ class _Bucket:
 @dataclass(frozen=True)
 class Program:
     """A recorded elimination: inputs by name, then buckets, then the
-    product of what remains (``final`` ids, aligned by ``final_steps``
-    starting from a scalar one), permuted by ``perm`` into the kept
-    variables' order and reshaped to ``shape``.
+    product of what remains (``final`` ids, multiplied by ``final_steps``
+    starting from a scalar one; ``final_back`` as a bucket's ``back``),
+    permuted by ``perm`` into the kept variables' order and reshaped to
+    ``shape``.
 
     ``width`` is the order's induced width.  Binding a program to a
     network reads only CPT entries, so any network with the recorded
@@ -230,6 +308,7 @@ class Program:
     buckets: tuple[_Bucket, ...]
     final: tuple[int, ...]
     final_steps: tuple
+    final_back: tuple | None
     perm: tuple[int, ...]
     shape: tuple[int, ...]
     width: int
@@ -237,72 +316,122 @@ class Program:
     ev_index: dict[str, int]
 
 
-def _view(src, scope, card):
-    """(transpose, reshape) that broadcast a table over ``src`` against
-    ``scope``, as ``Factor.multiply`` aligns its operands; either part is
-    None where it would be the identity."""
+def _product_steps(scope, shape, ids, scopes, shapes, backward):
+    """How to multiply a table over ``scope``, of ``shape``, by the tables
+    ``ids`` (over ``scopes[j]``, of ``shapes[j]``) left to right, each
+    product appending the next table's new variables, as
+    ``Factor.multiply`` aligns its operands.
+
+    Returns the product's scope and shape, the forward steps and, if
+    ``backward``, their reverse-pass parts (``_reverse``; else None).  Step
+    (j, grow, turn, fit) reshapes the running product to ``grow`` (its own
+    axes, then a broadcast axis per new variable), and transposes table j
+    by ``turn`` and reshapes it to ``fit`` to broadcast against it; each
+    part is None where it would be the identity.
+    """
     pos = {n: i for i, n in enumerate(scope)}
-    order = tuple(sorted(range(len(src)), key=lambda i: pos[src[i]]))
-    have = set(src)
-    shape = tuple(card[n] if n in have else 1 for n in scope)
-    transposed = tuple(card[src[i]] for i in order)
-    return (
-        None if order == tuple(range(len(src))) else order,
-        None if shape == transposed else shape,
-    )
-
-
-def _product_steps(scopes, card):
-    """Scope and alignment steps of multiplying tables over ``scopes`` left
-    to right; each product appends the next table's new variables."""
-    scope = scopes[0]
+    scope, shape = list(scope), list(shape)
     steps = []
-    for other in scopes[1:]:
-        mine = set(scope)
-        joint = scope + tuple(n for n in other if n not in mine)
-        steps.append((_view(scope, joint, card), _view(other, joint, card)))
-        scope = joint
-    return scope, tuple(steps)
+    back = []
+    for j in ids:
+        theirs = shapes[j]
+        mine = tuple(shape)
+        where = []
+        for n, c in zip(scopes[j], theirs):
+            i = pos.get(n)
+            if i is None:
+                i = pos[n] = len(scope)
+                scope.append(n)
+                shape.append(c)
+            where.append(i)
+        grow = None
+        if len(scope) > len(mine):
+            grow = mine + (1,) * (len(scope) - len(mine))
+        fit = None
+        if len(where) < len(scope):
+            aligned = [1] * len(scope)
+            for i, c in zip(where, theirs):
+                aligned[i] = c
+            fit = tuple(aligned)
+        turn = None
+        if where != sorted(where):
+            turn = tuple(sorted(range(len(where)), key=where.__getitem__))
+        steps.append((j, grow, turn, fit))
+        if backward:
+            back.append(_reverse(mine, theirs, grow, turn, fit))
+    return tuple(scope), tuple(shape), tuple(steps), tuple(back) if backward else None
 
 
-def record(
-    net: Network, ev: Evidence, without=(), keep=(), maximize=(), width_cap=None
-) -> Program:
-    """Check the evidence against the network, then reduce, order and
-    record one elimination without building a table.
+def _reverse(mine, theirs, grow, turn, fit):
+    """The reverse-pass part of the step (j, grow, turn, fit) that
+    multiplies a running product of shape ``mine`` by a table of shape
+    ``theirs`` (see ``_product_steps``).
+
+    The part (grow_ones, mine, fit_ones, turned, unturn, theirs) undoes the
+    step on an adjoint over the product (``_multiply_back``): the axes to
+    sum where a side was broadcast, and the reshapes and the transpose back
+    to the side's own shape, each None where it would do nothing.  (Summing
+    an axis of length one also drops the axes of one-state variables; only
+    then are the reshapes needed.)
+    """
+    grow_ones = fit_ones = mine_back = turned = unturn = theirs_back = None
+    if grow is not None:
+        grow_ones = tuple(i for i, c in enumerate(grow) if c == 1)
+        mine_back = mine if 1 in mine else None
+    if fit is not None:
+        fit_ones = tuple(i for i, c in enumerate(fit) if c == 1)
+    cut = fit is not None and 1 in theirs
+    if turn is None:
+        theirs_back = theirs if cut else None
+    else:
+        unturn = tuple(sorted(range(len(turn)), key=turn.__getitem__))
+        turned = tuple(theirs[i] for i in turn) if cut else None
+    return grow_ones, mine_back, fit_ones, turned, unturn, theirs_back
+
+
+def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None) -> Program:
+    """Order and record one elimination on a network reduced by its
+    evidence (``reduce``) without building a table.
 
     This is the one way to record: every query and every fit program starts
-    here.  ``without``/``keep`` are as in ``_factors`` and ``width_cap`` as
-    in ``_order``; the variables in ``maximize`` are eliminated after all
-    the others (``_order``'s ``last``), and maximized out with an argmax
-    traceback instead of summed out.  With nothing kept the program
-    computes Pr(e); bind it and run it with ``replay`` or ``adjoints``.
+    here, and programs recorded under the same evidence can share one
+    reduction (the fit's edge programs).  ``without``/``keep`` are as in
+    ``_factors`` and ``width_cap`` as in ``_order``; the variables in
+    ``maximize`` are eliminated after all the others (``_order``'s
+    ``last``), and maximized out with an argmax traceback instead of summed
+    out.  With nothing kept the program computes Pr(e); bind it and run it
+    with ``replay`` or ``adjoints``.
     """
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
+    net = reduced.net
     keep = tuple(keep)
-    inputs = _factors(net, ev_index, without, keep)
+    inputs = _factors(reduced, without, keep)
     elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
-    card = {}
-    scopes = []
+    # only a Pr(e) program (nothing kept or maximized) can run backward
+    backward = not keep and not maximize
+    scopes = [inp.scope for inp in inputs]
+    shapes = [inp.reduced for inp in inputs]
     holding: dict[str, list[int]] = {}
-    for i, inp in enumerate(inputs):
-        card.update(zip(inp.scope, inp.reduced))
-        scopes.append(inp.scope)
-        for n in inp.scope:
+    for i, scope in enumerate(scopes):
+        for n in scope:
             holding.setdefault(n, []).append(i)
     live = set(range(len(scopes)))
     buckets = []
     for name in elim.order:
-        ids = tuple(i for i in holding.pop(name, ()) if i in live)
+        ids = [i for i in holding.pop(name, ()) if i in live]
         if not ids:
             continue
         live.difference_update(ids)
-        scope, steps = _product_steps([scopes[i] for i in ids], card)
+        first = ids[0]
+        scope, shape, steps, back = _product_steps(
+            scopes[first], shapes[first], ids[1:], scopes, shapes, backward
+        )
         axis = scope.index(name)
         rest = scope[:axis] + scope[axis + 1 :]
+        out = shape[:axis] + shape[axis + 1 :]
         buckets.append(
             _Bucket(
-                name, ids, steps, axis, tuple(card[n] for n in rest),
+                name, first, steps, back, axis, shape[axis],
+                shape[:axis] + (1,) + shape[axis + 1 :], out,
                 rest if name in maximize else None,
             )
         )
@@ -310,101 +439,133 @@ def record(
             holding[n].append(len(scopes))
         live.add(len(scopes))
         scopes.append(rest)
+        shapes.append(out)
     final = tuple(sorted(live))
-    scope, final_steps = _product_steps([()] + [scopes[i] for i in final], card)
+    scope, shape, final_steps, final_back = _product_steps(
+        (), (), final, scopes, shapes, backward
+    )
     if sorted(scope) != sorted(keep):
         raise ModelError("reorder must name the full scope")
+    perm = tuple(scope.index(n) for n in keep)
     return Program(
-        tuple(inputs), tuple(buckets), final, final_steps,
-        tuple(scope.index(n) for n in keep), tuple(card[n] for n in keep), elim.width,
+        tuple(inputs), tuple(buckets), final, final_steps, final_back,
+        perm, tuple(shape[i] for i in perm), elim.width,
         {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
-        ev_index,
+        reduced.ev_index,
     )
 
 
-def _aligned(arr, view):
-    transpose, shape = view
-    if transpose is not None:
-        arr = arr.transpose(transpose)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
+# the reductions ``ndarray.sum`` and ``ndarray.max`` run, without their wrappers
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
-def _unaligned(grad, view, shape):
-    """The adjoint of ``_aligned``: ``grad``, over the whole aligned scope,
-    summed over the axes the view broadcast and transposed back to a table
-    of ``shape``.  (Summing an axis of size one also drops the axes of
-    one-state variables; the final reshape restores them.)"""
-    transpose, aligned = view
-    if aligned is not None:
-        grad = grad.sum(axis=tuple(i for i, n in enumerate(aligned) if n == 1))
-    if transpose is not None:
-        grad = grad.reshape(tuple(shape[i] for i in transpose)).transpose(
-            sorted(range(len(transpose)), key=transpose.__getitem__)
-        )
-    return grad.reshape(shape)
-
-
-def _multiply(tables, prod, operands, steps, prefixes=None):
-    """Multiply ``prod`` by each operand in turn.  The operands are
-    released, unless ``prefixes`` collects the running product before each
-    step for ``_multiply_back``."""
-    for j, (mine, theirs) in zip(operands, steps):
+def _multiply(tables, prod, steps, prefixes=None):
+    """Multiply ``prod`` by the table of each step in turn (see
+    ``_product_steps``).  The tables are released, unless ``prefixes``
+    collects the running product before each step for ``_multiply_back``."""
+    for j, grow, turn, fit in steps:
         other = tables[j]
         if prefixes is None:
             tables[j] = None
         else:
             prefixes.append(prod)
-        prod = _aligned(prod, mine) * _aligned(other, theirs)
-        if not np.isfinite(prod).all():
-            raise ModelError("numerical overflow in factor product")
+        if grow is not None:
+            prod = prod.reshape(grow)
+        if turn is not None:
+            other = other.transpose(turn)
+        if fit is not None:
+            other = other.reshape(fit)
+        prod = prod * other
     return prod
 
 
-def _multiply_back(grad, prefixes, tables, operands, steps, adj):
+def _multiply_back(grad, prefixes, tables, steps, back, adj):
     """The reverse of ``_multiply``: given the adjoint of the product, set
-    each operand's adjoint in ``adj`` and return the starting product's."""
-    for j, (mine, theirs), prev in reversed(tuple(zip(operands, steps, prefixes))):
+    each table's adjoint in ``adj`` and return the starting product's."""
+    for (j, grow, turn, fit), (grow_ones, mine, fit_ones, turned, unturn, theirs), prev in zip(
+        reversed(steps), reversed(back), reversed(prefixes)
+    ):
         other = tables[j]
-        adj[j] = _unaligned(grad * _aligned(prev, mine), theirs, other.shape)
-        grad = _unaligned(grad * _aligned(other, theirs), mine, prev.shape)
+        if grow is not None:
+            prev = prev.reshape(grow)
+        if turn is not None:
+            other = other.transpose(turn)
+        if fit is not None:
+            other = other.reshape(fit)
+        d = grad * prev
+        if fit_ones is not None:
+            d = _sum(d, fit_ones)
+        if turned is not None:
+            d = d.reshape(turned)
+        if unturn is not None:
+            d = d.transpose(unturn)
+        if theirs is not None:
+            d = d.reshape(theirs)
+        adj[j] = d
+        grad = grad * other
+        if grow_ones is not None:
+            grad = _sum(grad, grow_ones)
+        if mine is not None:
+            grad = grad.reshape(mine)
     return grad
 
 
-def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
-    """Set the input of the CPT of ``name`` in a bound list (``bind``) to
-    ``table``, which must have the shape the program was recorded for, as
-    the program reads it: sliced by its evidence.  A program that does not
-    read that CPT is left as it was.
+def _stored(out, shape):
+    """A bucket's result as it is stored: in C order, so that the layout of
+    every later product, which sets numpy's summation order, is the one
+    recorded; a 1-d product sums to a scalar, which comes back 0-d."""
+    out = np.ascontiguousarray(out)
+    return out if shape else out.reshape(())
+
+
+def write(bindings, name: str, table: np.ndarray) -> None:
+    """Set the input of the CPT of ``name`` to ``table`` in each (program,
+    bound list) pair of ``bindings`` (``bind``).  ``table`` must have the
+    shape the programs were recorded for, and each reads it as it was
+    recorded: sliced by its evidence.  Programs that take the same slice
+    share one sliced table, and a program that does not read that CPT is
+    left as it was.
 
     ``bind`` reads every CPT through here, and a caller that changes some
-    CPTs (the fit's edge tables) writes just those and replays again.
+    CPTs (the fit's edge tables) writes just those into each of its
+    programs and replays again.
     """
-    i = program.cpt_inputs.get(name)
-    if i is None:
-        return
-    inp = program.inputs[i]
-    if table.shape != inp.shape:
-        raise ModelError(
-            f"cpt for {name!r} has shape {table.shape}; "
-            f"the program was recorded for {inp.shape}"
-        )
-    if inp.take is not None:
-        # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
-        table = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
-    bound[i] = table
+    sliced = []  # (take, table); an index holding a slice is unhashable
+    for program, bound in bindings:
+        i = program.cpt_inputs.get(name)
+        if i is None:
+            continue
+        inp = program.inputs[i]
+        if table.shape != inp.shape:
+            raise ModelError(
+                f"cpt for {name!r} has shape {table.shape}; "
+                f"the program was recorded for {inp.shape}"
+            )
+        if inp.take is None:
+            bound[i] = table
+            continue
+        for take, done in sliced:
+            if take == inp.take:
+                break
+        else:
+            # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
+            done = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
+            sliced.append((inp.take, done))
+        bound[i] = done
 
 
 def bind(program: Program, net: Network) -> list[np.ndarray]:
     """The program's input tables, read off ``net`` once: each CPT through
     ``write``.
 
-    ``replay`` and ``adjoints`` take this list and never write into it.
+    ``replay`` and ``adjoints`` take this list and never write
+    into it.
     """
     bound = [inp.table for inp in program.inputs]
+    binding = ((program, bound),)
     for name in program.cpt_inputs:
-        write(program, bound, name, net.cpt(name).shaped)
+        write(binding, name, net.cpt(name).shaped)
     return bound
 
 
@@ -415,21 +576,27 @@ def replay(program: Program, bound: list) -> tuple[np.ndarray, list]:
     ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
     (variable, names of the other axes, argmax table) per maximized
     variable, in elimination order.  ``bound`` is left as it was.
+
+    A result with an infinite or NaN entry raises "numerical overflow in
+    factor product".  One check on the result catches an overflow in any
+    product: the inputs are finite and nonnegative, and an inf or NaN entry
+    survives every later product, sum and maximum.
     """
     tables = list(bound)
     traceback = []
     for b in program.buckets:
-        first = b.operands[0]
-        prod = _multiply(tables, tables[first], b.operands[1:], b.steps)
-        tables[first] = None
+        prod = _multiply(tables, tables[b.first], b.steps)
+        tables[b.first] = None
         if b.rest is None:
-            out = prod.sum(axis=(b.axis,))
+            out = _sum(prod, b.axis)
         else:
-            traceback.append((b.var, b.rest, np.argmax(prod, axis=b.axis)))
-            out = prod.max(axis=(b.axis,))
-        tables.append(np.ascontiguousarray(out).reshape(b.shape))
-    prod = _multiply(tables, np.array(1.0), program.final, program.final_steps)
+            traceback.append((b.var, b.rest, prod.argmax(axis=b.axis)))
+            out = _max(prod, b.axis)
+        tables.append(_stored(out, b.shape))
+    prod = _multiply(tables, np.array(1.0), program.final_steps)
     table = np.ascontiguousarray(prod.transpose(program.perm)).reshape(program.shape)
+    if not np.isfinite(table).all():
+        raise ModelError("numerical overflow in factor product")
     return table, traceback
 
 
@@ -507,16 +674,16 @@ class Adjoints:
 
 
 def adjoints(program: Program, bound: list) -> Adjoints:
-    """Run a Pr(e) program (one recorded with nothing kept) forward on its
-    bound input tables (``bind``), then backward over the same buckets and
-    alignments.
+    """Run a Pr(e) program (one recorded with nothing kept and nothing
+    maximized) forward on its bound input tables (``bind``), then backward
+    over the same buckets and alignments.
 
-    The forward pass keeps every table and running product, with
-    ``replay``'s overflow check; the backward pass gives each operand of a
-    product the product of the others times the result's adjoint, summed
-    down to the operand's scope, so no adjoint is ever a quotient.  The
-    result keeps the input tables it was given; ``bound`` itself is left as
-    it was.
+    The forward pass runs ``replay``'s operations, so Pr(e) is bitwise
+    ``replay``'s, with the same overflow check, and keeps every table and
+    running product; the backward pass gives each operand of a product the
+    product of the others times the result's adjoint, summed down to the
+    operand's scope, so no adjoint is ever a quotient.  The result keeps
+    the input tables it was given; ``bound`` itself is left as it was.
     """
     if program.shape != ():
         raise ModelError("adjoints need a program that keeps no variable")
@@ -527,21 +694,20 @@ def adjoints(program: Program, bound: list) -> Adjoints:
     saved = []
     for b in program.buckets:
         prefixes = []
-        prod = _multiply(tables, tables[b.operands[0]], b.operands[1:], b.steps, prefixes)
-        # the result's adjoint, over the product's axes, is flat along b.axis
-        flat = prod.shape[: b.axis] + (1,) + prod.shape[b.axis + 1 :]
-        saved.append((prefixes, flat, prod.shape[b.axis]))
-        tables.append(np.ascontiguousarray(prod.sum(axis=(b.axis,))).reshape(b.shape))
+        prod = _multiply(tables, tables[b.first], b.steps, prefixes)
+        saved.append(prefixes)
+        tables.append(_stored(_sum(prod, b.axis), b.shape))
     final = []
-    pr_e = float(_multiply(tables, np.array(1.0), program.final, program.final_steps, final))
+    pr_e = float(_multiply(tables, np.array(1.0), program.final_steps, final))
+    if not math.isfinite(pr_e):
+        raise ModelError("numerical overflow in factor product")
     adj = [None] * len(tables)
-    _multiply_back(np.array(1.0), final, tables, program.final, program.final_steps, adj)
+    _multiply_back(np.array(1.0), final, tables, program.final_steps, program.final_back, adj)
     n = len(program.inputs)
     for k in reversed(range(len(program.buckets))):
         b = program.buckets[k]
-        prefixes, flat, card = saved[k]
-        grad = adj[n + k].reshape(flat).repeat(card, axis=b.axis)
-        adj[b.operands[0]] = _multiply_back(grad, prefixes, tables, b.operands[1:], b.steps, adj)
+        grad = adj[n + k].reshape(b.flat).repeat(b.size, axis=b.axis)
+        adj[b.first] = _multiply_back(grad, saved[k], tables, b.steps, b.back, adj)
     return Adjoints(program, bound, pr_e, tuple(adj[:n]))
 
 
@@ -550,7 +716,7 @@ def min_fill_order(net: Network, query=()) -> EliminationOrder:
     query = set(query)
     for q in query:
         net.var(q)
-    return _order(_factors(net, {}), net.decl_index, keep=query)
+    return _order(_factors(reduce(net, {})), net.decl_index, keep=query)
 
 
 def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
@@ -561,7 +727,7 @@ def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
     map_vars = set(map_vars)
     for q in map_vars:
         net.var(q)
-    return _order(_factors(net, {}), net.decl_index, last=map_vars)
+    return _order(_factors(reduce(net, {})), net.decl_index, last=map_vars)
 
 
 def induced_width(net: Network, order) -> int:
@@ -606,7 +772,7 @@ class EngineState:
 
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
-    program = record(net, ev, width_cap=width_cap)
+    program = record(reduce(net, ev), width_cap=width_cap)
     bound = tuple(bind(program, net))
     return EngineState(net, ev, width_cap, program, bound, float(replay(program, bound)[0]))
 
@@ -618,7 +784,7 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
         raise InconsistentEvidenceError("evidence has zero probability")
     if name in st.program.ev_index:
         return np.eye(var.card)[st.program.ev_index[name]]
-    program = record(st.net, st.evidence, keep=(name,), width_cap=st.width_cap)
+    program = record(reduce(st.net, st.evidence), keep=(name,), width_cap=st.width_cap)
     table, _ = replay(program, bind(program, st.net))
     return table / st.pr_e
 
@@ -641,7 +807,7 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     elif b_obs:
         out[:, ev_index[b]] = posterior_marginal(st, a)
     else:
-        program = record(st.net, st.evidence, keep=(a, b), width_cap=st.width_cap)
+        program = record(reduce(st.net, st.evidence), keep=(a, b), width_cap=st.width_cap)
         table, _ = replay(program, bind(program, st.net))
         out = table / st.pr_e
     return out
@@ -658,7 +824,9 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     if net.cpt(cpt.child.name) is not cpt and net.cpt(cpt.child.name) != cpt:
         raise ModelError(f"cpt for {cpt.child.name!r} does not belong to this network")
     family = [p.name for p in cpt.parents] + [cpt.child.name]
-    program = record(net, st.evidence, (cpt.child.name,), family, width_cap=st.width_cap)
+    program = record(
+        reduce(net, st.evidence), (cpt.child.name,), family, width_cap=st.width_cap
+    )
     d = replay(program, bind(program, net))[0]
     _check_euler(cpt.shaped, d, st.pr_e, f"derivative table for {cpt.child.name!r}")
     return d
@@ -679,7 +847,7 @@ def exact_map(
         net.var(name)
     assignment = {name: ev[name] for name in map_list if name in ev}
     hidden_map = [name for name in map_list if name not in ev]
-    program = record(net, ev, maximize=hidden_map, width_cap=width_cap)
+    program = record(reduce(net, ev), maximize=hidden_map, width_cap=width_cap)
     value, traceback = replay(program, bind(program, net))
     q = float(value)
 

@@ -202,7 +202,9 @@ class Network:
     name correspond to deleted edges.
     """
 
-    __slots__ = ("variables", "kind", "clone_edges", "_vars_by_name", "_cpts", "_index")
+    __slots__ = (
+        "variables", "kind", "clone_edges", "_vars_by_name", "_cpts", "_index", "_layout",
+    )
 
     def __init__(self, variables, cpts, kind: str = "original", clone_edges=()):
         variables = tuple(variables)
@@ -237,6 +239,7 @@ class Network:
         object.__setattr__(self, "_vars_by_name", by_name)
         object.__setattr__(self, "_cpts", cpt_map)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_layout", None)
         for rec in self.clone_edges:
             for n in (rec.parent, rec.clone, rec.child):
                 if n not in by_name:
@@ -262,6 +265,17 @@ class Network:
 
     def cpts(self):
         return [self._cpts[v.name] for v in self.variables]
+
+    def layout(self) -> tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]:
+        """Per CPT, in declaration order: (child name, scope names, scope
+        cardinalities), the scope being the parents and then the child, so
+        the cardinalities are the CPT table's shape.  Built on first use."""
+        if self._layout is None:
+            layout = tuple(
+                (c.child.name, tuple(v.name for v in c.scope()), c.shape) for c in self.cpts()
+            )
+            object.__setattr__(self, "_layout", layout)
+        return self._layout
 
     def decl_index(self, name: str) -> int:
         return self._index[name]

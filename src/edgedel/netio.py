@@ -410,6 +410,8 @@ def _hugin_value(toks: _HuginTokens):
             items.append(_hugin_value(toks))
     if kind in ("str", "word"):
         return value
+    if kind == "eof":
+        raise FormatError("unexpected end of input", line)
     raise FormatError(f"unexpected token {value!r}", line)
 
 

@@ -133,22 +133,23 @@ class _Fit:
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
     tables once and writes them into every bound program through
-    ``engine.write``, which slices them as ``bind`` does; no other input is
-    read again.
+    ``engine.write``, which slices them as ``bind`` does, once per distinct
+    slice; no other input is read again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
+        reduced = engine.reduce(nprime, evp)
         if sequential and records:
             programs = [
                 engine.record(
-                    nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone),
+                    reduced, (rec.clone, rec.sevid), (rec.parent, rec.clone),
                     width_cap=width_cap,
                 )
                 for rec in records
             ]
         else:
-            programs = [engine.record(nprime, evp, width_cap=width_cap)]
+            programs = [engine.record(reduced, width_cap=width_cap)]
         self.bound = [(program, engine.bind(program, nprime)) for program in programs]
         self.vectors = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
@@ -164,15 +165,15 @@ class _Fit:
         """Make (pm, se) edge j's vectors in every bound program."""
         rec = self.records[j]
         self.vectors[j] = (pm, se)
-        tables = ((rec.clone, pm), (rec.sevid, se_table(se)))
-        for program, bound in self.bound:
-            for name, table in tables:
-                engine.write(program, bound, name, table)
+        engine.write(self.bound, rec.clone, pm)
+        engine.write(self.bound, rec.sevid, se_table(se))
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     """One full pass over the plan's edges; returns (per-edge residuals,
-    Pr'(e') at the new vectors, or None in simultaneous mode).
+    Pr'(e') at the new vectors in sequential mode, Pr'(e') at the start
+    vectors in simultaneous mode), each None where the mode does not
+    compute it.
 
     A sweep reads N' only through ``fit``'s bound programs, and writes only
     the edges' new tables into them (``_Fit.set``); it records and binds
@@ -210,7 +211,9 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
             pr_ep = evaluate(pm, se)[0]
         fit.set(i, pm, se)
         residuals.append(residual)
-    return residuals, pr_ep if sequential else None
+    if sequential:
+        return residuals, pr_ep, None
+    return residuals, None, grads.pr_e if fit.records else None
 
 
 def run(
@@ -239,10 +242,11 @@ def run(
     vectors stay plain arrays inside the loop; the returned plan holds one
     ``EdgeParams`` per edge, built at the end.  Sequential sweeps replay
     one (parent, clone) program per deleted edge; simultaneous sweeps make
-    one forward/backward pass of the run's one Pr'(e') program, and replay
-    it forward once more for the KL bound at the sweep's new vectors.  The
-    true parent posteriors come from one forward/backward pass on the
-    source network (``true_edge_marginals``).
+    one forward/backward pass of the run's one Pr'(e') program.  With a
+    reference, the KL bound at a simultaneous sweep's new vectors reads
+    Pr'(e') off the next sweep's forward pass, so only the last sweep's
+    bound takes one more replay.  The true parent posteriors come from one
+    forward/backward pass on the source network (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -268,27 +272,41 @@ def run(
             reference[0], reference[1], plan, width_cap
         )
 
+    bounded = true_marginals is not None and pr_e is not None and pr_e > 0
+
+    def traced(sweep, worst, vectors, pr_ep):
+        kl = None
+        if bounded and pr_ep > 0:
+            kl = kl_breakdown(true_marginals, vectors, pr_e, pr_ep).total
+        return SweepRecord(sweep, worst, kl)
+
     trace: list[SweepRecord] = []
     residuals: tuple[float, ...] = ()
     converged = False
     iterations = 0
     pr_ep = None
+    # simultaneous mode (or no edges) with a bound: the last sweep's
+    # (sweep, residual, vectors), waiting for Pr'(e') at those vectors
+    waiting = None
     for sweep in range(1, cfg.max_iterations + 1):
-        res, pr_ep = _sweep(fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep)
+        res, pr_ep, pr_start = _sweep(
+            fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep
+        )
+        if waiting is not None:
+            trace.append(traced(*waiting, pr_start))
         iterations = sweep
         residuals = tuple(res)
         worst = max(res) if res else 0.0
-        kl = None
-        if true_marginals is not None and pr_e is not None and pr_e > 0:
-            if pr_ep is None:
-                # simultaneous mode, or no edges: one replay of Pr'(e')
-                pr_ep = float(fit.replay(0))
-            if pr_ep > 0:
-                kl = kl_breakdown(true_marginals, fit.vectors, pr_e, pr_ep).total
-        trace.append(SweepRecord(sweep, worst, kl))
+        if bounded and pr_ep is None:
+            waiting = (sweep, worst, list(fit.vectors))
+        else:
+            trace.append(traced(sweep, worst, fit.vectors, pr_ep))
         if worst < cfg.tolerance:
             converged = True
             break
+    if waiting is not None:
+        # the last sweep's Pr'(e'): one replay of the Pr'(e') program
+        trace.append(traced(*waiting, float(fit.replay(0))))
     if iterations:
         plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
     return plan, FixedPointReport(residuals, iterations, converged), trace
@@ -319,7 +337,7 @@ def check_conditions(
     """
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
-    program = engine.record(current, evp, width_cap=width_cap)
+    program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
     grads = engine.adjoints(program, engine.bind(program, current))
     true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
     match_gaps = []

@@ -413,6 +413,16 @@ class TestEdklVector:
         assert out[0] == 0.25 * 0.3 / 0.5
         assert out[1] == 0.75 * 0.3 / DENOM_FLOOR
 
+    def test_positive_derivatives_take_the_entrywise_operations(self):
+        # the array operation does, entry by entry, what the scalar rule does
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5, 9):
+            t = rng.dirichlet(np.ones(n))
+            d = rng.random(n) + 1e-3
+            pr = float(rng.random())
+            want = np.array([ti * pr / di for ti, di in zip(t, d)])
+            assert edkl_vector(t, pr, d, "edge U -> X").tobytes() == want.tobytes()
+
     def test_zero_derivative_against_zero_mass_gives_zero(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -597,7 +607,7 @@ def routed_scores(net, ev, one_pass):
     aug = augment(net, net.edges())
     records = [r for r in aug.clone_edges if r.sevid is None]
     if one_pass:
-        program = engine_module.record(aug, ev)
+        program = engine_module.record(engine_module.reduce(aug, ev))
         grads = engine_module.adjoints(program, engine_module.bind(program, aug))
         table, pr_e = grads.cpt, grads.pr_e
     else:

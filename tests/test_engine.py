@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from conftest import brute_posterior, positive_evidence, random_network
 def kept(net, ev, without, keep, width_cap=engine_module.WIDTH_CAP_DEFAULT):
     """Pr(e) without the CPTs of ``without``, over ``keep``: one recorded
     program, bound and replayed."""
-    program = engine_module.record(net, ev, without, keep, width_cap=width_cap)
+    program = engine_module.record(engine_module.reduce(net, ev), without, keep, width_cap=width_cap)
     return engine_module.replay(program, engine_module.bind(program, net))[0]
 
 
@@ -166,8 +167,7 @@ def full_rescan_order(factors, decl_index, keep=(), last=(), width_cap=None):
 
 
 def reduced_factors(net, ev):
-    ev_index = {n: net.var(n).index_of(s) for n, s in ev.items()}
-    return engine_module._factors(net, ev_index)
+    return engine_module._factors(engine_module.reduce(net, ev))
 
 
 def tie_heavy_network(rng):
@@ -240,8 +240,10 @@ class TestIncrementalOrder:
                     if rng.random() < density:
                         adj[a].add(b)
                         adj[b].add(a)
+            # the engine holds each node's neighbours as a bitmask
+            masks = [sum(1 << m for m in adj[n]) for n in range(14)]
             for n in adj:
-                assert engine_module._fill_cost(adj, n) == pairwise_fill_cost(adj, n)
+                assert engine_module._fill_cost(masks, n) == pairwise_fill_cost(adj, n)
 
     @pytest.mark.parametrize("last", [False, True])
     def test_width_cap_raises_at_the_same_width(self, last):
@@ -660,7 +662,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, rng=np.random.default_rng(23))
         ev = Evidence({"X4": "s1", "X8": "s0"})
         without, keep = ("X5",), ("X4", "X5")
-        program = engine_module.record(net, ev, without, keep)
+        program = engine_module.record(engine_module.reduce(net, ev), without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X4",), [0.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -670,7 +672,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, states=3, rng=np.random.default_rng(24))
         ev = Evidence({"X3": "s2"})
         without, keep = ("X8",), ("X7", "X8")
-        program = engine_module.record(net, ev, without, keep)
+        program = engine_module.record(engine_module.reduce(net, ev), without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X8",), [1.0, 1.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -679,7 +681,7 @@ class TestReplayMatchesFactorLoop:
     def test_scalar_intermediates(self):
         net = chain_network(8, rng=np.random.default_rng(25))
         ev = Evidence({f"X{i}": "s0" for i in range(2, 9)})
-        program = engine_module.record(net, ev)
+        program = engine_module.record(engine_module.reduce(net, ev))
         assert [b.shape for b in program.buckets] == [()]
         assert all(inp.reduced == () for inp in program.inputs[2:])
         st = compile(net, ev)
@@ -692,7 +694,7 @@ class TestReplayMatchesFactorLoop:
     def test_fully_observed_network_has_no_buckets(self):
         net = grid_network(3, 3, states=3, rng=np.random.default_rng(26))
         ev = Evidence({v.name: v.states[1] for v in net.variables})
-        program = engine_module.record(net, ev)
+        program = engine_module.record(engine_module.reduce(net, ev))
         assert program.buckets == () and len(program.final) == len(net.variables)
         assert np.float64(compile(net, ev).pr_e).tobytes() == np.float64(
             ref.reference_pr_e(net, ev)
@@ -706,14 +708,57 @@ def overflowing_network():
     return Network([a, b], [Cpt(a, (), [1e200, 1e200]), Cpt(b, (a,), [1e200] * 4)])
 
 
+def late_overflowing_network():
+    """grid(3x3) with its opposite corners' CPTs scaled by 1e160: each
+    product stays finite until the two meet, in the seventh of nine
+    buckets, where it overflows."""
+    net = grid_network(3, 3, rng=np.random.default_rng(0))
+    big = {
+        n: Cpt(net.var(n), net.cpt(n).parents, net.cpt(n).table * 1e160)
+        for n in ("N0_0", "N2_2")
+    }
+    return net.replace_cpts(big)
+
+
 class TestReplayGuards:
+    def test_overflow_in_a_later_bucket_raises_from_every_pass(self):
+        net = late_overflowing_network()
+        program = engine_module.record(engine_module.reduce(net, Evidence({})))
+        bound = engine_module.bind(program, net)
+        # the first bucket's product is finite: the overflow comes later
+        first = program.buckets[0]
+        tables = list(bound)
+        assert np.isfinite(engine_module._multiply(tables, tables[first.first], first.steps)).all()
+        message = "numerical overflow in factor product"
+        with pytest.raises(ModelError, match=message):
+            engine_module.replay(program, bound)
+        with pytest.raises(ModelError, match=message):
+            engine_module.adjoints(program, bound)
+        with pytest.raises(ModelError, match=message):
+            kept(net, Evidence({}), (), ("N1_1",))
+        # a maximizing program
+        with pytest.raises(ModelError, match=message):
+            exact_map(net, Evidence({}), ["N1_1", "N0_2"])
+
+    def test_finite_passes_raise_no_numpy_warning(self):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = leaf_evidence(net)
+        program = engine_module.record(engine_module.reduce(net, ev))
+        bound = engine_module.bind(program, net)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine_module.replay(program, bound)
+            engine_module.adjoints(program, bound)
+            kept(net, ev, (), ("N1_1", "N2_2"))
+            exact_map(net, ev, ["N1_1", "N0_2"])
+
     def test_replayed_program_raises_the_overflow_error(self):
         net = overflowing_network()
         with pytest.raises(ModelError, match="numerical overflow in factor product") as want:
             kept(net, Evidence({}), (), ("B",))
         with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
             ref.reference_table(net, Evidence({}), (), ("B",))
-        program = engine_module.record(net, Evidence({}), (), ("B",))
+        program = engine_module.record(engine_module.reduce(net, Evidence({})), (), ("B",))
         bound = engine_module.bind(program, net)
         with pytest.raises(ModelError) as replayed:
             engine_module.replay(program, bound)
@@ -721,7 +766,7 @@ class TestReplayGuards:
 
     def test_replay_leaves_the_bound_tables_alone(self):
         net = chain3()
-        program = engine_module.record(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        program = engine_module.record(engine_module.reduce(net, Evidence({"C": "c1"})), ("B",), ("A", "B"))
         bound = engine_module.bind(program, net)
         before = list(bound)
         first = engine_module.replay(program, bound)[0]
@@ -730,7 +775,7 @@ class TestReplayGuards:
 
     def test_bind_on_mismatched_cpt_shapes_raises(self):
         net = chain3()
-        program = engine_module.record(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        program = engine_module.record(engine_module.reduce(net, Evidence({"C": "c1"})), ("B",), ("A", "B"))
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1", "b2"))
         c = Variable("C", ("c0", "c1"))
@@ -745,8 +790,17 @@ class TestReplayGuards:
         with pytest.raises(ModelError, match="cpt for 'C' has shape"):
             engine_module.bind(program, other)
 
+    def test_programs_sharing_a_reduction_match_their_own(self):
+        net = chain3()
+        ev = Evidence({"C": "c1"})
+        reduced = engine_module.reduce(net, ev)
+        for without, keep in ((("B",), ("A", "B")), ((), ("A",)), ((), ())):
+            program = engine_module.record(reduced, without, keep)
+            got = engine_module.replay(program, engine_module.bind(program, net))[0]
+            assert got.tobytes() == kept(net, ev, without, keep).tobytes()
+
     def test_bind_on_a_network_missing_an_input_raises(self):
-        program = engine_module.record(chain3(), Evidence({}), (), ("C",))
+        program = engine_module.record(engine_module.reduce(chain3(), Evidence({})), (), ("C",))
         a = Variable("A", ("a0", "a1"))
         with pytest.raises(ModelError, match="unknown variable"):
             engine_module.bind(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
@@ -754,7 +808,7 @@ class TestReplayGuards:
 
 def one_pass(net, ev):
     """One forward/backward pass of Pr(e) on (net, ev)."""
-    program = engine_module.record(net, ev)
+    program = engine_module.record(engine_module.reduce(net, ev))
     return engine_module.adjoints(program, engine_module.bind(program, net))
 
 
@@ -784,7 +838,7 @@ class TestAdjoints:
     @pytest.mark.parametrize("net,ev", adjoint_cases())
     def test_match_cpt_derivatives_and_posteriors(self, net, ev):
         st = compile(net, ev)
-        program = engine_module.record(net, ev)
+        program = engine_module.record(engine_module.reduce(net, ev))
         grads = engine_module.adjoints(program, engine_module.bind(program, net))
         # the forward pass is replay's arithmetic
         assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
@@ -899,19 +953,19 @@ class TestAdjointGuards:
 
     def test_maximize_program_refused(self):
         net = chain3()
-        program = engine_module.record(net, Evidence({}), maximize=("A",))
+        program = engine_module.record(engine_module.reduce(net, Evidence({})), maximize=("A",))
         with pytest.raises(ModelError, match="maximizing"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_kept_variable_program_refused(self):
         net = chain3()
-        program = engine_module.record(net, Evidence({}), (), ("C",))
+        program = engine_module.record(engine_module.reduce(net, Evidence({})), (), ("C",))
         with pytest.raises(ModelError, match="keeps no variable"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 
     def test_overflow_raises_the_replay_error(self):
         net = overflowing_network()
-        program = engine_module.record(net, Evidence({}))
+        program = engine_module.record(engine_module.reduce(net, Evidence({})))
         with pytest.raises(ModelError, match="numerical overflow in factor product"):
             engine_module.adjoints(program, engine_module.bind(program, net))
 
@@ -969,7 +1023,7 @@ class TestAgainstEnumeration:
             assert total == 0.0
         tol = dict(rtol=1e-12, atol=1e-15 * total)
 
-        program = engine_module.record(net, ev)
+        program = engine_module.record(engine_module.reduce(net, ev))
         bound = engine_module.bind(program, net)
         pr_e = float(engine_module.replay(program, bound)[0])
         assert np.isclose(pr_e, total, **tol)

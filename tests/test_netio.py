@@ -257,10 +257,10 @@ node A { states = ( "a0" "a1" ); }
     @pytest.mark.parametrize(
         "text, message",
         [
-            pytest.param('node A {\n  states = ("a" "b"\n', "unexpected token ''", id="states"),
+            pytest.param('node A {\n  states = ("a" "b"\n', "unexpected end of input", id="states"),
             pytest.param(
                 'node A {\n  states = ("a" "b");\n}\npotential (A) {\n  data = (0.5 0.5',
-                "unexpected token ''",
+                "unexpected end of input",
                 id="data",
             ),
             pytest.param(

@@ -413,9 +413,9 @@ class TestEdgeTableSweep:
             real_adjoints = engine_module.adjoints
             nprime_programs, calls = [], []
 
-            def recording(net, *args, **kwargs):
-                program = real_record(net, *args, **kwargs)
-                if net.kind == "approximate":
+            def recording(reduced, *args, **kwargs):
+                program = real_record(reduced, *args, **kwargs)
+                if reduced.net.kind == "approximate":
                     nprime_programs.append(program)
                 return program
 
@@ -522,12 +522,13 @@ class TestWorkCounts:
         got = {name: calls[name] - 2 * own[name] for name in calls}
         # beyond true_edge_marginals, sequential: 4 edge recordings (one
         # order and one binding each) and 12 replays; simultaneous: one
-        # Pr'(e') recording, bound once, and per sweep one forward/backward
-        # pass plus one replay for the KL bound
+        # Pr'(e') recording, bound once, one forward/backward pass per sweep,
+        # whose forward value is the previous sweep's KL-bound Pr'(e'), and
+        # one replay for the last sweep's bound
         if schedule == "sequential":
             want = {"record": 4, "_order": 4, "bind": 4, "replay": 12}
         else:
-            want = {"record": 1, "_order": 1, "bind": 1, "adjoints": 3, "replay": 3}
+            want = {"record": 1, "_order": 1, "bind": 1, "adjoints": 3, "replay": 1}
         assert got == {**dict.fromkeys(names, 0), **want}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -562,7 +563,8 @@ class TestWorkCounts:
         # mode, one in simultaneous mode; a sweep only writes edge vectors
         # into the bound lists, so no sweep records, binds or builds N'
         # (apply_params), and a simultaneous sweep is one forward/backward
-        # pass plus one replay for the KL bound
+        # pass, whose forward value is the previous sweep's KL-bound Pr'(e');
+        # only the last sweep's bound takes a replay, after that sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = ["bind", "record", "replay", "adjoints"]
         calls = count_engine_calls(monkeypatch, names)
@@ -601,14 +603,24 @@ class TestWorkCounts:
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
         programs = 4 if schedule == "sequential" else 1
         assert built == [
-            {"bind": programs, "record": programs, "replay": 0, "adjoints": 0,
-             "apply_params": 0},
+            {"bind": programs, "record": programs, "replay": 0, "adjoints": 0, "apply_params": 0},
         ]
+        none = {"bind": 0, "record": 0, "replay": 0, "adjoints": 0, "apply_params": 0}
         if schedule == "sequential":
-            each = {"bind": 0, "record": 0, "replay": 4, "adjoints": 0, "apply_params": 0}
+            assert per_sweep == [{**none, "replay": 4}] * 3
         else:
-            each = {"bind": 0, "record": 0, "replay": 1, "adjoints": 1, "apply_params": 0}
-        assert per_sweep == [each] * 3
+            each = {**none, "adjoints": 1}
+            assert per_sweep == [each, each, {**each, "replay": 1}]
+
+    def test_simultaneous_sweeps_without_a_reference_run_one_pass_each(self, monkeypatch):
+        # with no reference there is no KL bound, so no replay: each sweep
+        # is one forward/backward pass
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        calls = count_engine_calls(monkeypatch, ["replay", "adjoints"])
+        cfg = IterationConfig(method="ed-bp", schedule="simultaneous", max_iterations=3)
+        _, report, trace = run(nprime, plan, evp, cfg)
+        assert report.iterations == 3 and [t.kl_bound for t in trace] == [None] * 3
+        assert calls == {"replay": 0, "adjoints": 3}
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
