@@ -193,9 +193,10 @@ def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
     ``derivs`` is the evidence probability with the edge's own CPTs left out,
     over (rows: parent state, columns: clone state): the derivative table with
     respect to the equivalence CPT in the source network, or, in an
-    approximate one, a program recorded without the clone prior and
-    soft-evidence CPT and keeping (parent, clone) (``engine.record``).  Returns (pr', d pr'/d pm,
-    d pr'/d se), each a plain sum over the table -- no inference happens here.
+    approximate one, the edge's jointree table, N' without the clone prior
+    and soft-evidence CPT summed down to (parent, clone)
+    (``engine.Jointree``).  Returns (pr', d pr'/d pm, d pr'/d se), each a
+    plain sum over the table -- no inference happens here.
     """
     if derivs.shape != (se.size, pm.size):
         raise ModelError("derivative table shape does not match the edge parameters")

@@ -1,4 +1,4 @@
-"""Exact inference by variable elimination.
+"""Exact inference by variable elimination and on a jointree.
 
 Answers evidence probability, posterior and pairwise marginals, CPT-entry
 derivatives (valid at zero parameters), tables of Pr(e) over kept variables
@@ -22,9 +22,17 @@ not each product, for overflow: the inputs are finite and nonnegative, and
 an inf or NaN entry survives every later product, sum and maximum.  A
 program depends on the structure, the evidence and the query, not on the
 CPT entries, and ``replay`` never writes into the bound list, so a caller
-that only changes some CPTs (the sweeps of ``parametrize.run``) records and
-binds once, then writes just those CPTs' new tables through ``write``
-before each replay.
+that only changes some CPTs (the simultaneous sweeps of ``parametrize.run``)
+records and binds once, then writes just those CPTs' new tables through
+``write`` before each replay.
+
+A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
+with chosen CPTs left out over kept variables, from one min-fill order of
+the whole reduction: Shenoy–Shafer messages between the cliques of that
+order, each one ``np.einsum``, kept until a written CPT makes them stale.
+The sequential sweeps of ``parametrize.run`` read each deleted edge's table
+off one tree, so an update re-sends only the messages on the path to the
+next edge's clique.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
 the CPT entries.  ``adjoints`` runs such a program forward on its bound
@@ -187,14 +195,17 @@ def _factors(reduced: Reduction, without=(), keep=()) -> list[_Input]:
     return inputs
 
 
-def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> EliminationOrder:
+def _order(
+    factors, decl_index, keep=(), last=(), width_cap=None, cliques=None
+) -> EliminationOrder:
     """Greedy min-fill order of every scope variable outside ``keep``, with
     the variables in ``last`` eliminated after all the others.
 
     Width is the largest elimination-time neighborhood (clique size - 1).
     Ties break toward the lowest declaration index, so runs are deterministic.
     With ``width_cap`` set, a wider order raises CapacityError before any
-    table is built.
+    table is built.  A ``cliques`` list gets each eliminated variable's
+    neighbours at its elimination, in order of first appearance.
 
     The variables are numbered in order of first appearance, and each one's
     neighbours are held as a bitmask.  Each phase pops the least (fill
@@ -238,6 +249,14 @@ def _order(factors, decl_index, keep=(), last=(), width_cap=None) -> Elimination
             nbrs = adj[best]
             adj[best] = 0
             width = max(width, nbrs.bit_count())
+            if cliques is not None:
+                clique = []
+                rest = nbrs
+                while rest:
+                    low = rest & -rest
+                    clique.append(names[low.bit_length() - 1])
+                    rest ^= low
+                cliques.append(tuple(clique))
             gone = 1 << best
             stale = rest = nbrs
             while rest:
@@ -395,7 +414,7 @@ def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None)
 
     This is the one way to record: every query and every fit program starts
     here, and programs recorded under the same evidence can share one
-    reduction (the fit's edge programs).  ``without``/``keep`` are as in
+    reduction.  ``without``/``keep`` are as in
     ``_factors`` and ``width_cap`` as in ``_order``; the variables in
     ``maximize`` are eliminated after all the others (``_order``'s
     ``last``), and maximized out with an argmax traceback instead of summed
@@ -519,40 +538,30 @@ def _stored(out, shape):
     return out if shape else out.reshape(())
 
 
-def write(bindings, name: str, table: np.ndarray) -> None:
-    """Set the input of the CPT of ``name`` to ``table`` in each (program,
-    bound list) pair of ``bindings`` (``bind``).  ``table`` must have the
-    shape the programs were recorded for, and each reads it as it was
-    recorded: sliced by its evidence.  Programs that take the same slice
-    share one sliced table, and a program that does not read that CPT is
-    left as it was.
+def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
+    """Set the input of the CPT of ``name`` to ``table`` in ``bound``, the
+    program's input tables (``bind``).  ``table`` must have the shape the
+    program was recorded for, and the program reads it as it was recorded:
+    sliced by its evidence.  A program that does not read that CPT is left
+    as it was.
 
     ``bind`` reads every CPT through here, and a caller that changes some
-    CPTs (the fit's edge tables) writes just those into each of its
-    programs and replays again.
+    CPTs (the fit's edge tables) writes just those and replays again.  A
+    ``Jointree`` takes the place of the program the same way.
     """
-    sliced = []  # (take, table); an index holding a slice is unhashable
-    for program, bound in bindings:
-        i = program.cpt_inputs.get(name)
-        if i is None:
-            continue
-        inp = program.inputs[i]
-        if table.shape != inp.shape:
-            raise ModelError(
-                f"cpt for {name!r} has shape {table.shape}; "
-                f"the program was recorded for {inp.shape}"
-            )
-        if inp.take is None:
-            bound[i] = table
-            continue
-        for take, done in sliced:
-            if take == inp.take:
-                break
-        else:
-            # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
-            done = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
-            sliced.append((inp.take, done))
-        bound[i] = done
+    i = program.cpt_inputs.get(name)
+    if i is None:
+        return
+    inp = program.inputs[i]
+    if table.shape != inp.shape:
+        raise ModelError(
+            f"cpt for {name!r} has shape {table.shape}; "
+            f"the program was recorded for {inp.shape}"
+        )
+    if inp.take is not None:
+        # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
+        table = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
+    bound[i] = table
 
 
 def bind(program: Program, net: Network) -> list[np.ndarray]:
@@ -563,9 +572,8 @@ def bind(program: Program, net: Network) -> list[np.ndarray]:
     into it.
     """
     bound = [inp.table for inp in program.inputs]
-    binding = ((program, bound),)
     for name in program.cpt_inputs:
-        write(binding, name, net.cpt(name).shaped)
+        write(program, bound, name, net.cpt(name).shaped)
     return bound
 
 
@@ -709,6 +717,268 @@ def adjoints(program: Program, bound: list) -> Adjoints:
         grad = adj[n + k].reshape(b.flat).repeat(b.size, axis=b.axis)
         adj[b.first] = _multiply_back(grad, saved[k], tables, b.steps, b.back, adj)
     return Adjoints(program, bound, pr_e, tuple(adj[:n]))
+
+
+# np.einsum names each axis by a letter, and before numpy 2 takes at most 32
+# operands
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_MAX_OPERANDS = 32
+
+
+class _Contraction(NamedTuple):
+    """How one jointree message or query table is computed: ``np.einsum``
+    of ``subscripts`` over the tables ``ids``.  Each of ``folds``
+    (subscripts, n) first replaces the first n operands by their product
+    summed down to the axes still needed; there is a fold only past
+    ``_MAX_OPERANDS`` operands."""
+
+    ids: tuple[int, ...]
+    folds: tuple[tuple[str, int], ...]
+    subscripts: str
+
+
+def _subscripts(scopes, out) -> str:
+    letters: dict[str, str] = {}
+    for scope in scopes:
+        for n in scope:
+            if n not in letters:
+                if len(letters) == len(_LETTERS):
+                    raise CapacityError(
+                        f"a jointree contraction over more than {len(_LETTERS)} variables"
+                    )
+                letters[n] = _LETTERS[len(letters)]
+    spelled = ",".join("".join(letters[n] for n in scope) for scope in scopes)
+    return spelled + "->" + "".join(letters[n] for n in out)
+
+
+def _contraction(ids, scopes, out) -> _Contraction:
+    """The contraction of the tables ``ids``, over ``scopes``, down to the
+    variables ``out``."""
+    scopes = list(scopes)
+    folds = []
+    while len(scopes) > _MAX_OPERANDS:
+        head, scopes = scopes[:_MAX_OPERANDS], scopes[_MAX_OPERANDS:]
+        later = set(out).union(*scopes)
+        kept = tuple(dict.fromkeys(n for scope in head for n in scope if n in later))
+        folds.append((_subscripts(head, kept), len(head)))
+        scopes.insert(0, kept)
+    return _Contraction(tuple(ids), tuple(folds), _subscripts(scopes, out))
+
+
+def _contract(c: _Contraction, tables) -> np.ndarray:
+    ops = [tables[i] for i in c.ids]
+    for subscripts, n in c.folds:
+        ops[:n] = [np.einsum(subscripts, *ops[:n])]
+    return np.einsum(c.subscripts, *ops)
+
+
+class _Query(NamedTuple):
+    """One jointree query: the messages into its home clique, each a (table
+    id, contraction) pair after the messages it is computed from; the
+    contraction of the home's inputs (but the query's left-out ones) with
+    those messages; and, where a kept variable is observed, the full
+    ``shape`` and the index ``take`` that places the result in a table of
+    zeros."""
+
+    toward: tuple[tuple[int, _Contraction], ...]
+    table: _Contraction
+    shape: tuple[int, ...]
+    take: tuple | None
+
+
+class Jointree:
+    """A Shenoy–Shafer jointree over a network reduced by its evidence
+    (``reduce``), answering a fixed list of queries (Shenoy & Shafer 1990;
+    Darwiche, *Modeling and Reasoning with Bayesian Networks*, 2009, ch. 7).
+
+    Query j, a pair (without, keep), asks for the table that ``record(
+    reduced, without, keep)`` computes: Pr(e) with the CPTs of ``without``
+    left out, summed down to the variables ``keep``, whose axes come in
+    that order with their full cardinalities (zero off an observed one's
+    state).  Each CPT may be left out of one query at most.
+
+    The tree comes from one min-fill ``_order`` over the inputs plus one
+    pseudo-scope per query (its unobserved kept variables and its left-out
+    inputs' variables), checked against the width cap before any table is
+    built: a clique per eliminated variable, holding the variable and its
+    neighbours at its elimination, joined to the clique of the first of
+    those neighbours to go; the trees of a forest are joined in a chain
+    over empty separators.  Each input sits in the clique of its first
+    eliminated variable, except that a query's left-out inputs sit in its
+    home, the clique of its pseudo-scope's first variable, which holds the
+    whole pseudo-scope.
+
+    Every directed message is the product of its clique's inputs and of
+    the messages into that clique from its other neighbours, summed down to
+    the separator: one ``np.einsum`` whose subscripts are fixed when the
+    tree is built.  A message is kept until ``set_cpt`` changes an input
+    that it depends on: writing a CPT forgets the messages leaving that
+    input's clique.  ``table(j)`` sends the forgotten messages into query
+    j's home and contracts the home's other inputs with every message into
+    it.  No step divides, so the tables stay exact at zero parameters.
+    ``sent`` counts the messages computed.
+
+    ``inputs`` and ``cpt_inputs`` are as in a ``Program``, so ``bind`` and
+    ``write`` take the tree in its place.  ``bound`` starts with the input
+    tables, read off the reduced network when the tree is built, and goes
+    on with the messages (None where forgotten) and the constant tables.
+    """
+
+    def __init__(self, reduced: Reduction, queries, width_cap=None):
+        net, ev_index = reduced.net, reduced.ev_index
+        self.inputs = inputs = reduced.inputs
+        self.cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs)}
+        # per query: its left-out input ids, kept variables, unobserved kept
+        # variables and pseudo-scope
+        left, kept, free, pseudo = [], [], [], []
+        for without, keep in queries:
+            ids = tuple(self.cpt_inputs[net.var(name).name] for name in without)
+            keep = tuple(net.var(name).name for name in keep)
+            left.append(ids)
+            kept.append(keep)
+            free.append(tuple(v for v in keep if v not in ev_index))
+            pseudo.append(tuple(dict.fromkeys(free[-1] + sum((inputs[i].scope for i in ids), ()))))
+        taken = sum(left, ())
+        if len(set(taken)) != len(taken):
+            raise ModelError("a CPT is left out of more than one jointree query")
+        nbrs: list[tuple[str, ...]] = []
+        scopes = [_Input(p, tuple(net.var(n).card for n in p)) for p in pseudo]
+        elim = _order(list(inputs) + scopes, net.decl_index, width_cap=width_cap, cliques=nbrs)
+        self.width = elim.width
+        pos = {n: i for i, n in enumerate(elim.order)}
+        members = [(n,) + m for n, m in zip(elim.order, nbrs)] or [()]
+        member_sets = [frozenset(m) for m in members]
+        parent = [min((pos[n] for n in m), default=None) for m in nbrs] or [None]
+        roots = [i for i, p in enumerate(parent) if p is None]
+        for a, b in zip(roots, roots[1:]):
+            parent[a] = b
+
+        def first(scope):
+            return min((pos[n] for n in scope), default=roots[-1])
+
+        holder = [first(inp.scope) for inp in inputs]
+        homes = [first(p) for p in pseudo]
+        for ids, home in zip(left, homes):
+            for i in ids:
+                holder[i] = home
+        self._holder = holder
+        local: list[list[int]] = [[] for _ in members]
+        for i, c in enumerate(holder):
+            local[c].append(i)
+
+        # message m is table len(inputs) + m; message 2e goes up tree edge e
+        # (child to parent) and 2e + 1 down it; each clique's neighbours are
+        # (neighbour, message out, message in)
+        n = len(inputs)
+        edges = [(i, p) for i, p in enumerate(parent) if p is not None]
+        adjacent: list[list[tuple[int, int, int]]] = [[] for _ in members]
+        for e, (i, p) in enumerate(edges):
+            adjacent[i].append((p, 2 * e, 2 * e + 1))
+            adjacent[p].append((i, 2 * e + 1, 2 * e))
+        self._adjacent = adjacent
+        self._stale: dict[int, tuple[int, ...]] = {}
+        # each table's scope; a message's is None where its side of the
+        # tree holds no input or no query reads it, and then it is never sent
+        table_scopes = [inp.scope for inp in inputs] + [None] * (2 * len(edges))
+        sends: list[_Contraction | None] = [None] * (2 * len(edges))
+
+        def operands(c, exclude=(), skip=None):
+            ids = [i for i in local[c] if i not in exclude]
+            ids += [n + m for other, _, m in adjacent[c] if other != skip]
+            return [i for i in ids if table_scopes[i] is not None]
+
+        def plan(src, dst, m):
+            ids = operands(src, skip=dst)
+            if ids:
+                present = set().union(*(table_scopes[i] for i in ids))
+                out = tuple(v for v in members[src] if v in member_sets[dst] and v in present)
+                table_scopes[n + m] = out
+                sends[m] = _contraction(ids, [table_scopes[i] for i in ids], out)
+
+        # the messages into some query's home, toward the root from the
+        # leaves, then away from it: each after the messages it is computed
+        # from
+        leaving = {home: self._leaving(home) for home in homes}
+        needed = {m ^ 1 for away in leaving.values() for m in away}
+        away = self._leaving(roots[-1])
+        for m in reversed(away):
+            if m ^ 1 in needed:
+                plan(*edges[m // 2], m ^ 1)
+        for m in away:
+            if m in needed:
+                plan(edges[m // 2][1], edges[m // 2][0], m)
+
+        fixed: list[np.ndarray] = []
+        self._queries = []
+        for ids, keep, unobserved, home in zip(left, kept, free, homes):
+            ops = operands(home, exclude=ids)
+            present = set().union(*(table_scopes[i] for i in ops))
+            # a kept variable that no operand mentions: g is flat across it
+            for v in unobserved:
+                if v not in present:
+                    ops.append(len(table_scopes) + len(fixed))
+                    table_scopes.append((v,))
+                    fixed.append(np.ones(net.var(v).card))
+            if not ops:
+                ops.append(len(table_scopes) + len(fixed))
+                table_scopes.append(())
+                fixed.append(np.ones(()))
+            take = None
+            if len(unobserved) < len(keep):
+                take = tuple(ev_index[v] if v in ev_index else slice(None) for v in keep)
+            toward = tuple(
+                (n + (m ^ 1), sends[m ^ 1])
+                for m in reversed(leaving[home])
+                if sends[m ^ 1] is not None
+            )
+            table = _contraction(ops, [table_scopes[i] for i in ops], unobserved)
+            shape = tuple(net.var(v).card for v in keep)
+            self._queries.append(_Query(toward, table, shape, take))
+        self.sent = 0
+        self.bound = bind(self, net) + [None] * (2 * len(edges)) + fixed
+
+    def _leaving(self, c: int) -> list[int]:
+        """The messages that point away from clique ``c``, nearest first."""
+        out, frontier, seen = [], [c], {c}
+        for a in frontier:
+            for b, m, _ in self._adjacent[a]:
+                if b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+                    out.append(m)
+        return out
+
+    def set_cpt(self, name: str, table: np.ndarray) -> None:
+        """Make ``table`` the CPT of ``name`` (``write``), and forget the
+        messages that depend on it: those leaving its input's clique."""
+        write(self, self.bound, name, table)
+        c = self._holder[self.cpt_inputs[name]]
+        stale = self._stale.get(c)
+        if stale is None:
+            n = len(self.inputs)
+            stale = self._stale[c] = tuple(n + m for m in self._leaving(c))
+        bound = self.bound
+        for t in stale:
+            bound[t] = None
+
+    def table(self, j: int) -> np.ndarray:
+        """Query j's table at the current inputs.  A result with an
+        infinite or NaN entry raises "numerical overflow in factor
+        product", as ``replay``'s does."""
+        q = self._queries[j]
+        bound = self.bound
+        for t, send in q.toward:
+            if bound[t] is None:
+                bound[t] = _contract(send, bound)
+                self.sent += 1
+        g = _contract(q.table, bound)
+        if q.take is not None:
+            full = np.zeros(q.shape)
+            full[q.take] = g
+            g = full
+        if not np.isfinite(g).all():
+            raise ModelError("numerical overflow in factor product")
+        return g
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:

@@ -13,9 +13,12 @@ between the source network and its approximation.
 ``run`` is the one entry point: the method, the schedule, the number of
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
-Its programs come from ``engine.record`` and are bound once, before the
-first sweep; an edge's new (pm, se) reach them as whole edge tables, the
-clone prior and the soft-evidence CPT that ``apply_params`` would install
+What its sweeps read is built once, before the first sweep, from one
+reduction of N' by its evidence: a sequential run reads each edge's table
+over (parent, clone) off one jointree of N' (``engine.Jointree``), and a
+simultaneous run, or one with no edges, replays one recorded Pr'(e')
+program.  An edge's new (pm, se) reach them as whole edge tables, the clone
+prior and the soft-evidence CPT that ``apply_params`` would install
 (``deletion.se_table``), each sliced by ``engine.write`` as ``bind``
 slices it.
 """
@@ -126,47 +129,55 @@ def _start_vectors(nprime, records, plan):
 
 
 class _Fit:
-    """One ``run``'s current edge vectors and the programs its schedule
-    replays, recorded and bound to N' (``engine.bind``) when it is built:
-    one (parent, clone) program per deleted edge in sequential mode, and
-    otherwise, or with an empty plan, the one Pr'(e') program.
+    """One ``run``'s current edge vectors and what its schedule reads N'
+    through, built once from one reduction of N' by its evidence: in
+    sequential mode a jointree (``engine.Jointree``) whose query i is the
+    table g over (parent, clone) of N' without edge i's clone prior and
+    soft-evidence CPT, and otherwise, or with an empty plan, the one Pr'(e')
+    program, recorded and bound to N' (``engine.bind``).
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
-    tables once and writes them into every bound program through
-    ``engine.write``, which slices them as ``bind`` does, once per distinct
-    slice; no other input is read again.
+    tables once and writes them into the tree (which forgets the messages
+    leaving the edge's clique) or the bound program, sliced by the evidence
+    as ``bind`` slices them; no other input is read again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
         reduced = engine.reduce(nprime, evp)
+        self.tree = self.program = self.bound = None
         if sequential and records:
-            programs = [
-                engine.record(
-                    reduced, (rec.clone, rec.sevid), (rec.parent, rec.clone),
-                    width_cap=width_cap,
-                )
-                for rec in records
-            ]
+            queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
+            self.tree = engine.Jointree(reduced, queries, width_cap)
+            self._write = self.tree.set_cpt
         else:
-            programs = [engine.record(reduced, width_cap=width_cap)]
-        self.bound = [(program, engine.bind(program, nprime)) for program in programs]
+            self.program = engine.record(reduced, width_cap=width_cap)
+            self.bound = engine.bind(self.program, nprime)
+            self._write = partial(engine.write, self.program, self.bound)
         self.vectors = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
             self.set(j, pm, se)
 
-    def replay(self, i):
-        """Bound program ``i`` replayed at the current vectors: in sequential
-        mode the table g over (parent, clone) of N' without edge i's clone
-        prior and soft-evidence CPT, otherwise (``i`` = 0) Pr'(e')."""
-        return engine.replay(*self.bound[i])[0]
+    def table(self, i):
+        """Edge i's table g at the other edges' current vectors (sequential
+        mode)."""
+        return self.tree.table(i)
+
+    def adjoints(self):
+        """One forward/backward pass of the Pr'(e') program at the current
+        vectors."""
+        return engine.adjoints(self.program, self.bound)
+
+    def pr_ep(self):
+        """Pr'(e') at the current vectors, replayed off the Pr'(e') program."""
+        return float(engine.replay(self.program, self.bound)[0])
 
     def set(self, j, pm, se):
-        """Make (pm, se) edge j's vectors in every bound program."""
+        """Make (pm, se) edge j's vectors."""
         rec = self.records[j]
         self.vectors[j] = (pm, se)
-        engine.write(self.bound, rec.clone, pm)
-        engine.write(self.bound, rec.sevid, se_table(se))
+        self._write(rec.clone, pm)
+        self._write(rec.sevid, se_table(se))
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
@@ -175,14 +186,15 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     vectors in simultaneous mode), each None where the mode does not
     compute it.
 
-    A sweep reads N' only through ``fit``'s bound programs, and writes only
-    the edges' new tables into them (``_Fit.set``); it records and binds
-    nothing.
+    A sweep reads N' only through ``fit``, and writes only the edges' new
+    tables into it (``_Fit.set``); it records and binds nothing.
 
-    Sequential mode costs one replay per edge: the table g over (parent,
+    Sequential mode reads one jointree table per edge: g over (parent,
     clone) of N' with that edge's clone prior and soft-evidence CPT left
     out, at the other edges' current vectors, so that Pr'(e') = se g pm and
-    ``divergence.edge_update`` fits the edge from g.  Each g must reproduce
+    ``divergence.edge_update`` fits the edge from g.  Only the messages
+    that the previous edge's update made stale are sent again: those on
+    the path from its clique to this edge's.  Each g must reproduce
     ``pr_ep``, the Pr'(e') the previous update ended with.
 
     Simultaneous mode costs one forward/backward pass of the Pr'(e')
@@ -195,12 +207,12 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     """
     residuals = []
     if not sequential and fit.records:
-        grads = engine.adjoints(*fit.bound[0])
+        grads = fit.adjoints()
     for i, rec in enumerate(fit.records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
         if sequential:
-            evaluate = partial(single_edge_evaluate, fit.replay(i))
+            evaluate = partial(single_edge_evaluate, fit.table(i))
         else:
             evaluate = _fixed((grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]))
         pm, se, residual, pr = edge_update(
@@ -234,19 +246,21 @@ def run(
     its clone's (``pm``) or parent's (``se``) cardinality; a wrong length
     raises ``ModelError`` before any sweep.
 
-    Every elimination a sweep needs is recorded and bound to N' once, when
-    the run starts (see ``_Fit``), so a too-wide N' raises ``CapacityError``
-    there even with ``max_iterations=0``: N' keeps its structure and
-    evidence, and a sweep writes only the edges' new clone-prior and
-    soft-evidence tables into the bound lists before replaying them.  The
-    vectors stay plain arrays inside the loop; the returned plan holds one
-    ``EdgeParams`` per edge, built at the end.  Sequential sweeps replay
-    one (parent, clone) program per deleted edge; simultaneous sweeps make
-    one forward/backward pass of the run's one Pr'(e') program.  With a
-    reference, the KL bound at a simultaneous sweep's new vectors reads
-    Pr'(e') off the next sweep's forward pass, so only the last sweep's
-    bound takes one more replay.  The true parent posteriors come from one
-    forward/backward pass on the source network (``true_edge_marginals``).
+    What the sweeps read is ordered and bound to N' once, when the run
+    starts (see ``_Fit``), so a too-wide N' raises ``CapacityError`` there
+    even with ``max_iterations=0``: in sequential mode the width is the
+    jointree's.  N' keeps its structure and evidence, and a sweep writes
+    only the edges' new clone-prior and soft-evidence tables into the bound
+    inputs.  The vectors stay plain arrays inside the loop; the returned
+    plan holds one ``EdgeParams`` per edge, built at the end.  Sequential
+    sweeps read each edge's table g over (parent, clone) off one jointree of
+    N', re-sending only the messages that the previous edge's update made
+    stale; simultaneous sweeps make one forward/backward pass of the run's
+    one Pr'(e') program.  With a reference, the KL bound at a simultaneous
+    sweep's new vectors reads Pr'(e') off the next sweep's forward pass, so
+    only the last sweep's bound takes one more replay.  The true parent
+    posteriors come from one forward/backward pass on the source network
+    (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -306,7 +320,7 @@ def run(
             break
     if waiting is not None:
         # the last sweep's Pr'(e'): one replay of the Pr'(e') program
-        trace.append(traced(*waiting, float(fit.replay(0))))
+        trace.append(traced(*waiting, fit.pr_ep()))
     if iterations:
         plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
     return plan, FixedPointReport(residuals, iterations, converged), trace

@@ -383,34 +383,24 @@ class TestEdgeTableSweep:
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_corrupted_edge_table_fails_chain_check(self, monkeypatch, schedule, k):
-        # sequential: the second replay of an edge program is corrupted, and
-        # with k = 1 the mismatch shows only against the previous sweep;
-        # simultaneous: the second adjoint pass on N' is, and the Euler check
-        # on the first derivative it reads fails
+        # sequential: the second edge table read off the jointree is
+        # corrupted, and with k = 1 the mismatch shows only against the
+        # previous sweep; simultaneous: the second adjoint pass on N' is,
+        # and the Euler check on the first derivative it reads fails
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
-        real_record = engine_module.record
         if schedule == "sequential":
-            real_replay = engine_module.replay
-            edge_programs, calls = [], []
+            real_table = engine_module.Jointree.table
+            calls = []
 
-            def recording(*args, **kwargs):
-                program = real_record(*args, **kwargs)
-                if program.shape != ():
-                    edge_programs.append(program)
-                return program
+            def corrupted(tree, j):
+                g = real_table(tree, j)
+                calls.append(1)
+                return g * (1 + 1e-6) if len(calls) == 2 else g
 
-            def corrupted(program, bound):
-                g, traceback = real_replay(program, bound)
-                if any(program is p for p in edge_programs):
-                    calls.append(1)
-                    if len(calls) == 2:
-                        g = g * (1 + 1e-6)
-                return g, traceback
-
-            monkeypatch.setattr(engine_module, "replay", corrupted)
+            monkeypatch.setattr(engine_module.Jointree, "table", corrupted)
             message = "edge table"
         else:
-            real_adjoints = engine_module.adjoints
+            real_record, real_adjoints = engine_module.record, engine_module.adjoints
             nprime_programs, calls = [], []
 
             def recording(reduced, *args, **kwargs):
@@ -428,9 +418,9 @@ class TestEdgeTableSweep:
                         grads = dataclasses.replace(grads, tables=tables)
                 return grads
 
+            monkeypatch.setattr(engine_module, "record", recording)
             monkeypatch.setattr(engine_module, "adjoints", corrupted)
             message = "adjoint of .* violates the sum"
-        monkeypatch.setattr(engine_module, "record", recording)
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
         with pytest.raises(ModelError, match=message):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
@@ -438,9 +428,10 @@ class TestEdgeTableSweep:
 
 
 class TestBoundSlots:
-    """Writing new edge vectors into the fit's bound lists (``_Fit.set``, at
-    construction or later) gives the very tables ``bind`` reads off N'
-    rebuilt with them (``apply_params``)."""
+    """Writing new edge vectors into the fit's input tables (``_Fit.set``,
+    at construction or later) gives the very tables ``bind`` reads off N'
+    rebuilt with them (``apply_params``): the jointree's in sequential mode,
+    the Pr'(e') program's in simultaneous mode."""
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
@@ -465,10 +456,12 @@ class TestBoundSlots:
             )
             for j, params in enumerate(new.params[1:], start=1):
                 fit.set(j, params.pm, params.se)
-            bound += fit.bound
-        assert len(bound) == 1 + len(records)
-        for program, tables in bound:
-            want = engine_module.bind(program, apply_params(nprime, new))
+            if sequential:
+                bound.append((fit.tree, fit.tree.bound[: len(fit.tree.inputs)]))
+            else:
+                bound.append((fit.program, fit.bound))
+        for target, tables in bound:
+            want = engine_module.bind(target, apply_params(nprime, new))
             assert [t.shape for t in tables] == [w.shape for w in want]
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
 
@@ -481,14 +474,23 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("sequential", [True, False])
     def test_one_elimination_per_edge_per_sweep(self, monkeypatch, sequential):
-        # sequential: one (parent, clone) elimination per edge; simultaneous:
-        # one forward/backward pass of Pr'(e') for all edges
+        # sequential: one jointree, ordered and bound once, and one table
+        # read off it per edge; simultaneous: one forward/backward pass of
+        # Pr'(e') for all edges
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
-            "compile", "cpt_derivatives", "record", "replay", "adjoints", "bind",
+            "compile", "cpt_derivatives", "record", "_order", "replay", "adjoints", "bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
+        reads = []
+        real_table = engine_module.Jointree.table
+
+        def table(tree, j):
+            reads.append(j)
+            return real_table(tree, j)
+
+        monkeypatch.setattr(engine_module.Jointree, "table", table)
         vectors = [(p.pm, p.se) for p in plan.params]
         fit = _Fit(
             nprime, evp, deleted_records(nprime, plan), vectors, sequential,
@@ -496,10 +498,32 @@ class TestWorkCounts:
         )
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         if sequential:
-            want = {"record": 4, "replay": 4, "bind": 4}
+            want = {"_order": 1, "bind": 1}
+            assert reads == [0, 1, 2, 3]
         else:
-            want = {"record": 1, "adjoints": 1, "bind": 1}
+            want = {"record": 1, "_order": 1, "adjoints": 1, "bind": 1}
+            assert reads == []
         assert calls == {**dict.fromkeys(names, 0), **want}
+
+    def test_sequential_sweeps_resend_only_stale_messages(self):
+        # the tree has 19 cliques and 36 messages; the first sweep sends 33,
+        # and every later one only those on the paths from each edge's home
+        # clique to the next edge's: 18, against the 4 x 17 buckets of the
+        # four per-edge eliminations it replaces
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        tm, _ = true_edge_marginals(aug, ev, plan)
+        vectors = [(p.pm, p.se) for p in plan.params]
+        fit = _Fit(
+            nprime, evp, deleted_records(nprime, plan), vectors, True,
+            engine_module.WIDTH_CAP_DEFAULT,
+        )
+        assert fit.tree.sent == 0
+        sent, pr_ep = [], None
+        for _ in range(4):
+            before = fit.tree.sent
+            _, pr_ep, _ = _sweep(fit, "ed-kl", tm, 0.0, True, pr_ep)
+            sent.append(fit.tree.sent - before)
+        assert sent == [33, 18, 18, 18]
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
@@ -520,13 +544,14 @@ class TestWorkCounts:
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - 2 * own[name] for name in calls}
-        # beyond true_edge_marginals, sequential: 4 edge recordings (one
-        # order and one binding each) and 12 replays; simultaneous: one
-        # Pr'(e') recording, bound once, one forward/backward pass per sweep,
-        # whose forward value is the previous sweep's KL-bound Pr'(e'), and
-        # one replay for the last sweep's bound
+        # beyond true_edge_marginals, sequential: one jointree of N', one
+        # order and one binding, and no per-edge recording or replay;
+        # simultaneous: one Pr'(e') recording, bound once, one
+        # forward/backward pass per sweep, whose forward value is the
+        # previous sweep's KL-bound Pr'(e'), and one replay for the last
+        # sweep's bound
         if schedule == "sequential":
-            want = {"record": 4, "_order": 4, "bind": 4, "replay": 12}
+            want = {"_order": 1, "bind": 1}
         else:
             want = {"record": 1, "_order": 1, "bind": 1, "adjoints": 3, "replay": 1}
         assert got == {**dict.fromkeys(names, 0), **want}
@@ -550,23 +575,25 @@ class TestWorkCounts:
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
-        # Pr(e) recordings keep nothing; the 4 sequential edge programs keep
-        # (parent, clone)
+        # Pr(e) recordings keep nothing, and no program keeps (parent,
+        # clone): sequential mode reads those tables off its jointree
         per_run = 1 if schedule == "simultaneous" else 0
         assert calls == {"compile": 0}
         assert kept.count(False) == 1 + per_run
-        assert kept.count(True) == (0 if per_run else 4)
+        assert kept.count(True) == 0
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
-        # building the fit records and binds every program: k in sequential
-        # mode, one in simultaneous mode; a sweep only writes edge vectors
-        # into the bound lists, so no sweep records, binds or builds N'
-        # (apply_params), and a simultaneous sweep is one forward/backward
+        # building the fit orders and binds what its sweeps read: in
+        # sequential mode one jointree, recording nothing, in simultaneous
+        # mode one Pr'(e') program; a sweep only writes edge vectors into
+        # the bound lists, so no sweep orders, records, binds or builds N'
+        # (apply_params); a sequential sweep reads tables off the tree and
+        # replays nothing, and a simultaneous sweep is one forward/backward
         # pass, whose forward value is the previous sweep's KL-bound Pr'(e');
         # only the last sweep's bound takes a replay, after that sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        names = ["bind", "record", "replay", "adjoints"]
+        names = ["bind", "record", "_order", "replay", "adjoints"]
         calls = count_engine_calls(monkeypatch, names)
         applied = []
         for module in (parametrize_module, deletion_module, divergence_module):
@@ -601,13 +628,11 @@ class TestWorkCounts:
         assert report.iterations == 3
         marks = starts + [mark()]
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
-        programs = 4 if schedule == "sequential" else 1
-        assert built == [
-            {"bind": programs, "record": programs, "replay": 0, "adjoints": 0, "apply_params": 0},
-        ]
-        none = {"bind": 0, "record": 0, "replay": 0, "adjoints": 0, "apply_params": 0}
+        none = dict.fromkeys(names + ["apply_params"], 0)
+        recorded = 0 if schedule == "sequential" else 1
+        assert built == [{**none, "bind": 1, "_order": 1, "record": recorded}]
         if schedule == "sequential":
-            assert per_sweep == [{**none, "replay": 4}] * 3
+            assert per_sweep == [none] * 3
         else:
             each = {**none, "adjoints": 1}
             assert per_sweep == [each, each, {**each, "replay": 1}]
