@@ -21,18 +21,15 @@ traceback for the maximized variables.  It checks the program's result,
 not each product, for overflow: the inputs are finite and nonnegative, and
 an inf or NaN entry survives every later product, sum and maximum.  A
 program depends on the structure, the evidence and the query, not on the
-CPT entries, and ``replay`` never writes into the bound list, so a caller
-that only changes some CPTs (the simultaneous sweeps of ``parametrize.run``)
-records and binds once, then writes just those CPTs' new tables through
-``write`` before each replay.
+CPT entries, and ``replay`` never writes into the bound list.
 
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
 the whole reduction: Shenoy–Shafer messages between the cliques of that
-order, each one ``np.einsum``, kept until a written CPT makes them stale.
-The sequential sweeps of ``parametrize.run`` read each deleted edge's table
-off one tree, so an update re-sends only the messages on the path to the
-next edge's clique.
+order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
+through ``write``) makes them stale.  ``parametrize.run`` reads every
+deleted edge's tables and Pr'(e') off one tree in either schedule, so a
+sweep's writes re-send only the messages that depend on them.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
 the CPT entries.  ``adjoints`` runs such a program forward on its bound
@@ -545,9 +542,9 @@ def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
     sliced by its evidence.  A program that does not read that CPT is left
     as it was.
 
-    ``bind`` reads every CPT through here, and a caller that changes some
-    CPTs (the fit's edge tables) writes just those and replays again.  A
-    ``Jointree`` takes the place of the program the same way.
+    ``bind`` reads every CPT through here, and ``Jointree.set_cpt`` writes
+    the fit's edge tables through here, the tree taking the program's
+    place.
     """
     i = program.cpt_inputs.get(name)
     if i is None:

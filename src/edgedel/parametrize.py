@@ -14,11 +14,12 @@ between the source network and its approximation.
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
 What its sweeps read is built once, before the first sweep, from one
-reduction of N' by its evidence: a sequential run reads each edge's table
-over (parent, clone) off one jointree of N' (``engine.Jointree``), and a
-simultaneous run, or one with no edges, replays one recorded Pr'(e')
-program.  An edge's new (pm, se) reach them as whole edge tables, the clone
-prior and the soft-evidence CPT that ``apply_params`` would install
+reduction of N' by its evidence: one jointree of N' (``engine.Jointree``)
+in both schedules.  A sequential run reads each edge's table over (parent,
+clone) off it, and a simultaneous run each edge's derivatives with respect
+to its clone prior and soft-evidence row; either reads Pr'(e') off it.  An
+edge's new (pm, se) reach the tree as whole edge tables, the clone prior
+and the soft-evidence CPT that ``apply_params`` would install
 (``deletion.se_table``), each sliced by ``engine.write`` as ``bind``
 slices it.
 """
@@ -31,7 +32,8 @@ from functools import partial
 import numpy as np
 
 from . import engine
-from .deletion import DeletionPlan, EdgeParams, apply_params, deleted_records, se_table
+from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params, deleted_records
+from .deletion import se_table
 from .divergence import (
     edge_update,
     kl_breakdown,
@@ -129,31 +131,35 @@ def _start_vectors(nprime, records, plan):
 
 
 class _Fit:
-    """One ``run``'s current edge vectors and what its schedule reads N'
-    through, built once from one reduction of N' by its evidence: in
-    sequential mode a jointree (``engine.Jointree``) whose query i is the
-    table g over (parent, clone) of N' without edge i's clone prior and
-    soft-evidence CPT, and otherwise, or with an empty plan, the one Pr'(e')
-    program, recorded and bound to N' (``engine.bind``).
+    """One ``run``'s current edge vectors and the one jointree of N' its
+    sweeps read (``engine.Jointree``), built from one reduction of N' by its
+    evidence.
+
+    In sequential mode query i is edge i's table g over (parent, clone):
+    N' without the edge's clone prior and soft-evidence CPT, whose chain
+    gives Pr'(e').  In simultaneous mode queries 2i and 2i + 1 are edge i's
+    dPr'/dpm, N' without the clone prior over the clone, and dPr'/dse, N'
+    without the soft-evidence CPT over the parent; each lies inside an
+    existing family, so the tree keeps N''s width.  Query 2k then gives
+    Pr'(e'), as the only query of a run with no edges.
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
-    tables once and writes them into the tree (which forgets the messages
-    leaving the edge's clique) or the bound program, sliced by the evidence
-    as ``bind`` slices them; no other input is read again.
+    tables once and writes them into the tree, which slices them by the
+    evidence as ``bind`` slices them and forgets the messages leaving the
+    edge's clique; no other input is read again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
-        reduced = engine.reduce(nprime, evp)
-        self.tree = self.program = self.bound = None
         if sequential and records:
             queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
-            self.tree = engine.Jointree(reduced, queries, width_cap)
-            self._write = self.tree.set_cpt
         else:
-            self.program = engine.record(reduced, width_cap=width_cap)
-            self.bound = engine.bind(self.program, nprime)
-            self._write = partial(engine.write, self.program, self.bound)
+            queries = [
+                query
+                for rec in records
+                for query in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))
+            ] + [((), ())]
+        self.tree = engine.Jointree(engine.reduce(nprime, evp), queries, width_cap)
         self.vectors = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
             self.set(j, pm, se)
@@ -163,58 +169,62 @@ class _Fit:
         mode)."""
         return self.tree.table(i)
 
-    def adjoints(self):
-        """One forward/backward pass of the Pr'(e') program at the current
-        vectors."""
-        return engine.adjoints(self.program, self.bound)
+    def derivatives(self, i):
+        """Edge i's dPr'/dpm and dPr'/dse at the current vectors
+        (simultaneous mode)."""
+        return self.tree.table(2 * i), self.tree.table(2 * i + 1)
 
     def pr_ep(self):
-        """Pr'(e') at the current vectors, replayed off the Pr'(e') program."""
-        return float(engine.replay(self.program, self.bound)[0])
+        """Pr'(e') at the current vectors (simultaneous mode, or no edges)."""
+        return float(self.tree.table(2 * len(self.records)))
 
     def set(self, j, pm, se):
         """Make (pm, se) edge j's vectors."""
         rec = self.records[j]
         self.vectors[j] = (pm, se)
-        self._write(rec.clone, pm)
-        self._write(rec.sevid, se_table(se))
+        self.tree.set_cpt(rec.clone, pm)
+        self.tree.set_cpt(rec.sevid, se_table(se))
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     """One full pass over the plan's edges; returns (per-edge residuals,
-    Pr'(e') at the new vectors in sequential mode, Pr'(e') at the start
-    vectors in simultaneous mode), each None where the mode does not
-    compute it.
+    Pr'(e') at the new vectors, or None in simultaneous mode, which does
+    not compute it).
 
-    A sweep reads N' only through ``fit``, and writes only the edges' new
-    tables into it (``_Fit.set``); it records and binds nothing.
+    A sweep reads N' only through ``fit``'s jointree, and writes only the
+    edges' new tables into it (``_Fit.set``); it records and binds nothing.
+    Only the messages that earlier writes made stale are sent again.
 
-    Sequential mode reads one jointree table per edge: g over (parent,
-    clone) of N' with that edge's clone prior and soft-evidence CPT left
-    out, at the other edges' current vectors, so that Pr'(e') = se g pm and
-    ``divergence.edge_update`` fits the edge from g.  Only the messages
-    that the previous edge's update made stale are sent again: those on
-    the path from its clique to this edge's.  Each g must reproduce
-    ``pr_ep``, the Pr'(e') the previous update ended with.
+    Sequential mode reads one table per edge: g over (parent, clone) of N'
+    with that edge's clone prior and soft-evidence CPT left out, at the
+    other edges' current vectors, so that Pr'(e') = se g pm and
+    ``divergence.edge_update`` fits the edge from g.  Each write forgets
+    only the messages on the path from its clique to the next edge's.
 
-    Simultaneous mode costs one forward/backward pass of the Pr'(e')
-    program (``engine.adjoints``) at the sweep-start vectors: every edge's
-    dPr'/dpm and dPr'/dse are the adjoints of its clone prior and
-    soft-evidence CPT, each checked by the Euler identity against the
-    forward value, Pr'(e'), and ``edge_update`` moves both of the edge's
-    vectors from them.  The pass keeps the tables it ran on, so the writes
-    that follow it do not disturb it.
+    Simultaneous mode reads every edge's dPr'/dpm and dPr'/dse at the
+    sweep-start vectors before it writes any, and ``edge_update`` moves
+    both of the edge's vectors from them.
+
+    Each edge's Pr'(e') must reproduce the value carried so far
+    (``_chained``), starting from ``pr_ep``, or the first edge's where that
+    is None: in sequential mode se g pm, carried on from each update's end;
+    in simultaneous mode both d_pm pm and d_se se, all at the sweep-start
+    vectors.  The update rule takes the edge's own value.
     """
     residuals = []
-    if not sequential and fit.records:
-        grads = fit.adjoints()
+    if not sequential:
+        reads = [fit.derivatives(i) for i in range(len(fit.records))]
     for i, rec in enumerate(fit.records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
         if sequential:
             evaluate = partial(single_edge_evaluate, fit.table(i))
         else:
-            evaluate = _fixed((grads.pr_e, grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]))
+            (pm, se), (d_pm, d_se) = fit.vectors[i], reads[i]
+            pr = float(d_pm @ pm)
+            pr_ep = _chained(pr_ep, pr, label)
+            _chained(pr_ep, float(d_se @ se), label)
+            evaluate = _fixed((pr, d_pm, d_se))
         pm, se, residual, pr = edge_update(
             evaluate, *fit.vectors[i], method, true_marg, label, damping
         )
@@ -223,9 +233,7 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
             pr_ep = evaluate(pm, se)[0]
         fit.set(i, pm, se)
         residuals.append(residual)
-    if sequential:
-        return residuals, pr_ep, None
-    return residuals, None, grads.pr_e if fit.records else None
+    return residuals, pr_ep if sequential or not fit.records else None
 
 
 def run(
@@ -246,21 +254,19 @@ def run(
     its clone's (``pm``) or parent's (``se``) cardinality; a wrong length
     raises ``ModelError`` before any sweep.
 
-    What the sweeps read is ordered and bound to N' once, when the run
-    starts (see ``_Fit``), so a too-wide N' raises ``CapacityError`` there
-    even with ``max_iterations=0``: in sequential mode the width is the
-    jointree's.  N' keeps its structure and evidence, and a sweep writes
-    only the edges' new clone-prior and soft-evidence tables into the bound
-    inputs.  The vectors stay plain arrays inside the loop; the returned
-    plan holds one ``EdgeParams`` per edge, built at the end.  Sequential
-    sweeps read each edge's table g over (parent, clone) off one jointree of
-    N', re-sending only the messages that the previous edge's update made
-    stale; simultaneous sweeps make one forward/backward pass of the run's
-    one Pr'(e') program.  With a reference, the KL bound at a simultaneous
-    sweep's new vectors reads Pr'(e') off the next sweep's forward pass, so
-    only the last sweep's bound takes one more replay.  The true parent
-    posteriors come from one forward/backward pass on the source network
-    (``true_edge_marginals``).
+    Each edge's soft-evidence variable must be observed in
+    ``deletion.SE_OBSERVED``, or ``ModelError`` names it before any sweep.
+
+    N' is ordered and bound once, when the run starts, as one jointree (see
+    ``_Fit``), so a too-wide N' raises ``CapacityError`` there even with
+    ``max_iterations=0``.  A sweep writes only the edges' new clone-prior
+    and soft-evidence tables into the tree (``_sweep``).  The vectors stay
+    plain arrays inside the loop; the returned plan holds one
+    ``EdgeParams`` per edge, built at the end.  With a reference, the KL
+    bound after a simultaneous sweep (or a sweep of an empty plan) reads
+    Pr'(e') off the tree, and the next sweep's reads reuse the messages
+    that read sent.  The true parent posteriors come from one
+    forward/backward pass on the source network (``true_edge_marginals``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -277,50 +283,38 @@ def run(
     if cfg.initialization == "uniform":
         plan = DeletionPlan.uniform(nprime, plan.edges) if len(plan) else plan
     records = deleted_records(nprime, plan)
+    for rec in records:
+        if evp.get(rec.sevid) != SE_OBSERVED:
+            raise ModelError(
+                f"soft-evidence variable {rec.sevid} must be observed as {SE_OBSERVED!r}"
+            )
     sequential = cfg.schedule == "sequential"
     fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
-    true_marginals = None
-    pr_e = None
+    true_marginals, pr_e = None, None
     if reference is not None:
-        true_marginals, pr_e = true_edge_marginals(
-            reference[0], reference[1], plan, width_cap
-        )
-
-    bounded = true_marginals is not None and pr_e is not None and pr_e > 0
-
-    def traced(sweep, worst, vectors, pr_ep):
-        kl = None
-        if bounded and pr_ep > 0:
-            kl = kl_breakdown(true_marginals, vectors, pr_e, pr_ep).total
-        return SweepRecord(sweep, worst, kl)
+        true_marginals, pr_e = true_edge_marginals(*reference, plan, width_cap)
+    bounded = reference is not None and pr_e > 0
 
     trace: list[SweepRecord] = []
     residuals: tuple[float, ...] = ()
     converged = False
     iterations = 0
     pr_ep = None
-    # simultaneous mode (or no edges) with a bound: the last sweep's
-    # (sweep, residual, vectors), waiting for Pr'(e') at those vectors
-    waiting = None
     for sweep in range(1, cfg.max_iterations + 1):
-        res, pr_ep, pr_start = _sweep(
-            fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep
-        )
-        if waiting is not None:
-            trace.append(traced(*waiting, pr_start))
+        res, pr_ep = _sweep(fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep)
         iterations = sweep
         residuals = tuple(res)
         worst = max(res) if res else 0.0
-        if bounded and pr_ep is None:
-            waiting = (sweep, worst, list(fit.vectors))
-        else:
-            trace.append(traced(sweep, worst, fit.vectors, pr_ep))
+        kl = None
+        if bounded:
+            if pr_ep is None:
+                pr_ep = fit.pr_ep()
+            if pr_ep > 0:
+                kl = kl_breakdown(true_marginals, fit.vectors, pr_e, pr_ep).total
+        trace.append(SweepRecord(sweep, worst, kl))
         if worst < cfg.tolerance:
             converged = True
             break
-    if waiting is not None:
-        # the last sweep's Pr'(e'): one replay of the Pr'(e') program
-        trace.append(traced(*waiting, fit.pr_ep()))
     if iterations:
         plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
     return plan, FixedPointReport(residuals, iterations, converged), trace

@@ -1,11 +1,12 @@
-"""The sequential fit's jointree against the per-edge programs it replaced.
+"""The fit's jointree against the programs and passes it replaced.
 
 Each edge's table g over (parent, clone), read off ``engine.Jointree``, must
 be the table that the edge's own program computes (``engine.record`` on the
 same reduction with the edge's clone prior and soft-evidence CPT left out,
 keeping (parent, clone), then ``replay``), at rel 1e-12, also after other
-edges' vectors change; and whole sequential fits must follow the path those
-programs take.
+edges' vectors change; whole sequential fits must follow the path those
+programs take, and whole simultaneous fits the path of one forward/backward
+pass of Pr'(e') per sweep (``engine.adjoints``).
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from edgedel import (
     run,
 )
 from edgedel.deletion import apply_params, se_table
+from edgedel.harness import grid_network, rank_edges
 from edgedel.parametrize import _Fit
 
 from conftest import random_cpt
@@ -213,29 +215,71 @@ def test_a_cpt_left_out_of_two_queries_is_refused():
         engine.Jointree(engine.reduce(nprime, evp), [query, query])
 
 
-class ProgramFit(_Fit):
-    """The sequential fit as it was before the jointree: each edge's table
-    from its own program, bound to N' rebuilt at the current vectors."""
+@pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+@pytest.mark.parametrize("state", ["unobserved", "no"])
+def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedule, state):
+    # Pr'(e') = se g pm holds only with every soft-evidence variable
+    # observed in its positive state
+    aug, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3, hide_se=True)
+    sevid = deleted_records(nprime, plan)[-1].sevid
+    if state != "unobserved":
+        evp = evp.with_added({sevid: state})
+    built = []
+    monkeypatch.setattr(engine, "Jointree", lambda *args: built.append(args))
+    cfg = IterationConfig(method="ed-bp", schedule=schedule, initialization="plan")
+    with pytest.raises(ModelError, match=f"soft-evidence variable {sevid} must be observed"):
+        run(nprime, plan, evp, cfg, reference=(aug, ev))
+    assert built == []
+
+
+class RebuiltFit(_Fit):
+    """A fit that also rebuilds N' at its current vectors."""
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         super().__init__(nprime, evp, records, vectors, sequential, width_cap)
         self.nprime, self.evp = nprime, evp
 
-    def table(self, i):
+    def current(self):
         params = (EdgeParams(pm, se) for pm, se in self.vectors)
-        current = apply_params(self.nprime, DeletionPlan(tuple(self.records), tuple(params)))
-        return reference_table(current, self.evp, self.records[i])
+        return apply_params(self.nprime, DeletionPlan(tuple(self.records), tuple(params)))
 
 
-@pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
-@pytest.mark.parametrize("case", ["mixed", "observed-parent", "disconnected", "one-edge"])
-def test_sequential_fits_follow_the_per_edge_programs(monkeypatch, method, case):
-    # a fit needs its soft evidence observed (Pr'(e') = se g pm), so the
-    # hidden-soft-evidence case is checked table by table only
+class ProgramFit(RebuiltFit):
+    """The sequential fit as it was before the jointree: each edge's table
+    from its own program, bound to N' rebuilt at the current vectors."""
+
+    def table(self, i):
+        return reference_table(self.current(), self.evp, self.records[i])
+
+
+class AdjointsFit(RebuiltFit):
+    """The simultaneous fit as it was before the jointree: every derivative
+    and Pr'(e') from one forward/backward pass of the Pr'(e') program,
+    bound to N' rebuilt at the current vectors."""
+
+    def grads(self):
+        current = self.current()
+        program = engine.record(engine.reduce(current, self.evp))
+        return engine.adjoints(program, engine.bind(program, current))
+
+    def derivatives(self, i):
+        rec, grads = self.records[i], self.grads()
+        return grads.cpt(rec.clone), grads.cpt(rec.sevid)[:, 0]
+
+    def pr_ep(self):
+        return self.grads().pr_e
+
+
+FIT_CASES = ["mixed", "observed-parent", "disconnected", "one-edge"]
+
+
+def assert_fits_match(monkeypatch, case, method, schedule, reference_fit):
     aug, ev, nprime, plan, evp = edge_case(7, **CASES[case])
-    cfg = IterationConfig(method=method, max_iterations=10, initialization="plan")
+    cfg = IterationConfig(
+        method=method, schedule=schedule, max_iterations=10, initialization="plan"
+    )
     got, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
-    monkeypatch.setattr(parametrize_module, "_Fit", ProgramFit)
+    monkeypatch.setattr(parametrize_module, "_Fit", reference_fit)
     want, want_report, want_trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
     assert report.iterations == want_report.iterations
     assert len(trace) == len(want_trace)
@@ -244,3 +288,36 @@ def test_sequential_fits_follow_the_per_edge_programs(monkeypatch, method, case)
         np.testing.assert_allclose(a.se, b.se, rtol=1e-10, atol=0)
     for a, b in zip(trace, want_trace):
         assert a.kl_bound == pytest.approx(b.kl_bound, rel=1e-10)
+
+
+@pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_sequential_fits_follow_the_per_edge_programs(monkeypatch, method, case):
+    # a fit needs its soft evidence observed (Pr'(e') = se g pm), so the
+    # hidden-soft-evidence case is checked table by table only
+    assert_fits_match(monkeypatch, case, method, "sequential", ProgramFit)
+
+
+@pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_simultaneous_fits_follow_the_adjoint_passes(monkeypatch, method, case):
+    assert_fits_match(monkeypatch, case, method, "simultaneous", AdjointsFit)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_simultaneous_tree_keeps_the_width_of_n_prime(seed):
+    # each simultaneous query lies inside an existing family, so the tree
+    # has the Pr'(e') program's width, and a run capped at it succeeds
+    net = grid_network(7, 7, rng=np.random.default_rng(seed))
+    ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+    edges, _ = rank_edges(net, ev, "rand", np.random.default_rng(seed))
+    _, nprime, plan = approximate_network(net, edges[:10])
+    evp = augmented_evidence(nprime, ev)
+    width = engine.record(engine.reduce(nprime, evp)).width
+    records = deleted_records(nprime, plan)
+    vectors = [(p.pm, p.se) for p in plan.params]
+    fit = _Fit(nprime, evp, records, vectors, False, None)
+    assert fit.tree.width == width
+    cfg = IterationConfig(method="ed-bp", schedule="simultaneous", max_iterations=1)
+    _, report, _ = run(nprime, plan, evp, cfg, width_cap=width)
+    assert report.iterations == 1

@@ -385,53 +385,34 @@ class TestEdgeTableSweep:
     def test_corrupted_edge_table_fails_chain_check(self, monkeypatch, schedule, k):
         # sequential: the second edge table read off the jointree is
         # corrupted, and with k = 1 the mismatch shows only against the
-        # previous sweep; simultaneous: the second adjoint pass on N' is,
-        # and the Euler check on the first derivative it reads fails
+        # previous sweep; simultaneous: the last edge's second dPr'/dpm
+        # read, then, in a second run, its second dPr'/dse read, each checked
+        # against the Pr'(e') read off the tree after the first sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
-        if schedule == "sequential":
-            real_table = engine_module.Jointree.table
-            calls = []
+        real_table = engine_module.Jointree.table
+        targets = [None] if schedule == "sequential" else [2 * k - 2, 2 * k - 1]
+        cfg = IterationConfig(method="ed-kl", schedule=schedule)
+        for target in targets:
+            reads = []
 
-            def corrupted(tree, j):
+            def corrupted(tree, j, target=target, reads=reads):
                 g = real_table(tree, j)
-                calls.append(1)
-                return g * (1 + 1e-6) if len(calls) == 2 else g
+                if target in (None, j):
+                    reads.append(j)
+                    if len(reads) == 2:
+                        g = g * (1 + 1e-6)
+                return g
 
             monkeypatch.setattr(engine_module.Jointree, "table", corrupted)
-            message = "edge table"
-        else:
-            real_record, real_adjoints = engine_module.record, engine_module.adjoints
-            nprime_programs, calls = [], []
-
-            def recording(reduced, *args, **kwargs):
-                program = real_record(reduced, *args, **kwargs)
-                if reduced.net.kind == "approximate":
-                    nprime_programs.append(program)
-                return program
-
-            def corrupted(program, bound):
-                grads = real_adjoints(program, bound)
-                if any(program is p for p in nprime_programs):
-                    calls.append(1)
-                    if len(calls) == 2:
-                        tables = tuple(t * (1 + 1e-6) for t in grads.tables)
-                        grads = dataclasses.replace(grads, tables=tables)
-                return grads
-
-            monkeypatch.setattr(engine_module, "record", recording)
-            monkeypatch.setattr(engine_module, "adjoints", corrupted)
-            message = "adjoint of .* violates the sum"
-        cfg = IterationConfig(method="ed-kl", schedule=schedule)
-        with pytest.raises(ModelError, match=message):
-            run(nprime, plan, evp, cfg, reference=(aug, ev))
-        assert len(calls) == 2
+            with pytest.raises(ModelError, match="edge table"):
+                run(nprime, plan, evp, cfg, reference=(aug, ev))
+            assert len(reads) == 2
 
 
 class TestBoundSlots:
-    """Writing new edge vectors into the fit's input tables (``_Fit.set``,
-    at construction or later) gives the very tables ``bind`` reads off N'
-    rebuilt with them (``apply_params``): the jointree's in sequential mode,
-    the Pr'(e') program's in simultaneous mode."""
+    """Writing new edge vectors into the fit's jointree (``_Fit.set``, at
+    construction or later) gives the very input tables ``bind`` reads off
+    N' rebuilt with them (``apply_params``), in either schedule's tree."""
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
@@ -449,19 +430,14 @@ class TestBoundSlots:
         # edge 0 starts at its new vectors, so construction writes them; the
         # other edges are set afterwards
         start = [(p.pm, p.se) for p in (new.params[0],) + plan.params[1:]]
-        bound = []
         for sequential in (True, False):
             fit = _Fit(
                 nprime, evp, records, start, sequential, engine_module.WIDTH_CAP_DEFAULT
             )
             for j, params in enumerate(new.params[1:], start=1):
                 fit.set(j, params.pm, params.se)
-            if sequential:
-                bound.append((fit.tree, fit.tree.bound[: len(fit.tree.inputs)]))
-            else:
-                bound.append((fit.program, fit.bound))
-        for target, tables in bound:
-            want = engine_module.bind(target, apply_params(nprime, new))
+            tables = fit.tree.bound[: len(fit.tree.inputs)]
+            want = engine_module.bind(fit.tree, apply_params(nprime, new))
             assert [t.shape for t in tables] == [w.shape for w in want]
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
 
@@ -474,9 +450,9 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("sequential", [True, False])
     def test_one_elimination_per_edge_per_sweep(self, monkeypatch, sequential):
-        # sequential: one jointree, ordered and bound once, and one table
-        # read off it per edge; simultaneous: one forward/backward pass of
-        # Pr'(e') for all edges
+        # one jointree, ordered and bound once, in either schedule;
+        # sequential: one table read off it per edge; simultaneous: each
+        # edge's dPr'/dpm and dPr'/dse, all read before any write
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
@@ -497,33 +473,44 @@ class TestWorkCounts:
             engine_module.WIDTH_CAP_DEFAULT,
         )
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
-        if sequential:
-            want = {"_order": 1, "bind": 1}
-            assert reads == [0, 1, 2, 3]
-        else:
-            want = {"record": 1, "_order": 1, "adjoints": 1, "bind": 1}
-            assert reads == []
-        assert calls == {**dict.fromkeys(names, 0), **want}
+        assert reads == (list(range(4)) if sequential else list(range(8)))
+        assert calls == {**dict.fromkeys(names, 0), "_order": 1, "bind": 1}
 
-    def test_sequential_sweeps_resend_only_stale_messages(self):
-        # the tree has 19 cliques and 36 messages; the first sweep sends 33,
-        # and every later one only those on the paths from each edge's home
-        # clique to the next edge's: 18, against the 4 x 17 buckets of the
-        # four per-edge eliminations it replaces
+    @staticmethod
+    def messages_per_sweep(sequential):
+        """Messages sent by each of four sweeps on grid(4x4), k = 4, and by
+        the Pr'(e') read after each where the sweep leaves it unknown (as a
+        run with a KL bound reads it)."""
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         vectors = [(p.pm, p.se) for p in plan.params]
         fit = _Fit(
-            nprime, evp, deleted_records(nprime, plan), vectors, True,
+            nprime, evp, deleted_records(nprime, plan), vectors, sequential,
             engine_module.WIDTH_CAP_DEFAULT,
         )
         assert fit.tree.sent == 0
         sent, pr_ep = [], None
         for _ in range(4):
             before = fit.tree.sent
-            _, pr_ep, _ = _sweep(fit, "ed-kl", tm, 0.0, True, pr_ep)
-            sent.append(fit.tree.sent - before)
-        assert sent == [33, 18, 18, 18]
+            _, pr_ep = _sweep(fit, "ed-kl", tm, 0.0, sequential, pr_ep)
+            swept = fit.tree.sent
+            if pr_ep is None:
+                pr_ep = fit.pr_ep()
+            sent.append((swept - before, fit.tree.sent - swept))
+        return sent
+
+    def test_sequential_sweeps_resend_only_stale_messages(self):
+        # the tree has 19 cliques and 36 messages; the first sweep sends 33,
+        # and every later one only those on the paths from each edge's home
+        # clique to the next edge's: 18, against the 4 x 17 buckets of the
+        # four per-edge eliminations it replaces; the chain gives Pr'(e')
+        assert self.messages_per_sweep(True) == [(33, 0)] + [(18, 0)] * 3
+
+    def test_simultaneous_sweeps_resend_only_stale_messages(self):
+        # 19 cliques and 36 messages here too: the first sweep's reads send
+        # all 36; the Pr'(e') read after each sweep sends the 18 toward the
+        # root, and the next sweep's reads only the other 18
+        assert self.messages_per_sweep(False) == [(36, 18)] + [(18, 18)] * 3
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
@@ -544,54 +531,37 @@ class TestWorkCounts:
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - 2 * own[name] for name in calls}
-        # beyond true_edge_marginals, sequential: one jointree of N', one
-        # order and one binding, and no per-edge recording or replay;
-        # simultaneous: one Pr'(e') recording, bound once, one
-        # forward/backward pass per sweep, whose forward value is the
-        # previous sweep's KL-bound Pr'(e'), and one replay for the last
-        # sweep's bound
-        if schedule == "sequential":
-            want = {"_order": 1, "bind": 1}
-        else:
-            want = {"record": 1, "_order": 1, "bind": 1, "adjoints": 3, "replay": 1}
-        assert got == {**dict.fromkeys(names, 0), **want}
+        # beyond true_edge_marginals, in either schedule: one jointree of N',
+        # one order and one binding, and no recording, replay or pass on N'
+        assert got == {**dict.fromkeys(names, 0), "_order": 1, "bind": 1}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
-    def test_run_compiles_once_plus_once_per_simultaneous_sweep(self, monkeypatch, schedule):
-        # no run compiles: Pr(e) and the true posteriors come from one
-        # recording on the source network, and simultaneous mode records
-        # Pr'(e') once per run and replays it every sweep
+    def test_run_records_only_the_source_pr_e_program(self, monkeypatch, schedule):
+        # no run compiles, and the one recording is the source network's
+        # Pr(e) (true_edge_marginals); N' is read through the jointree only
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         calls = count_engine_calls(monkeypatch, ["compile"])
         real_record = engine_module.record
-        kept = []
+        recorded = []
 
-        def recording(*args, **kwargs):
-            program = real_record(*args, **kwargs)
-            kept.append(program.shape != ())
+        def recording(reduced, *args, **kwargs):
+            program = real_record(reduced, *args, **kwargs)
+            recorded.append((reduced.net.kind, program.shape))
             return program
 
         monkeypatch.setattr(engine_module, "record", recording)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
-        # Pr(e) recordings keep nothing, and no program keeps (parent,
-        # clone): sequential mode reads those tables off its jointree
-        per_run = 1 if schedule == "simultaneous" else 0
         assert calls == {"compile": 0}
-        assert kept.count(False) == 1 + per_run
-        assert kept.count(True) == 0
+        assert recorded == [(aug.kind, ())]
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
-        # building the fit orders and binds what its sweeps read: in
-        # sequential mode one jointree, recording nothing, in simultaneous
-        # mode one Pr'(e') program; a sweep only writes edge vectors into
-        # the bound lists, so no sweep orders, records, binds or builds N'
-        # (apply_params); a sequential sweep reads tables off the tree and
-        # replays nothing, and a simultaneous sweep is one forward/backward
-        # pass, whose forward value is the previous sweep's KL-bound Pr'(e');
-        # only the last sweep's bound takes a replay, after that sweep
+        # building the fit orders and binds the one jointree its sweeps
+        # read, recording nothing; a sweep only writes edge vectors into
+        # the tree, so no sweep orders, records, binds, replays, runs a
+        # pass or builds N' (apply_params)
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = ["bind", "record", "_order", "replay", "adjoints"]
         calls = count_engine_calls(monkeypatch, names)
@@ -629,23 +599,28 @@ class TestWorkCounts:
         marks = starts + [mark()]
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
         none = dict.fromkeys(names + ["apply_params"], 0)
-        recorded = 0 if schedule == "sequential" else 1
-        assert built == [{**none, "bind": 1, "_order": 1, "record": recorded}]
-        if schedule == "sequential":
-            assert per_sweep == [none] * 3
-        else:
-            each = {**none, "adjoints": 1}
-            assert per_sweep == [each, each, {**each, "replay": 1}]
+        assert built == [{**none, "bind": 1, "_order": 1}]
+        assert per_sweep == [none] * 3
 
     def test_simultaneous_sweeps_without_a_reference_run_one_pass_each(self, monkeypatch):
-        # with no reference there is no KL bound, so no replay: each sweep
-        # is one forward/backward pass
+        # with no reference there is no KL bound, so no sweep reads the
+        # tree's Pr'(e') query: each reads its eight derivative vectors,
+        # sending every message once, one pass over the tree
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = count_engine_calls(monkeypatch, ["replay", "adjoints"])
+        reads, trees = [], []
+        real_table = engine_module.Jointree.table
+
+        def table(tree, j):
+            reads.append(j)
+            trees.append(tree)
+            return real_table(tree, j)
+
+        monkeypatch.setattr(engine_module.Jointree, "table", table)
         cfg = IterationConfig(method="ed-bp", schedule="simultaneous", max_iterations=3)
         _, report, trace = run(nprime, plan, evp, cfg)
         assert report.iterations == 3 and [t.kl_bound for t in trace] == [None] * 3
-        assert calls == {"replay": 0, "adjoints": 3}
+        assert reads == list(range(8)) * 3
+        assert trees[0].sent == 3 * 36
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
