@@ -6,17 +6,17 @@ and the edge parameters, plus a log-ratio of evidence probabilities.  This
 quantity upper-bounds ``exact_kl``, the divergence between the posteriors
 restricted to the source variables, which is local too: only the families
 of the deleted edges' children and one soft-evidence term per edge differ.
-Both read the true families and parent posteriors off one forward/backward
-pass on the source network (``engine.adjoints``), as
-``true_edge_marginals`` reads the parent posteriors that the ed-kl update
-needs.  ``edge_update`` is the one fixed-point update of a
-single deleted edge (ed-bp or ed-kl), read off an evaluator of Pr'(e') and
-its derivatives with respect to the edge's parameters; the parametrization
-sweeps call it once per edge.  ``score_edges`` ranks every network edge by
-the divergence achievable when it alone is deleted with ed-kl parameters:
-one forward/backward pass on the augmented network gives Pr(e) and every
-clone CPT's derivative table, and the scorer then iterates the sweep's ed-kl
-edge update on each table, in constant time per step.  Only edges whose
+Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') from one replay on N'
+(``approximate_state``) and the source network's forward/backward pass
+(``forward_backward``) that ``true_edge_marginals`` makes for the ed-kl update
+and ``parametrize.run`` hands back.  ``edge_update`` is the one fixed-point
+update of a single deleted edge (ed-bp or ed-kl), read off an evaluator of
+Pr'(e') and its derivatives with respect to the edge's parameters; the
+parametrization sweeps call it once per edge.  ``score_edges`` ranks every
+network edge by the divergence achievable when it alone is deleted with ed-kl
+parameters: one forward/backward pass on the augmented network gives Pr(e) and
+every clone CPT's derivative table, and the scorer then iterates the sweep's
+ed-kl edge update on each table, in constant time per step.  Only edges whose
 scores tie within TIE_TOL take one derivative elimination each, which fixes
 their order to that route's.
 """
@@ -85,41 +85,52 @@ def kl_breakdown(marginals, vectors, pr_e: float, pr_ep: float) -> KlBreakdown:
     return KlBreakdown(terms, correction, total)
 
 
+def forward_backward(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
+    """Pr(e)'s recorded elimination replayed forward and backward (``engine.adjoints``)."""
+    program = engine.record(engine.reduce(net, ev), width_cap=width_cap)
+    return engine.adjoints(program, engine.bind(program, net))
+
+
 def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
                         width_cap=WIDTH_CAP_DEFAULT):
-    """Exact parent posteriors per plan edge, plus Pr(e), from the source network.
+    """Exact parent posteriors per plan edge, plus the source network's
+    forward/backward pass (``forward_backward``; its ``pr_e`` is Pr(e)).
 
-    One recorded elimination of Pr(e) on (aug, e), replayed forward and
-    backward (``engine.adjoints``), gives every CPT's derivative table, and
     ``Adjoints.posterior`` reads each parent's posterior off its own CPT's
-    table (each checked by the Euler identity).  A non-empty plan under
-    evidence of probability zero raises ``InconsistentEvidenceError``.
+    derivative table (each checked by the Euler identity).  A non-empty plan
+    under evidence of probability zero raises ``InconsistentEvidenceError``.
     """
-    program = engine.record(engine.reduce(aug, ev), width_cap=width_cap)
-    grads = engine.adjoints(program, engine.bind(program, aug))
+    grads = forward_backward(aug, ev, width_cap)
     if len(plan) and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
     parents = dict.fromkeys(rec.parent for rec in plan.edges)
     posteriors = {u: grads.posterior(u) for u in parents}
-    return [posteriors[rec.parent] for rec in plan.edges], grads.pr_e
+    return [posteriors[rec.parent] for rec in plan.edges], grads
 
 
-def _passes(source, nprime, plan, ev, evp, width_cap) -> tuple[engine.Adjoints, float]:
-    """A forward/backward pass of Pr(e) on ``source``, and Pr'(e') from a
-    replay on N' with the plan's parameters.  Evidence of probability zero
-    on either side raises ``InconsistentEvidenceError``."""
-    program = engine.record(engine.reduce(source, ev), width_cap=width_cap)
-    grads = engine.adjoints(program, engine.bind(program, source))
-    if grads.pr_e <= 0.0:
-        raise InconsistentEvidenceError("source network: evidence has zero probability")
+def approximate_state(nprime, plan, evp, width_cap=WIDTH_CAP_DEFAULT) -> engine.EngineState:
+    """N' with the plan's parameters and Pr'(e') (``.pr_e``) from one
+    recorded, bound and replayed program, built as ``engine.compile`` would."""
     current = apply_params(nprime, plan)
     program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
-    pr_ep = float(engine.replay(program, engine.bind(program, current))[0])
-    if pr_ep <= 0.0:
-        raise InconsistentEvidenceError(
-            "approximate network: augmented evidence has zero probability"
-        )
-    return grads, pr_ep
+    bound = tuple(engine.bind(program, current))
+    pr_ep = float(engine.replay(program, bound)[0])
+    return engine.EngineState(current, evp, width_cap, program, bound, pr_ep)
+
+
+def _check_evidence(source: engine.Adjoints, pr_ep: float) -> None:
+    for pr, what in ((source.pr_e, "source network: evidence"),
+                     (pr_ep, "approximate network: augmented evidence")):
+        if pr <= 0.0:
+            raise InconsistentEvidenceError(f"{what} has zero probability")
+
+
+def read_kl_bound(source: engine.Adjoints, pr_ep: float, plan: DeletionPlan) -> KlBreakdown:
+    """``kl_bound`` from the source pass and Pr'(e') at the plan's parameters."""
+    _check_evidence(source, pr_ep)
+    marginals = [source.posterior(rec.parent) for rec in plan.edges]
+    vectors = [(p.pm, p.se) for p in plan.params]
+    return kl_breakdown(marginals, vectors, source.pr_e, pr_ep)
 
 
 def kl_bound(
@@ -131,11 +142,10 @@ def kl_bound(
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
-    """Closed-form divergence over all augmented-network variables."""
-    grads, pr_ep = _passes(aug, nprime, plan, ev, evp, width_cap)
-    marginals = [grads.posterior(rec.parent) for rec in plan.edges]
-    vectors = [(p.pm, p.se) for p in plan.params]
-    return kl_breakdown(marginals, vectors, grads.pr_e, pr_ep)
+    """Closed-form divergence over all augmented-network variables, read
+    (``read_kl_bound``) off its own source pass and Pr'(e') replay."""
+    source = forward_backward(aug, ev, width_cap)
+    return read_kl_bound(source, approximate_state(nprime, plan, evp, width_cap).pr_e, plan)
 
 
 def _log_ratio_mass(p, num, den) -> float:
@@ -144,6 +154,36 @@ def _log_ratio_mass(p, num, den) -> float:
     if np.any(den[mass] <= 0.0):
         return math.inf
     return float(np.sum(p[mass] * np.log(num[mass] / den[mass])))
+
+
+def read_exact_kl(source: engine.Adjoints, pr_ep: float, nprime: Network, plan) -> float:
+    """``exact_kl`` from the source pass, Pr'(e') and N''s CPTs.
+
+    Summing the deleted clones out of N' leaves the source structure with a
+    factor se(u) per deleted edge, and, for a child X of deleted edges, X's
+    N' CPT theta_X with each clone axis contracted against the clone's prior
+    ``pm`` (theta'_X).  So KL = sum_X sum_fam Pr(fam | e)
+    log(theta_X / theta'_X) - sum_edges sum_u Pr(u | e) log se(u) +
+    log(Pr'(e') / Pr(e)), adding nothing where the true mass is zero and
+    inf where it meets theta'_X = 0 or se(u) = 0.
+    """
+    _check_evidence(source, pr_ep)
+    clones = {}
+    for rec, params in zip(plan.edges, plan.params):
+        clones.setdefault(rec.child, []).append((rec.clone, params.pm))
+    total = math.log(pr_ep / source.pr_e)
+    for child, pms in clones.items():
+        theta = theta_p = nprime.cpt(child).shaped
+        for clone, pm in pms:
+            axis = nprime.parent_names(child).index(clone)
+            along = [-1 if i == axis else 1 for i in range(theta.ndim)]
+            theta_p = (theta_p * pm.reshape(along)).sum(axis=axis, keepdims=True)
+        fam = source.family(child) / source.pr_e
+        total += _log_ratio_mass(fam, theta, np.broadcast_to(theta_p, theta.shape))
+    for rec, params in zip(plan.edges, plan.params):
+        ones = np.ones_like(params.se)
+        total += _log_ratio_mass(source.posterior(rec.parent), ones, params.se)
+    return total
 
 
 def exact_kl(
@@ -155,35 +195,15 @@ def exact_kl(
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> float:
-    """Divergence between the two posteriors restricted to source variables.
+    """Divergence between the two posteriors restricted to source variables,
+    read (``read_exact_kl``) off its own pass on ``source`` and Pr'(e') replay.
 
     ``source`` is the source network or its augmentation: both give the same
-    posterior and family layout (``augment`` puts a clone in its parent's
-    axis).  Summing the deleted clones out of N' leaves the source structure
-    with a factor se(u) per deleted edge, and, for a child X of deleted
-    edges, X's N' CPT theta_X with each clone axis contracted against the
-    clone's prior ``pm`` (theta'_X).  So KL = sum_X sum_fam Pr(fam | e)
-    log(theta_X / theta'_X) - sum_edges sum_u Pr(u | e) log se(u) +
-    log(Pr'(e') / Pr(e)), adding nothing where the true mass is zero and
-    inf where it meets theta'_X = 0 or se(u) = 0.
+    posterior and family layout (``augment`` puts a clone in its parent's axis).
     """
-    grads, pr_ep = _passes(source, nprime, plan, ev, evp, width_cap)
-    clones = {}
-    for rec, params in zip(plan.edges, plan.params):
-        clones.setdefault(rec.child, []).append((rec.clone, params.pm))
-    total = math.log(pr_ep / grads.pr_e)
-    for child, pms in clones.items():
-        theta = theta_p = nprime.cpt(child).shaped
-        for clone, pm in pms:
-            axis = nprime.parent_names(child).index(clone)
-            along = [-1 if i == axis else 1 for i in range(theta.ndim)]
-            theta_p = (theta_p * pm.reshape(along)).sum(axis=axis, keepdims=True)
-        fam = grads.family(child) / grads.pr_e
-        total += _log_ratio_mass(fam, theta, np.broadcast_to(theta_p, theta.shape))
-    for rec, params in zip(plan.edges, plan.params):
-        ones = np.ones_like(params.se)
-        total += _log_ratio_mass(grads.posterior(rec.parent), ones, params.se)
-    return total
+    grads = forward_backward(source, ev, width_cap)
+    pr_ep = approximate_state(nprime, plan, evp, width_cap).pr_e
+    return read_exact_kl(grads, pr_ep, nprime, plan)
 
 
 def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):
@@ -380,11 +400,10 @@ def score_edges(
     else:
         aug = net
     records = [r for r in aug.clone_edges if r.sevid is None]
-    program = engine.record(engine.reduce(aug, ev), width_cap=width_cap)
-    grads = engine.adjoints(program, engine.bind(program, aug))
+    grads = forward_backward(aug, ev, width_cap)
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    st = engine.EngineState(aug, ev, width_cap, program, grads.bound, grads.pr_e)
+    st = engine.EngineState(aug, ev, width_cap, grads.program, grads.bound, grads.pr_e)
 
     def ranked(idxs, table):
         fits = [(_fit_edge(records[i], table(records[i].clone), st.pr_e), i) for i in idxs]
@@ -422,8 +441,7 @@ def mutual_information_scores(
     edge with an observed endpoint scores exactly 0.0, its conditional
     mutual information.  Ties break toward declaration order.
     """
-    program = engine.record(engine.reduce(net, ev), width_cap=width_cap)
-    grads = engine.adjoints(program, engine.bind(program, net))
+    grads = forward_backward(net, ev, width_cap)
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import divergence, engine, parametrize
+from . import divergence, parametrize
 from .deletion import (
     DeletionPlan,
     approximate_network,
-    apply_params,
+    apply_params,  # noqa: F401 (unused here; perfbench/test_perfbench.py checks it)
     augmented_evidence,
     recover_marginals,
 )
@@ -265,6 +265,10 @@ def run_deletion_instance(
     uniform to the given values.  With ``map_vars`` set, the fitted network
     also answers MAP over them: the row carries the p/q ratio and the
     constrained width instead of the min-fill width.
+
+    The KL bound and exact KL are read off the fit's own source pass
+    (``FixedPointReport.source``) and one Pr'(e') replay on the fitted N',
+    whose program and tables the marginals' one pass reuses.
     """
     start = time.perf_counter()
     aug, nprime, plan = approximate_network(net, edges, warm_params)
@@ -280,13 +284,10 @@ def run_deletion_instance(
     plan, report, trace = parametrize.run(
         nprime, plan, evp, cfg, reference=(aug, ev), width_cap=width_cap
     )
-    breakdown = divergence.kl_bound(aug, nprime, plan, ev, evp, width_cap=width_cap)
-    kl_total = breakdown.total
-    if -1e-9 <= kl_total < 0.0:
-        kl_total = 0.0
-    exact = divergence.exact_kl(aug, nprime, plan, ev, evp, width_cap=width_cap)
-    if -1e-9 <= exact < 0.0:
-        exact = 0.0
+    fitted = divergence.approximate_state(nprime, plan, evp, width_cap)
+    kl_total = divergence.read_kl_bound(report.source, fitted.pr_e, plan).total
+    exact = divergence.read_exact_kl(report.source, fitted.pr_e, nprime, plan)
+    kl_total, exact = (0.0 if -1e-9 <= v < 0.0 else v for v in (kl_total, exact))
     map_result = None
     if map_vars is None:
         width = min_fill_order(nprime).width
@@ -312,9 +313,7 @@ def run_deletion_instance(
     )
     outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
-        current = apply_params(nprime, plan)
-        st = engine.compile(current, evp, width_cap)
-        outcome.marginals = recover_marginals(current, plan, st)
+        outcome.marginals = recover_marginals(fitted.net, plan, fitted)
     return outcome
 
 

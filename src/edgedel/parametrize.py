@@ -26,7 +26,7 @@ slices it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -34,12 +34,8 @@ import numpy as np
 from . import engine
 from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params, deleted_records
 from .deletion import se_table
-from .divergence import (
-    edge_update,
-    kl_breakdown,
-    single_edge_evaluate,
-    true_edge_marginals,
-)
+from .divergence import edge_update, forward_backward, kl_breakdown, single_edge_evaluate
+from .divergence import true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, ModelError, Network
 
@@ -82,11 +78,13 @@ class SweepRecord:
 @dataclass(frozen=True)
 class FixedPointReport:
     """How a ``run`` ended: the last sweep's per-edge residuals, the number
-    of sweeps, and whether the largest residual fell below tolerance."""
+    of sweeps, whether the largest residual fell below tolerance, and the
+    source network's pass (``engine.Adjoints``; None without a reference)."""
 
     residuals: tuple[float, ...]
     iterations: int
     converged: bool
+    source: engine.Adjoints | None = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,8 @@ def run(
     bound after a simultaneous sweep (or a sweep of an empty plan) reads
     Pr'(e') off the tree, and the next sweep's reads reuse the messages
     that read sent.  The true parent posteriors come from one
-    forward/backward pass on the source network (``true_edge_marginals``).
+    forward/backward pass on the source network (``true_edge_marginals``),
+    which the report hands back (``FixedPointReport.source``).
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -290,10 +289,10 @@ def run(
             )
     sequential = cfg.schedule == "sequential"
     fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
-    true_marginals, pr_e = None, None
+    true_marginals, source = None, None
     if reference is not None:
-        true_marginals, pr_e = true_edge_marginals(*reference, plan, width_cap)
-    bounded = reference is not None and pr_e > 0
+        true_marginals, source = true_edge_marginals(*reference, plan, width_cap)
+    bounded = reference is not None and source.pr_e > 0
 
     trace: list[SweepRecord] = []
     residuals: tuple[float, ...] = ()
@@ -310,14 +309,14 @@ def run(
             if pr_ep is None:
                 pr_ep = fit.pr_ep()
             if pr_ep > 0:
-                kl = kl_breakdown(true_marginals, fit.vectors, pr_e, pr_ep).total
+                kl = kl_breakdown(true_marginals, fit.vectors, source.pr_e, pr_ep).total
         trace.append(SweepRecord(sweep, worst, kl))
         if worst < cfg.tolerance:
             converged = True
             break
     if iterations:
         plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
-    return plan, FixedPointReport(residuals, iterations, converged), trace
+    return plan, FixedPointReport(residuals, iterations, converged, source), trace
 
 
 def check_conditions(
@@ -345,8 +344,7 @@ def check_conditions(
     """
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
-    program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
-    grads = engine.adjoints(program, engine.bind(program, current))
+    grads = forward_backward(current, evp, width_cap)
     true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
     match_gaps = []
     exact_gaps = []

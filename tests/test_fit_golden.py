@@ -34,7 +34,8 @@ def test_observed_parent_trace_matches_enumeration(method, schedule):
     net, ev, aug, nprime, plan, evp = golden.build(name)
     assert plan.edges[0].parent in ev
     fitted, _, trace = golden.fit(name, method, schedule, "cold")
-    marginals, pr_e = true_edge_marginals(aug, ev, fitted)
+    marginals, source = true_edge_marginals(aug, ev, fitted)
+    pr_e = source.pr_e
     vectors = [(p.pm, p.se) for p in fitted.params]
     terms = kl_breakdown(marginals, vectors, pr_e, pr_e).edge_terms
     traced = pr_e * math.exp(trace[-1].kl_bound - sum(terms))

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from edgedel import (
     augmented_evidence,
     compile,
     constrained_order,
+    exact_kl,
+    kl_bound,
     posterior_marginal,
 )
 from edgedel.harness import (
@@ -31,6 +34,51 @@ from edgedel.harness import (
 from edgedel.netio import FormatError, render_report
 
 from conftest import count_engine_calls
+
+import record_report_golden
+
+
+def count_passes_by_network(monkeypatch):
+    """Count ``engine`` records, binds, replays and forward/backward passes
+    by the kind of network they run on ("augmented" for the source network,
+    "approximate" for N'), and compiles; returns the live Counter."""
+    import edgedel.engine as engine_module
+
+    calls = Counter()
+    kinds = {}  # id(program) -> (program, kind); keeps programs alive
+    names = ("record", "bind", "replay", "adjoints", "compile")
+    real = {name: getattr(engine_module, name) for name in names}
+
+    def record(reduced, *args, **kwargs):
+        program = real["record"](reduced, *args, **kwargs)
+        kinds[id(program)] = (program, reduced.net.kind)
+        calls["record", reduced.net.kind] += 1
+        return program
+
+    def bind(program, net):
+        calls["bind", net.kind] += 1
+        return real["bind"](program, net)
+
+    def replay(program, bound):
+        calls["replay", kinds[id(program)][1]] += 1
+        return real["replay"](program, bound)
+
+    def adjoints(program, bound):
+        calls["adjoints", kinds[id(program)][1]] += 1
+        return real["adjoints"](program, bound)
+
+    def compile(*args, **kwargs):
+        calls["compile"] += 1
+        return real["compile"](*args, **kwargs)
+
+    for name, fn in [("record", record), ("bind", bind), ("replay", replay),
+                     ("adjoints", adjoints), ("compile", compile)]:
+        monkeypatch.setattr(engine_module, name, fn)
+    return calls
+
+
+def clamped(value):
+    return 0.0 if -1e-9 <= value < 0.0 else value
 
 
 class TestGenerators:
@@ -240,6 +288,58 @@ class TestRunDeletionInstance:
             outcome = run_deletion_instance(net, ev, net.edges()[:3], method)
             assert outcome.row.exact_kl is not None
         assert enumerations == [] and compiles == {"compile": 0}
+
+    @pytest.mark.parametrize("compute_marginals", [False, True])
+    def test_one_source_pass_and_one_pr_ep_replay(self, monkeypatch, compute_marginals):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        calls = count_passes_by_network(monkeypatch)
+        run_deletion_instance(
+            net, ev, net.edges()[:4], "ed-kl", compute_marginals=compute_marginals
+        )
+        # the fit's source pass serves the row's KL bound and exact KL; one
+        # replay of Pr'(e') on the fitted N' serves both too, and the
+        # marginals' pass reruns that replay's program on its tables; the
+        # other N' binding is the fit's jointree
+        assert calls == {
+            ("record", "augmented"): 1, ("bind", "augmented"): 1,
+            ("adjoints", "augmented"): 1,
+            ("record", "approximate"): 1, ("bind", "approximate"): 2,
+            ("replay", "approximate"): 1,
+            **({("adjoints", "approximate"): 1} if compute_marginals else {}),
+        }
+
+    def test_row_reads_match_the_standalone_kl_functions(self, monkeypatch):
+        from edgedel import harness as hmod
+
+        real = hmod.run_deletion_instance
+        checked = []
+
+        def checking(net, ev, edges, method, **kwargs):
+            outcome = real(net, ev, edges, method, **kwargs)
+            aug, nprime, _ = approximate_network(net, edges, kwargs.get("warm_params"))
+            evp = augmented_evidence(nprime, ev)
+            want = (
+                clamped(kl_bound(aug, nprime, outcome.plan, ev, evp).total),
+                clamped(exact_kl(aug, nprime, outcome.plan, ev, evp)),
+            )
+            got = (outcome.row.kl_bound, outcome.row.exact_kl)
+            # bit for bit: the same passes and the same reads
+            assert [v.hex() for v in got] == [v.hex() for v in want], (edges, method)
+            checked.append(len(edges))
+            return outcome
+
+        monkeypatch.setattr(hmod, "run_deletion_instance", checking)
+        spec = parse_experiment_spec(record_report_golden.SPECS["grid"])
+        rows = run_experiment(spec)
+        assert len(checked) == len(rows) == 54
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        # no edge deleted: N' is the source network
+        assert checking(net, ev, [], "ed-kl").row.exact_kl == 0.0
+        # no sweep: the row reads the source pass ``run`` makes before any sweep
+        unswept = checking(net, ev, net.edges()[:4], "ed-kl", max_iterations=0)
+        assert unswept.row.iterations == 0 and unswept.row.kl_bound > 0.0
 
     def test_ladder_size_grid_fills_exact_kl(self):
         # 24 hidden source variables and 6 clones: too many worlds to

@@ -712,8 +712,14 @@ class TestReportTypes:
         plan2, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         gaps = check_conditions(aug, nprime, plan2, ev, evp)
         assert isinstance(report, FixedPointReport)
-        assert [f.name for f in dataclasses.fields(report)] == ["residuals", "iterations", "converged"]
+        fields = [f.name for f in dataclasses.fields(report)]
+        assert fields == ["residuals", "iterations", "converged", "source"]
         assert len(report.residuals) == 2 and report.iterations == 2
+        # the source pass the fit read its true posteriors off, handed back
+        assert report.source.pr_e == compile(aug, ev).pr_e
+        cfg = IterationConfig(method="ed-bp", max_iterations=2)
+        _, unreferenced, _ = run(nprime, plan, evp, cfg)
+        assert unreferenced.source is None
         assert isinstance(gaps, ConditionGaps)
         assert [f.name for f in dataclasses.fields(gaps)] == ["eq_match_gaps", "eq_exact_gaps"]
         assert len(gaps.eq_match_gaps) == len(gaps.eq_exact_gaps) == 2
