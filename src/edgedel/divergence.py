@@ -15,10 +15,10 @@ Pr'(e') and its derivatives with respect to the edge's parameters; the
 parametrization sweeps call it once per edge.  ``score_edges`` ranks every
 network edge by the divergence achievable when it alone is deleted with ed-kl
 parameters: one forward/backward pass on the augmented network gives Pr(e) and
-every clone CPT's derivative table, and the scorer then iterates the sweep's
-ed-kl edge update on each table, in constant time per step.  Only edges whose
-scores tie within TIE_TOL take one derivative elimination each, which fixes
-their order to that route's.
+every clone CPT's derivative table, and the scorer then takes the sweep's
+ed-kl edge update on all tables of one shape and layout at once, bitwise
+each edge's own fit.  Only edges whose scores tie within TIE_TOL take one
+derivative elimination each, which fixes their order to that route's.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -241,14 +241,17 @@ def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     the derivative, entry by entry.
 
     A zero derivative against positive true mass is clamped to DENOM_FLOOR,
-    with a warning; against zero true mass the entry is 0.
+    with a warning; against zero true mass the entry is 0.  A 2-D stack of
+    rows takes a label per row, and each clamping row warns with its own.
     """
     floored = deriv <= 0.0
-    if (floored & (true_marg > 0.0)).any():
-        warnings.warn(
-            f"zero derivative against positive true mass for {label}; clamping denominator",
-            RuntimeWarning,
-        )
+    clamped = floored & (true_marg > 0.0)
+    if clamped.any():
+        for lab in [label] if deriv.ndim == 1 else compress(label, clamped.any(axis=1)):
+            warnings.warn(
+                f"zero derivative against positive true mass for {lab}; clamping denominator",
+                RuntimeWarning,
+            )
     return true_marg * pr_ep / np.where(floored, DENOM_FLOOR, deriv)
 
 
@@ -295,9 +298,9 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     ``evaluate(pm, se)`` returns (Pr'(e'), d/dpm, d/dse) at those vectors.
     The prior is updated first, from ``evaluate(pm, se)``; ``evaluate`` is
     then called again at the new prior before the row is updated.  The
-    sequential sweep and ``score_edges`` pass
-    ``functools.partial(single_edge_evaluate, g)`` for the edge's table g
-    over (parent, clone), so the second call sees the new prior; the
+    sequential sweep passes ``functools.partial(single_edge_evaluate, g)``
+    for the edge's table g over (parent, clone), so the second call sees
+    the new prior (``score_edges`` takes these steps on stacks); the
     simultaneous sweep passes a function that returns the sweep-start
     derivatives whatever its arguments, so both vectors move from them.
     ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
@@ -331,31 +334,58 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     return new_pm, new_se, residual, pr_old
 
 
-def _fit_edge(rec, derivs: np.ndarray, pr_e: float) -> EdgeScore:
-    """Score one deleted edge from its clone CPT's derivative table.
+def _edkl_rows(true, pr_ep, deriv, labels) -> np.ndarray:
+    """``_update_rule``'s ed-kl step on each row of a stack; the first
+    failing row raises as the one-edge step would."""
+    if (pr_ep <= 0.0).any():
+        raise InconsistentEvidenceError(
+            "approximate network assigns zero probability to the augmented evidence"
+        )
+    vecs = edkl_vector(true, pr_ep, deriv, labels)
+    sums = vecs.sum(axis=1, keepdims=True)
+    for i in np.flatnonzero(~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0))):
+        _normalize(vecs[i], labels[i])
+    return vecs / sums
 
-    The equivalence CPT is the identity, so Pr(u, e) = derivs[u, u] and the
-    true parent posterior is the diagonal over Pr(e).  The parameters come
-    from ``edge_update`` ("ed-kl", sequential, no damping) iterated from
-    uniform on the table until the residual drops below INNER_TOLERANCE, at
-    most INNER_MAX_ITERATIONS times: the ``parametrize.run`` fit of a
-    one-edge plan.
+
+def _fit_stack(recs, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[EdgeScore]:
+    """Score deleted edges ``recs`` from a stack g of their clone CPTs'
+    derivative tables over (parent, clone), with true parent posteriors
+    ``true`` (g[u, u] = Pr(u, e)).  Each edge's parameters are the
+    ``parametrize.run`` fit of its one-edge plan: ``edge_update`` ("ed-kl",
+    sequential, undamped) on ``single_edge_evaluate`` from uniform, until
+    the residual drops below INNER_TOLERANCE or INNER_MAX_ITERATIONS times.
+    Each row takes those steps in the same order until its own convergence,
+    and stacked ``np.matmul`` calls BLAS once per item, as the one-edge
+    product does, so every row is bitwise its own one-edge fit.
     """
-    true_marg = np.diag(derivs) / pr_e
-    label = f"edge {rec.parent} -> {rec.child}"
-    evaluate = partial(single_edge_evaluate, derivs)
-    start = EdgeParams.uniform(derivs.shape[1])
-    pm, se = start.pm, start.se
-    converged = False
-    for iterations in range(1, INNER_MAX_ITERATIONS + 1):
-        pm, se, residual, _ = edge_update(evaluate, pm, se, "ed-kl", true_marg, label)
-        if residual < INNER_TOLERANCE:
-            converged = True
+    labels = np.array([f"edge {r.parent} -> {r.child}" for r in recs], dtype=object)
+    start, n = EdgeParams.uniform(g.shape[-1]), len(g)
+    pm, se = np.tile(start.pm, (n, 1)), np.tile(start.se, (n, 1))
+    iterations, converged = np.full(n, INNER_MAX_ITERATIONS), np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for it in range(1, INNER_MAX_ITERATIONS + 1):
+        gl, tl, lab, old_pm, old_se = g[live], true[live], labels[live], pm[live], se[live]
+        d_pm = old_se[:, None] @ gl
+        new_pm = _edkl_rows(tl, (d_pm @ old_pm[:, :, None])[:, 0], d_pm[:, 0], lab)
+        new_pm = new_pm / new_pm.sum(axis=1, keepdims=True)
+        d_se = (gl @ new_pm[:, :, None])[:, :, 0]
+        new_se = _edkl_rows(tl, (d_pm @ new_pm[:, :, None])[:, 0], d_se, lab)
+        new_pm = new_pm / new_pm.sum(axis=1, keepdims=True)
+        new_se = np.clip(new_se, 0.0, 1.0)
+        pm[live], se[live] = new_pm, new_se
+        residual = np.maximum(abs(new_pm - old_pm).max(axis=1), abs(new_se - old_se).max(axis=1))
+        done = residual < INNER_TOLERANCE
+        iterations[live[done]], converged[live[done]] = it, True
+        live = live[~done]
+        if not live.size:
             break
-    pr_ep = evaluate(pm, se)[0]
-    score = kl_breakdown([true_marg], [(pm, se)], pr_e, pr_ep).total
-    params = EdgeParams(pm, se)
-    return EdgeScore(rec.parent, rec.child, score, params, iterations, converged)
+    pr_ep = ((se[:, None] @ g) @ pm[:, :, None])[:, 0, 0]
+    return [
+        EdgeScore(r.parent, r.child, kl_breakdown([t], [(p, s)], pr_e, float(pr)).total,
+                  EdgeParams(p, s), int(k), bool(c))
+        for r, t, p, s, pr, k, c in zip(recs, true, pm, se, pr_ep, iterations, converged)
+    ]
 
 
 def score_edges(
@@ -370,10 +400,10 @@ def score_edges(
     augmented one (its intact equivalence edges are scored).  One recorded
     elimination of Pr(e) on the augmented network, replayed forward and
     backward (``engine.adjoints``), gives every clone CPT's derivative
-    table, each checked by the Euler identity; ``_fit_edge`` then fits and
-    scores each edge on its table in constant time per step.
-    Ranking is ascending by (score, declaration index), and infinite scores
-    sort last.
+    table, each checked by the Euler identity.  Tables of one shape and
+    memory layout are stacked, and ``_fit_stack`` fits their edges in one
+    ed-kl loop, bitwise the per-edge ``edge_update`` fit.  Ranking is
+    ascending by (score, declaration index), and infinite scores sort last.
 
     Edges that tie mathematically, such as the two out-edges of a root with
     two children, differ only in the last bits, and which bits depends on
@@ -391,7 +421,7 @@ def score_edges(
     genuine gap is 5.6e-11, so TIE_TOL = 1e-12 separates them.  Sorting
     the one-pass scores alone would have reordered a tie in 107 of the
     450.  With many ties the cost is at most one derivative elimination per
-    edge plus the one pass.
+    edge plus the one pass; the refits are stacked too.
     """
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")
@@ -406,7 +436,17 @@ def score_edges(
     st = engine.EngineState(aug, ev, width_cap, grads.program, grads.bound, grads.pr_e)
 
     def ranked(idxs, table):
-        fits = [(_fit_edge(records[i], table(records[i].clone), st.pr_e), i) for i in idxs]
+        groups: dict[tuple, list] = {}
+        for i in idxs:
+            t = table(records[i].clone)
+            groups.setdefault((t.shape, t.flags.c_contiguous), []).append((i, t))
+        fits = []
+        for group in groups.values():
+            # np.stack keeps the group's layout, and with it np.matmul's BLAS route
+            g = np.stack([t for _, t in group])
+            recs = [records[i] for i, _ in group]
+            true = g.diagonal(axis1=1, axis2=2) / st.pr_e
+            fits += zip(_fit_stack(recs, g, true, st.pr_e), (i for i, _ in group))
         return sorted(fits, key=lambda t: (t[0].score, t[1]))
 
     scored = ranked(range(len(records)), grads.cpt)

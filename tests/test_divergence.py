@@ -1,6 +1,7 @@
 import math
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgedel
-import edgedel.engine as engine_module
+import edgedel.divergence as divergence_module
 from edgedel import (
     CapacityError,
     Cpt,
@@ -38,7 +39,6 @@ from edgedel.divergence import (
     DENOM_FLOOR,
     INNER_MAX_ITERATIONS,
     INNER_TOLERANCE,
-    _fit_edge,
     edge_update,
     edkl_vector,
 )
@@ -51,6 +51,7 @@ from conftest import (
     random_network,
     tied_edges,
 )
+from score_reference import reference_scores, routed_scores, scored_records
 
 
 def build(net, ev, edges, params=None):
@@ -546,13 +547,22 @@ class TestScoreEdges:
 
     def test_one_adjoint_pass_for_all_edges(self, monkeypatch):
         # Pr(e) and every clone table come from one forward/backward pass;
-        # only edges in a tie run take their own derivative elimination
+        # only edges in a tie run take their own derivative elimination, and
+        # every fit runs in the stacked loop, not edge by edge
         rng = np.random.default_rng(7)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
         calls = count_engine_calls(monkeypatch, ["compile", "adjoints", "cpt_derivatives"])
+        updates = []
+
+        def counting(*args, **kwargs):
+            updates.append(args)
+            return edge_update(*args, **kwargs)
+
+        monkeypatch.setattr(divergence_module, "edge_update", counting)
         scores = score_edges(net, ev)
         assert calls == {"compile": 0, "adjoints": 1, "cpt_derivatives": tied_edges(scores)}
+        assert len(updates) == 0
 
     def test_ranking_ascending_with_declaration_tiebreak(self):
         rng = np.random.default_rng(8)
@@ -600,23 +610,6 @@ class TestScoreEdges:
             assert np.allclose(clone_posterior, true_marg, atol=1e-8)
 
 
-def routed_scores(net, ev, one_pass):
-    """Every edge fitted on its clone table, sorted by (score, declaration
-    index): tables from one adjoint pass, or from one ``cpt_derivatives``
-    elimination per edge."""
-    aug = augment(net, net.edges())
-    records = [r for r in aug.clone_edges if r.sevid is None]
-    if one_pass:
-        program = engine_module.record(engine_module.reduce(aug, ev))
-        grads = engine_module.adjoints(program, engine_module.bind(program, aug))
-        table, pr_e = grads.cpt, grads.pr_e
-    else:
-        st = compile(aug, ev)
-        table, pr_e = (lambda name: cpt_derivatives(st, aug.cpt(name))), st.pr_e
-    fits = [(_fit_edge(r, table(r.clone), pr_e), i) for i, r in enumerate(records)]
-    return [s for s, _ in sorted(fits, key=lambda t: (t[0].score, t[1]))]
-
-
 class TestTieRule:
     @pytest.mark.parametrize("size,seed", [(4, 1), (4, 4), (5, 0), (5, 1)])
     def test_ranking_follows_the_per_edge_route(self, monkeypatch, size, seed):
@@ -638,6 +631,90 @@ class TestTieRule:
             assert s == w
         for s, w in zip(got, want):
             assert s.score == pytest.approx(w.score, rel=1e-12, abs=1e-14)
+
+
+# seeded networks for the stacked fit: 2- and 3-state tables, C- and
+# F-ordered clone tables, and (with no evidence) many tie runs
+STACK_CASES = {
+    "grid(4x4)": (lambda: grid_network(4, 4, rng=np.random.default_rng(21)), True),
+    "grid(5x5)": (lambda: grid_network(5, 5, rng=np.random.default_rng(22)), True),
+    "grid(7x7)": (lambda: grid_network(7, 7, rng=np.random.default_rng(23)), True),
+    "grid(4x4)x3": (lambda: grid_network(4, 4, 3, rng=np.random.default_rng(24)), True),
+    "chain(8)x3": (lambda: chain_network(8, 3, rng=np.random.default_rng(25)), True),
+    "grid(5x5) no evidence": (lambda: grid_network(5, 5, rng=np.random.default_rng(26)), False),
+}
+
+
+def stack_case(name):
+    make, leaf_evidence = STACK_CASES[name]
+    net = make()
+    if leaf_evidence:
+        return net, sample_evidence(net, "leaves-from-joint", np.random.default_rng(27))
+    return net, Evidence({})
+
+
+def same_fit(got, want):
+    """Every field equal, the vectors byte for byte."""
+    return (
+        got == want
+        and got.params.pm.tobytes() == want.params.pm.tobytes()
+        and got.params.se.tobytes() == want.params.se.tobytes()
+    )
+
+
+class TestStackedFit:
+    """The stacked fit is bitwise the per-edge ``edge_update`` route."""
+
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_score_edges_is_the_per_edge_route(self, case):
+        net, ev = stack_case(case)
+        got, want = score_edges(net, ev), reference_scores(net, ev)
+        assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
+        assert all(same_fit(g, w) for g, w in zip(got, want))
+        if case == "grid(5x5) no evidence":
+            assert tied_edges(got) > 10
+
+    def test_fixtures_hold_both_table_layouts(self):
+        layouts = set()
+        for case in STACK_CASES:
+            net, ev = stack_case(case)
+            aug, records = scored_records(net)
+            grads = divergence_module.forward_backward(aug, ev)
+            tables = [grads.cpt(r.clone) for r in records]
+            layouts.update((t.shape, t.flags.c_contiguous, t.flags.f_contiguous) for t in tables)
+        for card in (2, 3):
+            assert ((card, card), True, False) in layouts
+            assert ((card, card), False, True) in layouts
+
+    @pytest.mark.parametrize("case", ["grid(5x5)", "grid(4x4)x3"])
+    def test_rows_freeze_at_their_own_iteration(self, monkeypatch, case):
+        # seeded edges need 2-6 updates, so a budget of 3 leaves one stack
+        # with converged and unconverged rows
+        monkeypatch.setattr(divergence_module, "INNER_MAX_ITERATIONS", 3)
+        net, ev = stack_case(case)
+        got, want = score_edges(net, ev), reference_scores(net, ev, max_iterations=3)
+        assert {s.converged for s in got} == {True, False}
+        assert all(same_fit(g, w) for g, w in zip(got, want))
+
+    def test_each_clamping_row_warns_with_its_own_label(self, monkeypatch):
+        # a zero column against positive true mass clamps the prior update
+        # once per iteration; the third row never clamps
+        monkeypatch.setattr(divergence_module, "INNER_MAX_ITERATIONS", 1)
+        g = np.stack([
+            np.array([[0.5, 0.0], [0.2, 0.0]]),
+            np.array([[0.0, 0.5], [0.0, 0.2]]),
+            np.array([[0.5, 0.1], [0.2, 0.4]]),
+        ])
+        true = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.4]])
+        recs = [SimpleNamespace(parent=u, child="X") for u in "ABC"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            divergence_module._fit_stack(recs, g, true, 1.0)
+        assert [str(w.message) for w in caught] == [
+            f"zero derivative against positive true mass for edge {u} -> X; clamping denominator"
+            for u in "AB"
+        ]
+        assert all(w.category is RuntimeWarning for w in caught)
 
 
 class TestMutualInformation:
