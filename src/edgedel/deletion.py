@@ -56,7 +56,7 @@ class EdgeParams:
             raise ModelError("pm entries must be nonnegative")
         s = pm.sum()
         if abs(s - 1.0) > 1e-9:
-            raise ModelError(f"pm must sum to 1 (got {s!r})")
+            raise ModelError(f"pm must sum to 1 (got {float(s)!r})")
         se = np.clip(se, 0.0, 1.0)
         if not np.any(se > 0):
             raise ModelError("se must not be all zero")

@@ -6,10 +6,10 @@ and the edge parameters, plus a log-ratio of evidence probabilities.  This
 quantity upper-bounds ``exact_kl``, the divergence between the posteriors
 restricted to the source variables, which is local too: only the families
 of the deleted edges' children and one soft-evidence term per edge differ.
-Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') from one replay on N'
-(``approximate_state``) and the source network's forward/backward pass
-(``forward_backward``) that ``true_edge_marginals`` makes for the ed-kl update
-and ``parametrize.run`` hands back.  ``edge_update`` is the one fixed-point
+Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and the source
+network's forward/backward pass (``forward_backward``), which a fit with a
+reference hands back (``parametrize.run``); ``kl_bound`` and ``exact_kl``
+make both themselves.  ``edge_update`` is the one fixed-point
 update of a single deleted edge (ed-bp or ed-kl), read off an evaluator of
 Pr'(e') and its derivatives with respect to the edge's parameters; the
 parametrization sweeps call it once per edge.  ``score_edges`` ranks every
@@ -108,14 +108,11 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
     return [posteriors[rec.parent] for rec in plan.edges], grads
 
 
-def approximate_state(nprime, plan, evp, width_cap=WIDTH_CAP_DEFAULT) -> engine.EngineState:
-    """N' with the plan's parameters and Pr'(e') (``.pr_e``) from one
-    recorded, bound and replayed program, built as ``engine.compile`` would."""
+def _replayed_pr_ep(nprime, plan, evp, width_cap) -> float:
+    """Pr'(e') at the plan's parameters, from a program recorded on N'."""
     current = apply_params(nprime, plan)
     program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
-    bound = tuple(engine.bind(program, current))
-    pr_ep = float(engine.replay(program, bound)[0])
-    return engine.EngineState(current, evp, width_cap, program, bound, pr_ep)
+    return float(engine.replay(program, engine.bind(program, current))[0])
 
 
 def _check_evidence(source: engine.Adjoints, pr_ep: float) -> None:
@@ -145,7 +142,7 @@ def kl_bound(
     """Closed-form divergence over all augmented-network variables, read
     (``read_kl_bound``) off its own source pass and Pr'(e') replay."""
     source = forward_backward(aug, ev, width_cap)
-    return read_kl_bound(source, approximate_state(nprime, plan, evp, width_cap).pr_e, plan)
+    return read_kl_bound(source, _replayed_pr_ep(nprime, plan, evp, width_cap), plan)
 
 
 def _log_ratio_mass(p, num, den) -> float:
@@ -202,8 +199,7 @@ def exact_kl(
     posterior and family layout (``augment`` puts a clone in its parent's axis).
     """
     grads = forward_backward(source, ev, width_cap)
-    pr_ep = approximate_state(nprime, plan, evp, width_cap).pr_e
-    return read_exact_kl(grads, pr_ep, nprime, plan)
+    return read_exact_kl(grads, _replayed_pr_ep(nprime, plan, evp, width_cap), nprime, plan)
 
 
 def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):

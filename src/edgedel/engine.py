@@ -405,6 +405,15 @@ def _reverse(mine, theirs, grow, turn, fit):
     return grow_ones, mine_back, fit_ones, turned, unturn, theirs_back
 
 
+def _distinct(keep) -> tuple[str, ...]:
+    """The kept variables as a tuple; one kept twice raises ``ModelError``."""
+    keep = tuple(keep)
+    for i, name in enumerate(keep):
+        if name in keep[:i]:
+            raise ModelError(f"variable {name!r} is kept more than once")
+    return keep
+
+
 def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None) -> Program:
     """Order and record one elimination on a network reduced by its
     evidence (``reduce``) without building a table.
@@ -419,7 +428,7 @@ def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None)
     with ``replay`` or ``adjoints``.
     """
     net = reduced.net
-    keep = tuple(keep)
+    keep = _distinct(keep)
     inputs = _factors(reduced, without, keep)
     elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
     # only a Pr(e) program (nothing kept or maximized) can run backward
@@ -830,7 +839,7 @@ class Jointree:
         left, kept, free, pseudo = [], [], [], []
         for without, keep in queries:
             ids = tuple(self.cpt_inputs[net.var(name).name] for name in without)
-            keep = tuple(net.var(name).name for name in keep)
+            keep = _distinct(net.var(name).name for name in keep)
             left.append(ids)
             kept.append(keep)
             free.append(tuple(v for v in keep if v not in ev_index))

@@ -15,22 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import divergence, parametrize
-from .deletion import (
-    DeletionPlan,
-    approximate_network,
-    apply_params,  # noqa: F401 (unused here; perfbench/test_perfbench.py checks it)
-    augmented_evidence,
-    recover_marginals,
-)
+from .deletion import DeletionPlan, apply_params, approximate_network, augmented_evidence
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
-from .model import (
-    Cpt,
-    Evidence,
-    ModelError,
-    Network,
-    Variable,
-)
+from .model import Cpt, Evidence, ModelError, Network, Variable
 from .netio import SELECTION_TAGS, FormatError, ReportRow
 
 EVIDENCE_MODES = ("leaves-from-joint", "random")
@@ -266,9 +254,10 @@ def run_deletion_instance(
     also answers MAP over them: the row carries the p/q ratio and the
     constrained width instead of the min-fill width.
 
-    The KL bound and exact KL are read off the fit's own source pass
-    (``FixedPointReport.source``) and one Pr'(e') replay on the fitted N',
-    whose program and tables the marginals' one pass reuses.
+    The KL bound (before clamping, the trace's last bit for bit) and exact
+    KL read the fit's own source pass and Pr'(e') (``FixedPointReport``'s
+    ``source``, ``pr_ep``), and nothing is eliminated on N' but the
+    marginals' one forward/backward pass.
     """
     start = time.perf_counter()
     aug, nprime, plan = approximate_network(net, edges, warm_params)
@@ -284,9 +273,8 @@ def run_deletion_instance(
     plan, report, trace = parametrize.run(
         nprime, plan, evp, cfg, reference=(aug, ev), width_cap=width_cap
     )
-    fitted = divergence.approximate_state(nprime, plan, evp, width_cap)
-    kl_total = divergence.read_kl_bound(report.source, fitted.pr_e, plan).total
-    exact = divergence.read_exact_kl(report.source, fitted.pr_e, nprime, plan)
+    kl_total = divergence.read_kl_bound(report.source, report.pr_ep, plan).total
+    exact = divergence.read_exact_kl(report.source, report.pr_ep, nprime, plan)
     kl_total, exact = (0.0 if -1e-9 <= v < 0.0 else v for v in (kl_total, exact))
     map_result = None
     if map_vars is None:
@@ -313,7 +301,8 @@ def run_deletion_instance(
     )
     outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
-        outcome.marginals = recover_marginals(fitted.net, plan, fitted)
+        grads = divergence.forward_backward(apply_params(nprime, plan), evp, width_cap)
+        outcome.marginals = {name: grads.posterior(name) for name in nprime.original_names()}
     return outcome
 
 

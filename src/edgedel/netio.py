@@ -288,11 +288,13 @@ class ReportRow:
         if self.selection not in SELECTION_TAGS:
             raise ModelError(f"unknown selection tag {self.selection!r}")
         if not (self.kl_bound >= 0.0):
-            raise ModelError(f"kl_bound must be >= 0 (got {self.kl_bound!r})")
+            raise ModelError(f"kl_bound must be >= 0 (got {float(self.kl_bound)!r})")
         if self.exact_kl is not None and not (self.exact_kl <= self.kl_bound + 1e-9):
-            raise ModelError(f"exact_kl {self.exact_kl!r} exceeds kl_bound {self.kl_bound!r}")
+            raise ModelError(
+                f"exact_kl {float(self.exact_kl)!r} exceeds kl_bound {float(self.kl_bound)!r}"
+            )
         if self.map_ratio is not None and not (0.0 < self.map_ratio <= 1.0):
-            raise ModelError(f"map_ratio must be in (0, 1] (got {self.map_ratio!r})")
+            raise ModelError(f"map_ratio must be in (0, 1] (got {float(self.map_ratio)!r})")
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))

@@ -77,14 +77,15 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """How a ``run`` ended: the last sweep's per-edge residuals, the number
-    of sweeps, whether the largest residual fell below tolerance, and the
-    source network's pass (``engine.Adjoints``; None without a reference)."""
+    """How a ``run`` ended: the last sweep's per-edge residuals, the sweep
+    count, whether the largest residual fell below tolerance, and, None
+    without a reference, the source pass and Pr'(e') at the returned plan."""
 
     residuals: tuple[float, ...]
     iterations: int
     converged: bool
     source: engine.Adjoints | None = field(repr=False, compare=False)
+    pr_ep: float | None
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ class _Fit:
     gives Pr'(e').  In simultaneous mode queries 2i and 2i + 1 are edge i's
     dPr'/dpm, N' without the clone prior over the clone, and dPr'/dse, N'
     without the soft-evidence CPT over the parent; each lies inside an
-    existing family, so the tree keeps N''s width.  Query 2k then gives
-    Pr'(e'), as the only query of a run with no edges.
+    existing family, so the tree keeps N''s width.  In both modes the last
+    query, which keeps nothing and so moves no other query, gives Pr'(e').
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
     tables once and writes them into the tree, which slices them by the
@@ -149,15 +150,12 @@ class _Fit:
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
-        if sequential and records:
+        if sequential:
             queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
         else:
-            queries = [
-                query
-                for rec in records
-                for query in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))
-            ] + [((), ())]
-        self.tree = engine.Jointree(engine.reduce(nprime, evp), queries, width_cap)
+            queries = [q for rec in records
+                       for q in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))]
+        self.tree = engine.Jointree(engine.reduce(nprime, evp), queries + [((), ())], width_cap)
         self.vectors = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
             self.set(j, pm, se)
@@ -173,8 +171,8 @@ class _Fit:
         return self.tree.table(2 * i), self.tree.table(2 * i + 1)
 
     def pr_ep(self):
-        """Pr'(e') at the current vectors (simultaneous mode, or no edges)."""
-        return float(self.tree.table(2 * len(self.records)))
+        """Pr'(e') at the current vectors: the last query's table."""
+        return float(self.tree.table(-1))
 
     def set(self, j, pm, se):
         """Make (pm, se) edge j's vectors."""
@@ -263,9 +261,11 @@ def run(
     ``EdgeParams`` per edge, built at the end.  With a reference, the KL
     bound after a simultaneous sweep (or a sweep of an empty plan) reads
     Pr'(e') off the tree, and the next sweep's reads reuse the messages
-    that read sent.  The true parent posteriors come from one
-    forward/backward pass on the source network (``true_edge_marginals``),
-    which the report hands back (``FixedPointReport.source``).
+    that read sent; a sequential sweep carries it.  The report hands back
+    the true parent posteriors' forward/backward pass on the source network
+    (``true_edge_marginals``) and Pr'(e') at the returned parameters
+    (``source``, ``pr_ep``): the value the last KL bound used, or, with no
+    sweep, one read off the tree.
 
     ``reference`` is the (augmented network, evidence) pair the approximation
     was built from.  It is required for "ed-kl" (the updates need the true
@@ -314,9 +314,13 @@ def run(
         if worst < cfg.tolerance:
             converged = True
             break
+    if reference is None:
+        pr_ep = None
+    elif pr_ep is None:
+        pr_ep = fit.pr_ep()
     if iterations:
         plan = plan.with_all_params(EdgeParams(pm, se) for pm, se in fit.vectors)
-    return plan, FixedPointReport(residuals, iterations, converged, source), trace
+    return plan, FixedPointReport(residuals, iterations, converged, source, pr_ep), trace
 
 
 def check_conditions(

@@ -157,6 +157,19 @@ class TestApproxCommand:
         )
         assert code == 0
 
+    def test_plan_file_with_a_bad_prior_exits_3_printing_a_plain_float(
+        self, fixture_files, tmp_path, capsys
+    ):
+        net_file, ev_file = fixture_files
+        plan_file = tmp_path / "bad.plan"
+        plan_file.write_text("U1 -> X1 | pm: 0.5 0.6 | se: 0.5 0.5\n")
+        code = main(["approx", net_file, ev_file, "--edges", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "pm must sum to 1 (got 1.1)" in captured.err
+        assert "np.float64" not in captured.err
+
     def test_plan_file_with_vectors_on_some_lines_exits_3(self, fixture_files, tmp_path, capsys):
         net_file, ev_file = fixture_files
         plan_file = tmp_path / "mixed.plan"

@@ -38,6 +38,12 @@ class TestEdgeParams:
         with pytest.raises(ModelError):
             EdgeParams([0.5, 0.6], [0.5, 0.5])
 
+    def test_pm_sum_error_prints_a_plain_float(self):
+        with pytest.raises(ModelError) as info:
+            EdgeParams(np.array([0.5, 0.6]), [0.5, 0.5])
+        assert str(info.value) == "pm must sum to 1 (got 1.1)"
+        assert "np.float64" not in str(info.value)
+
     def test_pm_kept_as_given_within_tolerance(self):
         pm = np.array([0.5, 0.5 - 5e-10])
         assert EdgeParams(pm, [0.5, 0.5]).pm.tobytes() == pm.tobytes()

@@ -215,6 +215,24 @@ def test_a_cpt_left_out_of_two_queries_is_refused():
         engine.Jointree(engine.reduce(nprime, evp), [query, query])
 
 
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda reduced, keep: engine.Jointree(reduced, [((), keep)]),
+        lambda reduced, keep: engine.record(reduced, keep=keep),
+    ],
+    ids=["jointree", "record"],
+)
+def test_a_variable_kept_twice_is_refused_by_name(route, observed):
+    rng = np.random.default_rng(5)
+    a, b = Variable("A", ("s0", "s1")), Variable("B", ("s0", "s1"))
+    net = Network([a, b], [random_cpt(a, (), rng), random_cpt(b, (a,), rng)])
+    reduced = engine.reduce(net, Evidence({"A": "s1"} if observed else {}))
+    with pytest.raises(ModelError, match="^variable 'A' is kept more than once$"):
+        route(reduced, ("A", "B", "A"))
+
+
 @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
 @pytest.mark.parametrize("state", ["unobserved", "no"])
 def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedule, state):

@@ -6,6 +6,7 @@ import pytest
 from edgedel import (
     EdgeParams,
     FormatError,
+    ModelError,
     ReportRow,
     approximate_network,
     enumerate_joint,
@@ -203,6 +204,23 @@ class TestReports:
     def test_exact_kl_must_respect_bound(self):
         with pytest.raises(Exception):
             render_report([make_row(kl_bound=0.1, exact_kl=0.2)])
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(kl_bound=np.float64(-0.5), exact_kl=None), "kl_bound must be >= 0 (got -0.5)"),
+            (
+                dict(kl_bound=np.float64(0.1), exact_kl=np.float64(0.2)),
+                "exact_kl 0.2 exceeds kl_bound 0.1",
+            ),
+            (dict(map_ratio=np.float64(1.5)), "map_ratio must be in (0, 1] (got 1.5)"),
+        ],
+    )
+    def test_validation_errors_print_plain_floats(self, overrides, message):
+        with pytest.raises(ModelError) as info:
+            make_row(**overrides).validate()
+        assert str(info.value) == message
+        assert "np.float64" not in str(info.value)
 
     def test_write_to_text_sink(self):
         sink = io.StringIO()

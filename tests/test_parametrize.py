@@ -32,6 +32,7 @@ from edgedel.deletion import apply_params
 from edgedel.harness import grid_network
 from edgedel.parametrize import _Fit, _sweep, true_edge_marginals
 
+import record_fit_golden as fit_cases
 from bp_reference import FactorGraphBP
 from conftest import (
     bridged_net,
@@ -713,13 +714,58 @@ class TestReportTypes:
         gaps = check_conditions(aug, nprime, plan2, ev, evp)
         assert isinstance(report, FixedPointReport)
         fields = [f.name for f in dataclasses.fields(report)]
-        assert fields == ["residuals", "iterations", "converged", "source"]
+        assert fields == ["residuals", "iterations", "converged", "source", "pr_ep"]
         assert len(report.residuals) == 2 and report.iterations == 2
         # the source pass the fit read its true posteriors off, handed back
         assert report.source.pr_e == compile(aug, ev).pr_e
         cfg = IterationConfig(method="ed-bp", max_iterations=2)
         _, unreferenced, _ = run(nprime, plan, evp, cfg)
-        assert unreferenced.source is None
+        assert unreferenced.source is None and unreferenced.pr_ep is None
         assert isinstance(gaps, ConditionGaps)
         assert [f.name for f in dataclasses.fields(gaps)] == ["eq_match_gaps", "eq_exact_gaps"]
         assert len(gaps.eq_match_gaps) == len(gaps.eq_exact_gaps) == 2
+
+
+class TestFitPrEp:
+    """``FixedPointReport.pr_ep`` is Pr'(e') at the returned plan's
+    parameters, and the value the last KL bound used."""
+
+    @staticmethod
+    def replayed(nprime, plan, evp):
+        return compile(apply_params(nprime, plan), evp).pr_e
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 200])
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    @pytest.mark.parametrize("case", ["grid4x4-leaves", "grid3x3-observed-parent"])
+    def test_matches_a_fresh_replay(self, case, method, schedule, sweeps):
+        _, ev, aug, nprime, plan, evp = fit_cases.build(case)
+        # damped, every combination converges within 200 sweeps here
+        cfg = IterationConfig(
+            method=method, schedule=schedule, max_iterations=sweeps,
+            damping=0.3 if sweeps > 1 else 0.0,
+        )
+        plan, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert report.converged if sweeps > 1 else report.iterations == sweeps
+        assert report.pr_ep == pytest.approx(self.replayed(nprime, plan, evp), rel=1e-12)
+        if trace:
+            bound = divergence_module.read_kl_bound(report.source, report.pr_ep, plan).total
+            assert bound.hex() == trace[-1].kl_bound.hex()
+
+    @pytest.mark.parametrize("sweeps", [0, 1])
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_empty_plan(self, schedule, sweeps):
+        net, ev, _ = fit_cases.NETWORKS["grid4x4-leaves"]()
+        aug, nprime, plan, evp = build(net, ev, [])
+        cfg = IterationConfig(schedule=schedule, max_iterations=sweeps)
+        plan, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert report.pr_ep == pytest.approx(self.replayed(nprime, plan, evp), rel=1e-12)
+        assert report.pr_ep == pytest.approx(report.source.pr_e, rel=1e-12)
+
+    @pytest.mark.parametrize("sweeps", [0, 1])
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_none_without_a_reference(self, schedule, sweeps):
+        _, _, _, nprime, plan, evp = fit_cases.build("grid4x4-leaves")
+        cfg = IterationConfig(method="ed-bp", schedule=schedule, max_iterations=sweeps)
+        _, report, _ = run(nprime, plan, evp, cfg)
+        assert report.pr_ep is None and report.source is None
