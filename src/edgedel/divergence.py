@@ -417,7 +417,8 @@ def score_edges(
     genuine gap is 5.6e-11, so TIE_TOL = 1e-12 separates them.  Sorting
     the one-pass scores alone would have reordered a tie in 107 of the
     450.  With many ties the cost is at most one derivative elimination per
-    edge plus the one pass; the refits are stacked too.
+    edge plus the one pass, and each is recorded once per network structure
+    (``engine.record`` keeps it); the refits are stacked too.
     """
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")

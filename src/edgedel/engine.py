@@ -21,7 +21,10 @@ traceback for the maximized variables.  It checks the program's result,
 not each product, for overflow: the inputs are finite and nonnegative, and
 an inf or NaN entry survives every later product, sum and maximum.  A
 program depends on the structure, the evidence and the query, not on the
-CPT entries, and ``replay`` never writes into the bound list.
+CPT entries, and ``replay`` never writes into the bound list.  So
+``record`` keeps the order and buckets of its last 32 keys (structure,
+observed set and query; least recently used evicted first), checks a kept
+width against each call's cap, and rebuilds only the inputs.
 
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
@@ -51,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -274,10 +278,14 @@ def _order(
                         cost[i] = c
                         heapq.heappush(heap, (c, rank[i], i))
             order.append(names[best])
+    _check_width(width, last, width_cap)
+    return EliminationOrder(tuple(order), width)
+
+
+def _check_width(width, last, width_cap) -> None:
     if width_cap is not None and width > width_cap:
         what = "constrained induced width" if last else "induced width"
         raise CapacityError(f"{what} {width} exceeds the cap of {width_cap}")
-    return EliminationOrder(tuple(order), width)
 
 
 class _Bucket(NamedTuple):
@@ -414,6 +422,11 @@ def _distinct(keep) -> tuple[str, ...]:
     return keep
 
 
+# ``record``'s kept order and buckets per key, least recently used first
+_RECORDED_MAX = 32
+_recorded: OrderedDict = OrderedDict()
+
+
 def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None) -> Program:
     """Order and record one elimination on a network reduced by its
     evidence (``reduce``) without building a table.
@@ -426,10 +439,40 @@ def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None)
     ``last``), and maximized out with an argmax traceback instead of summed
     out.  With nothing kept the program computes Pr(e); bind it and run it
     with ``replay`` or ``adjoints``.
+
+    The order and buckets depend only on the key (``net.layout()``, the
+    observed variables, ``without``, ``keep``, ``maximize``).  Those of the
+    last 32 keys are kept, least recently used evicted first, and a kept
+    width is checked against each call's ``width_cap`` as ``_order`` checks
+    it.  Each call takes its own inputs (``_factors``: evidence slices and
+    indicator tables), so its program gives a fresh recording's bits.
     """
-    net = reduced.net
     keep = _distinct(keep)
+    maximize = tuple(maximize)
+    for name in maximize:
+        if name in keep:
+            raise ModelError(f"variable {name!r} is both kept and maximized")
+    without = tuple(without)
     inputs = _factors(reduced, without, keep)
+    key = (reduced.net.layout(), frozenset(reduced.ev_index), without, keep, maximize)
+    shared = _recorded.get(key)
+    if shared is None:
+        shared = _recorded[key] = _record(reduced.net, inputs, keep, maximize, width_cap)
+        if len(_recorded) > _RECORDED_MAX:
+            _recorded.popitem(last=False)
+    else:
+        _recorded.move_to_end(key)
+        _check_width(shared[-1], maximize, width_cap)
+    return Program(
+        tuple(inputs), *shared,
+        {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
+        reduced.ev_index,
+    )
+
+
+def _record(net, inputs, keep, maximize, width_cap) -> tuple:
+    """``record``'s miss path: order ``inputs`` and record the buckets.
+    Returns the ``Program`` fields from ``buckets`` to ``width``."""
     elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
     # only a Pr(e) program (nothing kept or maximized) can run backward
     backward = not keep and not maximize
@@ -469,14 +512,10 @@ def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None)
     scope, shape, final_steps, final_back = _product_steps(
         (), (), final, scopes, shapes, backward
     )
-    if sorted(scope) != sorted(keep):
-        raise ModelError("reorder must name the full scope")
     perm = tuple(scope.index(n) for n in keep)
-    return Program(
-        tuple(inputs), tuple(buckets), final, final_steps, final_back,
-        perm, tuple(shape[i] for i in perm), elim.width,
-        {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
-        reduced.ev_index,
+    return (
+        tuple(buckets), final, final_steps, final_back, perm,
+        tuple(shape[i] for i in perm), elim.width,
     )
 
 

@@ -4,6 +4,15 @@ import pytest
 from edgedel import Cpt, Evidence, Network, Variable
 
 
+@pytest.fixture(autouse=True)
+def cold_programs():
+    """Empty ``engine.record``'s kept programs before each test, so every
+    count of orders and recordings starts cold whatever ran before."""
+    from edgedel import engine
+
+    engine._recorded.clear()
+
+
 def random_cpt(var, parents, rng):
     rows = 1
     for p in parents:

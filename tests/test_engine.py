@@ -33,10 +33,10 @@ from edgedel import (
     single_edge_evaluate,
 )
 from edgedel.harness import chain_network, grid_network
-from edgedel.divergence import true_edge_marginals
+from edgedel.divergence import score_edges, true_edge_marginals
 
 import elimination_reference as ref
-from conftest import brute_posterior, positive_evidence, random_network
+from conftest import brute_posterior, count_engine_calls, positive_evidence, random_network
 
 
 def kept(net, ev, without, keep, width_cap=engine_module.WIDTH_CAP_DEFAULT):
@@ -588,6 +588,140 @@ class TestOneOrderPerQuery:
         calls = self._count_orders(monkeypatch)
         exact_map(net, ev, ["N0_0", "N1_1", "N2_2"])
         assert len(calls) == 1
+
+
+class TestProgramReuse:
+    """``record`` orders and records each structure once: another instance
+    of it (other CPT entries, other observed states) reuses the kept order
+    and buckets, and gets the program a cold recording gives."""
+
+    @staticmethod
+    def instance(seed, state):
+        net = grid_network(4, 4, rng=np.random.default_rng(seed))
+        return net, Evidence({n: net.var(n).states[state] for n in net.leaves()})
+
+    @staticmethod
+    def outputs(net, ev):
+        """Every table the programs of three queries give on one instance."""
+        reduced = engine_module.reduce(net, ev)
+        out = []
+        program = engine_module.record(reduced)
+        bound = engine_module.bind(program, net)
+        out.append(engine_module.replay(program, bound)[0])
+        grads = engine_module.adjoints(program, bound)
+        out.append(grads.pr_e)
+        out.extend(grads.tables)
+        out.extend(grads.posterior(v.name) for v in net.variables)
+        program = engine_module.record(reduced, ("N1_1",), ("N1_1", "N0_1", "N1_0"))
+        out.append(engine_module.replay(program, engine_module.bind(program, net))[0])
+        program = engine_module.record(reduced, maximize=("N0_0", "N1_1", "N2_2"))
+        value, traceback = engine_module.replay(program, engine_module.bind(program, net))
+        out.append(value)
+        for var, rest, argmax in traceback:
+            out.extend((var, rest, argmax))
+        out.append(exact_map(net, ev, ["N0_0", "N1_2", "N2_1"]))
+        return out
+
+    def test_a_warm_recording_gives_the_cold_one_bitwise(self, monkeypatch):
+        net, ev = self.instance(1, 1)
+        cold = self.outputs(net, ev)
+        engine_module._recorded.clear()
+        self.outputs(*self.instance(2, 0))
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        warm = self.outputs(net, ev)
+        assert calls == {"_order": 0}
+        assert len(warm) == len(cold)
+        for a, b in zip(warm, cold):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize(
+        "variant, orders",
+        [
+            ("same key", 0),
+            ("observed set", 1),
+            ("without", 1),
+            ("keep order", 1),
+            ("maximize", 1),
+            ("declaration order", 1),
+        ],
+    )
+    def test_each_part_of_the_key_forces_a_miss(self, monkeypatch, variant, orders):
+        net, ev = self.instance(1, 0)
+        engine_module.record(engine_module.reduce(net, ev), keep=("N1_1", "N2_2"))
+        other, other_ev = self.instance(2, 1)
+        without, keep, maximize = (), ("N1_1", "N2_2"), ()
+        if variant == "observed set":
+            other_ev = other_ev.with_added({"N0_0": "s0"})
+        elif variant == "without":
+            without = ("N1_1",)
+        elif variant == "keep order":
+            keep = ("N2_2", "N1_1")
+        elif variant == "maximize":
+            maximize = ("N0_0",)
+        elif variant == "declaration order":
+            other = Network(list(reversed(other.variables)), other.cpts())
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        engine_module.record(engine_module.reduce(other, other_ev), without, keep, maximize)
+        assert calls == {"_order": orders}
+
+    @pytest.mark.parametrize("maximize", [(), ("N0_0", "N1_1", "N2_2", "N3_3")])
+    def test_a_hit_checks_its_own_width_cap(self, maximize):
+        net, ev = self.instance(1, 0)
+        reduced = engine_module.reduce(net, ev)
+        with pytest.raises(CapacityError) as miss:
+            engine_module.record(reduced, maximize=maximize, width_cap=2)
+        # a refused order is not kept
+        assert not engine_module._recorded
+        width = engine_module.record(reduced, maximize=maximize).width
+        assert width > 2
+        with pytest.raises(CapacityError) as hit:
+            engine_module.record(reduced, maximize=maximize, width_cap=2)
+        what = "constrained induced width" if maximize else "induced width"
+        assert str(hit.value) == str(miss.value) == f"{what} {width} exceeds the cap of 2"
+        assert engine_module.record(reduced, maximize=maximize, width_cap=width).width == width
+
+    def test_the_least_recently_used_of_32_programs_goes_first(self, monkeypatch):
+        net = chain_network(8, rng=np.random.default_rng(3))
+        names = [v.name for v in net.variables]
+        keeps = [(a,) for a in names] + [(a, b) for a in names for b in names if a != b]
+        assert len(keeps) >= 63
+        reduced = engine_module.reduce(net, Evidence({}))
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        sizes = []
+
+        def record(keep):
+            before = calls["_order"]
+            engine_module.record(reduced, keep=keep)
+            sizes.append(len(engine_module._recorded))
+            return calls["_order"] - before
+
+        assert record(keeps[0]) == 1
+        assert [record(k) for k in keeps[1:32]] == [1] * 31
+        assert record(keeps[0]) == 0
+        assert [record(k) for k in keeps[32:63]] == [1] * 31
+        # keeps[0], used after keeps[1:32], outlives them
+        assert record(keeps[0]) == 0
+        assert record(keeps[1]) == 1
+        assert max(sizes) == sizes[-1] == 32
+
+    def test_a_second_score_on_the_same_structure_orders_nothing(self, monkeypatch):
+        score_edges(*self.instance(1, 0))
+        net, ev = self.instance(2, 1)
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        warm = score_edges(net, ev)
+        assert calls == {"_order": 0}
+        engine_module._recorded.clear()
+        cold = score_edges(net, ev)
+        assert [(s.parent, s.child, s.score) for s in warm] == [
+            (s.parent, s.child, s.score) for s in cold
+        ]
+        for a, b in zip(warm, cold):
+            assert a.params.pm.tobytes() == b.params.pm.tobytes()
+            assert a.params.se.tobytes() == b.params.se.tobytes()
 
 
 def leaf_evidence(net):

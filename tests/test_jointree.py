@@ -233,6 +233,18 @@ def test_a_variable_kept_twice_is_refused_by_name(route, observed):
         route(reduced, ("A", "B", "A"))
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_a_variable_kept_and_maximized_is_refused_by_name(observed):
+    # refused before record looks for a kept program, so nothing is kept
+    rng = np.random.default_rng(5)
+    a, b = Variable("A", ("s0", "s1")), Variable("B", ("s0", "s1"))
+    net = Network([a, b], [random_cpt(a, (), rng), random_cpt(b, (a,), rng)])
+    reduced = engine.reduce(net, Evidence({"A": "s1"} if observed else {}))
+    with pytest.raises(ModelError, match="^variable 'A' is both kept and maximized$"):
+        engine.record(reduced, keep=("B", "A"), maximize=("A",))
+    assert not engine._recorded
+
+
 @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
 @pytest.mark.parametrize("state", ["unobserved", "no"])
 def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedule, state):
