@@ -268,7 +268,7 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     """Posterior marginals for every source variable of N' (clones and
     soft-evidence variables excluded), all read off one forward/backward
     pass (``engine.adjoints``) of the program ``st`` was compiled with, on
-    the tables it bound: nothing is recorded or bound again.
+    the tables it read: nothing is recorded or read again.
 
     ``st`` must be compiled (``engine.compile``) on this network, possibly
     with different edge parameters applied (structure and registry must
@@ -280,5 +280,5 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    grads = engine.adjoints(st.program, st.bound)
+    grads = engine.adjoints(st.program)
     return {name: grads.posterior(name) for name in nprime.original_names()}

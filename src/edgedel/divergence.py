@@ -67,7 +67,8 @@ class KlBreakdown:
 def _edge_term(diag: np.ndarray, pm: np.ndarray, se: np.ndarray) -> float:
     term = 0.0
     prod = pm * se
-    for t, pq in zip(diag, prod):
+    # as Python floats, so the terms and the total are plain floats
+    for t, pq in zip(diag.tolist(), prod.tolist()):
         if t <= 0.0:
             continue
         if pq <= 0.0:
@@ -87,8 +88,7 @@ def kl_breakdown(marginals, vectors, pr_e: float, pr_ep: float) -> KlBreakdown:
 
 def forward_backward(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
     """Pr(e)'s recorded elimination replayed forward and backward (``engine.adjoints``)."""
-    program = engine.record(engine.reduce(net, ev), width_cap=width_cap)
-    return engine.adjoints(program, engine.bind(program, net))
+    return engine.adjoints(engine.record(net, ev, width_cap=width_cap))
 
 
 def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
@@ -110,9 +110,8 @@ def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
 
 def _replayed_pr_ep(nprime, plan, evp, width_cap) -> float:
     """Pr'(e') at the plan's parameters, from a program recorded on N'."""
-    current = apply_params(nprime, plan)
-    program = engine.record(engine.reduce(current, evp), width_cap=width_cap)
-    return float(engine.replay(program, engine.bind(program, current))[0])
+    program = engine.record(apply_params(nprime, plan), evp, width_cap=width_cap)
+    return float(engine.replay(program)[0])
 
 
 def _check_evidence(source: engine.Adjoints, pr_ep: float) -> None:
@@ -430,7 +429,7 @@ def score_edges(
     grads = forward_backward(aug, ev, width_cap)
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    st = engine.EngineState(aug, ev, width_cap, grads.program, grads.bound, grads.pr_e)
+    st = engine.EngineState(aug, ev, width_cap, grads.program, grads.pr_e)
 
     def ranked(idxs, table):
         groups: dict[tuple, list] = {}

@@ -5,38 +5,37 @@ derivatives (valid at zero parameters), tables of Pr(e) over kept variables
 with chosen CPTs left out, and exact MAP, plus greedy min-fill elimination
 orders with an optional eliminate-these-last constraint.
 
-Every query takes the same steps: check and index the evidence and slice
-every CPT by it (``reduce``, whose result programs recorded under the same
-evidence can share), then, inside ``record``, the one recording entry, pick
-the inputs (``_factors``: which CPTs enter, and which keep a kept variable's
-axis), order (``_order``: one greedy min-fill order, popped off a heap of
-(fill cost, declaration index) keys over bitmask adjacency, and checked
-against the width cap before any table is built), and record a ``Program``
-naming, bucket by bucket, the operands, each step's transpose and
-broadcast shapes, and the summed or maximized axis.  Then ``bind`` reads
-the program's input tables off a network once, each CPT through ``write``,
-which checks its shape and applies the evidence slice, and ``replay`` runs
-exactly the recorded numpy operations on that list, with an argmax
-traceback for the maximized variables.  It checks the program's result,
-not each product, for overflow: the inputs are finite and nonnegative, and
-an inf or NaN entry survives every later product, sum and maximum.  A
-program depends on the structure, the evidence and the query, not on the
-CPT entries, and ``replay`` never writes into the bound list.  So
-``record`` keeps the order and buckets of its last 32 keys (structure,
+Every query takes two steps.  ``record``, the one entry, checks and indexes
+the evidence, picks the inputs (``_factors``: which CPTs enter, each sliced
+by the evidence outside the kept variables), orders them (``_order``: one
+greedy min-fill order, popped off a heap of (fill cost, declaration index)
+keys over bitmask adjacency, and checked against the width cap before any
+table is read), records a ``Program`` naming, bucket by bucket, the
+operands, each step's transpose and broadcast shapes, and the summed or
+maximized axis, and last reads the program's input tables off the network
+(``_bind``: each CPT through ``_write``, which checks its shape and applies
+the evidence slice).  Then ``replay`` runs exactly the recorded numpy
+operations on those tables, with an argmax traceback for the maximized
+variables.  It checks the program's result, not each product, for
+overflow: the inputs are finite and nonnegative, and an inf or NaN entry
+survives every later product, sum and maximum.  The order and buckets
+depend on the structure, the evidence and the query, not on the CPT
+entries.  So ``record`` keeps those of its last 32 keys (structure,
 observed set and query; least recently used evicted first), checks a kept
-width against each call's cap, and rebuilds only the inputs.
+width against each call's cap, and rebuilds the inputs and reads the tables
+on every call: the cache holds structure only.
 
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
-the whole reduction: Shenoy–Shafer messages between the cliques of that
-order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
-through ``write``) makes them stale.  ``parametrize.run`` reads every
+all the network's inputs: Shenoy–Shafer messages between the cliques of
+that order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
+through ``_write``) makes them stale.  ``parametrize.run`` reads every
 deleted edge's tables and Pr'(e') off one tree in either schedule, so a
 sweep's writes re-send only the messages that depend on them.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
-the CPT entries.  ``adjoints`` runs such a program forward on its bound
-tables and then walks the same buckets and alignments in reverse
+the CPT entries.  ``adjoints`` runs such a program forward on its tables
+and then walks the same buckets and alignments in reverse
 (Darwiche, "A differential approach to inference in Bayesian networks",
 JACM 2003): one pass gives dPr(e)/d(entry) for every entry of every CPT,
 each a sum of products of the other operands, so it stays exact at zero
@@ -48,7 +47,6 @@ times its table is the family's joint with the evidence
 X off the same pass: the only bulk-marginal route.  ``posterior_marginal``
 and ``pairwise_marginal`` answer one query each with their own elimination.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -141,44 +139,25 @@ def _sliced(child, names, cards, ev_index, keep=()) -> _Input:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Reduction:
-    """A network's evidence, checked and indexed (variable name to state
-    index), and every CPT's input sliced by it, in declaration order: what
-    ``record`` starts from.  Programs recorded under the same evidence
-    share one (``reduce``)."""
-
-    net: Network
-    ev_index: dict[str, int]
-    inputs: tuple[_Input, ...]
+def _indexed(net: Network, ev: Evidence) -> dict[str, int]:
+    """The evidence checked against the network: variable name to state index."""
+    return {name: net.var(name).index_of(state) for name, state in ev.items()}
 
 
-def reduce(net: Network, ev: Evidence) -> Reduction:
-    """Check the evidence against the network, index it, and slice every
-    CPT by it."""
-    ev_index = {name: net.var(name).index_of(state) for name, state in ev.items()}
-    inputs = tuple(_sliced(*layout, ev_index) for layout in net.layout())
-    return Reduction(net, ev_index, inputs)
-
-
-def _factors(reduced: Reduction, without=(), keep=()) -> list[_Input]:
-    """The CPTs of the variables outside ``without``, each sliced by the
-    evidence on its scope, except that the variables in ``keep`` stay
-    unsliced.
+def _factors(net: Network, ev_index, without=(), keep=()) -> list[_Input]:
+    """The CPTs of the variables outside ``without``, in declaration order,
+    each sliced by the evidence ``ev_index`` on its scope, except that the
+    variables in ``keep`` stay unsliced.
 
     A kept observed variable gets an indicator input instead, and a kept
     variable that no remaining input mentions gets a ones input.
     """
-    net, ev_index = reduced.net, reduced.ev_index
-    kept = set(keep)
     inputs: list[_Input] = []
     covered = set()
-    for layout, inp in zip(net.layout(), reduced.inputs):
-        if inp.cpt in without:
+    for layout in net.layout():
+        if layout[0] in without:
             continue
-        if inp.take is not None and not kept.isdisjoint(layout[1]):
-            # the evidence slice may cut a kept variable's axis
-            inp = _sliced(*layout, ev_index, kept)
+        inp = _sliced(*layout, ev_index, keep)
         inputs.append(inp)
         covered.update(inp.scope)
     for name in keep:
@@ -312,20 +291,19 @@ class _Bucket(NamedTuple):
     rest: tuple[str, ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Program:
-    """A recorded elimination: inputs by name, then buckets, then the
-    product of what remains (``final`` ids, multiplied by ``final_steps``
-    starting from a scalar one; ``final_back`` as a bucket's ``back``),
-    permuted by ``perm`` into the kept variables' order and reshaped to
-    ``shape``.
+    """A recorded elimination on one network: inputs by name, then
+    buckets, then the product of what remains (``final`` ids, multiplied by
+    ``final_steps`` starting from a scalar one; ``final_back`` as a
+    bucket's ``back``), permuted by ``perm`` into the kept variables' order
+    and reshaped to ``shape``.
 
-    ``width`` is the order's induced width.  Binding a program to a
-    network reads only CPT entries, so any network with the recorded
-    structure will do (``bind`` checks each CPT's shape).
-    ``cpt_inputs`` maps each CPT name to its input's position, and
-    ``ev_index`` is the evidence (variable name to state index) it was
-    recorded under.
+    ``width`` is the order's induced width.  ``cpt_inputs`` maps each CPT
+    name to its input's position, ``ev_index`` is the evidence (variable
+    name to state index) it was recorded under, and ``bound`` holds the
+    input tables, read off the network when it was recorded (``_bind``).
+    ``replay`` and ``adjoints`` never write into them.
     """
 
     inputs: tuple[_Input, ...]
@@ -338,6 +316,7 @@ class Program:
     width: int
     cpt_inputs: dict[str, int]
     ev_index: dict[str, int]
+    bound: tuple[np.ndarray, ...]
 
 
 def _product_steps(scope, shape, ids, scopes, shapes, backward):
@@ -427,47 +406,47 @@ _RECORDED_MAX = 32
 _recorded: OrderedDict = OrderedDict()
 
 
-def record(reduced: Reduction, without=(), keep=(), maximize=(), width_cap=None) -> Program:
-    """Order and record one elimination on a network reduced by its
-    evidence (``reduce``) without building a table.
+def record(
+    net: Network, ev: Evidence, without=(), keep=(), maximize=(), width_cap=None
+) -> Program:
+    """Check the evidence against ``net``, order and record one
+    elimination, and read its input tables off ``net``.
 
     This is the one way to record: every query and every fit program starts
-    here, and programs recorded under the same evidence can share one
-    reduction.  ``without``/``keep`` are as in
-    ``_factors`` and ``width_cap`` as in ``_order``; the variables in
-    ``maximize`` are eliminated after all the others (``_order``'s
-    ``last``), and maximized out with an argmax traceback instead of summed
-    out.  With nothing kept the program computes Pr(e); bind it and run it
-    with ``replay`` or ``adjoints``.
+    here.  ``without``/``keep`` are as in ``_factors`` and ``width_cap`` as
+    in ``_order``; the variables in ``maximize`` are eliminated after all
+    the others (``_order``'s ``last``), and maximized out with an argmax
+    traceback instead of summed out.  With nothing kept the program
+    computes Pr(e); run it with ``replay`` or ``adjoints``.
 
     The order and buckets depend only on the key (``net.layout()``, the
     observed variables, ``without``, ``keep``, ``maximize``).  Those of the
     last 32 keys are kept, least recently used evicted first, and a kept
     width is checked against each call's ``width_cap`` as ``_order`` checks
-    it.  Each call takes its own inputs (``_factors``: evidence slices and
-    indicator tables), so its program gives a fresh recording's bits.
+    it, before any table is read.  The cache holds structure only: each
+    call takes its own inputs (``_factors``: evidence slices and indicator
+    tables) and reads its own tables, so its program gives a fresh
+    recording's bits.  Each cache step is one dict operation, so threads
+    that share the cache never see a key vanish between two steps.
     """
+    ev_index = _indexed(net, ev)
     keep = _distinct(keep)
     maximize = tuple(maximize)
     for name in maximize:
         if name in keep:
             raise ModelError(f"variable {name!r} is both kept and maximized")
     without = tuple(without)
-    inputs = _factors(reduced, without, keep)
-    key = (reduced.net.layout(), frozenset(reduced.ev_index), without, keep, maximize)
-    shared = _recorded.get(key)
+    inputs = _factors(net, ev_index, without, keep)
+    key = (net.layout(), frozenset(ev_index), without, keep, maximize)
+    shared = _recorded.pop(key, None)
     if shared is None:
-        shared = _recorded[key] = _record(reduced.net, inputs, keep, maximize, width_cap)
-        if len(_recorded) > _RECORDED_MAX:
-            _recorded.popitem(last=False)
-    else:
-        _recorded.move_to_end(key)
-        _check_width(shared[-1], maximize, width_cap)
-    return Program(
-        tuple(inputs), *shared,
-        {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None},
-        reduced.ev_index,
-    )
+        shared = _record(net, inputs, keep, maximize, width_cap)
+    _recorded[key] = shared
+    while len(_recorded) > _RECORDED_MAX:
+        _recorded.popitem(last=False)
+    _check_width(shared[-1], maximize, width_cap)
+    cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None}
+    return Program(tuple(inputs), *shared, cpt_inputs, ev_index, tuple(_bind(inputs, net)))
 
 
 def _record(net, inputs, keep, maximize, width_cap) -> tuple:
@@ -583,24 +562,19 @@ def _stored(out, shape):
     return out if shape else out.reshape(())
 
 
-def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
-    """Set the input of the CPT of ``name`` to ``table`` in ``bound``, the
-    program's input tables (``bind``).  ``table`` must have the shape the
-    program was recorded for, and the program reads it as it was recorded:
-    sliced by its evidence.  A program that does not read that CPT is left
-    as it was.
+def _write(inputs, bound: list, i: int, table: np.ndarray) -> None:
+    """Set ``bound[i]``, the table of input ``inputs[i]``, to ``table``, the
+    CPT table of that input's variable.  ``table`` must have the shape the
+    input was recorded for, and is read as it was recorded: sliced by its
+    evidence.
 
-    ``bind`` reads every CPT through here, and ``Jointree.set_cpt`` writes
-    the fit's edge tables through here, the tree taking the program's
-    place.
+    ``_bind`` reads every CPT through here, and ``Jointree.set_cpt``
+    writes the fit's edge tables through here.
     """
-    i = program.cpt_inputs.get(name)
-    if i is None:
-        return
-    inp = program.inputs[i]
+    inp = inputs[i]
     if table.shape != inp.shape:
         raise ModelError(
-            f"cpt for {name!r} has shape {table.shape}; "
+            f"cpt for {inp.cpt!r} has shape {table.shape}; "
             f"the program was recorded for {inp.shape}"
         )
     if inp.take is not None:
@@ -609,33 +583,29 @@ def write(program: Program, bound: list, name: str, table: np.ndarray) -> None:
     bound[i] = table
 
 
-def bind(program: Program, net: Network) -> list[np.ndarray]:
-    """The program's input tables, read off ``net`` once: each CPT through
-    ``write``.
-
-    ``replay`` and ``adjoints`` take this list and never write
-    into it.
-    """
-    bound = [inp.table for inp in program.inputs]
-    for name in program.cpt_inputs:
-        write(program, bound, name, net.cpt(name).shaped)
+def _bind(inputs, net: Network) -> list[np.ndarray]:
+    """The tables of ``inputs`` read off ``net``: each CPT through ``_write``."""
+    bound = [inp.table for inp in inputs]
+    for i, inp in enumerate(inputs):
+        if inp.cpt is not None:
+            _write(inputs, bound, i, net.cpt(inp.cpt).shaped)
     return bound
 
 
-def replay(program: Program, bound: list) -> tuple[np.ndarray, list]:
-    """Run a recorded elimination on its bound input tables (``bind``).
+def replay(program: Program) -> tuple[np.ndarray, list]:
+    """Run a recorded elimination on its input tables (``program.bound``).
 
     Returns the table over the kept variables (axes in the order given to
     ``record``; a 0-d array for Pr(e)) and the argmax traceback: one
     (variable, names of the other axes, argmax table) per maximized
-    variable, in elimination order.  ``bound`` is left as it was.
+    variable, in elimination order.
 
     A result with an infinite or NaN entry raises "numerical overflow in
     factor product".  One check on the result catches an overflow in any
     product: the inputs are finite and nonnegative, and an inf or NaN entry
     survives every later product, sum and maximum.
     """
-    tables = list(bound)
+    tables = list(program.bound)
     traceback = []
     for b in program.buckets:
         prod = _multiply(tables, tables[b.first], b.steps)
@@ -675,11 +645,10 @@ def _scattered(inp: _Input, table: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Adjoints:
     """Pr(e) and its adjoints from one forward/backward pass of a Pr(e)
-    program on its bound input tables ``bound``: ``tables[i]`` is
+    program on its input tables (``program.bound``): ``tables[i]`` is
     dPr(e)/d(input i) in that input's evidence-reduced shape."""
 
     program: Program
-    bound: tuple[np.ndarray, ...]
     pr_e: float
     tables: tuple[np.ndarray, ...]
 
@@ -690,11 +659,11 @@ class Adjoints:
         return i
 
     def _checked(self, name: str) -> tuple[_Input, np.ndarray, np.ndarray]:
-        """The CPT's input, its bound table and its adjoint, checked by the
-        Euler identity sum(theta * d) = Pr(e) over the evidence slice (the
+        """The CPT's input, its table and its adjoint, checked by the Euler
+        identity sum(theta * d) = Pr(e) over the evidence slice (the
         entries off it do not enter Pr(e))."""
         i = self._position(name)
-        theta, d = self.bound[i], self.tables[i]
+        theta, d = self.program.bound[i], self.tables[i]
         _check_euler(theta, d, self.pr_e, f"adjoint of {name!r}")
         return self.program.inputs[i], theta, d
 
@@ -726,24 +695,22 @@ class Adjoints:
         return self.family(name).reshape(-1, card).sum(axis=0) / self.pr_e
 
 
-def adjoints(program: Program, bound: list) -> Adjoints:
+def adjoints(program: Program) -> Adjoints:
     """Run a Pr(e) program (one recorded with nothing kept and nothing
-    maximized) forward on its bound input tables (``bind``), then backward
-    over the same buckets and alignments.
+    maximized) forward on its input tables (``program.bound``), then
+    backward over the same buckets and alignments.
 
     The forward pass runs ``replay``'s operations, so Pr(e) is bitwise
     ``replay``'s, with the same overflow check, and keeps every table and
     running product; the backward pass gives each operand of a product the
     product of the others times the result's adjoint, summed down to the
-    operand's scope, so no adjoint is ever a quotient.  The result keeps
-    the input tables it was given; ``bound`` itself is left as it was.
+    operand's scope, so no adjoint is ever a quotient.
     """
     if program.shape != ():
         raise ModelError("adjoints need a program that keeps no variable")
     if any(b.rest is not None for b in program.buckets):
         raise ModelError("adjoints need a summing program, not a maximizing one")
-    bound = tuple(bound)
-    tables = list(bound)
+    tables = list(program.bound)
     saved = []
     for b in program.buckets:
         prefixes = []
@@ -761,7 +728,7 @@ def adjoints(program: Program, bound: list) -> Adjoints:
         b = program.buckets[k]
         grad = adj[n + k].reshape(b.flat).repeat(b.size, axis=b.axis)
         adj[b.first] = _multiply_back(grad, saved[k], tables, b.steps, b.back, adj)
-    return Adjoints(program, bound, pr_e, tuple(adj[:n]))
+    return Adjoints(program, pr_e, tuple(adj[:n]))
 
 
 # np.einsum names each axis by a letter, and before numpy 2 takes at most 32
@@ -832,13 +799,13 @@ class _Query(NamedTuple):
 
 
 class Jointree:
-    """A Shenoy–Shafer jointree over a network reduced by its evidence
-    (``reduce``), answering a fixed list of queries (Shenoy & Shafer 1990;
-    Darwiche, *Modeling and Reasoning with Bayesian Networks*, 2009, ch. 7).
+    """A Shenoy–Shafer jointree over a network and its evidence, answering
+    a fixed list of queries (Shenoy & Shafer 1990; Darwiche, *Modeling and
+    Reasoning with Bayesian Networks*, 2009, ch. 7).
 
-    Query j, a pair (without, keep), asks for the table that ``record(
-    reduced, without, keep)`` computes: Pr(e) with the CPTs of ``without``
-    left out, summed down to the variables ``keep``, whose axes come in
+    Query j, a pair (without, keep), asks for the table that ``record(net,
+    ev, without, keep)`` computes: Pr(e) with the CPTs of ``without`` left
+    out, summed down to the variables ``keep``, whose axes come in
     that order with their full cardinalities (zero off an observed one's
     state).  Each CPT may be left out of one query at most.
 
@@ -863,15 +830,16 @@ class Jointree:
     it.  No step divides, so the tables stay exact at zero parameters.
     ``sent`` counts the messages computed.
 
-    ``inputs`` and ``cpt_inputs`` are as in a ``Program``, so ``bind`` and
-    ``write`` take the tree in its place.  ``bound`` starts with the input
-    tables, read off the reduced network when the tree is built, and goes
-    on with the messages (None where forgotten) and the constant tables.
+    ``inputs`` (every CPT sliced by the evidence, ``_factors``) and
+    ``cpt_inputs`` are as in a ``Program``.  ``bound`` starts with the
+    input tables, read off ``net`` (``_bind``) once the width is checked,
+    and goes on with the messages (None where forgotten) and the constant
+    tables.
     """
 
-    def __init__(self, reduced: Reduction, queries, width_cap=None):
-        net, ev_index = reduced.net, reduced.ev_index
-        self.inputs = inputs = reduced.inputs
+    def __init__(self, net: Network, ev: Evidence, queries, width_cap=None):
+        ev_index = _indexed(net, ev)
+        self.inputs = inputs = tuple(_factors(net, ev_index))
         self.cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs)}
         # per query: its left-out input ids, kept variables, unobserved kept
         # variables and pseudo-scope
@@ -980,7 +948,7 @@ class Jointree:
             shape = tuple(net.var(v).card for v in keep)
             self._queries.append(_Query(toward, table, shape, take))
         self.sent = 0
-        self.bound = bind(self, net) + [None] * (2 * len(edges)) + fixed
+        self.bound = _bind(inputs, net) + [None] * (2 * len(edges)) + fixed
 
     def _leaving(self, c: int) -> list[int]:
         """The messages that point away from clique ``c``, nearest first."""
@@ -994,10 +962,11 @@ class Jointree:
         return out
 
     def set_cpt(self, name: str, table: np.ndarray) -> None:
-        """Make ``table`` the CPT of ``name`` (``write``), and forget the
+        """Make ``table`` the CPT of ``name`` (``_write``), and forget the
         messages that depend on it: those leaving its input's clique."""
-        write(self, self.bound, name, table)
-        c = self._holder[self.cpt_inputs[name]]
+        i = self.cpt_inputs[name]
+        _write(self.inputs, self.bound, i, table)
+        c = self._holder[i]
         stale = self._stale.get(c)
         if stale is None:
             n = len(self.inputs)
@@ -1031,7 +1000,7 @@ def min_fill_order(net: Network, query=()) -> EliminationOrder:
     query = set(query)
     for q in query:
         net.var(q)
-    return _order(_factors(reduce(net, {})), net.decl_index, keep=query)
+    return _order(_factors(net, {}), net.decl_index, keep=query)
 
 
 def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
@@ -1042,7 +1011,7 @@ def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
     map_vars = set(map_vars)
     for q in map_vars:
         net.var(q)
-    return _order(_factors(reduce(net, {})), net.decl_index, last=map_vars)
+    return _order(_factors(net, {}), net.decl_index, last=map_vars)
 
 
 def induced_width(net: Network, order) -> int:
@@ -1064,20 +1033,19 @@ def induced_width(net: Network, order) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EngineState:
-    """Compiled (network, evidence) pair: the recorded Pr(e) program, its
-    input tables bound to ``net`` (``bind``), and Pr(e) from them.
+    """Compiled (network, evidence) pair: the recorded Pr(e) program, which
+    holds its input tables read off ``net``, and Pr(e) from them.
 
     A caller that wants more than Pr(e) from the same elimination runs
-    ``adjoints(st.program, st.bound)`` (``deletion.recover_marginals``), so
-    nothing is recorded or bound twice.  Every query made through the state
-    is recorded under ``width_cap``.  Queries are read-only.
+    ``adjoints(st.program)`` (``deletion.recover_marginals``), so nothing
+    is recorded or read twice.  Every query made through the state is
+    recorded under ``width_cap``.  Queries are read-only.
     """
 
     net: Network
     evidence: Evidence
     width_cap: int | None
     program: Program
-    bound: tuple[np.ndarray, ...]
     pr_e: float
 
     @property
@@ -1087,9 +1055,8 @@ class EngineState:
 
 def compile(net: Network, ev: Evidence, width_cap: int = WIDTH_CAP_DEFAULT) -> EngineState:
     """Check the evidence against the network and compute Pr(e)."""
-    program = record(reduce(net, ev), width_cap=width_cap)
-    bound = tuple(bind(program, net))
-    return EngineState(net, ev, width_cap, program, bound, float(replay(program, bound)[0]))
+    program = record(net, ev, width_cap=width_cap)
+    return EngineState(net, ev, width_cap, program, float(replay(program)[0]))
 
 
 def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
@@ -1099,8 +1066,8 @@ def posterior_marginal(st: EngineState, name: str) -> np.ndarray:
         raise InconsistentEvidenceError("evidence has zero probability")
     if name in st.program.ev_index:
         return np.eye(var.card)[st.program.ev_index[name]]
-    program = record(reduce(st.net, st.evidence), keep=(name,), width_cap=st.width_cap)
-    table, _ = replay(program, bind(program, st.net))
+    program = record(st.net, st.evidence, keep=(name,), width_cap=st.width_cap)
+    table, _ = replay(program)
     return table / st.pr_e
 
 
@@ -1122,8 +1089,8 @@ def pairwise_marginal(st: EngineState, a: str, b: str) -> np.ndarray:
     elif b_obs:
         out[:, ev_index[b]] = posterior_marginal(st, a)
     else:
-        program = record(reduce(st.net, st.evidence), keep=(a, b), width_cap=st.width_cap)
-        table, _ = replay(program, bind(program, st.net))
+        program = record(st.net, st.evidence, keep=(a, b), width_cap=st.width_cap)
+        table, _ = replay(program)
         out = table / st.pr_e
     return out
 
@@ -1139,10 +1106,8 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     if net.cpt(cpt.child.name) is not cpt and net.cpt(cpt.child.name) != cpt:
         raise ModelError(f"cpt for {cpt.child.name!r} does not belong to this network")
     family = [p.name for p in cpt.parents] + [cpt.child.name]
-    program = record(
-        reduce(net, st.evidence), (cpt.child.name,), family, width_cap=st.width_cap
-    )
-    d = replay(program, bind(program, net))[0]
+    program = record(net, st.evidence, (cpt.child.name,), family, width_cap=st.width_cap)
+    d = replay(program)[0]
     _check_euler(cpt.shaped, d, st.pr_e, f"derivative table for {cpt.child.name!r}")
     return d
 
@@ -1162,8 +1127,8 @@ def exact_map(
         net.var(name)
     assignment = {name: ev[name] for name in map_list if name in ev}
     hidden_map = [name for name in map_list if name not in ev]
-    program = record(reduce(net, ev), maximize=hidden_map, width_cap=width_cap)
-    value, traceback = replay(program, bind(program, net))
+    program = record(net, ev, maximize=hidden_map, width_cap=width_cap)
+    value, traceback = replay(program)
     q = float(value)
 
     chosen: dict[str, int] = {}

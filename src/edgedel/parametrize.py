@@ -13,15 +13,14 @@ between the source network and its approximation.
 ``run`` is the one entry point: the method, the schedule, the number of
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
-What its sweeps read is built once, before the first sweep, from one
-reduction of N' by its evidence: one jointree of N' (``engine.Jointree``)
-in both schedules.  A sequential run reads each edge's table over (parent,
-clone) off it, and a simultaneous run each edge's derivatives with respect
-to its clone prior and soft-evidence row; either reads Pr'(e') off it.  An
-edge's new (pm, se) reach the tree as whole edge tables, the clone prior
-and the soft-evidence CPT that ``apply_params`` would install
-(``deletion.se_table``), each sliced by ``engine.write`` as ``bind``
-slices it.
+What its sweeps read is built once, before the first sweep: one jointree
+of N' and its evidence (``engine.Jointree``) in both schedules.  A
+sequential run reads each edge's table over (parent, clone) off it, and a
+simultaneous run each edge's derivatives with respect to its clone prior
+and soft-evidence row; either reads Pr'(e') off it.  An edge's new (pm, se)
+reach the tree as whole edge tables, the clone prior and the soft-evidence
+CPT that ``apply_params`` would install (``deletion.se_table``), each
+sliced by the evidence as the tree sliced the tables it read off N'.
 """
 
 from __future__ import annotations
@@ -131,8 +130,7 @@ def _start_vectors(nprime, records, plan):
 
 class _Fit:
     """One ``run``'s current edge vectors and the one jointree of N' its
-    sweeps read (``engine.Jointree``), built from one reduction of N' by its
-    evidence.
+    sweeps read (``engine.Jointree``), built from N' and its evidence.
 
     In sequential mode query i is edge i's table g over (parent, clone):
     N' without the edge's clone prior and soft-evidence CPT, whose chain
@@ -144,8 +142,8 @@ class _Fit:
 
     Setting an edge's vectors builds its clone prior and soft-evidence CPT
     tables once and writes them into the tree, which slices them by the
-    evidence as ``bind`` slices them and forgets the messages leaving the
-    edge's clique; no other input is read again.
+    evidence as it sliced the tables it read off N' and forgets the messages
+    leaving the edge's clique; no other input is read again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
@@ -155,7 +153,7 @@ class _Fit:
         else:
             queries = [q for rec in records
                        for q in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))]
-        self.tree = engine.Jointree(engine.reduce(nprime, evp), queries + [((), ())], width_cap)
+        self.tree = engine.Jointree(nprime, evp, queries + [((), ())], width_cap)
         self.vectors = [None] * len(records)
         for j, (pm, se) in enumerate(vectors):
             self.set(j, pm, se)
@@ -188,7 +186,7 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     not compute it).
 
     A sweep reads N' only through ``fit``'s jointree, and writes only the
-    edges' new tables into it (``_Fit.set``); it records and binds nothing.
+    edges' new tables into it (``_Fit.set``); it records nothing.
     Only the messages that earlier writes made stale are sent again.
 
     Sequential mode reads one table per edge: g over (parent, clone) of N'

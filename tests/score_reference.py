@@ -58,8 +58,7 @@ def routed_scores(net, ev, one_pass):
     elimination per edge."""
     aug, records = scored_records(net)
     if one_pass:
-        program = engine.record(engine.reduce(aug, ev))
-        grads = engine.adjoints(program, engine.bind(program, aug))
+        grads = engine.adjoints(engine.record(aug, ev))
         table, pr_e = grads.cpt, grads.pr_e
     else:
         st = engine.compile(aug, ev)
@@ -73,9 +72,8 @@ def reference_scores(net, ev, max_iterations=None):
     ``fit_edge`` per edge, then each run of scores tied within TIE_TOL
     refitted on ``cpt_derivatives`` tables and reordered."""
     aug, records = scored_records(net)
-    program = engine.record(engine.reduce(aug, ev))
-    grads = engine.adjoints(program, engine.bind(program, aug))
-    st = engine.EngineState(aug, ev, engine.WIDTH_CAP_DEFAULT, program, grads.bound, grads.pr_e)
+    grads = engine.adjoints(engine.record(aug, ev))
+    st = engine.EngineState(aug, ev, engine.WIDTH_CAP_DEFAULT, grads.program, grads.pr_e)
     scored = sorted(
         ((fit_edge(r, grads.cpt(r.clone), grads.pr_e, max_iterations), i)
          for i, r in enumerate(records)),

@@ -135,6 +135,8 @@ class TestKlBound:
             assert got.total == pytest.approx(want, abs=1e-9)
             assert got.total >= -1e-9
             assert got.total == pytest.approx(sum(got.edge_terms) + got.correction, abs=1e-12)
+            assert type(got.total) is float
+            assert all(type(t) is float for t in got.edge_terms)
             done += 1
 
     def test_zero_evidence_error_names_the_network(self, coins_fixture):
@@ -544,6 +546,7 @@ class TestScoreEdges:
         want = enumeration_kl_over_all_vars(aug, nprime, plan, ev, evp)
         assert s.score == pytest.approx(want, abs=1e-9)
         assert s.score > 0.0
+        assert type(s.score) is float
 
     def test_one_adjoint_pass_for_all_edges(self, monkeypatch):
         # Pr(e) and every clone table come from one forward/backward pass;
@@ -585,10 +588,10 @@ class TestScoreEdges:
         net = grid_network(4, 4, rng=np.random.default_rng(5))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         width = compile(augment(net, net.edges()), ev).width
-        calls = count_engine_calls(monkeypatch, ["replay", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "adjoints"])
         with pytest.raises(CapacityError, match=f"induced width {width} exceeds the cap of {width - 1}"):
             score_edges(net, ev, width_cap=width - 1)
-        assert calls == {"replay": 0, "adjoints": 0}
+        assert calls == {"_bind": 0, "replay": 0, "adjoints": 0}
 
     def test_converged_scores_satisfy_exactness_on_their_edge(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ from conftest import brute_posterior, count_engine_calls, positive_evidence, ran
 
 def kept(net, ev, without, keep, width_cap=engine_module.WIDTH_CAP_DEFAULT):
     """Pr(e) without the CPTs of ``without``, over ``keep``: one recorded
-    program, bound and replayed."""
-    program = engine_module.record(engine_module.reduce(net, ev), without, keep, width_cap=width_cap)
-    return engine_module.replay(program, engine_module.bind(program, net))[0]
+    program, replayed."""
+    program = engine_module.record(net, ev, without, keep, width_cap=width_cap)
+    return engine_module.replay(program)[0]
 
 
 def chain3():
@@ -167,7 +168,7 @@ def full_rescan_order(factors, decl_index, keep=(), last=(), width_cap=None):
 
 
 def reduced_factors(net, ev):
-    return engine_module._factors(engine_module.reduce(net, ev))
+    return engine_module._factors(net, engine_module._indexed(net, ev))
 
 
 def tie_heavy_network(rng):
@@ -603,19 +604,17 @@ class TestProgramReuse:
     @staticmethod
     def outputs(net, ev):
         """Every table the programs of three queries give on one instance."""
-        reduced = engine_module.reduce(net, ev)
         out = []
-        program = engine_module.record(reduced)
-        bound = engine_module.bind(program, net)
-        out.append(engine_module.replay(program, bound)[0])
-        grads = engine_module.adjoints(program, bound)
+        program = engine_module.record(net, ev)
+        out.append(engine_module.replay(program)[0])
+        grads = engine_module.adjoints(program)
         out.append(grads.pr_e)
         out.extend(grads.tables)
         out.extend(grads.posterior(v.name) for v in net.variables)
-        program = engine_module.record(reduced, ("N1_1",), ("N1_1", "N0_1", "N1_0"))
-        out.append(engine_module.replay(program, engine_module.bind(program, net))[0])
-        program = engine_module.record(reduced, maximize=("N0_0", "N1_1", "N2_2"))
-        value, traceback = engine_module.replay(program, engine_module.bind(program, net))
+        program = engine_module.record(net, ev, ("N1_1",), ("N1_1", "N0_1", "N1_0"))
+        out.append(engine_module.replay(program)[0])
+        program = engine_module.record(net, ev, maximize=("N0_0", "N1_1", "N2_2"))
+        value, traceback = engine_module.replay(program)
         out.append(value)
         for var, rest, argmax in traceback:
             out.extend((var, rest, argmax))
@@ -651,7 +650,7 @@ class TestProgramReuse:
     )
     def test_each_part_of_the_key_forces_a_miss(self, monkeypatch, variant, orders):
         net, ev = self.instance(1, 0)
-        engine_module.record(engine_module.reduce(net, ev), keep=("N1_1", "N2_2"))
+        engine_module.record(net, ev, keep=("N1_1", "N2_2"))
         other, other_ev = self.instance(2, 1)
         without, keep, maximize = (), ("N1_1", "N2_2"), ()
         if variant == "observed set":
@@ -665,37 +664,38 @@ class TestProgramReuse:
         elif variant == "declaration order":
             other = Network(list(reversed(other.variables)), other.cpts())
         calls = count_engine_calls(monkeypatch, ["_order"])
-        engine_module.record(engine_module.reduce(other, other_ev), without, keep, maximize)
+        engine_module.record(other, other_ev, without, keep, maximize)
         assert calls == {"_order": orders}
 
     @pytest.mark.parametrize("maximize", [(), ("N0_0", "N1_1", "N2_2", "N3_3")])
-    def test_a_hit_checks_its_own_width_cap(self, maximize):
+    def test_a_hit_checks_its_own_width_cap(self, monkeypatch, maximize):
         net, ev = self.instance(1, 0)
-        reduced = engine_module.reduce(net, ev)
+        calls = count_engine_calls(monkeypatch, ["_bind"])
         with pytest.raises(CapacityError) as miss:
-            engine_module.record(reduced, maximize=maximize, width_cap=2)
+            engine_module.record(net, ev, maximize=maximize, width_cap=2)
         # a refused order is not kept
         assert not engine_module._recorded
-        width = engine_module.record(reduced, maximize=maximize).width
+        width = engine_module.record(net, ev, maximize=maximize).width
         assert width > 2
         with pytest.raises(CapacityError) as hit:
-            engine_module.record(reduced, maximize=maximize, width_cap=2)
+            engine_module.record(net, ev, maximize=maximize, width_cap=2)
         what = "constrained induced width" if maximize else "induced width"
         assert str(hit.value) == str(miss.value) == f"{what} {width} exceeds the cap of 2"
-        assert engine_module.record(reduced, maximize=maximize, width_cap=width).width == width
+        # a refused program reads no table, on a miss or a hit
+        assert calls == {"_bind": 1}
+        assert engine_module.record(net, ev, maximize=maximize, width_cap=width).width == width
 
     def test_the_least_recently_used_of_32_programs_goes_first(self, monkeypatch):
         net = chain_network(8, rng=np.random.default_rng(3))
         names = [v.name for v in net.variables]
         keeps = [(a,) for a in names] + [(a, b) for a in names for b in names if a != b]
         assert len(keeps) >= 63
-        reduced = engine_module.reduce(net, Evidence({}))
         calls = count_engine_calls(monkeypatch, ["_order"])
         sizes = []
 
         def record(keep):
             before = calls["_order"]
-            engine_module.record(reduced, keep=keep)
+            engine_module.record(net, Evidence({}), keep=keep)
             sizes.append(len(engine_module._recorded))
             return calls["_order"] - before
 
@@ -707,6 +707,42 @@ class TestProgramReuse:
         assert record(keeps[0]) == 0
         assert record(keeps[1]) == 1
         assert max(sizes) == sizes[-1] == 32
+
+    def test_a_key_evicted_between_lookup_and_reuse(self, monkeypatch):
+        # another thread may record 32 other keys between record's lookup
+        # of its key and its reuse of the entry: the call still gives a
+        # cold recording's bits, and the cache keeps its bound
+        net = chain_network(8, rng=np.random.default_rng(3))
+        names = [v.name for v in net.variables]
+        others = [(a, b) for a in names for b in names if a != b][:32]
+        ev = Evidence({"X8": "s1"})
+        cold = engine_module.replay(engine_module.record(net, ev, keep=("X1",)))[0]
+
+        class Interleaved(OrderedDict):
+            """A cache whose first lookup finds its entry, then lets the
+            32 other keys be recorded before it returns."""
+
+            pending = True
+
+            def _found(self, entry):
+                if self.pending:
+                    self.pending = False
+                    for keep in others:
+                        engine_module.record(net, ev, keep=keep)
+                return entry
+
+            def get(self, key, default=None):
+                return self._found(super().get(key, default))
+
+            def pop(self, key, default=None):
+                return self._found(super().pop(key, default))
+
+        cache = Interleaved(engine_module._recorded)
+        monkeypatch.setattr(engine_module, "_recorded", cache)
+        warm = engine_module.replay(engine_module.record(net, ev, keep=("X1",)))[0]
+        assert not cache.pending
+        assert warm.tobytes() == cold.tobytes()
+        assert len(cache) == 32
 
     def test_a_second_score_on_the_same_structure_orders_nothing(self, monkeypatch):
         score_edges(*self.instance(1, 0))
@@ -796,7 +832,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, rng=np.random.default_rng(23))
         ev = Evidence({"X4": "s1", "X8": "s0"})
         without, keep = ("X5",), ("X4", "X5")
-        program = engine_module.record(engine_module.reduce(net, ev), without, keep)
+        program = engine_module.record(net, ev, without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X4",), [0.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -806,7 +842,7 @@ class TestReplayMatchesFactorLoop:
         net = chain_network(8, states=3, rng=np.random.default_rng(24))
         ev = Evidence({"X3": "s2"})
         without, keep = ("X8",), ("X7", "X8")
-        program = engine_module.record(engine_module.reduce(net, ev), without, keep)
+        program = engine_module.record(net, ev, without, keep)
         fixed = [inp for inp in program.inputs if inp.cpt is None]
         assert [(inp.scope, inp.table.tolist()) for inp in fixed] == [(("X8",), [1.0, 1.0, 1.0])]
         want = ref.reference_table(net, ev, without, keep)[0]
@@ -815,7 +851,7 @@ class TestReplayMatchesFactorLoop:
     def test_scalar_intermediates(self):
         net = chain_network(8, rng=np.random.default_rng(25))
         ev = Evidence({f"X{i}": "s0" for i in range(2, 9)})
-        program = engine_module.record(engine_module.reduce(net, ev))
+        program = engine_module.record(net, ev)
         assert [b.shape for b in program.buckets] == [()]
         assert all(inp.reduced == () for inp in program.inputs[2:])
         st = compile(net, ev)
@@ -828,7 +864,7 @@ class TestReplayMatchesFactorLoop:
     def test_fully_observed_network_has_no_buckets(self):
         net = grid_network(3, 3, states=3, rng=np.random.default_rng(26))
         ev = Evidence({v.name: v.states[1] for v in net.variables})
-        program = engine_module.record(engine_module.reduce(net, ev))
+        program = engine_module.record(net, ev)
         assert program.buckets == () and len(program.final) == len(net.variables)
         assert np.float64(compile(net, ev).pr_e).tobytes() == np.float64(
             ref.reference_pr_e(net, ev)
@@ -857,17 +893,16 @@ def late_overflowing_network():
 class TestReplayGuards:
     def test_overflow_in_a_later_bucket_raises_from_every_pass(self):
         net = late_overflowing_network()
-        program = engine_module.record(engine_module.reduce(net, Evidence({})))
-        bound = engine_module.bind(program, net)
+        program = engine_module.record(net, Evidence({}))
         # the first bucket's product is finite: the overflow comes later
         first = program.buckets[0]
-        tables = list(bound)
+        tables = list(program.bound)
         assert np.isfinite(engine_module._multiply(tables, tables[first.first], first.steps)).all()
         message = "numerical overflow in factor product"
         with pytest.raises(ModelError, match=message):
-            engine_module.replay(program, bound)
+            engine_module.replay(program)
         with pytest.raises(ModelError, match=message):
-            engine_module.adjoints(program, bound)
+            engine_module.adjoints(program)
         with pytest.raises(ModelError, match=message):
             kept(net, Evidence({}), (), ("N1_1",))
         # a maximizing program
@@ -877,12 +912,11 @@ class TestReplayGuards:
     def test_finite_passes_raise_no_numpy_warning(self):
         net = grid_network(4, 4, rng=np.random.default_rng(0))
         ev = leaf_evidence(net)
-        program = engine_module.record(engine_module.reduce(net, ev))
-        bound = engine_module.bind(program, net)
+        program = engine_module.record(net, ev)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            engine_module.replay(program, bound)
-            engine_module.adjoints(program, bound)
+            engine_module.replay(program)
+            engine_module.adjoints(program)
             kept(net, ev, (), ("N1_1", "N2_2"))
             exact_map(net, ev, ["N1_1", "N0_2"])
 
@@ -892,24 +926,24 @@ class TestReplayGuards:
             kept(net, Evidence({}), (), ("B",))
         with pytest.raises(ModelError, match="numerical overflow in factor product") as got:
             ref.reference_table(net, Evidence({}), (), ("B",))
-        program = engine_module.record(engine_module.reduce(net, Evidence({})), (), ("B",))
-        bound = engine_module.bind(program, net)
+        program = engine_module.record(net, Evidence({}), (), ("B",))
         with pytest.raises(ModelError) as replayed:
-            engine_module.replay(program, bound)
+            engine_module.replay(program)
         assert str(replayed.value) == str(want.value) == str(got.value)
 
     def test_replay_leaves_the_bound_tables_alone(self):
         net = chain3()
-        program = engine_module.record(engine_module.reduce(net, Evidence({"C": "c1"})), ("B",), ("A", "B"))
-        bound = engine_module.bind(program, net)
-        before = list(bound)
-        first = engine_module.replay(program, bound)[0]
+        program = engine_module.record(net, Evidence({"C": "c1"}), ("B",), ("A", "B"))
+        before = list(program.bound)
+        first = engine_module.replay(program)[0]
+        bound = program.bound
         assert len(bound) == len(before) and all(a is b for a, b in zip(bound, before))
-        assert engine_module.replay(program, bound)[0].tobytes() == first.tobytes()
+        assert engine_module.replay(program)[0].tobytes() == first.tobytes()
 
-    def test_bind_on_mismatched_cpt_shapes_raises(self):
-        net = chain3()
-        program = engine_module.record(engine_module.reduce(net, Evidence({"C": "c1"})), ("B",), ("A", "B"))
+    def test_writing_a_cpt_of_the_wrong_shape_raises(self):
+        # a jointree's set_cpt checks each table against the shape its
+        # input was recorded for, as record reads every CPT
+        tree = engine_module.Jointree(chain3(), Evidence({"C": "c1"}), [(("B",), ("A", "B"))])
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1", "b2"))
         c = Variable("C", ("c0", "c1"))
@@ -922,28 +956,12 @@ class TestReplayGuards:
             ],
         )
         with pytest.raises(ModelError, match="cpt for 'C' has shape"):
-            engine_module.bind(program, other)
-
-    def test_programs_sharing_a_reduction_match_their_own(self):
-        net = chain3()
-        ev = Evidence({"C": "c1"})
-        reduced = engine_module.reduce(net, ev)
-        for without, keep in ((("B",), ("A", "B")), ((), ("A",)), ((), ())):
-            program = engine_module.record(reduced, without, keep)
-            got = engine_module.replay(program, engine_module.bind(program, net))[0]
-            assert got.tobytes() == kept(net, ev, without, keep).tobytes()
-
-    def test_bind_on_a_network_missing_an_input_raises(self):
-        program = engine_module.record(engine_module.reduce(chain3(), Evidence({})), (), ("C",))
-        a = Variable("A", ("a0", "a1"))
-        with pytest.raises(ModelError, match="unknown variable"):
-            engine_module.bind(program, Network([a], [Cpt(a, (), [0.5, 0.5])]))
+            tree.set_cpt("C", other.cpt("C").shaped)
 
 
 def one_pass(net, ev):
     """One forward/backward pass of Pr(e) on (net, ev)."""
-    program = engine_module.record(engine_module.reduce(net, ev))
-    return engine_module.adjoints(program, engine_module.bind(program, net))
+    return engine_module.adjoints(engine_module.record(net, ev))
 
 
 def adjoint_cases():
@@ -972,8 +990,8 @@ class TestAdjoints:
     @pytest.mark.parametrize("net,ev", adjoint_cases())
     def test_match_cpt_derivatives_and_posteriors(self, net, ev):
         st = compile(net, ev)
-        program = engine_module.record(engine_module.reduce(net, ev))
-        grads = engine_module.adjoints(program, engine_module.bind(program, net))
+        program = engine_module.record(net, ev)
+        grads = engine_module.adjoints(program)
         # the forward pass is replay's arithmetic
         assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
         for i, inp in enumerate(program.inputs):
@@ -1070,8 +1088,8 @@ class TestAdjointGuards:
         aug, _, plan = approximate_network(net, net.edges()[:3])
         real = engine_module.adjoints
 
-        def corrupted(program, bound):
-            grads = real(program, bound)
+        def corrupted(program):
+            grads = real(program)
             return dataclasses.replace(grads, tables=tuple(t * (1 + 1e-6) for t in grads.tables))
 
         monkeypatch.setattr(engine_module, "adjoints", corrupted)
@@ -1088,21 +1106,21 @@ class TestAdjointGuards:
 
     def test_maximize_program_refused(self):
         net = chain3()
-        program = engine_module.record(engine_module.reduce(net, Evidence({})), maximize=("A",))
+        program = engine_module.record(net, Evidence({}), maximize=("A",))
         with pytest.raises(ModelError, match="maximizing"):
-            engine_module.adjoints(program, engine_module.bind(program, net))
+            engine_module.adjoints(program)
 
     def test_kept_variable_program_refused(self):
         net = chain3()
-        program = engine_module.record(engine_module.reduce(net, Evidence({})), (), ("C",))
+        program = engine_module.record(net, Evidence({}), (), ("C",))
         with pytest.raises(ModelError, match="keeps no variable"):
-            engine_module.adjoints(program, engine_module.bind(program, net))
+            engine_module.adjoints(program)
 
     def test_overflow_raises_the_replay_error(self):
         net = overflowing_network()
-        program = engine_module.record(engine_module.reduce(net, Evidence({})))
+        program = engine_module.record(net, Evidence({}))
         with pytest.raises(ModelError, match="numerical overflow in factor product"):
-            engine_module.adjoints(program, engine_module.bind(program, net))
+            engine_module.adjoints(program)
 
 
 def degenerate_instance(net, rng, share, impossible):
@@ -1158,13 +1176,12 @@ class TestAgainstEnumeration:
             assert total == 0.0
         tol = dict(rtol=1e-12, atol=1e-15 * total)
 
-        program = engine_module.record(engine_module.reduce(net, ev))
-        bound = engine_module.bind(program, net)
-        pr_e = float(engine_module.replay(program, bound)[0])
+        program = engine_module.record(net, ev)
+        pr_e = float(engine_module.replay(program)[0])
         assert np.isclose(pr_e, total, **tol)
         assert (pr_e == 0.0) == (total == 0.0)
 
-        grads = engine_module.adjoints(program, bound)
+        grads = engine_module.adjoints(program)
         assert grads.pr_e == pr_e
         hidden = set(joint.names())
         for v in net.variables:

@@ -39,39 +39,39 @@ import record_report_golden
 
 
 def count_passes_by_network(monkeypatch):
-    """Count ``engine`` records, binds, replays and forward/backward passes
-    by the kind of network they run on ("augmented" for the source network,
+    """Count ``engine`` records, table reads (``_bind``), replays and
+    forward/backward passes by the kind of network they run on ("augmented" for the source network,
     "approximate" for N'), and compiles; returns the live Counter."""
     import edgedel.engine as engine_module
 
     calls = Counter()
     kinds = {}  # id(program) -> (program, kind); keeps programs alive
-    names = ("record", "bind", "replay", "adjoints", "compile")
+    names = ("record", "_bind", "replay", "adjoints", "compile")
     real = {name: getattr(engine_module, name) for name in names}
 
-    def record(reduced, *args, **kwargs):
-        program = real["record"](reduced, *args, **kwargs)
-        kinds[id(program)] = (program, reduced.net.kind)
-        calls["record", reduced.net.kind] += 1
+    def record(net, *args, **kwargs):
+        program = real["record"](net, *args, **kwargs)
+        kinds[id(program)] = (program, net.kind)
+        calls["record", net.kind] += 1
         return program
 
-    def bind(program, net):
-        calls["bind", net.kind] += 1
-        return real["bind"](program, net)
+    def bind(inputs, net):
+        calls["_bind", net.kind] += 1
+        return real["_bind"](inputs, net)
 
-    def replay(program, bound):
+    def replay(program):
         calls["replay", kinds[id(program)][1]] += 1
-        return real["replay"](program, bound)
+        return real["replay"](program)
 
-    def adjoints(program, bound):
+    def adjoints(program):
         calls["adjoints", kinds[id(program)][1]] += 1
-        return real["adjoints"](program, bound)
+        return real["adjoints"](program)
 
     def compile(*args, **kwargs):
         calls["compile"] += 1
         return real["compile"](*args, **kwargs)
 
-    for name, fn in [("record", record), ("bind", bind), ("replay", replay),
+    for name, fn in [("record", record), ("_bind", bind), ("replay", replay),
                      ("adjoints", adjoints), ("compile", compile)]:
         monkeypatch.setattr(engine_module, name, fn)
     return calls
@@ -299,14 +299,15 @@ class TestRunDeletionInstance:
         )
         # the fit's source pass and its own Pr'(e') serve the row's KL bound
         # and exact KL, so the row records and replays nothing on N'; the one
-        # N' binding is the fit's jointree, and the marginals take one
-        # record, bind and forward/backward pass on the fitted N'
-        marginals = {("record", "approximate"): 1, ("bind", "approximate"): 2,
+        # read of N''s tables is the fit's jointree's, and the marginals take
+        # one record (reading them again) and forward/backward pass on the
+        # fitted N'
+        marginals = {("record", "approximate"): 1, ("_bind", "approximate"): 2,
                      ("adjoints", "approximate"): 1}
         assert calls == {
-            ("record", "augmented"): 1, ("bind", "augmented"): 1,
+            ("record", "augmented"): 1, ("_bind", "augmented"): 1,
             ("adjoints", "augmented"): 1,
-            **(marginals if compute_marginals else {("bind", "approximate"): 1}),
+            **(marginals if compute_marginals else {("_bind", "approximate"): 1}),
         }
 
     def test_marginals_are_the_fitted_networks_posteriors(self):
@@ -385,6 +386,8 @@ class TestRunDeletionInstance:
         outcome = run_deletion_instance(net, ev, net.edges()[:6], "ed-kl")
         assert outcome.row.exact_kl is not None
         assert 0.0 <= outcome.row.exact_kl <= outcome.row.kl_bound
+        assert type(outcome.row.kl_bound) is float and type(outcome.row.exact_kl) is float
+        assert type(outcome.trace[-1].kl_bound) is float
 
     def test_exact_kl_caps_only_unobserved_states(self):
         # N' has 26 variables, 5 of them observed soft-evidence nodes

@@ -88,11 +88,9 @@ def random_params(nprime, plan, rng):
 
 
 def reference_table(nprime, evp, rec):
-    """g from the edge's own program, bound to ``nprime``."""
-    program = engine.record(
-        engine.reduce(nprime, evp), (rec.clone, rec.sevid), (rec.parent, rec.clone)
-    )
-    return engine.replay(program, engine.bind(program, nprime))[0]
+    """g from the edge's own program, recorded on ``nprime``."""
+    program = engine.record(nprime, evp, (rec.clone, rec.sevid), (rec.parent, rec.clone))
+    return engine.replay(program)[0]
 
 
 def assert_tables_match(tree, nprime, plan, evp):
@@ -125,7 +123,7 @@ def test_tables_match_the_per_edge_programs(case, seed):
     _, _, nprime, plan, evp = edge_case(seed, **CASES[case])
     records = deleted_records(nprime, plan)
     queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
-    tree = engine.Jointree(engine.reduce(nprime, evp), queries)
+    tree = engine.Jointree(nprime, evp, queries)
     assert_tables_match(tree, nprime, plan, evp)
     # new vectors for every other edge, one at a time: each write forgets
     # only the messages leaving its clique, and the tables still match
@@ -144,7 +142,7 @@ def test_observed_clone_keeps_its_state():
     rec = deleted_records(nprime, plan)[0]
     evp = evp.with_added({rec.clone: nprime.var(rec.clone).states[0]})
     query = ((rec.clone, rec.sevid), (rec.parent, rec.clone))
-    tree = engine.Jointree(engine.reduce(nprime, evp), [query])
+    tree = engine.Jointree(nprime, evp, [query])
     want = reference_table(nprime, evp, rec)
     np.testing.assert_allclose(tree.table(0), want, rtol=REL, atol=0)
     assert not tree.table(0)[:, 1:].any()
@@ -166,7 +164,7 @@ def test_a_clique_past_the_einsum_operand_limit():
     evp = augmented_evidence(nprime, ev)
     records = deleted_records(nprime, plan)
     queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
-    tree = engine.Jointree(engine.reduce(nprime, evp), queries)
+    tree = engine.Jointree(nprime, evp, queries)
     contractions = [q.table for q in tree._queries]
     contractions += [send for q in tree._queries for _, send in q.toward]
     assert any(c.folds for c in contractions)
@@ -177,10 +175,10 @@ def test_width_cap_is_checked_on_the_tree_before_any_sweep():
     _, _, nprime, plan, evp = edge_case(0, cards=(2,), k=3)
     records = deleted_records(nprime, plan)
     queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
-    width = engine.Jointree(engine.reduce(nprime, evp), queries).width
+    width = engine.Jointree(nprime, evp, queries).width
     assert width >= 1
     with pytest.raises(CapacityError):
-        engine.Jointree(engine.reduce(nprime, evp), queries, width_cap=width - 1)
+        engine.Jointree(nprime, evp, queries, width_cap=width - 1)
     cfg = IterationConfig(method="ed-bp", max_iterations=0)
     with pytest.raises(CapacityError):
         run(nprime, plan, evp, cfg, width_cap=width - 1)
@@ -200,10 +198,8 @@ def test_a_kept_variable_only_its_own_cpt_mentions(observed):
     ]
     ev = Evidence({"B": "s1"} if observed else {})
     for net in nets:
-        reduced = engine.reduce(net, ev)
-        tree = engine.Jointree(reduced, [(("B",), ("B",))])
-        program = engine.record(reduced, ("B",), ("B",))
-        want = engine.replay(program, engine.bind(program, net))[0]
+        tree = engine.Jointree(net, ev, [(("B",), ("B",))])
+        want = engine.replay(engine.record(net, ev, ("B",), ("B",)))[0]
         np.testing.assert_allclose(tree.table(0), want, rtol=REL, atol=0)
 
 
@@ -212,15 +208,15 @@ def test_a_cpt_left_out_of_two_queries_is_refused():
     rec = deleted_records(nprime, plan)[0]
     query = ((rec.clone, rec.sevid), (rec.parent, rec.clone))
     with pytest.raises(ModelError, match="more than one"):
-        engine.Jointree(engine.reduce(nprime, evp), [query, query])
+        engine.Jointree(nprime, evp, [query, query])
 
 
 @pytest.mark.parametrize("observed", [False, True])
 @pytest.mark.parametrize(
     "route",
     [
-        lambda reduced, keep: engine.Jointree(reduced, [((), keep)]),
-        lambda reduced, keep: engine.record(reduced, keep=keep),
+        lambda net, ev, keep: engine.Jointree(net, ev, [((), keep)]),
+        lambda net, ev, keep: engine.record(net, ev, keep=keep),
     ],
     ids=["jointree", "record"],
 )
@@ -228,9 +224,9 @@ def test_a_variable_kept_twice_is_refused_by_name(route, observed):
     rng = np.random.default_rng(5)
     a, b = Variable("A", ("s0", "s1")), Variable("B", ("s0", "s1"))
     net = Network([a, b], [random_cpt(a, (), rng), random_cpt(b, (a,), rng)])
-    reduced = engine.reduce(net, Evidence({"A": "s1"} if observed else {}))
+    ev = Evidence({"A": "s1"} if observed else {})
     with pytest.raises(ModelError, match="^variable 'A' is kept more than once$"):
-        route(reduced, ("A", "B", "A"))
+        route(net, ev, ("A", "B", "A"))
 
 
 @pytest.mark.parametrize("observed", [False, True])
@@ -239,9 +235,9 @@ def test_a_variable_kept_and_maximized_is_refused_by_name(observed):
     rng = np.random.default_rng(5)
     a, b = Variable("A", ("s0", "s1")), Variable("B", ("s0", "s1"))
     net = Network([a, b], [random_cpt(a, (), rng), random_cpt(b, (a,), rng)])
-    reduced = engine.reduce(net, Evidence({"A": "s1"} if observed else {}))
+    ev = Evidence({"A": "s1"} if observed else {})
     with pytest.raises(ModelError, match="^variable 'A' is both kept and maximized$"):
-        engine.record(reduced, keep=("B", "A"), maximize=("A",))
+        engine.record(net, ev, keep=("B", "A"), maximize=("A",))
     assert not engine._recorded
 
 
@@ -276,7 +272,7 @@ class RebuiltFit(_Fit):
 
 class ProgramFit(RebuiltFit):
     """The sequential fit as it was before the jointree: each edge's table
-    from its own program, bound to N' rebuilt at the current vectors."""
+    from its own program, recorded on N' rebuilt at the current vectors."""
 
     def table(self, i):
         return reference_table(self.current(), self.evp, self.records[i])
@@ -285,12 +281,10 @@ class ProgramFit(RebuiltFit):
 class AdjointsFit(RebuiltFit):
     """The simultaneous fit as it was before the jointree: every derivative
     and Pr'(e') from one forward/backward pass of the Pr'(e') program,
-    bound to N' rebuilt at the current vectors."""
+    recorded on N' rebuilt at the current vectors."""
 
     def grads(self):
-        current = self.current()
-        program = engine.record(engine.reduce(current, self.evp))
-        return engine.adjoints(program, engine.bind(program, current))
+        return engine.adjoints(engine.record(self.current(), self.evp))
 
     def derivatives(self, i):
         rec, grads = self.records[i], self.grads()
@@ -343,7 +337,7 @@ def test_simultaneous_tree_keeps_the_width_of_n_prime(seed):
     edges, _ = rank_edges(net, ev, "rand", np.random.default_rng(seed))
     _, nprime, plan = approximate_network(net, edges[:10])
     evp = augmented_evidence(nprime, ev)
-    width = engine.record(engine.reduce(nprime, evp)).width
+    width = engine.record(nprime, evp).width
     records = deleted_records(nprime, plan)
     vectors = [(p.pm, p.se) for p in plan.params]
     fit = _Fit(nprime, evp, records, vectors, False, None)

@@ -153,11 +153,11 @@ class TestRunControl:
             EdgeParams(good.pm, np.full(3, 0.5))
         )
         plan = plan.with_params(1, bad)
-        calls = count_engine_calls(monkeypatch, ["bind", "replay", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "adjoints"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, initialization="plan")
         with pytest.raises(ModelError, match="N0_1 -> N0_1__clone1 have the wrong length"):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
-        assert calls == {"bind": 0, "replay": 0, "adjoints": 0}
+        assert calls == {"_bind": 0, "replay": 0, "adjoints": 0}
 
     def test_edkl_without_reference_rejected(self):
         rng = np.random.default_rng(1)
@@ -412,7 +412,7 @@ class TestEdgeTableSweep:
 
 class TestBoundSlots:
     """Writing new edge vectors into the fit's jointree (``_Fit.set``, at
-    construction or later) gives the very input tables ``bind`` reads off
+    construction or later) gives the very input tables ``record`` reads off
     N' rebuilt with them (``apply_params``), in either schedule's tree."""
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
@@ -438,7 +438,7 @@ class TestBoundSlots:
             for j, params in enumerate(new.params[1:], start=1):
                 fit.set(j, params.pm, params.se)
             tables = fit.tree.bound[: len(fit.tree.inputs)]
-            want = engine_module.bind(fit.tree, apply_params(nprime, new))
+            want = engine_module.record(apply_params(nprime, new), evp).bound
             assert [t.shape for t in tables] == [w.shape for w in want]
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
 
@@ -457,7 +457,7 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm, _ = true_edge_marginals(aug, ev, plan)
         names = [
-            "compile", "cpt_derivatives", "record", "_order", "replay", "adjoints", "bind",
+            "compile", "cpt_derivatives", "record", "_order", "replay", "adjoints", "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         reads = []
@@ -475,7 +475,7 @@ class TestWorkCounts:
         )
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         assert reads == (list(range(4)) if sequential else list(range(8)))
-        assert calls == {**dict.fromkeys(names, 0), "_order": 1, "bind": 1}
+        assert calls == {**dict.fromkeys(names, 0), "_order": 1, "_bind": 1}
 
     @staticmethod
     def messages_per_sweep(sequential):
@@ -517,7 +517,7 @@ class TestWorkCounts:
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = [
-            "compile", "posterior_marginal", "record", "_order", "replay", "adjoints", "bind",
+            "compile", "posterior_marginal", "record", "_order", "replay", "adjoints", "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         true_edge_marginals(aug, ev, plan)
@@ -526,7 +526,7 @@ class TestWorkCounts:
         # forward/backward pass
         assert own == {
             **dict.fromkeys(names, 0),
-            "record": 1, "_order": 1, "adjoints": 1, "bind": 1,
+            "record": 1, "_order": 1, "adjoints": 1, "_bind": 1,
         }
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
@@ -538,7 +538,7 @@ class TestWorkCounts:
         # and no recording, replay or pass on N'
         assert got == {
             **dict.fromkeys(names, 0),
-            "record": 1, "_order": 1, "adjoints": 1, "bind": 2,
+            "record": 1, "_order": 1, "adjoints": 1, "_bind": 2,
         }
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -550,9 +550,9 @@ class TestWorkCounts:
         real_record = engine_module.record
         recorded = []
 
-        def recording(reduced, *args, **kwargs):
-            program = real_record(reduced, *args, **kwargs)
-            recorded.append((reduced.net.kind, program.shape))
+        def recording(net, *args, **kwargs):
+            program = real_record(net, *args, **kwargs)
+            recorded.append((net.kind, program.shape))
             return program
 
         monkeypatch.setattr(engine_module, "record", recording)
@@ -569,7 +569,7 @@ class TestWorkCounts:
         # the tree, so no sweep orders, records, binds, replays, runs a
         # pass or builds N' (apply_params)
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        names = ["bind", "record", "_order", "replay", "adjoints"]
+        names = ["_bind", "record", "_order", "replay", "adjoints"]
         calls = count_engine_calls(monkeypatch, names)
         applied = []
         for module in (parametrize_module, deletion_module, divergence_module):
@@ -605,7 +605,7 @@ class TestWorkCounts:
         marks = starts + [mark()]
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
         none = dict.fromkeys(names + ["apply_params"], 0)
-        assert built == [{**none, "bind": 1, "_order": 1}]
+        assert built == [{**none, "_bind": 1, "_order": 1}]
         assert per_sweep == [none] * 3
 
     def test_simultaneous_sweeps_without_a_reference_run_one_pass_each(self, monkeypatch):
@@ -638,11 +638,11 @@ class TestWorkCounts:
     def test_recover_marginals_reads_one_pass(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         st = engine_module.compile(nprime, evp)
-        names = ["compile", "record", "bind", "posterior_marginal", "adjoints"]
+        names = ["compile", "record", "_bind", "posterior_marginal", "adjoints"]
         calls = count_engine_calls(monkeypatch, names)
         recover_marginals(nprime, plan, st)
-        # the pass runs the state's own program on the tables it bound
-        want = {"compile": 0, "record": 0, "bind": 0, "posterior_marginal": 0, "adjoints": 1}
+        # the pass runs the state's own program on the tables it read
+        want = {"compile": 0, "record": 0, "_bind": 0, "posterior_marginal": 0, "adjoints": 1}
         assert calls == want
 
     def test_mutual_information_scores_read_one_pass(self, monkeypatch):
