@@ -11,6 +11,7 @@ evidence: the source evidence plus every S' observed positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,21 @@ class EdgeParams:
         se = np.array(self.se, dtype=float).reshape(-1)
         if pm.size == 0 or se.size == 0:
             raise ModelError("edge parameters must be non-empty")
-        if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(se))):
+        # the entries are checked as Python floats, which is cheaper than
+        # numpy on vectors of a few entries
+        pms, ses = pm.tolist(), se.tolist()
+        if not all(map(math.isfinite, pms + ses)):
             raise ModelError("edge parameters must be finite")
-        if np.any(pm < 0):
+        if min(pms) < 0:
             raise ModelError("pm entries must be nonnegative")
         s = pm.sum()
         if abs(s - 1.0) > 1e-9:
             raise ModelError(f"pm must sum to 1 (got {float(s)!r})")
-        se = np.clip(se, 0.0, 1.0)
-        if not np.any(se > 0):
-            raise ModelError("se must not be all zero")
+        # clipping leaves entries in (0, 1] as they are, bit for bit
+        if not all(0.0 < x <= 1.0 for x in ses):
+            se = np.clip(se, 0.0, 1.0)
+            if not np.any(se > 0):
+                raise ModelError("se must not be all zero")
         pm.setflags(write=False)
         se.setflags(write=False)
         object.__setattr__(self, "pm", pm)

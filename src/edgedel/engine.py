@@ -18,12 +18,7 @@ the evidence slice).  Then ``replay`` runs exactly the recorded numpy
 operations on those tables, with an argmax traceback for the maximized
 variables.  It checks the program's result, not each product, for
 overflow: the inputs are finite and nonnegative, and an inf or NaN entry
-survives every later product, sum and maximum.  The order and buckets
-depend on the structure, the evidence and the query, not on the CPT
-entries.  So ``record`` keeps those of its last 32 keys (structure,
-observed set and query; least recently used evicted first), checks a kept
-width against each call's cap, and rebuilds the inputs and reads the tables
-on every call: the cache holds structure only.
+survives every later product, sum and maximum.
 
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
@@ -32,6 +27,14 @@ that order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
 through ``_write``) makes them stale.  ``parametrize.run`` reads every
 deleted edge's tables and Pr'(e') off one tree in either schedule, so a
 sweep's writes re-send only the messages that depend on them.
+
+Orders, buckets and tree plans depend on the structure, the observed set
+and the query, not on the CPT entries or the observed states.  So one
+cache (``_structure``) keeps those of the most recent keys for ``record``,
+``Jointree``, ``min_fill_order`` and ``constrained_order``, least recently
+used evicted first, and checks a kept width against each call's cap.  It
+holds structure only: every call builds its own inputs and reads its own
+tables, so its program or tree is a fresh one's, bit for bit.
 
 A program that keeps no variable computes Pr(e), which is multilinear in
 the CPT entries.  ``adjoints`` runs such a program forward on its tables
@@ -51,9 +54,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +133,8 @@ class _Input(NamedTuple):
 def _sliced(child, names, cards, ev_index, keep=()) -> _Input:
     """The input of the CPT of ``child`` over ``names`` (of ``cards``),
     sliced by the evidence on its scope outside ``keep``."""
+    if ev_index.keys().isdisjoint(names):
+        return _Input(names, cards, child, cards)
     sliced = [n in ev_index and n not in keep for n in names]
     if True not in sliced:
         return _Input(names, cards, child, cards)
@@ -152,14 +159,9 @@ def _factors(net: Network, ev_index, without=(), keep=()) -> list[_Input]:
     A kept observed variable gets an indicator input instead, and a kept
     variable that no remaining input mentions gets a ones input.
     """
-    inputs: list[_Input] = []
-    covered = set()
-    for layout in net.layout():
-        if layout[0] in without:
-            continue
-        inp = _sliced(*layout, ev_index, keep)
-        inputs.append(inp)
-        covered.update(inp.scope)
+    inputs = [_sliced(*layout, ev_index, keep) for layout in net.layout()
+              if layout[0] not in without]
+    covered = set().union(*(inp.scope for inp in inputs)) if keep else ()
     for name in keep:
         var = net.var(name)
         if name in ev_index:
@@ -319,7 +321,7 @@ class Program:
     bound: tuple[np.ndarray, ...]
 
 
-def _product_steps(scope, shape, ids, scopes, shapes, backward):
+def _product_steps(scope, shape, ids, scopes, shapes, backward, same):
     """How to multiply a table over ``scope``, of ``shape``, by the tables
     ``ids`` (over ``scopes[j]``, of ``shapes[j]``) left to right, each
     product appending the next table's new variables, as
@@ -330,7 +332,8 @@ def _product_steps(scope, shape, ids, scopes, shapes, backward):
     (j, grow, turn, fit) reshapes the running product to ``grow`` (its own
     axes, then a broadcast axis per new variable), and transposes table j
     by ``turn`` and reshapes it to ``fit`` to broadcast against it; each
-    part is None where it would be the identity.
+    part is None where it would be the identity.  Each part is passed
+    through ``same``, which returns one copy of equal tuples.
     """
     pos = {n: i for i, n in enumerate(scope)}
     scope, shape = list(scope), list(shape)
@@ -359,9 +362,9 @@ def _product_steps(scope, shape, ids, scopes, shapes, backward):
         turn = None
         if where != sorted(where):
             turn = tuple(sorted(range(len(where)), key=where.__getitem__))
-        steps.append((j, grow, turn, fit))
+        steps.append((j, same(grow), same(turn), same(fit)))
         if backward:
-            back.append(_reverse(mine, theirs, grow, turn, fit))
+            back.append(same(tuple(map(same, _reverse(mine, theirs, grow, turn, fit)))))
     return tuple(scope), tuple(shape), tuple(steps), tuple(back) if backward else None
 
 
@@ -401,9 +404,31 @@ def _distinct(keep) -> tuple[str, ...]:
     return keep
 
 
-# ``record``'s kept order and buckets per key, least recently used first
-_RECORDED_MAX = 32
-_recorded: OrderedDict = OrderedDict()
+# the structure kept per key, least recently used first: ``record``'s
+# orders and buckets, ``Jointree``'s plans, and the public orders.  96
+# entries hold about one round of the benchmark's matrix workload (two
+# instances' programs, trees and orders), so the next instance of a
+# structure still finds it
+_STRUCTURES_MAX = 96
+_structures: OrderedDict = OrderedDict()
+
+
+def _structure(key, build, last=(), width_cap=None):
+    """The structure kept under ``key``, else ``build()``'s, which orders
+    under ``width_cap``, so a refused structure is never kept.  The
+    ``_STRUCTURES_MAX`` most recently used keys are kept.  A kept ``width``
+    is checked against each call's ``width_cap`` as ``_order`` checks it
+    (``last`` as there), before the caller reads any table.  Each cache
+    step is one dict operation, so threads that share the cache never see
+    a key vanish between two steps."""
+    shared = _structures.pop(key, None)
+    if shared is None:
+        shared = build()
+    _structures[key] = shared
+    while len(_structures) > _STRUCTURES_MAX:
+        _structures.popitem(last=False)
+    _check_width(shared.width, last, width_cap)
+    return shared
 
 
 def record(
@@ -420,14 +445,10 @@ def record(
     computes Pr(e); run it with ``replay`` or ``adjoints``.
 
     The order and buckets depend only on the key (``net.layout()``, the
-    observed variables, ``without``, ``keep``, ``maximize``).  Those of the
-    last 32 keys are kept, least recently used evicted first, and a kept
-    width is checked against each call's ``width_cap`` as ``_order`` checks
-    it, before any table is read.  The cache holds structure only: each
-    call takes its own inputs (``_factors``: evidence slices and indicator
-    tables) and reads its own tables, so its program gives a fresh
-    recording's bits.  Each cache step is one dict operation, so threads
-    that share the cache never see a key vanish between two steps.
+    observed variables, ``without``, ``keep``, ``maximize``), so they are
+    kept (``_structure``).  The cache holds structure only: each call takes
+    its own inputs (``_factors``: evidence slices and indicator tables) and
+    reads its own tables, so its program gives a fresh recording's bits.
     """
     ev_index = _indexed(net, ev)
     keep = _distinct(keep)
@@ -437,21 +458,27 @@ def record(
             raise ModelError(f"variable {name!r} is both kept and maximized")
     without = tuple(without)
     inputs = _factors(net, ev_index, without, keep)
-    key = (net.layout(), frozenset(ev_index), without, keep, maximize)
-    shared = _recorded.pop(key, None)
-    if shared is None:
-        shared = _record(net, inputs, keep, maximize, width_cap)
-    _recorded[key] = shared
-    while len(_recorded) > _RECORDED_MAX:
-        _recorded.popitem(last=False)
-    _check_width(shared[-1], maximize, width_cap)
+    key = ("program", net.layout(), frozenset(ev_index), without, keep, maximize)
+    shared = _structure(
+        key, lambda: _record(net, inputs, keep, maximize, width_cap), maximize, width_cap
+    )
     cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None}
     return Program(tuple(inputs), *shared, cpt_inputs, ev_index, tuple(_bind(inputs, net)))
 
 
-def _record(net, inputs, keep, maximize, width_cap) -> tuple:
+# ``record``'s structure for one key: the ``Program`` fields from ``buckets``
+# to ``width``
+_Recorded = namedtuple("_Recorded", "buckets final final_steps final_back perm shape width")
+
+
+def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
     """``record``'s miss path: order ``inputs`` and record the buckets.
-    Returns the ``Program`` fields from ``buckets`` to ``width``."""
+    Equal shapes and steps share one tuple, since the recording is kept."""
+    pool: dict = {}
+
+    def same(t):
+        return pool.setdefault(t, t)
+
     elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
     # only a Pr(e) program (nothing kept or maximized) can run backward
     backward = not keep and not maximize
@@ -470,7 +497,7 @@ def _record(net, inputs, keep, maximize, width_cap) -> tuple:
         live.difference_update(ids)
         first = ids[0]
         scope, shape, steps, back = _product_steps(
-            scopes[first], shapes[first], ids[1:], scopes, shapes, backward
+            scopes[first], shapes[first], ids[1:], scopes, shapes, backward, same
         )
         axis = scope.index(name)
         rest = scope[:axis] + scope[axis + 1 :]
@@ -478,7 +505,7 @@ def _record(net, inputs, keep, maximize, width_cap) -> tuple:
         buckets.append(
             _Bucket(
                 name, first, steps, back, axis, shape[axis],
-                shape[:axis] + (1,) + shape[axis + 1 :], out,
+                same(shape[:axis] + (1,) + shape[axis + 1 :]), same(out),
                 rest if name in maximize else None,
             )
         )
@@ -489,10 +516,10 @@ def _record(net, inputs, keep, maximize, width_cap) -> tuple:
         shapes.append(out)
     final = tuple(sorted(live))
     scope, shape, final_steps, final_back = _product_steps(
-        (), (), final, scopes, shapes, backward
+        (), (), final, scopes, shapes, backward, same
     )
     perm = tuple(scope.index(n) for n in keep)
-    return (
+    return _Recorded(
         tuple(buckets), final, final_steps, final_back, perm,
         tuple(shape[i] for i in perm), elim.width,
     )
@@ -750,17 +777,15 @@ class _Contraction(NamedTuple):
 
 
 def _subscripts(scopes, out) -> str:
-    letters: dict[str, str] = {}
-    for scope in scopes:
-        for n in scope:
-            if n not in letters:
-                if len(letters) == len(_LETTERS):
-                    raise CapacityError(
-                        f"a jointree contraction over more than {len(_LETTERS)} variables"
-                    )
-                letters[n] = _LETTERS[len(letters)]
-    spelled = ",".join("".join(letters[n] for n in scope) for scope in scopes)
-    return spelled + "->" + "".join(letters[n] for n in out)
+    """The einsum subscripts of tables over ``scopes`` down to ``out``, each
+    variable lettered in order of first appearance."""
+    names = dict.fromkeys(chain.from_iterable(scopes))
+    if len(names) > len(_LETTERS):
+        raise CapacityError(f"a jointree contraction over more than {len(_LETTERS)} variables")
+    letter = dict(zip(names, _LETTERS)).__getitem__
+    spelled = ",".join(["".join(map(letter, scope)) for scope in scopes])
+    # trees that are kept repeat the same few spellings
+    return sys.intern(spelled + "->" + "".join(map(letter, out)))
 
 
 def _contraction(ids, scopes, out) -> _Contraction:
@@ -784,18 +809,154 @@ def _contract(c: _Contraction, tables) -> np.ndarray:
     return np.einsum(c.subscripts, *ops)
 
 
-class _Query(NamedTuple):
-    """One jointree query: the messages into its home clique, each a (table
-    id, contraction) pair after the messages it is computed from; the
-    contraction of the home's inputs (but the query's left-out ones) with
-    those messages; and, where a kept variable is observed, the full
-    ``shape`` and the index ``take`` that places the result in a table of
-    zeros."""
+class _TreeQuery(NamedTuple):
+    """One jointree query: the contraction of its home clique's inputs (but
+    its left-out ones) with every message into the home, and its kept
+    variables, of cardinalities ``shape``."""
 
-    toward: tuple[tuple[int, _Contraction], ...]
     table: _Contraction
+    keep: tuple[str, ...]
     shape: tuple[int, ...]
-    take: tuple | None
+
+
+class _TreePlan(NamedTuple):
+    """A jointree's structure.  Tables are ids: the inputs, then message m
+    (2i goes up from clique i to ``parent[i]``, 2i + 1 down it), then the
+    constant ones tables of the ``fixed`` shapes.  ``holder`` gives each
+    input's clique, ``sends`` each message's contraction by table id (None
+    where it is never sent), and ``stale`` the sent messages that leave each
+    query's home (``_leaving``)."""
+
+    width: int
+    holder: tuple[int, ...]
+    parent: tuple[int | None, ...]
+    sends: tuple[_Contraction | None, ...]
+    stale: dict[int, tuple[int, ...]]
+    queries: tuple[_TreeQuery, ...]
+    fixed: tuple[tuple[int, ...], ...]
+
+
+def _below(parent, c) -> set[int]:
+    """The cliques from ``c`` up to, but not including, the root: those
+    whose edge to their parent lies between ``c`` and the root."""
+    path = set()
+    while parent[c] is not None:
+        path.add(c)
+        c = parent[c]
+    return path
+
+
+def _leaving(sends, n, path) -> tuple[int, ...]:
+    """The ids of the sent messages (``sends``; message m is table n + m)
+    that point away from the clique whose path to the root is ``path``
+    (``_below``): up the edges on the path, and down every other edge."""
+    ids = (n + 2 * i + (i not in path) for i in range((len(sends) - n) // 2))
+    return tuple(t for t in ids if sends[t] is not None)
+
+
+def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePlan:
+    """``Jointree``'s miss path: order the inputs and the queries'
+    pseudo-scopes, and plan every message and query table."""
+    # per query: its left-out input ids, kept variables, unobserved kept
+    # variables and pseudo-scope
+    left, kept, free, pseudo = [], [], [], []
+    for without, keep in queries:
+        ids = tuple(cpt_inputs[net.var(name).name] for name in without)
+        keep = _distinct(net.var(name).name for name in keep)
+        left.append(ids)
+        kept.append(keep)
+        free.append(tuple(v for v in keep if v not in ev_index))
+        pseudo.append(tuple(dict.fromkeys(free[-1] + sum((inputs[i].scope for i in ids), ()))))
+    taken = sum(left, ())
+    if len(set(taken)) != len(taken):
+        raise ModelError("a CPT is left out of more than one jointree query")
+    nbrs: list[tuple[str, ...]] = []
+    scopes = [_Input(p, tuple(net.var(n).card for n in p)) for p in pseudo]
+    elim = _order(list(inputs) + scopes, net.decl_index, width_cap=width_cap, cliques=nbrs)
+    pos = {n: i for i, n in enumerate(elim.order)}
+    members = [(n,) + m for n, m in zip(elim.order, nbrs)] or [()]
+    member_sets = [frozenset(m) for m in members]
+    # a clique's parent is eliminated later, so it comes later; the roots
+    # of a forest are chained, and only the last clique has no parent
+    parent = [min((pos[n] for n in m), default=None) for m in nbrs] or [None]
+    roots = [i for i, p in enumerate(parent) if p is None]
+    for a, b in zip(roots, roots[1:]):
+        parent[a] = b
+    root = roots[-1]
+    children: list[list[int]] = [[] for _ in members]
+    for i in range(root):
+        children[parent[i]].append(i)
+
+    def first(scope):
+        return min((pos[n] for n in scope), default=root)
+
+    holder = [first(inp.scope) for inp in inputs]
+    homes = [first(p) for p in pseudo]
+    for ids, home in zip(left, homes):
+        for i in ids:
+            holder[i] = home
+    local: list[list[int]] = [[] for _ in members]
+    for i, c in enumerate(holder):
+        local[c].append(i)
+
+    n = len(inputs)
+    # each table's scope; a message's is None where its side of the tree
+    # holds no input or no query reads it, and then it is never sent
+    table_scopes = [inp.scope for inp in inputs] + [None] * (2 * root)
+    sends: list[_Contraction | None] = [None] * len(table_scopes)
+
+    def operands(c, exclude=(), skip=None):
+        # the messages into c from its children, then from its parent
+        ids = [i for i in local[c] if i not in exclude]
+        ids += [n + 2 * j for j in children[c] if j != skip]
+        if c != root and parent[c] != skip:
+            ids.append(n + 2 * c + 1)
+        return [i for i in ids if table_scopes[i] is not None]
+
+    def plan(src, dst, t):
+        ids = operands(src, skip=dst)
+        if ids:
+            present = set().union(*(table_scopes[i] for i in ids))
+            out = tuple(v for v in members[src] if v in member_sets[dst] and v in present)
+            table_scopes[t] = out
+            sends[t] = _contraction(ids, [table_scopes[i] for i in ids], out)
+
+    # the messages into some query's home, up the tree from the leaves,
+    # then down it: each after the messages it is computed from.  A home
+    # gets messages down the edges between it and the root, up the others
+    below = [_below(parent, home) for home in homes]
+    everywhere = set.intersection(*below) if below else set()
+    anywhere = set().union(*below)
+    for i in range(root):
+        if i not in everywhere:
+            plan(i, parent[i], n + 2 * i)
+    for i in reversed(range(root)):
+        if i in anywhere:
+            plan(parent[i], i, n + 2 * i + 1)
+
+    fixed: list[tuple[int, ...]] = []
+    planned = []
+    for ids, keep, unobserved, home in zip(left, kept, free, homes):
+        ops = operands(home, exclude=ids)
+        present = set().union(*(table_scopes[i] for i in ops))
+        # a kept variable that no operand mentions: g is flat across it
+        for v in unobserved:
+            if v not in present:
+                ops.append(len(table_scopes))
+                table_scopes.append((v,))
+                fixed.append((net.var(v).card,))
+        if not ops:
+            ops.append(len(table_scopes))
+            table_scopes.append(())
+            fixed.append(())
+        table = _contraction(ops, [table_scopes[i] for i in ops], unobserved)
+        shape = tuple(net.var(v).card for v in keep)
+        planned.append(_TreeQuery(table, keep, shape))
+    stale = {home: _leaving(sends, n, path) for home, path in zip(homes, below)}
+    return _TreePlan(
+        elim.width, tuple(holder), tuple(parent), tuple(sends), stale, tuple(planned),
+        tuple(fixed),
+    )
 
 
 class Jointree:
@@ -809,168 +970,68 @@ class Jointree:
     that order with their full cardinalities (zero off an observed one's
     state).  Each CPT may be left out of one query at most.
 
-    The tree comes from one min-fill ``_order`` over the inputs plus one
-    pseudo-scope per query (its unobserved kept variables and its left-out
-    inputs' variables), checked against the width cap before any table is
-    built: a clique per eliminated variable, holding the variable and its
-    neighbours at its elimination, joined to the clique of the first of
-    those neighbours to go; the trees of a forest are joined in a chain
-    over empty separators.  Each input sits in the clique of its first
-    eliminated variable, except that a query's left-out inputs sit in its
-    home, the clique of its pseudo-scope's first variable, which holds the
-    whole pseudo-scope.
+    The tree's structure (``_TreePlan``) depends on ``net.layout()``, the
+    observed variables and the queries, so it is kept as ``record``'s is
+    (``_structure``).  It comes from one min-fill ``_order`` over the inputs
+    plus one pseudo-scope per query (its unobserved kept variables and its
+    left-out inputs' variables), checked against the width cap before any
+    table is read: a clique per eliminated variable, holding the variable
+    and its neighbours at its elimination, joined to the clique of the
+    first of those neighbours to go; the trees of a forest are joined in a
+    chain over empty separators.  Each input sits in the clique of its
+    first eliminated variable, except that a query's left-out inputs sit in
+    its home, the clique of its pseudo-scope's first variable.
 
     Every directed message is the product of its clique's inputs and of
     the messages into that clique from its other neighbours, summed down to
-    the separator: one ``np.einsum`` whose subscripts are fixed when the
-    tree is built.  A message is kept until ``set_cpt`` changes an input
-    that it depends on: writing a CPT forgets the messages leaving that
-    input's clique.  ``table(j)`` sends the forgotten messages into query
-    j's home and contracts the home's other inputs with every message into
-    it.  No step divides, so the tables stay exact at zero parameters.
-    ``sent`` counts the messages computed.
+    the separator: one ``np.einsum`` whose subscripts are fixed with the
+    structure.  A message is kept until ``set_cpt`` changes an input that it
+    depends on: writing a CPT forgets the messages leaving that input's
+    clique.  ``table(j)`` sends the forgotten messages into query j's home
+    and contracts the home's other inputs with every message into it.  No
+    step divides, so the tables stay exact at zero parameters.  ``sent``
+    counts the messages computed.
 
-    ``inputs`` (every CPT sliced by the evidence, ``_factors``) and
-    ``cpt_inputs`` are as in a ``Program``.  ``bound`` starts with the
-    input tables, read off ``net`` (``_bind``) once the width is checked,
-    and goes on with the messages (None where forgotten) and the constant
-    tables.
+    Each tree builds its own ``inputs`` (``_factors``) and ``cpt_inputs``,
+    as a ``Program`` does.  ``bound`` holds the input tables, read off
+    ``net`` (``_bind``) once the width is checked, then the messages (None
+    where forgotten), then the constant tables.
     """
 
     def __init__(self, net: Network, ev: Evidence, queries, width_cap=None):
         ev_index = _indexed(net, ev)
         self.inputs = inputs = tuple(_factors(net, ev_index))
-        self.cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs)}
-        # per query: its left-out input ids, kept variables, unobserved kept
-        # variables and pseudo-scope
-        left, kept, free, pseudo = [], [], [], []
-        for without, keep in queries:
-            ids = tuple(self.cpt_inputs[net.var(name).name] for name in without)
-            keep = _distinct(net.var(name).name for name in keep)
-            left.append(ids)
-            kept.append(keep)
-            free.append(tuple(v for v in keep if v not in ev_index))
-            pseudo.append(tuple(dict.fromkeys(free[-1] + sum((inputs[i].scope for i in ids), ()))))
-        taken = sum(left, ())
-        if len(set(taken)) != len(taken):
-            raise ModelError("a CPT is left out of more than one jointree query")
-        nbrs: list[tuple[str, ...]] = []
-        scopes = [_Input(p, tuple(net.var(n).card for n in p)) for p in pseudo]
-        elim = _order(list(inputs) + scopes, net.decl_index, width_cap=width_cap, cliques=nbrs)
-        self.width = elim.width
-        pos = {n: i for i, n in enumerate(elim.order)}
-        members = [(n,) + m for n, m in zip(elim.order, nbrs)] or [()]
-        member_sets = [frozenset(m) for m in members]
-        parent = [min((pos[n] for n in m), default=None) for m in nbrs] or [None]
-        roots = [i for i, p in enumerate(parent) if p is None]
-        for a, b in zip(roots, roots[1:]):
-            parent[a] = b
-
-        def first(scope):
-            return min((pos[n] for n in scope), default=roots[-1])
-
-        holder = [first(inp.scope) for inp in inputs]
-        homes = [first(p) for p in pseudo]
-        for ids, home in zip(left, homes):
-            for i in ids:
-                holder[i] = home
-        self._holder = holder
-        local: list[list[int]] = [[] for _ in members]
-        for i, c in enumerate(holder):
-            local[c].append(i)
-
-        # message m is table len(inputs) + m; message 2e goes up tree edge e
-        # (child to parent) and 2e + 1 down it; each clique's neighbours are
-        # (neighbour, message out, message in)
-        n = len(inputs)
-        edges = [(i, p) for i, p in enumerate(parent) if p is not None]
-        adjacent: list[list[tuple[int, int, int]]] = [[] for _ in members]
-        for e, (i, p) in enumerate(edges):
-            adjacent[i].append((p, 2 * e, 2 * e + 1))
-            adjacent[p].append((i, 2 * e + 1, 2 * e))
-        self._adjacent = adjacent
-        self._stale: dict[int, tuple[int, ...]] = {}
-        # each table's scope; a message's is None where its side of the
-        # tree holds no input or no query reads it, and then it is never sent
-        table_scopes = [inp.scope for inp in inputs] + [None] * (2 * len(edges))
-        sends: list[_Contraction | None] = [None] * (2 * len(edges))
-
-        def operands(c, exclude=(), skip=None):
-            ids = [i for i in local[c] if i not in exclude]
-            ids += [n + m for other, _, m in adjacent[c] if other != skip]
-            return [i for i in ids if table_scopes[i] is not None]
-
-        def plan(src, dst, m):
-            ids = operands(src, skip=dst)
-            if ids:
-                present = set().union(*(table_scopes[i] for i in ids))
-                out = tuple(v for v in members[src] if v in member_sets[dst] and v in present)
-                table_scopes[n + m] = out
-                sends[m] = _contraction(ids, [table_scopes[i] for i in ids], out)
-
-        # the messages into some query's home, toward the root from the
-        # leaves, then away from it: each after the messages it is computed
-        # from
-        leaving = {home: self._leaving(home) for home in homes}
-        needed = {m ^ 1 for away in leaving.values() for m in away}
-        away = self._leaving(roots[-1])
-        for m in reversed(away):
-            if m ^ 1 in needed:
-                plan(*edges[m // 2], m ^ 1)
-        for m in away:
-            if m in needed:
-                plan(edges[m // 2][1], edges[m // 2][0], m)
-
-        fixed: list[np.ndarray] = []
-        self._queries = []
-        for ids, keep, unobserved, home in zip(left, kept, free, homes):
-            ops = operands(home, exclude=ids)
-            present = set().union(*(table_scopes[i] for i in ops))
-            # a kept variable that no operand mentions: g is flat across it
-            for v in unobserved:
-                if v not in present:
-                    ops.append(len(table_scopes) + len(fixed))
-                    table_scopes.append((v,))
-                    fixed.append(np.ones(net.var(v).card))
-            if not ops:
-                ops.append(len(table_scopes) + len(fixed))
-                table_scopes.append(())
-                fixed.append(np.ones(()))
-            take = None
-            if len(unobserved) < len(keep):
-                take = tuple(ev_index[v] if v in ev_index else slice(None) for v in keep)
-            toward = tuple(
-                (n + (m ^ 1), sends[m ^ 1])
-                for m in reversed(leaving[home])
-                if sends[m ^ 1] is not None
-            )
-            table = _contraction(ops, [table_scopes[i] for i in ops], unobserved)
-            shape = tuple(net.var(v).card for v in keep)
-            self._queries.append(_Query(toward, table, shape, take))
+        self.cpt_inputs = cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs)}
+        # a kept structure's queries were checked when it was planned
+        queries = tuple((tuple(without), tuple(keep)) for without, keep in queries)
+        key = ("tree", net.layout(), frozenset(ev_index), queries)
+        self._plan = plan = _structure(
+            key,
+            lambda: _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap),
+            width_cap=width_cap,
+        )
+        self.width = plan.width
+        # where a kept variable is observed, the index that places a
+        # query's result in a table of zeros
+        self._takes = [
+            tuple(ev_index.get(v, slice(None)) for v in q.keep)
+            if any(v in ev_index for v in q.keep) else None
+            for q in plan.queries
+        ]
         self.sent = 0
-        self.bound = _bind(inputs, net) + [None] * (2 * len(edges)) + fixed
-
-    def _leaving(self, c: int) -> list[int]:
-        """The messages that point away from clique ``c``, nearest first."""
-        out, frontier, seen = [], [c], {c}
-        for a in frontier:
-            for b, m, _ in self._adjacent[a]:
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-                    out.append(m)
-        return out
+        messages = [None] * (len(plan.sends) - len(inputs))
+        self.bound = _bind(inputs, net) + messages + [np.ones(s) for s in plan.fixed]
 
     def set_cpt(self, name: str, table: np.ndarray) -> None:
         """Make ``table`` the CPT of ``name`` (``_write``), and forget the
         messages that depend on it: those leaving its input's clique."""
         i = self.cpt_inputs[name]
         _write(self.inputs, self.bound, i, table)
-        c = self._holder[i]
-        stale = self._stale.get(c)
+        plan = self._plan
+        c = plan.holder[i]
+        stale = plan.stale.get(c)
         if stale is None:
-            n = len(self.inputs)
-            stale = self._stale[c] = tuple(n + m for m in self._leaving(c))
+            stale = _leaving(plan.sends, len(self.inputs), _below(plan.parent, c))
         bound = self.bound
         for t in stale:
             bound[t] = None
@@ -979,16 +1040,27 @@ class Jointree:
         """Query j's table at the current inputs.  A result with an
         infinite or NaN entry raises "numerical overflow in factor
         product", as ``replay``'s does."""
-        q = self._queries[j]
-        bound = self.bound
-        for t, send in q.toward:
+        q = self._plan.queries[j]
+        bound, sends = self.bound, self._plan.sends
+        # the forgotten messages the table reads, and those they are
+        # computed from (a kept message's are all kept), each listed after
+        # the message that reads it, so sent in reverse
+        todo = []
+        for t in q.table.ids:
             if bound[t] is None:
-                bound[t] = _contract(send, bound)
-                self.sent += 1
+                todo.append(t)
+        for t in todo:
+            for i in sends[t].ids:
+                if bound[i] is None:
+                    todo.append(i)
+        for t in reversed(todo):
+            bound[t] = _contract(sends[t], bound)
+        self.sent += len(todo)
         g = _contract(q.table, bound)
-        if q.take is not None:
+        take = self._takes[j]
+        if take is not None:
             full = np.zeros(q.shape)
-            full[q.take] = g
+            full[take] = g
             g = full
         if not np.isfinite(g).all():
             raise ModelError("numerical overflow in factor product")
@@ -996,22 +1068,26 @@ class Jointree:
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:
-    """Greedy min-fill order over all variables outside ``query``."""
-    query = set(query)
+    """Greedy min-fill order over all variables outside ``query``, kept per
+    structure as ``record``'s orders are (``_structure``)."""
+    query = frozenset(query)
     for q in query:
         net.var(q)
-    return _order(_factors(net, {}), net.decl_index, keep=query)
+    key = ("min-fill", net.layout(), query)
+    return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, keep=query))
 
 
 def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
     """Full elimination order with ``map_vars`` forced last.
 
-    The reported width is the constrained-treewidth estimate.
+    The reported width is the constrained-treewidth estimate.  The order is
+    kept per structure as ``record``'s orders are (``_structure``).
     """
-    map_vars = set(map_vars)
+    map_vars = frozenset(map_vars)
     for q in map_vars:
         net.var(q)
-    return _order(_factors(net, {}), net.decl_index, last=map_vars)
+    key = ("constrained", net.layout(), map_vars)
+    return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, last=map_vars))
 
 
 def induced_width(net: Network, order) -> int:

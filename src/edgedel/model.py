@@ -70,17 +70,20 @@ class Variable:
 class Cpt:
     """Conditional probability table for one child given an ordered parent list.
 
-    The table is stored flat in the module-level index convention.
+    The table is stored flat in the module-level index convention, read-only.
+    Set with it are ``shape`` (the parents' cardinalities, then the
+    child's), ``shaped``, the table viewed in that shape, and ``layout``,
+    the CPT's entry in ``Network.layout()``, which networks that share the
+    CPT share.
     """
 
-    __slots__ = ("child", "parents", "table")
+    __slots__ = ("child", "parents", "table", "shape", "shaped", "layout")
 
     def __init__(self, child: Variable, parents: tuple[Variable, ...], table):
         parents = tuple(parents)
         arr = np.array(table, dtype=float).reshape(-1)
-        expected = child.card
-        for p in parents:
-            expected *= p.card
+        shape = tuple(p.card for p in parents) + (child.card,)
+        expected = math.prod(shape)
         if arr.size != expected:
             raise ModelError(
                 f"cpt for {child.name!r}: table has {arr.size} entries, "
@@ -93,14 +96,9 @@ class Cpt:
         self.child = child
         self.parents = parents
         self.table = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(p.card for p in self.parents) + (self.child.card,)
-
-    @property
-    def shaped(self) -> np.ndarray:
-        return self.table.reshape(self.shape)
+        self.shape = shape
+        self.shaped = arr.reshape(shape)
+        self.layout = (child.name, tuple(names), shape)
 
     def scope(self) -> tuple[Variable, ...]:
         return self.parents + (self.child,)
@@ -271,10 +269,7 @@ class Network:
         cardinalities), the scope being the parents and then the child, so
         the cardinalities are the CPT table's shape.  Built on first use."""
         if self._layout is None:
-            layout = tuple(
-                (c.child.name, tuple(v.name for v in c.scope()), c.shape) for c in self.cpts()
-            )
-            object.__setattr__(self, "_layout", layout)
+            object.__setattr__(self, "_layout", tuple(c.layout for c in self.cpts()))
         return self._layout
 
     def decl_index(self, name: str) -> int:

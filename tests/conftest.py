@@ -10,7 +10,7 @@ def cold_programs():
     count of orders and recordings starts cold whatever ran before."""
     from edgedel import engine
 
-    engine._recorded.clear()
+    engine._structures.clear()
 
 
 def random_cpt(var, parents, rng):

@@ -58,6 +58,47 @@ class TestEdgeParams:
         with pytest.raises(ModelError):
             EdgeParams([0.5, 0.5], [0.0, 0.0])
 
+    @staticmethod
+    def numpy_checks(pm, se):
+        """The checks as whole-array numpy operations: (pm, se) or the
+        ModelError message."""
+        pm = np.array(pm, dtype=float).reshape(-1)
+        se = np.array(se, dtype=float).reshape(-1)
+        if pm.size == 0 or se.size == 0:
+            return "edge parameters must be non-empty"
+        if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(se))):
+            return "edge parameters must be finite"
+        if np.any(pm < 0):
+            return "pm entries must be nonnegative"
+        s = pm.sum()
+        if abs(s - 1.0) > 1e-9:
+            return f"pm must sum to 1 (got {float(s)!r})"
+        se = np.clip(se, 0.0, 1.0)
+        if not np.any(se > 0):
+            return "se must not be all zero"
+        return pm, se
+
+    def test_checks_match_whole_array_numpy_checks(self):
+        # the same errors with the same messages, and the same bits kept
+        entries = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.5, -0.5, np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(11)
+        cases = [([], [0.5]), ([1.0], []), ([0.5, 0.5 + 2e-10], [0.3, 0.7])]
+        for _ in range(400):
+            n = int(rng.integers(1, 4))
+            pm = rng.dirichlet(np.ones(n)) if rng.random() < 0.6 else rng.choice(entries, n)
+            cases.append((pm, rng.choice(entries, n)))
+        for pm, se in cases:
+            want = self.numpy_checks(pm, se)
+            if isinstance(want, str):
+                with pytest.raises(ModelError) as info:
+                    EdgeParams(pm, se)
+                assert str(info.value) == want
+            else:
+                got = EdgeParams(pm, se)
+                assert got.pm.tobytes() == want[0].tobytes()
+                assert got.se.tobytes() == want[1].tobytes()
+                assert not got.pm.flags.writeable and not got.se.flags.writeable
+
 
 class TestAugment:
     def test_no_edges_is_identity(self):

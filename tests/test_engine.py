@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from collections import OrderedDict
 
@@ -33,7 +34,7 @@ from edgedel import (
     posterior_marginal,
     single_edge_evaluate,
 )
-from edgedel.harness import chain_network, grid_network
+from edgedel.harness import chain_network, grid_network, run_deletion_instance
 from edgedel.divergence import score_edges, true_edge_marginals
 
 import elimination_reference as ref
@@ -624,7 +625,7 @@ class TestProgramReuse:
     def test_a_warm_recording_gives_the_cold_one_bitwise(self, monkeypatch):
         net, ev = self.instance(1, 1)
         cold = self.outputs(net, ev)
-        engine_module._recorded.clear()
+        engine_module._structures.clear()
         self.outputs(*self.instance(2, 0))
         calls = count_engine_calls(monkeypatch, ["_order"])
         warm = self.outputs(net, ev)
@@ -674,7 +675,7 @@ class TestProgramReuse:
         with pytest.raises(CapacityError) as miss:
             engine_module.record(net, ev, maximize=maximize, width_cap=2)
         # a refused order is not kept
-        assert not engine_module._recorded
+        assert not engine_module._structures
         width = engine_module.record(net, ev, maximize=maximize).width
         assert width > 2
         with pytest.raises(CapacityError) as hit:
@@ -685,42 +686,50 @@ class TestProgramReuse:
         assert calls == {"_bind": 1}
         assert engine_module.record(net, ev, maximize=maximize, width_cap=width).width == width
 
-    def test_the_least_recently_used_of_32_programs_goes_first(self, monkeypatch):
-        net = chain_network(8, rng=np.random.default_rng(3))
+    @staticmethod
+    def keeps(net, count):
+        """``count`` distinct kept-variable tuples of ``net``."""
         names = [v.name for v in net.variables]
-        keeps = [(a,) for a in names] + [(a, b) for a in names for b in names if a != b]
-        assert len(keeps) >= 63
+        keeps = [k for r in (1, 2, 3) for k in itertools.permutations(names, r)]
+        assert len(keeps) >= count
+        return keeps[:count]
+
+    def test_the_least_recently_used_program_goes_first(self, monkeypatch):
+        cap = engine_module._STRUCTURES_MAX
+        net = chain_network(8, rng=np.random.default_rng(3))
+        keeps = self.keeps(net, 2 * cap - 1)
         calls = count_engine_calls(monkeypatch, ["_order"])
         sizes = []
 
         def record(keep):
             before = calls["_order"]
             engine_module.record(net, Evidence({}), keep=keep)
-            sizes.append(len(engine_module._recorded))
+            sizes.append(len(engine_module._structures))
             return calls["_order"] - before
 
         assert record(keeps[0]) == 1
-        assert [record(k) for k in keeps[1:32]] == [1] * 31
+        assert [record(k) for k in keeps[1:cap]] == [1] * (cap - 1)
         assert record(keeps[0]) == 0
-        assert [record(k) for k in keeps[32:63]] == [1] * 31
-        # keeps[0], used after keeps[1:32], outlives them
+        assert [record(k) for k in keeps[cap:]] == [1] * (cap - 1)
+        # keeps[0], used after keeps[1:cap], outlives them
         assert record(keeps[0]) == 0
         assert record(keeps[1]) == 1
-        assert max(sizes) == sizes[-1] == 32
+        assert max(sizes) == sizes[-1] == cap
 
     def test_a_key_evicted_between_lookup_and_reuse(self, monkeypatch):
-        # another thread may record 32 other keys between record's lookup
-        # of its key and its reuse of the entry: the call still gives a
-        # cold recording's bits, and the cache keeps its bound
+        # another thread may record as many other keys as the cache keeps
+        # between record's lookup of its key and its reuse of the entry:
+        # the call still gives a cold recording's bits, and the cache keeps
+        # its bound
+        cap = engine_module._STRUCTURES_MAX
         net = chain_network(8, rng=np.random.default_rng(3))
-        names = [v.name for v in net.variables]
-        others = [(a, b) for a in names for b in names if a != b][:32]
+        others = self.keeps(net, cap + 8)[8:]
         ev = Evidence({"X8": "s1"})
         cold = engine_module.replay(engine_module.record(net, ev, keep=("X1",)))[0]
 
         class Interleaved(OrderedDict):
             """A cache whose first lookup finds its entry, then lets the
-            32 other keys be recorded before it returns."""
+            other keys be recorded before it returns."""
 
             pending = True
 
@@ -737,12 +746,12 @@ class TestProgramReuse:
             def pop(self, key, default=None):
                 return self._found(super().pop(key, default))
 
-        cache = Interleaved(engine_module._recorded)
-        monkeypatch.setattr(engine_module, "_recorded", cache)
+        cache = Interleaved(engine_module._structures)
+        monkeypatch.setattr(engine_module, "_structures", cache)
         warm = engine_module.replay(engine_module.record(net, ev, keep=("X1",)))[0]
         assert not cache.pending
         assert warm.tobytes() == cold.tobytes()
-        assert len(cache) == 32
+        assert len(cache) == cap
 
     def test_a_second_score_on_the_same_structure_orders_nothing(self, monkeypatch):
         score_edges(*self.instance(1, 0))
@@ -750,7 +759,7 @@ class TestProgramReuse:
         calls = count_engine_calls(monkeypatch, ["_order"])
         warm = score_edges(net, ev)
         assert calls == {"_order": 0}
-        engine_module._recorded.clear()
+        engine_module._structures.clear()
         cold = score_edges(net, ev)
         assert [(s.parent, s.child, s.score) for s in warm] == [
             (s.parent, s.child, s.score) for s in cold
@@ -759,6 +768,162 @@ class TestProgramReuse:
             assert a.params.pm.tobytes() == b.params.pm.tobytes()
             assert a.params.se.tobytes() == b.params.se.tobytes()
 
+
+
+class TestTreeReuse:
+    """``Jointree`` keeps each structure in ``record``'s cache: another tree
+    of it (other CPT entries, other observed states) reuses the kept plan
+    and gives a cold tree's tables."""
+
+    @staticmethod
+    def instance(seed, state, k=3):
+        """grid(4x4) with leaf evidence in ``state`` and its first k edges
+        deleted at random parameters: N', its evidence and its records."""
+        rng = np.random.default_rng(seed)
+        net = grid_network(4, 4, rng=rng)
+        ev = Evidence({n: net.var(n).states[state] for n in net.leaves()})
+        _, nprime, plan = approximate_network(net, net.edges()[:k])
+        params = []
+        for rec in plan.edges:
+            card = nprime.var(rec.clone).card
+            params.append(EdgeParams(rng.dirichlet(np.ones(card)), rng.uniform(0.1, 1.0, card)))
+        nprime = apply_params(nprime, plan.with_all_params(params))
+        return nprime, augmented_evidence(nprime, ev), deleted_records(nprime, plan)
+
+    @staticmethod
+    def queries(records, sequential):
+        """``parametrize``'s query list in either schedule."""
+        if sequential:
+            queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
+        else:
+            queries = [q for rec in records
+                       for q in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))]
+        return queries + [((), ())]
+
+    def outputs(self, nprime, evp, records, sequential):
+        """Every table of one tree, before and after writing new vectors
+        into each edge, and the messages it sent."""
+        queries = self.queries(records, sequential)
+        tree = engine_module.Jointree(nprime, evp, queries)
+        out = [tree.table(j) for j in range(len(queries))]
+        rng = np.random.default_rng(7)
+        for rec in records:
+            card = nprime.var(rec.clone).card
+            tree.set_cpt(rec.clone, rng.dirichlet(np.ones(card)))
+            se = rng.uniform(0.1, 1.0, nprime.var(rec.parent).card)
+            tree.set_cpt(rec.sevid, np.stack([se, 1.0 - se], axis=1))
+            out.extend(tree.table(j) for j in range(len(queries)))
+        return out, tree.sent
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_a_warm_tree_gives_the_cold_one_bitwise(self, monkeypatch, sequential):
+        cold, cold_sent = self.outputs(*self.instance(1, 1), sequential)
+        engine_module._structures.clear()
+        self.outputs(*self.instance(2, 0), sequential)
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        warm, warm_sent = self.outputs(*self.instance(1, 1), sequential)
+        assert calls == {"_order": 0}
+        assert warm_sent == cold_sent
+        assert len(warm) == len(cold)
+        for a, b in zip(warm, cold):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "variant, orders",
+        [("same key", 0), ("observed set", 1), ("queries", 1), ("declaration order", 1)],
+    )
+    def test_each_part_of_the_key_forces_a_miss(self, monkeypatch, variant, orders):
+        nprime, evp, records = self.instance(1, 0)
+        engine_module.Jointree(nprime, evp, self.queries(records, True))
+        other, other_ev, records = self.instance(2, 1)
+        queries = self.queries(records, True)
+        if variant == "observed set":
+            other_ev = other_ev.with_added({"N0_0": "s0"})
+        elif variant == "queries":
+            queries = queries[:-1]
+        elif variant == "declaration order":
+            other = Network(
+                list(reversed(other.variables)), other.cpts(), kind=other.kind,
+                clone_edges=other.clone_edges,
+            )
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        engine_module.Jointree(other, other_ev, queries)
+        assert calls == {"_order": orders}
+
+    def test_a_hit_checks_its_own_width_cap(self, monkeypatch):
+        nprime, evp, records = self.instance(1, 0)
+        queries = self.queries(records, False)
+        width = engine_module.Jointree(nprime, evp, queries).width
+        engine_module._structures.clear()
+        calls = count_engine_calls(monkeypatch, ["_bind"])
+        with pytest.raises(CapacityError) as miss:
+            engine_module.Jointree(nprime, evp, queries, width_cap=width - 1)
+        # a refused structure is not kept
+        assert not engine_module._structures
+        engine_module.Jointree(nprime, evp, queries)
+        with pytest.raises(CapacityError) as hit:
+            engine_module.Jointree(nprime, evp, queries, width_cap=width - 1)
+        assert str(hit.value) == str(miss.value)
+        assert str(hit.value) == f"induced width {width} exceeds the cap of {width - 1}"
+        # a refused tree reads no table, on a miss or a hit
+        assert calls == {"_bind": 1}
+
+    def test_the_cache_holds_no_table(self):
+        def walk(obj):
+            assert not isinstance(obj, np.ndarray)
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    walk(key)
+                    walk(value)
+            elif isinstance(obj, (tuple, list, set, frozenset)):
+                for item in obj:
+                    walk(item)
+            elif hasattr(obj, "__dict__"):
+                walk(vars(obj))
+
+        net = grid_network(4, 4, rng=np.random.default_rng(3))
+        ev = leaf_evidence(net)
+        for method in ("ed-kl", "ed-bp"):
+            run_deletion_instance(net, ev, net.edges()[:3], method)
+        run_deletion_instance(net, ev, net.edges()[:3], "ed-kl", map_vars=["N1_1", "N2_2"])
+        self.outputs(*self.instance(1, 0), False)
+        exact_map(net, ev, ["N0_0", "N1_1"])
+        kinds = {key[0] for key in engine_module._structures}
+        assert kinds == {"program", "tree", "min-fill", "constrained"}
+        walk(engine_module._structures)
+
+    def test_the_least_recently_used_of_mixed_entries_goes_first(self, monkeypatch):
+        cap = engine_module._STRUCTURES_MAX
+        net = chain_network(8, rng=np.random.default_rng(3))
+        names = [v.name for v in net.variables]
+        kept = [k for r in (1, 2, 3) for k in itertools.permutations(names, r)]
+        sets = [k for r in (1, 2, 3, 4) for k in itertools.combinations(names, r)]
+        ev = Evidence({})
+        makers = [
+            lambda i: engine_module.record(net, ev, keep=kept[i]),
+            lambda i: engine_module.Jointree(net, ev, [((), kept[i])]),
+            lambda i: min_fill_order(net, sets[i]),
+        ]
+        # entry i is a program, a tree or an order in turn
+        entries = [(makers[i % 3], i // 3) for i in range(2 * cap - 1)]
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        sizes = []
+
+        def touch(entry):
+            before = calls["_order"]
+            entry[0](entry[1])
+            sizes.append(len(engine_module._structures))
+            return calls["_order"] - before
+
+        assert touch(entries[0]) == 1
+        assert [touch(e) for e in entries[1:cap]] == [1] * (cap - 1)
+        assert touch(entries[0]) == 0
+        assert [touch(e) for e in entries[cap:]] == [1] * (cap - 1)
+        # entries[0], used after entries[1:cap], outlives them
+        assert touch(entries[0]) == 0
+        assert touch(entries[1]) == 1
+        assert max(sizes) == sizes[-1] == cap
 
 def leaf_evidence(net):
     return Evidence({n: net.var(n).states[0] for n in net.leaves()})

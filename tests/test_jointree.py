@@ -165,8 +165,8 @@ def test_a_clique_past_the_einsum_operand_limit():
     records = deleted_records(nprime, plan)
     queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
     tree = engine.Jointree(nprime, evp, queries)
-    contractions = [q.table for q in tree._queries]
-    contractions += [send for q in tree._queries for _, send in q.toward]
+    contractions = [q.table for q in tree._plan.queries]
+    contractions += [send for send in tree._plan.sends if send is not None]
     assert any(c.folds for c in contractions)
     assert_tables_match(tree, nprime, plan, evp)
 
@@ -238,7 +238,7 @@ def test_a_variable_kept_and_maximized_is_refused_by_name(observed):
     ev = Evidence({"A": "s1"} if observed else {})
     with pytest.raises(ModelError, match="^variable 'A' is both kept and maximized$"):
         engine.record(net, ev, keep=("B", "A"), maximize=("A",))
-    assert not engine._recorded
+    assert not engine._structures
 
 
 @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -345,3 +345,43 @@ def test_simultaneous_tree_keeps_the_width_of_n_prime(seed):
     cfg = IterationConfig(method="ed-bp", schedule="simultaneous", max_iterations=1)
     _, report, _ = run(nprime, plan, evp, cfg, width_cap=width)
     assert report.iterations == 1
+
+
+def test_writing_a_cpt_outside_every_query_home():
+    # a written CPT whose clique is no query's home: the messages leaving
+    # that clique are found from its path to the root when it is written
+    rng = np.random.default_rng(8)
+    net = grid_network(4, 4, rng=rng)
+    ev = Evidence({n: net.var(n).states[1] for n in net.leaves()})
+    queries = [(("N1_1",), ("N1_1", "N0_1")), (("N2_0",), ("N2_0",)), ((), ())]
+    tree = engine.Jointree(net, ev, queries)
+    homes = tree._plan.stale
+    outside = [v.name for v in net.variables
+               if tree._plan.holder[tree.cpt_inputs[v.name]] not in homes]
+    assert len(outside) >= 3
+    for name in outside:
+        for j in range(len(queries)):
+            tree.table(j)
+        cpt = net.cpt(name)
+        new = random_cpt(cpt.child, cpt.parents, rng)
+        tree.set_cpt(name, new.shaped)
+        net = net.replace_cpts({name: new})
+        for j, (without, keep) in enumerate(queries):
+            want = engine.replay(engine.record(net, ev, without, keep))[0]
+            np.testing.assert_allclose(tree.table(j), want, rtol=REL, atol=0)
+
+
+def test_queries_that_each_need_a_constant_table():
+    # each query keeps a leaf whose own CPT it leaves out, so each
+    # contraction takes a table of ones over its leaf: the second constant
+    # table sits right after the first
+    rng = np.random.default_rng(9)
+    a, b, c = (Variable(n, ("s0", "s1", "s2")[:k]) for n, k in (("A", 3), ("B", 2), ("C", 3)))
+    net = Network([a, b, c], [random_cpt(a, (), rng), random_cpt(b, (a,), rng),
+                              random_cpt(c, (a,), rng)])
+    queries = [(("B",), ("B",)), (("C",), ("C",))]
+    tree = engine.Jointree(net, Evidence({}), queries)
+    assert [t.shape for t in tree.bound[-2:]] == [(2,), (3,)]
+    for j, (without, keep) in enumerate(queries):
+        want = engine.replay(engine.record(net, Evidence({}), without, keep))[0]
+        np.testing.assert_allclose(tree.table(j), want, rtol=REL, atol=0)

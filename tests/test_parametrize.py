@@ -22,6 +22,7 @@ from edgedel import (
     deleted_records,
     enumerate_joint,
     kl_bound,
+    min_fill_order,
     mutual_information_scores,
     posterior_marginal,
     recover_marginals,
@@ -29,7 +30,7 @@ from edgedel import (
     score_edges,
 )
 from edgedel.deletion import apply_params
-from edgedel.harness import grid_network
+from edgedel.harness import grid_network, run_deletion_instance
 from edgedel.parametrize import _Fit, _sweep, true_edge_marginals
 
 import record_fit_golden as fit_cases
@@ -476,6 +477,38 @@ class TestWorkCounts:
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         assert reads == (list(range(4)) if sequential else list(range(8)))
         assert calls == {**dict.fromkeys(names, 0), "_order": 1, "_bind": 1}
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_a_second_tree_of_one_structure_orders_nothing(self, monkeypatch, sequential):
+        # the second fit's tree reuses the first's kept structure: no
+        # order, and its own inputs bound once
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        records = deleted_records(nprime, plan)
+        vectors = [(p.pm, p.se) for p in plan.params]
+        cap = engine_module.WIDTH_CAP_DEFAULT
+        _Fit(nprime, evp, records, vectors, sequential, cap)
+        calls = count_engine_calls(monkeypatch, ["_order", "_bind"])
+        _, other, other_plan, other_evp = build(*grid_case(k=4, seed=1)[:2], net.edges()[:4])
+        fit = _Fit(
+            other, other_evp, deleted_records(other, other_plan),
+            [(p.pm, p.se) for p in other_plan.params], sequential, cap,
+        )
+        assert calls == {"_order": 0, "_bind": 1}
+        assert fit.tree.sent == 0
+
+    def test_a_second_cell_on_the_same_nprime_orders_nothing(self, monkeypatch):
+        # the ed-kl and ed-bp cells of one selection and k build the same
+        # N': the second reuses its tree, its source pass's recording and
+        # the row's min-fill width
+        net, ev = grid_case(k=4)[:2]
+        first = run_deletion_instance(net, ev, net.edges()[:4], "ed-kl")
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        second = run_deletion_instance(net, ev, net.edges()[:4], "ed-bp")
+        assert calls == {"_order": 0}
+        width = first.row.constrained_treewidth
+        assert second.row.constrained_treewidth == width
+        engine_module._structures.clear()
+        assert min_fill_order(approximate_network(net, net.edges()[:4])[1]).width == width
 
     @staticmethod
     def messages_per_sweep(sequential):
