@@ -9,7 +9,9 @@ of the deleted edges' children and one soft-evidence term per edge differ.
 Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and the source
 network's forward/backward pass (``forward_backward``), which a fit with a
 reference hands back (``parametrize.run``); ``kl_bound`` and ``exact_kl``
-make both themselves.  ``edge_update`` is the one fixed-point
+make both themselves.  ``source_pass`` keeps the most recent (network,
+evidence) pair's pass on the all-edges augmentation, which ``score_edges``
+and the harness's fits share.  ``edge_update`` is the one fixed-point
 update of a single deleted edge (ed-bp or ed-kl), read off an evaluator of
 Pr'(e') and its derivatives with respect to the edge's parameters; the
 parametrization sweeps call it once per edge.  ``score_edges`` ranks every
@@ -91,21 +93,55 @@ def forward_backward(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) ->
     return engine.adjoints(engine.record(net, ev, width_cap=width_cap))
 
 
-def true_edge_marginals(aug: Network, ev: Evidence, plan: DeletionPlan,
-                        width_cap=WIDTH_CAP_DEFAULT):
-    """Exact parent posteriors per plan edge, plus the source network's
-    forward/backward pass (``forward_backward``; its ``pr_e`` is Pr(e)).
+def true_edge_marginals(source: engine.Adjoints, plan: DeletionPlan):
+    """Exact parent posteriors per plan edge, read off ``source``, a
+    forward/backward pass (``forward_backward``) on the source network or on
+    any augmentation of it: ``augment`` leaves every source variable's
+    posterior as it was.
 
     ``Adjoints.posterior`` reads each parent's posterior off its own CPT's
     derivative table (each checked by the Euler identity).  A non-empty plan
     under evidence of probability zero raises ``InconsistentEvidenceError``.
     """
-    grads = forward_backward(aug, ev, width_cap)
-    if len(plan) and grads.pr_e <= 0.0:
+    if len(plan) and source.pr_e <= 0.0:
         raise InconsistentEvidenceError("source network: evidence has zero probability")
     parents = dict.fromkeys(rec.parent for rec in plan.edges)
-    posteriors = {u: grads.posterior(u) for u in parents}
-    return [posteriors[rec.parent] for rec in plan.edges], grads
+    posteriors = {u: source.posterior(u) for u in parents}
+    return [posteriors[rec.parent] for rec in plan.edges]
+
+
+# the most recent source pass: (net, ev, width_cap, augmentation, pass)
+_kept_pass = None
+
+
+def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT):
+    """The all-edges augmentation of the original network ``net`` and its
+    forward/backward pass under ``ev`` (``forward_backward``).
+
+    Pr(e), every source variable's posterior and every family table are
+    fixed by (``net``, ``ev``), and any augmentation gives them in the
+    source's layout (``augment`` puts a clone in its parent's axis).  So the
+    pass of the most recent call is kept, and a call with the same ``net``
+    and ``ev`` objects and the same ``width_cap`` returns it: ``score_edges``
+    and every ``harness.run_deletion_instance`` cell of one instance share
+    one pass.  The key is identity, not content (``Network`` and
+    ``Evidence`` are not hashable): an equal but distinct object makes a
+    new pass.  The entry holds both objects, so their ids are not reused
+    while it is kept.  A refused pass (``CapacityError``) is not kept.
+
+    The pass needs the all-edges augmentation's width.  On the seeded
+    chain(8), grid(4x4), grid(5x5) and grid(7x7) networks that is the
+    width of their augmentations along fewer edges (1, 4, 5 and 9); on
+    grid(9x9) it is 12, where those read 11 or 12.
+    """
+    global _kept_pass
+    kept = _kept_pass
+    if kept is not None and kept[0] is net and kept[1] is ev and kept[2] == width_cap:
+        return kept[3], kept[4]
+    aug = augment(net, net.edges())
+    grads = forward_backward(aug, ev, width_cap)
+    _kept_pass = (net, ev, width_cap, aug, grads)
+    return aug, grads
 
 
 def _replayed_pr_ep(nprime, plan, evp, width_cap) -> float:
@@ -308,8 +344,10 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     The vectors stay plain arrays; ``EdgeParams``, which keeps ``pm`` as
     given and clips ``se``, is built only where a fit hands its result back.
     The prior is divided by its sum after its own update and again after
-    the row's, and the row is clipped into [0, 1].  Fitted values depend on
-    these steps bit for bit (``tests/data/fit_golden.json``).
+    the row's.  Fitted values depend on these steps bit for bit
+    (``tests/data/fit_golden.json``).  The row needs no clipping: it is a
+    nonnegative vector divided by its own sum, which is at least every
+    entry, and rounding is monotone, so every entry already lies in [0, 1].
     """
     pr_old, d_pm, d_se = evaluate(pm, se)
     new_pm = _damp(
@@ -321,7 +359,6 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
         _update_rule(method, true_marg, pr, d_se, d_pm, "se", label), se, damping, label
     )
     new_pm = new_pm / new_pm.sum()
-    new_se = np.clip(new_se, 0.0, 1.0)
     residual = max(
         float(np.maximum.reduce(np.abs(new_pm - pm))),
         float(np.maximum.reduce(np.abs(new_se - se))),
@@ -367,7 +404,6 @@ def _fit_stack(recs, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[EdgeS
         d_se = (gl @ new_pm[:, :, None])[:, :, 0]
         new_se = _edkl_rows(tl, (d_pm @ new_pm[:, :, None])[:, 0], d_se, lab)
         new_pm = new_pm / new_pm.sum(axis=1, keepdims=True)
-        new_se = np.clip(new_se, 0.0, 1.0)
         pm[live], se[live] = new_pm, new_se
         residual = np.maximum(abs(new_pm - old_pm).max(axis=1), abs(new_se - old_se).max(axis=1))
         done = residual < INNER_TOLERANCE
@@ -395,7 +431,9 @@ def score_edges(
     augmented one (its intact equivalence edges are scored).  One recorded
     elimination of Pr(e) on the augmented network, replayed forward and
     backward (``engine.adjoints``), gives every clone CPT's derivative
-    table, each checked by the Euler identity.  Tables of one shape and
+    table, each checked by the Euler identity.  For an original network
+    that pass is ``source_pass``'s, which the harness's cells of the same
+    (network, evidence) read too.  Tables of one shape and
     memory layout are stacked, and ``_fit_stack`` fits their edges in one
     ed-kl loop, bitwise the per-edge ``edge_update`` fit.  Ranking is
     ascending by (score, declaration index), and infinite scores sort last.
@@ -422,11 +460,10 @@ def score_edges(
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")
     if net.kind == "original":
-        aug = augment(net, net.edges())
+        aug, grads = source_pass(net, ev, width_cap)
     else:
-        aug = net
+        aug, grads = net, forward_backward(net, ev, width_cap)
     records = [r for r in aug.clone_edges if r.sevid is None]
-    grads = forward_backward(aug, ev, width_cap)
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
     st = engine.EngineState(aug, ev, width_cap, grads.program, grads.pr_e)

@@ -24,9 +24,10 @@ A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
 all the network's inputs: Shenoy–Shafer messages between the cliques of
 that order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
-through ``_write``) makes them stale.  ``parametrize.run`` reads every
-deleted edge's tables and Pr'(e') off one tree in either schedule, so a
-sweep's writes re-send only the messages that depend on them.
+through ``_write``, or ``set_input``, already sliced) makes them stale.
+``parametrize.run`` reads every deleted edge's tables and Pr'(e') off one
+tree in either schedule, so a sweep's writes re-send only the messages
+that depend on them.
 
 Orders, buckets and tree plans depend on the structure, the observed set
 and the query, not on the CPT entries or the observed states.  So one
@@ -985,12 +986,12 @@ class Jointree:
     Every directed message is the product of its clique's inputs and of
     the messages into that clique from its other neighbours, summed down to
     the separator: one ``np.einsum`` whose subscripts are fixed with the
-    structure.  A message is kept until ``set_cpt`` changes an input that it
-    depends on: writing a CPT forgets the messages leaving that input's
-    clique.  ``table(j)`` sends the forgotten messages into query j's home
-    and contracts the home's other inputs with every message into it.  No
-    step divides, so the tables stay exact at zero parameters.  ``sent``
-    counts the messages computed.
+    structure.  A message is kept until ``set_cpt`` (or ``set_input``)
+    changes an input that it depends on: writing a CPT forgets the messages
+    leaving that input's clique.  ``table(j)`` sends the forgotten messages
+    into query j's home and contracts the home's other inputs with every
+    message into it.  No step divides, so the tables stay exact at zero
+    parameters.  ``sent`` counts the messages computed.
 
     Each tree builds its own ``inputs`` (``_factors``) and ``cpt_inputs``,
     as a ``Program`` does.  ``bound`` holds the input tables, read off
@@ -1027,6 +1028,24 @@ class Jointree:
         messages that depend on it: those leaving its input's clique."""
         i = self.cpt_inputs[name]
         _write(self.inputs, self.bound, i, table)
+        self._forget(i)
+
+    def set_input(self, name: str, table: np.ndarray) -> None:
+        """As ``set_cpt``, but ``table`` is the input as the tree reads it:
+        the CPT's table already sliced by the evidence, in the input's
+        ``reduced`` shape.  An observed child's input, for one, is its
+        observed state's column sliced by its observed parents."""
+        i = self.cpt_inputs[name]
+        if table.shape != self.inputs[i].reduced:
+            raise ModelError(
+                f"input for {name!r} has shape {table.shape}; "
+                f"the tree reads {self.inputs[i].reduced}"
+            )
+        self.bound[i] = table
+        self._forget(i)
+
+    def _forget(self, i: int) -> None:
+        """Forget the messages leaving input i's clique."""
         plan = self._plan
         c = plan.holder[i]
         stale = plan.stale.get(c)

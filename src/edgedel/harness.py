@@ -254,8 +254,12 @@ def run_deletion_instance(
     also answers MAP over them: the row carries the p/q ratio and the
     constrained width instead of the min-fill width.
 
+    The fit's reference is ``divergence.source_pass(net, ev, width_cap)``,
+    the one pass on the all-edges augmentation that ``score_edges`` and
+    every other cell of the same ``net`` and ``ev`` objects read, so a cell
+    needs that augmentation's width; a refusal raises ``CapacityError``.
     The KL bound (before clamping, the trace's last bit for bit) and exact
-    KL read the fit's own source pass and Pr'(e') (``FixedPointReport``'s
+    KL read that pass and the fit's own Pr'(e') (``FixedPointReport``'s
     ``source``, ``pr_ep``), and nothing is eliminated on N' but the
     marginals' one forward/backward pass.
     """
@@ -270,8 +274,9 @@ def run_deletion_instance(
         schedule=schedule,
         initialization="plan",
     )
+    _, source = divergence.source_pass(net, ev, width_cap)
     plan, report, trace = parametrize.run(
-        nprime, plan, evp, cfg, reference=(aug, ev), width_cap=width_cap
+        nprime, plan, evp, cfg, reference=source, width_cap=width_cap
     )
     kl_total = divergence.read_kl_bound(report.source, report.pr_ep, plan).total
     exact = divergence.read_exact_kl(report.source, report.pr_ep, nprime, plan)
@@ -327,6 +332,8 @@ def run_experiment(spec: ExperimentSpec, load_network=None) -> list[ReportRow]:
 
     Synthetic networks are redrawn per instance (an instance is one sampled
     problem); file networks are loaded once and only the evidence varies.
+    An instance makes one source pass (``divergence.source_pass``), which
+    its guided ranking and every cell read.
     Failures of individual runs are recorded in-row and the run continues.
     Rows are ordered by (instance, method, selection, k).
     """

@@ -190,6 +190,19 @@ class Evidence:
         return f"Evidence({inner})"
 
 
+class Layout(tuple):
+    """``Network.layout()``: a tuple that computes its hash once, when it is
+    built, since it keys every lookup of a network's kept structure."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 class Network:
     """A DAG of discrete variables with one CPT per variable.
 
@@ -264,12 +277,13 @@ class Network:
     def cpts(self):
         return [self._cpts[v.name] for v in self.variables]
 
-    def layout(self) -> tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]:
+    def layout(self) -> Layout:
         """Per CPT, in declaration order: (child name, scope names, scope
         cardinalities), the scope being the parents and then the child, so
-        the cardinalities are the CPT table's shape.  Built on first use."""
+        the cardinalities are the CPT table's shape.  Built, and hashed, on
+        first use."""
         if self._layout is None:
-            object.__setattr__(self, "_layout", tuple(c.layout for c in self.cpts()))
+            object.__setattr__(self, "_layout", Layout(c.layout for c in self.cpts()))
         return self._layout
 
     def decl_index(self, name: str) -> int:

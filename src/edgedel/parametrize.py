@@ -18,9 +18,10 @@ of N' and its evidence (``engine.Jointree``) in both schedules.  A
 sequential run reads each edge's table over (parent, clone) off it, and a
 simultaneous run each edge's derivatives with respect to its clone prior
 and soft-evidence row; either reads Pr'(e') off it.  An edge's new (pm, se)
-reach the tree as whole edge tables, the clone prior and the soft-evidence
-CPT that ``apply_params`` would install (``deletion.se_table``), each
-sliced by the evidence as the tree sliced the tables it read off N'.
+reach the tree as the tables that ``apply_params`` would install, sliced
+by the evidence as the tree sliced the tables it read off N': the clone
+prior, and of the soft-evidence CPT (``deletion.se_table``) only its
+observed column, ``se`` itself.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from . import engine
-from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params, deleted_records
-from .deletion import se_table
+from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params
+from .deletion import deleted_records, se_table
 from .divergence import edge_update, forward_backward, kl_breakdown, single_edge_evaluate
 from .divergence import true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
@@ -128,6 +129,19 @@ def _start_vectors(nprime, records, plan):
     return vectors
 
 
+def _se_index(nprime, evp, rec):
+    """The index that takes edge ``rec``'s soft-evidence input, as a tree
+    of N' reads it, out of its ``se``, or None where the soft-evidence
+    variable is not observed at ``SE_OBSERVED``.  That state's column of
+    ``se_table(se)`` is ``se``, sliced by the parent's evidence: an
+    observed parent's state, taken as a 0-d view."""
+    if evp.get(rec.sevid) != SE_OBSERVED:
+        return None
+    if rec.parent in evp:
+        return nprime.var(rec.parent).index_of(evp[rec.parent]), ...
+    return ...
+
+
 class _Fit:
     """One ``run``'s current edge vectors and the one jointree of N' its
     sweeps read (``engine.Jointree``), built from N' and its evidence.
@@ -140,10 +154,15 @@ class _Fit:
     existing family, so the tree keeps N''s width.  In both modes the last
     query, which keeps nothing and so moves no other query, gives Pr'(e').
 
-    Setting an edge's vectors builds its clone prior and soft-evidence CPT
-    tables once and writes them into the tree, which slices them by the
-    evidence as it sliced the tables it read off N' and forgets the messages
-    leaving the edge's clique; no other input is read again.
+    Setting an edge's vectors writes its clone prior and its soft-evidence
+    input into the tree, which forgets the messages leaving the edge's
+    clique; no other input is read again.  Where the soft-evidence variable
+    is observed at ``SE_OBSERVED``, whose column of ``se_table(se)`` is
+    ``se``, the tree reads only that column, sliced by the parent's
+    evidence, so ``se`` is written as that input (``Jointree.set_input``);
+    elsewhere the whole CPT is built and written (``Jointree.set_cpt``).
+    Start vectors that the tree already read off N', as it reads those of
+    a plan that N' was built from, are not written again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
@@ -154,9 +173,22 @@ class _Fit:
             queries = [q for rec in records
                        for q in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))]
         self.tree = engine.Jointree(nprime, evp, queries + [((), ())], width_cap)
-        self.vectors = [None] * len(records)
-        for j, (pm, se) in enumerate(vectors):
-            self.set(j, pm, se)
+        self._se_at = [_se_index(nprime, evp, rec) for rec in records]
+        self.vectors = list(vectors)
+        for j, (pm, se) in enumerate(self.vectors):
+            if not self._holds(nprime, j, pm, se):
+                self.set(j, pm, se)
+
+    def _holds(self, nprime, j, pm, se) -> bool:
+        """Whether the tree already read edge j's (pm, se) off N': its
+        clone prior, and its soft-evidence CPT's observed column, the
+        first, where that is all the tree reads."""
+        rec = self.records[j]
+        return (
+            self._se_at[j] is not None
+            and np.array_equal(pm, nprime.cpt(rec.clone).table)
+            and np.array_equal(se, nprime.cpt(rec.sevid).shaped[:, 0])
+        )
 
     def table(self, i):
         """Edge i's table g at the other edges' current vectors (sequential
@@ -177,7 +209,11 @@ class _Fit:
         rec = self.records[j]
         self.vectors[j] = (pm, se)
         self.tree.set_cpt(rec.clone, pm)
-        self.tree.set_cpt(rec.sevid, se_table(se))
+        at = self._se_at[j]
+        if at is None:
+            self.tree.set_cpt(rec.sevid, se_table(se))
+        else:
+            self.tree.set_input(rec.sevid, se[at])
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
@@ -236,7 +272,7 @@ def run(
     evp: Evidence,
     cfg: IterationConfig,
     *,
-    reference: tuple[Network, Evidence] | None = None,
+    reference: engine.Adjoints | tuple[Network, Evidence] | None = None,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ):
     """Iterate sweeps until the parameter residual drops below tolerance.
@@ -260,13 +296,17 @@ def run(
     bound after a simultaneous sweep (or a sweep of an empty plan) reads
     Pr'(e') off the tree, and the next sweep's reads reuse the messages
     that read sent; a sequential sweep carries it.  The report hands back
-    the true parent posteriors' forward/backward pass on the source network
-    (``true_edge_marginals``) and Pr'(e') at the returned parameters
+    the reference's pass and Pr'(e') at the returned parameters
     (``source``, ``pr_ep``): the value the last KL bound used, or, with no
     sweep, one read off the tree.
 
-    ``reference`` is the (augmented network, evidence) pair the approximation
-    was built from.  It is required for "ed-kl" (the updates need the true
+    ``reference`` gives the source network's forward/backward pass, from
+    which the true parent posteriors are read (``true_edge_marginals``):
+    either the pass itself (``engine.Adjoints``), made on the source
+    network or on any augmentation of it (``divergence.source_pass`` keeps
+    one per (network, evidence)), or the (augmented network, evidence) pair
+    the approximation was built from, on which ``run`` makes the pass under
+    ``width_cap``.  It is required for "ed-kl" (the updates need the true
     parent posteriors) and optional for "ed-bp", where it only enables the
     KL-bound column of the trace.  Non-convergence is reported, not raised.
     The KL-bound trace need not decrease monotonically: fixed points are
@@ -287,10 +327,11 @@ def run(
             )
     sequential = cfg.schedule == "sequential"
     fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
-    true_marginals, source = None, None
-    if reference is not None:
-        true_marginals, source = true_edge_marginals(*reference, plan, width_cap)
-    bounded = reference is not None and source.pr_e > 0
+    source = reference
+    if reference is not None and not isinstance(reference, engine.Adjoints):
+        source = forward_backward(*reference, width_cap)
+    true_marginals = None if source is None else true_edge_marginals(source, plan)
+    bounded = source is not None and source.pr_e > 0
 
     trace: list[SweepRecord] = []
     residuals: tuple[float, ...] = ()
@@ -347,7 +388,7 @@ def check_conditions(
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
     grads = forward_backward(current, evp, width_cap)
-    true_marginals, _ = true_edge_marginals(aug, ev, plan, width_cap)
+    true_marginals = true_edge_marginals(forward_backward(aug, ev, width_cap), plan)
     match_gaps = []
     exact_gaps = []
     for rec, params, true in zip(records, plan.params, true_marginals):

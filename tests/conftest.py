@@ -6,11 +6,13 @@ from edgedel import Cpt, Evidence, Network, Variable
 
 @pytest.fixture(autouse=True)
 def cold_programs():
-    """Empty ``engine.record``'s kept programs before each test, so every
-    count of orders and recordings starts cold whatever ran before."""
-    from edgedel import engine
+    """Empty ``engine.record``'s kept programs and ``divergence.source_pass``'s
+    kept pass before each test, so every count of orders, recordings and
+    passes starts cold whatever ran before."""
+    from edgedel import divergence, engine
 
     engine._structures.clear()
+    divergence._kept_pass = None
 
 
 def random_cpt(var, parents, rng):

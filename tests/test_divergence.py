@@ -470,6 +470,123 @@ class TestEdgeUpdate:
         assert str(info.value) == "update for edge U -> X is degenerate (sum 0.0)"
 
 
+class TestRowsNeedNoClip:
+    """``edge_update`` and the stacked fit divide each new row by its own
+    nonnegative sum, so every entry already lies in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "method, damping, schedule",
+        [("ed-bp", 0.0, "sequential"), ("ed-kl", 0.0, "sequential"),
+         ("ed-bp", 0.3, "simultaneous"), ("ed-kl", 0.3, "simultaneous")],
+    )
+    def test_every_fitted_row_lies_in_the_unit_interval(self, monkeypatch, method, damping,
+                                                        schedule):
+        # every sweep's raw vectors, before ``EdgeParams`` (which clips) sees them
+        import edgedel.parametrize as parametrize_module
+
+        real, rows = parametrize_module.edge_update, []
+
+        def checking(*args, **kwargs):
+            out = real(*args, **kwargs)
+            rows.append(out[1])
+            return out
+
+        monkeypatch.setattr(parametrize_module, "edge_update", checking)
+        for seed in range(3):
+            net = chain_network(6, 2, rng=np.random.default_rng(seed))
+            ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(seed + 10))
+            aug, nprime, plan, evp = build(net, ev, net.edges()[:3])
+            cfg = IterationConfig(method=method, damping=damping, schedule=schedule,
+                                  max_iterations=20)
+            run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert len(rows) > 9
+        assert all(((0.0 <= se) & (se <= 1.0)).all() for se in rows)
+        # each row is divided by its own sum, which is why it needs no clip
+        assert all(abs(se.sum() - 1.0) <= 1e-12 for se in rows)
+
+    def test_every_scored_row_lies_in_the_unit_interval(self, monkeypatch):
+        rows = []
+
+        class Checking(EdgeParams):
+            def __post_init__(self):
+                rows.append(self.se)
+                super().__post_init__()
+
+        monkeypatch.setattr(divergence_module, "EdgeParams", Checking)
+        net = grid_network(4, 4, 2, rng=np.random.default_rng(5))
+        score_edges(net, sample_evidence(net, "leaves-from-joint", np.random.default_rng(6)))
+        # one per edge, and one per refitted tie
+        assert len(rows) >= len(net.edges())
+        assert all(((0.0 <= se) & (se <= 1.0)).all() for se in rows)
+        assert all(abs(se.sum() - 1.0) <= 1e-12 for se in rows)
+
+
+class TestSourcePass:
+    """``source_pass`` keeps the most recent (network, evidence) pair's
+    pass, by identity."""
+
+    @staticmethod
+    def case():
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        return net, sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+
+    def test_a_repeated_pair_reads_the_kept_pass(self, monkeypatch):
+        net, ev = self.case()
+        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        aug, grads = divergence_module.source_pass(net, ev)
+        assert aug.kind == "augmented" and len(aug.clone_edges) == len(net.edges())
+        again = divergence_module.source_pass(net, ev)
+        assert again[0] is aug and again[1] is grads
+        assert calls == {"adjoints": 1}
+
+    def test_the_key_is_identity_and_width_cap(self, monkeypatch):
+        net, ev = self.case()
+        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        _, grads = divergence_module.source_pass(net, ev)
+        # an equal but distinct evidence, then network, makes a new pass,
+        # and so does another width cap
+        equal_ev = Evidence(dict(ev.items()))
+        assert equal_ev == ev
+        _, other = divergence_module.source_pass(net, equal_ev)
+        assert other is not grads
+        same_net = grid_network(4, 4, rng=np.random.default_rng(0))
+        assert same_net == net
+        assert divergence_module.source_pass(same_net, equal_ev)[1] is not other
+        wider = divergence_module.source_pass(same_net, equal_ev, width_cap=24)[1]
+        assert calls == {"adjoints": 4}
+        # each pass is bitwise the same
+        for got in (other, wider):
+            assert got.pr_e == grads.pr_e
+            assert [t.tobytes() for t in got.tables] == [t.tobytes() for t in grads.tables]
+
+    def test_a_refused_pass_is_not_kept(self, monkeypatch):
+        net, ev = self.case()
+        kept = divergence_module.source_pass(net, ev)
+        with pytest.raises(CapacityError):
+            divergence_module.source_pass(net, ev, width_cap=1)
+        assert divergence_module._kept_pass[3:] == kept
+        with pytest.raises(CapacityError):
+            divergence_module.source_pass(net, ev, width_cap=1)
+        assert divergence_module.source_pass(net, ev) == kept
+
+    def test_score_edges_builds_the_augmentation_once(self, monkeypatch):
+        net, ev = self.case()
+        real, built = divergence_module.augment, []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(divergence_module, "augment", counting)
+        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        first, second = score_edges(net, ev), score_edges(net, ev)
+        assert len(built) == 1 and calls == {"adjoints": 1}
+        assert all(same_fit(a, b) for a, b in zip(first, second))
+        # an augmented input is scored on its own pass
+        score_edges(augment(net, net.edges()), ev)
+        assert len(built) == 1 and calls == {"adjoints": 2}
+
+
 class TestScoreIsOneEdgeRun:
     """Scoring an edge is the ed-kl ``run`` of its one-edge plan."""
 

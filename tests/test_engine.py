@@ -35,7 +35,7 @@ from edgedel import (
     single_edge_evaluate,
 )
 from edgedel.harness import chain_network, grid_network, run_deletion_instance
-from edgedel.divergence import score_edges, true_edge_marginals
+from edgedel.divergence import forward_backward, score_edges, true_edge_marginals
 
 import elimination_reference as ref
 from conftest import brute_posterior, count_engine_calls, positive_evidence, random_network
@@ -1224,7 +1224,8 @@ class TestAdjoints:
             # the first deleted edge's parent is observed
             ev = ev.with_added({edges[0][0]: net.var(edges[0][0]).states[1]})
         aug, _, plan = approximate_network(net, edges)
-        marginals, source = true_edge_marginals(aug, ev, plan)
+        source = forward_backward(aug, ev)
+        marginals = true_edge_marginals(source, plan)
         st = compile(aug, ev)
         assert source.pr_e == st.pr_e
         for rec, got in zip(plan.edges, marginals):
@@ -1239,11 +1240,11 @@ class TestAdjoints:
         net = Network([a, b], [Cpt(a, (), [1.0, 0.0]), Cpt(b, (a,), [0.9, 0.1, 0.2, 0.8])])
         aug, _, plan = approximate_network(net, [("A", "B")])
         with pytest.raises(InconsistentEvidenceError, match="source network"):
-            true_edge_marginals(aug, Evidence({"B": "b1", "A": "a1"}), plan)
+            true_edge_marginals(forward_backward(aug, Evidence({"B": "b1", "A": "a1"})), plan)
         # with nothing to read, Pr(e) = 0 is an answer
         empty = DeletionPlan((), ())
-        marginals, source = true_edge_marginals(net, Evidence({"A": "a1"}), empty)
-        assert marginals == [] and source.pr_e == 0.0
+        source = forward_backward(net, Evidence({"A": "a1"}))
+        assert true_edge_marginals(source, empty) == [] and source.pr_e == 0.0
 
 
 class TestAdjointGuards:
@@ -1259,7 +1260,7 @@ class TestAdjointGuards:
 
         monkeypatch.setattr(engine_module, "adjoints", corrupted)
         with pytest.raises(ModelError, match="violates the sum"):
-            true_edge_marginals(aug, ev, plan)
+            true_edge_marginals(forward_backward(aug, ev), plan)
 
     def test_non_finite_adjoint_fails_the_euler_check(self):
         net = chain3()

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from edgedel import apply_params, enumerate_joint
-from edgedel.divergence import kl_breakdown, true_edge_marginals
+from edgedel.divergence import forward_backward, kl_breakdown, true_edge_marginals
 
 import record_fit_golden as golden
 
@@ -34,7 +34,8 @@ def test_observed_parent_trace_matches_enumeration(method, schedule):
     net, ev, aug, nprime, plan, evp = golden.build(name)
     assert plan.edges[0].parent in ev
     fitted, _, trace = golden.fit(name, method, schedule, "cold")
-    marginals, source = true_edge_marginals(aug, ev, fitted)
+    source = forward_backward(aug, ev)
+    marginals = true_edge_marginals(source, fitted)
     pr_e = source.pr_e
     vectors = [(p.pm, p.se) for p in fitted.params]
     terms = kl_breakdown(marginals, vectors, pr_e, pr_e).edge_terms

@@ -31,6 +31,7 @@ from edgedel.harness import (
     run_experiment,
     sample_evidence,
 )
+from edgedel import divergence
 from edgedel.netio import FormatError, render_report
 
 from conftest import count_engine_calls
@@ -252,6 +253,54 @@ class TestRunExperiment:
         assert len(failed) == 1
         assert failed[0].instance == 0 and failed[0].edges_deleted == 1
         assert not failed[0].converged
+
+    @pytest.mark.parametrize("instances", [1, 2])
+    def test_one_source_pass_per_instance(self, monkeypatch, instances):
+        # the guided ranking's pass on the all-edges augmentation serves all
+        # eight cells of its instance
+        spec = ExperimentSpec(
+            network="grid(4x4)", instances=instances, ks=(1, 2), methods=("ed-kl", "ed-bp"),
+            selections=("rand", "guided"), seed=3,
+        )
+        calls = count_passes_by_network(monkeypatch)
+        rows = run_experiment(spec)
+        assert len(rows) == 8 * instances
+        assert calls[("adjoints", "augmented")] == instances
+        assert sum(n for (name, *_), n in calls.items() if name == "adjoints") == instances
+
+    def test_a_warm_row_is_bitwise_a_cold_one(self):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        edges = net.edges()[:4]
+        for method in ("ed-kl", "ed-bp"):
+            divergence._kept_pass = None
+            cold = run_deletion_instance(net, ev, edges, method)
+            assert divergence._kept_pass[0] is net
+            warm = run_deletion_instance(net, ev, edges, method)
+            assert warm.row == cold.row
+            assert (warm.row.kl_bound.hex(), warm.row.exact_kl.hex()) == (
+                cold.row.kl_bound.hex(), cold.row.exact_kl.hex())
+            for a, b in zip(warm.plan.params, cold.plan.params):
+                assert (a.pm.tobytes(), a.se.tobytes()) == (b.pm.tobytes(), b.se.tobytes())
+
+    def test_a_too_wide_source_pass_fails_the_row(self, monkeypatch):
+        # the cell's pass needs the all-edges augmentation's width: refused,
+        # it is a failed row, and nothing is kept
+        import math
+
+        from edgedel import harness as hmod
+
+        real = hmod.run_deletion_instance
+        monkeypatch.setattr(
+            hmod, "run_deletion_instance", lambda *a, **kw: real(*a, **kw, width_cap=1)
+        )
+        spec = ExperimentSpec(
+            network="grid(3x3)", instances=1, ks=(1,), methods=("ed-bp",),
+            selections=("rand",), seed=2,
+        )
+        (row,) = run_experiment(spec)
+        assert math.isinf(row.kl_bound) and row.constrained_treewidth == -1
+        assert divergence._kept_pass is None
 
     def test_rows_satisfy_divergence_inequality(self):
         spec = ExperimentSpec(

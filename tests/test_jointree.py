@@ -137,6 +137,24 @@ def test_tables_match_the_per_edge_programs(case, seed):
         assert_tables_match(tree, nprime, plan, evp)
 
 
+def test_an_observed_soft_evidence_input_is_written_as_its_column():
+    # the tree reads an observed S''s CPT as its observed column, se,
+    # sliced by an observed parent's state: a 0-d table for the first edge
+    _, _, nprime, plan, evp = edge_case(1, **CASES["observed-parent"])
+    records = deleted_records(nprime, plan)
+    queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
+    tree = engine.Jointree(nprime, evp, queries)
+    new = random_params(nprime, plan, np.random.default_rng(7))
+    for rec, params in zip(records, new):
+        at = nprime.var(rec.parent).index_of(evp[rec.parent]) if rec.parent in evp else None
+        tree.set_cpt(rec.clone, params.pm)
+        tree.set_input(rec.sevid, params.se if at is None else params.se[at, ...])
+    assert_tables_match(tree, nprime, plan.with_all_params(new), evp)
+    card = nprime.var(records[0].parent).card
+    with pytest.raises(ModelError, match=rf"has shape \({card},\); the tree reads \(\)"):
+        tree.set_input(records[0].sevid, new[0].se)
+
+
 def test_observed_clone_keeps_its_state():
     _, _, nprime, plan, evp = edge_case(1, cards=(2, 3), k=2)
     rec = deleted_records(nprime, plan)[0]

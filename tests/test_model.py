@@ -30,6 +30,17 @@ def chain_ab():
     )
 
 
+class TestLayout:
+    def test_a_layout_is_built_and_hashed_once(self):
+        net = chain_ab()
+        layout = net.layout()
+        assert net.layout() is layout
+        assert layout == tuple(layout) and hash(layout) == hash(tuple(layout))
+        # the kept hash is returned, not the entries hashed again
+        layout._hash = 7
+        assert hash(layout) == 7
+
+
 class TestValidation:
     def test_well_formed_chain_has_no_violations(self):
         assert validate_network(chain_ab()) == []

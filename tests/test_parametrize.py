@@ -31,6 +31,7 @@ from edgedel import (
 )
 from edgedel.deletion import apply_params
 from edgedel.harness import grid_network, run_deletion_instance
+from edgedel.divergence import forward_backward
 from edgedel.parametrize import _Fit, _sweep, true_edge_marginals
 
 import record_fit_golden as fit_cases
@@ -357,7 +358,7 @@ class TestEdgeTableSweep:
         plan = plan.with_all_params(
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
         )
-        tm, _ = true_edge_marginals(aug, ev, plan)
+        tm = true_edge_marginals(forward_backward(aug, ev), plan)
         got, _, _ = run(
             nprime, plan, evp,
             IterationConfig(
@@ -444,6 +445,78 @@ class TestBoundSlots:
             assert [t.tobytes() for t in tables] == [w.tobytes() for w in want]
 
 
+def count_tree_writes(monkeypatch):
+    """Record every ``Jointree`` write as (method, variable); returns the
+    live list."""
+    writes = []
+    for method in ("set_cpt", "set_input"):
+        real = getattr(engine_module.Jointree, method)
+
+        def writing(tree, name, table, _real=real, _method=method):
+            writes.append((_method, name))
+            return _real(tree, name, table)
+
+        monkeypatch.setattr(engine_module.Jointree, method, writing)
+    return writes
+
+
+class TestStartWrites:
+    """A fit writes into its tree only the start vectors that differ from
+    N''s tables, and an observed soft-evidence input as ``se`` alone."""
+
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    @pytest.mark.parametrize("selection", ["rand", "guided"])
+    def test_a_harness_cell_writes_nothing_before_its_first_sweep(
+        self, monkeypatch, method, selection
+    ):
+        # a cell's N' is built from the plan it fits from: uniform, or the
+        # guided scores' parameters
+        net, ev = grid_case()[:2]
+        scores = score_edges(net, ev)[:4]
+        edges = [(s.parent, s.child) for s in scores] if selection == "guided" else net.edges()[:4]
+        warm = [s.params for s in scores] if selection == "guided" else None
+        writes = count_tree_writes(monkeypatch)
+        at_first_sweep = []
+        real_sweep = parametrize_module._sweep
+
+        def sweep(*args, **kwargs):
+            at_first_sweep.append(len(writes))
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(parametrize_module, "_sweep", sweep)
+        outcome = run_deletion_instance(net, ev, edges, method, warm_params=warm)
+        assert outcome.row.iterations > 1
+        assert at_first_sweep[0] == 0
+        # each sweep writes each edge's two inputs, the soft evidence as se
+        per_edge = [("set_cpt", rec.clone) for rec in outcome.plan.edges]
+        assert writes[: 2 * len(edges): 2] == per_edge
+        assert {m for m, _ in writes[1::2]} == {"set_input"}
+
+    @pytest.mark.parametrize("evidence", ["augmented", "no-soft-evidence"])
+    def test_vectors_that_differ_from_nprime_are_written(self, monkeypatch, evidence):
+        net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
+        records = deleted_records(nprime, plan)
+        if evidence == "no-soft-evidence":
+            evp = evp.without(records[0].sevid)
+        vectors = [(p.pm, p.se) for p in plan.params]
+        writes = count_tree_writes(monkeypatch)
+        cap = engine_module.WIDTH_CAP_DEFAULT
+        _Fit(nprime, evp, records, vectors, True, cap)
+        # a soft-evidence variable that is not observed is always written
+        unobserved = [("set_cpt", records[0].clone), ("set_cpt", records[0].sevid)]
+        assert writes == (unobserved if evidence == "no-soft-evidence" else [])
+        writes.clear()
+        # a new prior or a new row alone writes the edge
+        vectors[0] = (np.array([0.3, 0.7]), vectors[0][1])
+        vectors[2] = (vectors[2][0], np.array([0.25, 0.75]))
+        _Fit(nprime, evp, records, vectors, True, cap)
+        se_write = "set_cpt" if evidence == "no-soft-evidence" else "set_input"
+        assert writes == [
+            ("set_cpt", records[0].clone), (se_write, records[0].sevid),
+            ("set_cpt", records[2].clone), ("set_input", records[2].sevid),
+        ]
+
+
 class TestWorkCounts:
     """Eliminations per unit of work on grid(4x4), k = 4.
 
@@ -456,7 +529,7 @@ class TestWorkCounts:
         # sequential: one table read off it per edge; simultaneous: each
         # edge's dPr'/dpm and dPr'/dse, all read before any write
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        tm, _ = true_edge_marginals(aug, ev, plan)
+        tm = true_edge_marginals(forward_backward(aug, ev), plan)
         names = [
             "compile", "cpt_derivatives", "record", "_order", "replay", "adjoints", "_bind",
         ]
@@ -516,7 +589,7 @@ class TestWorkCounts:
         the Pr'(e') read after each where the sweep leaves it unknown (as a
         run with a KL bound reads it)."""
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        tm, _ = true_edge_marginals(aug, ev, plan)
+        tm = true_edge_marginals(forward_backward(aug, ev), plan)
         vectors = [(p.pm, p.se) for p in plan.params]
         fit = _Fit(
             nprime, evp, deleted_records(nprime, plan), vectors, sequential,
@@ -553,9 +626,9 @@ class TestWorkCounts:
             "compile", "posterior_marginal", "record", "_order", "replay", "adjoints", "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
-        true_edge_marginals(aug, ev, plan)
+        source = forward_backward(aug, ev)
         own = dict(calls)
-        # true_edge_marginals: one recording, bound once, and one
+        # the source pass: one recording, bound once, and one
         # forward/backward pass
         assert own == {
             **dict.fromkeys(names, 0),
@@ -565,19 +638,26 @@ class TestWorkCounts:
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - own[name] for name in calls}
-        # run's source pass repeats true_edge_marginals' on the same
-        # augmentation, whose recording is kept (no order); beyond it, in
-        # either schedule: one jointree of N', one order and one binding,
-        # and no recording, replay or pass on N'
+        # given (aug, ev), run repeats that pass on the same augmentation,
+        # whose recording is kept (no order); beyond it, in either
+        # schedule: one jointree of N', one order and one binding, and no
+        # recording, replay or pass on N'
         assert got == {
             **dict.fromkeys(names, 0),
             "record": 1, "_order": 1, "adjoints": 1, "_bind": 2,
         }
+        # given the pass itself, run makes none: the tree is all, and its
+        # structure is kept too
+        before = dict(calls)
+        _, given, _ = run(nprime, plan, evp, cfg, reference=source)
+        assert given.source is source and given.pr_ep == report.pr_ep
+        got = {name: calls[name] - before[name] for name in calls}
+        assert got == {**dict.fromkeys(names, 0), "_bind": 1}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_only_the_source_pr_e_program(self, monkeypatch, schedule):
         # no run compiles, and the one recording is the source network's
-        # Pr(e) (true_edge_marginals); N' is read through the jointree only
+        # Pr(e), for its pass; N' is read through the jointree only
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         calls = count_engine_calls(monkeypatch, ["compile"])
         real_record = engine_module.record
