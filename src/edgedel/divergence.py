@@ -12,14 +12,15 @@ reference hands back (``parametrize.run``); ``kl_bound`` and ``exact_kl``
 make both themselves.  ``source_pass`` keeps the most recent (network,
 evidence) pair's pass on the all-edges augmentation, which ``score_edges``
 and the harness's fits share.  ``edge_update`` is the one fixed-point
-update of a single deleted edge (ed-bp or ed-kl), read off an evaluator of
-Pr'(e') and its derivatives with respect to the edge's parameters; the
-parametrization sweeps call it once per edge.  ``score_edges`` ranks every
-network edge by the divergence achievable when it alone is deleted with ed-kl
-parameters: one forward/backward pass on the augmented network gives Pr(e) and
-every clone CPT's derivative table, and the scorer then takes the sweep's
-ed-kl edge update on all tables of one shape and layout at once, bitwise
-each edge's own fit.  Only edges whose scores tie within TIE_TOL take one
+update of a single deleted edge (ed-bp or ed-kl), read off Pr'(e') and its
+derivatives with respect to the edge's parameters, and in a sequential
+update off the edge's table too; the parametrization sweeps call it once
+per edge.  ``score_edges`` ranks every network edge by the divergence
+achievable when it alone is deleted with ed-kl parameters: one
+forward/backward pass on the augmented network gives Pr(e) and every clone
+CPT's derivative table, and the scorer then takes the sweep's ed-kl edge
+update on all tables of one shape and layout at once, bitwise each edge's
+own fit.  Only edges whose scores tie within TIE_TOL take one
 derivative elimination each, which fixes their order to that route's.
 """
 
@@ -321,21 +322,17 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
-def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
+def edge_update(reads, pm, se, method, true_marg, label, damping=0.0, g=None):
     """One fixed-point update of one deleted edge from its clone prior
-    ``pm`` and soft-evidence row ``se``; returns (new pm, new se, residual,
-    Pr'(e') at the old vectors).
+    ``pm`` and soft-evidence row ``se``; returns (new pm, new se, residual).
 
-    ``evaluate(pm, se)`` returns (Pr'(e'), d/dpm, d/dse) at those vectors.
-    The prior is updated first, from ``evaluate(pm, se)``; ``evaluate`` is
-    then called again at the new prior before the row is updated.  The
-    sequential sweep passes ``functools.partial(single_edge_evaluate, g)``
-    for the edge's table g over (parent, clone), so the second call sees
-    the new prior (``score_edges`` takes these steps on stacks); the
-    simultaneous sweep passes a function that returns the sweep-start
-    derivatives whatever its arguments, so both vectors move from them.
-    ``true_marg`` is the true parent posterior (ed-kl only).  The residual is
-    the largest parameter change.  An all-zero or non-finite update raises
+    ``reads`` is (Pr'(e'), d/dpm, d/dse) at (``pm``, ``se``), from which
+    the prior is updated first.  With ``g``, the edge's table over (parent,
+    clone) (``single_edge_evaluate``), the row is then updated at the new
+    prior, from ``g @ new_pm`` and ``d_pm @ new_pm`` (the sequential sweep;
+    ``score_edges`` on stacks); without it, from ``reads`` too (the
+    simultaneous sweep).  ``true_marg`` is the true parent posterior (ed-kl
+    only).  The residual is the largest parameter change.  An all-zero or non-finite update raises
     ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
     ``InconsistentEvidenceError``.  Neither can happen when scoring: from a
     uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
@@ -345,16 +342,21 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
     given and clips ``se``, is built only where a fit hands its result back.
     The prior is divided by its sum after its own update and again after
     the row's.  Fitted values depend on these steps bit for bit
-    (``tests/data/fit_golden.json``).  The row needs no clipping: it is a
-    nonnegative vector divided by its own sum, which is at least every
+    (``tests/data/fit_golden.json``), and so do the tie orders that
+    ``perfbench/reference.json`` records: without the second division,
+    benchmark seed 2 reorders a tie in two matrix solves
+    (``i4/grid(4x4)/ed-{kl,bp}/guided/k1``).  The row needs no clipping: it
+    is a nonnegative vector divided by its own sum, which is at least every
     entry, and rounding is monotone, so every entry already lies in [0, 1].
     """
-    pr_old, d_pm, d_se = evaluate(pm, se)
+    pr, d_pm, d_se = reads
     new_pm = _damp(
-        _update_rule(method, true_marg, pr_old, d_pm, d_se, "pm", label), pm, damping, label
+        _update_rule(method, true_marg, pr, d_pm, d_se, "pm", label), pm, damping, label
     )
     new_pm = new_pm / new_pm.sum()
-    pr, d_pm, d_se = evaluate(new_pm, se)
+    if g is not None:
+        d_se = g @ new_pm
+        pr = float(d_pm @ new_pm)
     new_se = _damp(
         _update_rule(method, true_marg, pr, d_se, d_pm, "se", label), se, damping, label
     )
@@ -363,7 +365,7 @@ def edge_update(evaluate, pm, se, method, true_marg, label, damping=0.0):
         float(np.maximum.reduce(np.abs(new_pm - pm))),
         float(np.maximum.reduce(np.abs(new_se - se))),
     )
-    return new_pm, new_se, residual, pr_old
+    return new_pm, new_se, residual
 
 
 def _edkl_rows(true, pr_ep, deriv, labels) -> np.ndarray:
@@ -511,10 +513,14 @@ def mutual_information_scores(
     Weak dependencies rank first (best to delete).  One forward/backward
     pass (``engine.adjoints``) gives every child's family table, and
     Pr(u, x | e) is that table summed over the child's other parents.  An
-    edge with an observed endpoint scores exactly 0.0, its conditional
-    mutual information.  Ties break toward declaration order.
+    original network's pass is ``source_pass``'s (``augment`` keeps the
+    family layout), so mi needs the all-edges augmentation's width, as
+    every harness cell does.  An edge with an observed endpoint scores
+    exactly 0.0, its conditional mutual information.  Ties break toward
+    declaration order.
     """
-    grads = forward_backward(net, ev, width_cap)
+    grads = (source_pass(net, ev, width_cap)[1] if net.kind == "original"
+             else forward_backward(net, ev, width_cap))
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")

@@ -13,18 +13,17 @@ keys over bitmask adjacency, and checked against the width cap before any
 table is read), records a ``Program`` naming, bucket by bucket, the
 operands, each step's transpose and broadcast shapes, and the summed or
 maximized axis, and last reads the program's input tables off the network
-(``_bind``: each CPT through ``_write``, which checks its shape and applies
-the evidence slice).  Then ``replay`` runs exactly the recorded numpy
-operations on those tables, with an argmax traceback for the maximized
-variables.  It checks the program's result, not each product, for
-overflow: the inputs are finite and nonnegative, and an inf or NaN entry
-survives every later product, sum and maximum.
+(``_bind``, which applies each CPT's evidence slice).  Then ``replay`` runs
+exactly the recorded numpy operations on those tables, with an argmax
+traceback for the maximized variables.  It checks the program's result,
+not each product, for overflow: the inputs are finite and nonnegative, and
+an inf or NaN entry survives every later product, sum and maximum.
 
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
 all the network's inputs: Shenoy–Shafer messages between the cliques of
-that order, each one ``np.einsum``, kept until a written CPT (``set_cpt``,
-through ``_write``, or ``set_input``, already sliced) makes them stale.
+that order, each one ``np.einsum``, kept until a written input
+(``set_input``, already sliced by the evidence) makes them stale.
 ``parametrize.run`` reads every deleted edge's tables and Pr'(e') off one
 tree in either schedule, so a sweep's writes re-send only the messages
 that depend on them.
@@ -590,33 +589,18 @@ def _stored(out, shape):
     return out if shape else out.reshape(())
 
 
-def _write(inputs, bound: list, i: int, table: np.ndarray) -> None:
-    """Set ``bound[i]``, the table of input ``inputs[i]``, to ``table``, the
-    CPT table of that input's variable.  ``table`` must have the shape the
-    input was recorded for, and is read as it was recorded: sliced by its
-    evidence.
-
-    ``_bind`` reads every CPT through here, and ``Jointree.set_cpt``
-    writes the fit's edge tables through here.
-    """
-    inp = inputs[i]
-    if table.shape != inp.shape:
-        raise ModelError(
-            f"cpt for {inp.cpt!r} has shape {table.shape}; "
-            f"the program was recorded for {inp.shape}"
-        )
-    if inp.take is not None:
-        # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
-        table = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
-    bound[i] = table
-
-
 def _bind(inputs, net: Network) -> list[np.ndarray]:
-    """The tables of ``inputs`` read off ``net``: each CPT through ``_write``."""
-    bound = [inp.table for inp in inputs]
-    for i, inp in enumerate(inputs):
+    """The tables of ``inputs`` read off ``net``: each CPT's table sliced
+    by its evidence (``_Input.take``), each fixed input's own table."""
+    bound = []
+    for inp in inputs:
+        table = inp.table
         if inp.cpt is not None:
-            _write(inputs, bound, i, net.cpt(inp.cpt).shaped)
+            table = net.cpt(inp.cpt).shaped
+            if inp.take is not None:
+                # ascontiguousarray makes a 0-d slice 1-d; reshape restores it
+                table = np.ascontiguousarray(table[inp.take]).reshape(inp.reduced)
+        bound.append(table)
     return bound
 
 
@@ -986,9 +970,9 @@ class Jointree:
     Every directed message is the product of its clique's inputs and of
     the messages into that clique from its other neighbours, summed down to
     the separator: one ``np.einsum`` whose subscripts are fixed with the
-    structure.  A message is kept until ``set_cpt`` (or ``set_input``)
-    changes an input that it depends on: writing a CPT forgets the messages
-    leaving that input's clique.  ``table(j)`` sends the forgotten messages
+    structure.  A message is kept until ``set_input`` changes an input that
+    it depends on: writing an input forgets the messages leaving its
+    clique.  ``table(j)`` sends the forgotten messages
     into query j's home and contracts the home's other inputs with every
     message into it.  No step divides, so the tables stay exact at zero
     parameters.  ``sent`` counts the messages computed.
@@ -1023,35 +1007,24 @@ class Jointree:
         messages = [None] * (len(plan.sends) - len(inputs))
         self.bound = _bind(inputs, net) + messages + [np.ones(s) for s in plan.fixed]
 
-    def set_cpt(self, name: str, table: np.ndarray) -> None:
-        """Make ``table`` the CPT of ``name`` (``_write``), and forget the
-        messages that depend on it: those leaving its input's clique."""
-        i = self.cpt_inputs[name]
-        _write(self.inputs, self.bound, i, table)
-        self._forget(i)
-
     def set_input(self, name: str, table: np.ndarray) -> None:
-        """As ``set_cpt``, but ``table`` is the input as the tree reads it:
-        the CPT's table already sliced by the evidence, in the input's
-        ``reduced`` shape.  An observed child's input, for one, is its
-        observed state's column sliced by its observed parents."""
+        """Make ``table`` the input of the CPT of ``name``, as the tree
+        reads it: the CPT's table sliced by the evidence, in the input's
+        ``reduced`` shape (an observed child's is its observed state's
+        column sliced by its observed parents).  Forgets the messages that
+        depend on it: those leaving its input's clique."""
         i = self.cpt_inputs[name]
         if table.shape != self.inputs[i].reduced:
             raise ModelError(
                 f"input for {name!r} has shape {table.shape}; "
                 f"the tree reads {self.inputs[i].reduced}"
             )
-        self.bound[i] = table
-        self._forget(i)
-
-    def _forget(self, i: int) -> None:
-        """Forget the messages leaving input i's clique."""
-        plan = self._plan
+        plan, bound = self._plan, self.bound
+        bound[i] = table
         c = plan.holder[i]
         stale = plan.stale.get(c)
         if stale is None:
             stale = _leaving(plan.sends, len(self.inputs), _below(plan.parent, c))
-        bound = self.bound
         for t in stale:
             bound[t] = None
 

@@ -261,7 +261,8 @@ def run_deletion_instance(
     The KL bound (before clamping, the trace's last bit for bit) and exact
     KL read that pass and the fit's own Pr'(e') (``FixedPointReport``'s
     ``source``, ``pr_ep``), and nothing is eliminated on N' but the
-    marginals' one forward/backward pass.
+    marginals' one forward/backward pass.  A row with no edge deleted
+    reads exactly 0: ``run``'s Pr'(e') is then that pass's Pr(e).
     """
     start = time.perf_counter()
     aug, nprime, plan = approximate_network(net, edges, warm_params)

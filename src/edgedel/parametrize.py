@@ -17,23 +17,25 @@ What its sweeps read is built once, before the first sweep: one jointree
 of N' and its evidence (``engine.Jointree``) in both schedules.  A
 sequential run reads each edge's table over (parent, clone) off it, and a
 simultaneous run each edge's derivatives with respect to its clone prior
-and soft-evidence row; either reads Pr'(e') off it.  An edge's new (pm, se)
-reach the tree as the tables that ``apply_params`` would install, sliced
-by the evidence as the tree sliced the tables it read off N': the clone
-prior, and of the soft-evidence CPT (``deletion.se_table``) only its
-observed column, ``se`` itself.
+and soft-evidence row; either reads Pr'(e') off it.  Each update is data
+in, data out: ``edge_update`` takes the edge's reads (Pr'(e') and both
+derivative vectors) and, in a sequential run, its table, and returns the
+new vectors.  An edge's new (pm, se) reach the tree through one write
+method (``Jointree.set_input``) as the inputs that ``apply_params`` would
+install, sliced by the evidence as the tree sliced the tables it read off
+N': the clone prior, and of the soft-evidence CPT (``deletion.se_table``)
+only its observed column, ``se`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import engine
 from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params
-from .deletion import deleted_records, se_table
+from .deletion import deleted_records
 from .divergence import edge_update, forward_backward, kl_breakdown, single_edge_evaluate
 from .divergence import true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
@@ -107,12 +109,6 @@ def _chained(expected, got, label) -> float:
     return expected
 
 
-def _fixed(derivatives):
-    """An evaluator that returns the sweep-start (Pr'(e'), d/dpm, d/dse)
-    whatever vectors it is given."""
-    return lambda _pm, _se: derivatives
-
-
 def _start_vectors(nprime, records, plan):
     """The plan's (pm, se) vectors, each checked against its clone's and
     parent's cardinality in N'."""
@@ -129,19 +125,6 @@ def _start_vectors(nprime, records, plan):
     return vectors
 
 
-def _se_index(nprime, evp, rec):
-    """The index that takes edge ``rec``'s soft-evidence input, as a tree
-    of N' reads it, out of its ``se``, or None where the soft-evidence
-    variable is not observed at ``SE_OBSERVED``.  That state's column of
-    ``se_table(se)`` is ``se``, sliced by the parent's evidence: an
-    observed parent's state, taken as a 0-d view."""
-    if evp.get(rec.sevid) != SE_OBSERVED:
-        return None
-    if rec.parent in evp:
-        return nprime.var(rec.parent).index_of(evp[rec.parent]), ...
-    return ...
-
-
 class _Fit:
     """One ``run``'s current edge vectors and the one jointree of N' its
     sweeps read (``engine.Jointree``), built from N' and its evidence.
@@ -155,14 +138,14 @@ class _Fit:
     query, which keeps nothing and so moves no other query, gives Pr'(e').
 
     Setting an edge's vectors writes its clone prior and its soft-evidence
-    input into the tree, which forgets the messages leaving the edge's
-    clique; no other input is read again.  Where the soft-evidence variable
-    is observed at ``SE_OBSERVED``, whose column of ``se_table(se)`` is
-    ``se``, the tree reads only that column, sliced by the parent's
-    evidence, so ``se`` is written as that input (``Jointree.set_input``);
-    elsewhere the whole CPT is built and written (``Jointree.set_cpt``).
-    Start vectors that the tree already read off N', as it reads those of
-    a plan that N' was built from, are not written again.
+    input into the tree (``Jointree.set_input``), which forgets the
+    messages leaving the edge's clique; no other input is read again.  The
+    unobserved clone's input is ``pm`` itself.  The soft-evidence variable
+    is observed at ``SE_OBSERVED`` (``run`` checks it), whose column of
+    ``deletion.se_table(se)`` is ``se``, so the tree reads only ``se``,
+    sliced by the parent's evidence: an observed parent's state, taken as
+    a 0-d view.  Start vectors that the tree already read off N', as it
+    reads those of a plan that N' was built from, are not written again.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
@@ -173,7 +156,10 @@ class _Fit:
             queries = [q for rec in records
                        for q in (((rec.clone,), (rec.clone,)), ((rec.sevid,), (rec.parent,)))]
         self.tree = engine.Jointree(nprime, evp, queries + [((), ())], width_cap)
-        self._se_at = [_se_index(nprime, evp, rec) for rec in records]
+        self._se_at = [
+            (nprime.var(rec.parent).index_of(evp[rec.parent]), ...) if rec.parent in evp else ...
+            for rec in records
+        ]
         self.vectors = list(vectors)
         for j, (pm, se) in enumerate(self.vectors):
             if not self._holds(nprime, j, pm, se):
@@ -181,12 +167,10 @@ class _Fit:
 
     def _holds(self, nprime, j, pm, se) -> bool:
         """Whether the tree already read edge j's (pm, se) off N': its
-        clone prior, and its soft-evidence CPT's observed column, the
-        first, where that is all the tree reads."""
+        clone prior, and its soft-evidence CPT's first (observed) column."""
         rec = self.records[j]
         return (
-            self._se_at[j] is not None
-            and np.array_equal(pm, nprime.cpt(rec.clone).table)
+            np.array_equal(pm, nprime.cpt(rec.clone).table)
             and np.array_equal(se, nprime.cpt(rec.sevid).shaped[:, 0])
         )
 
@@ -208,12 +192,8 @@ class _Fit:
         """Make (pm, se) edge j's vectors."""
         rec = self.records[j]
         self.vectors[j] = (pm, se)
-        self.tree.set_cpt(rec.clone, pm)
-        at = self._se_at[j]
-        if at is None:
-            self.tree.set_cpt(rec.sevid, se_table(se))
-        else:
-            self.tree.set_input(rec.sevid, se[at])
+        self.tree.set_input(rec.clone, pm)
+        self.tree.set_input(rec.sevid, se[self._se_at[j]])
 
 
 def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
@@ -227,9 +207,11 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
 
     Sequential mode reads one table per edge: g over (parent, clone) of N'
     with that edge's clone prior and soft-evidence CPT left out, at the
-    other edges' current vectors, so that Pr'(e') = se g pm and
-    ``divergence.edge_update`` fits the edge from g.  Each write forgets
-    only the messages on the path from its clique to the next edge's.
+    other edges' current vectors, so that Pr'(e') = se g pm.  One
+    ``single_edge_evaluate`` reads Pr'(e') and both derivative vectors off
+    g, and ``divergence.edge_update`` fits the edge from them and g.  Each
+    write forgets only the messages on the path from its clique to the
+    next edge's.
 
     Simultaneous mode reads every edge's dPr'/dpm and dPr'/dse at the
     sweep-start vectors before it writes any, and ``edge_update`` moves
@@ -243,24 +225,25 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     """
     residuals = []
     if not sequential:
-        reads = [fit.derivatives(i) for i in range(len(fit.records))]
+        derivatives = [fit.derivatives(i) for i in range(len(fit.records))]
     for i, rec in enumerate(fit.records):
         label = f"edge {rec.parent} -> {rec.child}"
         true_marg = true_marginals[i] if true_marginals is not None else None
+        pm, se = fit.vectors[i]
+        g = None
         if sequential:
-            evaluate = partial(single_edge_evaluate, fit.table(i))
+            g = fit.table(i)
+            reads = single_edge_evaluate(g, pm, se)
+            _chained(pr_ep, reads[0], label)
         else:
-            (pm, se), (d_pm, d_se) = fit.vectors[i], reads[i]
-            pr = float(d_pm @ pm)
-            pr_ep = _chained(pr_ep, pr, label)
+            d_pm, d_se = derivatives[i]
+            reads = (float(d_pm @ pm), d_pm, d_se)
+            pr_ep = _chained(pr_ep, reads[0], label)
             _chained(pr_ep, float(d_se @ se), label)
-            evaluate = _fixed((pr, d_pm, d_se))
-        pm, se, residual, pr = edge_update(
-            evaluate, *fit.vectors[i], method, true_marg, label, damping
-        )
+        pm, se, residual = edge_update(reads, pm, se, method, true_marg, label, damping, g)
         if sequential:
-            _chained(pr_ep, pr, label)
-            pr_ep = evaluate(pm, se)[0]
+            # single_edge_evaluate's product order, so Pr'(e') keeps its bits
+            pr_ep = float((se @ g) @ pm)
         fit.set(i, pm, se)
         residuals.append(residual)
     return residuals, pr_ep if sequential or not fit.records else None
@@ -285,7 +268,8 @@ def run(
     raises ``ModelError`` before any sweep.
 
     Each edge's soft-evidence variable must be observed in
-    ``deletion.SE_OBSERVED``, or ``ModelError`` names it before any sweep.
+    ``deletion.SE_OBSERVED``, and its clone must not be observed, or
+    ``ModelError`` names the variable before any sweep.
 
     N' is ordered and bound once, when the run starts, as one jointree (see
     ``_Fit``), so a too-wide N' raises ``CapacityError`` there even with
@@ -298,7 +282,8 @@ def run(
     that read sent; a sequential sweep carries it.  The report hands back
     the reference's pass and Pr'(e') at the returned parameters
     (``source``, ``pr_ep``): the value the last KL bound used, or, with no
-    sweep, one read off the tree.
+    sweep, one read off the tree.  An empty plan's N' is the source
+    network, so its Pr'(e') is the reference's Pr(e).
 
     ``reference`` gives the source network's forward/backward pass, from
     which the true parent posteriors are read (``true_edge_marginals``):
@@ -321,6 +306,8 @@ def run(
         plan = DeletionPlan.uniform(nprime, plan.edges) if len(plan) else plan
     records = deleted_records(nprime, plan)
     for rec in records:
+        if rec.clone in evp:
+            raise ModelError(f"clone {rec.clone} must not be observed")
         if evp.get(rec.sevid) != SE_OBSERVED:
             raise ModelError(
                 f"soft-evidence variable {rec.sevid} must be observed as {SE_OBSERVED!r}"
@@ -337,7 +324,7 @@ def run(
     residuals: tuple[float, ...] = ()
     converged = False
     iterations = 0
-    pr_ep = None
+    pr_ep = source.pr_e if source is not None and not records else None
     for sweep in range(1, cfg.max_iterations + 1):
         res, pr_ep = _sweep(fit, cfg.method, true_marginals, cfg.damping, sequential, pr_ep)
         iterations = sweep

@@ -55,6 +55,17 @@ def count_engine_calls(monkeypatch, names):
     return calls
 
 
+def tree_input(tree, name, table):
+    """``table``, a CPT table of ``name``, as the jointree ``tree`` reads
+    it (``Jointree.set_input``): sliced by the evidence, as ``engine._bind``
+    reads a CPT off a network."""
+    inp = tree.inputs[tree.cpt_inputs[name]]
+    if inp.take is None:
+        return table
+    sliced = table[inp.take]
+    return np.ascontiguousarray(sliced).reshape(sliced.shape)
+
+
 def tied_edges(scores):
     """Number of edges in runs of two or more adjacent ``EdgeScore``s whose
     scores tie within ``divergence.TIE_TOL``."""

@@ -1,13 +1,11 @@
 """Per-edge reference route for ``divergence.score_edges``.
 
-Fits one edge at a time with ``divergence.edge_update`` on
-``partial(single_edge_evaluate, g)``, the sweep's own one-edge update, and
-ranks with the tie rule written out again here, so the tests compare the
-package's stacked fit against a route that shares only the update rule
-with it.
+Fits one edge at a time with ``divergence.edge_update`` on the reads of
+``single_edge_evaluate`` and the edge's table g, the sequential sweep's own
+one-edge update, and ranks with the tie rule written out again here, so
+the tests compare the package's stacked fit against a route that shares
+only the update rule with it.
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -32,16 +30,16 @@ def fit_edge(rec, derivs, pr_e, max_iterations=None):
         max_iterations = INNER_MAX_ITERATIONS
     true_marg = np.diag(derivs) / pr_e
     label = f"edge {rec.parent} -> {rec.child}"
-    evaluate = partial(single_edge_evaluate, derivs)
     start = EdgeParams.uniform(derivs.shape[1])
     pm, se = start.pm, start.se
     converged = False
     for iterations in range(1, max_iterations + 1):
-        pm, se, residual, _ = edge_update(evaluate, pm, se, "ed-kl", true_marg, label)
+        reads = single_edge_evaluate(derivs, pm, se)
+        pm, se, residual = edge_update(reads, pm, se, "ed-kl", true_marg, label, g=derivs)
         if residual < INNER_TOLERANCE:
             converged = True
             break
-    pr_ep = evaluate(pm, se)[0]
+    pr_ep = single_edge_evaluate(derivs, pm, se)[0]
     score = kl_breakdown([true_marg], [(pm, se)], pr_e, pr_ep).total
     return EdgeScore(rec.parent, rec.child, score, EdgeParams(pm, se), iterations, converged)
 

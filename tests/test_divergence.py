@@ -1,6 +1,5 @@
 import math
 import warnings
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -453,8 +452,8 @@ class TestEdgeUpdate:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(edgedel.DegenerateUpdateError) as info:
                 edge_update(
-                    partial(single_edge_evaluate, g), *uniform_vectors(2), "ed-kl",
-                    np.array([0.5, 0.5]), "edge U -> X",
+                    single_edge_evaluate(g, *uniform_vectors(2)), *uniform_vectors(2), "ed-kl",
+                    np.array([0.5, 0.5]), "edge U -> X", g=g,
                 )
         message = str(info.value)
         assert message == "update for edge U -> X overflowed (sum inf)"
@@ -464,8 +463,8 @@ class TestEdgeUpdate:
         g = np.array([[0.5, 0.1], [0.2, 0.4]])
         with pytest.raises(edgedel.DegenerateUpdateError) as info:
             edge_update(
-                partial(single_edge_evaluate, g), *uniform_vectors(2), "ed-kl",
-                np.zeros(2), "edge U -> X",
+                single_edge_evaluate(g, *uniform_vectors(2)), *uniform_vectors(2), "ed-kl",
+                np.zeros(2), "edge U -> X", g=g,
             )
         assert str(info.value) == "update for edge U -> X is degenerate (sum 0.0)"
 

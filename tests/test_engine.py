@@ -38,7 +38,9 @@ from edgedel.harness import chain_network, grid_network, run_deletion_instance
 from edgedel.divergence import forward_backward, score_edges, true_edge_marginals
 
 import elimination_reference as ref
-from conftest import brute_posterior, count_engine_calls, positive_evidence, random_network
+from conftest import (
+    brute_posterior, count_engine_calls, positive_evidence, random_network, tree_input,
+)
 
 
 def kept(net, ev, without, keep, width_cap=engine_module.WIDTH_CAP_DEFAULT):
@@ -809,9 +811,10 @@ class TestTreeReuse:
         rng = np.random.default_rng(7)
         for rec in records:
             card = nprime.var(rec.clone).card
-            tree.set_cpt(rec.clone, rng.dirichlet(np.ones(card)))
+            tree.set_input(rec.clone, rng.dirichlet(np.ones(card)))
             se = rng.uniform(0.1, 1.0, nprime.var(rec.parent).card)
-            tree.set_cpt(rec.sevid, np.stack([se, 1.0 - se], axis=1))
+            se_cpt = np.stack([se, 1.0 - se], axis=1)
+            tree.set_input(rec.sevid, tree_input(tree, rec.sevid, se_cpt))
             out.extend(tree.table(j) for j in range(len(queries)))
         return out, tree.sent
 
@@ -1105,9 +1108,9 @@ class TestReplayGuards:
         assert len(bound) == len(before) and all(a is b for a, b in zip(bound, before))
         assert engine_module.replay(program)[0].tobytes() == first.tobytes()
 
-    def test_writing_a_cpt_of_the_wrong_shape_raises(self):
-        # a jointree's set_cpt checks each table against the shape its
-        # input was recorded for, as record reads every CPT
+    def test_writing_an_input_of_the_wrong_shape_raises(self):
+        # a jointree's set_input checks each table against the shape its
+        # input was recorded for: the CPT's, sliced by the evidence
         tree = engine_module.Jointree(chain3(), Evidence({"C": "c1"}), [(("B",), ("A", "B"))])
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1", "b2"))
@@ -1120,8 +1123,10 @@ class TestReplayGuards:
                 Cpt(c, (b,), [0.9, 0.1, 0.25, 0.75, 0.5, 0.5]),
             ],
         )
-        with pytest.raises(ModelError, match="cpt for 'C' has shape"):
-            tree.set_cpt("C", other.cpt("C").shaped)
+        table = tree_input(tree, "C", other.cpt("C").shaped)
+        shapes = r"input for 'C' has shape \(3,\); the tree reads \(2,\)"
+        with pytest.raises(ModelError, match=shapes):
+            tree.set_input("C", table)
 
 
 def one_pass(net, ev):

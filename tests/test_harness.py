@@ -268,6 +268,32 @@ class TestRunExperiment:
         assert calls[("adjoints", "augmented")] == instances
         assert sum(n for (name, *_), n in calls.items() if name == "adjoints") == instances
 
+    def test_an_mi_ranking_reads_the_instance_s_source_pass(self, monkeypatch):
+        # the spec of CI's report check: mi's family tables come off the
+        # pass the guided ranking and every cell read, one per instance
+        spec = parse_experiment_spec(
+            "network = grid(4x4)\ninstances = 3\nk = 1,2,4\nmethods = ed-kl,ed-bp\n"
+            "selections = rand,guided,mi\nseed = 5\n"
+        )
+        calls = count_passes_by_network(monkeypatch)
+        rows = run_experiment(spec)
+        assert len(rows) == 3 * 3 * 2 * 3
+        assert sum(n for (name, *_), n in calls.items() if name == "adjoints") == 3
+
+    def test_rows_with_no_edge_deleted_read_exactly_zero(self):
+        # N' is then the source network, so Pr'(e') is read as Pr(e) off
+        # the source pass; on this spec N''s own tree read it a bit away
+        # in instance 2, a KL of 2.2e-16
+        spec = ExperimentSpec(
+            network="grid(4x4)", instances=3, ks=(0, 1), methods=("ed-kl", "ed-bp"),
+            selections=("rand", "guided"), seed=2,
+        )
+        rows = run_experiment(spec)
+        unreduced = [r for r in rows if r.edges_deleted == 0]
+        assert len(unreduced) == 12
+        assert all(r.kl_bound == 0.0 and r.exact_kl == 0.0 for r in unreduced)
+        assert all(r.kl_bound > 0.0 for r in rows if r.edges_deleted == 1)
+
     def test_a_warm_row_is_bitwise_a_cold_one(self):
         net = grid_network(4, 4, rng=np.random.default_rng(0))
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))

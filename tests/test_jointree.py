@@ -32,7 +32,7 @@ from edgedel.deletion import apply_params, se_table
 from edgedel.harness import grid_network, rank_edges
 from edgedel.parametrize import _Fit
 
-from conftest import random_cpt
+from conftest import random_cpt, tree_input
 
 REL = 1e-12
 
@@ -132,8 +132,9 @@ def test_tables_match_the_per_edge_programs(case, seed):
         if j % 2:
             continue
         plan = plan.with_params(j, params)
-        tree.set_cpt(records[j].clone, params.pm)
-        tree.set_cpt(records[j].sevid, se_table(params.se))
+        tree.set_input(records[j].clone, params.pm)
+        se_cpt = tree_input(tree, records[j].sevid, se_table(params.se))
+        tree.set_input(records[j].sevid, se_cpt)
         assert_tables_match(tree, nprime, plan, evp)
 
 
@@ -147,7 +148,8 @@ def test_an_observed_soft_evidence_input_is_written_as_its_column():
     new = random_params(nprime, plan, np.random.default_rng(7))
     for rec, params in zip(records, new):
         at = nprime.var(rec.parent).index_of(evp[rec.parent]) if rec.parent in evp else None
-        tree.set_cpt(rec.clone, params.pm)
+        # as ``_Fit.set`` writes an edge
+        tree.set_input(rec.clone, params.pm)
         tree.set_input(rec.sevid, params.se if at is None else params.se[at, ...])
     assert_tables_match(tree, nprime, plan.with_all_params(new), evp)
     card = nprime.var(records[0].parent).card
@@ -276,6 +278,22 @@ def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedul
     assert built == []
 
 
+@pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+def test_an_observed_clone_is_refused_before_any_sweep(monkeypatch, schedule):
+    # a fit writes each clone prior as the clone's whole input, which an
+    # observed clone's 0-d input cannot take
+    aug, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3)
+    clone = deleted_records(nprime, plan)[1].clone
+    evp = evp.with_added({clone: nprime.var(clone).states[0]})
+    built = []
+    monkeypatch.setattr(engine, "Jointree", lambda *args: built.append(args))
+    for method in ("ed-bp", "ed-kl"):
+        cfg = IterationConfig(method=method, schedule=schedule, initialization="plan")
+        with pytest.raises(ModelError, match=f"clone {clone} must not be observed"):
+            run(nprime, plan, evp, cfg, reference=(aug, ev))
+    assert built == []
+
+
 class RebuiltFit(_Fit):
     """A fit that also rebuilds N' at its current vectors."""
 
@@ -382,7 +400,7 @@ def test_writing_a_cpt_outside_every_query_home():
             tree.table(j)
         cpt = net.cpt(name)
         new = random_cpt(cpt.child, cpt.parents, rng)
-        tree.set_cpt(name, new.shaped)
+        tree.set_input(name, tree_input(tree, name, new.shaped))
         net = net.replace_cpts({name: new})
         for j, (without, keep) in enumerate(queries):
             want = engine.replay(engine.record(net, ev, without, keep))[0]

@@ -417,15 +417,12 @@ class TestBoundSlots:
     construction or later) gives the very input tables ``record`` reads off
     N' rebuilt with them (``apply_params``), in either schedule's tree."""
 
-    @pytest.mark.parametrize("evidence", ["augmented", "observed-parent", "no-soft-evidence"])
+    @pytest.mark.parametrize("evidence", ["augmented", "observed-parent"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
         net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
         records = deleted_records(nprime, plan)
         if evidence == "observed-parent":
             evp = evp.with_added({records[1].parent: "s1"})
-        elif evidence == "no-soft-evidence":
-            # the soft-evidence input is then the whole CPT
-            evp = evp.without(records[2].sevid)
         rng = np.random.default_rng(6)
         new = plan.with_all_params(
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
@@ -446,23 +443,23 @@ class TestBoundSlots:
 
 
 def count_tree_writes(monkeypatch):
-    """Record every ``Jointree`` write as (method, variable); returns the
-    live list."""
+    """Record every ``Jointree`` write (``set_input``) as (variable, input
+    shape); returns the live list."""
     writes = []
-    for method in ("set_cpt", "set_input"):
-        real = getattr(engine_module.Jointree, method)
+    real = engine_module.Jointree.set_input
 
-        def writing(tree, name, table, _real=real, _method=method):
-            writes.append((_method, name))
-            return _real(tree, name, table)
+    def writing(tree, name, table):
+        writes.append((name, table.shape))
+        return real(tree, name, table)
 
-        monkeypatch.setattr(engine_module.Jointree, method, writing)
+    monkeypatch.setattr(engine_module.Jointree, "set_input", writing)
     return writes
 
 
 class TestStartWrites:
     """A fit writes into its tree only the start vectors that differ from
-    N''s tables, and an observed soft-evidence input as ``se`` alone."""
+    N''s tables, each clone prior as ``pm`` and each soft-evidence input
+    as ``se`` alone."""
 
     @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
     @pytest.mark.parametrize("selection", ["rand", "guided"])
@@ -487,33 +484,29 @@ class TestStartWrites:
         outcome = run_deletion_instance(net, ev, edges, method, warm_params=warm)
         assert outcome.row.iterations > 1
         assert at_first_sweep[0] == 0
-        # each sweep writes each edge's two inputs, the soft evidence as se
-        per_edge = [("set_cpt", rec.clone) for rec in outcome.plan.edges]
-        assert writes[: 2 * len(edges): 2] == per_edge
-        assert {m for m, _ in writes[1::2]} == {"set_input"}
+        # each sweep writes each edge's two inputs: the prior as pm, the
+        # soft evidence as se
+        nprime = approximate_network(net, edges, warm)[1]
+        per_edge = [w for rec in deleted_records(nprime, outcome.plan)
+                    for w in ((rec.clone, (2,)), (rec.sevid, (2,)))]
+        assert writes[: 2 * len(edges)] == per_edge
+        assert set(writes) == set(per_edge)
 
-    @pytest.mark.parametrize("evidence", ["augmented", "no-soft-evidence"])
-    def test_vectors_that_differ_from_nprime_are_written(self, monkeypatch, evidence):
+    def test_vectors_that_differ_from_nprime_are_written(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
         records = deleted_records(nprime, plan)
-        if evidence == "no-soft-evidence":
-            evp = evp.without(records[0].sevid)
         vectors = [(p.pm, p.se) for p in plan.params]
         writes = count_tree_writes(monkeypatch)
         cap = engine_module.WIDTH_CAP_DEFAULT
         _Fit(nprime, evp, records, vectors, True, cap)
-        # a soft-evidence variable that is not observed is always written
-        unobserved = [("set_cpt", records[0].clone), ("set_cpt", records[0].sevid)]
-        assert writes == (unobserved if evidence == "no-soft-evidence" else [])
-        writes.clear()
+        assert writes == []
         # a new prior or a new row alone writes the edge
         vectors[0] = (np.array([0.3, 0.7]), vectors[0][1])
         vectors[2] = (vectors[2][0], np.array([0.25, 0.75]))
         _Fit(nprime, evp, records, vectors, True, cap)
-        se_write = "set_cpt" if evidence == "no-soft-evidence" else "set_input"
         assert writes == [
-            ("set_cpt", records[0].clone), (se_write, records[0].sevid),
-            ("set_cpt", records[2].clone), ("set_input", records[2].sevid),
+            (records[0].clone, (2,)), (records[0].sevid, (2,)),
+            (records[2].clone, (2,)), (records[2].sevid, (2,)),
         ]
 
 
@@ -550,6 +543,27 @@ class TestWorkCounts:
         _sweep(fit, "ed-kl", tm, 0.0, sequential)
         assert reads == (list(range(4)) if sequential else list(range(8)))
         assert calls == {**dict.fromkeys(names, 0), "_order": 1, "_bind": 1}
+
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_one_edge_evaluation_per_sequential_update(self, monkeypatch, method, schedule):
+        # a sequential update reads Pr'(e') and both derivative vectors off
+        # its edge table once, and edge_update takes those reads; a
+        # simultaneous one reads them off the tree and evaluates nothing
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        evaluations, updates = [], []
+        for name, log in (("single_edge_evaluate", evaluations), ("edge_update", updates)):
+            real = getattr(parametrize_module, name)
+
+            def counting(*args, _real=real, _log=log, **kwargs):
+                _log.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(parametrize_module, name, counting)
+        cfg = IterationConfig(method=method, schedule=schedule, max_iterations=3)
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert len(updates) == report.iterations * len(plan) > 0
+        assert len(evaluations) == (len(updates) if schedule == "sequential" else 0)
 
     @pytest.mark.parametrize("sequential", [True, False])
     def test_a_second_tree_of_one_structure_orders_nothing(self, monkeypatch, sequential):
@@ -876,9 +890,11 @@ class TestFitPrEp:
         net, ev, _ = fit_cases.NETWORKS["grid4x4-leaves"]()
         aug, nprime, plan, evp = build(net, ev, [])
         cfg = IterationConfig(schedule=schedule, max_iterations=sweeps)
-        plan, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        plan, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.pr_ep == pytest.approx(self.replayed(nprime, plan, evp), rel=1e-12)
-        assert report.pr_ep == pytest.approx(report.source.pr_e, rel=1e-12)
+        # N' is the source network: Pr'(e') is read as the pass's Pr(e)
+        assert report.pr_ep == report.source.pr_e
+        assert all(s.kl_bound == 0.0 for s in trace)
 
     @pytest.mark.parametrize("sweeps", [0, 1])
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
