@@ -27,6 +27,7 @@ derivative elimination each, which fixes their order to that route's.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import compress
@@ -275,7 +276,10 @@ def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
     A zero derivative against positive true mass is clamped to DENOM_FLOOR,
     with a warning; against zero true mass the entry is 0.  A 2-D stack of
     rows takes a label per row, and each clamping row warns with its own.
+    With every derivative positive, the quotient is taken as it stands.
     """
+    if np.minimum.reduce(deriv, None) > 0.0:
+        return true_marg * pr_ep / deriv
     floored = deriv <= 0.0
     clamped = floored & (true_marg > 0.0)
     if clamped.any():
@@ -289,7 +293,7 @@ def edkl_vector(true_marg, pr_ep, deriv, label) -> np.ndarray:
 
 def _normalize(vec: np.ndarray, what: str) -> np.ndarray:
     # update vectors are nonnegative, so a non-finite entry shows in the sum
-    s = float(vec.sum())
+    s = float(np.add.reduce(vec))
     if not math.isfinite(s):
         raise DegenerateUpdateError(f"update for {what} overflowed (sum {s})")
     if not s > 0:
@@ -332,16 +336,17 @@ def edge_update(reads, pm, se, method, true_marg, label, damping=0.0, g=None):
     prior, from ``g @ new_pm`` and ``d_pm @ new_pm`` (the sequential sweep;
     ``score_edges`` on stacks); without it, from ``reads`` too (the
     simultaneous sweep).  ``true_marg`` is the true parent posterior (ed-kl
-    only).  The residual is the largest parameter change.  An all-zero or non-finite update raises
-    ``DegenerateUpdateError``, and Pr'(e') <= 0 under ed-kl raises
-    ``InconsistentEvidenceError``.  Neither can happen when scoring: from a
-    uniform start, Pr'(e') >= se_u g_uu pm_u > 0 for every parent state u
-    with true mass, since g_uu = Pr(u, e).
+    only).  The residual is the largest parameter change, in Python floats.
+    An all-zero or non-finite update raises ``DegenerateUpdateError``, and
+    Pr'(e') <= 0 under ed-kl raises ``InconsistentEvidenceError``.  Neither
+    can happen when scoring: from a uniform start, Pr'(e') >= se_u g_uu pm_u
+    > 0 for every parent state u with true mass, since g_uu = Pr(u, e).
 
     The vectors stay plain arrays; ``EdgeParams``, which keeps ``pm`` as
     given and clips ``se``, is built only where a fit hands its result back.
-    The prior is divided by its sum after its own update and again after
-    the row's.  Fitted values depend on these steps bit for bit
+    Each sum is ``np.add.reduce``, the reduction ``ndarray.sum`` runs.  The
+    prior is divided by its sum after its own update and again after the
+    row's.  Fitted values depend on these steps bit for bit
     (``tests/data/fit_golden.json``), and so do the tie orders that
     ``perfbench/reference.json`` records: without the second division,
     benchmark seed 2 reorders a tie in two matrix solves
@@ -353,18 +358,17 @@ def edge_update(reads, pm, se, method, true_marg, label, damping=0.0, g=None):
     new_pm = _damp(
         _update_rule(method, true_marg, pr, d_pm, d_se, "pm", label), pm, damping, label
     )
-    new_pm = new_pm / new_pm.sum()
+    new_pm = new_pm / np.add.reduce(new_pm)
     if g is not None:
         d_se = g @ new_pm
         pr = float(d_pm @ new_pm)
     new_se = _damp(
         _update_rule(method, true_marg, pr, d_se, d_pm, "se", label), se, damping, label
     )
-    new_pm = new_pm / new_pm.sum()
-    residual = max(
-        float(np.maximum.reduce(np.abs(new_pm - pm))),
-        float(np.maximum.reduce(np.abs(new_se - se))),
-    )
+    new_pm = new_pm / np.add.reduce(new_pm)
+    # as Python floats (each vector is finite, so there is no NaN to propagate)
+    new, old = new_pm.tolist() + new_se.tolist(), pm.tolist() + se.tolist()
+    residual = max(map(abs, map(operator.sub, new, old)))
     return new_pm, new_se, residual
 
 

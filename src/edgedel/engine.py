@@ -22,8 +22,9 @@ an inf or NaN entry survives every later product, sum and maximum.
 A ``Jointree`` answers a fixed list of such queries, each a table of Pr(e)
 with chosen CPTs left out over kept variables, from one min-fill order of
 all the network's inputs: Shenoy–Shafer messages between the cliques of
-that order, each one ``np.einsum``, kept until a written input
-(``set_input``, already sliced by the evidence) makes them stale.
+that order, each one call of numpy's C einsum (``np.einsum`` without its
+Python wrapper), kept until a written input (``set_input``, already
+sliced by the evidence) makes them stale.
 ``parametrize.run`` reads every deleted edge's tables and Pr'(e') off one
 tree in either schedule, so a sweep's writes re-send only the messages
 that depend on them.
@@ -62,6 +63,13 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+
+# the C routine that ``np.einsum`` forwards to when it is not asked to
+# optimize, bit for bit its result, without the Python wrapper's cost
+if int(np.__version__.split(".")[0]) >= 2:
+    from numpy._core.multiarray import c_einsum as _einsum
+else:  # numpy 1.x keeps it in numpy.core
+    from numpy.core.multiarray import c_einsum as _einsum
 
 from .model import (
     CapacityError,
@@ -192,9 +200,11 @@ def _order(
     The variables are numbered in order of first appearance, and each one's
     neighbours are held as a bitmask.  Each phase pops the least (fill
     cost, declaration index) key off a heap, skipping keys that have changed
-    since they were pushed.  Eliminating a node changes only its
-    neighbours' neighbourhoods and adds edges only among them, so only the
-    keys of those neighbours and of their neighbours are recomputed.
+    since they were pushed.  Each cost is counted once, then moved by each
+    elimination: a neighbour of the eliminated node loses the pairs that
+    node made with its neighbours outside the clique and gains the pairs its
+    new neighbours do not make, and each fill edge lowers by one the cost of
+    every node next to both its ends.
     """
     ids: dict[str, int] = {}
     adj: list[int] = []
@@ -228,37 +238,54 @@ def _order(
             if cost.get(best) != c:
                 continue
             del cost[best]
-            nbrs = adj[best]
-            adj[best] = 0
+            nbrs, adj[best] = adj[best], 0
             width = max(width, nbrs.bit_count())
-            if cliques is not None:
-                clique = []
-                rest = nbrs
-                while rest:
-                    low = rest & -rest
-                    clique.append(names[low.bit_length() - 1])
-                    rest ^= low
-                cliques.append(tuple(clique))
             gone = 1 << best
-            stale = rest = nbrs
+            # a fill edge lowers the cost of each node that was next to both its ends
+            moved = {}
+            rest = nbrs if c else 0
             while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                adj[i] = (adj[i] | nbrs) & ~(low | gone)
-                stale |= adj[i]
-                rest ^= low
-            while stale:
-                low = stale & -stale
-                i = low.bit_length() - 1
-                stale ^= low
-                # outside nbrs, a node's cost moves only if a new edge joins
-                # two of its neighbours, so it must touch two of nbrs
-                if i in cost and (low & nbrs or (adj[i] & nbrs).bit_count() > 1):
-                    c = _fill_cost(adj, i)
-                    if c != cost[i]:
-                        cost[i] = c
-                        heapq.heappush(heap, (c, rank[i], i))
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                new = rest & ~adj[i]
+                while new:
+                    low = new & -new
+                    new ^= low
+                    both = adj[i] & adj[low.bit_length() - 1] & ~gone
+                    while both:
+                        low = both & -both
+                        both ^= low
+                        k = low.bit_length() - 1
+                        if k in cost:
+                            moved[k] = moved.get(k, cost[k]) - 1
+            # a neighbour loses the pairs best made with its neighbours outside
+            # nbrs, and gains those its new neighbours do not make
+            clique = []
+            rest = nbrs
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                clique.append(i)
+                mine = adj[i]
+                if i in cost:
+                    out = mine & ~nbrs & ~gone
+                    c = moved.get(i, cost[i]) - out.bit_count()
+                    joined = nbrs & ~mine & ~bit
+                    while joined:
+                        low = joined & -joined
+                        joined ^= low
+                        c += (out & ~adj[low.bit_length() - 1]).bit_count()
+                    moved[i] = c
+                adj[i] = (mine | nbrs) & ~(bit | gone)
+            for i, c in moved.items():
+                if c != cost[i]:
+                    cost[i] = c
+                    heapq.heappush(heap, (c, rank[i], i))
             order.append(names[best])
+            if cliques is not None:
+                cliques.append(tuple(map(names.__getitem__, clique)))
     _check_width(width, last, width_cap)
     return EliminationOrder(tuple(order), width)
 
@@ -332,8 +359,8 @@ def _product_steps(scope, shape, ids, scopes, shapes, backward, same):
     (j, grow, turn, fit) reshapes the running product to ``grow`` (its own
     axes, then a broadcast axis per new variable), and transposes table j
     by ``turn`` and reshapes it to ``fit`` to broadcast against it; each
-    part is None where it would be the identity.  Each part is passed
-    through ``same``, which returns one copy of equal tuples.
+    part is None where it would be the identity.  Each forward part, and
+    each reverse part whole, goes through ``same`` (one copy of equals).
     """
     pos = {n: i for i, n in enumerate(scope)}
     scope, shape = list(scope), list(shape)
@@ -364,7 +391,7 @@ def _product_steps(scope, shape, ids, scopes, shapes, backward, same):
             turn = tuple(sorted(range(len(where)), key=where.__getitem__))
         steps.append((j, same(grow), same(turn), same(fit)))
         if backward:
-            back.append(same(tuple(map(same, _reverse(mine, theirs, grow, turn, fit)))))
+            back.append(same(_reverse(mine, theirs, grow, turn, fit)))
     return tuple(scope), tuple(shape), tuple(steps), tuple(back) if backward else None
 
 
@@ -382,16 +409,16 @@ def _reverse(mine, theirs, grow, turn, fit):
     """
     grow_ones = fit_ones = mine_back = turned = unturn = theirs_back = None
     if grow is not None:
-        grow_ones = tuple(i for i, c in enumerate(grow) if c == 1)
+        grow_ones = tuple([i for i, c in enumerate(grow) if c == 1])
         mine_back = mine if 1 in mine else None
     if fit is not None:
-        fit_ones = tuple(i for i, c in enumerate(fit) if c == 1)
+        fit_ones = tuple([i for i, c in enumerate(fit) if c == 1])
     cut = fit is not None and 1 in theirs
     if turn is None:
         theirs_back = theirs if cut else None
     else:
         unturn = tuple(sorted(range(len(turn)), key=turn.__getitem__))
-        turned = tuple(theirs[i] for i in turn) if cut else None
+        turned = tuple([theirs[i] for i in turn]) if cut else None
     return grow_ones, mine_back, fit_ones, turned, unturn, theirs_back
 
 
@@ -743,18 +770,18 @@ def adjoints(program: Program) -> Adjoints:
     return Adjoints(program, pr_e, tuple(adj[:n]))
 
 
-# np.einsum names each axis by a letter, and before numpy 2 takes at most 32
+# einsum names each axis by a letter, and before numpy 2 takes at most 32
 # operands
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _MAX_OPERANDS = 32
 
 
 class _Contraction(NamedTuple):
-    """How one jointree message or query table is computed: ``np.einsum``
-    of ``subscripts`` over the tables ``ids``.  Each of ``folds``
-    (subscripts, n) first replaces the first n operands by their product
-    summed down to the axes still needed; there is a fold only past
-    ``_MAX_OPERANDS`` operands."""
+    """How one jointree message or query table is computed: one einsum
+    (numpy's C routine, ``_einsum``) of ``subscripts`` over the tables
+    ``ids``.  Each of ``folds`` (subscripts, n) first replaces the first n
+    operands by their product summed down to the axes still needed; there
+    is a fold only past ``_MAX_OPERANDS`` operands."""
 
     ids: tuple[int, ...]
     folds: tuple[tuple[str, int], ...]
@@ -776,7 +803,6 @@ def _subscripts(scopes, out) -> str:
 def _contraction(ids, scopes, out) -> _Contraction:
     """The contraction of the tables ``ids``, over ``scopes``, down to the
     variables ``out``."""
-    scopes = list(scopes)
     folds = []
     while len(scopes) > _MAX_OPERANDS:
         head, scopes = scopes[:_MAX_OPERANDS], scopes[_MAX_OPERANDS:]
@@ -790,8 +816,8 @@ def _contraction(ids, scopes, out) -> _Contraction:
 def _contract(c: _Contraction, tables) -> np.ndarray:
     ops = [tables[i] for i in c.ids]
     for subscripts, n in c.folds:
-        ops[:n] = [np.einsum(subscripts, *ops[:n])]
-    return np.einsum(c.subscripts, *ops)
+        ops[:n] = [_einsum(subscripts, *ops[:n])]
+    return _einsum(c.subscripts, *ops)
 
 
 class _TreeQuery(NamedTuple):
@@ -835,8 +861,8 @@ def _leaving(sends, n, path) -> tuple[int, ...]:
     """The ids of the sent messages (``sends``; message m is table n + m)
     that point away from the clique whose path to the root is ``path``
     (``_below``): up the edges on the path, and down every other edge."""
-    ids = (n + 2 * i + (i not in path) for i in range((len(sends) - n) // 2))
-    return tuple(t for t in ids if sends[t] is not None)
+    ids = [n + 2 * i + (i not in path) for i in range((len(sends) - n) // 2)]
+    return tuple([t for t in ids if sends[t] is not None])
 
 
 def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePlan:
@@ -858,53 +884,46 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
     nbrs: list[tuple[str, ...]] = []
     scopes = [_Input(p, tuple(net.var(n).card for n in p)) for p in pseudo]
     elim = _order(list(inputs) + scopes, net.decl_index, width_cap=width_cap, cliques=nbrs)
-    pos = {n: i for i, n in enumerate(elim.order)}
+    at = {n: i for i, n in enumerate(elim.order)}.__getitem__
     members = [(n,) + m for n, m in zip(elim.order, nbrs)] or [()]
-    member_sets = [frozenset(m) for m in members]
     # a clique's parent is eliminated later, so it comes later; the roots
     # of a forest are chained, and only the last clique has no parent
-    parent = [min((pos[n] for n in m), default=None) for m in nbrs] or [None]
+    parent = [min(map(at, m), default=None) for m in nbrs] or [None]
     roots = [i for i, p in enumerate(parent) if p is None]
     for a, b in zip(roots, roots[1:]):
         parent[a] = b
     root = roots[-1]
-    children: list[list[int]] = [[] for _ in members]
-    for i in range(root):
-        children[parent[i]].append(i)
 
-    def first(scope):
-        return min((pos[n] for n in scope), default=root)
-
-    holder = [first(inp.scope) for inp in inputs]
-    homes = [first(p) for p in pseudo]
+    holder = [min(map(at, inp.scope), default=root) for inp in inputs]
+    homes = [min(map(at, p), default=root) for p in pseudo]
     for ids, home in zip(left, homes):
         for i in ids:
             holder[i] = home
-    local: list[list[int]] = [[] for _ in members]
-    for i, c in enumerate(holder):
-        local[c].append(i)
-
     n = len(inputs)
-    # each table's scope; a message's is None where its side of the tree
-    # holds no input or no query reads it, and then it is never sent
+    # each clique's operands as they are planned: its inputs, the messages
+    # from its children, then from its parent.  Each table's scope; a
+    # message's is None where its side of the tree holds no input or no
+    # query reads it, and then it is never sent
+    into: list[list[int]] = [[] for _ in members]
+    for i, c in enumerate(holder):
+        into[c].append(i)
     table_scopes = [inp.scope for inp in inputs] + [None] * (2 * root)
     sends: list[_Contraction | None] = [None] * len(table_scopes)
 
-    def operands(c, exclude=(), skip=None):
-        # the messages into c from its children, then from its parent
-        ids = [i for i in local[c] if i not in exclude]
-        ids += [n + 2 * j for j in children[c] if j != skip]
-        if c != root and parent[c] != skip:
-            ids.append(n + 2 * c + 1)
-        return [i for i in ids if table_scopes[i] is not None]
-
-    def plan(src, dst, t):
-        ids = operands(src, skip=dst)
+    def plan(ids, src, dst, t):
+        # the separator, a clique's neighbours (``nbrs``) shared with its
+        # parent, in src's order, cut to the variables the operands mention
         if ids:
-            present = set().union(*(table_scopes[i] for i in ids))
-            out = tuple(v for v in members[src] if v in member_sets[dst] and v in present)
+            scopes = list(map(table_scopes.__getitem__, ids))
+            present = set().union(*scopes)
+            if src < dst:
+                out = tuple([v for v in nbrs[src] if v in present])
+            else:
+                present.intersection_update(nbrs[dst])
+                out = tuple([v for v in members[src] if v in present])
             table_scopes[t] = out
-            sends[t] = _contraction(ids, [table_scopes[i] for i in ids], out)
+            sends[t] = _contraction(ids, scopes, out)
+            into[dst].append(t)
 
     # the messages into some query's home, up the tree from the leaves,
     # then down it: each after the messages it is computed from.  A home
@@ -914,16 +933,17 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
     anywhere = set().union(*below)
     for i in range(root):
         if i not in everywhere:
-            plan(i, parent[i], n + 2 * i)
+            plan(into[i], i, parent[i], n + 2 * i)
     for i in reversed(range(root)):
         if i in anywhere:
-            plan(parent[i], i, n + 2 * i + 1)
+            up = n + 2 * i
+            plan([t for t in into[parent[i]] if t != up], parent[i], i, up + 1)
 
     fixed: list[tuple[int, ...]] = []
     planned = []
     for ids, keep, unobserved, home in zip(left, kept, free, homes):
-        ops = operands(home, exclude=ids)
-        present = set().union(*(table_scopes[i] for i in ops))
+        ops = [t for t in into[home] if t not in ids]
+        present = set().union(*map(table_scopes.__getitem__, ops))
         # a kept variable that no operand mentions: g is flat across it
         for v in unobserved:
             if v not in present:
@@ -969,10 +989,11 @@ class Jointree:
 
     Every directed message is the product of its clique's inputs and of
     the messages into that clique from its other neighbours, summed down to
-    the separator: one ``np.einsum`` whose subscripts are fixed with the
-    structure.  A message is kept until ``set_input`` changes an input that
-    it depends on: writing an input forgets the messages leaving its
-    clique.  ``table(j)`` sends the forgotten messages
+    the separator: one einsum (``_Contraction``) whose subscripts are fixed
+    with the structure.  A message is kept until ``set_input`` changes an
+    input that it depends on: writing an input forgets the messages leaving
+    its clique, once for any number of writes into one clique between two
+    reads.  ``table(j)`` sends the forgotten messages
     into query j's home and contracts the home's other inputs with every
     message into it.  No step divides, so the tables stay exact at zero
     parameters.  ``sent`` counts the messages computed.
@@ -1004,6 +1025,8 @@ class Jointree:
             for q in plan.queries
         ]
         self.sent = 0
+        # the clique the last write forgot the leaving messages of, until a read
+        self._forgot = None
         messages = [None] * (len(plan.sends) - len(inputs))
         self.bound = _bind(inputs, net) + messages + [np.ones(s) for s in plan.fixed]
 
@@ -1012,7 +1035,8 @@ class Jointree:
         reads it: the CPT's table sliced by the evidence, in the input's
         ``reduced`` shape (an observed child's is its observed state's
         column sliced by its observed parents).  Forgets the messages that
-        depend on it: those leaving its input's clique."""
+        depend on it: those leaving its input's clique, unless the last
+        write, with no read since, forgot them."""
         i = self.cpt_inputs[name]
         if table.shape != self.inputs[i].reduced:
             raise ModelError(
@@ -1022,6 +1046,9 @@ class Jointree:
         plan, bound = self._plan, self.bound
         bound[i] = table
         c = plan.holder[i]
+        if c == self._forgot:
+            return
+        self._forgot = c
         stale = plan.stale.get(c)
         if stale is None:
             stale = _leaving(plan.sends, len(self.inputs), _below(plan.parent, c))
@@ -1034,13 +1061,11 @@ class Jointree:
         product", as ``replay``'s does."""
         q = self._plan.queries[j]
         bound, sends = self.bound, self._plan.sends
+        self._forgot = None
         # the forgotten messages the table reads, and those they are
         # computed from (a kept message's are all kept), each listed after
         # the message that reads it, so sent in reverse
-        todo = []
-        for t in q.table.ids:
-            if bound[t] is None:
-                todo.append(t)
+        todo = [t for t in q.table.ids if bound[t] is None]
         for t in todo:
             for i in sends[t].ids:
                 if bound[i] is None:
@@ -1054,7 +1079,8 @@ class Jointree:
             full = np.zeros(q.shape)
             full[take] = g
             g = full
-        if not np.isfinite(g).all():
+        # g is nonnegative, so its maximum is finite unless an entry is not
+        if not math.isfinite(_max(g, None)):
             raise ModelError("numerical overflow in factor product")
         return g
 

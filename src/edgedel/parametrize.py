@@ -146,10 +146,18 @@ class _Fit:
     sliced by the parent's evidence: an observed parent's state, taken as
     a 0-d view.  Start vectors that the tree already read off N', as it
     reads those of a plan that N' was built from, are not written again.
+    An empty plan builds no tree (``tree`` is None), since nothing reads it.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
+        self.labels = [f"edge {rec.parent} -> {rec.child}" for rec in records]
+        self.vectors = list(vectors)
+        self.tree = None
+        if not records:
+            # no sweep reads a tree: N''s Pr'(e') program checks its width
+            engine.record(nprime, evp, width_cap=width_cap)
+            return
         if sequential:
             queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
         else:
@@ -160,7 +168,6 @@ class _Fit:
             (nprime.var(rec.parent).index_of(evp[rec.parent]), ...) if rec.parent in evp else ...
             for rec in records
         ]
-        self.vectors = list(vectors)
         for j, (pm, se) in enumerate(self.vectors):
             if not self._holds(nprime, j, pm, se):
                 self.set(j, pm, se)
@@ -173,16 +180,6 @@ class _Fit:
             np.array_equal(pm, nprime.cpt(rec.clone).table)
             and np.array_equal(se, nprime.cpt(rec.sevid).shaped[:, 0])
         )
-
-    def table(self, i):
-        """Edge i's table g at the other edges' current vectors (sequential
-        mode)."""
-        return self.tree.table(i)
-
-    def derivatives(self, i):
-        """Edge i's dPr'/dpm and dPr'/dse at the current vectors
-        (simultaneous mode)."""
-        return self.tree.table(2 * i), self.tree.table(2 * i + 1)
 
     def pr_ep(self):
         """Pr'(e') at the current vectors: the last query's table."""
@@ -224,19 +221,20 @@ def _sweep(fit, method, true_marginals, damping, sequential, pr_ep=None):
     vectors.  The update rule takes the edge's own value.
     """
     residuals = []
+    tree = fit.tree
     if not sequential:
-        derivatives = [fit.derivatives(i) for i in range(len(fit.records))]
-    for i, rec in enumerate(fit.records):
-        label = f"edge {rec.parent} -> {rec.child}"
+        # each edge's dPr'/dpm and dPr'/dse, at the sweep-start vectors
+        derivatives = [tree.table(j) for j in range(2 * len(fit.labels))]
+    for i, label in enumerate(fit.labels):
         true_marg = true_marginals[i] if true_marginals is not None else None
         pm, se = fit.vectors[i]
         g = None
         if sequential:
-            g = fit.table(i)
+            g = tree.table(i)
             reads = single_edge_evaluate(g, pm, se)
             _chained(pr_ep, reads[0], label)
         else:
-            d_pm, d_se = derivatives[i]
+            d_pm, d_se = derivatives[2 * i : 2 * i + 2]
             reads = (float(d_pm @ pm), d_pm, d_se)
             pr_ep = _chained(pr_ep, reads[0], label)
             _chained(pr_ep, float(d_se @ se), label)
@@ -272,18 +270,18 @@ def run(
     ``ModelError`` names the variable before any sweep.
 
     N' is ordered and bound once, when the run starts, as one jointree (see
-    ``_Fit``), so a too-wide N' raises ``CapacityError`` there even with
-    ``max_iterations=0``.  A sweep writes only the edges' new clone-prior
-    and soft-evidence tables into the tree (``_sweep``).  The vectors stay
-    plain arrays inside the loop; the returned plan holds one
-    ``EdgeParams`` per edge, built at the end.  With a reference, the KL
-    bound after a simultaneous sweep (or a sweep of an empty plan) reads
-    Pr'(e') off the tree, and the next sweep's reads reuse the messages
-    that read sent; a sequential sweep carries it.  The report hands back
-    the reference's pass and Pr'(e') at the returned parameters
-    (``source``, ``pr_ep``): the value the last KL bound used, or, with no
-    sweep, one read off the tree.  An empty plan's N' is the source
-    network, so its Pr'(e') is the reference's Pr(e).
+    ``_Fit``; an empty plan's as its Pr'(e') program), so a too-wide N'
+    raises ``CapacityError`` there even with ``max_iterations=0``.  A sweep
+    writes only the edges' new clone-prior and soft-evidence tables into
+    the tree (``_sweep``).  The vectors stay plain arrays inside the loop;
+    the returned plan holds one ``EdgeParams`` per edge, built at the end.
+    With a reference, the KL bound after a simultaneous sweep reads Pr'(e')
+    off the tree, and the next sweep's reads reuse the messages that read
+    sent; a sequential sweep carries it.  The report hands back the
+    reference's pass and Pr'(e') at the returned parameters (``source``,
+    ``pr_ep``): the value the last KL bound used, or, with no sweep, one
+    read off the tree.  An empty plan's N' is the source network, so its
+    Pr'(e') is the reference's Pr(e), which the bound reads.
 
     ``reference`` gives the source network's forward/backward pass, from
     which the true parent posteriors are read (``true_edge_marginals``):

@@ -406,6 +406,17 @@ class TestSingleEdgeEvaluate:
         assert float(params.se @ d_se) == pytest.approx(pr_ep, rel=1e-12)
 
 
+def test_update_sums_are_the_array_method_s_bit_for_bit():
+    # np.add.reduce is the reduction ndarray.sum runs; cards 8 and 9 take
+    # numpy's unrolled pairwise sum, the smaller ones its plain loop
+    rng = np.random.default_rng(9)
+    for card in range(2, 10):
+        for _ in range(50):
+            v = rng.random(card) * 10.0 ** rng.integers(-300, 300)
+            assert np.add.reduce(v).tobytes() == v.sum().tobytes()
+            assert divergence_module._normalize(v, "v").tobytes() == (v / v.sum()).tobytes()
+
+
 class TestEdklVector:
     def test_zero_derivative_against_positive_mass_clamps_and_warns(self):
         t = np.array([0.25, 0.75])
@@ -424,6 +435,26 @@ class TestEdklVector:
             pr = float(rng.random())
             want = np.array([ti * pr / di for ti, di in zip(t, d)])
             assert edkl_vector(t, pr, d, "edge U -> X").tobytes() == want.tobytes()
+
+    def test_positive_derivatives_skip_the_floor_bit_for_bit(self):
+        # with no derivative at or below zero the floor changes nothing, so
+        # the quotient taken as it stands is the floored one, on single
+        # rows and on stacks, and warns of nothing
+        rng = np.random.default_rng(8)
+        for shape in [(n,) for n in range(2, 10)] + [(3, 2), (5, 4), (2, 9)]:
+            t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            d = rng.random(shape) + 1e-3
+            pr = rng.random(shape[:-1] + (1,)) if len(shape) == 2 else float(rng.random())
+            labels = "edge U -> X" if len(shape) == 1 else np.array(["e"] * shape[0], dtype=object)
+            floored = t * pr / np.where(d <= 0.0, DENOM_FLOOR, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert edkl_vector(t, pr, d, labels).tobytes() == floored.tobytes()
+        # one zero derivative takes the floor again, and warns for its row
+        d[1, 3] = 0.0
+        with pytest.warns(RuntimeWarning, match="edge V -> Y"):
+            out = edkl_vector(t, pr, d, np.array(["edge U -> X", "edge V -> Y"], dtype=object))
+        assert out.tobytes() == (t * pr / np.where(d <= 0.0, DENOM_FLOOR, d)).tobytes()
 
     def test_zero_derivative_against_zero_mass_gives_zero(self):
         with warnings.catch_warnings():

@@ -571,8 +571,10 @@ class TestOneOrderPerQuery:
         assert len(calls) == 1
 
     def test_compile_fill_cost_evaluations(self, monkeypatch):
-        # only the neighbours of each eliminated node, and their neighbours
-        # touching two of them, are re-costed; a full rescan makes 630
+        # each node's cost is counted once, when its phase starts; each
+        # elimination then moves the costs it changes without a recount.
+        # Recounting the eliminated node's neighbours, and their neighbours
+        # touching two of them, made 270, and a full rescan makes 630
         net = grid_network(6, 6, rng=np.random.default_rng(0))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         calls = []
@@ -584,7 +586,7 @@ class TestOneOrderPerQuery:
 
         monkeypatch.setattr(engine_module, "_fill_cost", counting)
         compile(net, ev)
-        assert len(calls) == 270
+        assert len(calls) == 35
 
     def test_exact_map_orders_once(self, monkeypatch):
         net = grid_network(4, 4, rng=np.random.default_rng(2))

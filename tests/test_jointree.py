@@ -9,6 +9,8 @@ programs take, and whole simultaneous fits the path of one forward/backward
 pass of Pr'(e') per sweep (``engine.adjoints``).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,11 +170,9 @@ def test_observed_clone_keeps_its_state():
     assert not tree.table(0)[:, 1:].any()
 
 
-def test_a_clique_past_the_einsum_operand_limit():
-    # a root with 40 observed-or-not binary children: the root's clique
-    # takes a message from each child, more operands than one np.einsum
-    # call accepts, so its contractions fold
-    rng = np.random.default_rng(3)
+def star_case(rng):
+    """A root with 40 binary children, every third observed, and two of
+    its edges deleted at random parameters: (N', plan, evidence on N')."""
     root = Variable("R", ("s0", "s1"))
     children = [Variable(f"C{i}", ("s0", "s1")) for i in range(40)]
     cpts = [random_cpt(root, (), rng)] + [random_cpt(c, (root,), rng) for c in children]
@@ -181,7 +181,13 @@ def test_a_clique_past_the_einsum_operand_limit():
     _, nprime, plan = approximate_network(net, [("R", "C1"), ("R", "C3")])
     plan = plan.with_all_params(random_params(nprime, plan, rng))
     nprime = apply_params(nprime, plan)
-    evp = augmented_evidence(nprime, ev)
+    return nprime, plan, augmented_evidence(nprime, ev)
+
+
+def test_a_clique_past_the_einsum_operand_limit():
+    # the root's clique takes a message from each child, more operands
+    # than one einsum call accepts, so its contractions fold
+    nprime, plan, evp = star_case(np.random.default_rng(3))
     records = deleted_records(nprime, plan)
     queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
     tree = engine.Jointree(nprime, evp, queries)
@@ -189,6 +195,28 @@ def test_a_clique_past_the_einsum_operand_limit():
     contractions += [send for send in tree._plan.sends if send is not None]
     assert any(c.folds for c in contractions)
     assert_tables_match(tree, nprime, plan, evp)
+
+
+@pytest.mark.parametrize("operands", [1, 2, 5, 12, 32, 33, 40, 70])
+def test_a_contraction_is_np_einsum_bit_for_bit(operands):
+    # a jointree contraction calls numpy's C einsum without np.einsum's
+    # wrapper: the same bits, also through the folds past 32 operands
+    rng = np.random.default_rng(operands)
+    names = [f"V{i}" for i in range(12)]
+    cards = dict(zip(names, rng.integers(1, 4, size=len(names)).tolist()))
+    scopes = [tuple(rng.choice(names, size=int(rng.integers(0, 4)), replace=False))
+              for _ in range(operands)]
+    seen = list(dict.fromkeys(n for scope in scopes for n in scope))
+    out = tuple(rng.permutation(seen)[: len(seen) // 2])
+    tables = [rng.random(tuple(cards[n] for n in scope)) for scope in scopes]
+    c = engine._contraction(list(range(operands)), list(scopes), out)
+    assert bool(c.folds) == (operands > 32)
+    want = list(tables)
+    for subscripts, n in c.folds:
+        want[:n] = [np.einsum(subscripts, *want[:n])]
+    want = np.einsum(c.subscripts, *want)
+    got = engine._contract(c, tables)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_width_cap_is_checked_on_the_tree_before_any_sweep():
@@ -421,3 +449,64 @@ def test_queries_that_each_need_a_constant_table():
     for j, (without, keep) in enumerate(queries):
         want = engine.replay(engine.record(net, Evidence({}), without, keep))[0]
         np.testing.assert_allclose(tree.table(j), want, rtol=REL, atol=0)
+
+
+def _plain(obj):
+    """``obj`` with every named tuple as a plain tuple and every dict as its
+    sorted items, so its repr names structure only."""
+    if isinstance(obj, dict):
+        return sorted((k, _plain(v)) for k, v in obj.items())
+    if isinstance(obj, tuple):
+        return tuple(_plain(x) for x in obj)
+    return obj
+
+
+def structure_digest(nprime, evp, records):
+    """A digest of every structure a fit on N' plans: the jointree plans of
+    both schedules' query lists, and ``record``'s programs (order, buckets,
+    steps and their reverse parts) for Pr'(e'), one edge's table and a MAP
+    query."""
+    sequential = [((r.clone, r.sevid), (r.parent, r.clone)) for r in records]
+    simultaneous = [q for r in records
+                    for q in (((r.clone,), (r.clone,)), ((r.sevid,), (r.parent,)))]
+    plans = [engine.Jointree(nprime, evp, q + [((), ())])._plan
+             for q in (sequential, simultaneous)]
+    hidden = [v.name for v in nprime.variables if v.name not in evp][:3]
+    programs = [
+        engine.record(nprime, evp),
+        engine.record(nprime, evp, sequential[0][0], sequential[0][1]),
+        engine.record(nprime, evp, maximize=hidden),
+    ]
+    recorded = [(p.buckets, p.final, p.final_steps, p.final_back, p.perm, p.shape, p.width)
+                for p in programs]
+    text = repr(_plain((plans, recorded)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def grid_fit_case():
+    net = grid_network(4, 4, rng=np.random.default_rng(3))
+    ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+    _, nprime, plan = approximate_network(net, net.edges()[:6])
+    return nprime, plan, augmented_evidence(nprime, ev)
+
+
+DIGEST_CASES = {
+    "grid(4x4) k=6": grid_fit_case,
+    "mixed cards, observed parent": lambda: edge_case(2, **CASES["observed-parent"])[2:],
+    "star past the operand limit": lambda: star_case(np.random.default_rng(3)),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("grid(4x4) k=6", "65673438708229ef"),
+        ("mixed cards, observed parent", "b4ef348c82f783ca"),
+        ("star past the operand limit", "1eaf42e8bfcf764f"),
+    ],
+)
+def test_the_planner_plans_the_pinned_structures(case, digest):
+    # pinned when the planner's miss paths were rewritten: a leaner
+    # planner must plan the same trees and record the same programs
+    nprime, plan, evp = DIGEST_CASES[case]()
+    assert structure_digest(nprime, evp, deleted_records(nprime, plan)) == digest

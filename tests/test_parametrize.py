@@ -8,6 +8,7 @@ import edgedel.divergence as divergence_module
 import edgedel.engine as engine_module
 import edgedel.parametrize as parametrize_module
 from edgedel import (
+    CapacityError,
     ConditionGaps,
     EdgeParams,
     Evidence,
@@ -632,6 +633,89 @@ class TestWorkCounts:
         # all 36; the Pr'(e') read after each sweep sends the 18 toward the
         # root, and the next sweep's reads only the other 18
         assert self.messages_per_sweep(False) == [(36, 18)] + [(18, 18)] * 3
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_sweeps_never_call_np_einsum(self, monkeypatch, sequential):
+        # every message and query table is numpy's C einsum, called without
+        # the np.einsum wrapper; the tree still sends the pinned messages
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        tm = true_edge_marginals(forward_backward(aug, ev), plan)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refused)
+        fit = _Fit(
+            nprime, evp, deleted_records(nprime, plan), [(p.pm, p.se) for p in plan.params],
+            sequential, engine_module.WIDTH_CAP_DEFAULT,
+        )
+        pr_ep = None
+        for _ in range(4):
+            _, pr_ep = _sweep(fit, "ed-kl", tm, 0.0, sequential, pr_ep)
+            if pr_ep is None:
+                pr_ep = fit.pr_ep()
+        # the counts of messages_per_sweep, summed
+        assert fit.tree.sent == (33 + 3 * 18 if sequential else 36 + 7 * 18)
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_each_edge_write_forgets_its_home_s_messages_once(self, sequential):
+        # an edge's clone prior and soft-evidence inputs sit in their
+        # queries' homes, one clique in sequential mode; writing both
+        # forgets the messages leaving each home once (a second stale loop
+        # into one home would forget each of them again)
+        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        records = deleted_records(nprime, plan)
+        fit = _Fit(
+            nprime, evp, records, [(p.pm, p.se) for p in plan.params], sequential,
+            engine_module.WIDTH_CAP_DEFAULT,
+        )
+        tree = fit.tree
+
+        class Forgetting(list):
+            forgot = 0
+
+            def __setitem__(self, i, value):
+                self.forgot += value is None
+                super().__setitem__(i, value)
+
+        tree.bound = Forgetting(tree.bound)
+        new = EdgeParams.uniform(2)
+        for j, rec in enumerate(records):
+            for q in range(len(tree._plan.queries)):
+                tree.table(q)
+            homes = {tree._plan.holder[tree.cpt_inputs[name]] for name in (rec.clone, rec.sevid)}
+            assert len(homes) == (1 if sequential else 2)
+            before = tree.bound.forgot
+            fit.set(j, new.pm, new.se)
+            forgot = sum(len(tree._plan.stale[home]) for home in homes)
+            assert tree.bound.forgot - before == forgot > 0
+
+    def test_an_empty_plan_builds_no_tree(self, monkeypatch):
+        # a k = 0 cell reads nothing off a tree of N', so it builds none,
+        # and its row reads exactly 0; a too-wide N' is still refused, at
+        # the cap and with the message its tree would have given
+        net, ev = grid_case()[:2]
+        aug, nprime, plan, evp = build(net, ev, [])
+        width = engine_module.record(nprime, evp).width
+        with pytest.raises(CapacityError) as tree_refused:
+            engine_module.Jointree(nprime, evp, [((), ())], width - 1)
+        builds = []
+        real = engine_module.Jointree.__init__
+
+        def building(tree, *args, **kwargs):
+            builds.append(args)
+            return real(tree, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module.Jointree, "__init__", building)
+        outcome = run_deletion_instance(net, ev, [], "ed-kl")
+        assert outcome.row.kl_bound == outcome.row.exact_kl == 0.0
+        cfg = IterationConfig(method="ed-bp", max_iterations=0)
+        with pytest.raises(CapacityError) as refused:
+            run(nprime, plan, evp, cfg, width_cap=width - 1)
+        assert str(refused.value) == str(tree_refused.value)
+        assert str(refused.value) == f"induced width {width} exceeds the cap of {width - 1}"
+        run(nprime, plan, evp, cfg, width_cap=width)
+        assert builds == []
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
