@@ -272,9 +272,9 @@ def approximate_network(net: Network, edges, params=None):
 
 def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.ndarray]:
     """Posterior marginals for every source variable of N' (clones and
-    soft-evidence variables excluded), all read off one forward/backward
-    pass (``engine.adjoints``) of the program ``st`` was compiled with, on
-    the tables it read: nothing is recorded or read again.
+    soft-evidence variables excluded), all read off one derivative pass
+    (``engine.derivatives``) on the network and evidence ``st`` was compiled
+    on, under its width cap, that answers those variables' CPTs.
 
     ``st`` must be compiled (``engine.compile``) on this network, possibly
     with different edge parameters applied (structure and registry must
@@ -286,5 +286,6 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    grads = engine.adjoints(st.program)
-    return {name: grads.posterior(name) for name in nprime.original_names()}
+    names = nprime.original_names()
+    grads = engine.derivatives(st.net, st.evidence, names, st.width_cap)
+    return {name: grads.posterior(name) for name in names}

@@ -6,19 +6,22 @@ and the edge parameters, plus a log-ratio of evidence probabilities.  This
 quantity upper-bounds ``exact_kl``, the divergence between the posteriors
 restricted to the source variables, which is local too: only the families
 of the deleted edges' children and one soft-evidence term per edge differ.
-Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and the source
-network's forward/backward pass (``forward_backward``), which a fit with a
-reference hands back (``parametrize.run``); ``kl_bound`` and ``exact_kl``
-make both themselves.  ``source_pass`` keeps the most recent (network,
+Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and a derivative
+pass on the source network (``forward_backward``: Pr(e) and every CPT's
+derivative table, off one jointree by ``engine.derivatives``), which a fit
+with a reference hands back (``parametrize.run``; from an (augmented
+network, evidence) reference it answers only the plan's parents, all that
+``read_kl_bound`` reads); ``kl_bound`` and ``exact_kl`` make both
+themselves.  ``source_pass`` keeps the most recent (network,
 evidence) pair's pass on the all-edges augmentation, which ``score_edges``
 and the harness's fits share.  ``edge_update`` is the one fixed-point
 update of a single deleted edge (ed-bp or ed-kl), read off Pr'(e') and its
 derivatives with respect to the edge's parameters, and in a sequential
 update off the edge's table too; the parametrization sweeps call it once
 per edge.  ``score_edges`` ranks every network edge by the divergence
-achievable when it alone is deleted with ed-kl parameters: one
-forward/backward pass on the augmented network gives Pr(e) and every clone
-CPT's derivative table, and the scorer then takes the sweep's ed-kl edge
+achievable when it alone is deleted with ed-kl parameters: one derivative
+pass on the augmented network gives Pr(e) and every clone CPT's
+derivative table, and the scorer then takes the sweep's ed-kl edge
 update on all tables of one shape and layout at once, bitwise each edge's
 own fit.  Only edges whose scores tie within TIE_TOL take one
 derivative elimination each, which fixes their order to that route's.
@@ -91,15 +94,17 @@ def kl_breakdown(marginals, vectors, pr_e: float, pr_ep: float) -> KlBreakdown:
 
 
 def forward_backward(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
-    """Pr(e)'s recorded elimination replayed forward and backward (``engine.adjoints``)."""
-    return engine.adjoints(engine.record(net, ev, width_cap=width_cap))
+    """Pr(e) and every CPT's derivative table, off one jointree
+    (``engine.derivatives``)."""
+    return engine.derivatives(net, ev, [layout[0] for layout in net.layout()], width_cap)
 
 
 def true_edge_marginals(source: engine.Adjoints, plan: DeletionPlan):
     """Exact parent posteriors per plan edge, read off ``source``, a
-    forward/backward pass (``forward_backward``) on the source network or on
-    any augmentation of it: ``augment`` leaves every source variable's
-    posterior as it was.
+    derivative pass (``engine.derivatives``, such as ``forward_backward``)
+    on the source network or on any augmentation of it that answers the
+    plan's parents: ``augment`` leaves every source variable's posterior as
+    it was.
 
     ``Adjoints.posterior`` reads each parent's posterior off its own CPT's
     derivative table (each checked by the Euler identity).  A non-empty plan
@@ -118,7 +123,7 @@ _kept_pass = None
 
 def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT):
     """The all-edges augmentation of the original network ``net`` and its
-    forward/backward pass under ``ev`` (``forward_backward``).
+    derivative pass under ``ev`` (``forward_backward``).
 
     Pr(e), every source variable's posterior and every family table are
     fixed by (``net``, ``ev``), and any augmentation gives them in the
@@ -434,10 +439,10 @@ def score_edges(
     """Score every deletable edge in isolation; smaller is better to delete.
 
     The input may be an original network (every edge is scored) or an
-    augmented one (its intact equivalence edges are scored).  One recorded
-    elimination of Pr(e) on the augmented network, replayed forward and
-    backward (``engine.adjoints``), gives every clone CPT's derivative
-    table, each checked by the Euler identity.  For an original network
+    augmented one (its intact equivalence edges are scored).  One
+    derivative pass on the augmented network (``forward_backward``) gives
+    every clone CPT's derivative table, each checked by the Euler
+    identity.  For an original network
     that pass is ``source_pass``'s, which the harness's cells of the same
     (network, evidence) read too.  Tables of one shape and
     memory layout are stacked, and ``_fit_stack`` fits their edges in one
@@ -451,16 +456,19 @@ def score_edges(
     adjacent scores within TIE_TOL (relative, floored at 1 absolute) form a
     run, and each run of two or more edges is refitted on that route's
     tables, then ordered and reported by the refitted (score, declaration
-    index).  The forward pass runs ``replay``'s operations, so its Pr(e) is
-    bitwise ``compile``'s.  Measured on the benchmark's seeded instances
-    (seeds 1-10: grid(5x5)-grid(7x7) rungs, grid(4x4) MAP instances,
-    chain(8)/grid(4x4) matrix cells; 450 calls), the two routes' scores
-    differ by at most 1.6e-15 absolute (3.6e-14 relative), mathematical
-    ties by at most 4.4e-16 (at most one tie per call), and the smallest
-    genuine gap is 5.6e-11, so TIE_TOL = 1e-12 separates them.  Sorting
-    the one-pass scores alone would have reordered a tie in 107 of the
-    450.  With many ties the cost is at most one derivative elimination per
-    edge plus the one pass, and each is recorded once per network structure
+    index).  The refit reads Pr(e) off ``engine.compile(aug, ev,
+    width_cap)``, made only when a run exists, so a refitted score keeps
+    that route's bits whatever the pass's Pr(e) (the jointree's differs
+    from ``compile``'s in the last bit on some networks).  Measured on the
+    benchmark's seeded instances (the whole pools of its three workloads
+    at seeds 1-10: grid(5x5)-grid(7x7) rungs, grid(4x4) MAP instances,
+    chain(8)/grid(4x4) matrix cells; 1670 calls), the two routes' scores
+    differ by at most 1.9e-15 absolute (4.8e-14 relative), mathematical
+    ties by at most 6.7e-16, and the smallest genuine gap is 5.6e-11, so
+    TIE_TOL = 1e-12 separates them.  Sorting the one-pass scores alone
+    would have reordered a tie in 449 of the 1670.  With many ties the
+    cost is at most one derivative elimination per edge plus the one pass
+    and one ``compile``, and each is recorded once per network structure
     (``engine.record`` keeps it); the refits are stacked too.
     """
     if net.kind == "approximate":
@@ -472,9 +480,8 @@ def score_edges(
     records = [r for r in aug.clone_edges if r.sevid is None]
     if records and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
-    st = engine.EngineState(aug, ev, width_cap, grads.program, grads.pr_e)
 
-    def ranked(idxs, table):
+    def ranked(idxs, table, pr_e):
         groups: dict[tuple, list] = {}
         for i in idxs:
             t = table(records[i].clone)
@@ -484,11 +491,12 @@ def score_edges(
             # np.stack keeps the group's layout, and with it np.matmul's BLAS route
             g = np.stack([t for _, t in group])
             recs = [records[i] for i, _ in group]
-            true = g.diagonal(axis1=1, axis2=2) / st.pr_e
-            fits += zip(_fit_stack(recs, g, true, st.pr_e), (i for i, _ in group))
+            true = g.diagonal(axis1=1, axis2=2) / pr_e
+            fits += zip(_fit_stack(recs, g, true, pr_e), (i for i, _ in group))
         return sorted(fits, key=lambda t: (t[0].score, t[1]))
 
-    scored = ranked(range(len(records)), grads.cpt)
+    scored = ranked(range(len(records)), grads.cpt, grads.pr_e)
+    st = None
     out: list[EdgeScore] = []
     start = 0
     for end in range(1, len(scored) + 1):
@@ -498,8 +506,12 @@ def score_edges(
                 continue
         run = scored[start:end]
         if len(run) > 1:
+            if st is None:
+                st = engine.compile(aug, ev, width_cap)
             run = ranked(
-                [i for _, i in run], lambda name: engine.cpt_derivatives(st, aug.cpt(name))
+                [i for _, i in run],
+                lambda name: engine.cpt_derivatives(st, aug.cpt(name)),
+                st.pr_e,
             )
         out.extend(s for s, _ in run)
         start = end
@@ -514,8 +526,8 @@ def mutual_information_scores(
 ) -> list[tuple[str, str, float]]:
     """Edges ranked ascending by conditional mutual information given evidence.
 
-    Weak dependencies rank first (best to delete).  One forward/backward
-    pass (``engine.adjoints``) gives every child's family table, and
+    Weak dependencies rank first (best to delete).  One derivative pass
+    (``forward_backward``) gives every child's family table, and
     Pr(u, x | e) is that table summed over the child's other parents.  An
     original network's pass is ``source_pass``'s (``augment`` keeps the
     family layout), so mi needs the all-edges augmentation's width, as

@@ -37,19 +37,20 @@ used evicted first, and checks a kept width against each call's cap.  It
 holds structure only: every call builds its own inputs and reads its own
 tables, so its program or tree is a fresh one's, bit for bit.
 
-A program that keeps no variable computes Pr(e), which is multilinear in
-the CPT entries.  ``adjoints`` runs such a program forward on its tables
-and then walks the same buckets and alignments in reverse
-(Darwiche, "A differential approach to inference in Bayesian networks",
-JACM 2003): one pass gives dPr(e)/d(entry) for every entry of every CPT,
-each a sum of products of the other operands, so it stays exact at zero
-parameters.
-``Adjoints.cpt`` reads one CPT's table, checked by the Euler identity
-sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.  The CPT
-times its table is the family's joint with the evidence
+Pr(e) is multilinear in the CPT entries, so Pr(e) with one CPT left out,
+over that CPT's family, is dPr(e)/d(entry) for every entry of it (Darwiche,
+"A differential approach to inference in Bayesian networks", JACM 2003):
+a sum of products of the other tables, exact at zero parameters.  This is
+the one derivative route: ``derivatives`` asks one ``Jointree`` for Pr(e)
+and for such a table per named CPT, and keeps the tables (``Adjoints``),
+not the tree.  ``Adjoints.cpt`` reads one CPT's table, checked by the Euler
+identity sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.
+The CPT times its table is the family's joint with the evidence
 (``Adjoints.family``), so ``Adjoints.posterior`` reads Pr(X | e) for every
-X off the same pass: the only bulk-marginal route.  ``posterior_marginal``
-and ``pairwise_marginal`` answer one query each with their own elimination.
+X off the same pass: the only bulk-marginal route.  Bucket programs run
+forward only (``replay``): Pr(e) (``compile``), ``posterior_marginal``
+and ``pairwise_marginal``, which answer one query each with their own
+elimination, ``cpt_derivatives`` and ``exact_map``.
 """
 from __future__ import annotations
 
@@ -121,16 +122,14 @@ def _fill_cost(adj, n) -> int:
 class _Input(NamedTuple):
     """One input table of an elimination, named rather than held.
 
-    A CPT input is ``net.cpt(cpt).shaped``, which must have ``shape``, with
-    the evidence index ``take`` applied if it is set; a fixed input (``cpt``
-    None) is ``table``.  ``scope`` names the axes and ``reduced`` gives
-    their sizes.
+    A CPT input is ``net.cpt(cpt).shaped`` with the evidence index ``take``
+    applied if it is set; a fixed input (``cpt`` None) is ``table``.
+    ``scope`` names the axes and ``reduced`` gives their sizes.
     """
 
     scope: tuple[str, ...]
     reduced: tuple[int, ...]
     cpt: str | None = None
-    shape: tuple[int, ...] = ()
     take: tuple | None = None
     table: np.ndarray | None = None
 
@@ -142,14 +141,14 @@ def _sliced(child, names, cards, ev_index, keep=()) -> _Input:
     """The input of the CPT of ``child`` over ``names`` (of ``cards``),
     sliced by the evidence on its scope outside ``keep``."""
     if ev_index.keys().isdisjoint(names):
-        return _Input(names, cards, child, cards)
+        return _Input(names, cards, child)
     sliced = [n in ev_index and n not in keep for n in names]
     if True not in sliced:
-        return _Input(names, cards, child, cards)
+        return _Input(names, cards, child)
     return _Input(
         tuple(n for n, s in zip(names, sliced) if not s),
         tuple(c for c, s in zip(cards, sliced) if not s),
-        child, cards,
+        child,
         tuple(ev_index[n] if s else slice(None) for n, s in zip(names, sliced)),
     )
 
@@ -300,22 +299,16 @@ class _Bucket(NamedTuple):
     """One recorded elimination step.
 
     Table ``first`` is multiplied by the table of each of ``steps`` in turn
-    (``_product_steps``; ``back`` is the reverse pass's part, None in a
-    program that keeps or maximizes a variable, which never runs
-    backward).  ``axis`` of the product, of length ``size``, is summed out,
-    or maximized out if ``rest`` (the product's other axes, for the
-    traceback) is set; the result has ``shape``, and ``flat`` is the
-    product's shape with ``axis`` cut to length one.  Tables are ids in
-    creation order: inputs first, then bucket results.
+    (``_product_steps``).  ``axis`` of the product is summed out, or
+    maximized out if ``rest`` (the product's other axes, for the traceback)
+    is set; the result has ``shape``.  Tables are ids in creation order:
+    inputs first, then bucket results.
     """
 
     var: str
     first: int
     steps: tuple
-    back: tuple | None
     axis: int
-    size: int
-    flat: tuple[int, ...]
     shape: tuple[int, ...]
     rest: tuple[str, ...] | None
 
@@ -324,48 +317,42 @@ class _Bucket(NamedTuple):
 class Program:
     """A recorded elimination on one network: inputs by name, then
     buckets, then the product of what remains (``final`` ids, multiplied by
-    ``final_steps`` starting from a scalar one; ``final_back`` as a
-    bucket's ``back``), permuted by ``perm`` into the kept variables' order
-    and reshaped to ``shape``.
+    ``final_steps`` starting from a scalar one), permuted by ``perm`` into
+    the kept variables' order and reshaped to ``shape``.
 
-    ``width`` is the order's induced width.  ``cpt_inputs`` maps each CPT
-    name to its input's position, ``ev_index`` is the evidence (variable
-    name to state index) it was recorded under, and ``bound`` holds the
-    input tables, read off the network when it was recorded (``_bind``).
-    ``replay`` and ``adjoints`` never write into them.
+    ``width`` is the order's induced width, ``ev_index`` is the evidence
+    (variable name to state index) it was recorded under, and ``bound``
+    holds the input tables, read off the network when it was recorded
+    (``_bind``).  ``replay`` never writes into them.
     """
 
     inputs: tuple[_Input, ...]
     buckets: tuple[_Bucket, ...]
     final: tuple[int, ...]
     final_steps: tuple
-    final_back: tuple | None
     perm: tuple[int, ...]
     shape: tuple[int, ...]
     width: int
-    cpt_inputs: dict[str, int]
     ev_index: dict[str, int]
     bound: tuple[np.ndarray, ...]
 
 
-def _product_steps(scope, shape, ids, scopes, shapes, backward, same):
+def _product_steps(scope, shape, ids, scopes, shapes, same):
     """How to multiply a table over ``scope``, of ``shape``, by the tables
     ``ids`` (over ``scopes[j]``, of ``shapes[j]``) left to right, each
     product appending the next table's new variables, as
     ``Factor.multiply`` aligns its operands.
 
-    Returns the product's scope and shape, the forward steps and, if
-    ``backward``, their reverse-pass parts (``_reverse``; else None).  Step
-    (j, grow, turn, fit) reshapes the running product to ``grow`` (its own
-    axes, then a broadcast axis per new variable), and transposes table j
-    by ``turn`` and reshapes it to ``fit`` to broadcast against it; each
-    part is None where it would be the identity.  Each forward part, and
-    each reverse part whole, goes through ``same`` (one copy of equals).
+    Returns the product's scope and shape and the steps.  Step (j, grow,
+    turn, fit) reshapes the running product to ``grow`` (its own axes, then
+    a broadcast axis per new variable), and transposes table j by ``turn``
+    and reshapes it to ``fit`` to broadcast against it; each part is None
+    where it would be the identity, and goes through ``same`` (one copy of
+    equals).
     """
     pos = {n: i for i, n in enumerate(scope)}
     scope, shape = list(scope), list(shape)
     steps = []
-    back = []
     for j in ids:
         theirs = shapes[j]
         mine = tuple(shape)
@@ -390,36 +377,7 @@ def _product_steps(scope, shape, ids, scopes, shapes, backward, same):
         if where != sorted(where):
             turn = tuple(sorted(range(len(where)), key=where.__getitem__))
         steps.append((j, same(grow), same(turn), same(fit)))
-        if backward:
-            back.append(same(_reverse(mine, theirs, grow, turn, fit)))
-    return tuple(scope), tuple(shape), tuple(steps), tuple(back) if backward else None
-
-
-def _reverse(mine, theirs, grow, turn, fit):
-    """The reverse-pass part of the step (j, grow, turn, fit) that
-    multiplies a running product of shape ``mine`` by a table of shape
-    ``theirs`` (see ``_product_steps``).
-
-    The part (grow_ones, mine, fit_ones, turned, unturn, theirs) undoes the
-    step on an adjoint over the product (``_multiply_back``): the axes to
-    sum where a side was broadcast, and the reshapes and the transpose back
-    to the side's own shape, each None where it would do nothing.  (Summing
-    an axis of length one also drops the axes of one-state variables; only
-    then are the reshapes needed.)
-    """
-    grow_ones = fit_ones = mine_back = turned = unturn = theirs_back = None
-    if grow is not None:
-        grow_ones = tuple([i for i, c in enumerate(grow) if c == 1])
-        mine_back = mine if 1 in mine else None
-    if fit is not None:
-        fit_ones = tuple([i for i, c in enumerate(fit) if c == 1])
-    cut = fit is not None and 1 in theirs
-    if turn is None:
-        theirs_back = theirs if cut else None
-    else:
-        unturn = tuple(sorted(range(len(turn)), key=turn.__getitem__))
-        turned = tuple([theirs[i] for i in turn]) if cut else None
-    return grow_ones, mine_back, fit_ones, turned, unturn, theirs_back
+    return tuple(scope), tuple(shape), tuple(steps)
 
 
 def _distinct(keep) -> tuple[str, ...]:
@@ -469,7 +427,7 @@ def record(
     in ``_order``; the variables in ``maximize`` are eliminated after all
     the others (``_order``'s ``last``), and maximized out with an argmax
     traceback instead of summed out.  With nothing kept the program
-    computes Pr(e); run it with ``replay`` or ``adjoints``.
+    computes Pr(e).  Run it with ``replay``.
 
     The order and buckets depend only on the key (``net.layout()``, the
     observed variables, ``without``, ``keep``, ``maximize``), so they are
@@ -489,13 +447,12 @@ def record(
     shared = _structure(
         key, lambda: _record(net, inputs, keep, maximize, width_cap), maximize, width_cap
     )
-    cpt_inputs = {inp.cpt: i for i, inp in enumerate(inputs) if inp.cpt is not None}
-    return Program(tuple(inputs), *shared, cpt_inputs, ev_index, tuple(_bind(inputs, net)))
+    return Program(tuple(inputs), *shared, ev_index, tuple(_bind(inputs, net)))
 
 
 # ``record``'s structure for one key: the ``Program`` fields from ``buckets``
 # to ``width``
-_Recorded = namedtuple("_Recorded", "buckets final final_steps final_back perm shape width")
+_Recorded = namedtuple("_Recorded", "buckets final final_steps perm shape width")
 
 
 def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
@@ -507,8 +464,6 @@ def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
         return pool.setdefault(t, t)
 
     elim = _order(inputs, net.decl_index, keep=set(keep), last=maximize, width_cap=width_cap)
-    # only a Pr(e) program (nothing kept or maximized) can run backward
-    backward = not keep and not maximize
     scopes = [inp.scope for inp in inputs]
     shapes = [inp.reduced for inp in inputs]
     holding: dict[str, list[int]] = {}
@@ -523,18 +478,14 @@ def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
             continue
         live.difference_update(ids)
         first = ids[0]
-        scope, shape, steps, back = _product_steps(
-            scopes[first], shapes[first], ids[1:], scopes, shapes, backward, same
+        scope, shape, steps = _product_steps(
+            scopes[first], shapes[first], ids[1:], scopes, shapes, same
         )
         axis = scope.index(name)
         rest = scope[:axis] + scope[axis + 1 :]
         out = shape[:axis] + shape[axis + 1 :]
         buckets.append(
-            _Bucket(
-                name, first, steps, back, axis, shape[axis],
-                same(shape[:axis] + (1,) + shape[axis + 1 :]), same(out),
-                rest if name in maximize else None,
-            )
+            _Bucket(name, first, steps, axis, same(out), rest if name in maximize else None)
         )
         for n in rest:
             holding[n].append(len(scopes))
@@ -542,13 +493,10 @@ def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
         scopes.append(rest)
         shapes.append(out)
     final = tuple(sorted(live))
-    scope, shape, final_steps, final_back = _product_steps(
-        (), (), final, scopes, shapes, backward, same
-    )
+    scope, shape, final_steps = _product_steps((), (), final, scopes, shapes, same)
     perm = tuple(scope.index(n) for n in keep)
     return _Recorded(
-        tuple(buckets), final, final_steps, final_back, perm,
-        tuple(shape[i] for i in perm), elim.width,
+        tuple(buckets), final, final_steps, perm, tuple(shape[i] for i in perm), elim.width
     )
 
 
@@ -557,16 +505,12 @@ _sum = np.add.reduce
 _max = np.maximum.reduce
 
 
-def _multiply(tables, prod, steps, prefixes=None):
+def _multiply(tables, prod, steps):
     """Multiply ``prod`` by the table of each step in turn (see
-    ``_product_steps``).  The tables are released, unless ``prefixes``
-    collects the running product before each step for ``_multiply_back``."""
+    ``_product_steps``), releasing the tables."""
     for j, grow, turn, fit in steps:
         other = tables[j]
-        if prefixes is None:
-            tables[j] = None
-        else:
-            prefixes.append(prod)
+        tables[j] = None
         if grow is not None:
             prod = prod.reshape(grow)
         if turn is not None:
@@ -575,37 +519,6 @@ def _multiply(tables, prod, steps, prefixes=None):
             other = other.reshape(fit)
         prod = prod * other
     return prod
-
-
-def _multiply_back(grad, prefixes, tables, steps, back, adj):
-    """The reverse of ``_multiply``: given the adjoint of the product, set
-    each table's adjoint in ``adj`` and return the starting product's."""
-    for (j, grow, turn, fit), (grow_ones, mine, fit_ones, turned, unturn, theirs), prev in zip(
-        reversed(steps), reversed(back), reversed(prefixes)
-    ):
-        other = tables[j]
-        if grow is not None:
-            prev = prev.reshape(grow)
-        if turn is not None:
-            other = other.transpose(turn)
-        if fit is not None:
-            other = other.reshape(fit)
-        d = grad * prev
-        if fit_ones is not None:
-            d = _sum(d, fit_ones)
-        if turned is not None:
-            d = d.reshape(turned)
-        if unturn is not None:
-            d = d.transpose(unturn)
-        if theirs is not None:
-            d = d.reshape(theirs)
-        adj[j] = d
-        grad = grad * other
-        if grow_ones is not None:
-            grad = _sum(grad, grow_ones)
-        if mine is not None:
-            grad = grad.reshape(mine)
-    return grad
 
 
 def _stored(out, shape):
@@ -669,105 +582,6 @@ def _check_euler(theta, d, pr_e, what):
         raise ModelError(
             f"{what} violates the sum(theta * d) = Pr(e) identity: {euler} vs {pr_e}"
         )
-
-
-def _scattered(inp: _Input, table: np.ndarray) -> np.ndarray:
-    """A table over an input's evidence slice, shaped like its CPT table:
-    zero off the slice."""
-    if inp.take is None:
-        return table
-    full = np.zeros(inp.shape)
-    full[inp.take] = table
-    return full
-
-
-@dataclass(frozen=True)
-class Adjoints:
-    """Pr(e) and its adjoints from one forward/backward pass of a Pr(e)
-    program on its input tables (``program.bound``): ``tables[i]`` is
-    dPr(e)/d(input i) in that input's evidence-reduced shape."""
-
-    program: Program
-    pr_e: float
-    tables: tuple[np.ndarray, ...]
-
-    def _position(self, name: str) -> int:
-        i = self.program.cpt_inputs.get(name)
-        if i is None:
-            raise ModelError(f"unknown variable {name!r}")
-        return i
-
-    def _checked(self, name: str) -> tuple[_Input, np.ndarray, np.ndarray]:
-        """The CPT's input, its table and its adjoint, checked by the Euler
-        identity sum(theta * d) = Pr(e) over the evidence slice (the
-        entries off it do not enter Pr(e))."""
-        i = self._position(name)
-        theta, d = self.program.bound[i], self.tables[i]
-        _check_euler(theta, d, self.pr_e, f"adjoint of {name!r}")
-        return self.program.inputs[i], theta, d
-
-    def cpt(self, name: str) -> np.ndarray:
-        """Partial derivatives of Pr(e) with respect to every entry of the
-        CPT of ``name``, shaped like the CPT table: the input's adjoint in
-        its evidence slice and zero elsewhere (entries that disagree with
-        the evidence do not enter Pr(e)).  Checked by the Euler identity.
-        """
-        inp, _, d = self._checked(name)
-        return _scattered(inp, d)
-
-    def family(self, name: str) -> np.ndarray:
-        """Pr(family of ``name``, e), shaped like its CPT table: the CPT
-        times ``cpt(name)``, zero where the family disagrees with the
-        evidence."""
-        inp, theta, d = self._checked(name)
-        return _scattered(inp, theta * d)
-
-    def posterior(self, name: str) -> np.ndarray:
-        """Pr(``name`` | e): ``family(name)`` summed down to ``name``, over
-        Pr(e), or the indicator of the observed state.  Evidence of
-        probability zero raises ``InconsistentEvidenceError``."""
-        card = self.program.inputs[self._position(name)].shape[-1]
-        if self.pr_e <= 0.0:
-            raise InconsistentEvidenceError("evidence has zero probability")
-        if name in self.program.ev_index:
-            return np.eye(card)[self.program.ev_index[name]]
-        return self.family(name).reshape(-1, card).sum(axis=0) / self.pr_e
-
-
-def adjoints(program: Program) -> Adjoints:
-    """Run a Pr(e) program (one recorded with nothing kept and nothing
-    maximized) forward on its input tables (``program.bound``), then
-    backward over the same buckets and alignments.
-
-    The forward pass runs ``replay``'s operations, so Pr(e) is bitwise
-    ``replay``'s, with the same overflow check, and keeps every table and
-    running product; the backward pass gives each operand of a product the
-    product of the others times the result's adjoint, summed down to the
-    operand's scope, so no adjoint is ever a quotient.
-    """
-    if program.shape != ():
-        raise ModelError("adjoints need a program that keeps no variable")
-    if any(b.rest is not None for b in program.buckets):
-        raise ModelError("adjoints need a summing program, not a maximizing one")
-    tables = list(program.bound)
-    saved = []
-    for b in program.buckets:
-        prefixes = []
-        prod = _multiply(tables, tables[b.first], b.steps, prefixes)
-        saved.append(prefixes)
-        tables.append(_stored(_sum(prod, b.axis), b.shape))
-    final = []
-    pr_e = float(_multiply(tables, np.array(1.0), program.final_steps, final))
-    if not math.isfinite(pr_e):
-        raise ModelError("numerical overflow in factor product")
-    adj = [None] * len(tables)
-    _multiply_back(np.array(1.0), final, tables, program.final_steps, program.final_back, adj)
-    n = len(program.inputs)
-    for k in reversed(range(len(program.buckets))):
-        b = program.buckets[k]
-        grad = adj[n + k].reshape(b.flat).repeat(b.size, axis=b.axis)
-        adj[b.first] = _multiply_back(grad, saved[k], tables, b.steps, b.back, adj)
-    return Adjoints(program, pr_e, tuple(adj[:n]))
 
 
 # einsum names each axis by a letter, and before numpy 2 takes at most 32
@@ -857,11 +671,13 @@ def _below(parent, c) -> set[int]:
     return path
 
 
-def _leaving(sends, n, path) -> tuple[int, ...]:
-    """The ids of the sent messages (``sends``; message m is table n + m)
-    that point away from the clique whose path to the root is ``path``
-    (``_below``): up the edges on the path, and down every other edge."""
-    ids = [n + 2 * i + (i not in path) for i in range((len(sends) - n) // 2)]
+def _leaving(sends, messages, path) -> tuple[int, ...]:
+    """The ids of the sent messages (``sends``; message m is table
+    ``messages[m]``) that point away from the clique whose path to the root
+    is ``path`` (``_below``): up the edges on the path, and down every other
+    edge.  The ids are ``messages``' own objects, so a plan's lists share
+    them."""
+    ids = [messages[2 * i + (i not in path)] for i in range(len(messages) // 2)]
     return tuple([t for t in ids if sends[t] is not None])
 
 
@@ -928,9 +744,9 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
     # the messages into some query's home, up the tree from the leaves,
     # then down it: each after the messages it is computed from.  A home
     # gets messages down the edges between it and the root, up the others
-    below = [_below(parent, home) for home in homes]
-    everywhere = set.intersection(*below) if below else set()
-    anywhere = set().union(*below)
+    below = {home: _below(parent, home) for home in dict.fromkeys(homes)}
+    everywhere = set.intersection(*below.values()) if below else set()
+    anywhere = set().union(*below.values())
     for i in range(root):
         if i not in everywhere:
             plan(into[i], i, parent[i], n + 2 * i)
@@ -957,7 +773,8 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
         table = _contraction(ops, [table_scopes[i] for i in ops], unobserved)
         shape = tuple(net.var(v).card for v in keep)
         planned.append(_TreeQuery(table, keep, shape))
-    stale = {home: _leaving(sends, n, path) for home, path in zip(homes, below)}
+    messages = list(range(n, len(sends)))
+    stale = {home: _leaving(sends, messages, path) for home, path in below.items()}
     return _TreePlan(
         elim.width, tuple(holder), tuple(parent), tuple(sends), stale, tuple(planned),
         tuple(fixed),
@@ -1021,7 +838,7 @@ class Jointree:
         # query's result in a table of zeros
         self._takes = [
             tuple(ev_index.get(v, slice(None)) for v in q.keep)
-            if any(v in ev_index for v in q.keep) else None
+            if not ev_index.keys().isdisjoint(q.keep) else None
             for q in plan.queries
         ]
         self.sent = 0
@@ -1051,7 +868,8 @@ class Jointree:
         self._forgot = c
         stale = plan.stale.get(c)
         if stale is None:
-            stale = _leaving(plan.sends, len(self.inputs), _below(plan.parent, c))
+            messages = range(len(self.inputs), len(plan.sends))
+            stale = _leaving(plan.sends, messages, _below(plan.parent, c))
         for t in stale:
             bound[t] = None
 
@@ -1083,6 +901,74 @@ class Jointree:
         if not math.isfinite(_max(g, None)):
             raise ModelError("numerical overflow in factor product")
         return g
+
+
+@dataclass(frozen=True, eq=False)
+class Adjoints:
+    """Pr(e) on ``net`` under the evidence ``ev_index`` (variable name to
+    state index), and the derivative tables of one pass (``derivatives``):
+    ``tables[X]`` holds dPr(e)/d(entry) for every entry of the CPT of X,
+    shaped like the CPT table and zero off the evidence (entries that
+    disagree with it do not enter Pr(e)), for each X the pass answers."""
+
+    net: Network
+    ev_index: dict[str, int]
+    pr_e: float
+    tables: dict[str, np.ndarray]
+
+    def cpt(self, name: str) -> np.ndarray:
+        """The derivative table of the CPT of ``name``, checked by the Euler
+        identity sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its
+        own."""
+        d = self.tables.get(name)
+        if d is None:
+            self.net.var(name)  # an unknown name raises "unknown variable"
+            raise ModelError(f"this pass has no derivative table for {name!r}")
+        _check_euler(self.net.cpt(name).shaped, d, self.pr_e, f"adjoint of {name!r}")
+        return d
+
+    def family(self, name: str) -> np.ndarray:
+        """Pr(family of ``name``, e), shaped like its CPT table: the CPT
+        times ``cpt(name)``, zero where the family disagrees with the
+        evidence."""
+        return self.net.cpt(name).shaped * self.cpt(name)
+
+    def posterior(self, name: str) -> np.ndarray:
+        """Pr(``name`` | e): ``family(name)`` summed down to ``name``, over
+        Pr(e), or the indicator of the observed state.  Evidence of
+        probability zero raises ``InconsistentEvidenceError``."""
+        card = self.net.var(name).card
+        if self.pr_e <= 0.0:
+            raise InconsistentEvidenceError("evidence has zero probability")
+        if name in self.ev_index:
+            return np.eye(card)[self.ev_index[name]]
+        return self.family(name).reshape(-1, card).sum(axis=0) / self.pr_e
+
+
+def derivatives(net: Network, ev: Evidence, names, width_cap=None) -> Adjoints:
+    """Pr(e) and the derivative table of the CPT of each of ``names``, all
+    read off one ``Jointree`` of (``net``, ``ev``) and kept without it.
+
+    The tree's queries are Pr(e), ``((), ())``, and per name X ``((X,),
+    family of X)``: Pr(e) with X's CPT left out, over X's family, which is
+    dPr(e)/d(entry) for every entry of that CPT (Pr(e) is multilinear in
+    the CPT entries; Darwiche, "A differential approach to inference in
+    Bayesian networks", JACM 2003).  No step divides, so the tables stay
+    exact at zero parameters.  A family is already the scope of its CPT, so
+    the queries add nothing to the tree's order: its width is
+    ``record(net, ev)``'s, checked against ``width_cap`` before any table
+    is read.
+    """
+    names = tuple(names)
+    family = {child: scope for child, scope, _ in net.layout()}
+    for x in names:
+        if x not in family:
+            raise ModelError(f"unknown variable {x!r}")
+    queries = [((), ())] + [((x,), family[x]) for x in names]
+    tree = Jointree(net, ev, queries, width_cap)
+    pr_e = float(tree.table(0))
+    tables = {x: tree.table(j) for j, x in enumerate(names, 1)}
+    return Adjoints(net, _indexed(net, ev), pr_e, tables)
 
 
 def min_fill_order(net: Network, query=()) -> EliminationOrder:
@@ -1130,10 +1016,10 @@ class EngineState:
     """Compiled (network, evidence) pair: the recorded Pr(e) program, which
     holds its input tables read off ``net``, and Pr(e) from them.
 
-    A caller that wants more than Pr(e) from the same elimination runs
-    ``adjoints(st.program)`` (``deletion.recover_marginals``), so nothing
-    is recorded or read twice.  Every query made through the state is
-    recorded under ``width_cap``.  Queries are read-only.
+    Every query made through the state is recorded under ``width_cap``;
+    ``deletion.recover_marginals`` makes its one derivative pass
+    (``derivatives``) on the state's pair under it too.  Queries are
+    read-only.
     """
 
     net: Network

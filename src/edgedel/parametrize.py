@@ -283,18 +283,19 @@ def run(
     read off the tree.  An empty plan's N' is the source network, so its
     Pr'(e') is the reference's Pr(e), which the bound reads.
 
-    ``reference`` gives the source network's forward/backward pass, from
-    which the true parent posteriors are read (``true_edge_marginals``):
-    either the pass itself (``engine.Adjoints``), made on the source
-    network or on any augmentation of it (``divergence.source_pass`` keeps
-    one per (network, evidence)), or the (augmented network, evidence) pair
-    the approximation was built from, on which ``run`` makes the pass under
-    ``width_cap``.  It is required for "ed-kl" (the updates need the true
-    parent posteriors) and optional for "ed-bp", where it only enables the
-    KL-bound column of the trace.  Non-convergence is reported, not raised.
-    The KL-bound trace need not decrease monotonically: fixed points are
-    stationary points of the divergence, and the iteration is not a descent
-    method.
+    ``reference`` gives the source network's derivative pass, from which
+    the true parent posteriors are read (``true_edge_marginals``): either
+    the pass itself (``engine.Adjoints``), made on the source network or on
+    any augmentation of it (``divergence.source_pass`` keeps one per
+    (network, evidence)), or the (augmented network, evidence) pair the
+    approximation was built from, on which ``run`` makes a pass under
+    ``width_cap`` that answers the plan's parents only
+    (``engine.derivatives``), since nothing else is read.  It is required
+    for "ed-kl" (the updates need the true parent posteriors) and optional
+    for "ed-bp", where it only enables the KL-bound column of the trace.
+    Non-convergence is reported, not raised.  The KL-bound trace need not
+    decrease monotonically: fixed points are stationary points of the
+    divergence, and the iteration is not a descent method.
 
     Returns (final plan, FixedPointReport, list of SweepRecord).
     """
@@ -314,7 +315,8 @@ def run(
     fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
     source = reference
     if reference is not None and not isinstance(reference, engine.Adjoints):
-        source = forward_backward(*reference, width_cap)
+        parents = dict.fromkeys(rec.parent for rec in plan.edges)
+        source = engine.derivatives(*reference, parents, width_cap)
     true_marginals = None if source is None else true_edge_marginals(source, plan)
     bounded = source is not None and source.pr_e > 0
 
@@ -365,8 +367,8 @@ def check_conditions(
     gap additionally compares both posteriors against the true Pr(u|e) from
     the source network.
 
-    Every posterior comes from one forward/backward pass on each network
-    (``engine.adjoints``).  Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'),
+    Every posterior comes from one derivative pass on each network
+    (``forward_backward``).  Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'),
     the soft-evidence adjoint d_se is Pr'(u, e' minus s'), so
     Pr'(u | e' minus s') = d_se / sum(d_se).
     """

@@ -4,13 +4,17 @@ Fits one edge at a time with ``divergence.edge_update`` on the reads of
 ``single_edge_evaluate`` and the edge's table g, the sequential sweep's own
 one-edge update, and ranks with the tie rule written out again here, so
 the tests compare the package's stacked fit against a route that shares
-only the update rule with it.
+only the update rule with it.  Its tables come from the bucket route, one
+``cpt_derivatives`` elimination per edge, never from the jointree pass
+that ``score_edges`` reads; ``bucket_pass`` builds that pass from the same
+eliminations, so a test can hand both the same tables.
 """
 
 import numpy as np
 
 import edgedel.engine as engine
 from edgedel.deletion import EdgeParams, augment
+from edgedel.divergence import forward_backward
 from edgedel.divergence import (
     INNER_MAX_ITERATIONS,
     INNER_TOLERANCE,
@@ -50,13 +54,23 @@ def scored_records(net):
     return aug, [r for r in aug.clone_edges if r.sevid is None]
 
 
+def bucket_pass(net, ev, names, width_cap=None):
+    """``engine.derivatives`` on the bucket route: Pr(e) from ``compile``
+    and each named CPT's table from its own ``cpt_derivatives``
+    elimination."""
+    st = engine.compile(net, ev, width_cap)
+    tables = {x: engine.cpt_derivatives(st, net.cpt(x)) for x in names}
+    return engine.Adjoints(net, st.program.ev_index, st.pr_e, tables)
+
+
 def routed_scores(net, ev, one_pass):
     """Every edge fitted on its clone table, sorted by (score, declaration
-    index): tables from one adjoint pass, or from one ``cpt_derivatives``
-    elimination per edge."""
+    index): tables from the one jointree pass ``score_edges`` reads
+    (``forward_backward``), or from one ``cpt_derivatives`` elimination per
+    edge."""
     aug, records = scored_records(net)
     if one_pass:
-        grads = engine.adjoints(engine.record(aug, ev))
+        grads = forward_backward(aug, ev)
         table, pr_e = grads.cpt, grads.pr_e
     else:
         st = engine.compile(aug, ev)
@@ -66,12 +80,12 @@ def routed_scores(net, ev, one_pass):
 
 
 def reference_scores(net, ev, max_iterations=None):
-    """``score_edges`` on the per-edge route: one adjoint pass, one
-    ``fit_edge`` per edge, then each run of scores tied within TIE_TOL
-    refitted on ``cpt_derivatives`` tables and reordered."""
+    """``score_edges`` on the per-edge route, reading ``bucket_pass``'s
+    tables: one ``fit_edge`` per edge, then each run of scores tied within
+    TIE_TOL refitted on ``cpt_derivatives`` tables and reordered."""
     aug, records = scored_records(net)
-    grads = engine.adjoints(engine.record(aug, ev))
-    st = engine.EngineState(aug, ev, engine.WIDTH_CAP_DEFAULT, grads.program, grads.pr_e)
+    st = engine.compile(aug, ev)
+    grads = bucket_pass(aug, ev, [r.clone for r in records])
     scored = sorted(
         ((fit_edge(r, grads.cpt(r.clone), grads.pr_e, max_iterations), i)
          for i, r in enumerate(records)),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import edgedel
 import edgedel.divergence as divergence_module
+import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
     Cpt,
@@ -50,7 +51,7 @@ from conftest import (
     random_network,
     tied_edges,
 )
-from score_reference import reference_scores, routed_scores, scored_records
+from score_reference import bucket_pass, reference_scores, routed_scores, scored_records
 
 
 def build(net, ev, edges, params=None):
@@ -562,16 +563,16 @@ class TestSourcePass:
 
     def test_a_repeated_pair_reads_the_kept_pass(self, monkeypatch):
         net, ev = self.case()
-        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        calls = count_engine_calls(monkeypatch, ["derivatives"])
         aug, grads = divergence_module.source_pass(net, ev)
         assert aug.kind == "augmented" and len(aug.clone_edges) == len(net.edges())
         again = divergence_module.source_pass(net, ev)
         assert again[0] is aug and again[1] is grads
-        assert calls == {"adjoints": 1}
+        assert calls == {"derivatives": 1}
 
     def test_the_key_is_identity_and_width_cap(self, monkeypatch):
         net, ev = self.case()
-        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        calls = count_engine_calls(monkeypatch, ["derivatives"])
         _, grads = divergence_module.source_pass(net, ev)
         # an equal but distinct evidence, then network, makes a new pass,
         # and so does another width cap
@@ -583,11 +584,12 @@ class TestSourcePass:
         assert same_net == net
         assert divergence_module.source_pass(same_net, equal_ev)[1] is not other
         wider = divergence_module.source_pass(same_net, equal_ev, width_cap=24)[1]
-        assert calls == {"adjoints": 4}
+        assert calls == {"derivatives": 4}
         # each pass is bitwise the same
         for got in (other, wider):
             assert got.pr_e == grads.pr_e
-            assert [t.tobytes() for t in got.tables] == [t.tobytes() for t in grads.tables]
+            assert list(got.tables) == list(grads.tables)
+            assert all(got.tables[x].tobytes() == t.tobytes() for x, t in grads.tables.items())
 
     def test_a_refused_pass_is_not_kept(self, monkeypatch):
         net, ev = self.case()
@@ -608,13 +610,13 @@ class TestSourcePass:
             return real(*args)
 
         monkeypatch.setattr(divergence_module, "augment", counting)
-        calls = count_engine_calls(monkeypatch, ["adjoints"])
+        calls = count_engine_calls(monkeypatch, ["derivatives"])
         first, second = score_edges(net, ev), score_edges(net, ev)
-        assert len(built) == 1 and calls == {"adjoints": 1}
+        assert len(built) == 1 and calls == {"derivatives": 1}
         assert all(same_fit(a, b) for a, b in zip(first, second))
         # an augmented input is scored on its own pass
         score_edges(augment(net, net.edges()), ev)
-        assert len(built) == 1 and calls == {"adjoints": 2}
+        assert len(built) == 1 and calls == {"derivatives": 2}
 
 
 class TestScoreIsOneEdgeRun:
@@ -696,13 +698,14 @@ class TestScoreEdges:
         assert type(s.score) is float
 
     def test_one_adjoint_pass_for_all_edges(self, monkeypatch):
-        # Pr(e) and every clone table come from one forward/backward pass;
-        # only edges in a tie run take their own derivative elimination, and
-        # every fit runs in the stacked loop, not edge by edge
+        # Pr(e) and every clone table come from one derivative pass; only
+        # edges in a tie run take their own derivative elimination, on one
+        # compiled state, and every fit runs in the stacked loop, not edge
+        # by edge
         rng = np.random.default_rng(7)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
-        calls = count_engine_calls(monkeypatch, ["compile", "adjoints", "cpt_derivatives"])
+        calls = count_engine_calls(monkeypatch, ["compile", "derivatives", "cpt_derivatives"])
         updates = []
 
         def counting(*args, **kwargs):
@@ -711,7 +714,8 @@ class TestScoreEdges:
 
         monkeypatch.setattr(divergence_module, "edge_update", counting)
         scores = score_edges(net, ev)
-        assert calls == {"compile": 0, "adjoints": 1, "cpt_derivatives": tied_edges(scores)}
+        tied = tied_edges(scores)
+        assert calls == {"compile": int(tied > 0), "derivatives": 1, "cpt_derivatives": tied}
         assert len(updates) == 0
 
     def test_ranking_ascending_with_declaration_tiebreak(self):
@@ -735,10 +739,11 @@ class TestScoreEdges:
         net = grid_network(4, 4, rng=np.random.default_rng(5))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
         width = compile(augment(net, net.edges()), ev).width
-        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "derivatives"])
         with pytest.raises(CapacityError, match=f"induced width {width} exceeds the cap of {width - 1}"):
             score_edges(net, ev, width_cap=width - 1)
-        assert calls == {"_bind": 0, "replay": 0, "adjoints": 0}
+        # the pass is refused when its tree is planned, before it reads a table
+        assert calls == {"_bind": 0, "replay": 0, "derivatives": 1}
 
     def test_converged_scores_satisfy_exactness_on_their_edge(self):
         rng = np.random.default_rng(9)
@@ -813,10 +818,12 @@ def same_fit(got, want):
 
 
 class TestStackedFit:
-    """The stacked fit is bitwise the per-edge ``edge_update`` route."""
+    """The stacked fit is bitwise the per-edge ``edge_update`` route, both
+    reading the bucket route's tables (``bucket_pass``)."""
 
     @pytest.mark.parametrize("case", list(STACK_CASES))
-    def test_score_edges_is_the_per_edge_route(self, case):
+    def test_score_edges_is_the_per_edge_route(self, monkeypatch, case):
+        monkeypatch.setattr(engine_module, "derivatives", bucket_pass)
         net, ev = stack_case(case)
         got, want = score_edges(net, ev), reference_scores(net, ev)
         assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
@@ -841,6 +848,7 @@ class TestStackedFit:
         # seeded edges need 2-6 updates, so a budget of 3 leaves one stack
         # with converged and unconverged rows
         monkeypatch.setattr(divergence_module, "INNER_MAX_ITERATIONS", 3)
+        monkeypatch.setattr(engine_module, "derivatives", bucket_pass)
         net, ev = stack_case(case)
         got, want = score_edges(net, ev), reference_scores(net, ev, max_iterations=3)
         assert {s.converged for s in got} == {True, False}

@@ -612,9 +612,9 @@ class TestProgramReuse:
         out = []
         program = engine_module.record(net, ev)
         out.append(engine_module.replay(program)[0])
-        grads = engine_module.adjoints(program)
+        grads = forward_backward(net, ev)
         out.append(grads.pr_e)
-        out.extend(grads.tables)
+        out.extend(grads.tables.values())
         out.extend(grads.posterior(v.name) for v in net.variables)
         program = engine_module.record(net, ev, ("N1_1",), ("N1_1", "N0_1", "N1_0"))
         out.append(engine_module.replay(program)[0])
@@ -1072,7 +1072,7 @@ class TestReplayGuards:
         with pytest.raises(ModelError, match=message):
             engine_module.replay(program)
         with pytest.raises(ModelError, match=message):
-            engine_module.adjoints(program)
+            forward_backward(net, Evidence({}))
         with pytest.raises(ModelError, match=message):
             kept(net, Evidence({}), (), ("N1_1",))
         # a maximizing program
@@ -1086,7 +1086,7 @@ class TestReplayGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine_module.replay(program)
-            engine_module.adjoints(program)
+            forward_backward(net, ev)
             kept(net, ev, (), ("N1_1", "N2_2"))
             exact_map(net, ev, ["N1_1", "N0_2"])
 
@@ -1131,11 +1131,6 @@ class TestReplayGuards:
             tree.set_input("C", table)
 
 
-def one_pass(net, ev):
-    """One forward/backward pass of Pr(e) on (net, ev)."""
-    return engine_module.adjoints(engine_module.record(net, ev))
-
-
 def adjoint_cases():
     rng = np.random.default_rng(41)
     cases = []
@@ -1157,24 +1152,21 @@ def adjoint_cases():
 
 
 class TestAdjoints:
-    """One forward/backward pass gives every CPT's derivative table."""
+    """One derivative pass gives every CPT's derivative table."""
 
     @pytest.mark.parametrize("net,ev", adjoint_cases())
     def test_match_cpt_derivatives_and_posteriors(self, net, ev):
         st = compile(net, ev)
-        program = engine_module.record(net, ev)
-        grads = engine_module.adjoints(program)
-        # the forward pass is replay's arithmetic
-        assert np.float64(grads.pr_e).tobytes() == np.float64(st.pr_e).tobytes()
-        for i, inp in enumerate(program.inputs):
-            want = cpt_derivatives(st, net.cpt(inp.cpt))
-            if inp.take is not None:
-                want = want[inp.take]
-            got = grads.tables[i]
-            assert got.shape == inp.reduced
-            assert np.allclose(got, want, rtol=1e-12, atol=0), inp.cpt
-            assert np.allclose(grads.cpt(inp.cpt), cpt_derivatives(st, net.cpt(inp.cpt)),
-                               rtol=1e-12, atol=0)
+        grads = forward_backward(net, ev)
+        assert grads.pr_e == pytest.approx(st.pr_e, rel=1e-12, abs=0)
+        assert list(grads.tables) == [v.name for v in net.variables]
+        for v in net.variables:
+            # shaped like the CPT, and zero off the evidence wherever the
+            # bucket route's table is (atol 0)
+            want = cpt_derivatives(st, net.cpt(v.name))
+            got = grads.cpt(v.name)
+            assert got.shape == net.cpt(v.name).shape
+            assert np.allclose(got, want, rtol=1e-12, atol=0), v.name
         for v in net.variables:
             want = posterior_marginal(st, v.name)
             assert np.allclose(grads.posterior(v.name), want, rtol=1e-12, atol=0)
@@ -1187,7 +1179,7 @@ class TestAdjoints:
         [c for c in adjoint_cases() if c.id not in ("grid4x4", "grid5x5")],
     )
     def test_posterior_and_family_match_enumeration(self, net, ev):
-        grads = one_pass(net, ev)
+        grads = forward_backward(net, ev)
         joint = enumerate_joint(net, ev)
         hidden = set(joint.names())
         for v in net.variables:
@@ -1210,16 +1202,43 @@ class TestAdjoints:
         a = Variable("A", ("a0", "a1"))
         net = Network([a], [Cpt(a, (), [1.0, 0.0])])
         ev = Evidence({"A": "a1"})
-        grads = one_pass(net, ev)
+        grads = forward_backward(net, ev)
         with pytest.raises(InconsistentEvidenceError):
             grads.posterior("A")
+
+    def test_a_pass_of_some_cpts_under_zero_probability_evidence(self):
+        # a pass that answers only B still reads Pr(e) = 0, and every
+        # posterior raises, the observed variable's too
+        a = Variable("A", ("a0", "a1"))
+        b = Variable("B", ("b0", "b1"))
+        net = Network([a, b], [Cpt(a, (), [1.0, 0.0]), Cpt(b, (a,), [0.9, 0.1, 0.2, 0.8])])
+        grads = engine_module.derivatives(net, Evidence({"A": "a1"}), ["B"])
+        assert grads.pr_e == 0.0 and list(grads.tables) == ["B"]
+        for name in ("A", "B"):
+            with pytest.raises(InconsistentEvidenceError, match="zero probability"):
+                grads.posterior(name)
+
+    def test_a_pass_reads_only_the_tables_it_was_asked_for(self):
+        net = chain3()
+        ev = Evidence({"C": "c1"})
+        grads = engine_module.derivatives(net, ev, ["B"])
+        st = compile(net, ev)
+        assert np.allclose(grads.cpt("B"), cpt_derivatives(st, net.cpt("B")), rtol=1e-12, atol=0)
+        # the observed variable's posterior needs no table
+        assert grads.posterior("C").tolist() == [0.0, 1.0]
+        with pytest.raises(ModelError, match="no derivative table for 'A'"):
+            grads.posterior("A")
+        with pytest.raises(ModelError, match="unknown variable 'Z'"):
+            grads.cpt("Z")
+        with pytest.raises(ModelError, match="unknown variable 'Z'"):
+            engine_module.derivatives(net, ev, ["B", "Z"])
 
     def test_exact_at_zero_parameters(self):
         # theta(b0 | a0) = 0, yet dPr(c0)/dtheta(b0 | a0) = Pr(a0) Pr(c0 | b0)
         net = chain3()
         net = net.replace_cpts({"B": Cpt(net.var("B"), (net.var("A"),), [0.0, 1.0, 0.6, 0.4])})
         ev = Evidence({"C": "c0"})
-        grads = one_pass(net, ev)
+        grads = forward_backward(net, ev)
         assert grads.cpt("B")[0, 0] == pytest.approx(0.2 * 0.9, rel=1e-15)
 
     @pytest.mark.parametrize("observed", [False, True])
@@ -1234,7 +1253,7 @@ class TestAdjoints:
         source = forward_backward(aug, ev)
         marginals = true_edge_marginals(source, plan)
         st = compile(aug, ev)
-        assert source.pr_e == st.pr_e
+        assert source.pr_e == pytest.approx(st.pr_e, rel=1e-12, abs=0)
         for rec, got in zip(plan.edges, marginals):
             want = posterior_marginal(st, rec.parent)
             assert np.allclose(got, want, rtol=1e-12, atol=0), rec.parent
@@ -1259,41 +1278,43 @@ class TestAdjointGuards:
         net = grid_network(4, 4, rng=np.random.default_rng(43))
         ev = leaf_evidence(net)
         aug, _, plan = approximate_network(net, net.edges()[:3])
-        real = engine_module.adjoints
+        real = engine_module.derivatives
 
-        def corrupted(program):
-            grads = real(program)
-            return dataclasses.replace(grads, tables=tuple(t * (1 + 1e-6) for t in grads.tables))
+        def corrupted(*args):
+            grads = real(*args)
+            tables = {name: t * (1 + 1e-6) for name, t in grads.tables.items()}
+            return dataclasses.replace(grads, tables=tables)
 
-        monkeypatch.setattr(engine_module, "adjoints", corrupted)
+        monkeypatch.setattr(engine_module, "derivatives", corrupted)
         with pytest.raises(ModelError, match="violates the sum"):
             true_edge_marginals(forward_backward(aug, ev), plan)
 
     def test_non_finite_adjoint_fails_the_euler_check(self):
         net = chain3()
-        grads = one_pass(net, Evidence({}))
-        tables = list(grads.tables)
-        tables[1] = tables[1] * np.nan
+        grads = forward_backward(net, Evidence({}))
+        tables = dict(grads.tables)
+        tables["B"] = tables["B"] * np.nan
         with pytest.raises(ModelError, match="adjoint of 'B' violates"):
-            dataclasses.replace(grads, tables=tuple(tables)).cpt("B")
-
-    def test_maximize_program_refused(self):
-        net = chain3()
-        program = engine_module.record(net, Evidence({}), maximize=("A",))
-        with pytest.raises(ModelError, match="maximizing"):
-            engine_module.adjoints(program)
-
-    def test_kept_variable_program_refused(self):
-        net = chain3()
-        program = engine_module.record(net, Evidence({}), (), ("C",))
-        with pytest.raises(ModelError, match="keeps no variable"):
-            engine_module.adjoints(program)
+            dataclasses.replace(grads, tables=tables).cpt("B")
 
     def test_overflow_raises_the_replay_error(self):
         net = overflowing_network()
-        program = engine_module.record(net, Evidence({}))
         with pytest.raises(ModelError, match="numerical overflow in factor product"):
-            engine_module.adjoints(program)
+            forward_backward(net, Evidence({}))
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_a_pass_past_the_cap_raises_record_s_capacity_error(self, augmented):
+        net = grid_network(4, 4, rng=np.random.default_rng(44))
+        ev = leaf_evidence(net)
+        if augmented:
+            net, _, _ = approximate_network(net, net.edges())
+        width = engine_module.record(net, ev).width
+        with pytest.raises(CapacityError) as want:
+            engine_module.record(net, ev, width_cap=width - 1)
+        with pytest.raises(CapacityError) as got:
+            forward_backward(net, ev, width - 1)
+        assert str(got.value) == str(want.value)
+        assert forward_backward(net, ev, width).pr_e > 0
 
 
 def degenerate_instance(net, rng, share, impossible):
@@ -1354,8 +1375,9 @@ class TestAgainstEnumeration:
         assert np.isclose(pr_e, total, **tol)
         assert (pr_e == 0.0) == (total == 0.0)
 
-        grads = engine_module.adjoints(program)
-        assert grads.pr_e == pr_e
+        grads = forward_backward(net, ev)
+        assert np.isclose(grads.pr_e, total, **tol)
+        assert (grads.pr_e == 0.0) == (total == 0.0)
         hidden = set(joint.names())
         for v in net.variables:
             cpt = net.cpt(v.name)

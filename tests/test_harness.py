@@ -41,13 +41,14 @@ import record_report_golden
 
 def count_passes_by_network(monkeypatch):
     """Count ``engine`` records, table reads (``_bind``), replays and
-    forward/backward passes by the kind of network they run on ("augmented" for the source network,
-    "approximate" for N'), and compiles; returns the live Counter."""
+    derivative passes by the kind of network they run on ("augmented" for
+    the source network, "approximate" for N'), and compiles; returns the
+    live Counter."""
     import edgedel.engine as engine_module
 
     calls = Counter()
     kinds = {}  # id(program) -> (program, kind); keeps programs alive
-    names = ("record", "_bind", "replay", "adjoints", "compile")
+    names = ("record", "_bind", "replay", "derivatives", "compile")
     real = {name: getattr(engine_module, name) for name in names}
 
     def record(net, *args, **kwargs):
@@ -64,16 +65,16 @@ def count_passes_by_network(monkeypatch):
         calls["replay", kinds[id(program)][1]] += 1
         return real["replay"](program)
 
-    def adjoints(program):
-        calls["adjoints", kinds[id(program)][1]] += 1
-        return real["adjoints"](program)
+    def derivatives(net, *args):
+        calls["derivatives", net.kind] += 1
+        return real["derivatives"](net, *args)
 
     def compile(*args, **kwargs):
         calls["compile"] += 1
         return real["compile"](*args, **kwargs)
 
     for name, fn in [("record", record), ("_bind", bind), ("replay", replay),
-                     ("adjoints", adjoints), ("compile", compile)]:
+                     ("derivatives", derivatives), ("compile", compile)]:
         monkeypatch.setattr(engine_module, name, fn)
     return calls
 
@@ -265,8 +266,8 @@ class TestRunExperiment:
         calls = count_passes_by_network(monkeypatch)
         rows = run_experiment(spec)
         assert len(rows) == 8 * instances
-        assert calls[("adjoints", "augmented")] == instances
-        assert sum(n for (name, *_), n in calls.items() if name == "adjoints") == instances
+        assert calls[("derivatives", "augmented")] == instances
+        assert sum(n for (name, *_), n in calls.items() if name == "derivatives") == instances
 
     def test_an_mi_ranking_reads_the_instance_s_source_pass(self, monkeypatch):
         # the spec of CI's report check: mi's family tables come off the
@@ -278,7 +279,7 @@ class TestRunExperiment:
         calls = count_passes_by_network(monkeypatch)
         rows = run_experiment(spec)
         assert len(rows) == 3 * 3 * 2 * 3
-        assert sum(n for (name, *_), n in calls.items() if name == "adjoints") == 3
+        assert sum(n for (name, *_), n in calls.items() if name == "derivatives") == 3
 
     def test_rows_with_no_edge_deleted_read_exactly_zero(self):
         # N' is then the source network, so Pr'(e') is read as Pr(e) off
@@ -375,13 +376,11 @@ class TestRunDeletionInstance:
         # the fit's source pass and its own Pr'(e') serve the row's KL bound
         # and exact KL, so the row records and replays nothing on N'; the one
         # read of N''s tables is the fit's jointree's, and the marginals take
-        # one record (reading them again) and forward/backward pass on the
-        # fitted N'
-        marginals = {("record", "approximate"): 1, ("_bind", "approximate"): 2,
-                     ("adjoints", "approximate"): 1}
+        # one derivative pass on the fitted N' (reading them again).  No
+        # pass records anything
+        marginals = {("_bind", "approximate"): 2, ("derivatives", "approximate"): 1}
         assert calls == {
-            ("record", "augmented"): 1, ("_bind", "augmented"): 1,
-            ("adjoints", "augmented"): 1,
+            ("_bind", "augmented"): 1, ("derivatives", "augmented"): 1,
             **(marginals if compute_marginals else {("_bind", "approximate"): 1}),
         }
 

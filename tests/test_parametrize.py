@@ -156,11 +156,11 @@ class TestRunControl:
             EdgeParams(good.pm, np.full(3, 0.5))
         )
         plan = plan.with_params(1, bad)
-        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["_bind", "replay", "derivatives"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, initialization="plan")
         with pytest.raises(ModelError, match="N0_1 -> N0_1__clone1 have the wrong length"):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
-        assert calls == {"_bind": 0, "replay": 0, "adjoints": 0}
+        assert calls == {"_bind": 0, "replay": 0, "derivatives": 0}
 
     def test_edkl_without_reference_rejected(self):
         rng = np.random.default_rng(1)
@@ -393,6 +393,9 @@ class TestEdgeTableSweep:
         # read, then, in a second run, its second dPr'/dse read, each checked
         # against the Pr'(e') read off the tree after the first sweep
         net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
+        # the source pass reads its own tree, so it is made before the
+        # corruption
+        source = forward_backward(aug, ev)
         real_table = engine_module.Jointree.table
         targets = [None] if schedule == "sequential" else [2 * k - 2, 2 * k - 1]
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
@@ -409,7 +412,7 @@ class TestEdgeTableSweep:
 
             monkeypatch.setattr(engine_module.Jointree, "table", corrupted)
             with pytest.raises(ModelError, match="edge table"):
-                run(nprime, plan, evp, cfg, reference=(aug, ev))
+                run(nprime, plan, evp, cfg, reference=source)
             assert len(reads) == 2
 
 
@@ -525,7 +528,7 @@ class TestWorkCounts:
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         tm = true_edge_marginals(forward_backward(aug, ev), plan)
         names = [
-            "compile", "cpt_derivatives", "record", "_order", "replay", "adjoints", "_bind",
+            "compile", "cpt_derivatives", "record", "_order", "replay", "derivatives", "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         reads = []
@@ -691,9 +694,10 @@ class TestWorkCounts:
             assert tree.bound.forgot - before == forgot > 0
 
     def test_an_empty_plan_builds_no_tree(self, monkeypatch):
-        # a k = 0 cell reads nothing off a tree of N', so it builds none,
-        # and its row reads exactly 0; a too-wide N' is still refused, at
-        # the cap and with the message its tree would have given
+        # a k = 0 cell reads nothing off a tree of N', so it builds none
+        # (its one tree is the source pass's), and its row reads exactly 0;
+        # a too-wide N' is still refused, at the cap and with the message
+        # its tree would have given
         net, ev = grid_case()[:2]
         aug, nprime, plan, evp = build(net, ev, [])
         width = engine_module.record(nprime, evp).width
@@ -709,6 +713,8 @@ class TestWorkCounts:
         monkeypatch.setattr(engine_module.Jointree, "__init__", building)
         outcome = run_deletion_instance(net, ev, [], "ed-kl")
         assert outcome.row.kl_bound == outcome.row.exact_kl == 0.0
+        assert [args[0].kind for args in builds] == ["augmented"]
+        builds.clear()
         cfg = IterationConfig(method="ed-bp", max_iterations=0)
         with pytest.raises(CapacityError) as refused:
             run(nprime, plan, evp, cfg, width_cap=width - 1)
@@ -721,28 +727,29 @@ class TestWorkCounts:
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         names = [
-            "compile", "posterior_marginal", "record", "_order", "replay", "adjoints", "_bind",
+            "compile", "posterior_marginal", "record", "_order", "replay", "derivatives",
+            "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
         source = forward_backward(aug, ev)
         own = dict(calls)
-        # the source pass: one recording, bound once, and one
-        # forward/backward pass
+        # the source pass: one tree, ordered and bound once, and no recording
         assert own == {
             **dict.fromkeys(names, 0),
-            "record": 1, "_order": 1, "adjoints": 1, "_bind": 1,
+            "_order": 1, "derivatives": 1, "_bind": 1,
         }
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         got = {name: calls[name] - own[name] for name in calls}
-        # given (aug, ev), run repeats that pass on the same augmentation,
-        # whose recording is kept (no order); beyond it, in either
-        # schedule: one jointree of N', one order and one binding, and no
-        # recording, replay or pass on N'
+        # given (aug, ev), run makes its own pass on the same augmentation,
+        # asking for the plan's parents only: another tree structure, so
+        # one order and one binding; beyond it, in either schedule: one
+        # jointree of N', one order and one binding, and no recording,
+        # replay or pass on N'
         assert got == {
             **dict.fromkeys(names, 0),
-            "record": 1, "_order": 1, "adjoints": 1, "_bind": 2,
+            "_order": 2, "derivatives": 1, "_bind": 2,
         }
         # given the pass itself, run makes none: the tree is all, and its
         # structure is kept too
@@ -753,9 +760,9 @@ class TestWorkCounts:
         assert got == {**dict.fromkeys(names, 0), "_bind": 1}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
-    def test_run_records_only_the_source_pr_e_program(self, monkeypatch, schedule):
-        # no run compiles, and the one recording is the source network's
-        # Pr(e), for its pass; N' is read through the jointree only
+    def test_run_records_nothing(self, monkeypatch, schedule):
+        # no run compiles or records: the source pass and N' are read
+        # through jointrees only
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         calls = count_engine_calls(monkeypatch, ["compile"])
         real_record = engine_module.record
@@ -771,7 +778,7 @@ class TestWorkCounts:
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert report.iterations == 3
         assert calls == {"compile": 0}
-        assert recorded == [(aug.kind, ())]
+        assert recorded == []
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_sweeps_after_the_first_bind_nothing(self, monkeypatch, schedule):
@@ -780,7 +787,7 @@ class TestWorkCounts:
         # the tree, so no sweep orders, records, binds, replays, runs a
         # pass or builds N' (apply_params)
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        names = ["_bind", "record", "_order", "replay", "adjoints"]
+        names = ["_bind", "record", "_order", "replay", "derivatives"]
         calls = count_engine_calls(monkeypatch, names)
         applied = []
         for module in (parametrize_module, deletion_module, divergence_module):
@@ -841,35 +848,37 @@ class TestWorkCounts:
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        calls = count_engine_calls(monkeypatch, ["compile", "posterior_marginal", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["compile", "posterior_marginal", "derivatives"])
         check_conditions(aug, nprime, plan, ev, evp)
         # one pass on the source network, one on N'
-        assert calls == {"compile": 0, "posterior_marginal": 0, "adjoints": 2}
+        assert calls == {"compile": 0, "posterior_marginal": 0, "derivatives": 2}
 
     def test_recover_marginals_reads_one_pass(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=4)
         st = engine_module.compile(nprime, evp)
-        names = ["compile", "record", "_bind", "posterior_marginal", "adjoints"]
+        names = ["compile", "record", "_bind", "posterior_marginal", "derivatives"]
         calls = count_engine_calls(monkeypatch, names)
         recover_marginals(nprime, plan, st)
-        # the pass runs the state's own program on the tables it read
-        want = {"compile": 0, "record": 0, "_bind": 0, "posterior_marginal": 0, "adjoints": 1}
+        # one pass on the state's network and evidence: one tree, which
+        # reads N''s tables once, and nothing recorded
+        want = {"compile": 0, "record": 0, "_bind": 1, "posterior_marginal": 0, "derivatives": 1}
         assert calls == want
 
     def test_mutual_information_scores_read_one_pass(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
-        calls = count_engine_calls(monkeypatch, ["compile", "pairwise_marginal", "adjoints"])
+        calls = count_engine_calls(monkeypatch, ["compile", "pairwise_marginal", "derivatives"])
         mutual_information_scores(net, ev)
-        assert calls == {"compile": 0, "pairwise_marginal": 0, "adjoints": 1}
+        assert calls == {"compile": 0, "pairwise_marginal": 0, "derivatives": 1}
 
     def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
-        names = ["compile", "adjoints", "cpt_derivatives", "posterior_marginal"]
+        names = ["compile", "derivatives", "cpt_derivatives", "posterior_marginal"]
         calls = count_engine_calls(monkeypatch, names)
         score_edges(net, ev)
         # one pass gives every clone table; only the root's two
-        # mathematically tied out-edges take their own derivative elimination
-        want = {"compile": 0, "adjoints": 1, "cpt_derivatives": 2, "posterior_marginal": 0}
+        # mathematically tied out-edges take their own derivative
+        # elimination, on one compiled state
+        want = {"compile": 1, "derivatives": 1, "cpt_derivatives": 2, "posterior_marginal": 0}
         assert calls == want
 
 
