@@ -278,7 +278,9 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
 
     ``st`` must be compiled (``engine.compile``) on this network, possibly
     with different edge parameters applied (structure and registry must
-    match); the marginals are those of the state's parameters.
+    match); the marginals are those of the state's parameters.  Neither
+    ``plan`` nor the state's Pr(e) is read, only its network, evidence and
+    width cap.
     """
     structurally_same = st.net is nprime or (
         st.net.variables == nprime.variables

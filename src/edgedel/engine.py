@@ -24,7 +24,9 @@ with chosen CPTs left out over kept variables, from one min-fill order of
 all the network's inputs: Shenoy–Shafer messages between the cliques of
 that order, each one call of numpy's C einsum (``np.einsum`` without its
 Python wrapper), kept until a written input (``set_input``, already
-sliced by the evidence) makes them stale.
+sliced by the evidence) makes them stale.  Which messages a write into a
+clique makes stale is found at the first such write, so a tree that is
+only read, as a derivative pass's is, keeps no write bookkeeping.
 ``parametrize.run`` reads every deleted edge's tables and Pr'(e') off one
 tree in either schedule, so a sweep's writes re-send only the messages
 that depend on them.
@@ -650,7 +652,8 @@ class _TreePlan(NamedTuple):
     constant ones tables of the ``fixed`` shapes.  ``holder`` gives each
     input's clique, ``sends`` each message's contraction by table id (None
     where it is never sent), and ``stale`` the sent messages that leave each
-    query's home (``_leaving``)."""
+    clique written so far (``_leaving``): empty when planned, filled by
+    ``Jointree.set_input`` at a clique's first write."""
 
     width: int
     holder: tuple[int, ...]
@@ -675,8 +678,7 @@ def _leaving(sends, messages, path) -> tuple[int, ...]:
     """The ids of the sent messages (``sends``; message m is table
     ``messages[m]``) that point away from the clique whose path to the root
     is ``path`` (``_below``): up the edges on the path, and down every other
-    edge.  The ids are ``messages``' own objects, so a plan's lists share
-    them."""
+    edge."""
     ids = [messages[2 * i + (i not in path)] for i in range(len(messages) // 2)]
     return tuple([t for t in ids if sends[t] is not None])
 
@@ -744,9 +746,9 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
     # the messages into some query's home, up the tree from the leaves,
     # then down it: each after the messages it is computed from.  A home
     # gets messages down the edges between it and the root, up the others
-    below = {home: _below(parent, home) for home in dict.fromkeys(homes)}
-    everywhere = set.intersection(*below.values()) if below else set()
-    anywhere = set().union(*below.values())
+    below = [_below(parent, home) for home in dict.fromkeys(homes)]
+    everywhere = set.intersection(*below) if below else set()
+    anywhere = set().union(*below)
     for i in range(root):
         if i not in everywhere:
             plan(into[i], i, parent[i], n + 2 * i)
@@ -773,10 +775,8 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
         table = _contraction(ops, [table_scopes[i] for i in ops], unobserved)
         shape = tuple(net.var(v).card for v in keep)
         planned.append(_TreeQuery(table, keep, shape))
-    messages = list(range(n, len(sends)))
-    stale = {home: _leaving(sends, messages, path) for home, path in below.items()}
     return _TreePlan(
-        elim.width, tuple(holder), tuple(parent), tuple(sends), stale, tuple(planned),
+        elim.width, tuple(holder), tuple(parent), tuple(sends), {}, tuple(planned),
         tuple(fixed),
     )
 
@@ -853,7 +853,9 @@ class Jointree:
         ``reduced`` shape (an observed child's is its observed state's
         column sliced by its observed parents).  Forgets the messages that
         depend on it: those leaving its input's clique, unless the last
-        write, with no read since, forgot them."""
+        write, with no read since, forgot them.  The plan's first write
+        into a clique finds them (``_leaving``) and keeps them for every
+        later one, by any tree of the plan."""
         i = self.cpt_inputs[name]
         if table.shape != self.inputs[i].reduced:
             raise ModelError(
@@ -869,7 +871,7 @@ class Jointree:
         stale = plan.stale.get(c)
         if stale is None:
             messages = range(len(self.inputs), len(plan.sends))
-            stale = _leaving(plan.sends, messages, _below(plan.parent, c))
+            stale = plan.stale[c] = _leaving(plan.sends, messages, _below(plan.parent, c))
         for t in stale:
             bound[t] = None
 

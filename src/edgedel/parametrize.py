@@ -144,9 +144,11 @@ class _Fit:
     is observed at ``SE_OBSERVED`` (``run`` checks it), whose column of
     ``deletion.se_table(se)`` is ``se``, so the tree reads only ``se``,
     sliced by the parent's evidence: an observed parent's state, taken as
-    a 0-d view.  Start vectors that the tree already read off N', as it
-    reads those of a plan that N' was built from, are not written again.
-    An empty plan builds no tree (``tree`` is None), since nothing reads it.
+    a 0-d view.  Every start vector is written, also one that the tree
+    already read off N': a write before the first read sets an input and
+    forgets only messages that were never sent, which costs less than
+    checking whether it is needed.  An empty plan builds no tree (``tree``
+    is None), since nothing reads it.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
@@ -169,17 +171,7 @@ class _Fit:
             for rec in records
         ]
         for j, (pm, se) in enumerate(self.vectors):
-            if not self._holds(nprime, j, pm, se):
-                self.set(j, pm, se)
-
-    def _holds(self, nprime, j, pm, se) -> bool:
-        """Whether the tree already read edge j's (pm, se) off N': its
-        clone prior, and its soft-evidence CPT's first (observed) column."""
-        rec = self.records[j]
-        return (
-            np.array_equal(pm, nprime.cpt(rec.clone).table)
-            and np.array_equal(se, nprime.cpt(rec.sevid).shaped[:, 0])
-        )
+            self.set(j, pm, se)
 
     def pr_ep(self):
         """Pr'(e') at the current vectors: the last query's table."""

@@ -34,6 +34,7 @@ from edgedel import (
     posterior_marginal,
     single_edge_evaluate,
 )
+from edgedel.deletion import augment
 from edgedel.harness import chain_network, grid_network, run_deletion_instance
 from edgedel.divergence import forward_backward, score_edges, true_edge_marginals
 
@@ -1217,6 +1218,24 @@ class TestAdjoints:
         for name in ("A", "B"):
             with pytest.raises(InconsistentEvidenceError, match="zero probability"):
                 grads.posterior(name)
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (5, 2), (6, 3)])
+    def test_a_table_is_the_same_whatever_else_the_pass_answers(self, n, seed):
+        # so a parents-only pass, as ``run`` makes from an (aug, ev)
+        # reference, reads the full pass's posteriors bit for bit
+        rng = np.random.default_rng(seed)
+        net = grid_network(n, n, rng=rng)
+        aug = augment(net, net.edges())
+        ev = leaf_evidence(net)
+        names = [v.name for v in aug.variables]
+        full = engine_module.derivatives(aug, ev, names)
+        parents = list(dict.fromkeys(p for p, _ in net.edges()))
+        some = [x for x in names if rng.random() < 0.3]
+        for asked in (parents, some, names[::-1], names[-1:]):
+            part = engine_module.derivatives(aug, ev, asked)
+            assert part.pr_e == full.pr_e
+            for x in asked:
+                assert part.tables[x].tobytes() == full.tables[x].tobytes(), x
 
     def test_a_pass_reads_only_the_tables_it_was_asked_for(self):
         net = chain3()

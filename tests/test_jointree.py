@@ -415,26 +415,59 @@ def test_simultaneous_tree_keeps_the_width_of_n_prime(seed):
 
 def test_writing_a_cpt_outside_every_query_home():
     # a written CPT whose clique is no query's home: the messages leaving
-    # that clique are found from its path to the root when it is written
+    # that clique are found from its path to the root at its first write,
+    # and the kept plan holds them for every later tree
     rng = np.random.default_rng(8)
     net = grid_network(4, 4, rng=rng)
     ev = Evidence({n: net.var(n).states[1] for n in net.leaves()})
     queries = [(("N1_1",), ("N1_1", "N0_1")), (("N2_0",), ("N2_0",)), ((), ())]
     tree = engine.Jointree(net, ev, queries)
-    homes = tree._plan.stale
-    outside = [v.name for v in net.variables
-               if tree._plan.holder[tree.cpt_inputs[v.name]] not in homes]
+    plan = tree._plan
+    assert plan.stale == {}
+    # a query's left-out inputs sit in its home; Pr(e)'s home is the root
+    holder = plan.holder.__getitem__
+    homes = {holder(tree.cpt_inputs[n]) for without, _ in queries for n in without}
+    homes.add(plan.parent.index(None))
+    outside = [v.name for v in net.variables if holder(tree.cpt_inputs[v.name]) not in homes]
     assert len(outside) >= 3
+    messages = range(len(tree.inputs), len(plan.sends))
     for name in outside:
         for j in range(len(queries)):
             tree.table(j)
         cpt = net.cpt(name)
         new = random_cpt(cpt.child, cpt.parents, rng)
+        c = holder(tree.cpt_inputs[name])
+        known = c in plan.stale
         tree.set_input(name, tree_input(tree, name, new.shaped))
+        if not known:
+            want = engine._leaving(plan.sends, messages, engine._below(plan.parent, c))
+            assert plan.stale[c] == want
         net = net.replace_cpts({name: new})
         for j, (without, keep) in enumerate(queries):
             want = engine.replay(engine.record(net, ev, without, keep))[0]
             np.testing.assert_allclose(tree.table(j), want, rtol=REL, atol=0)
+    assert set(plan.stale) == {holder(tree.cpt_inputs[n]) for n in outside}
+    # a second tree of the same structure reuses the lists the first made
+    kept = dict(plan.stale)
+    second = engine.Jointree(net, ev, queries)
+    assert second._plan is plan
+    second.table(0)
+    name = outside[0]
+    second.set_input(name, tree_input(second, name, net.cpt(name).shaped))
+    assert plan.stale.keys() == kept.keys()
+    assert all(plan.stale[c] is kept[c] for c in kept)
+    assert all(second.bound[t] is None for t in kept[holder(second.cpt_inputs[name])])
+
+
+def test_a_derivative_pass_keeps_no_write_bookkeeping():
+    # a pass only reads its tree, so the plan it keeps holds no stale list
+    net = grid_network(4, 4, rng=np.random.default_rng(8))
+    ev = Evidence({n: net.var(n).states[1] for n in net.leaves()})
+    engine._structures.clear()
+    engine.derivatives(net, ev, [v.name for v in net.variables])
+    plans = [s for s in engine._structures.values() if isinstance(s, engine._TreePlan)]
+    assert len(plans) == 1
+    assert plans[0].stale == {}
 
 
 def test_queries_that_each_need_a_constant_table():
@@ -465,14 +498,16 @@ def _plain(obj):
 
 def structure_digest(nprime, evp, records):
     """A digest of every structure a fit on N' plans: the jointree plans of
-    both schedules' query lists, and ``record``'s programs (order, buckets,
-    steps) for Pr'(e'), one edge's table and a MAP
-    query."""
+    both schedules' query lists, every field but the ``stale`` memo that
+    writes fill, and ``record``'s programs (order, buckets, steps) for
+    Pr'(e'), one edge's table and a MAP query."""
     sequential = [((r.clone, r.sevid), (r.parent, r.clone)) for r in records]
     simultaneous = [q for r in records
                     for q in (((r.clone,), (r.clone,)), ((r.sevid,), (r.parent,)))]
-    plans = [engine.Jointree(nprime, evp, q + [((), ())])._plan
+    plans = [engine.Jointree(nprime, evp, q + [((), ())])._plan._asdict()
              for q in (sequential, simultaneous)]
+    for plan in plans:
+        del plan["stale"]
     hidden = [v.name for v in nprime.variables if v.name not in evp][:3]
     programs = [
         engine.record(nprime, evp),
@@ -501,15 +536,17 @@ DIGEST_CASES = {
 @pytest.mark.parametrize(
     "case, digest",
     [
-        ("grid(4x4) k=6", "58d96bdea4af5a1f"),
-        ("mixed cards, observed parent", "0f5b593fa6eaaa20"),
-        ("star past the operand limit", "f179280d0020e665"),
+        ("grid(4x4) k=6", "b1af5f1ddd281cb4"),
+        ("mixed cards, observed parent", "6d25ba6529400411"),
+        ("star past the operand limit", "ec21fefcfb7066c8"),
     ],
 )
 def test_the_planner_plans_the_pinned_structures(case, digest):
     # pinned when the planner's miss paths were rewritten: a leaner
     # planner must plan the same trees and record the same programs.
     # Re-pinned over the fields that outlived the bucket programs' reverse
-    # pass, computed with the code from before it went
+    # pass, computed with the code from before it went; re-pinned again
+    # without the stale lists, which the planner no longer plans, computed
+    # with the code that still planned them
     nprime, plan, evp = DIGEST_CASES[case]()
     assert structure_digest(nprime, evp, deleted_records(nprime, plan)) == digest

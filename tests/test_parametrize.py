@@ -461,15 +461,13 @@ def count_tree_writes(monkeypatch):
 
 
 class TestStartWrites:
-    """A fit writes into its tree only the start vectors that differ from
-    N''s tables, each clone prior as ``pm`` and each soft-evidence input
-    as ``se`` alone."""
+    """A fit writes every start vector into its tree, and each sweep every
+    edge's new vectors: each clone prior as ``pm`` and each soft-evidence
+    input as ``se`` alone."""
 
     @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
     @pytest.mark.parametrize("selection", ["rand", "guided"])
-    def test_a_harness_cell_writes_nothing_before_its_first_sweep(
-        self, monkeypatch, method, selection
-    ):
+    def test_a_harness_cell_writes_each_edge_as_pm_and_se(self, monkeypatch, method, selection):
         # a cell's N' is built from the plan it fits from: uniform, or the
         # guided scores' parameters
         net, ev = grid_case()[:2]
@@ -477,41 +475,53 @@ class TestStartWrites:
         edges = [(s.parent, s.child) for s in scores] if selection == "guided" else net.edges()[:4]
         warm = [s.params for s in scores] if selection == "guided" else None
         writes = count_tree_writes(monkeypatch)
-        at_first_sweep = []
-        real_sweep = parametrize_module._sweep
-
-        def sweep(*args, **kwargs):
-            at_first_sweep.append(len(writes))
-            return real_sweep(*args, **kwargs)
-
-        monkeypatch.setattr(parametrize_module, "_sweep", sweep)
         outcome = run_deletion_instance(net, ev, edges, method, warm_params=warm)
         assert outcome.row.iterations > 1
-        assert at_first_sweep[0] == 0
-        # each sweep writes each edge's two inputs: the prior as pm, the
-        # soft evidence as se
+        # the start, then each sweep, writes each edge's two inputs: the
+        # prior as pm, the soft evidence as se
         nprime = approximate_network(net, edges, warm)[1]
         per_edge = [w for rec in deleted_records(nprime, outcome.plan)
                     for w in ((rec.clone, (2,)), (rec.sevid, (2,)))]
-        assert writes[: 2 * len(edges)] == per_edge
-        assert set(writes) == set(per_edge)
+        assert writes == per_edge * (outcome.row.iterations + 1)
 
-    def test_vectors_that_differ_from_nprime_are_written(self, monkeypatch):
+    def test_a_fit_writes_every_start_vector(self, monkeypatch):
         net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
         records = deleted_records(nprime, plan)
         vectors = [(p.pm, p.se) for p in plan.params]
+        per_edge = [w for rec in records for w in ((rec.clone, (2,)), (rec.sevid, (2,)))]
         writes = count_tree_writes(monkeypatch)
         cap = engine_module.WIDTH_CAP_DEFAULT
+        # N''s own vectors, then a new prior or a new row alone
         _Fit(nprime, evp, records, vectors, True, cap)
-        assert writes == []
-        # a new prior or a new row alone writes the edge
         vectors[0] = (np.array([0.3, 0.7]), vectors[0][1])
         vectors[2] = (vectors[2][0], np.array([0.25, 0.75]))
         _Fit(nprime, evp, records, vectors, True, cap)
-        assert writes == [
-            (records[0].clone, (2,)), (records[0].sevid, (2,)),
-            (records[2].clone, (2,)), (records[2].sevid, (2,)),
-        ]
+        assert writes == per_edge * 2
+
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_a_fit_is_the_same_whatever_vectors_nprime_was_built_with(self, method, schedule):
+        # why a start vector is written unchecked: a run from one plan gives
+        # the same bits on an N' built with that plan's vectors as on one
+        # built with others
+        net, ev = grid_case()[:2]
+        scores = score_edges(net, ev)[:4]
+        edges = [(s.parent, s.child) for s in scores]
+        aug, guided, warm = approximate_network(net, edges, [s.params for s in scores])
+        _, uniform, cold = approximate_network(net, edges)
+        evp = augmented_evidence(uniform, ev)
+        cfg = IterationConfig(
+            method=method, schedule=schedule, max_iterations=5, initialization="plan"
+        )
+
+        def bits(nprime, plan):
+            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            vectors = [(p.pm.tobytes(), p.se.tobytes()) for p in fitted.params]
+            return vectors, report.residuals, report.pr_ep.hex(), trace
+
+        for plan in (cold, warm):
+            assert bits(uniform, plan) == bits(guided, plan)
+        assert bits(uniform, cold) != bits(uniform, warm)
 
 
 class TestWorkCounts:
