@@ -382,13 +382,14 @@ def _product_steps(scope, shape, ids, scopes, shapes, same):
     return tuple(scope), tuple(shape), tuple(steps)
 
 
-def _distinct(keep) -> tuple[str, ...]:
-    """The kept variables as a tuple; one kept twice raises ``ModelError``."""
-    keep = tuple(keep)
-    for i, name in enumerate(keep):
-        if name in keep[:i]:
-            raise ModelError(f"variable {name!r} is kept more than once")
-    return keep
+def _distinct(names, fault) -> tuple[str, ...]:
+    """``names`` as a tuple; a name given twice raises ``ModelError``:
+    "variable 'X' is ``fault``", such as "kept more than once"."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ModelError(f"variable {name!r} is {fault}")
+    return names
 
 
 # the structure kept per key, least recently used first: ``record``'s
@@ -429,7 +430,9 @@ def record(
     in ``_order``; the variables in ``maximize`` are eliminated after all
     the others (``_order``'s ``last``), and maximized out with an argmax
     traceback instead of summed out.  With nothing kept the program
-    computes Pr(e).  Run it with ``replay``.
+    computes Pr(e).  Run it with ``replay``.  A name that ``net`` does not
+    declare, or one given twice in ``without``, ``keep`` or ``maximize``,
+    raises ``ModelError``.
 
     The order and buckets depend only on the key (``net.layout()``, the
     observed variables, ``without``, ``keep``, ``maximize``), so they are
@@ -438,12 +441,12 @@ def record(
     reads its own tables, so its program gives a fresh recording's bits.
     """
     ev_index = _indexed(net, ev)
-    keep = _distinct(keep)
-    maximize = tuple(maximize)
+    keep = _distinct(keep, "kept more than once")
+    without = _distinct((net.var(name).name for name in without), "left out more than once")
+    maximize = _distinct((net.var(name).name for name in maximize), "maximized more than once")
     for name in maximize:
         if name in keep:
             raise ModelError(f"variable {name!r} is both kept and maximized")
-    without = tuple(without)
     inputs = _factors(net, ev_index, without, keep)
     key = ("program", net.layout(), frozenset(ev_index), without, keep, maximize)
     shared = _structure(
@@ -690,15 +693,14 @@ def _plan_tree(net, inputs, ev_index, queries, cpt_inputs, width_cap) -> _TreePl
     # variables and pseudo-scope
     left, kept, free, pseudo = [], [], [], []
     for without, keep in queries:
-        ids = tuple(cpt_inputs[net.var(name).name] for name in without)
-        keep = _distinct(net.var(name).name for name in keep)
+        without = _distinct((net.var(name).name for name in without), "left out more than once")
+        ids = tuple(cpt_inputs[name] for name in without)
+        keep = _distinct((net.var(name).name for name in keep), "kept more than once")
         left.append(ids)
         kept.append(keep)
         free.append(tuple(v for v in keep if v not in ev_index))
         pseudo.append(tuple(dict.fromkeys(free[-1] + sum((inputs[i].scope for i in ids), ()))))
-    taken = sum(left, ())
-    if len(set(taken)) != len(taken):
-        raise ModelError("a CPT is left out of more than one jointree query")
+    _distinct(sum((without for without, _ in queries), ()), "left out of more than one query")
     nbrs: list[tuple[str, ...]] = []
     scopes = [_Input(p, tuple(net.var(n).card for n in p)) for p in pseudo]
     elim = _order(list(inputs) + scopes, net.decl_index, width_cap=width_cap, cliques=nbrs)
@@ -790,7 +792,7 @@ class Jointree:
     ev, without, keep)`` computes: Pr(e) with the CPTs of ``without`` left
     out, summed down to the variables ``keep``, whose axes come in
     that order with their full cardinalities (zero off an observed one's
-    state).  Each CPT may be left out of one query at most.
+    state).  Each CPT may be left out once at most, over all the queries.
 
     The tree's structure (``_TreePlan``) depends on ``net.layout()``, the
     observed variables and the queries, so it is kept as ``record``'s is
@@ -961,7 +963,7 @@ def derivatives(net: Network, ev: Evidence, names, width_cap=None) -> Adjoints:
     ``record(net, ev)``'s, checked against ``width_cap`` before any table
     is read.
     """
-    names = tuple(names)
+    names = _distinct(names, "named more than once")
     family = {child: scope for child, scope, _ in net.layout()}
     for x in names:
         if x not in family:

@@ -19,7 +19,7 @@ from .deletion import DeletionPlan, apply_params, approximate_network, augmented
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
 from .model import Cpt, Evidence, ModelError, Network, Variable
-from .netio import SELECTION_TAGS, FormatError, ReportRow
+from .netio import SELECTION_TAGS, FormatError, ReportRow, _logical_lines
 
 EVIDENCE_MODES = ("leaves-from-joint", "random")
 
@@ -170,10 +170,7 @@ class ExperimentSpec:
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Key = value lines mirroring the ExperimentSpec fields."""
     values: dict[str, str] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
+    for i, content in _logical_lines(text):
         if "=" not in content:
             raise FormatError("spec line needs 'key = value'", i)
         key, _, val = content.partition("=")

@@ -21,6 +21,12 @@ structurally identical to the source network.
 
 A restricted reader for the Hugin ``.net`` format is also provided: node
 blocks with ``states`` and potential blocks with dense ``data`` only.
+
+Both readers check only their own syntax and hand each declared variable
+and CPT, with its line, to one assembler (``_assemble``), which makes every
+structural check and raises each fault as a ``FormatError`` at the line
+that declares it.  Value checks (duplicate state labels, ranges, row sums,
+cycles) are ``model.validate_network``'s.
 """
 
 from __future__ import annotations
@@ -41,24 +47,58 @@ SELECTION_TAGS = ("rand", "guided", "mi")
 class FormatError(ModelError):
     """Positioned syntax or semantic error in a text document."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if col is not None:
-                where += f", col {col}"
-            where += ": "
-        super().__init__(where + message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def _logical_lines(text: str):
     """(line_number, stripped_content) for non-blank, non-comment lines."""
     for i, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].rstrip()
-        if content.strip():
-            yield i, content.strip()
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield i, content
+
+
+def _assemble(variables, cpts, kind="original", clone_edges=()) -> Network:
+    """The ``Network`` a document declares, from its variables as (line,
+    name, states) and its CPTs as (line, child, parent names, table).
+
+    Every structural fault raises ``FormatError`` at the line that declares
+    it: a duplicate variable, a ``Variable`` that cannot be built, a CPT for
+    an unknown variable, a second CPT for one variable, an unknown parent,
+    a table ``Cpt`` rejects, and (at the variable's line) a variable with no
+    CPT.  The kind and the clone-edge registry are checked by ``Network``,
+    at no line.
+    """
+    declared: dict[str, tuple[int, Variable]] = {}
+    for ln, name, states in variables:
+        if name in declared:
+            raise FormatError(f"duplicate variable {name!r}", ln)
+        try:
+            declared[name] = ln, Variable(name, states)
+        except ModelError as exc:
+            raise FormatError(str(exc), ln) from None
+    built: dict[str, Cpt] = {}
+    for ln, child, parents, table in cpts:
+        if child not in declared:
+            raise FormatError(f"cpt for unknown variable {child!r}", ln)
+        if child in built:
+            raise FormatError(f"two cpts for variable {child!r}", ln)
+        for p in parents:
+            if p not in declared:
+                raise FormatError(f"cpt for {child!r}: unknown parent {p!r}", ln)
+        try:
+            built[child] = Cpt(declared[child][1], [declared[p][1] for p in parents], table)
+        except ModelError as exc:
+            raise FormatError(str(exc), ln) from None
+    for name, (ln, _) in declared.items():
+        if name not in built:
+            raise FormatError(f"variable {name!r} has no cpt", ln)
+    try:
+        return Network([var for _, var in declared.values()], built.values(), kind, clone_edges)
+    except ModelError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def parse_network(text: str) -> Network:
@@ -72,7 +112,7 @@ def parse_network(text: str) -> Network:
         low = content.lower()
         if low.startswith("kind:"):
             if section is not None or seen_kind:
-                raise FormatError("kind must appear once, before any section", ln, 1)
+                raise FormatError("kind must appear once, before any section", ln)
             kind = content.split(":", 1)[1].strip()
             seen_kind = True
         elif low.endswith(":") and low[:-1] in sections:
@@ -80,76 +120,41 @@ def parse_network(text: str) -> Network:
         elif section is not None:
             sections[section].append((ln, content))
         else:
-            raise FormatError(f"unexpected content outside any section: {content!r}", ln, 1)
+            raise FormatError(f"unexpected content outside any section: {content!r}", ln)
     if not sections["variables"]:
         raise FormatError("document declares no variables")
 
-    variables: list[Variable] = []
-    by_name: dict[str, Variable] = {}
+    variables = []
     for ln, content in sections["variables"]:
-        tokens = content.split()
-        if len(tokens) < 2:
-            raise FormatError("variable line needs a name and at least one state", ln, 1)
-        name, states = tokens[0], tuple(tokens[1:])
-        if name in by_name:
-            raise FormatError(f"duplicate variable {name!r}", ln, 1)
-        var = Variable(name, states)
-        variables.append(var)
-        by_name[name] = var
+        name, *states = content.split()
+        variables.append((ln, name, states))
 
-    cpts: list[Cpt] = []
+    cpts = []
     for ln, content in sections["cpts"]:
         if ":" not in content:
-            raise FormatError("cpt line needs a ':' before the table", ln, 1)
+            raise FormatError("cpt line needs a ':' before the table", ln)
         head, _, tail = content.partition(":")
-        head = head.strip()
-        if "|" in head:
-            child_tok, _, parent_tok = head.partition("|")
-            child_name = child_tok.strip()
-            parent_names = parent_tok.split()
-        else:
-            child_name = head.strip()
-            parent_names = []
-        if not child_name or len(child_name.split()) != 1:
-            raise FormatError("cpt line needs exactly one child name", ln, 1)
-        if child_name not in by_name:
-            raise FormatError(f"cpt for unknown variable {child_name!r}", ln, 1)
-        parents = []
-        for p in parent_names:
-            if p not in by_name:
-                raise FormatError(
-                    f"cpt for {child_name!r}: unknown parent {p!r}", ln, 1
-                )
-            parents.append(by_name[p])
-        values = []
+        child, _, parents = head.partition("|")
+        if len(child.split()) != 1:
+            raise FormatError("cpt line needs exactly one child name", ln)
+        child = child.strip()
+        table = []
         for tok in tail.split():
             try:
-                values.append(float(tok))
+                table.append(float(tok))
             except ValueError:
-                raise FormatError(
-                    f"cpt for {child_name!r}: bad number {tok!r}", ln, 1
-                ) from None
-        try:
-            cpts.append(Cpt(by_name[child_name], tuple(parents), values))
-        except ModelError as exc:
-            raise FormatError(str(exc), ln, 1) from None
+                raise FormatError(f"cpt for {child!r}: bad number {tok!r}", ln) from None
+        cpts.append((ln, child, parents.split(), table))
 
-    records: list[EdgeRecord] = []
+    records = []
     for ln, content in sections["edges"]:
         tokens = content.split()
         if len(tokens) != 4:
-            raise FormatError(
-                "edge line needs: parent clone child sevid-or-dash", ln, 1
-            )
+            raise FormatError("edge line needs: parent clone child sevid-or-dash", ln)
         parent, clone, child, sevid = tokens
-        records.append(
-            EdgeRecord(parent, clone, child, None if sevid == "-" else sevid)
-        )
+        records.append(EdgeRecord(parent, clone, child, None if sevid == "-" else sevid))
 
-    try:
-        return Network(variables, cpts, kind=kind, clone_edges=tuple(records))
-    except ModelError as exc:
-        raise FormatError(str(exc)) from None
+    return _assemble(variables, cpts, kind, tuple(records))
 
 
 def serialize_network(net: Network) -> str:
@@ -181,19 +186,19 @@ def parse_evidence(text: str, net: Network) -> Evidence:
     assignments: dict[str, str] = {}
     for ln, content in _logical_lines(text):
         if "=" not in content:
-            raise FormatError("evidence line needs 'variable = state'", ln, 1)
+            raise FormatError("evidence line needs 'variable = state'", ln)
         name, _, state = content.partition("=")
         name, state = name.strip(), state.strip()
         if not name or not state:
-            raise FormatError("evidence line needs 'variable = state'", ln, 1)
+            raise FormatError("evidence line needs 'variable = state'", ln)
         if name in assignments:
-            raise FormatError(f"variable {name!r} assigned twice", ln, 1)
+            raise FormatError(f"variable {name!r} assigned twice", ln)
         if not net.has_var(name):
-            raise FormatError(f"unknown variable {name!r}", ln, 1)
+            raise FormatError(f"unknown variable {name!r}", ln)
         try:
             net.var(name).index_of(state)
         except ModelError as exc:
-            raise FormatError(str(exc), ln, 1) from None
+            raise FormatError(str(exc), ln) from None
         assignments[name] = state
     return Evidence(assignments)
 
@@ -222,11 +227,11 @@ def parse_plan(text: str) -> list[PlanEdgeSpec]:
     for ln, content in _logical_lines(text):
         head, *rest = [part.strip() for part in content.split("|")]
         if "->" not in head:
-            raise FormatError("plan line needs 'parent -> child'", ln, 1)
+            raise FormatError("plan line needs 'parent -> child'", ln)
         parent, _, child = head.partition("->")
         parent, child = parent.strip(), child.strip()
         if not parent or not child or len(parent.split()) != 1 or len(child.split()) != 1:
-            raise FormatError("plan line needs 'parent -> child'", ln, 1)
+            raise FormatError("plan line needs 'parent -> child'", ln)
         pm = se = None
         for part in rest:
             key, _, vals = part.partition(":")
@@ -234,20 +239,20 @@ def parse_plan(text: str) -> list[PlanEdgeSpec]:
             try:
                 numbers = tuple(float(tok) for tok in vals.split())
             except ValueError:
-                raise FormatError(f"bad number in {key!r} vector", ln, 1) from None
+                raise FormatError(f"bad number in {key!r} vector", ln) from None
             if key == "pm":
                 pm = numbers
             elif key == "se":
                 se = numbers
             else:
-                raise FormatError(f"unknown plan field {key!r}", ln, 1)
+                raise FormatError(f"unknown plan field {key!r}", ln)
         if (pm is None) != (se is None):
-            raise FormatError("plan line must give both pm and se or neither", ln, 1)
+            raise FormatError("plan line must give both pm and se or neither", ln)
         out.append(PlanEdgeSpec(parent, child, pm, se))
         if pm is None:
             bare.append(ln)
     if bare and len(bare) < len(out):
-        raise FormatError("plan line gives no pm/se vectors, but other lines do", bare[0], 1)
+        raise FormatError("plan line gives no pm/se vectors, but other lines do", bare[0])
     return out
 
 
@@ -433,9 +438,7 @@ def parse_hugin_subset(text: str) -> Network:
     the subset raises an unsupported-feature error naming it.
     """
     toks = _HuginTokens(text)
-    node_order: list[str] = []
-    states: dict[str, tuple[str, ...]] = {}
-    potentials: dict[str, tuple[list[str], list[float], int]] = {}
+    variables, cpts = [], []
     while True:
         kind, value, line = toks.peek()
         if kind == "eof":
@@ -448,15 +451,9 @@ def parse_hugin_subset(text: str) -> Network:
         elif value == "node":
             toks.next()
             name = toks.expect("word")[1]
-            if name in states:
-                raise FormatError(f"duplicate node {name!r}", line)
-            block = _read_block(toks)
-            if "states" not in block:
-                raise FormatError(f"node {name!r} has no states", line)
-            labels = []
-            _flatten(block["states"], labels)
-            states[name] = tuple(str(s) for s in labels)
-            node_order.append(name)
+            labels: list = []
+            _flatten(_read_block(toks).get("states", []), labels)
+            variables.append((line, name, labels))
         elif value == "potential":
             toks.next()
             toks.expect("sym", "(")
@@ -471,51 +468,18 @@ def parse_hugin_subset(text: str) -> Network:
                         break
                     parents.append(toks.expect("word")[1])
             toks.expect("sym", ")")
-            block = _read_block(toks)
-            if "data" not in block:
-                raise FormatError(f"potential for {child!r} has no data", line)
             flat: list = []
-            _flatten(block["data"], flat)
+            _flatten(_read_block(toks).get("data", []), flat)
             try:
                 data = [float(x) for x in flat]
             except ValueError:
                 raise FormatError(
                     f"potential for {child!r}: non-numeric data", line
                 ) from None
-            if child in potentials:
-                raise FormatError(f"duplicate potential for {child!r}", line)
-            potentials[child] = (parents, data, line)
+            cpts.append((line, child, parents, data))
         else:
             raise FormatError(f"unsupported feature: {value!r}", line)
-
-    variables = []
-    by_name: dict[str, Variable] = {}
-    for name in node_order:
-        try:
-            var = Variable(name, states[name])
-        except ModelError as exc:
-            raise FormatError(f"node {name!r}: {exc}") from None
-        variables.append(var)
-        by_name[name] = var
-    cpts = []
-    for name in node_order:
-        if name not in potentials:
-            raise FormatError(f"node {name!r} has no potential")
-        parents, data, line = potentials[name]
-        for p in parents:
-            if p not in by_name:
-                raise FormatError(f"potential for {name!r}: unknown parent {p!r}", line)
-        try:
-            cpts.append(Cpt(by_name[name], tuple(by_name[p] for p in parents), data))
-        except ModelError as exc:
-            raise FormatError(str(exc), line) from None
-    extra = [n for n in potentials if n not in states]
-    if extra:
-        raise FormatError(f"potential for unknown node {extra[0]!r}")
-    try:
-        return Network(variables, cpts)
-    except ModelError as exc:
-        raise FormatError(str(exc)) from None
+    return _assemble(variables, cpts)
 
 
 def _read_block(toks: _HuginTokens) -> dict:

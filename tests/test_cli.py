@@ -178,7 +178,7 @@ class TestApproxCommand:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "line 2, col 1: plan line gives no pm/se vectors" in captured.err
+        assert "line 2: plan line gives no pm/se vectors" in captured.err
 
     def test_target_width_search_measures_each_candidate_as_built(self, monkeypatch):
         built, measured = [], []

@@ -357,6 +357,25 @@ class TestClosedFormExactKl:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             assert got <= bound + 1e-9
 
+    def test_read_exact_kl_refuses_run_s_parents_only_pass(self):
+        # run's pass from an (aug, ev) reference answers only the deleted
+        # edges' parents; the reads need every deleted edge's child's family
+        # table too, which source_pass's pass answers
+        net = grid_network(3, 3)
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        edges = [(s.parent, s.child) for s in score_edges(net, ev)[:2]]
+        aug, nprime, plan, evp = build(net, ev, edges)
+        cfg = IterationConfig(method="ed-kl")
+        fitted, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        child = fitted.edges[0].child
+        with pytest.raises(ModelError, match=f"^this pass has no derivative table for '{child}'$"):
+            divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
+        _, full = divergence_module.source_pass(net, ev)
+        fitted, report, _ = run(nprime, plan, evp, cfg, reference=full)
+        read = divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
+        want = exact_kl(aug, nprime, fitted, ev, evp)
+        assert read == pytest.approx(want, rel=1e-9)
+
 
 class TestSingleEdgeEvaluate:
     def test_agrees_with_direct_compilation(self):

@@ -11,6 +11,7 @@ own elimination (``engine.cpt_derivatives``) and of Pr'(e')'s
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,33 @@ def test_a_variable_kept_twice_is_refused_by_name(route, observed):
     ev = Evidence({"A": "s1"} if observed else {})
     with pytest.raises(ModelError, match="^variable 'A' is kept more than once$"):
         route(net, ev, ("A", "B", "A"))
+
+
+# per route: how it is called with a list of names, and how it refuses a
+# name given twice
+NAME_ROUTES = {
+    "record-without": (lambda net, ev, names: engine.record(net, ev, without=names), "left out"),
+    "record-maximize": (lambda net, ev, names: engine.record(net, ev, maximize=names), "maximized"),
+    "jointree": (lambda net, ev, names: engine.Jointree(net, ev, [(names, ())]), "left out"),
+    "derivatives": (lambda net, ev, names: engine.derivatives(net, ev, names), "named"),
+}
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(("A", "Z"), "unknown variable 'Z'"), (("A", "B", "A"), "variable 'A' is {} more than once")],
+    ids=["unknown", "repeated"],
+)
+@pytest.mark.parametrize("route", list(NAME_ROUTES))
+def test_an_unknown_or_repeated_name_is_refused_by_name(route, names, message):
+    # a refused call keeps no structure
+    call, role = NAME_ROUTES[route]
+    rng = np.random.default_rng(5)
+    a, b = Variable("A", ("s0", "s1")), Variable("B", ("s0", "s1"))
+    net = Network([a, b], [random_cpt(a, (), rng), random_cpt(b, (a,), rng)])
+    with pytest.raises(ModelError, match=f"^{re.escape(message.format(role))}$"):
+        call(net, Evidence({}), names)
+    assert not engine._structures
 
 
 @pytest.mark.parametrize("observed", [False, True])

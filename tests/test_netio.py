@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,48 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError, match="line 1"):
             parse_network("A a0 a1\n")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                ("  B b0 b1", "  B b0 b1\n  B b0 b1"), "line 4: duplicate variable 'B'",
+                id="duplicate-variable",
+            ),
+            pytest.param(
+                ("  B b0 b1", "  B"), "line 3: variable 'B' has no states", id="no-states"
+            ),
+            pytest.param(
+                ("0.9 0.1", "0.9 0.1\n  C : 0.5 0.5"), "line 7: cpt for unknown variable 'C'",
+                id="unknown-child",
+            ),
+            pytest.param(
+                ("0.9 0.1", "0.9 0.1\n  A : 0.5 0.5"), "line 7: two cpts for variable 'A'",
+                id="second-cpt",
+            ),
+            pytest.param(
+                ("B | A", "B | Q"), "line 6: cpt for 'B': unknown parent 'Q'", id="unknown-parent"
+            ),
+            pytest.param(
+                ("0.3 0.7", "0.3 0.3 0.4"), "line 5: cpt for 'A': table has 3 entries, expected 2",
+                id="table-size",
+            ),
+            pytest.param(
+                ("B | A :", "B | A B : 0.5 0.5 0.5 0.5"),
+                "line 6: cpt for 'B': repeated variable in scope",
+                id="repeated-scope",
+            ),
+            pytest.param(
+                ("\n  B | A : 0.2 0.8 0.9 0.1", ""), "line 3: variable 'B' has no cpt",
+                id="missing-cpt",
+            ),
+        ],
+    )
+    def test_each_structural_fault_is_raised_at_its_line(self, edit, message):
+        doc = "variables:\n  A a0 a1\n  B b0 b1\ncpts:\n  A : 0.3 0.7\n  B | A : 0.2 0.8 0.9 0.1"
+        assert parse_network(doc) is not None
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_network(doc.replace(*edit))
+
 
 class TestEvidenceAndPlanFormats:
     def test_evidence_round_trip(self):
@@ -142,7 +185,7 @@ class TestEvidenceAndPlanFormats:
 
     def test_plan_with_vectors_on_some_lines_names_the_first_bare_line(self):
         text = "A -> B | pm: 0.5 0.5 | se: 1.0 0.5\n# bare lines\nC -> D\nE -> F\n"
-        with pytest.raises(FormatError, match="line 3, col 1: plan line gives no pm/se"):
+        with pytest.raises(FormatError, match="line 3: plan line gives no pm/se"):
             parse_plan(text)
 
 
@@ -269,8 +312,64 @@ class TestHuginSubset:
         text = """
 node A { states = ( "a0" "a1" ); }
 """
-        with pytest.raises(FormatError, match="no potential"):
+        with pytest.raises(FormatError, match="^line 2: variable 'A' has no cpt$"):
             parse_hugin_subset(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                ("(0.9 0.1)); }", '(0.9 0.1)); }\nnode B { states = ("b0"); }'),
+                "line 5: duplicate variable 'B'",
+                id="duplicate-node",
+            ),
+            pytest.param(
+                ('states = ("b0" "b1");', "states = ();"), "line 2: variable 'B' has no states",
+                id="empty-states",
+            ),
+            pytest.param(
+                ('states = ("b0" "b1");', 'label = "b";'), "line 2: variable 'B' has no states",
+                id="no-states",
+            ),
+            pytest.param(
+                ("(0.9 0.1)); }", "(0.9 0.1)); }\npotential (C) { data = (0.5 0.5); }"),
+                "line 5: cpt for unknown variable 'C'",
+                id="unknown-node",
+            ),
+            pytest.param(
+                ("(0.9 0.1)); }", "(0.9 0.1)); }\npotential (A) { data = (0.5 0.5); }"),
+                "line 5: two cpts for variable 'A'",
+                id="second-potential",
+            ),
+            pytest.param(
+                ("(B | A)", "(B | Q)"), "line 4: cpt for 'B': unknown parent 'Q'",
+                id="unknown-parent",
+            ),
+            pytest.param(
+                ("(0.3 0.7)", "(0.3 0.3 0.4)"),
+                "line 3: cpt for 'A': table has 3 entries, expected 2",
+                id="table-size",
+            ),
+            pytest.param(
+                ("data = (0.3 0.7);", ""), "line 3: cpt for 'A': table has 0 entries, expected 2",
+                id="no-data",
+            ),
+            pytest.param(
+                ("\npotential (B | A) { data = ((0.2 0.8) (0.9 0.1)); }", ""),
+                "line 2: variable 'B' has no cpt",
+                id="missing-potential",
+            ),
+        ],
+    )
+    def test_each_structural_fault_is_raised_at_its_line(self, edit, message):
+        doc = (
+            'node A { states = ("a0" "a1"); }\nnode B { states = ("b0" "b1"); }\n'
+            "potential (A) { data = (0.3 0.7); }\n"
+            "potential (B | A) { data = ((0.2 0.8) (0.9 0.1)); }"
+        )
+        assert parse_hugin_subset(doc) is not None
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_hugin_subset(doc.replace(*edit))
 
     @pytest.mark.parametrize(
         "text, message",
