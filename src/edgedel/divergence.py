@@ -151,12 +151,6 @@ def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT):
     return aug, grads
 
 
-def _replayed_pr_ep(nprime, plan, evp, width_cap) -> float:
-    """Pr'(e') at the plan's parameters, from a program recorded on N'."""
-    program = engine.record(apply_params(nprime, plan), evp, width_cap=width_cap)
-    return float(engine.replay(program)[0])
-
-
 def _check_evidence(source: engine.Adjoints, pr_ep: float) -> None:
     for pr, what in ((source.pr_e, "source network: evidence"),
                      (pr_ep, "approximate network: augmented evidence")):
@@ -182,9 +176,11 @@ def kl_bound(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
     """Closed-form divergence over all augmented-network variables, read
-    (``read_kl_bound``) off its own source pass and Pr'(e') replay."""
+    (``read_kl_bound``) off its own source pass and a Pr'(e')-only
+    jointree of N' at the plan's parameters."""
     source = forward_backward(aug, ev, width_cap)
-    return read_kl_bound(source, _replayed_pr_ep(nprime, plan, evp, width_cap), plan)
+    pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
+    return read_kl_bound(source, pr_ep, plan)
 
 
 def _log_ratio_mass(p, num, den) -> float:
@@ -235,13 +231,15 @@ def exact_kl(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> float:
     """Divergence between the two posteriors restricted to source variables,
-    read (``read_exact_kl``) off its own pass on ``source`` and Pr'(e') replay.
+    read (``read_exact_kl``) off its own pass on ``source`` and a
+    Pr'(e')-only jointree of N' at the plan's parameters.
 
     ``source`` is the source network or its augmentation: both give the same
     posterior and family layout (``augment`` puts a clone in its parent's axis).
     """
     grads = forward_backward(source, ev, width_cap)
-    return read_exact_kl(grads, _replayed_pr_ep(nprime, plan, evp, width_cap), nprime, plan)
+    pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
+    return read_exact_kl(grads, pr_ep, nprime, plan)
 
 
 def single_edge_evaluate(derivs: np.ndarray, pm: np.ndarray, se: np.ndarray):

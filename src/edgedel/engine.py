@@ -49,10 +49,13 @@ not the tree.  ``Adjoints.cpt`` reads one CPT's table, checked by the Euler
 identity sum(theta * d) = Pr(e), as ``cpt_derivatives`` checks its own.
 The CPT times its table is the family's joint with the evidence
 (``Adjoints.family``), so ``Adjoints.posterior`` reads Pr(X | e) for every
-X off the same pass: the only bulk-marginal route.  Bucket programs run
-forward only (``replay``): Pr(e) (``compile``), ``posterior_marginal``
-and ``pairwise_marginal``, which answer one query each with their own
-elimination, ``cpt_derivatives`` and ``exact_map``.
+X off the same pass: the only bulk-marginal route.  Every Pr(e) outside
+this module is a tree query too (``derivatives(net, ev, ())``).  Bucket
+programs run forward only (``replay``), and only here: ``exact_map``'s
+max-product traceback, the Pr(e) (``compile``) and ``cpt_derivatives``
+of ``divergence.score_edges``'s tie refit, and the per-query references
+``posterior_marginal`` and ``pairwise_marginal``, which answer one query
+each with their own elimination.
 """
 from __future__ import annotations
 

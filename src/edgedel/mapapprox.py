@@ -19,7 +19,6 @@ from .model import CapacityError, Evidence, ModelError, Network
 @dataclass(frozen=True)
 class MapResult:
     assignment: dict[str, str]
-    value_in_approx: float | None
     value: float
     best_value: float | None
     ratio: float | None
@@ -57,12 +56,12 @@ def map_quality(
     assignment: dict[str, str],
     map_vars,
     *,
-    value_in_approx: float | None = None,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> MapResult:
     """Score an instantiation against the exact MAP optimum of ``net``.
 
-    p = Pr(assignment, ev) is always evaluated in ``net``.  When the exact
+    p = Pr(assignment, ev) is always evaluated in ``net``, read off a
+    jointree with the assignment added to the evidence.  When the exact
     optimum q is not computable within the width cap, it (and the ratio) is
     omitted; a zero q leaves the ratio undefined.
     """
@@ -71,7 +70,7 @@ def map_quality(
     if missing:
         raise ModelError(f"assignment misses MAP variables: {missing}")
     joint_ev = ev.with_added({v: assignment[v] for v in map_vars})
-    p = engine.compile(net, joint_ev, width_cap).pr_e
+    p = engine.derivatives(net, joint_ev, (), width_cap).pr_e
     best = None
     ratio = None
     try:
@@ -83,13 +82,7 @@ def map_quality(
         if 1.0 < ratio <= 1.0 + 1e-9:
             # p <= q is guaranteed; shave pure roundoff overshoot
             ratio = 1.0
-    return MapResult(
-        assignment=dict(assignment),
-        value_in_approx=value_in_approx,
-        value=p,
-        best_value=best,
-        ratio=ratio,
-    )
+    return MapResult(assignment=dict(assignment), value=p, best_value=best, ratio=ratio)
 
 
 def approximate_map_quality(
@@ -103,10 +96,8 @@ def approximate_map_quality(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> MapResult:
     """End to end: approximate MAP on N', scored in the source network."""
-    assignment, value = approximate_map(nprime, plan, evp, map_vars, width_cap=width_cap)
-    return map_quality(
-        aug, ev, assignment, map_vars, value_in_approx=value, width_cap=width_cap
-    )
+    assignment, _ = approximate_map(nprime, plan, evp, map_vars, width_cap=width_cap)
+    return map_quality(aug, ev, assignment, map_vars, width_cap=width_cap)
 
 
 def default_map_vars(net: Network, ev: Evidence) -> list[str]:

@@ -23,10 +23,11 @@ A restricted reader for the Hugin ``.net`` format is also provided: node
 blocks with ``states`` and potential blocks with dense ``data`` only.
 
 Both readers check only their own syntax and hand each declared variable
-and CPT, with its line, to one assembler (``_assemble``), which makes every
-structural check and raises each fault as a ``FormatError`` at the line
-that declares it.  Value checks (duplicate state labels, ranges, row sums,
-cycles) are ``model.validate_network``'s.
+and CPT (and the canonical format's kind and registry records), with its
+line, to one assembler (``_assemble``), which makes every structural check
+and raises each fault as a ``FormatError`` at the line that declares it.
+Value checks (duplicate state labels, ranges, row sums, cycles) are
+``model.validate_network``'s.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .deletion import DeletionPlan, EdgeParams
-from .model import Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
+from .model import NETWORK_KINDS, Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
 from .parametrize import METHODS
 
 SELECTION_TAGS = ("rand", "guided", "mi")
@@ -60,17 +61,22 @@ def _logical_lines(text: str):
             yield i, content
 
 
-def _assemble(variables, cpts, kind="original", clone_edges=()) -> Network:
+def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Network:
     """The ``Network`` a document declares, from its variables as (line,
-    name, states) and its CPTs as (line, child, parent names, table).
+    name, states), its CPTs as (line, child, parent names, table), its kind
+    as (line, kind) and its clone-edge registry as (line, ``EdgeRecord``).
 
     Every structural fault raises ``FormatError`` at the line that declares
-    it: a duplicate variable, a ``Variable`` that cannot be built, a CPT for
-    an unknown variable, a second CPT for one variable, an unknown parent,
-    a table ``Cpt`` rejects, and (at the variable's line) a variable with no
-    CPT.  The kind and the clone-edge registry are checked by ``Network``,
-    at no line.
+    it: an unknown kind, a duplicate variable, a ``Variable`` that cannot be
+    built, a CPT for an unknown variable, a second CPT for one variable, an
+    unknown parent, a table ``Cpt`` rejects, (at the variable's line) a
+    variable with no CPT, and a registry record naming an unknown variable.
+    ``Network`` makes the same checks, at no line, for networks that
+    programs build directly.
     """
+    ln, kind = kind
+    if kind not in NETWORK_KINDS:
+        raise FormatError(f"unknown network kind {kind!r}", ln)
     declared: dict[str, tuple[int, Variable]] = {}
     for ln, name, states in variables:
         if name in declared:
@@ -95,26 +101,26 @@ def _assemble(variables, cpts, kind="original", clone_edges=()) -> Network:
     for name, (ln, _) in declared.items():
         if name not in built:
             raise FormatError(f"variable {name!r} has no cpt", ln)
-    try:
-        return Network([var for _, var in declared.values()], built.values(), kind, clone_edges)
-    except ModelError as exc:
-        raise FormatError(str(exc)) from None
+    for ln, rec in clone_edges:
+        for n in (rec.parent, rec.clone, rec.child, rec.sevid):
+            if n is not None and n not in declared:
+                raise FormatError(f"registry names unknown variable {n!r}", ln)
+    records = [rec for _, rec in clone_edges]
+    return Network([var for _, var in declared.values()], built.values(), kind, records)
 
 
 def parse_network(text: str) -> Network:
     """Parse the canonical document format into a validated-shape Network."""
-    kind = "original"
+    kind = (None, "original")
     section = None
     # (line number, content) per line of each section
     sections: dict[str, list[tuple[int, str]]] = {"variables": [], "cpts": [], "edges": []}
-    seen_kind = False
     for ln, content in _logical_lines(text):
         low = content.lower()
         if low.startswith("kind:"):
-            if section is not None or seen_kind:
+            if section is not None or kind[0] is not None:
                 raise FormatError("kind must appear once, before any section", ln)
-            kind = content.split(":", 1)[1].strip()
-            seen_kind = True
+            kind = ln, content.split(":", 1)[1].strip()
         elif low.endswith(":") and low[:-1] in sections:
             section = low[:-1]
         elif section is not None:
@@ -152,9 +158,9 @@ def parse_network(text: str) -> Network:
         if len(tokens) != 4:
             raise FormatError("edge line needs: parent clone child sevid-or-dash", ln)
         parent, clone, child, sevid = tokens
-        records.append(EdgeRecord(parent, clone, child, None if sevid == "-" else sevid))
+        records.append((ln, EdgeRecord(parent, clone, child, None if sevid == "-" else sevid)))
 
-    return _assemble(variables, cpts, kind, tuple(records))
+    return _assemble(variables, cpts, kind, records)
 
 
 def serialize_network(net: Network) -> str:

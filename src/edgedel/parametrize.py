@@ -147,19 +147,14 @@ class _Fit:
     a 0-d view.  Every start vector is written, also one that the tree
     already read off N': a write before the first read sets an input and
     forgets only messages that were never sent, which costs less than
-    checking whether it is needed.  An empty plan builds no tree (``tree``
-    is None), since nothing reads it.
+    checking whether it is needed.  An empty plan's tree holds only the
+    Pr'(e') query, so a too-wide N' is refused there too.
     """
 
     def __init__(self, nprime, evp, records, vectors, sequential, width_cap):
         self.records = records
         self.labels = [f"edge {rec.parent} -> {rec.child}" for rec in records]
         self.vectors = list(vectors)
-        self.tree = None
-        if not records:
-            # no sweep reads a tree: N''s Pr'(e') program checks its width
-            engine.record(nprime, evp, width_cap=width_cap)
-            return
         if sequential:
             queries = [((rec.clone, rec.sevid), (rec.parent, rec.clone)) for rec in records]
         else:
@@ -262,11 +257,11 @@ def run(
     ``ModelError`` names the variable before any sweep.
 
     N' is ordered and bound once, when the run starts, as one jointree (see
-    ``_Fit``; an empty plan's as its Pr'(e') program), so a too-wide N'
-    raises ``CapacityError`` there even with ``max_iterations=0``.  A sweep
-    writes only the edges' new clone-prior and soft-evidence tables into
-    the tree (``_sweep``).  The vectors stay plain arrays inside the loop;
-    the returned plan holds one ``EdgeParams`` per edge, built at the end.
+    ``_Fit``), so a too-wide N' raises ``CapacityError`` there even with
+    ``max_iterations=0``.  A sweep writes only the edges' new clone-prior
+    and soft-evidence tables into the tree (``_sweep``).  The vectors stay
+    plain arrays inside the loop; the returned plan holds one
+    ``EdgeParams`` per edge, built at the end.
     With a reference, the KL bound after a simultaneous sweep reads Pr'(e')
     off the tree, and the next sweep's reads reuse the messages that read
     sent; a sequential sweep carries it.  The report hands back the

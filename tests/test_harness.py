@@ -341,6 +341,37 @@ class TestRunExperiment:
             if row.exact_kl is not None:
                 assert row.exact_kl <= row.kl_bound + 1e-9
 
+    def test_bucket_programs_run_only_inside_engine(self, monkeypatch):
+        # every Pr(e) outside the engine is a jointree query: record and
+        # replay serve exact_map, the tie refit and the per-query references
+        import math
+
+        from edgedel import check_conditions
+        from edgedel import engine as engine_module
+
+        callers = []
+        for name in ("record", "replay"):
+
+            def called(*args, _real=getattr(engine_module, name), **kwargs):
+                callers.append(sys._getframe(1).f_globals["__name__"])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine_module, name, called)
+        spec = ExperimentSpec(
+            network="grid(3x3)", instances=1, ks=(0, 1, 2), methods=("ed-kl", "ed-bp"),
+            selections=("rand", "guided"), seed=4,
+        )
+        rows = run_experiment(spec)
+        assert len(rows) == 12 and all(math.isfinite(r.kl_bound) for r in rows)
+        net = grid_network(3, 3, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        aug, nprime, plan = approximate_network(net, net.edges()[:2])
+        evp = augmented_evidence(nprime, ev)
+        approximate_map_quality(aug, nprime, plan, ev, evp, net.roots())
+        kl_bound(aug, nprime, plan, ev, evp)
+        exact_kl(aug, nprime, plan, ev, evp)
+        check_conditions(aug, nprime, plan, ev, evp)
+        assert callers and set(callers) == {"edgedel.engine"}
 
 class TestRunDeletionInstance:
     def test_enumerates_nothing_and_compiles_nothing(self, monkeypatch):

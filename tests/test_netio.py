@@ -149,6 +149,32 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_network(doc.replace(*edit))
 
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            pytest.param(("kind: approximate", "kind: bogus"), 1, "unknown network kind 'bogus'",
+                         id="kind"),
+            pytest.param(("A C B S", "Q C B S"), 13, "registry names unknown variable 'Q'",
+                         id="parent"),
+            pytest.param(("A C B S", "A Q A -"), 13, "registry names unknown variable 'Q'",
+                         id="clone"),
+            pytest.param(("A C B S", "A C Q S"), 13, "registry names unknown variable 'Q'",
+                         id="child"),
+            pytest.param(("A C B S", "A C B Q"), 13, "registry names unknown variable 'Q'",
+                         id="sevid"),
+        ],
+    )
+    def test_kind_and_registry_faults_are_raised_at_their_line(self, edit, line, message):
+        doc = (
+            "kind: approximate\nvariables:\n  A a0 a1\n  C a0 a1\n  B b0 b1\n  S s0 s1\n"
+            "cpts:\n  A : 0.3 0.7\n  C : 0.5 0.5\n  B | C : 0.2 0.8 0.9 0.1\n"
+            "  S | A : 1 0 1 0\nedges:\n  A C B S"
+        )
+        assert parse_network(doc).clone_edges[0].sevid == "S"
+        with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}$") as fault:
+            parse_network(doc.replace(*edit))
+        assert fault.value.line == line
+
 
 class TestEvidenceAndPlanFormats:
     def test_evidence_round_trip(self):

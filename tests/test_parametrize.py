@@ -703,14 +703,14 @@ class TestWorkCounts:
             forgot = sum(len(tree._plan.stale[home]) for home in homes)
             assert tree.bound.forgot - before == forgot > 0
 
-    def test_an_empty_plan_builds_no_tree(self, monkeypatch):
-        # a k = 0 cell reads nothing off a tree of N', so it builds none
-        # (its one tree is the source pass's), and its row reads exactly 0;
-        # a too-wide N' is still refused, at the cap and with the message
-        # its tree would have given
+    def test_an_empty_plan_builds_a_pr_ep_only_tree(self, monkeypatch):
+        # a k = 0 cell builds the source pass's tree and N''s Pr'(e')-only
+        # tree, and records no program; its row reads exactly 0 off the
+        # source pass's Pr(e); a too-wide N' is refused by that tree, at the
+        # cap and with its message
         net, ev = grid_case()[:2]
         aug, nprime, plan, evp = build(net, ev, [])
-        width = engine_module.record(nprime, evp).width
+        width = engine_module.Jointree(nprime, evp, [((), ())]).width
         with pytest.raises(CapacityError) as tree_refused:
             engine_module.Jointree(nprime, evp, [((), ())], width - 1)
         builds = []
@@ -721,9 +721,12 @@ class TestWorkCounts:
             return real(tree, *args, **kwargs)
 
         monkeypatch.setattr(engine_module.Jointree, "__init__", building)
+        calls = count_engine_calls(monkeypatch, ["record"])
         outcome = run_deletion_instance(net, ev, [], "ed-kl")
         assert outcome.row.kl_bound == outcome.row.exact_kl == 0.0
-        assert [args[0].kind for args in builds] == ["augmented"]
+        assert [args[0].kind for args in builds] == ["augmented", "original"]
+        assert list(builds[1][2]) == [((), ())]
+        assert calls == {"record": 0}
         builds.clear()
         cfg = IterationConfig(method="ed-bp", max_iterations=0)
         with pytest.raises(CapacityError) as refused:
@@ -731,7 +734,8 @@ class TestWorkCounts:
         assert str(refused.value) == str(tree_refused.value)
         assert str(refused.value) == f"induced width {width} exceeds the cap of {width - 1}"
         run(nprime, plan, evp, cfg, width_cap=width)
-        assert builds == []
+        assert [(args[0], list(args[2])) for args in builds] == [(nprime, [((), ())])] * 2
+        assert calls == {"record": 0}
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
