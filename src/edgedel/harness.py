@@ -175,6 +175,8 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
             raise FormatError("spec line needs 'key = value'", i)
         key, _, val = content.partition("=")
         key = key.strip().lower().replace("-", "_")
+        if key in values:
+            raise FormatError(f"spec key {key!r} given twice", i)
         values[key] = val.strip()
     if "network" not in values:
         raise FormatError("experiment spec needs a network")

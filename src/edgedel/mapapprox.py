@@ -61,9 +61,10 @@ def map_quality(
     """Score an instantiation against the exact MAP optimum of ``net``.
 
     p = Pr(assignment, ev) is always evaluated in ``net``, read off a
-    jointree with the assignment added to the evidence.  When the exact
-    optimum q is not computable within the width cap, it (and the ratio) is
-    omitted; a zero q leaves the ratio undefined.
+    jointree with the assignment added to the evidence.  The ratio is
+    exactly 1.0 when the assignment is the exact MAP solution on every MAP
+    variable.  When the exact optimum q is not computable within the width
+    cap, it (and the ratio) is omitted; a zero q leaves the ratio undefined.
     """
     map_vars = list(map_vars)
     missing = [v for v in map_vars if v not in assignment]
@@ -71,16 +72,16 @@ def map_quality(
         raise ModelError(f"assignment misses MAP variables: {missing}")
     joint_ev = ev.with_added({v: assignment[v] for v in map_vars})
     p = engine.derivatives(net, joint_ev, (), width_cap).pr_e
-    best = None
     ratio = None
     try:
-        _, best = engine.exact_map(net, ev, map_vars, width_cap=width_cap)
+        exact, best = engine.exact_map(net, ev, map_vars, width_cap=width_cap)
     except CapacityError:
-        best = None
+        exact, best = None, None
     if best is not None and best > 0:
         ratio = p / best
-        if 1.0 < ratio <= 1.0 + 1e-9:
-            # p <= q is guaranteed; shave pure roundoff overshoot
+        if all(assignment[v] == exact[v] for v in map_vars) or 1.0 < ratio <= 1.0 + 1e-9:
+            # for the exact solution p and q are one number rounded along two
+            # elimination orders; p <= q, so any overshoot is roundoff too
             ratio = 1.0
     return MapResult(assignment=dict(assignment), value=p, best_value=best, ratio=ratio)
 

@@ -267,9 +267,6 @@ class Network:
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
-    def has_var(self, name: str) -> bool:
-        return name in self._vars_by_name
-
     def cpt(self, name: str) -> Cpt:
         self.var(name)
         return self._cpts[name]

@@ -19,8 +19,12 @@ parent most significant).  '#' starts a comment anywhere; blank lines are
 ignored.  Serialization uses repr() floats so a parse of a serialize is
 structurally identical to the source network.
 
-A restricted reader for the Hugin ``.net`` format is also provided: node
-blocks with ``states`` and potential blocks with dense ``data`` only.
+A restricted reader for the Hugin ``.net`` format is also provided.  One
+regular expression splits the text into strings, symbols and words ('%'
+starts a comment), and one block reader reads ``node`` and ``potential``
+blocks as ``key = value;`` pairs, keeping only ``states`` and dense
+``data``.  A ``net`` block is skipped with only its braces balanced; a
+nested block anywhere else is refused.
 
 Both readers check only their own syntax and hand each declared variable
 and CPT (and the canonical format's kind and registry records), with its
@@ -33,6 +37,7 @@ Value checks (duplicate state labels, ranges, row sums, cycles) are
 from __future__ import annotations
 
 import math
+import re
 import typing
 from dataclasses import dataclass, fields
 
@@ -199,8 +204,6 @@ def parse_evidence(text: str, net: Network) -> Evidence:
             raise FormatError("evidence line needs 'variable = state'", ln)
         if name in assignments:
             raise FormatError(f"variable {name!r} assigned twice", ln)
-        if not net.has_var(name):
-            raise FormatError(f"unknown variable {name!r}", ln)
         try:
             net.var(name).index_of(state)
         except ModelError as exc:
@@ -354,86 +357,26 @@ def write_report(rows, sink) -> int:
 
 # --- Hugin .net subset -----------------------------------------------------
 
-
-class _HuginTokens:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int]] = []
-        line = 1
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                i += 1
-            elif c.isspace():
-                i += 1
-            elif c == "%":
-                while i < n and text[i] != "\n":
-                    i += 1
-            elif c == '"':
-                j = i + 1
-                while j < n and text[j] != '"':
-                    if text[j] == "\n":
-                        line += 1
-                    j += 1
-                if j >= n:
-                    raise FormatError("unterminated string", line)
-                self.tokens.append(("str", text[i + 1 : j], line))
-                i = j + 1
-            elif c in "{}()=;|":
-                self.tokens.append(("sym", c, line))
-                i += 1
-            else:
-                j = i
-                while j < n and not text[j].isspace() and text[j] not in '{}()=;|%"':
-                    j += 1
-                self.tokens.append(("word", text[i:j], line))
-                i = j
-        self.pos = 0
-        # the end of input sits on the text's last non-blank line
-        self.eof = ("eof", "", text.rstrip().count("\n") + 1)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise FormatError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
+# Every character starts exactly one match: blanks and % comments are
+# skipped, a quote with no closing quote is an unterminated string.
+_HUGIN_TOKEN = re.compile(
+    r'(?P<skip>\s+|%[^\n]*)|"(?P<str>[^"]*)"|(?P<open>")|(?P<sym>[{}()=;|])'
+    r'|(?P<word>[^\s{}()=;|%"]+)'
+)
 
 
-def _hugin_value(toks: _HuginTokens):
-    """A value: string, word/number, or a parenthesized list (flattened)."""
-    kind, value, line = toks.next()
-    if kind == "sym" and value == "(":
-        items = []
-        while True:
-            k, v, ln = toks.peek()
-            if k == "sym" and v == ")":
-                toks.next()
-                return items
-            items.append(_hugin_value(toks))
-    if kind in ("str", "word"):
-        return value
-    if kind == "eof":
-        raise FormatError("unexpected end of input", line)
-    raise FormatError(f"unexpected token {value!r}", line)
-
-
-def _flatten(value, out: list):
-    if isinstance(value, list):
-        for item in value:
-            _flatten(item, out)
-    else:
-        out.append(value)
+def _hugin_tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, line) per 'str', 'sym' or 'word' token, then an 'eof'
+    token on the last non-blank line.  A string's line is that of its
+    closing quote."""
+    tokens, line = [], 1
+    for m in _HUGIN_TOKEN.finditer(text):
+        if m.lastgroup == "open":
+            raise FormatError("unterminated string", text.count("\n") + 1)
+        line += m.group().count("\n")
+        if m.lastgroup != "skip":
+            tokens.append((m.lastgroup, m.group(m.lastgroup), line))
+    return tokens + [("eof", "", text.rstrip().count("\n") + 1)]
 
 
 def parse_hugin_subset(text: str) -> Network:
@@ -443,77 +386,81 @@ def parse_hugin_subset(text: str) -> Network:
     (first parent most significant, child fastest).  Any construct outside
     the subset raises an unsupported-feature error naming it.
     """
-    toks = _HuginTokens(text)
+    toks = _hugin_tokens(text)
+    pos = 0
+
+    def at(sym):
+        return toks[pos][:2] == ("sym", sym)
+
+    def take(kind=None, value=None):
+        """The next token, which must be of ``kind`` (and ``value``) if given."""
+        nonlocal pos
+        tok = toks[pos]
+        if kind is not None and (tok[0] != kind or value is not None and tok[1] != value):
+            raise FormatError(f"expected {value or kind!r}, found {tok[1]!r}", tok[2])
+        pos += 1
+        return tok
+
+    def value() -> list:
+        """A string, a word or a parenthesized list of values, as a flat list."""
+        kind, val, line = take()
+        if (kind, val) == ("sym", "("):
+            items = []
+            while not at(")"):
+                items += value()
+            take()
+            return items
+        if kind in ("str", "word"):
+            return [val]
+        if kind == "eof":
+            raise FormatError("unexpected end of input", line)
+        raise FormatError(f"unexpected token {val!r}", line)
+
+    def block(keyed=True) -> dict:
+        """Read '{ key = value; ... }' into a dict, keeping unknown keys; with
+        ``keyed`` false, skip the block with only its braces balanced."""
+        take("sym", "{")
+        fields, depth = {}, 1
+        while depth:
+            if toks[pos][0] == "eof":
+                raise FormatError("unterminated block", toks[pos][2])
+            if at("}"):
+                depth -= 1
+                take()
+            elif not keyed:
+                depth += at("{")
+                take()
+            else:
+                key = take("word")[1]
+                take("sym", "=")
+                fields[key] = value()
+                take("sym", ";")
+        return fields
+
     variables, cpts = [], []
-    while True:
-        kind, value, line = toks.peek()
-        if kind == "eof":
-            break
+    while toks[pos][0] != "eof":
+        kind, word, line = take()
         if kind != "word":
-            raise FormatError(f"unexpected token {value!r}", line)
-        if value == "net":
-            toks.next()
-            _skip_block(toks)
-        elif value == "node":
-            toks.next()
-            name = toks.expect("word")[1]
-            labels: list = []
-            _flatten(_read_block(toks).get("states", []), labels)
-            variables.append((line, name, labels))
-        elif value == "potential":
-            toks.next()
-            toks.expect("sym", "(")
-            child = toks.expect("word")[1]
-            parents: list[str] = []
-            k, v, ln = toks.peek()
-            if k == "sym" and v == "|":
-                toks.next()
-                while True:
-                    k, v, ln = toks.peek()
-                    if k == "sym" and v == ")":
-                        break
-                    parents.append(toks.expect("word")[1])
-            toks.expect("sym", ")")
-            flat: list = []
-            _flatten(_read_block(toks).get("data", []), flat)
+            raise FormatError(f"unexpected token {word!r}", line)
+        if word == "net":
+            block(keyed=False)
+        elif word == "node":
+            name = take("word")[1]
+            variables.append((line, name, block().get("states", [])))
+        elif word == "potential":
+            take("sym", "(")
+            child = take("word")[1]
+            parents = []
+            if at("|"):
+                take()
+                while not at(")"):
+                    parents.append(take("word")[1])
+            take("sym", ")")
+            data = block().get("data", [])
             try:
-                data = [float(x) for x in flat]
+                cpts.append((line, child, parents, [float(x) for x in data]))
             except ValueError:
-                raise FormatError(
-                    f"potential for {child!r}: non-numeric data", line
-                ) from None
-            cpts.append((line, child, parents, data))
+                raise FormatError(f"potential for {child!r}: non-numeric data", line) from None
         else:
-            raise FormatError(f"unsupported feature: {value!r}", line)
+            raise FormatError(f"unsupported feature: {word!r}", line)
     return _assemble(variables, cpts)
-
-
-def _read_block(toks: _HuginTokens) -> dict:
-    """Read '{ key = value; ... }'; unknown keys are tolerated and kept."""
-    toks.expect("sym", "{")
-    out: dict = {}
-    while True:
-        kind, value, line = toks.peek()
-        if kind == "sym" and value == "}":
-            toks.next()
-            return out
-        if kind == "eof":
-            raise FormatError("unterminated block", line)
-        key = toks.expect("word")[1]
-        toks.expect("sym", "=")
-        val = _hugin_value(toks)
-        toks.expect("sym", ";")
-        out[key] = val
-
-
-def _skip_block(toks: _HuginTokens) -> None:
-    toks.expect("sym", "{")
-    depth = 1
-    while depth:
-        kind, value, line = toks.next()
-        if kind == "eof":
-            raise FormatError("unterminated block", line)
-        if kind == "sym" and value == "{":
-            depth += 1
-        elif kind == "sym" and value == "}":
-            depth -= 1

@@ -288,11 +288,21 @@ seed = 17
         ],
     )
     def test_bad_fit_value_exits_3_without_rows(self, tmp_path, capsys, line, message):
+        key = line.split("=")[0]
+        spec = [ln for ln in self.SPEC.splitlines() if not ln.startswith(key)]
         spec_file = tmp_path / "bad.spec"
-        spec_file.write_text(self.SPEC + line + "\n")
+        spec_file.write_text("\n".join(spec + [line]) + "\n")
         out = tmp_path / "bad.csv"
         assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_spec_key_exits_3_without_rows(self, tmp_path, capsys):
+        spec_file = tmp_path / "twice.spec"
+        spec_file.write_text(self.SPEC + "network = grid(3x3)\n")
+        out = tmp_path / "twice.csv"
+        assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
+        assert "spec key 'network' given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_file_network_source(self, tmp_path, fixture_files, capsys):

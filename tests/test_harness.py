@@ -180,6 +180,11 @@ class TestExperimentSpec:
         with pytest.raises(FormatError, match="unknown spec keys"):
             parse_experiment_spec("network = chain(3)\ncolor = red\n")
 
+    def test_repeated_key_rejected_at_its_second_line(self):
+        text = "network = chain(3)\n# later\nnetwork = grid(3x3)\n"
+        with pytest.raises(FormatError, match=r"^line 3: spec key 'network' given twice$"):
+            parse_experiment_spec(text)
+
     def test_missing_network_rejected(self):
         with pytest.raises(FormatError):
             parse_experiment_spec("instances = 3\n")

@@ -15,6 +15,7 @@ from edgedel import (
     exact_map,
     run,
 )
+from edgedel.harness import grid_network, sample_evidence
 from edgedel.mapapprox import default_map_vars, map_quality
 
 from conftest import positive_evidence, random_network
@@ -98,7 +99,17 @@ class TestMapQuality:
         map_vars = [v.name for v in net.variables if v.name not in ev][:2]
         m, q = exact_map(net, ev, map_vars)
         result = map_quality(net, ev, m, map_vars)
-        assert result.ratio == pytest.approx(1.0, abs=1e-12)
+        assert result.ratio == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 2, 7])
+    def test_exact_solution_reads_exactly_one(self, seed):
+        # p and q sum in different orders; on these grids p/q rounds below 1
+        rng = np.random.default_rng(seed)
+        net = grid_network(4, 4, 2, rng)
+        ev = sample_evidence(net, "leaves-from-joint", rng)
+        map_vars = [v.name for v in net.variables if v.name not in ev][:4]
+        m, _ = exact_map(net, ev, map_vars)
+        assert map_quality(net, ev, m, map_vars).ratio == 1.0
 
     def test_end_to_end_ratio_one_without_deletion(self):
         rng = np.random.default_rng(5)

@@ -183,10 +183,19 @@ class TestEvidenceAndPlanFormats:
         assert dict(ev.items()) == {"A": "a1", "B": "b2"}
         assert parse_evidence(serialize_evidence(ev), net) == ev
 
-    def test_evidence_unknown_state_positioned(self):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A = a1\n\nQ = q0\n", "line 3: unknown variable 'Q'"),
+            ("A = a1\nB = nope\n", "line 2: variable 'B' has no state 'nope'"),
+            ("A = a1\n# again\nA = a0\n", "line 3: variable 'A' assigned twice"),
+        ],
+        ids=["unknown-variable", "unknown-state", "assigned-twice"],
+    )
+    def test_evidence_fault_is_raised_at_its_line(self, text, message):
         net = parse_network(TWO_NODE)
-        with pytest.raises(FormatError, match="line 2"):
-            parse_evidence("A = a1\nB = nope\n", net)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_evidence(text, net)
 
     def test_plan_round_trip_with_params(self):
         net, _ = equality_witness_net()
@@ -417,6 +426,76 @@ node A { states = ( "a0" "a1" ); }
         last = len(text.rstrip().split("\n"))
         with pytest.raises(FormatError, match=f"^line {last}: {message}$"):
             parse_hugin_subset(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the line counts every newline after the opening quote
+            pytest.param(
+                'node A {\n  states = ("a0" "a1);\n}\n\n', "line 5: unterminated string",
+                id="unterminated-string",
+            ),
+            pytest.param(
+                'node A\n  states = ("a0" "a1");\n', "line 2: expected '{', found 'states'",
+                id="expected-brace",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1"); }\npotential (A { data = (0.5 0.5); }',
+                "line 2: expected ')', found '{'",
+                id="expected-paren",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1") }', "line 1: expected ';', found '}'",
+                id="expected-semicolon",
+            ),
+            pytest.param(
+                'node "A" { states = ("a0" "a1"); }', "line 1: expected 'word', found 'A'",
+                id="quoted-node-name",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1"); }\n;', "line 2: unexpected token ';'",
+                id="top-level-symbol",
+            ),
+            pytest.param(
+                'node A {\n  states = ("a0" = "a1");\n}', "line 2: unexpected token '='",
+                id="symbol-in-value",
+            ),
+            pytest.param(
+                'node A {\n  states = );\n}', "line 2: unexpected token ')'",
+                id="closing-paren-as-value",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1"); }\npotential (A)\n{ data = (0.5 x); }',
+                "line 2: potential for 'A': non-numeric data",
+                id="non-numeric-data",
+            ),
+            pytest.param(
+                'node A {\n  { states = ("a0" "a1"); }\n}',
+                "line 2: expected 'word', found '{'",
+                id="block-in-node",
+            ),
+            pytest.param(
+                'node A {\n  sub { states = ("a0" "a1"); }\n}',
+                "line 2: expected '=', found '{'",
+                id="named-block-in-node",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1"); }\npotential (A) {\n  { data = (0.5 0.5); }\n}',
+                "line 3: expected 'word', found '{'",
+                id="block-in-potential",
+            ),
+            pytest.param(
+                'net {\n  a { b = 1; }\n', "line 2: unterminated block", id="unbalanced-net",
+            ),
+        ],
+    )
+    def test_each_syntax_fault_is_raised_at_its_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_hugin_subset(text)
+
+    def test_net_block_is_skipped_with_only_its_braces_balanced(self):
+        text = 'net {\n  layout { x = (1 2); } ;\n  free text "}" = ( ;\n  { { } }\n}\n'
+        assert parse_hugin_subset(text + HUGIN_TWO_NODE) == parse_network(TWO_NODE)
 
     def test_data_order_matches_convention(self):
         net = parse_hugin_subset(HUGIN_TWO_NODE)
