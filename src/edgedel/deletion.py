@@ -140,6 +140,9 @@ def augment(net: Network, edges) -> Network:
     cpt_map = {v.name: net.cpt(v.name) for v in net.variables}
     records = []
     taken = {v.name for v in net.variables}
+    equivalence: dict[int, np.ndarray] = {}
+    # per child, its parents with each deleted one's clone in its place
+    rewired: dict[str, list[Variable]] = {}
     for k, (u, x) in enumerate(edges):
         clone_name = f"{u}__clone{k}"
         if clone_name in taken:
@@ -148,13 +151,14 @@ def augment(net: Network, edges) -> Network:
         uvar = net.var(u)
         clone = Variable(clone_name, uvar.states)
         variables.append(clone)
-        cpt_map[clone_name] = Cpt(clone, (uvar,), equivalence_table(uvar.card))
-        child_cpt = cpt_map[x]
-        new_parents = tuple(clone if p.name == u else p for p in child_cpt.parents)
-        if new_parents == child_cpt.parents:
-            raise ModelError(f"edge {u} -> {x} was already replaced")
-        cpt_map[x] = Cpt(child_cpt.child, new_parents, child_cpt.table)
+        if uvar.card not in equivalence:
+            equivalence[uvar.card] = equivalence_table(uvar.card)
+        cpt_map[clone_name] = Cpt(clone, (uvar,), equivalence[uvar.card])
+        parents = rewired.setdefault(x, list(cpt_map[x].parents))
+        parents[[p.name for p in parents].index(u)] = clone
         records.append(EdgeRecord(parent=u, clone=clone_name, child=x))
+    for x, parents in rewired.items():
+        cpt_map[x] = Cpt(cpt_map[x].child, tuple(parents), cpt_map[x].table)
     return Network(
         variables,
         [cpt_map[v.name] for v in variables],

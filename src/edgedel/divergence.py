@@ -12,19 +12,21 @@ derivative table, off one jointree by ``engine.derivatives``), which a fit
 with a reference hands back (``parametrize.run``; from an (augmented
 network, evidence) reference it answers only the plan's parents, all that
 ``read_kl_bound`` reads); ``kl_bound`` and ``exact_kl`` make both
-themselves.  ``source_pass`` keeps the most recent (network,
-evidence) pair's pass on the all-edges augmentation, which ``score_edges``
-and the harness's fits share.  ``edge_update`` is the one fixed-point
-update of a single deleted edge (ed-bp or ed-kl), read off Pr'(e') and its
-derivatives with respect to the edge's parameters, and in a sequential
-update off the edge's table too; the parametrization sweeps call it once
-per edge.  ``score_edges`` ranks every network edge by the divergence
-achievable when it alone is deleted with ed-kl parameters: one derivative
-pass on the augmented network gives Pr(e) and every clone CPT's
-derivative table, and the scorer then takes the sweep's ed-kl edge
-update on all tables of one shape and layout at once, bitwise each edge's
-own fit.  Only edges whose scores tie within TIE_TOL take one
-derivative elimination each, which fixes their order to that route's.
+themselves.  ``source_pass`` keeps the most recent (network, evidence)
+pair's pass on the source network, which ``score_edges`` and the harness's
+fits share.  ``edge_update`` is the one fixed-point update of a single
+deleted edge (ed-bp or ed-kl), read off Pr'(e') and its derivatives with
+respect to the edge's parameters, and in a sequential update off the
+edge's table too; the parametrization sweeps call it once per edge.
+``score_edges`` ranks every network edge by the divergence achievable
+when it alone is deleted with ed-kl parameters: every clone CPT's
+derivative table in the all-edges augmentation is one contraction of its
+child's CPT with the child's table in the source pass (``_clone_tables``),
+and the scorer then takes the sweep's ed-kl edge update on all tables of
+one shape and layout at once, bitwise each edge's own fit.  Only edges
+whose scores tie within TIE_TOL take one derivative elimination each on
+the augmentation, built for that refit alone, which fixes their order to
+that route's.
 """
 
 from __future__ import annotations
@@ -117,38 +119,63 @@ def true_edge_marginals(source: engine.Adjoints, plan: DeletionPlan):
     return [posteriors[rec.parent] for rec in plan.edges]
 
 
-# the most recent source pass: (net, ev, width_cap, augmentation, pass)
+# the most recent source pass: (net, ev, width_cap, pass)
 _kept_pass = None
 
 
-def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT):
-    """The all-edges augmentation of the original network ``net`` and its
-    derivative pass under ``ev`` (``forward_backward``).
+def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
+    """The derivative pass (``forward_backward``) on the original network
+    ``net`` under ``ev``.
 
     Pr(e), every source variable's posterior and every family table are
-    fixed by (``net``, ``ev``), and any augmentation gives them in the
-    source's layout (``augment`` puts a clone in its parent's axis).  So the
-    pass of the most recent call is kept, and a call with the same ``net``
-    and ``ev`` objects and the same ``width_cap`` returns it: ``score_edges``
+    fixed by (``net``, ``ev``), and every clone table of the all-edges
+    augmentation follows from them (``_clone_tables``).  So the pass of
+    the most recent call is kept, and a call with the same ``net`` and
+    ``ev`` objects and the same ``width_cap`` returns it: ``score_edges``
     and every ``harness.run_deletion_instance`` cell of one instance share
     one pass.  The key is identity, not content (``Network`` and
     ``Evidence`` are not hashable): an equal but distinct object makes a
     new pass.  The entry holds both objects, so their ids are not reused
     while it is kept.  A refused pass (``CapacityError``) is not kept.
-
-    The pass needs the all-edges augmentation's width.  On the seeded
-    chain(8), grid(4x4), grid(5x5) and grid(7x7) networks that is the
-    width of their augmentations along fewer edges (1, 4, 5 and 9); on
-    grid(9x9) it is 12, where those read 11 or 12.
     """
     global _kept_pass
     kept = _kept_pass
     if kept is not None and kept[0] is net and kept[1] is ev and kept[2] == width_cap:
-        return kept[3], kept[4]
-    aug = augment(net, net.edges())
-    grads = forward_backward(aug, ev, width_cap)
-    _kept_pass = (net, ev, width_cap, aug, grads)
-    return aug, grads
+        return kept[3]
+    grads = forward_backward(net, ev, width_cap)
+    _kept_pass = (net, ev, width_cap, grads)
+    return grads
+
+
+def _clone_tables(source: engine.Adjoints, edges) -> list[np.ndarray]:
+    """Each edge U -> X's clone-CPT derivative table in the all-edges
+    augmentation, over (parent, clone), from ``source``, a pass on the
+    source network.
+
+    Pr(e) is multilinear in the CPT entries, and in the augmentation X's
+    CPT reads the clone U' where every other table reads U.  So with U = u
+    and U' = u', Pr(e) with the equivalence CPT left out is X's CPT at u'
+    times X's derivative table d_X at u: g[u, u'] = sum_{x, z}
+    theta_X(x | u', z) d_X(u, z, x), one C einsum (``engine._einsum``) per
+    edge.  Each child's d_X is read, and Euler-checked, once, and each g is
+    checked by its trace, sum(equivalence CPT * g), which is Pr(e) too.
+    """
+    net, pr_e, letters = source.net, source.pr_e, engine._LETTERS
+    families = {}
+    tables = []
+    for u, x in edges:
+        if x not in families:
+            families[x] = net.cpt(x).shaped, source.cpt(x), net.parent_names(x)
+        theta, d, parents = families[x]
+        i, n = parents.index(u), d.ndim
+        axes = letters[:n]
+        primed = axes[:i] + letters[n] + axes[i + 1:]
+        g = engine._einsum(f"{axes},{primed}->{axes[i]}{letters[n]}", d, theta)
+        engine._check_identity(
+            float(g.trace()), pr_e, f"clone table of edge {u} -> {x} violates the trace(g)"
+        )
+        tables.append(g)
+    return tables
 
 
 def _check_evidence(source: engine.Adjoints, pr_ep: float) -> None:
@@ -384,47 +411,57 @@ def _edkl_rows(true, pr_ep, deriv, labels) -> np.ndarray:
         )
     vecs = edkl_vector(true, pr_ep, deriv, labels)
     sums = vecs.sum(axis=1, keepdims=True)
-    for i in np.flatnonzero(~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0))):
-        _normalize(vecs[i], labels[i])
+    # a NaN sum fails both comparisons
+    if not (np.minimum.reduce(sums, None) > 0.0 and np.maximum.reduce(sums, None) < math.inf):
+        for i in np.flatnonzero(~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0))):
+            _normalize(vecs[i], labels[i])
     return vecs / sums
 
 
-def _fit_stack(recs, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[EdgeScore]:
-    """Score deleted edges ``recs`` from a stack g of their clone CPTs'
-    derivative tables over (parent, clone), with true parent posteriors
-    ``true`` (g[u, u] = Pr(u, e)).  Each edge's parameters are the
-    ``parametrize.run`` fit of its one-edge plan: ``edge_update`` ("ed-kl",
-    sequential, undamped) on ``single_edge_evaluate`` from uniform, until
-    the residual drops below INNER_TOLERANCE or INNER_MAX_ITERATIONS times.
-    Each row takes those steps in the same order until its own convergence,
-    and stacked ``np.matmul`` calls BLAS once per item, as the one-edge
-    product does, so every row is bitwise its own one-edge fit.
+def _fit_stack(edges, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[EdgeScore]:
+    """Score deleted edges ``edges``, (parent, child) pairs, from a stack g
+    of their clone CPTs' derivative tables over (parent, clone), with true
+    parent posteriors ``true`` (g[u, u] = Pr(u, e)).  Each edge's
+    parameters are the ``parametrize.run`` fit of its one-edge plan:
+    ``edge_update`` ("ed-kl", sequential, undamped) on
+    ``single_edge_evaluate`` from uniform, until the residual drops below
+    INNER_TOLERANCE or INNER_MAX_ITERATIONS times.  Each row takes those
+    steps in the same order until its own convergence, and stacked
+    ``np.matmul`` calls BLAS once per item, as the one-edge product does,
+    so every row is bitwise its own one-edge fit.  The live rows are copied
+    out of the stack only when a row converges.
     """
-    labels = np.array([f"edge {r.parent} -> {r.child}" for r in recs], dtype=object)
+    labels = np.array([f"edge {u} -> {x}" for u, x in edges], dtype=object)
     start, n = EdgeParams.uniform(g.shape[-1]), len(g)
     pm, se = np.tile(start.pm, (n, 1)), np.tile(start.se, (n, 1))
     iterations, converged = np.full(n, INNER_MAX_ITERATIONS), np.zeros(n, dtype=bool)
     live = np.arange(n)
+    gl, tl, lab, old_pm, old_se = g, true, labels, pm, se
     for it in range(1, INNER_MAX_ITERATIONS + 1):
-        gl, tl, lab, old_pm, old_se = g[live], true[live], labels[live], pm[live], se[live]
         d_pm = old_se[:, None] @ gl
         new_pm = _edkl_rows(tl, (d_pm @ old_pm[:, :, None])[:, 0], d_pm[:, 0], lab)
         new_pm = new_pm / new_pm.sum(axis=1, keepdims=True)
         d_se = (gl @ new_pm[:, :, None])[:, :, 0]
         new_se = _edkl_rows(tl, (d_pm @ new_pm[:, :, None])[:, 0], d_se, lab)
         new_pm = new_pm / new_pm.sum(axis=1, keepdims=True)
-        pm[live], se[live] = new_pm, new_se
         residual = np.maximum(abs(new_pm - old_pm).max(axis=1), abs(new_se - old_se).max(axis=1))
         done = residual < INNER_TOLERANCE
-        iterations[live[done]], converged[live[done]] = it, True
-        live = live[~done]
-        if not live.size:
-            break
+        old_pm, old_se = new_pm, new_se
+        if done.any():
+            pm[live], se[live] = new_pm, new_se
+            iterations[live[done]], converged[live[done]] = it, True
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                break
+            gl, tl, lab, old_pm, old_se = gl[keep], tl[keep], lab[keep], new_pm[keep], new_se[keep]
+    if live.size:
+        pm[live], se[live] = old_pm, old_se
     pr_ep = ((se[:, None] @ g) @ pm[:, :, None])[:, 0, 0]
     return [
-        EdgeScore(r.parent, r.child, kl_breakdown([t], [(p, s)], pr_e, float(pr)).total,
+        EdgeScore(u, x, kl_breakdown([t], [(p, s)], pr_e, float(pr)).total,
                   EdgeParams(p, s), int(k), bool(c))
-        for r, t, p, s, pr, k, c in zip(recs, true, pm, se, pr_ep, iterations, converged)
+        for (u, x), t, p, s, pr, k, c in zip(edges, true, pm, se, pr_ep, iterations, converged)
     ]
 
 
@@ -437,63 +474,73 @@ def score_edges(
     """Score every deletable edge in isolation; smaller is better to delete.
 
     The input may be an original network (every edge is scored) or an
-    augmented one (its intact equivalence edges are scored).  One
-    derivative pass on the augmented network (``forward_backward``) gives
-    every clone CPT's derivative table, each checked by the Euler
-    identity.  For an original network
-    that pass is ``source_pass``'s, which the harness's cells of the same
-    (network, evidence) read too.  Tables of one shape and
-    memory layout are stacked, and ``_fit_stack`` fits their edges in one
-    ed-kl loop, bitwise the per-edge ``edge_update`` fit.  Ranking is
-    ascending by (score, declaration index), and infinite scores sort last.
+    augmented one (its intact equivalence edges are scored).  For an
+    original network, the pass is ``source_pass``'s, which the harness's
+    cells of the same (network, evidence) read too, and each edge's clone
+    table over (parent, clone) is derived from it (``_clone_tables``,
+    checked by its trace); an augmented input's tables come from its own
+    pass (``forward_backward``), each checked by the Euler identity.
+    Tables of one shape and memory layout are stacked, and ``_fit_stack``
+    fits their edges in one ed-kl loop, bitwise the per-edge
+    ``edge_update`` fit.  Ranking is ascending by (score, declaration
+    index), and infinite scores sort last.
 
     Edges that tie mathematically, such as the two out-edges of a root with
     two children, differ only in the last bits, and which bits depends on
     the route that computed their tables.  The ranking is pinned to the
-    route of one derivative elimination per edge (``engine.cpt_derivatives``):
-    adjacent scores within TIE_TOL (relative, floored at 1 absolute) form a
-    run, and each run of two or more edges is refitted on that route's
-    tables, then ordered and reported by the refitted (score, declaration
-    index).  The refit reads Pr(e) off ``engine.compile(aug, ev,
-    width_cap)``, made only when a run exists, so a refitted score keeps
+    route of one derivative elimination per edge on the all-edges
+    augmentation (``engine.cpt_derivatives``): adjacent scores within
+    TIE_TOL (relative, floored at 1 absolute) form a run, and each run of
+    two or more edges is refitted on that route's tables, then ordered and
+    reported by the refitted (score, declaration index).  The refit reads
+    Pr(e) off ``engine.compile(aug, ev, width_cap)``; the augmentation and
+    that state are made only when a run exists, so a refitted score keeps
     that route's bits whatever the pass's Pr(e) (the jointree's differs
-    from ``compile``'s in the last bit on some networks).  Measured on the
-    benchmark's seeded instances (the whole pools of its three workloads
-    at seeds 1-10: grid(5x5)-grid(7x7) rungs, grid(4x4) MAP instances,
-    chain(8)/grid(4x4) matrix cells; 1670 calls), the two routes' scores
-    differ by at most 1.9e-15 absolute (4.8e-14 relative), mathematical
-    ties by at most 6.7e-16, and the smallest genuine gap is 5.6e-11, so
-    TIE_TOL = 1e-12 separates them.  Sorting the one-pass scores alone
-    would have reordered a tie in 449 of the 1670.  With many ties the
-    cost is at most one derivative elimination per edge plus the one pass
-    and one ``compile``, and each is recorded once per network structure
-    (``engine.record`` keeps it); the refits are stacked too.
+    from ``compile``'s in the last bit on some networks), and only a tie
+    run needs the augmentation's width.  Measured on the benchmark's
+    seeded instances (the whole pools of its three workloads at seeds
+    1-10: grid(5x5)-grid(7x7) rungs, grid(4x4) MAP instances,
+    chain(8)/grid(4x4) matrix cells; 1640 calls), the derived tables' and
+    the eliminations' scores differ by at most 2.2e-15 absolute (4.3e-14
+    relative), mathematical ties by at most 1.0e-15, and the smallest
+    genuine gap is 5.6e-11, so TIE_TOL = 1e-12 separates them.  Sorting
+    the derived tables' scores alone would have reordered a tie in 499 of
+    the 1640.  With many ties the cost is at most one derivative
+    elimination per edge plus the one pass, one ``augment`` and one
+    ``compile``, and each elimination is recorded once per network
+    structure (``engine.record`` keeps it); the refits are stacked too.
     """
     if net.kind == "approximate":
         raise ModelError("cannot score an already-approximate network")
     if net.kind == "original":
-        aug, grads = source_pass(net, ev, width_cap)
+        grads = source_pass(net, ev, width_cap)
+        edges = net.edges()
     else:
-        aug, grads = net, forward_backward(net, ev, width_cap)
-    records = [r for r in aug.clone_edges if r.sevid is None]
-    if records and grads.pr_e <= 0.0:
+        grads = forward_backward(net, ev, width_cap)
+        records = [r for r in net.clone_edges if r.sevid is None]
+        edges = [(r.parent, r.child) for r in records]
+    if edges and grads.pr_e <= 0.0:
         raise InconsistentEvidenceError("evidence has zero probability")
+    if net.kind == "original":
+        tables = _clone_tables(grads, edges)
+    else:
+        tables = [grads.cpt(r.clone) for r in records]
 
     def ranked(idxs, table, pr_e):
         groups: dict[tuple, list] = {}
         for i in idxs:
-            t = table(records[i].clone)
+            t = table(i)
             groups.setdefault((t.shape, t.flags.c_contiguous), []).append((i, t))
         fits = []
         for group in groups.values():
             # np.stack keeps the group's layout, and with it np.matmul's BLAS route
             g = np.stack([t for _, t in group])
-            recs = [records[i] for i, _ in group]
             true = g.diagonal(axis1=1, axis2=2) / pr_e
-            fits += zip(_fit_stack(recs, g, true, pr_e), (i for i, _ in group))
+            fits += zip(_fit_stack([edges[i] for i, _ in group], g, true, pr_e),
+                        (i for i, _ in group))
         return sorted(fits, key=lambda t: (t[0].score, t[1]))
 
-    scored = ranked(range(len(records)), grads.cpt, grads.pr_e)
+    scored = ranked(range(len(edges)), tables.__getitem__, grads.pr_e)
     st = None
     out: list[EdgeScore] = []
     start = 0
@@ -505,10 +552,12 @@ def score_edges(
         run = scored[start:end]
         if len(run) > 1:
             if st is None:
+                aug = augment(net, edges) if net.kind == "original" else net
+                clones = [r.clone for r in aug.clone_edges if r.sevid is None]
                 st = engine.compile(aug, ev, width_cap)
             run = ranked(
                 [i for _, i in run],
-                lambda name: engine.cpt_derivatives(st, aug.cpt(name)),
+                lambda i: engine.cpt_derivatives(st, aug.cpt(clones[i])),
                 st.pr_e,
             )
         out.extend(s for s, _ in run)
@@ -527,13 +576,13 @@ def mutual_information_scores(
     Weak dependencies rank first (best to delete).  One derivative pass
     (``forward_backward``) gives every child's family table, and
     Pr(u, x | e) is that table summed over the child's other parents.  An
-    original network's pass is ``source_pass``'s (``augment`` keeps the
-    family layout), so mi needs the all-edges augmentation's width, as
-    every harness cell does.  An edge with an observed endpoint scores
+    original network's pass is ``source_pass``'s, which every harness cell
+    of the same (network, evidence) reads too.  An edge with an observed
+    endpoint scores
     exactly 0.0, its conditional mutual information.  Ties break toward
     declaration order.
     """
-    grads = (source_pass(net, ev, width_cap)[1] if net.kind == "original"
+    grads = (source_pass(net, ev, width_cap) if net.kind == "original"
              else forward_backward(net, ev, width_cap))
     edges = net.edges()
     if edges and grads.pr_e <= 0.0:

@@ -584,12 +584,15 @@ def replay(program: Program) -> tuple[np.ndarray, list]:
 
 
 def _check_euler(theta, d, pr_e, what):
-    euler = float((theta * d).sum())
-    scale = max(abs(pr_e), abs(euler), 1e-300)
-    if not (math.isfinite(euler) and abs(euler - pr_e) <= EULER_RTOL * scale):
-        raise ModelError(
-            f"{what} violates the sum(theta * d) = Pr(e) identity: {euler} vs {pr_e}"
-        )
+    _check_identity(float((theta * d).sum()), pr_e, f"{what} violates the sum(theta * d)")
+
+
+def _check_identity(value, pr_e, fault):
+    """Raise ``ModelError`` unless ``value`` equals Pr(e) within EULER_RTOL;
+    ``fault`` names the table and the sum that gave ``value``."""
+    scale = max(abs(pr_e), abs(value), 1e-300)
+    if not (math.isfinite(value) and abs(value - pr_e) <= EULER_RTOL * scale):
+        raise ModelError(f"{fault} = Pr(e) identity: {value} vs {pr_e}")
 
 
 # einsum names each axis by a letter, and before numpy 2 takes at most 32

@@ -254,9 +254,10 @@ def run_deletion_instance(
     constrained width instead of the min-fill width.
 
     The fit's reference is ``divergence.source_pass(net, ev, width_cap)``,
-    the one pass on the all-edges augmentation that ``score_edges`` and
-    every other cell of the same ``net`` and ``ev`` objects read, so a cell
-    needs that augmentation's width; a refusal raises ``CapacityError``.
+    the one pass on the source network that ``score_edges`` and every other
+    cell of the same ``net`` and ``ev`` objects read, so a cell needs the
+    source network's width as well as N''s; a refusal raises
+    ``CapacityError``.
     The KL bound (before clamping, the trace's last bit for bit) and exact
     KL read that pass and the fit's own Pr'(e') (``FixedPointReport``'s
     ``source``, ``pr_ep``), and nothing is eliminated on N' but the
@@ -274,7 +275,7 @@ def run_deletion_instance(
         schedule=schedule,
         initialization="plan",
     )
-    _, source = divergence.source_pass(net, ev, width_cap)
+    source = divergence.source_pass(net, ev, width_cap)
     plan, report, trace = parametrize.run(
         nprime, plan, evp, cfg, reference=source, width_cap=width_cap
     )
@@ -332,8 +333,10 @@ def run_experiment(spec: ExperimentSpec, load_network=None) -> list[ReportRow]:
 
     Synthetic networks are redrawn per instance (an instance is one sampled
     problem); file networks are loaded once and only the evidence varies.
-    An instance makes one source pass (``divergence.source_pass``), which
-    its guided ranking and every cell read.
+    An instance makes one pass on its source network
+    (``divergence.source_pass``), which its guided ranking and every cell
+    read; the all-edges augmentation is built only for a guided ranking's
+    tie refit.
     Failures of individual runs are recorded in-row and the run continues.
     Rows are ordered by (instance, method, selection, k).
     """

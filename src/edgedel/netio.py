@@ -22,8 +22,10 @@ structurally identical to the source network.
 A restricted reader for the Hugin ``.net`` format is also provided.  One
 regular expression splits the text into strings, symbols and words ('%'
 starts a comment), and one block reader reads ``node`` and ``potential``
-blocks as ``key = value;`` pairs, keeping only ``states`` and dense
-``data``.  A ``net`` block is skipped with only its braces balanced; a
+blocks as ``key = value;`` pairs, each key at most once, keeping only
+``states`` and dense ``data``.  A value is a string, a word or a list of
+values nested to any depth, read with a count of the open lists, not by
+recursion.  A ``net`` block is skipped with only its braces balanced; a
 nested block anywhere else is refused.
 
 Both readers check only their own syntax and hand each declared variable
@@ -368,11 +370,11 @@ _HUGIN_TOKEN = re.compile(
 def _hugin_tokens(text: str) -> list[tuple[str, str, int]]:
     """(kind, value, line) per 'str', 'sym' or 'word' token, then an 'eof'
     token on the last non-blank line.  A string's line is that of its
-    closing quote."""
+    closing quote; an unterminated string is refused at its opening one."""
     tokens, line = [], 1
     for m in _HUGIN_TOKEN.finditer(text):
         if m.lastgroup == "open":
-            raise FormatError("unterminated string", text.count("\n") + 1)
+            raise FormatError("unterminated string", line)
         line += m.group().count("\n")
         if m.lastgroup != "skip":
             tokens.append((m.lastgroup, m.group(m.lastgroup), line))
@@ -402,19 +404,24 @@ def parse_hugin_subset(text: str) -> Network:
         return tok
 
     def value() -> list:
-        """A string, a word or a parenthesized list of values, as a flat list."""
-        kind, val, line = take()
-        if (kind, val) == ("sym", "("):
-            items = []
-            while not at(")"):
-                items += value()
-            take()
-            return items
-        if kind in ("str", "word"):
-            return [val]
-        if kind == "eof":
-            raise FormatError("unexpected end of input", line)
-        raise FormatError(f"unexpected token {val!r}", line)
+        """A string, a word or a parenthesized list of values, as a flat
+        list.  Lists nest to any depth: the reader counts the open ones."""
+        items, depth = [], 0
+        while True:
+            kind, val, line = take()
+            if (kind, val) == ("sym", "("):
+                depth += 1
+            elif kind in ("str", "word"):
+                items.append(val)
+            elif kind == "eof":
+                raise FormatError("unexpected end of input", line)
+            else:
+                raise FormatError(f"unexpected token {val!r}", line)
+            while depth and at(")"):
+                take()
+                depth -= 1
+            if not depth:
+                return items
 
     def block(keyed=True) -> dict:
         """Read '{ key = value; ... }' into a dict, keeping unknown keys; with
@@ -431,7 +438,9 @@ def parse_hugin_subset(text: str) -> Network:
                 depth += at("{")
                 take()
             else:
-                key = take("word")[1]
+                _, key, line = take("word")
+                if key in fields:
+                    raise FormatError(f"key {key!r} given twice", line)
                 take("sym", "=")
                 fields[key] = value()
                 take("sym", ";")

@@ -272,9 +272,9 @@ def run(
 
     ``reference`` gives the source network's derivative pass, from which
     the true parent posteriors are read (``true_edge_marginals``): either
-    the pass itself (``engine.Adjoints``), made on the source network or on
-    any augmentation of it (``divergence.source_pass`` keeps one per
-    (network, evidence)), or the (augmented network, evidence) pair the
+    the pass itself (``engine.Adjoints``), made on the source network
+    (``divergence.source_pass`` keeps one per (network, evidence)) or on
+    any augmentation of it, or the (augmented network, evidence) pair the
     approximation was built from, on which ``run`` makes a pass under
     ``width_cap`` that answers the plan's parents only
     (``engine.derivatives``), since nothing else is read.  It is required

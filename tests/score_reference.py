@@ -4,23 +4,25 @@ Fits one edge at a time with ``divergence.edge_update`` on the reads of
 ``single_edge_evaluate`` and the edge's table g, the sequential sweep's own
 one-edge update, and ranks with the tie rule written out again here, so
 the tests compare the package's stacked fit against a route that shares
-only the update rule with it.  Its tables come from the bucket route, one
-``cpt_derivatives`` elimination per edge, never from the jointree pass
-that ``score_edges`` reads; ``bucket_pass`` builds that pass from the same
-eliminations, so a test can hand both the same tables.
+only the update rule and the first-pass tables with it: the clone tables
+``divergence._clone_tables`` derives from the jointree pass on the source
+network, or, for an augmented input, that input's own pass.  A tie run's
+tables come from one ``cpt_derivatives`` elimination per edge on the
+all-edges augmentation.
 """
 
 import numpy as np
 
 import edgedel.engine as engine
 from edgedel.deletion import EdgeParams, augment
-from edgedel.divergence import forward_backward
 from edgedel.divergence import (
     INNER_MAX_ITERATIONS,
     INNER_TOLERANCE,
     TIE_TOL,
     EdgeScore,
+    _clone_tables,
     edge_update,
+    forward_backward,
     kl_breakdown,
     single_edge_evaluate,
 )
@@ -54,43 +56,43 @@ def scored_records(net):
     return aug, [r for r in aug.clone_edges if r.sevid is None]
 
 
-def bucket_pass(net, ev, names, width_cap=None):
-    """``engine.derivatives`` on the bucket route: Pr(e) from ``compile``
-    and each named CPT's table from its own ``cpt_derivatives``
-    elimination."""
-    st = engine.compile(net, ev, width_cap)
-    tables = {x: engine.cpt_derivatives(st, net.cpt(x)) for x in names}
-    return engine.Adjoints(net, st.program.ev_index, st.pr_e, tables)
-
-
 def routed_scores(net, ev, one_pass):
     """Every edge fitted on its clone table, sorted by (score, declaration
-    index): tables from the one jointree pass ``score_edges`` reads
-    (``forward_backward``), or from one ``cpt_derivatives`` elimination per
-    edge."""
+    index): tables derived from the one jointree pass on ``net`` that
+    ``score_edges`` reads (``forward_backward``), or from one
+    ``cpt_derivatives`` elimination per edge on the augmentation."""
     aug, records = scored_records(net)
     if one_pass:
-        grads = forward_backward(aug, ev)
-        table, pr_e = grads.cpt, grads.pr_e
+        grads = forward_backward(net, ev)
+        tables, pr_e = _clone_tables(grads, net.edges()), grads.pr_e
     else:
         st = engine.compile(aug, ev)
-        table, pr_e = (lambda name: engine.cpt_derivatives(st, aug.cpt(name))), st.pr_e
-    fits = [(fit_edge(r, table(r.clone), pr_e), i) for i, r in enumerate(records)]
+        tables = [engine.cpt_derivatives(st, aug.cpt(r.clone)) for r in records]
+        pr_e = st.pr_e
+    fits = [(fit_edge(r, t, pr_e), i) for i, (r, t) in enumerate(zip(records, tables))]
     return [s for s, _ in sorted(fits, key=lambda t: (t[0].score, t[1]))]
 
 
-def reference_scores(net, ev, max_iterations=None):
-    """``score_edges`` on the per-edge route, reading ``bucket_pass``'s
-    tables: one ``fit_edge`` per edge, then each run of scores tied within
-    TIE_TOL refitted on ``cpt_derivatives`` tables and reordered."""
+def reference_scores(net, ev, max_iterations=None, augmented=False):
+    """``score_edges`` on the per-edge route: one ``fit_edge`` per edge on
+    the tables derived from the pass on ``net`` (or, ``augmented``, on the
+    tables of the pass on its all-edges augmentation, which ``score_edges``
+    of that augmentation reads), then each run of scores tied within
+    TIE_TOL refitted on the augmentation's ``cpt_derivatives`` tables,
+    with its ``compile``'s Pr(e), and reordered."""
     aug, records = scored_records(net)
-    st = engine.compile(aug, ev)
-    grads = bucket_pass(aug, ev, [r.clone for r in records])
+    if augmented:
+        grads = forward_backward(aug, ev)
+        tables = [grads.cpt(r.clone) for r in records]
+    else:
+        grads = forward_backward(net, ev)
+        tables = _clone_tables(grads, net.edges())
     scored = sorted(
-        ((fit_edge(r, grads.cpt(r.clone), grads.pr_e, max_iterations), i)
-         for i, r in enumerate(records)),
+        ((fit_edge(r, t, grads.pr_e, max_iterations), i)
+         for i, (r, t) in enumerate(zip(records, tables))),
         key=lambda t: (t[0].score, t[1]),
     )
+    st = engine.compile(aug, ev)
     out, run = [], [scored[0]] if scored else []
     for prev, cur in zip(scored, scored[1:] + [None]):
         if cur is not None:
@@ -101,7 +103,7 @@ def reference_scores(net, ev, max_iterations=None):
         if len(run) > 1:
             refits = [
                 (fit_edge(records[i], engine.cpt_derivatives(st, aug.cpt(records[i].clone)),
-                          grads.pr_e, max_iterations), i)
+                          st.pr_e, max_iterations), i)
                 for _, i in run
             ]
             run = sorted(refits, key=lambda t: (t[0].score, t[1]))

@@ -320,6 +320,21 @@ seed = 17
 
 
 class TestHuginLoading:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('node A { states = ' + "(" * 3000, "unexpected end of input",
+                         id="deep-nesting"),
+            pytest.param('node A { states = ("a0"); states = ("a0" "a1"); }',
+                         "key 'states' given twice", id="repeated-key"),
+        ],
+    )
+    def test_a_malformed_net_file_exits_3(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.net"
+        f.write_text(text)
+        assert main(["score", str(f)]) == 3
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
     def test_net_extension_uses_hugin_reader(self, tmp_path, capsys):
         text = """
 net { }

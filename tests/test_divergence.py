@@ -1,7 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,7 +49,7 @@ from conftest import (
     random_network,
     tied_edges,
 )
-from score_reference import bucket_pass, reference_scores, routed_scores, scored_records
+from score_reference import reference_scores, routed_scores, scored_records
 
 
 def build(net, ev, edges, params=None):
@@ -370,7 +368,7 @@ class TestClosedFormExactKl:
         child = fitted.edges[0].child
         with pytest.raises(ModelError, match=f"^this pass has no derivative table for '{child}'$"):
             divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
-        _, full = divergence_module.source_pass(net, ev)
+        full = divergence_module.source_pass(net, ev)
         fitted, report, _ = run(nprime, plan, evp, cfg, reference=full)
         read = divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
         want = exact_kl(aug, nprime, fitted, ev, evp)
@@ -573,7 +571,7 @@ class TestRowsNeedNoClip:
 
 class TestSourcePass:
     """``source_pass`` keeps the most recent (network, evidence) pair's
-    pass, by identity."""
+    pass on the source network, by identity."""
 
     @staticmethod
     def case():
@@ -583,26 +581,25 @@ class TestSourcePass:
     def test_a_repeated_pair_reads_the_kept_pass(self, monkeypatch):
         net, ev = self.case()
         calls = count_engine_calls(monkeypatch, ["derivatives"])
-        aug, grads = divergence_module.source_pass(net, ev)
-        assert aug.kind == "augmented" and len(aug.clone_edges) == len(net.edges())
-        again = divergence_module.source_pass(net, ev)
-        assert again[0] is aug and again[1] is grads
+        grads = divergence_module.source_pass(net, ev)
+        assert grads.net is net and list(grads.tables) == [v.name for v in net.variables]
+        assert divergence_module.source_pass(net, ev) is grads
         assert calls == {"derivatives": 1}
 
     def test_the_key_is_identity_and_width_cap(self, monkeypatch):
         net, ev = self.case()
         calls = count_engine_calls(monkeypatch, ["derivatives"])
-        _, grads = divergence_module.source_pass(net, ev)
+        grads = divergence_module.source_pass(net, ev)
         # an equal but distinct evidence, then network, makes a new pass,
         # and so does another width cap
         equal_ev = Evidence(dict(ev.items()))
         assert equal_ev == ev
-        _, other = divergence_module.source_pass(net, equal_ev)
+        other = divergence_module.source_pass(net, equal_ev)
         assert other is not grads
         same_net = grid_network(4, 4, rng=np.random.default_rng(0))
         assert same_net == net
-        assert divergence_module.source_pass(same_net, equal_ev)[1] is not other
-        wider = divergence_module.source_pass(same_net, equal_ev, width_cap=24)[1]
+        assert divergence_module.source_pass(same_net, equal_ev) is not other
+        wider = divergence_module.source_pass(same_net, equal_ev, width_cap=24)
         assert calls == {"derivatives": 4}
         # each pass is bitwise the same
         for got in (other, wider):
@@ -615,13 +612,16 @@ class TestSourcePass:
         kept = divergence_module.source_pass(net, ev)
         with pytest.raises(CapacityError):
             divergence_module.source_pass(net, ev, width_cap=1)
-        assert divergence_module._kept_pass[3:] == kept
+        assert divergence_module._kept_pass[3] is kept
         with pytest.raises(CapacityError):
             divergence_module.source_pass(net, ev, width_cap=1)
-        assert divergence_module.source_pass(net, ev) == kept
+        assert divergence_module.source_pass(net, ev) is kept
 
-    def test_score_edges_builds_the_augmentation_once(self, monkeypatch):
-        net, ev = self.case()
+    @pytest.mark.parametrize("case", ["chain(8)x3", "grid(4x4)"])
+    def test_score_edges_builds_the_augmentation_only_for_a_tie_refit(self, monkeypatch, case):
+        # the chain's scores hold no tie run; the grid's do, and their
+        # refit builds the all-edges augmentation
+        net, ev = stack_case(case) if case == "chain(8)x3" else self.case()
         real, built = divergence_module.augment, []
 
         def counting(*args):
@@ -629,13 +629,57 @@ class TestSourcePass:
             return real(*args)
 
         monkeypatch.setattr(divergence_module, "augment", counting)
-        calls = count_engine_calls(monkeypatch, ["derivatives"])
+        calls = count_engine_calls(monkeypatch, ["derivatives", "compile"])
         first, second = score_edges(net, ev), score_edges(net, ev)
-        assert len(built) == 1 and calls == {"derivatives": 1}
+        ties = tied_edges(first) > 0
+        assert ties == (case == "grid(4x4)")
+        assert len(built) == 2 * ties and calls == {"derivatives": 1, "compile": 2 * ties}
+        assert all(args == (net, net.edges()) for args in built)
         assert all(same_fit(a, b) for a, b in zip(first, second))
         # an augmented input is scored on its own pass
-        score_edges(augment(net, net.edges()), ev)
-        assert len(built) == 1 and calls == {"derivatives": 2}
+        score_edges(real(net, net.edges()), ev)
+        assert len(built) == 2 * ties and calls["derivatives"] == 2
+
+
+class TestCloneTables:
+    """Every clone table ``score_edges`` derives from the source pass is
+    the all-edges augmentation's own pass's."""
+
+    @pytest.mark.parametrize("evidence", ["leaves", "none"])
+    @pytest.mark.parametrize("case", ["chain(8)x3", "grid(4x4)", "grid(5x5)", "grid(4x4)x3"])
+    def test_each_derived_table_is_the_augmentation_s(self, case, evidence):
+        net, ev = stack_case(case)
+        self.check(net, ev if evidence == "leaves" else Evidence({}))
+
+    def test_an_observed_parent_gives_zero_rows(self):
+        net = grid_network(4, 4, rng=np.random.default_rng(21))
+        ev = Evidence({"N1_1": net.var("N1_1").states[1], "N3_3": net.var("N3_3").states[0]})
+        tables = self.check(net, ev)
+        out_of_observed = [t for (u, _), t in zip(net.edges(), tables) if u == "N1_1"]
+        assert len(out_of_observed) == 2
+        for t in out_of_observed:
+            assert not t[0].any() and t[1].all()
+
+    @staticmethod
+    def check(net, ev):
+        tables = divergence_module._clone_tables(
+            divergence_module.forward_backward(net, ev), net.edges()
+        )
+        aug = augment(net, net.edges())
+        want = divergence_module.forward_backward(aug, ev)
+        assert len(tables) == len(aug.clone_edges) == len(net.edges())
+        for got, rec in zip(tables, aug.clone_edges):
+            np.testing.assert_allclose(got, want.cpt(rec.clone), rtol=1e-12, atol=0)
+        return tables
+
+    def test_a_table_off_its_trace_is_refused(self, monkeypatch):
+        net, ev = stack_case("grid(4x4)")
+        grads = divergence_module.forward_backward(net, ev)
+        real = engine_module._einsum
+        monkeypatch.setattr(engine_module, "_einsum", lambda *a: 2.0 * real(*a))
+        fault = r"^clone table of edge \S+ -> \S+ violates the trace\(g\) = Pr\(e\) identity: "
+        with pytest.raises(ModelError, match=fault):
+            divergence_module._clone_tables(grads, net.edges())
 
 
 class TestScoreIsOneEdgeRun:
@@ -785,7 +829,7 @@ class TestScoreEdges:
 
 
 class TestTieRule:
-    @pytest.mark.parametrize("size,seed", [(4, 1), (4, 4), (5, 0), (5, 1)])
+    @pytest.mark.parametrize("size,seed", [(4, 2), (4, 4), (5, 1), (5, 6)])
     def test_ranking_follows_the_per_edge_route(self, monkeypatch, size, seed):
         net = grid_network(size, size, rng=np.random.default_rng(seed))
         ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
@@ -837,12 +881,12 @@ def same_fit(got, want):
 
 
 class TestStackedFit:
-    """The stacked fit is bitwise the per-edge ``edge_update`` route, both
-    reading the bucket route's tables (``bucket_pass``)."""
+    """The stacked fit is bitwise the per-edge ``edge_update`` route on the
+    same tables: those derived from the source pass (``_clone_tables``),
+    and, for an augmented input, its own pass's."""
 
     @pytest.mark.parametrize("case", list(STACK_CASES))
-    def test_score_edges_is_the_per_edge_route(self, monkeypatch, case):
-        monkeypatch.setattr(engine_module, "derivatives", bucket_pass)
+    def test_score_edges_is_the_per_edge_route(self, case):
         net, ev = stack_case(case)
         got, want = score_edges(net, ev), reference_scores(net, ev)
         assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
@@ -850,27 +894,50 @@ class TestStackedFit:
         if case == "grid(5x5) no evidence":
             assert tied_edges(got) > 10
 
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_an_augmented_input_is_the_per_edge_route(self, case):
+        net, ev = stack_case(case)
+        got = score_edges(augment(net, net.edges()), ev)
+        want = reference_scores(net, ev, augmented=True)
+        assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
+        assert all(same_fit(g, w) for g, w in zip(got, want))
+
     def test_fixtures_hold_both_table_layouts(self):
-        layouts = set()
+        # both routes' tables, for the two tests above
+        derived, own = set(), set()
         for case in STACK_CASES:
             net, ev = stack_case(case)
             aug, records = scored_records(net)
             grads = divergence_module.forward_backward(aug, ev)
-            tables = [grads.cpt(r.clone) for r in records]
-            layouts.update((t.shape, t.flags.c_contiguous, t.flags.f_contiguous) for t in tables)
+            source = divergence_module.forward_backward(net, ev)
+            pairs = ((derived, divergence_module._clone_tables(source, net.edges())),
+                     (own, [grads.cpt(r.clone) for r in records]))
+            for layouts, tables in pairs:
+                layouts.update((t.shape, t.flags.c_contiguous, t.flags.f_contiguous)
+                               for t in tables)
         for card in (2, 3):
-            assert ((card, card), True, False) in layouts
-            assert ((card, card), False, True) in layouts
+            assert ((card, card), True, False) in own
+            assert ((card, card), False, True) in own
+            assert ((card, card), True, False) in derived
+        assert ((2, 2), False, True) in derived
 
     @pytest.mark.parametrize("case", ["grid(5x5)", "grid(4x4)x3"])
     def test_rows_freeze_at_their_own_iteration(self, monkeypatch, case):
         # seeded edges need 2-6 updates, so a budget of 3 leaves one stack
         # with converged and unconverged rows
         monkeypatch.setattr(divergence_module, "INNER_MAX_ITERATIONS", 3)
-        monkeypatch.setattr(engine_module, "derivatives", bucket_pass)
         net, ev = stack_case(case)
         got, want = score_edges(net, ev), reference_scores(net, ev, max_iterations=3)
         assert {s.converged for s in got} == {True, False}
+        assert all(same_fit(g, w) for g, w in zip(got, want))
+
+    def test_rows_out_of_budget_keep_their_last_update(self, monkeypatch):
+        # with a budget of one update no row converges, so no row leaves
+        # its stack, and each row's vectors are that update's
+        monkeypatch.setattr(divergence_module, "INNER_MAX_ITERATIONS", 1)
+        net, ev = stack_case("grid(5x5)")
+        got, want = score_edges(net, ev), reference_scores(net, ev, max_iterations=1)
+        assert not any(s.converged for s in got)
         assert all(same_fit(g, w) for g, w in zip(got, want))
 
     def test_each_clamping_row_warns_with_its_own_label(self, monkeypatch):
@@ -883,10 +950,9 @@ class TestStackedFit:
             np.array([[0.5, 0.1], [0.2, 0.4]]),
         ])
         true = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.4]])
-        recs = [SimpleNamespace(parent=u, child="X") for u in "ABC"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            divergence_module._fit_stack(recs, g, true, 1.0)
+            divergence_module._fit_stack([(u, "X") for u in "ABC"], g, true, 1.0)
         assert [str(w.message) for w in caught] == [
             f"zero derivative against positive true mass for edge {u} -> X; clamping denominator"
             for u in "AB"

@@ -41,7 +41,7 @@ import record_report_golden
 
 def count_passes_by_network(monkeypatch):
     """Count ``engine`` records, table reads (``_bind``), replays and
-    derivative passes by the kind of network they run on ("augmented" for
+    derivative passes by the kind of network they run on ("original" for
     the source network, "approximate" for N'), and compiles; returns the
     live Counter."""
     import edgedel.engine as engine_module
@@ -262,8 +262,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("instances", [1, 2])
     def test_one_source_pass_per_instance(self, monkeypatch, instances):
-        # the guided ranking's pass on the all-edges augmentation serves all
-        # eight cells of its instance
+        # the guided ranking's pass on the source network serves all eight
+        # cells of its instance
         spec = ExperimentSpec(
             network="grid(4x4)", instances=instances, ks=(1, 2), methods=("ed-kl", "ed-bp"),
             selections=("rand", "guided"), seed=3,
@@ -271,7 +271,7 @@ class TestRunExperiment:
         calls = count_passes_by_network(monkeypatch)
         rows = run_experiment(spec)
         assert len(rows) == 8 * instances
-        assert calls[("derivatives", "augmented")] == instances
+        assert calls[("derivatives", "original")] == instances
         assert sum(n for (name, *_), n in calls.items() if name == "derivatives") == instances
 
     def test_an_mi_ranking_reads_the_instance_s_source_pass(self, monkeypatch):
@@ -316,7 +316,7 @@ class TestRunExperiment:
                 assert (a.pm.tobytes(), a.se.tobytes()) == (b.pm.tobytes(), b.se.tobytes())
 
     def test_a_too_wide_source_pass_fails_the_row(self, monkeypatch):
-        # the cell's pass needs the all-edges augmentation's width: refused,
+        # the cell's source pass needs the source network's width: refused,
         # it is a failed row, and nothing is kept
         import math
 
@@ -416,7 +416,7 @@ class TestRunDeletionInstance:
         # pass records anything
         marginals = {("_bind", "approximate"): 2, ("derivatives", "approximate"): 1}
         assert calls == {
-            ("_bind", "augmented"): 1, ("derivatives", "augmented"): 1,
+            ("_bind", "original"): 1, ("derivatives", "original"): 1,
             **(marginals if compute_marginals else {("_bind", "approximate"): 1}),
         }
 

@@ -430,9 +430,9 @@ node A { states = ( "a0" "a1" ); }
     @pytest.mark.parametrize(
         "text, message",
         [
-            # the line counts every newline after the opening quote
+            # refused at the line of its opening quote
             pytest.param(
-                'node A {\n  states = ("a0" "a1);\n}\n\n', "line 5: unterminated string",
+                'node A {\n  states = ("a0" "a1);\n}\n\n', "line 2: unterminated string",
                 id="unterminated-string",
             ),
             pytest.param(
@@ -492,6 +492,40 @@ node A { states = ( "a0" "a1" ); }
     def test_each_syntax_fault_is_raised_at_its_line(self, text, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_hugin_subset(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                'node A {\n  states = ("a0" "a1");\n  states = ("b0" "b1");\n}',
+                "line 3: key 'states' given twice",
+                id="states",
+            ),
+            pytest.param(
+                'node A { states = ("a0" "a1"); }\npotential (A) {\n  data = (0.5 0.5);\n'
+                "  data = (0.2 0.8);\n}",
+                "line 4: key 'data' given twice",
+                id="data",
+            ),
+            pytest.param(
+                'node A {\n  label = "a";\n  states = ("a0" "a1");\n  label = "b";\n}',
+                "line 4: key 'label' given twice",
+                id="unread-key",
+            ),
+        ],
+    )
+    def test_a_repeated_key_is_refused_at_its_second_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_hugin_subset(text)
+
+    def test_lists_nest_to_any_depth(self):
+        # the value reader counts open lists; it does not recurse
+        deep = 3000
+        text = HUGIN_TWO_NODE.replace('( "a0" "a1" )', "(" * deep + '"a0" "a1"' + ")" * deep)
+        assert parse_hugin_subset(text) == parse_network(TWO_NODE)
+        unclosed = 'node A {\n  states = ' + "(" * deep + "\n"
+        with pytest.raises(FormatError, match="^line 2: unexpected end of input$"):
+            parse_hugin_subset(unclosed)
 
     def test_net_block_is_skipped_with_only_its_braces_balanced(self):
         text = 'net {\n  layout { x = (1 2); } ;\n  free text "}" = ( ;\n  { { } }\n}\n'

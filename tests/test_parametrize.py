@@ -724,7 +724,8 @@ class TestWorkCounts:
         calls = count_engine_calls(monkeypatch, ["record"])
         outcome = run_deletion_instance(net, ev, [], "ed-kl")
         assert outcome.row.kl_bound == outcome.row.exact_kl == 0.0
-        assert [args[0].kind for args in builds] == ["augmented", "original"]
+        assert [args[0].kind for args in builds] == ["original", "original"]
+        assert builds[0][0] is net and builds[1][0] is nprime is net
         assert list(builds[1][2]) == [((), ())]
         assert calls == {"record": 0}
         builds.clear()
