@@ -35,7 +35,6 @@ from .engine import (
     constrained_order,
     cpt_derivatives,
     exact_map,
-    induced_width,
     min_fill_order,
     pairwise_marginal,
     posterior_marginal,

@@ -38,6 +38,8 @@ def load_network(path: str) -> Network:
         net = netio.parse_hugin_subset(text)
     else:
         net = netio.parse_network(text)
+    if net.kind != "original":
+        raise FormatError(f"{path}: expected an original network, got kind {net.kind!r}")
     violations = validate_network(net)
     if violations:
         details = "; ".join(f"{v.variable}: {v.message}" for v in violations[:5])

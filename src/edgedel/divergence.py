@@ -18,15 +18,17 @@ fits share.  ``edge_update`` is the one fixed-point update of a single
 deleted edge (ed-bp or ed-kl), read off Pr'(e') and its derivatives with
 respect to the edge's parameters, and in a sequential update off the
 edge's table too; the parametrization sweeps call it once per edge.
-``score_edges`` ranks every network edge by the divergence achievable
-when it alone is deleted with ed-kl parameters: every clone CPT's
-derivative table in the all-edges augmentation is one contraction of its
-child's CPT with the child's table in the source pass (``_clone_tables``),
-and the scorer then takes the sweep's ed-kl edge update on all tables of
-one shape and layout at once, bitwise each edge's own fit.  Only edges
-whose scores tie within TIE_TOL take one derivative elimination each on
-the augmentation, built for that refit alone, which fixes their order to
-that route's.
+``score_edges`` ranks every edge of a source network by the divergence
+achievable when it alone is deleted with ed-kl parameters: every clone
+CPT's derivative table in the all-edges augmentation is one contraction of
+its child's CPT with the child's table in the source pass
+(``_clone_tables``), and the scorer then takes the sweep's ed-kl edge
+update on all tables of one shape and layout at once, bitwise each edge's
+own fit.  Only edges whose scores tie within TIE_TOL take one derivative
+elimination each on the augmentation, built for that refit alone, which
+fixes their order to that route's.  ``score_edges`` and
+``mutual_information_scores`` score original networks only; an augmented
+or approximate input is refused before any pass.
 """
 
 from __future__ import annotations
@@ -418,18 +420,19 @@ def _edkl_rows(true, pr_ep, deriv, labels) -> np.ndarray:
     return vecs / sums
 
 
-def _fit_stack(edges, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[EdgeScore]:
-    """Score deleted edges ``edges``, (parent, child) pairs, from a stack g
+def _fit_stack(edges, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[tuple]:
+    """Fit deleted edges ``edges``, (parent, child) pairs, from a stack g
     of their clone CPTs' derivative tables over (parent, clone), with true
-    parent posteriors ``true`` (g[u, u] = Pr(u, e)).  Each edge's
-    parameters are the ``parametrize.run`` fit of its one-edge plan:
-    ``edge_update`` ("ed-kl", sequential, undamped) on
-    ``single_edge_evaluate`` from uniform, until the residual drops below
-    INNER_TOLERANCE or INNER_MAX_ITERATIONS times.  Each row takes those
-    steps in the same order until its own convergence, and stacked
-    ``np.matmul`` calls BLAS once per item, as the one-edge product does,
-    so every row is bitwise its own one-edge fit.  The live rows are copied
-    out of the stack only when a row converges.
+    parent posteriors ``true`` (g[u, u] = Pr(u, e)); one (score, pm, se,
+    iterations, converged) row per edge.  Each edge's parameters are the
+    ``parametrize.run`` fit of its one-edge plan: ``edge_update`` ("ed-kl",
+    sequential, undamped) on ``single_edge_evaluate`` from uniform, until
+    the residual drops below INNER_TOLERANCE or INNER_MAX_ITERATIONS times.
+    Each row takes those steps in the same order until its own convergence,
+    and stacked ``np.matmul`` calls BLAS once per item, as the one-edge
+    product does, so every row is bitwise its own one-edge fit.  The live
+    rows are copied out of the stack only when a row converges.  The score
+    is bitwise ``kl_breakdown``'s one-edge total.
     """
     labels = np.array([f"edge {u} -> {x}" for u, x in edges], dtype=object)
     start, n = EdgeParams.uniform(g.shape[-1]), len(g)
@@ -459,10 +462,22 @@ def _fit_stack(edges, g: np.ndarray, true: np.ndarray, pr_e: float) -> list[Edge
         pm[live], se[live] = old_pm, old_se
     pr_ep = ((se[:, None] @ g) @ pm[:, :, None])[:, 0, 0]
     return [
-        EdgeScore(u, x, kl_breakdown([t], [(p, s)], pr_e, float(pr)).total,
-                  EdgeParams(p, s), int(k), bool(c))
-        for (u, x), t, p, s, pr, k, c in zip(edges, true, pm, se, pr_ep, iterations, converged)
+        (_edge_term(t, p, s) + math.log(pr / pr_e), p, s, k, c)
+        for t, p, s, pr, k, c in zip(
+            true, pm, se, pr_ep.tolist(), iterations.tolist(), converged.tolist()
+        )
     ]
+
+
+def _scoring_pass(net: Network, ev: Evidence, width_cap, scorer: str):
+    """``source_pass`` and the edges of ``net`` for ``scorer``; a network
+    of another kind than original is refused before any pass."""
+    if net.kind != "original":
+        raise ModelError(f"{scorer} expects an original network, got kind {net.kind!r}")
+    grads, edges = source_pass(net, ev, width_cap), net.edges()
+    if edges and grads.pr_e <= 0.0:
+        raise InconsistentEvidenceError("evidence has zero probability")
+    return grads, edges
 
 
 def score_edges(
@@ -471,19 +486,17 @@ def score_edges(
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> list[EdgeScore]:
-    """Score every deletable edge in isolation; smaller is better to delete.
+    """Score every edge of the original network ``net`` in isolation;
+    smaller is better to delete.  Any other kind raises ``ModelError``.
 
-    The input may be an original network (every edge is scored) or an
-    augmented one (its intact equivalence edges are scored).  For an
-    original network, the pass is ``source_pass``'s, which the harness's
-    cells of the same (network, evidence) read too, and each edge's clone
-    table over (parent, clone) is derived from it (``_clone_tables``,
-    checked by its trace); an augmented input's tables come from its own
-    pass (``forward_backward``), each checked by the Euler identity.
-    Tables of one shape and memory layout are stacked, and ``_fit_stack``
-    fits their edges in one ed-kl loop, bitwise the per-edge
+    The pass is ``source_pass``'s, which the harness's cells of the same
+    (network, evidence) read too, and each edge's clone table over
+    (parent, clone) is derived from it (``_clone_tables``, checked by its
+    trace).  Tables of one shape and memory layout are stacked, and
+    ``_fit_stack`` fits their edges in one ed-kl loop, bitwise the per-edge
     ``edge_update`` fit.  Ranking is ascending by (score, declaration
-    index), and infinite scores sort last.
+    index), and infinite scores sort last.  Each ``EdgeScore`` is built
+    once, in its final place.
 
     Edges that tie mathematically, such as the two out-edges of a root with
     two children, differ only in the last bits, and which bits depends on
@@ -510,23 +523,11 @@ def score_edges(
     ``compile``, and each elimination is recorded once per network
     structure (``engine.record`` keeps it); the refits are stacked too.
     """
-    if net.kind == "approximate":
-        raise ModelError("cannot score an already-approximate network")
-    if net.kind == "original":
-        grads = source_pass(net, ev, width_cap)
-        edges = net.edges()
-    else:
-        grads = forward_backward(net, ev, width_cap)
-        records = [r for r in net.clone_edges if r.sevid is None]
-        edges = [(r.parent, r.child) for r in records]
-    if edges and grads.pr_e <= 0.0:
-        raise InconsistentEvidenceError("evidence has zero probability")
-    if net.kind == "original":
-        tables = _clone_tables(grads, edges)
-    else:
-        tables = [grads.cpt(r.clone) for r in records]
+    grads, edges = _scoring_pass(net, ev, width_cap, "score_edges")
+    tables = _clone_tables(grads, edges)
 
     def ranked(idxs, table, pr_e):
+        """(fit row, edge index) pairs of ``idxs``, sorted by (score, index)."""
         groups: dict[tuple, list] = {}
         for i in idxs:
             t = table(i)
@@ -538,7 +539,7 @@ def score_edges(
             true = g.diagonal(axis1=1, axis2=2) / pr_e
             fits += zip(_fit_stack([edges[i] for i, _ in group], g, true, pr_e),
                         (i for i, _ in group))
-        return sorted(fits, key=lambda t: (t[0].score, t[1]))
+        return sorted(fits, key=lambda t: (t[0][0], t[1]))
 
     scored = ranked(range(len(edges)), tables.__getitem__, grads.pr_e)
     st = None
@@ -546,21 +547,21 @@ def score_edges(
     start = 0
     for end in range(1, len(scored) + 1):
         if end < len(scored):
-            a, b = scored[end - 1][0].score, scored[end][0].score
+            a, b = scored[end - 1][0][0], scored[end][0][0]
             if abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b)):
                 continue
         run = scored[start:end]
         if len(run) > 1:
             if st is None:
-                aug = augment(net, edges) if net.kind == "original" else net
-                clones = [r.clone for r in aug.clone_edges if r.sevid is None]
+                aug = augment(net, edges)
                 st = engine.compile(aug, ev, width_cap)
             run = ranked(
                 [i for _, i in run],
-                lambda i: engine.cpt_derivatives(st, aug.cpt(clones[i])),
+                lambda i: engine.cpt_derivatives(st, aug.cpt(aug.clone_edges[i].clone)),
                 st.pr_e,
             )
-        out.extend(s for s, _ in run)
+        out.extend(EdgeScore(*edges[i], score, EdgeParams(pm, se), k, c)
+                   for (score, pm, se, k, c), i in run)
         start = end
     return out
 
@@ -571,22 +572,18 @@ def mutual_information_scores(
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> list[tuple[str, str, float]]:
-    """Edges ranked ascending by conditional mutual information given evidence.
+    """Edges of the original network ``net`` ranked ascending by
+    conditional mutual information given evidence; any other kind raises
+    ``ModelError``.
 
-    Weak dependencies rank first (best to delete).  One derivative pass
-    (``forward_backward``) gives every child's family table, and
+    Weak dependencies rank first (best to delete).  One derivative pass,
+    ``source_pass``'s, which every harness cell of the same (network,
+    evidence) reads too, gives every child's family table, and
     Pr(u, x | e) is that table summed over the child's other parents.  An
-    original network's pass is ``source_pass``'s, which every harness cell
-    of the same (network, evidence) reads too.  An edge with an observed
-    endpoint scores
-    exactly 0.0, its conditional mutual information.  Ties break toward
-    declaration order.
+    edge with an observed endpoint scores exactly 0.0, its conditional
+    mutual information.  Ties break toward declaration order.
     """
-    grads = (source_pass(net, ev, width_cap) if net.kind == "original"
-             else forward_backward(net, ev, width_cap))
-    edges = net.edges()
-    if edges and grads.pr_e <= 0.0:
-        raise InconsistentEvidenceError("evidence has zero probability")
+    grads, edges = _scoring_pass(net, ev, width_cap, "mutual_information_scores")
     out = []
     for idx, (u, x) in enumerate(edges):
         mi = 0.0

@@ -97,18 +97,6 @@ class EliminationOrder:
     width: int
 
 
-def _moral_adjacency(scopes) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {}
-    for scope in scopes:
-        for n in scope:
-            adj.setdefault(n, set())
-        for i, a in enumerate(scope):
-            for b in scope[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
-
-
 def _fill_cost(adj, n) -> int:
     """Number of missing edges among the neighbours of node ``n``, where
     ``adj[m]`` is the bitmask of node ``m``'s neighbours."""
@@ -1002,23 +990,6 @@ def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
         net.var(q)
     key = ("constrained", net.layout(), map_vars)
     return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, last=map_vars))
-
-
-def induced_width(net: Network, order) -> int:
-    """Recompute the width obtained by eliminating ``order`` in sequence."""
-    adj = _moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
-    width = 0
-    for n in order:
-        nbrs = list(adj[n])
-        width = max(width, len(nbrs))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        for m in nbrs:
-            adj[m].discard(n)
-        del adj[n]
-    return width
 
 
 @dataclass(frozen=True, eq=False)

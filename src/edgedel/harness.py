@@ -167,6 +167,25 @@ class ExperimentSpec:
                 raise ModelError(f"unknown selection {s!r}")
 
 
+def _spec_names(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# spec key -> (ExperimentSpec field, converter), converted in this order
+_SPEC_KEYS = {
+    "instances": ("instances", int),
+    "evidence": ("evidence", str),
+    "k": ("ks", lambda text: tuple(int(t) for t in text.split(",") if t.strip())),
+    "methods": ("methods", _spec_names),
+    "selections": ("selections", _spec_names),
+    "seed": ("seed", int),
+    "states": ("states", int),
+    "max_iters": ("max_iterations", int),
+    "tol": ("tolerance", float),
+    "damping": ("damping", float),
+}
+
+
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Key = value lines mirroring the ExperimentSpec fields."""
     values: dict[str, str] = {}
@@ -185,30 +204,9 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         raise FormatError(f"timings must be none or real (got {timings!r})")
     kwargs: dict = {"network": values.pop("network"), "real_timings": timings == "real"}
     try:
-        if "instances" in values:
-            kwargs["instances"] = int(values.pop("instances"))
-        if "evidence" in values:
-            kwargs["evidence"] = values.pop("evidence")
-        if "k" in values:
-            kwargs["ks"] = tuple(int(t) for t in values.pop("k").split(",") if t.strip())
-        if "methods" in values:
-            kwargs["methods"] = tuple(
-                t.strip() for t in values.pop("methods").split(",") if t.strip()
-            )
-        if "selections" in values:
-            kwargs["selections"] = tuple(
-                t.strip() for t in values.pop("selections").split(",") if t.strip()
-            )
-        if "seed" in values:
-            kwargs["seed"] = int(values.pop("seed"))
-        if "states" in values:
-            kwargs["states"] = int(values.pop("states"))
-        if "max_iters" in values:
-            kwargs["max_iterations"] = int(values.pop("max_iters"))
-        if "tol" in values:
-            kwargs["tolerance"] = float(values.pop("tol"))
-        if "damping" in values:
-            kwargs["damping"] = float(values.pop("damping"))
+        for key, (name, convert) in _SPEC_KEYS.items():
+            if key in values:
+                kwargs[name] = convert(values.pop(key))
     except ValueError as exc:
         raise FormatError(f"bad spec value: {exc}") from None
     if values:

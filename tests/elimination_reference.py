@@ -1,17 +1,85 @@
-"""Test-only reference: variable elimination on ``Factor`` objects.
+"""Test-only reference: variable elimination on ``Factor`` objects, and
+elimination orders and widths on the moral graph.
 
 This is the bucket loop the engine ran before it recorded programs: the
 CPTs become ``Factor`` objects sliced by the evidence, and each bucket is
 multiplied, summed or maximized with ``Factor``'s own algebra.  Kept apart
 from the engine's record + replay on purpose, the way ``full_rescan_order``
 is kept apart from ``_order``: on the same order both must give the same
-bytes.
+bytes.  ``induced_width`` recounts an order's width on the moral graph the
+same way, apart from the width ``_order`` reports.
 """
 
 import numpy as np
 
 import edgedel.engine as engine_module
-from edgedel import Factor
+from edgedel import CapacityError, Factor
+
+
+def moral_adjacency(scopes) -> dict:
+    """Each name's neighbours in the moral graph of ``scopes``, name tuples."""
+    adj = {}
+    for scope in scopes:
+        for n in scope:
+            adj.setdefault(n, set())
+        for i, a in enumerate(scope):
+            for b in scope[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
+def induced_width(net, order) -> int:
+    """Recompute the width obtained by eliminating ``order`` in sequence."""
+    adj = moral_adjacency([tuple(v.name for v in c.scope()) for c in net.cpts()])
+    width = 0
+    for n in order:
+        nbrs = list(adj[n])
+        width = max(width, len(nbrs))
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for m in nbrs:
+            adj[m].discard(n)
+        del adj[n]
+    return width
+
+
+def pairwise_fill_cost(adj, n):
+    nbrs = list(adj[n])
+    return sum(
+        1
+        for i in range(len(nbrs))
+        for j in range(i + 1, len(nbrs))
+        if nbrs[j] not in adj[nbrs[i]]
+    )
+
+
+def full_rescan_order(factors, decl_index, keep=(), last=(), width_cap=None):
+    """Reference greedy min-fill: every remaining node's fill cost is
+    recounted pair by pair at every step.  Kept apart from the engine's
+    incremental ``_order`` on purpose, the way ``induced_width`` is."""
+    adj = moral_adjacency([f.names() for f in factors])
+    phases = (
+        [n for n in adj if n not in keep and n not in last],
+        [n for n in adj if n in last],
+    )
+    order, width = [], 0
+    for phase in phases:
+        remaining = set(phase)
+        while remaining:
+            best = min(remaining, key=lambda n: (pairwise_fill_cost(adj, n), decl_index(n)))
+            nbrs = adj.pop(best)
+            width = max(width, len(nbrs))
+            for n in nbrs:
+                adj[n] |= nbrs
+                adj[n] -= {n, best}
+            remaining.discard(best)
+            order.append(best)
+    if width_cap is not None and width > width_cap:
+        raise CapacityError(f"width {width} exceeds the cap of {width_cap}")
+    return tuple(order), width
 
 
 def factor_inputs(net, ev_index, without=(), keep=()):

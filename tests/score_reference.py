@@ -6,9 +6,8 @@ one-edge update, and ranks with the tie rule written out again here, so
 the tests compare the package's stacked fit against a route that shares
 only the update rule and the first-pass tables with it: the clone tables
 ``divergence._clone_tables`` derives from the jointree pass on the source
-network, or, for an augmented input, that input's own pass.  A tie run's
-tables come from one ``cpt_derivatives`` elimination per edge on the
-all-edges augmentation.
+network.  A tie run's tables come from one ``cpt_derivatives`` elimination
+per edge on the all-edges augmentation.
 """
 
 import numpy as np
@@ -73,20 +72,14 @@ def routed_scores(net, ev, one_pass):
     return [s for s, _ in sorted(fits, key=lambda t: (t[0].score, t[1]))]
 
 
-def reference_scores(net, ev, max_iterations=None, augmented=False):
+def reference_scores(net, ev, max_iterations=None):
     """``score_edges`` on the per-edge route: one ``fit_edge`` per edge on
-    the tables derived from the pass on ``net`` (or, ``augmented``, on the
-    tables of the pass on its all-edges augmentation, which ``score_edges``
-    of that augmentation reads), then each run of scores tied within
-    TIE_TOL refitted on the augmentation's ``cpt_derivatives`` tables,
-    with its ``compile``'s Pr(e), and reordered."""
+    the tables derived from the pass on ``net``, then each run of scores
+    tied within TIE_TOL refitted on the augmentation's ``cpt_derivatives``
+    tables, with its ``compile``'s Pr(e), and reordered."""
     aug, records = scored_records(net)
-    if augmented:
-        grads = forward_backward(aug, ev)
-        tables = [grads.cpt(r.clone) for r in records]
-    else:
-        grads = forward_backward(net, ev)
-        tables = _clone_tables(grads, net.edges())
+    grads = forward_backward(net, ev)
+    tables = _clone_tables(grads, net.edges())
     scored = sorted(
         ((fit_edge(r, t, grads.pr_e, max_iterations), i)
          for i, (r, t) in enumerate(zip(records, tables))),

@@ -4,6 +4,7 @@ import pytest
 import edgedel.cli as cli_module
 from edgedel import (
     Evidence,
+    approximate_network,
     augment,
     compile,
     min_fill_order,
@@ -317,6 +318,46 @@ seed = 17
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5
         assert ",ed-bp,mi," in lines[1]
+
+
+class TestNonOriginalDocuments:
+    """Every command reads original networks only: a serialized augmented or
+    approximate network is refused at load, by its kind, before any output."""
+
+    @pytest.fixture(params=["augmented", "approximate"])
+    def documents(self, request, tmp_path):
+        net = grid_network(3, 3, rng=np.random.default_rng(0))
+        aug, nprime, _ = approximate_network(net, net.edges()[:2])
+        other = aug if request.param == "augmented" else nprime
+        net_file, ev_file = tmp_path / "other.bn", tmp_path / "grid.ev"
+        net_file.write_text(serialize_network(other))
+        ev_file.write_text(serialize_evidence(Evidence({"N2_2": "s0"})))
+        return str(net_file), str(ev_file), request.param
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["score"], ["approx", "--delete", "1"], ["map", "--delete", "1"]],
+        ids=["score", "approx", "map"],
+    )
+    def test_a_command_refuses_the_document(self, documents, capsys, argv):
+        net_file, ev_file, kind = documents
+        assert main([argv[0], net_file, ev_file, *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {net_file}: expected an original network, got kind '{kind}'\n"
+        )
+
+    def test_experiment_refuses_the_document(self, documents, tmp_path, capsys):
+        net_file, _, kind = documents
+        spec_file = tmp_path / "file.spec"
+        spec_file.write_text(f"network = {net_file}\ninstances = 1\nk = 1\n")
+        out = tmp_path / "file.csv"
+        assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {net_file}: expected an original network, got kind '{kind}'\n"
+        )
+        assert not out.exists()
 
 
 class TestHuginLoading:

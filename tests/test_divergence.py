@@ -49,7 +49,7 @@ from conftest import (
     random_network,
     tied_edges,
 )
-from score_reference import reference_scores, routed_scores, scored_records
+from score_reference import reference_scores, routed_scores
 
 
 def build(net, ev, edges, params=None):
@@ -636,9 +636,6 @@ class TestSourcePass:
         assert len(built) == 2 * ties and calls == {"derivatives": 1, "compile": 2 * ties}
         assert all(args == (net, net.edges()) for args in built)
         assert all(same_fit(a, b) for a, b in zip(first, second))
-        # an augmented input is scored on its own pass
-        score_edges(real(net, net.edges()), ev)
-        assert len(built) == 2 * ties and calls["derivatives"] == 2
 
 
 class TestCloneTables:
@@ -883,7 +880,7 @@ def same_fit(got, want):
 class TestStackedFit:
     """The stacked fit is bitwise the per-edge ``edge_update`` route on the
     same tables: those derived from the source pass (``_clone_tables``),
-    and, for an augmented input, its own pass's."""
+    and, for a tie run, the refit's ``cpt_derivatives`` tables."""
 
     @pytest.mark.parametrize("case", list(STACK_CASES))
     def test_score_edges_is_the_per_edge_route(self, case):
@@ -894,31 +891,28 @@ class TestStackedFit:
         if case == "grid(5x5) no evidence":
             assert tied_edges(got) > 10
 
-    @pytest.mark.parametrize("case", list(STACK_CASES))
-    def test_an_augmented_input_is_the_per_edge_route(self, case):
-        net, ev = stack_case(case)
-        got = score_edges(augment(net, net.edges()), ev)
-        want = reference_scores(net, ev, augmented=True)
-        assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
-        assert all(same_fit(g, w) for g, w in zip(got, want))
+    def test_fixtures_hold_both_table_layouts(self, monkeypatch):
+        # both routes' tables, for the test above: the derived tables hold C-
+        # and F-ordered 2x2 tables, so the (shape, layout) grouping sees
+        # both, and the tie refits read 2x2 and 3x3 tables
+        layout = lambda t: (t.shape, t.flags.c_contiguous, t.flags.f_contiguous)
+        derived, refit = set(), set()
+        real = engine_module.cpt_derivatives
 
-    def test_fixtures_hold_both_table_layouts(self):
-        # both routes' tables, for the two tests above
-        derived, own = set(), set()
+        def recording(*args):
+            table = real(*args)
+            refit.add(layout(table))
+            return table
+
+        monkeypatch.setattr(engine_module, "cpt_derivatives", recording)
         for case in STACK_CASES:
             net, ev = stack_case(case)
-            aug, records = scored_records(net)
-            grads = divergence_module.forward_backward(aug, ev)
             source = divergence_module.forward_backward(net, ev)
-            pairs = ((derived, divergence_module._clone_tables(source, net.edges())),
-                     (own, [grads.cpt(r.clone) for r in records]))
-            for layouts, tables in pairs:
-                layouts.update((t.shape, t.flags.c_contiguous, t.flags.f_contiguous)
-                               for t in tables)
+            derived.update(map(layout, divergence_module._clone_tables(source, net.edges())))
+            score_edges(net, ev)
         for card in (2, 3):
-            assert ((card, card), True, False) in own
-            assert ((card, card), False, True) in own
             assert ((card, card), True, False) in derived
+            assert ((card, card), True, False) in refit
         assert ((2, 2), False, True) in derived
 
     @pytest.mark.parametrize("case", ["grid(5x5)", "grid(4x4)x3"])
@@ -958,6 +952,27 @@ class TestStackedFit:
             for u in "AB"
         ]
         assert all(w.category is RuntimeWarning for w in caught)
+
+
+class TestOriginalNetworksOnly:
+    """Both scorers refuse an augmented or approximate input by its kind,
+    before any pass."""
+
+    @pytest.mark.parametrize("scorer", [score_edges, mutual_information_scores],
+                             ids=["score_edges", "mutual_information_scores"])
+    @pytest.mark.parametrize("kind", ["augmented", "approximate"])
+    def test_a_non_original_network_is_refused(self, monkeypatch, scorer, kind):
+        net, ev = stack_case("grid(4x4)")
+        aug, nprime, _ = approximate_network(net, net.edges()[:2])
+        other = aug if kind == "augmented" else nprime
+        assert other.kind == kind
+        kept = divergence_module._kept_pass
+        calls = count_engine_calls(monkeypatch, ["derivatives", "compile", "record"])
+        fault = rf"^{scorer.__name__} expects an original network, got kind '{kind}'$"
+        with pytest.raises(ModelError, match=fault):
+            scorer(other, ev)
+        assert calls == {"derivatives": 0, "compile": 0, "record": 0}
+        assert divergence_module._kept_pass is kept
 
 
 class TestMutualInformation:

@@ -28,7 +28,6 @@ from edgedel import (
     deleted_records,
     enumerate_joint,
     exact_map,
-    induced_width,
     min_fill_order,
     pairwise_marginal,
     posterior_marginal,
@@ -92,7 +91,7 @@ class TestOrders:
         net = grid3x3(np.random.default_rng(0))
         order = min_fill_order(net)
         assert order.width <= 3
-        assert induced_width(net, order.order) == order.width
+        assert ref.induced_width(net, order.order) == order.width
 
     def test_disconnected_nodes_width_zero(self):
         variables = [Variable(f"N{i}", ("0", "1")) for i in range(5)]
@@ -109,13 +108,13 @@ class TestOrders:
         order = constrained_order(net, {"A", "C"})
         assert order.order[0] == "B"
         assert set(order.order[1:]) == {"A", "C"}
-        assert induced_width(net, order.order) == order.width
+        assert ref.induced_width(net, order.order) == order.width
 
     def test_constrained_all_vars(self):
         net = chain3()
         order = constrained_order(net, {"A", "B", "C"})
         assert set(order.order) == {"A", "B", "C"}
-        assert induced_width(net, order.order) == order.width
+        assert ref.induced_width(net, order.order) == order.width
 
     def test_constrained_width_never_below_free_width(self):
         rng = np.random.default_rng(2)
@@ -124,51 +123,6 @@ class TestOrders:
             names = [v.name for v in net.variables]
             chosen = rng.choice(names, size=3, replace=False)
             assert constrained_order(net, set(chosen)).width >= min_fill_order(net).width
-
-
-def pairwise_fill_cost(adj, n):
-    nbrs = list(adj[n])
-    return sum(
-        1
-        for i in range(len(nbrs))
-        for j in range(i + 1, len(nbrs))
-        if nbrs[j] not in adj[nbrs[i]]
-    )
-
-
-def full_rescan_order(factors, decl_index, keep=(), last=(), width_cap=None):
-    """Reference greedy min-fill: every remaining node's fill cost is
-    recounted pair by pair at every step.  Kept apart from the engine's
-    incremental ``_order`` on purpose, the way ``induced_width`` is."""
-    adj = {}
-    for f in factors:
-        names = f.names()
-        for n in names:
-            adj.setdefault(n, set())
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-
-    phases = (
-        [n for n in adj if n not in keep and n not in last],
-        [n for n in adj if n in last],
-    )
-    order, width = [], 0
-    for phase in phases:
-        remaining = set(phase)
-        while remaining:
-            best = min(remaining, key=lambda n: (pairwise_fill_cost(adj, n), decl_index(n)))
-            nbrs = adj.pop(best)
-            width = max(width, len(nbrs))
-            for n in nbrs:
-                adj[n] |= nbrs
-                adj[n] -= {n, best}
-            remaining.discard(best)
-            order.append(best)
-    if width_cap is not None and width > width_cap:
-        raise CapacityError(f"width {width} exceeds the cap of {width_cap}")
-    return tuple(order), width
 
 
 def reduced_factors(net, ev):
@@ -233,7 +187,7 @@ class TestIncrementalOrder:
             queries = [{}] + [{"keep": set(p)} for p in picks] + [{"last": set(p)} for p in picks]
             for kwargs in queries:
                 got = engine_module._order(factors, net.decl_index, **kwargs)
-                want = full_rescan_order(factors, net.decl_index, **kwargs)
+                want = ref.full_rescan_order(factors, net.decl_index, **kwargs)
                 assert (got.order, got.width) == want, (name, dict(ev.items()), kwargs)
 
     def test_fill_cost_counts_missing_pairs(self):
@@ -248,19 +202,19 @@ class TestIncrementalOrder:
             # the engine holds each node's neighbours as a bitmask
             masks = [sum(1 << m for m in adj[n]) for n in range(14)]
             for n in adj:
-                assert engine_module._fill_cost(masks, n) == pairwise_fill_cost(adj, n)
+                assert engine_module._fill_cost(masks, n) == ref.pairwise_fill_cost(adj, n)
 
     @pytest.mark.parametrize("last", [False, True])
     def test_width_cap_raises_at_the_same_width(self, last):
         net = grid_network(5, 5, rng=np.random.default_rng(3))
         factors = reduced_factors(net, Evidence({}))
         kwargs = {"last": {"N0_0", "N4_4", "N2_2"}} if last else {}
-        width = full_rescan_order(factors, net.decl_index, **kwargs)[1]
+        width = ref.full_rescan_order(factors, net.decl_index, **kwargs)[1]
         for cap in range(width):
             with pytest.raises(CapacityError, match=f"width {width} exceeds the cap of {cap}"):
                 engine_module._order(factors, net.decl_index, width_cap=cap, **kwargs)
             with pytest.raises(CapacityError):
-                full_rescan_order(factors, net.decl_index, width_cap=cap, **kwargs)
+                ref.full_rescan_order(factors, net.decl_index, width_cap=cap, **kwargs)
         assert engine_module._order(factors, net.decl_index, width_cap=width, **kwargs).width == width
 
 
