@@ -80,8 +80,7 @@ def _resolve_edges(net, ev, args, width_fn):
     """Edge list to delete plus optional warm-start params, per the flags."""
     if args.edges is not None:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            specs = netio.parse_plan(fh.read())
-        return [(s.parent, s.child) for s in specs], netio.plan_params_from_specs(specs)
+            return netio.parse_plan(fh.read())
     rng = np.random.default_rng(args.seed)
     ranking, guided_params = harness.rank_edges(
         net, ev, args.select, rng, width_cap=args.width_cap

@@ -7,6 +7,11 @@ Cutting the equivalence edge U -> U' then turns U' into a root with a prior
 ``pm`` and hangs an observed binary soft-evidence child S' off U whose
 positive row is ``se`` (deletion).  Conditioning is always on the augmented
 evidence: the source evidence plus every S' observed positive.
+
+``augment`` and ``delete_edges`` share one assembly step (``_derive``): it
+appends the new variables after the network's own, refuses a new name that
+a variable already has, puts the new CPTs in place and makes the result in
+one ``Network`` call.
 """
 
 from __future__ import annotations
@@ -136,35 +141,37 @@ def augment(net: Network, edges) -> Network:
         if e not in present:
             raise ModelError(f"edge {e[0]} -> {e[1]} is not in the network")
 
-    variables = list(net.variables)
-    cpt_map = {v.name: net.cpt(v.name) for v in net.variables}
-    records = []
-    taken = {v.name for v in net.variables}
+    clones, cpts, records = [], {}, []
     equivalence: dict[int, np.ndarray] = {}
     # per child, its parents with each deleted one's clone in its place
     rewired: dict[str, list[Variable]] = {}
     for k, (u, x) in enumerate(edges):
-        clone_name = f"{u}__clone{k}"
-        if clone_name in taken:
-            raise ModelError(f"clone name {clone_name!r} collides with a variable")
-        taken.add(clone_name)
         uvar = net.var(u)
-        clone = Variable(clone_name, uvar.states)
-        variables.append(clone)
+        clone = Variable(f"{u}__clone{k}", uvar.states)
+        clones.append(clone)
         if uvar.card not in equivalence:
             equivalence[uvar.card] = equivalence_table(uvar.card)
-        cpt_map[clone_name] = Cpt(clone, (uvar,), equivalence[uvar.card])
-        parents = rewired.setdefault(x, list(cpt_map[x].parents))
+        cpts[clone.name] = Cpt(clone, (uvar,), equivalence[uvar.card])
+        parents = rewired.setdefault(x, list(net.cpt(x).parents))
         parents[[p.name for p in parents].index(u)] = clone
-        records.append(EdgeRecord(parent=u, clone=clone_name, child=x))
+        records.append(EdgeRecord(parent=u, clone=clone.name, child=x))
     for x, parents in rewired.items():
-        cpt_map[x] = Cpt(cpt_map[x].child, tuple(parents), cpt_map[x].table)
-    return Network(
-        variables,
-        [cpt_map[v.name] for v in variables],
-        kind="augmented",
-        clone_edges=tuple(records),
-    )
+        cpt = net.cpt(x)
+        cpts[x] = Cpt(cpt.child, tuple(parents), cpt.table)
+    return _derive(net, "augmented", "clone", clones, cpts, records)
+
+
+def _derive(net: Network, kind: str, what: str, added, cpts, registry) -> Network:
+    """``net``'s variables, then the ``what`` variables ``added`` (distinct
+    by their edge index), each with its CPT in ``cpts`` if it is there, as
+    a network of ``kind`` with clone-edge registry ``registry``."""
+    taken = {v.name for v in net.variables}
+    for v in added:
+        if v.name in taken:
+            raise ModelError(f"{what} name {v.name!r} collides with a variable")
+    variables = [*net.variables, *added]
+    tables = [cpts[v.name] if v.name in cpts else net.cpt(v.name) for v in variables]
+    return Network(variables, tables, kind=kind, clone_edges=registry)
 
 
 def se_table(se) -> np.ndarray:
@@ -194,34 +201,22 @@ def delete_edges(net: Network, plan: DeletionPlan) -> Network:
                 f"{rec.parent} -> {rec.clone} is not an equivalence edge of this network"
             )
 
-    variables = list(net.variables)
-    cpt_map = {v.name: net.cpt(v.name) for v in net.variables}
-    taken = {v.name for v in net.variables}
-    new_records: dict[tuple[str, str, str], EdgeRecord] = {}
+    sevids, cpts, new_records = [], {}, {}
     for k, (rec, params) in enumerate(zip(plan.edges, plan.params)):
         clone = net.var(rec.clone)
         parent = net.var(rec.parent)
         if params.pm.size != clone.card or params.se.size != parent.card:
             raise ModelError(
-                f"parameters for {rec.parent} -> {rec.clone} have the wrong length"
+                f"parameters for {rec.parent} -> {rec.child} have the wrong length"
             )
-        sevid_name = f"{rec.parent}__se{k}"
-        if sevid_name in taken:
-            raise ModelError(f"soft-evidence name {sevid_name!r} collides with a variable")
-        taken.add(sevid_name)
-        sevid = Variable(sevid_name, SE_STATES)
-        variables.append(sevid)
-        cpt_map[rec.clone], cpt_map[sevid_name] = _edge_cpts(clone, parent, sevid, params)
+        sevid = Variable(f"{rec.parent}__se{k}", SE_STATES)
+        sevids.append(sevid)
+        cpts[rec.clone], cpts[sevid.name] = _edge_cpts(clone, parent, sevid, params)
         new_records[rec.key()] = EdgeRecord(
-            parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid_name
+            parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid.name
         )
-    registry = tuple(new_records.get(r.key(), r) for r in net.clone_edges)
-    return Network(
-        variables,
-        [cpt_map[v.name] for v in variables],
-        kind="approximate",
-        clone_edges=registry,
-    )
+    registry = [new_records.get(r.key(), r) for r in net.clone_edges]
+    return _derive(net, "approximate", "soft-evidence", sevids, cpts, registry)
 
 
 def deleted_records(nprime: Network, plan: DeletionPlan) -> list[EdgeRecord]:

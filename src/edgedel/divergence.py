@@ -343,6 +343,10 @@ def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.nda
 def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
     """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
     with respect to that vector (``own``) and to its partner (``cross``)."""
+    if pr_ep <= 0.0:
+        raise InconsistentEvidenceError(
+            "approximate network assigns zero probability to the augmented evidence"
+        )
     if method == "ed-bp":
         # cross-pairing: the prior comes from the soft-evidence derivative
         # and the soft evidence from the prior derivative
@@ -351,10 +355,6 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
                 f"all-zero derivative vector for {label} ({which} update)"
             )
         return _normalize(cross, label)
-    if pr_ep <= 0.0:
-        raise InconsistentEvidenceError(
-            "approximate network assigns zero probability to the augmented evidence"
-        )
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
 
@@ -370,9 +370,10 @@ def edge_update(reads, pm, se, method, true_marg, label, damping=0.0, g=None):
     simultaneous sweep).  ``true_marg`` is the true parent posterior (ed-kl
     only).  The residual is the largest parameter change, in Python floats.
     An all-zero or non-finite update raises ``DegenerateUpdateError``, and
-    Pr'(e') <= 0 under ed-kl raises ``InconsistentEvidenceError``.  Neither
-    can happen when scoring: from a uniform start, Pr'(e') >= se_u g_uu pm_u
-    > 0 for every parent state u with true mass, since g_uu = Pr(u, e).
+    Pr'(e') <= 0, under either method, ``InconsistentEvidenceError``.
+    Neither can happen when scoring: from a uniform start, Pr'(e') >=
+    se_u g_uu pm_u > 0 for every parent state u with true mass, since g_uu =
+    Pr(u, e).
 
     The vectors stay plain arrays; ``EdgeParams``, which keeps ``pm`` as
     given and clips ``se``, is built only where a fit hands its result back.

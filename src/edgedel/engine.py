@@ -34,8 +34,9 @@ that depend on them.
 Orders, buckets and tree plans depend on the structure, the observed set
 and the query, not on the CPT entries or the observed states.  So one
 cache (``_structure``) keeps those of the most recent keys for ``record``,
-``Jointree``, ``min_fill_order`` and ``constrained_order``, least recently
-used evicted first, and checks a kept width against each call's cap.  It
+``Jointree`` and ``_full_order`` (``min_fill_order`` is ``constrained_order``
+with no variable forced last), least recently used evicted first, and
+checks a kept width against each call's cap.  It
 holds structure only: every call builds its own inputs and reads its own
 tables, so its program or tree is a fresh one's, bit for bit.
 
@@ -384,7 +385,7 @@ def _distinct(names, fault) -> tuple[str, ...]:
 
 
 # the structure kept per key, least recently used first: ``record``'s
-# orders and buckets, ``Jointree``'s plans, and the public orders.  96
+# orders and buckets, ``Jointree``'s plans, and the full orders.  96
 # entries hold about one round of the benchmark's matrix workload (two
 # instances' programs, trees and orders), so the next instance of a
 # structure still finds it
@@ -969,27 +970,23 @@ def derivatives(net: Network, ev: Evidence, names, width_cap=None) -> Adjoints:
     return Adjoints(net, _indexed(net, ev), pr_e, tables)
 
 
-def min_fill_order(net: Network, query=()) -> EliminationOrder:
-    """Greedy min-fill order over all variables outside ``query``, kept per
-    structure as ``record``'s orders are (``_structure``)."""
-    query = frozenset(query)
-    for q in query:
-        net.var(q)
-    key = ("min-fill", net.layout(), query)
-    return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, keep=query))
+def _full_order(net: Network, last) -> EliminationOrder:
+    """Greedy min-fill order of every variable of ``net``, those in ``last``
+    after all the others, kept per (layout, ``last``) (``_structure``)."""
+    last = frozenset(net.var(q).name for q in last)
+    key = ("order", net.layout(), last)
+    return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, last=last))
+
+
+def min_fill_order(net: Network) -> EliminationOrder:
+    """Greedy min-fill order of every variable of ``net``."""
+    return _full_order(net, ())
 
 
 def constrained_order(net: Network, map_vars=()) -> EliminationOrder:
-    """Full elimination order with ``map_vars`` forced last.
-
-    The reported width is the constrained-treewidth estimate.  The order is
-    kept per structure as ``record``'s orders are (``_structure``).
-    """
-    map_vars = frozenset(map_vars)
-    for q in map_vars:
-        net.var(q)
-    key = ("constrained", net.layout(), map_vars)
-    return _structure(key, lambda: _order(_factors(net, {}), net.decl_index, last=map_vars))
+    """Full elimination order with ``map_vars`` forced last; its width is the
+    constrained-treewidth estimate."""
+    return _full_order(net, map_vars)
 
 
 @dataclass(frozen=True, eq=False)

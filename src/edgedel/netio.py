@@ -34,6 +34,9 @@ line, to one assembler (``_assemble``), which makes every structural check
 and raises each fault as a ``FormatError`` at the line that declares it.
 Value checks (duplicate state labels, ranges, row sums, cycles) are
 ``model.validate_network``'s.
+
+``parse_plan`` reads a deletion plan's start vectors as ``EdgeParams``, so
+a vector that ``EdgeParams`` refuses is a ``FormatError`` at its line.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ import math
 import re
 import typing
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .deletion import DeletionPlan, EdgeParams
 from .model import NETWORK_KINDS, Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
@@ -218,23 +219,15 @@ def serialize_evidence(ev: Evidence) -> str:
     return "".join(f"{k} = {v}\n" for k, v in ev.items())
 
 
-@dataclass(frozen=True)
-class PlanEdgeSpec:
-    """One parsed deletion-plan line: a source edge and optional parameters."""
-
-    parent: str
-    child: str
-    pm: tuple[float, ...] | None
-    se: tuple[float, ...] | None
-
-
-def parse_plan(text: str) -> list[PlanEdgeSpec]:
+def parse_plan(text: str) -> tuple[list[tuple[str, str]], list[EdgeParams] | None]:
     """One deleted edge per line: 'parent -> child [| pm: ... | se: ...]'.
 
-    Either every line gives its vectors or none does.
+    Returns the (parent, child) edges and their start vectors, one
+    ``EdgeParams`` per line, or None for the vectors when no line gives
+    them.  Either every line gives its vectors or none does.  A vector that
+    ``EdgeParams`` refuses is a ``FormatError`` at its line.
     """
-    out = []
-    bare = []
+    edges, vectors, bare = [], [], []
     for ln, content in _logical_lines(text):
         head, *rest = [part.strip() for part in content.split("|")]
         if "->" not in head:
@@ -259,12 +252,17 @@ def parse_plan(text: str) -> list[PlanEdgeSpec]:
                 raise FormatError(f"unknown plan field {key!r}", ln)
         if (pm is None) != (se is None):
             raise FormatError("plan line must give both pm and se or neither", ln)
-        out.append(PlanEdgeSpec(parent, child, pm, se))
+        edges.append((parent, child))
         if pm is None:
             bare.append(ln)
-    if bare and len(bare) < len(out):
+            continue
+        try:
+            vectors.append(EdgeParams(pm, se))
+        except ModelError as exc:
+            raise FormatError(str(exc), ln) from None
+    if bare and vectors:
         raise FormatError("plan line gives no pm/se vectors, but other lines do", bare[0])
-    return out
+    return edges, vectors or None
 
 
 def serialize_plan(plan: DeletionPlan) -> str:
@@ -274,13 +272,6 @@ def serialize_plan(plan: DeletionPlan) -> str:
         se = " ".join(repr(float(x)) for x in params.se)
         lines.append(f"{rec.parent} -> {rec.child} | pm: {pm} | se: {se}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def plan_params_from_specs(specs: list[PlanEdgeSpec]) -> list[EdgeParams] | None:
-    """The plan's edge parameters, or None if its lines give no vectors."""
-    if not specs or specs[0].pm is None:
-        return None
-    return [EdgeParams(np.array(s.pm), np.array(s.se)) for s in specs]
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def _start_vectors(nprime, records, plan):
             or params.se.size != nprime.var(rec.parent).card
         ):
             raise ModelError(
-                f"parameters for {rec.parent} -> {rec.clone} have the wrong length"
+                f"parameters for {rec.parent} -> {rec.child} have the wrong length"
             )
         vectors.append((params.pm, params.se))
     return vectors
@@ -280,7 +280,8 @@ def run(
     (``engine.derivatives``), since nothing else is read.  It is required
     for "ed-kl" (the updates need the true parent posteriors) and optional
     for "ed-bp", where it only enables the KL-bound column of the trace.
-    Non-convergence is reported, not raised.  The KL-bound trace need not
+    Non-convergence is reported, not raised; Pr'(e') = 0 raises
+    ``InconsistentEvidenceError`` under either method.  The KL-bound trace need not
     decrease monotonically: fixed points are stationary points of the
     divergence, and the iteration is not a descent method.
 

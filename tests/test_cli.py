@@ -8,11 +8,12 @@ from edgedel import (
     augment,
     compile,
     min_fill_order,
+    score_edges,
     serialize_evidence,
     serialize_network,
 )
 from edgedel.cli import main
-from edgedel.harness import grid_network
+from edgedel.harness import grid_network, rank_edges
 
 EQUALITY_DOC = """
 variables:
@@ -161,15 +162,29 @@ class TestApproxCommand:
     def test_plan_file_with_a_bad_prior_exits_3_printing_a_plain_float(
         self, fixture_files, tmp_path, capsys
     ):
+        # the bad vector is reported at its line
         net_file, ev_file = fixture_files
         plan_file = tmp_path / "bad.plan"
-        plan_file.write_text("U1 -> X1 | pm: 0.5 0.6 | se: 0.5 0.5\n")
+        plan_file.write_text(
+            "U1 -> X1 | pm: 0.5 0.5 | se: 0.5 0.5\nU2 -> X2 | pm: 0.5 0.6 | se: 0.5 0.5\n"
+        )
         code = main(["approx", net_file, ev_file, "--edges", str(plan_file)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "pm must sum to 1 (got 1.1)" in captured.err
-        assert "np.float64" not in captured.err
+        assert captured.err == "error: line 2: pm must sum to 1 (got 1.1)\n"
+
+    def test_plan_vector_of_the_wrong_length_names_the_plan_edge(self, tmp_path, capsys):
+        net = grid_network(3, 3, rng=np.random.default_rng(0))
+        net_file = tmp_path / "grid.bn"
+        net_file.write_text(serialize_network(net))
+        plan_file = tmp_path / "long.plan"
+        plan_file.write_text("N0_0 -> N0_1 | pm: 0.2 0.3 0.5 | se: 0.5 0.5\n")
+        code = main(["approx", str(net_file), "--edges", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: parameters for N0_0 -> N0_1 have the wrong length\n"
 
     def test_plan_file_with_vectors_on_some_lines_exits_3(self, fixture_files, tmp_path, capsys):
         net_file, ev_file = fixture_files
@@ -180,6 +195,34 @@ class TestApproxCommand:
         assert code == 3
         assert captured.out == ""
         assert "line 2: plan line gives no pm/se vectors" in captured.err
+
+    @pytest.mark.parametrize("command", ["approx", "map"])
+    def test_deleting_more_edges_than_the_network_has_exits_3(
+        self, fixture_files, capsys, command
+    ):
+        net_file, ev_file = fixture_files
+        map_vars = ["--map-vars", "U1,U2"] if command == "map" else []
+        code = main([command, net_file, ev_file, *map_vars, "--delete", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: cannot delete 5 of 4 edges\n"
+
+    @pytest.mark.parametrize("select", ["rand", "mi"])
+    def test_warm_start_rescores_a_ranking_that_gives_no_vectors(self, select):
+        # rand and mi rankings carry no fits, so --warm-start reads each
+        # chosen edge's single-edge fit off score_edges
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        argv = ["approx", "grid.bn", "--select", select, "--delete", "3", "--warm-start"]
+        args = cli_module.build_parser().parse_args(argv)
+        edges, warm = cli_module._resolve_edges(net, ev, args, None)
+        ranking, _ = rank_edges(net, ev, select, np.random.default_rng(0))
+        by_edge = {(s.parent, s.child): s.params for s in score_edges(net, ev)}
+        assert edges == ranking[:3]
+        assert warm == [by_edge[e] for e in edges]
+        args = cli_module.build_parser().parse_args(argv[:-1])
+        assert cli_module._resolve_edges(net, ev, args, None) == (edges, None)
 
     def test_target_width_search_measures_each_candidate_as_built(self, monkeypatch):
         built, measured = [], []

@@ -151,7 +151,7 @@ class TestAugment:
                 Cpt(shadow, (), [0.5, 0.5]),
             ],
         )
-        with pytest.raises(ModelError, match="collides"):
+        with pytest.raises(ModelError, match="^clone name 'A__clone0' collides with a variable$"):
             augment(net, [("A", "B")])
 
 
@@ -179,6 +179,33 @@ class TestDeleteEdges:
         nprime = delete_edges(aug, plan)
         with pytest.raises(ModelError):
             delete_edges(nprime, plan)
+
+    def test_soft_evidence_name_collision_detected(self):
+        a = Variable("A", ("a0", "a1"))
+        b = Variable("B", ("b0", "b1"))
+        shadow = Variable("A__se0", ("x", "y"))
+        net = Network(
+            [a, b, shadow],
+            [
+                Cpt(a, (), [0.3, 0.7]),
+                Cpt(b, (a,), [0.9, 0.1, 0.2, 0.8]),
+                Cpt(shadow, (), [0.5, 0.5]),
+            ],
+        )
+        aug = augment(net, [("A", "B")])
+        fault = "^soft-evidence name 'A__se0' collides with a variable$"
+        with pytest.raises(ModelError, match=fault):
+            delete_edges(aug, DeletionPlan.uniform(aug))
+
+    @pytest.mark.parametrize("vector", ["pm", "se"])
+    def test_wrong_length_vector_names_the_source_edge(self, vector):
+        aug = augment(two_node(), [("A", "B")])
+        (rec,) = aug.clone_edges
+        bad = EdgeParams([0.2, 0.3, 0.5], [0.5, 0.5]) if vector == "pm" else (
+            EdgeParams([0.5, 0.5], [0.5, 0.5, 0.5])
+        )
+        with pytest.raises(ModelError, match="^parameters for A -> B have the wrong length$"):
+            delete_edges(aug, DeletionPlan((rec,), (bad,)))
 
     def test_disconnecting_equality_fixture_marginals(self, coins_fixture):
         net, ev = coins_fixture

@@ -953,6 +953,21 @@ class TestStackedFit:
         ]
         assert all(w.category is RuntimeWarning for w in caught)
 
+    def test_a_zero_mass_row_raises_as_its_own_update_does(self):
+        # the middle row's true parent posterior is all zero, so its prior
+        # update sums to 0; the stack raises the one-edge update's error
+        g = np.stack([np.array([[0.5, 0.1], [0.2, 0.4]])] * 3)
+        true = np.array([[0.5, 0.5], [0.0, 0.0], [0.3, 0.7]])
+        with pytest.raises(edgedel.DegenerateUpdateError) as alone:
+            edge_update(
+                single_edge_evaluate(g[1], *uniform_vectors(2)), *uniform_vectors(2), "ed-kl",
+                true[1], "edge B -> X", g=g[1],
+            )
+        with pytest.raises(edgedel.DegenerateUpdateError) as stacked:
+            divergence_module._fit_stack([(u, "X") for u in "ABC"], g, true, 1.0)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "update for edge B -> X is degenerate (sum 0.0)"
+
 
 class TestOriginalNetworksOnly:
     """Both scorers refuse an augmented or approximate input by its kind,
@@ -973,6 +988,16 @@ class TestOriginalNetworksOnly:
             scorer(other, ev)
         assert calls == {"derivatives": 0, "compile": 0, "record": 0}
         assert divergence_module._kept_pass is kept
+
+    @pytest.mark.parametrize("scorer", [score_edges, mutual_information_scores],
+                             ids=["score_edges", "mutual_information_scores"])
+    def test_zero_probability_evidence_is_refused(self, scorer):
+        # X2 is never s1
+        net = chain_network(3, rng=np.random.default_rng(0))
+        x2 = net.cpt("X2")
+        net = net.replace_cpts({"X2": Cpt(x2.child, x2.parents, [1, 0, 1, 0])})
+        with pytest.raises(InconsistentEvidenceError, match="^evidence has zero probability$"):
+            scorer(net, Evidence({"X2": "s1"}))
 
 
 class TestMutualInformation:

@@ -83,8 +83,11 @@ def grid3x3(rng):
 
 class TestOrders:
     def test_chain_width_one(self):
-        order = min_fill_order(chain3(), query={"C"})
-        assert set(order.order) == {"A", "B"}
+        order = min_fill_order(chain3())
+        assert set(order.order) == {"A", "B", "C"}
+        assert order.width == 1
+        order = constrained_order(chain3(), {"C"})
+        assert set(order.order[:2]) == {"A", "B"} and order.order[2] == "C"
         assert order.width == 1
 
     def test_grid_width_reasonable_and_recomputable(self):
@@ -98,10 +101,13 @@ class TestOrders:
         net = Network(variables, [Cpt(v, (), [0.5, 0.5]) for v in variables])
         assert min_fill_order(net).width == 0
 
-    def test_constrained_empty_equals_min_fill(self):
+    def test_constrained_empty_equals_min_fill(self, monkeypatch):
+        # one kept order serves both: the second call orders nothing
         net = grid3x3(np.random.default_rng(1))
-        assert constrained_order(net, ()).order == min_fill_order(net).order
-        assert constrained_order(net, ()).width == min_fill_order(net).width
+        engine_module._structures.clear()
+        calls = count_engine_calls(monkeypatch, ["_order"])
+        assert constrained_order(net, ()) is min_fill_order(net)
+        assert calls == {"_order": 1}
 
     def test_constrained_puts_map_vars_last(self):
         net = chain3()
@@ -850,7 +856,7 @@ class TestTreeReuse:
         self.outputs(*self.instance(1, 0), False)
         exact_map(net, ev, ["N0_0", "N1_1"])
         kinds = {key[0] for key in engine_module._structures}
-        assert kinds == {"program", "tree", "min-fill", "constrained"}
+        assert kinds == {"program", "tree", "order"}
         walk(engine_module._structures)
 
     def test_the_least_recently_used_of_mixed_entries_goes_first(self, monkeypatch):
@@ -863,7 +869,7 @@ class TestTreeReuse:
         makers = [
             lambda i: engine_module.record(net, ev, keep=kept[i]),
             lambda i: engine_module.Jointree(net, ev, [((), kept[i])]),
-            lambda i: min_fill_order(net, sets[i]),
+            lambda i: constrained_order(net, sets[i]),
         ]
         # entry i is a program, a tree or an order in turn
         entries = [(makers[i % 3], i // 3) for i in range(2 * cap - 1)]

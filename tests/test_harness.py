@@ -216,6 +216,17 @@ class TestRunExperiment:
         keys = [(r.instance, r.method, r.selection, r.edges_deleted) for r in rows]
         assert keys == sorted(keys, key=lambda t: (t[0], t[1], t[2], t[3]))
 
+    def test_a_k_above_the_edge_count_writes_no_row(self):
+        # chain(3) has two edges: k = 3 is skipped, not failed in-row
+        spec = ExperimentSpec(
+            network="chain(3)", instances=2, ks=(1, 3, 2), methods=("ed-kl", "ed-bp"),
+            selections=("rand", "guided"), seed=1,
+        )
+        rows = run_experiment(spec)
+        assert len(rows) == 2 * 2 * 2 * 2
+        assert {r.edges_deleted for r in rows} == {1, 2}
+        assert all(r.converged for r in rows)
+
     def test_same_seed_is_byte_identical(self):
         spec = ExperimentSpec(
             network="chain(5)", instances=2, ks=(0, 2), methods=("ed-kl", "ed-bp"),

@@ -120,6 +120,18 @@ class TestMapQuality:
         result = approximate_map_quality(aug, nprime, plan, ev, evp, map_vars)
         assert result.ratio == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_refused_optimum_leaves_best_value_and_ratio_out(self):
+        # p's jointree has width 2; q's order, MAP variables last, has width 6
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
+        map_vars = ["N0_0", "N1_1", "N2_2", "N0_3", "N3_0"]
+        m = {v: net.var(v).states[0] for v in map_vars}
+        capped = map_quality(net, ev, m, map_vars, width_cap=2)
+        full = map_quality(net, ev, m, map_vars)
+        assert capped.best_value is None and capped.ratio is None
+        assert capped.value == full.value > 0
+        assert full.best_value is not None and full.ratio is not None
+
     def test_missing_assignment_rejected(self):
         rng = np.random.default_rng(6)
         net = random_network(rng, n_vars=4)

@@ -203,16 +203,15 @@ class TestEvidenceAndPlanFormats:
             net, [("U1", "X1")], [EdgeParams([0.25, 0.75], [0.5, 1.0])]
         )
         text = serialize_plan(plan)
-        specs = parse_plan(text)
-        assert len(specs) == 1
-        assert (specs[0].parent, specs[0].child) == ("U1", "X1")
-        assert specs[0].pm == (0.25, 0.75)
-        assert specs[0].se == (0.5, 1.0)
+        edges, vectors = parse_plan(text)
+        assert edges == [("U1", "X1")]
+        assert vectors == [EdgeParams([0.25, 0.75], [0.5, 1.0])]
+        assert vectors == list(plan.params)
 
     def test_plan_edges_only(self):
-        specs = parse_plan("# plan\nA -> B\nC -> D\n")
-        assert [(s.parent, s.child) for s in specs] == [("A", "B"), ("C", "D")]
-        assert specs[0].pm is None
+        edges, vectors = parse_plan("# plan\nA -> B\nC -> D\n")
+        assert edges == [("A", "B"), ("C", "D")]
+        assert vectors is None
 
     def test_plan_requires_both_vectors(self):
         with pytest.raises(FormatError):

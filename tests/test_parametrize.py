@@ -158,7 +158,7 @@ class TestRunControl:
         plan = plan.with_params(1, bad)
         calls = count_engine_calls(monkeypatch, ["_bind", "replay", "derivatives"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, initialization="plan")
-        with pytest.raises(ModelError, match="N0_1 -> N0_1__clone1 have the wrong length"):
+        with pytest.raises(ModelError, match="^parameters for N0_1 -> N0_2 have the wrong length$"):
             run(nprime, plan, evp, cfg, reference=(aug, ev))
         assert calls == {"_bind": 0, "replay": 0, "derivatives": 0}
 
@@ -169,6 +169,22 @@ class TestRunControl:
         aug, nprime, plan, evp = build(net, Evidence({}), edges)
         with pytest.raises(ModelError):
             run(nprime, plan, evp, IterationConfig(method="ed-kl"))
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_edbp_refuses_zero_probability_evidence_as_edkl_does(self, schedule):
+        # X2 is never s1, so Pr'(e') is 0 at every parameter: with no
+        # reference, ed-bp raises ed-kl's error, not its all-zero derivatives'
+        from edgedel import Cpt, InconsistentEvidenceError
+        from edgedel.harness import chain_network
+
+        net = chain_network(3, rng=np.random.default_rng(0))
+        x2 = net.cpt("X2")
+        net = net.replace_cpts({"X2": Cpt(x2.child, x2.parents, [1, 0, 1, 0])})
+        _, nprime, plan, evp = build(net, Evidence({"X2": "s1"}), [("X1", "X2")])
+        cfg = IterationConfig(method="ed-bp", schedule=schedule)
+        fault = "^approximate network assigns zero probability to the augmented evidence$"
+        with pytest.raises(InconsistentEvidenceError, match=fault):
+            run(nprime, plan, evp, cfg)
 
     def test_trace_records_residual_and_bound(self):
         rng = np.random.default_rng(2)
