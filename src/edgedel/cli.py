@@ -6,8 +6,10 @@ Commands:
   map         approximate MAP through deletion; report the p/q quality ratio
   experiment  run a seeded (instance x method x selection x k) matrix to CSV
 
-Exit codes: 0 success/converged, 2 not converged, 3 input error,
-4 capacity (induced width cap).
+Exit codes: 0 success/converged, 2 not converged, 3 input error (any
+``ModelError`` or ``OSError``), 4 capacity (induced width cap).  A plan
+file is read against the loaded network (``netio.parse_plan``), and
+``--map-vars`` by the spec's list reader (``harness._spec_list``).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _resolve_edges(net, ev, args, width_fn):
     """Edge list to delete plus optional warm-start params, per the flags."""
     if args.edges is not None:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            return netio.parse_plan(fh.read())
+            return netio.parse_plan(fh.read(), net)
     rng = np.random.default_rng(args.seed)
     ranking, guided_params = harness.rank_edges(
         net, ev, args.select, rng, width_cap=args.width_cap
@@ -167,8 +169,8 @@ def cmd_approx(args) -> int:
 def cmd_map(args) -> int:
     net = load_network(args.network)
     ev = load_evidence(args.evidence, net)
-    if args.map_vars:
-        map_vars = [v.strip() for v in args.map_vars.split(",") if v.strip()]
+    if args.map_vars is not None:
+        map_vars = harness._spec_list(args.map_vars, "--map-vars")
     else:
         map_vars = default_map_vars(net, ev)
         sys.stdout.write("map-vars defaulted to unobserved roots: "
@@ -190,21 +192,18 @@ def cmd_experiment(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = harness.parse_experiment_spec(fh.read())
     rows = harness.run_experiment(spec, load_network=load_network)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            count = netio.write_report(rows, fh)
-    else:
-        count = netio.write_report(rows, sys.stdout)
+    count = _emit_report(rows, args.out)
     sys.stderr.write(f"wrote {len(rows)} rows ({count} bytes)\n")
     return EXIT_OK
 
 
-def _emit_report(rows, path) -> None:
+def _emit_report(rows, path) -> int:
+    """Write the CSV report to ``path``, or to stdout without one; returns
+    the byte count."""
     if path:
         with open(path, "wb") as fh:
-            netio.write_report(rows, fh)
-    else:
-        netio.write_report(rows, sys.stdout)
+            return netio.write_report(rows, fh)
+    return netio.write_report(rows, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,9 +251,6 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise ModelError(f"{flag.replace('_', '-')} must be >= 0")
         return args.func(args)
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return EXIT_CAPACITY

@@ -11,7 +11,9 @@ evidence: the source evidence plus every S' observed positive.
 ``augment`` and ``delete_edges`` share one assembly step (``_derive``): it
 appends the new variables after the network's own, refuses a new name that
 a variable already has, puts the new CPTs in place and makes the result in
-one ``Network`` call.
+one ``Network`` call.  A plan's vectors reach N' (and ``parametrize.run``)
+through one length check, ``_checked_vectors``, and N''s source marginals
+through one derivative pass, ``_source_marginals``.
 """
 
 from __future__ import annotations
@@ -180,9 +182,20 @@ def se_table(se) -> np.ndarray:
     return np.column_stack([se, 1.0 - se])
 
 
-def _edge_cpts(clone: Variable, parent: Variable, sevid: Variable, params: EdgeParams):
-    """The clone prior and the soft-evidence CPT that encode ``params``."""
-    return Cpt(clone, (), params.pm), Cpt(sevid, (parent,), se_table(params.se))
+def _checked_vectors(net: Network, rec: EdgeRecord, params: EdgeParams):
+    """``params``' (pm, se), whose lengths must be the cardinalities of
+    ``rec``'s clone and parent in ``net``; a wrong length raises
+    ``ModelError`` naming the plan edge (parent -> child), not the clone."""
+    if params.pm.size != net.var(rec.clone).card or params.se.size != net.var(rec.parent).card:
+        raise ModelError(f"parameters for {rec.parent} -> {rec.child} have the wrong length")
+    return params.pm, params.se
+
+
+def _edge_cpts(net: Network, rec: EdgeRecord, sevid: Variable, params: EdgeParams):
+    """The clone prior and the soft-evidence CPT that encode ``params`` on
+    ``rec``'s edge of ``net`` (``_checked_vectors``)."""
+    pm, se = _checked_vectors(net, rec, params)
+    return Cpt(net.var(rec.clone), (), pm), Cpt(sevid, (net.var(rec.parent),), se_table(se))
 
 
 def delete_edges(net: Network, plan: DeletionPlan) -> Network:
@@ -203,15 +216,9 @@ def delete_edges(net: Network, plan: DeletionPlan) -> Network:
 
     sevids, cpts, new_records = [], {}, {}
     for k, (rec, params) in enumerate(zip(plan.edges, plan.params)):
-        clone = net.var(rec.clone)
-        parent = net.var(rec.parent)
-        if params.pm.size != clone.card or params.se.size != parent.card:
-            raise ModelError(
-                f"parameters for {rec.parent} -> {rec.child} have the wrong length"
-            )
         sevid = Variable(f"{rec.parent}__se{k}", SE_STATES)
         sevids.append(sevid)
-        cpts[rec.clone], cpts[sevid.name] = _edge_cpts(clone, parent, sevid, params)
+        cpts[rec.clone], cpts[sevid.name] = _edge_cpts(net, rec, sevid, params)
         new_records[rec.key()] = EdgeRecord(
             parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid.name
         )
@@ -245,11 +252,12 @@ def augmented_evidence(nprime: Network, ev: Evidence) -> Evidence:
 
 
 def apply_params(nprime: Network, plan: DeletionPlan) -> Network:
-    """New network with the plan's current pm/se written into the CPTs."""
+    """New network with the plan's current pm/se written into the CPTs; a
+    vector of the wrong length names the plan edge (``_checked_vectors``)."""
     replacements: dict[str, Cpt] = {}
     for rec, params in zip(deleted_records(nprime, plan), plan.params):
         replacements[rec.clone], replacements[rec.sevid] = _edge_cpts(
-            nprime.var(rec.clone), nprime.var(rec.parent), nprime.var(rec.sevid), params
+            nprime, rec, nprime.var(rec.sevid), params
         )
     return nprime.replace_cpts(replacements)
 
@@ -287,6 +295,13 @@ def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.n
     )
     if not structurally_same:
         raise ModelError("engine state was not compiled on this network")
-    names = nprime.original_names()
-    grads = engine.derivatives(st.net, st.evidence, names, st.width_cap)
+    return _source_marginals(st.net, st.evidence, st.width_cap)
+
+
+def _source_marginals(net: Network, ev: Evidence, width_cap) -> dict[str, np.ndarray]:
+    """Pr(X | ``ev``) for every source variable X of ``net``, each read off
+    the CPT derivative tables of one ``engine.derivatives`` pass that answers
+    the source variables only."""
+    names = net.original_names()
+    grads = engine.derivatives(net, ev, names, width_cap)
     return {name: grads.posterior(name) for name in names}

@@ -593,9 +593,7 @@ def mutual_information_scores(
             others = tuple(i for i, p in enumerate(parents) if p != u)
             joint = grads.family(x).sum(axis=others) / grads.pr_e
             indep = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            mass = joint > 0.0
-            p = joint[mass]
-            mi = max(float(np.sum(p * np.log(p / indep[mass]))), 0.0)
+            mi = max(_log_ratio_mass(joint, joint, indep), 0.0)
         out.append((mi, idx, u, x))
     out.sort(key=lambda t: (t[0], t[1]))
     return [(u, x, mi) for mi, _, u, x in out]

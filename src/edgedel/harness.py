@@ -4,6 +4,9 @@ protocol runner that produces report rows.
 Synthetic CPT rows are drawn independently from the uniform simplex
 (symmetric Dirichlet).  Every sampled quantity is driven by a seeded
 generator, so a spec plus a seed fully determines the output.
+
+A spec's lists and the CLI's ``--map-vars`` have one reader
+(``_spec_list``), which refuses an empty list and a repeated entry.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import divergence, parametrize
-from .deletion import DeletionPlan, apply_params, approximate_network, augmented_evidence
+from .deletion import DeletionPlan, _source_marginals, apply_params, approximate_network
+from .deletion import augmented_evidence
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
 from .model import Cpt, Evidence, ModelError, Network, Variable
@@ -167,17 +171,26 @@ class ExperimentSpec:
                 raise ModelError(f"unknown selection {s!r}")
 
 
-def _spec_names(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+def _spec_list(text: str, what: str, convert=str) -> tuple:
+    """The comma-separated entries of ``text``, stripped, blanks skipped,
+    each converted; an empty list or an entry given twice raises
+    ``ModelError`` naming ``what``, the spec key or command-line flag."""
+    entries = tuple(convert(t.strip()) for t in text.split(",") if t.strip())
+    if not entries:
+        raise ModelError(f"{what} needs at least one entry")
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ModelError(f"{what} lists {entry!r} twice")
+    return entries
 
 
 # spec key -> (ExperimentSpec field, converter), converted in this order
 _SPEC_KEYS = {
     "instances": ("instances", int),
     "evidence": ("evidence", str),
-    "k": ("ks", lambda text: tuple(int(t) for t in text.split(",") if t.strip())),
-    "methods": ("methods", _spec_names),
-    "selections": ("selections", _spec_names),
+    "k": ("ks", lambda text: _spec_list(text, "k", int)),
+    "methods": ("methods", lambda text: _spec_list(text, "methods")),
+    "selections": ("selections", lambda text: _spec_list(text, "selections")),
     "seed": ("seed", int),
     "states": ("states", int),
     "max_iters": ("max_iterations", int),
@@ -187,8 +200,13 @@ _SPEC_KEYS = {
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
-    """Key = value lines mirroring the ExperimentSpec fields."""
-    values: dict[str, str] = {}
+    """Key = value lines mirroring the ExperimentSpec fields.
+
+    ``k``, ``methods`` and ``selections`` are comma-separated lists
+    (``_spec_list``): an empty list or a repeated entry is a ``FormatError``
+    at the key's line, as is a value that does not convert.
+    """
+    values: dict[str, tuple[int, str]] = {}
     for i, content in _logical_lines(text):
         if "=" not in content:
             raise FormatError("spec line needs 'key = value'", i)
@@ -196,19 +214,23 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         key = key.strip().lower().replace("-", "_")
         if key in values:
             raise FormatError(f"spec key {key!r} given twice", i)
-        values[key] = val.strip()
+        values[key] = i, val.strip()
     if "network" not in values:
         raise FormatError("experiment spec needs a network")
-    timings = values.pop("timings", "none")
+    ln, timings = values.pop("timings", (None, "none"))
     if timings not in ("none", "real"):
-        raise FormatError(f"timings must be none or real (got {timings!r})")
-    kwargs: dict = {"network": values.pop("network"), "real_timings": timings == "real"}
-    try:
-        for key, (name, convert) in _SPEC_KEYS.items():
-            if key in values:
-                kwargs[name] = convert(values.pop(key))
-    except ValueError as exc:
-        raise FormatError(f"bad spec value: {exc}") from None
+        raise FormatError(f"timings must be none or real (got {timings!r})", ln)
+    kwargs: dict = {"network": values.pop("network")[1], "real_timings": timings == "real"}
+    for key, (name, convert) in _SPEC_KEYS.items():
+        if key not in values:
+            continue
+        ln, val = values.pop(key)
+        try:
+            kwargs[name] = convert(val)
+        except ModelError as exc:
+            raise FormatError(str(exc), ln) from None
+        except ValueError as exc:
+            raise FormatError(f"bad spec value: {exc}", ln) from None
     if values:
         raise FormatError(f"unknown spec keys: {sorted(values)}")
     return ExperimentSpec(**kwargs)
@@ -261,6 +283,8 @@ def run_deletion_instance(
     ``source``, ``pr_ep``), and nothing is eliminated on N' but the
     marginals' one derivative pass.  A row with no edge deleted
     reads exactly 0: ``run``'s Pr'(e') is then that pass's Pr(e).
+    ``compute_marginals`` reads the fitted N''s source marginals by
+    ``recover_marginals``' route (``deletion._source_marginals``).
     """
     start = time.perf_counter()
     aug, nprime, plan = approximate_network(net, edges, warm_params)
@@ -305,8 +329,7 @@ def run_deletion_instance(
     )
     outcome = InstanceOutcome(row=row, plan=plan, trace=trace, map_result=map_result)
     if compute_marginals:
-        grads = divergence.forward_backward(apply_params(nprime, plan), evp, width_cap)
-        outcome.marginals = {name: grads.posterior(name) for name in nprime.original_names()}
+        outcome.marginals = _source_marginals(apply_params(nprime, plan), evp, width_cap)
     return outcome
 
 

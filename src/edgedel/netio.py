@@ -35,8 +35,9 @@ and raises each fault as a ``FormatError`` at the line that declares it.
 Value checks (duplicate state labels, ranges, row sums, cycles) are
 ``model.validate_network``'s.
 
-``parse_plan`` reads a deletion plan's start vectors as ``EdgeParams``, so
-a vector that ``EdgeParams`` refuses is a ``FormatError`` at its line.
+``parse_plan(text, net)`` reads a deletion plan against the network it
+cuts: an edge ``net`` lacks, an edge listed twice and a start vector that
+``EdgeParams`` refuses are each a ``FormatError`` at their line.
 """
 
 from __future__ import annotations
@@ -219,14 +220,17 @@ def serialize_evidence(ev: Evidence) -> str:
     return "".join(f"{k} = {v}\n" for k, v in ev.items())
 
 
-def parse_plan(text: str) -> tuple[list[tuple[str, str]], list[EdgeParams] | None]:
-    """One deleted edge per line: 'parent -> child [| pm: ... | se: ...]'.
+def parse_plan(text: str, net: Network) -> tuple[list[tuple[str, str]], list[EdgeParams] | None]:
+    """One deleted edge of ``net`` per line: 'parent -> child [| pm: ... |
+    se: ...]'.
 
     Returns the (parent, child) edges and their start vectors, one
     ``EdgeParams`` per line, or None for the vectors when no line gives
-    them.  Either every line gives its vectors or none does.  A vector that
-    ``EdgeParams`` refuses is a ``FormatError`` at its line.
+    them.  Either every line gives its vectors or none does.  An edge that
+    ``net`` does not have, an edge listed twice and a vector that
+    ``EdgeParams`` refuses are each a ``FormatError`` at their line.
     """
+    present = set(net.edges())
     edges, vectors, bare = [], [], []
     for ln, content in _logical_lines(text):
         head, *rest = [part.strip() for part in content.split("|")]
@@ -236,6 +240,10 @@ def parse_plan(text: str) -> tuple[list[tuple[str, str]], list[EdgeParams] | Non
         parent, child = parent.strip(), child.strip()
         if not parent or not child or len(parent.split()) != 1 or len(child.split()) != 1:
             raise FormatError("plan line needs 'parent -> child'", ln)
+        if (parent, child) not in present:
+            raise FormatError(f"edge {parent} -> {child} is not in the network", ln)
+        if (parent, child) in edges:
+            raise FormatError(f"edge {parent} -> {child} is listed twice", ln)
         pm = se = None
         for part in rest:
             key, _, vals = part.partition(":")

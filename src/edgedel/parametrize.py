@@ -35,7 +35,7 @@ import numpy as np
 
 from . import engine
 from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params
-from .deletion import deleted_records
+from .deletion import _checked_vectors, deleted_records
 from .divergence import edge_update, forward_backward, kl_breakdown, single_edge_evaluate
 from .divergence import true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
@@ -107,22 +107,6 @@ def _chained(expected, got, label) -> float:
     if abs(got - expected) > engine.EULER_RTOL * max(abs(expected), abs(got), 1e-300):
         raise ModelError(f"edge table for {label} gives Pr'(e') = {got}, expected {expected}")
     return expected
-
-
-def _start_vectors(nprime, records, plan):
-    """The plan's (pm, se) vectors, each checked against its clone's and
-    parent's cardinality in N'."""
-    vectors = []
-    for rec, params in zip(records, plan.params):
-        if (
-            params.pm.size != nprime.var(rec.clone).card
-            or params.se.size != nprime.var(rec.parent).card
-        ):
-            raise ModelError(
-                f"parameters for {rec.parent} -> {rec.child} have the wrong length"
-            )
-        vectors.append((params.pm, params.se))
-    return vectors
 
 
 class _Fit:
@@ -300,7 +284,8 @@ def run(
                 f"soft-evidence variable {rec.sevid} must be observed as {SE_OBSERVED!r}"
             )
     sequential = cfg.schedule == "sequential"
-    fit = _Fit(nprime, evp, records, _start_vectors(nprime, records, plan), sequential, width_cap)
+    vectors = [_checked_vectors(nprime, rec, params) for rec, params in zip(records, plan.params)]
+    fit = _Fit(nprime, evp, records, vectors, sequential, width_cap)
     source = reference
     if reference is not None and not isinstance(reference, engine.Adjoints):
         parents = dict.fromkeys(rec.parent for rec in plan.edges)

@@ -196,6 +196,28 @@ class TestApproxCommand:
         assert captured.out == ""
         assert "line 2: plan line gives no pm/se vectors" in captured.err
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            pytest.param("N0_0 -> N1_0\nN0_0 -> N1_0\n", "line 2: edge N0_0 -> N1_0 is listed twice",
+                         id="repeated-edge"),
+            pytest.param("N0_0 -> N1_0\n# far corner\nN0_0 -> N2_2\n",
+                         "line 3: edge N0_0 -> N2_2 is not in the network", id="unknown-edge"),
+        ],
+    )
+    def test_a_plan_edge_the_network_cannot_delete_exits_3_at_its_line(
+        self, tmp_path, capsys, plan, message
+    ):
+        net_file = tmp_path / "grid.bn"
+        net_file.write_text(serialize_network(grid_network(3, 3, rng=np.random.default_rng(0))))
+        plan_file = tmp_path / "bad.plan"
+        plan_file.write_text(plan)
+        code = main(["approx", str(net_file), "--edges", str(plan_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["approx", "map"])
     def test_deleting_more_edges_than_the_network_has_exits_3(
         self, fixture_files, capsys, command
@@ -223,6 +245,23 @@ class TestApproxCommand:
         assert warm == [by_edge[e] for e in edges]
         args = cli_module.build_parser().parse_args(argv[:-1])
         assert cli_module._resolve_edges(net, ev, args, None) == (edges, None)
+
+    def test_warm_start_takes_a_guided_rankings_own_vectors(self, monkeypatch):
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = Evidence({n: net.var(n).states[0] for n in net.leaves()})
+        scored = []
+        real = cli_module.divergence.score_edges
+        monkeypatch.setattr(cli_module.divergence, "score_edges",
+                            lambda *a, **k: scored.append(a) or real(*a, **k))
+        args = cli_module.build_parser().parse_args(
+            ["approx", "grid.bn", "--delete", "3", "--warm-start"]
+        )
+        edges, warm = cli_module._resolve_edges(net, ev, args, None)
+        scores = real(net, ev)[:3]
+        assert edges == [(s.parent, s.child) for s in scores]
+        assert warm == [s.params for s in scores]
+        # the ranking's one scoring pass; nothing is scored again for the vectors
+        assert len(scored) == 1
 
     def test_target_width_search_measures_each_candidate_as_built(self, monkeypatch):
         built, measured = [], []
@@ -277,6 +316,24 @@ class TestMapCommand:
         out = capsys.readouterr().out
         assert "ratio 1" in out
 
+    @pytest.mark.parametrize(
+        "map_vars, message",
+        [
+            pytest.param(",", "--map-vars needs at least one entry", id="blank"),
+            pytest.param("", "--map-vars needs at least one entry", id="empty"),
+            pytest.param("U1, U1", "--map-vars lists 'U1' twice", id="repeated"),
+        ],
+    )
+    def test_an_empty_or_repeating_map_variable_list_exits_3(
+        self, fixture_files, capsys, map_vars, message
+    ):
+        net_file, ev_file = fixture_files
+        code = main(["map", net_file, ev_file, "--map-vars", map_vars, "--delete", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_default_map_vars_recorded(self, fixture_files, capsys):
         net_file, ev_file = fixture_files
         code = main(["map", net_file, ev_file, "--method", "ed-kl", "--delete", "0"])
@@ -316,6 +373,36 @@ seed = 17
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2
+
+    def test_report_to_stdout_counts_its_bytes(self, tmp_path, capsys):
+        spec_file = tmp_path / "exp.spec"
+        spec_file.write_text(self.SPEC)
+        assert main(["experiment", str(spec_file)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 + 2 * 2
+        assert captured.err == f"wrote 4 rows ({len(captured.out.encode())} bytes)\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("k =", "k needs at least one entry", id="empty-k"),
+            pytest.param("methods = ,", "methods needs at least one entry", id="blank-methods"),
+            pytest.param("k = 1,1", "k lists 1 twice", id="repeated-k"),
+            pytest.param("methods = ed-kl,ed-kl", "methods lists 'ed-kl' twice",
+                         id="repeated-method"),
+        ],
+    )
+    def test_an_empty_or_repeating_spec_list_exits_3_at_its_line(
+        self, tmp_path, capsys, line, message
+    ):
+        key = line.split("=")[0].strip()
+        spec = [ln for ln in self.SPEC.strip().splitlines() if not ln.startswith(key)]
+        spec_file = tmp_path / "bad.spec"
+        spec_file.write_text("\n".join(spec[:2] + [line] + spec[2:]) + "\n")
+        out = tmp_path / "bad.csv"
+        assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert not out.exists()
 
     def test_missing_spec_file_exits_3(self, capsys):
         assert main(["experiment", "/nonexistent.spec"]) == 3

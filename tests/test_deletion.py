@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from edgedel import (
     recover_marginals,
     validate_network,
 )
+from edgedel.deletion import deleted_records
+from edgedel.harness import grid_network
 
 from conftest import positive_evidence, random_evidence, random_network
 
@@ -206,6 +210,39 @@ class TestDeleteEdges:
         )
         with pytest.raises(ModelError, match="^parameters for A -> B have the wrong length$"):
             delete_edges(aug, DeletionPlan((rec,), (bad,)))
+
+    @pytest.mark.parametrize("vector", ["pm", "se"])
+    def test_apply_params_names_the_plan_edge_of_a_wrong_length_vector(self, vector):
+        # the check is delete_edges' own, not Cpt's, which would name the clone
+        _, nprime, plan = approximate_network(grid_network(2, 2), [("N0_0", "N0_1")])
+        bad = EdgeParams([0.2, 0.3, 0.5], [0.5, 0.5]) if vector == "pm" else (
+            EdgeParams([0.5, 0.5], [0.5, 0.5, 0.5])
+        )
+        fault = "^parameters for N0_0 -> N0_1 have the wrong length$"
+        with pytest.raises(ModelError, match=fault):
+            apply_params(nprime, plan.with_params(0, bad))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda rec, aug, nprime: DeletionPlan((rec,), ()),
+                         "plan edges and params are misaligned", id="misaligned-plan"),
+            pytest.param(lambda rec, aug, nprime: DeletionPlan((rec, rec), (None, None)),
+                         "plan repeats a deleted edge", id="repeated-plan-edge"),
+            pytest.param(lambda rec, aug, nprime: deleted_records(aug, DeletionPlan.uniform(aug)),
+                         "plan edge A -> A__clone0 was not deleted in this network",
+                         id="undeleted-edge"),
+            pytest.param(lambda rec, aug, nprime: augmented_evidence(
+                             nprime, Evidence({"A__se0": "yes"})),
+                         "evidence already assigns soft-evidence variables: ['A__se0']",
+                         id="soft-evidence-clash"),
+        ],
+    )
+    def test_each_plan_fault_is_refused(self, call, message):
+        aug, nprime, _ = approximate_network(two_node(), [("A", "B")])
+        (rec,) = aug.clone_edges
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            call(rec, aug, nprime)
 
     def test_disconnecting_equality_fixture_marginals(self, coins_fixture):
         net, ev = coins_fixture

@@ -423,6 +423,12 @@ class TestSingleEdgeEvaluate:
         assert float(params.pm @ d_pm) == pytest.approx(pr_ep, rel=1e-12)
         assert float(params.se @ d_se) == pytest.approx(pr_ep, rel=1e-12)
 
+    def test_a_table_of_another_shape_is_refused(self):
+        # rows are the parent's (se) states, columns the clone's (pm)
+        fault = "^derivative table shape does not match the edge parameters$"
+        with pytest.raises(ModelError, match=fault):
+            single_edge_evaluate(np.ones((2, 3)), np.full(2, 0.5), np.full(2, 0.5))
+
 
 def test_update_sums_are_the_array_method_s_bit_for_bit():
     # np.add.reduce is the reduction ndarray.sum runs; cards 8 and 9 take

@@ -395,6 +395,14 @@ class TestDerivatives:
         with pytest.raises(ModelError):
             cpt_derivatives(st, other)
 
+    def test_another_table_for_a_variable_of_the_network_is_rejected(self):
+        net = chain3()
+        st = compile(net, Evidence({}))
+        other = Cpt(net.var("A"), (), [0.5, 0.5])
+        assert other != net.cpt("A")
+        with pytest.raises(ModelError, match="^cpt for 'A' does not belong to this network$"):
+            cpt_derivatives(st, other)
+
 
 def deleted(net, ev, edges, rng):
     """N' with random edge parameters written in, its augmented evidence, plan."""

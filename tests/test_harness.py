@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -25,6 +26,7 @@ from edgedel.harness import (
     chain_network,
     forward_sample,
     grid_network,
+    make_synthetic,
     parse_experiment_spec,
     parse_synthetic,
     run_deletion_instance,
@@ -109,6 +111,21 @@ class TestGenerators:
         assert parse_synthetic("alarm.net") is None
         with pytest.raises(FormatError):
             parse_synthetic("grid(4by4)")
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("chain(x)", "bad chain size 'x'"),
+            ("grid(4by4)", "bad grid shape '4by4'"),
+            ("grid(4x)", "bad grid shape '4x'"),
+            ("alarm.net", "unknown synthetic network 'alarm.net'"),
+        ],
+        ids=["chain-size", "grid-separator", "grid-size", "not-synthetic"],
+    )
+    def test_each_synthetic_token_fault_is_refused(self, token, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as fault:
+            make_synthetic(token, 2, np.random.default_rng(0))
+        assert fault.value.line is None
 
 
 class TestSampling:
@@ -203,6 +220,38 @@ class TestExperimentSpec:
     def test_bad_fit_values_rejected(self, line):
         with pytest.raises(ModelError):
             parse_experiment_spec(f"network = chain(3)\nmethods = ed-kl,ed-bp\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("k 1", "spec line needs 'key = value'", id="no-equals"),
+            pytest.param("seed = x", "bad spec value: invalid literal for int() with base 10: 'x'",
+                         id="bad-value"),
+            pytest.param("k = 1, x", "bad spec value: invalid literal for int() with base 10: 'x'",
+                         id="bad-k"),
+            pytest.param("k =", "k needs at least one entry", id="empty-k"),
+            pytest.param("methods =", "methods needs at least one entry", id="empty-methods"),
+            pytest.param("selections = ,", "selections needs at least one entry",
+                         id="blank-selections"),
+            pytest.param("k = 1,1", "k lists 1 twice", id="repeated-k"),
+            pytest.param("k = 1, 01", "k lists 1 twice", id="repeated-k-value"),
+            pytest.param("methods = ed-kl, ed-kl", "methods lists 'ed-kl' twice",
+                         id="repeated-method"),
+            pytest.param("selections = rand,mi,rand", "selections lists 'rand' twice",
+                         id="repeated-selection"),
+            pytest.param("timings = rael", "timings must be none or real (got 'rael')",
+                         id="timings"),
+        ],
+    )
+    def test_each_spec_fault_is_refused_at_its_line(self, line, message):
+        text = f"network = chain(3)\n# the faulty line\n{line}\n"
+        with pytest.raises(FormatError, match=f"^line 3: {re.escape(message)}$") as fault:
+            parse_experiment_spec(text)
+        assert fault.value.line == 3
+
+    def test_no_instance_is_refused(self):
+        with pytest.raises(ModelError, match="^instances must be >= 1$"):
+            parse_experiment_spec("network = chain(3)\ninstances = 0\n")
 
 
 class TestRunExperiment:

@@ -56,6 +56,13 @@ cpts:
 """
 
 
+# three separate edges A -> B, C -> D, E -> F
+PAIRS_DOC = "variables:\n" + "".join(f"  {v} {v.lower()}0 {v.lower()}1\n" for v in "ABCDEF") + (
+    "cpts:\n" + "".join(f"  {u} : 0.5 0.5\n  {x} | {u} : 0.9 0.1 0.2 0.8\n" for u, x in
+                        ("AB", "CD", "EF"))
+)
+
+
 class TestCanonicalFormat:
     def test_minimal_document(self):
         net = parse_network(MINIMAL)
@@ -106,6 +113,30 @@ class TestCanonicalFormat:
     def test_content_outside_sections_rejected(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_network("A a0 a1\n")
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            pytest.param(("cpts:", "kind: original\ncpts:"), 3,
+                         "kind must appear once, before any section", id="kind-after-section"),
+            pytest.param(("variables:", "kind: original\nkind: original\nvariables:"), 2,
+                         "kind must appear once, before any section", id="second-kind"),
+            pytest.param(("variables:\n  A a0 a1\n", "variables:\n"), None,
+                         "document declares no variables", id="no-variables"),
+            pytest.param(("  A : 0.3", "  A B : 0.3"), 4, "cpt line needs exactly one child name",
+                         id="two-children"),
+            pytest.param(("0.3 0.7", "0.3 x"), 4, "cpt for 'A': bad number 'x'", id="bad-number"),
+            pytest.param(("0.3 0.7", "0.3 0.7\nedges:\n  A A__clone0 B"), 6,
+                         "edge line needs: parent clone child sevid-or-dash", id="short-edge-line"),
+        ],
+    )
+    def test_each_syntax_fault_is_raised_at_its_line(self, edit, line, message):
+        doc = "variables:\n  A a0 a1\ncpts:\n  A : 0.3 0.7\n"
+        assert parse_network(doc) is not None
+        prefix = "" if line is None else f"line {line}: "
+        with pytest.raises(FormatError, match=f"^{re.escape(prefix + message)}$") as fault:
+            parse_network(doc.replace(*edit))
+        assert fault.value.line == line
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -189,8 +220,12 @@ class TestEvidenceAndPlanFormats:
             ("A = a1\n\nQ = q0\n", "line 3: unknown variable 'Q'"),
             ("A = a1\nB = nope\n", "line 2: variable 'B' has no state 'nope'"),
             ("A = a1\n# again\nA = a0\n", "line 3: variable 'A' assigned twice"),
+            ("A = a1\nB b1\n", "line 2: evidence line needs 'variable = state'"),
+            ("A =\n", "line 1: evidence line needs 'variable = state'"),
+            ("A = a1\n = b1\n", "line 2: evidence line needs 'variable = state'"),
         ],
-        ids=["unknown-variable", "unknown-state", "assigned-twice"],
+        ids=["unknown-variable", "unknown-state", "assigned-twice", "no-equals", "no-state",
+             "no-variable"],
     )
     def test_evidence_fault_is_raised_at_its_line(self, text, message):
         net = parse_network(TWO_NODE)
@@ -203,24 +238,49 @@ class TestEvidenceAndPlanFormats:
             net, [("U1", "X1")], [EdgeParams([0.25, 0.75], [0.5, 1.0])]
         )
         text = serialize_plan(plan)
-        edges, vectors = parse_plan(text)
+        edges, vectors = parse_plan(text, net)
         assert edges == [("U1", "X1")]
         assert vectors == [EdgeParams([0.25, 0.75], [0.5, 1.0])]
         assert vectors == list(plan.params)
 
     def test_plan_edges_only(self):
-        edges, vectors = parse_plan("# plan\nA -> B\nC -> D\n")
+        edges, vectors = parse_plan("# plan\nA -> B\nC -> D\n", parse_network(PAIRS_DOC))
         assert edges == [("A", "B"), ("C", "D")]
         assert vectors is None
 
     def test_plan_requires_both_vectors(self):
         with pytest.raises(FormatError):
-            parse_plan("A -> B | pm: 0.5 0.5\n")
+            parse_plan("A -> B | pm: 0.5 0.5\n", parse_network(PAIRS_DOC))
 
     def test_plan_with_vectors_on_some_lines_names_the_first_bare_line(self):
         text = "A -> B | pm: 0.5 0.5 | se: 1.0 0.5\n# bare lines\nC -> D\nE -> F\n"
         with pytest.raises(FormatError, match="line 3: plan line gives no pm/se"):
-            parse_plan(text)
+            parse_plan(text, parse_network(PAIRS_DOC))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("A -> B\nA B\n", "line 2: plan line needs 'parent -> child'",
+                         id="no-arrow"),
+            pytest.param("A -> B\n -> D\n", "line 2: plan line needs 'parent -> child'",
+                         id="no-parent"),
+            pytest.param("A ->\n", "line 1: plan line needs 'parent -> child'", id="no-child"),
+            pytest.param("A -> B | pm: 0.5 x | se: 1 1\n", "line 1: bad number in 'pm' vector",
+                         id="bad-number"),
+            pytest.param("A -> B | pm: 0.5 0.5 | se: 1 1 | xx: 1\n",
+                         "line 1: unknown plan field 'xx'", id="unknown-field"),
+            pytest.param("A -> B\n# again\nA -> B\n", "line 3: edge A -> B is listed twice",
+                         id="repeated-edge"),
+            pytest.param("A -> B\nA -> D\n", "line 2: edge A -> D is not in the network",
+                         id="unknown-edge"),
+            pytest.param("B -> A\n", "line 1: edge B -> A is not in the network",
+                         id="reversed-edge"),
+        ],
+    )
+    def test_each_plan_fault_is_raised_at_its_line(self, text, message):
+        net = parse_network(PAIRS_DOC)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_plan(text, net)
 
 
 def make_row(**overrides):

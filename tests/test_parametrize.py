@@ -69,6 +69,7 @@ class TestConfig:
             {"damping": 1.0},
             {"tolerance": 0.0},
             {"max_iterations": -1},
+            {"initialization": "warm"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
