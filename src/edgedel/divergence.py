@@ -24,9 +24,13 @@ CPT's derivative table in the all-edges augmentation is one contraction of
 its child's CPT with the child's table in the source pass
 (``_clone_tables``), and the scorer then takes the sweep's ed-kl edge
 update on all tables of one shape and layout at once, bitwise each edge's
-own fit.  Only edges whose scores tie within TIE_TOL take one derivative
-elimination each on the augmentation, built for that refit alone, which
-fixes their order to that route's.  ``score_edges`` and
+own fit.  Only edges whose scores tie within TIE_TOL are refitted, all in
+one refit per call, on the tables of one derivative elimination each on the
+all-edges augmentation, which fixes their order to that route's.  The
+refit's eliminations are recorded once per (source layout, observed
+variables, tied edges) and kept by the engine
+(``engine.derived_derivatives``), so a call builds no augmentation and
+replays each bucket they share once.  ``score_edges`` and
 ``mutual_information_scores`` score original networks only; an augmented
 or approximate input is refused before any pass.
 """
@@ -503,15 +507,20 @@ def score_edges(
     two children, differ only in the last bits, and which bits depends on
     the route that computed their tables.  The ranking is pinned to the
     route of one derivative elimination per edge on the all-edges
-    augmentation (``engine.cpt_derivatives``): adjacent scores within
-    TIE_TOL (relative, floored at 1 absolute) form a run, and each run of
-    two or more edges is refitted on that route's tables, then ordered and
-    reported by the refitted (score, declaration index).  The refit reads
-    Pr(e) off ``engine.compile(aug, ev, width_cap)``; the augmentation and
-    that state are made only when a run exists, so a refitted score keeps
-    that route's bits whatever the pass's Pr(e) (the jointree's differs
-    from ``compile``'s in the last bit on some networks), and only a tie
-    run needs the augmentation's width.  Measured on the benchmark's
+    augmentation (what ``engine.cpt_derivatives`` gives): adjacent scores
+    within TIE_TOL (relative, floored at 1 absolute) form a run, and each
+    run of two or more edges is refitted on that route's tables, then
+    ordered and reported by the refitted (score, declaration index).  Every
+    run of a call shares one refit, ``engine.derived_derivatives`` over the
+    tied edges, which gives that route's Pr(e) (``engine.compile``'s) once
+    and each tied edge's table, bit for bit.  It keeps one structure per
+    (source layout, observed variables, tied edges): the augmentation
+    (``_augmentation``) is built, and the eliminations recorded, only on
+    its first use, and every call reads the source CPTs off ``net`` and
+    replays each bucket that the eliminations share once.  A refitted score
+    keeps that route's bits whatever the pass's Pr(e) (the jointree's
+    differs from ``compile``'s in the last bit on some networks), and only
+    a tie run needs the refit's width.  Measured on the benchmark's
     seeded instances (the whole pools of its three workloads at seeds
     1-10: grid(5x5)-grid(7x7) rungs, grid(4x4) MAP instances,
     chain(8)/grid(4x4) matrix cells; 1640 calls), the derived tables' and
@@ -519,10 +528,10 @@ def score_edges(
     relative), mathematical ties by at most 1.0e-15, and the smallest
     genuine gap is 5.6e-11, so TIE_TOL = 1e-12 separates them.  Sorting
     the derived tables' scores alone would have reordered a tie in 499 of
-    the 1640.  With many ties the cost is at most one derivative
-    elimination per edge plus the one pass, one ``augment`` and one
-    ``compile``, and each elimination is recorded once per network
-    structure (``engine.record`` keeps it); the refits are stacked too.
+    the 1640.  With many ties, as under empty evidence, where a parent's
+    out-edges all tie, the cost is the one pass plus one refit: Pr(e) once
+    and each distinct bucket of the tied edges' eliminations once; the
+    refits are stacked too.
     """
     grads, edges = _scoring_pass(net, ev, width_cap, "score_edges")
     tables = _clone_tables(grads, edges)
@@ -543,28 +552,33 @@ def score_edges(
         return sorted(fits, key=lambda t: (t[0][0], t[1]))
 
     scored = ranked(range(len(edges)), tables.__getitem__, grads.pr_e)
-    st = None
-    out: list[EdgeScore] = []
-    start = 0
+    runs, start = [], 0
     for end in range(1, len(scored) + 1):
         if end < len(scored):
             a, b = scored[end - 1][0][0], scored[end][0][0]
             if abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b)):
                 continue
-        run = scored[start:end]
+        runs.append(scored[start:end])
+        start = end
+    tied = [i for run in runs if len(run) > 1 for _, i in run]
+    if tied:
+        pr_e, refit = engine.derived_derivatives(net, ev, _augmentation, tied, width_cap)
+        refit = dict(zip(tied, refit))
+    out: list[EdgeScore] = []
+    for run in runs:
         if len(run) > 1:
-            if st is None:
-                aug = augment(net, edges)
-                st = engine.compile(aug, ev, width_cap)
-            run = ranked(
-                [i for _, i in run],
-                lambda i: engine.cpt_derivatives(st, aug.cpt(aug.clone_edges[i].clone)),
-                st.pr_e,
-            )
+            run = ranked([i for _, i in run], refit.__getitem__, pr_e)
         out.extend(EdgeScore(*edges[i], score, EdgeParams(pm, se), k, c)
                    for (score, pm, se, k, c), i in run)
-        start = end
     return out
+
+
+def _augmentation(net: Network):
+    """The all-edges augmentation of ``net`` and each edge's clone CPT name,
+    by edge index: the network and the CPTs of ``score_edges``' tie refit
+    (``engine.derived_derivatives``)."""
+    aug = augment(net, net.edges())
+    return aug, [rec.clone for rec in aug.clone_edges]
 
 
 def mutual_information_scores(

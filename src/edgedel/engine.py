@@ -34,8 +34,9 @@ that depend on them.
 Orders, buckets and tree plans depend on the structure, the observed set
 and the query, not on the CPT entries or the observed states.  So one
 cache (``_structure``) keeps those of the most recent keys for ``record``,
-``Jointree`` and ``_full_order`` (``min_fill_order`` is ``constrained_order``
-with no variable forced last), least recently used evicted first, and
+``Jointree``, ``derived_derivatives`` and ``_full_order``
+(``min_fill_order`` is ``constrained_order`` with no variable forced
+last), least recently used evicted first, and
 checks a kept width against each call's cap.  It
 holds structure only: every call builds its own inputs and reads its own
 tables, so its program or tree is a fresh one's, bit for bit.
@@ -52,11 +53,15 @@ The CPT times its table is the family's joint with the evidence
 (``Adjoints.family``), so ``Adjoints.posterior`` reads Pr(X | e) for every
 X off the same pass: the only bulk-marginal route.  Every Pr(e) outside
 this module is a tree query too (``derivatives(net, ev, ())``).  Bucket
-programs run forward only (``replay``), and only here: ``exact_map``'s
-max-product traceback, the Pr(e) (``compile``) and ``cpt_derivatives``
-of ``divergence.score_edges``'s tie refit, and the per-query references
-``posterior_marginal`` and ``pairwise_marginal``, which answer one query
-each with their own elimination.
+programs run forward only, and only here: ``exact_map``'s max-product
+traceback; ``divergence.score_edges``'s tie refit
+(``derived_derivatives``: Pr(e) and the tied clones' derivative tables on
+the all-edges augmentation, recorded once per structure with each shared
+bucket kept once, every input read per call off the source network, each
+distinct bucket replayed once); and the per-query references
+``compile``, ``cpt_derivatives``, ``posterior_marginal`` and
+``pairwise_marginal``, which answer one query each with their own
+elimination (``replay``).
 """
 from __future__ import annotations
 
@@ -385,7 +390,8 @@ def _distinct(names, fault) -> tuple[str, ...]:
 
 
 # the structure kept per key, least recently used first: ``record``'s
-# orders and buckets, ``Jointree``'s plans, and the full orders.  96
+# orders and buckets, ``Jointree``'s plans, ``derived_derivatives``'
+# recordings, and the full orders.  96
 # entries hold about one round of the benchmark's matrix workload (two
 # instances' programs, trees and orders), so the next instance of a
 # structure still finds it
@@ -502,12 +508,14 @@ _sum = np.add.reduce
 _max = np.maximum.reduce
 
 
-def _multiply(tables, prod, steps):
+def _multiply(tables, prod, steps, release=True):
     """Multiply ``prod`` by the table of each step in turn (see
-    ``_product_steps``), releasing the tables."""
+    ``_product_steps``), releasing the tables unless ``release`` is
+    false."""
     for j, grow, turn, fit in steps:
         other = tables[j]
-        tables[j] = None
+        if release:
+            tables[j] = None
         if grow is not None:
             prod = prod.reshape(grow)
         if turn is not None:
@@ -565,11 +573,18 @@ def replay(program: Program) -> tuple[np.ndarray, list]:
             traceback.append((b.var, b.rest, prod.argmax(axis=b.axis)))
             out = _max(prod, b.axis)
         tables.append(_stored(out, b.shape))
-    prod = _multiply(tables, np.array(1.0), program.final_steps)
-    table = np.ascontiguousarray(prod.transpose(program.perm)).reshape(program.shape)
+    return _result(tables, program.final_steps, program.perm, program.shape), traceback
+
+
+def _result(tables, final_steps, perm, shape, release=True) -> np.ndarray:
+    """The product of what remains (``final_steps``, from a scalar one),
+    permuted by ``perm`` and reshaped to ``shape``; an infinite or NaN
+    entry raises "numerical overflow in factor product"."""
+    prod = _multiply(tables, np.array(1.0), final_steps, release)
+    table = np.ascontiguousarray(prod.transpose(perm)).reshape(shape)
     if not np.isfinite(table).all():
         raise ModelError("numerical overflow in factor product")
-    return table, traceback
+    return table
 
 
 def _check_euler(theta, d, pr_e, what):
@@ -1068,6 +1083,164 @@ def cpt_derivatives(st: EngineState, cpt: Cpt) -> np.ndarray:
     d = replay(program)[0]
     _check_euler(cpt.shaped, d, st.pr_e, f"derivative table for {cpt.child.name!r}")
     return d
+
+
+class _Refit(NamedTuple):
+    """``derived_derivatives``' kept structure: the eliminations of Pr(e)
+    and of each label's derivative table on a derived network, as
+    ``record`` orders and buckets each, with a bucket they share kept once.
+
+    Tables are ids: the inputs, then the distinct bucket results, each
+    released after bucket ``drops[k]`` last reads it.  Input i is read per
+    call from ``inputs[i]``: a CPT's table, the source network's if it
+    declares the CPT, else the derived one's fixed table (``fixed``), with
+    each axis that ``take`` names taken at that variable's observed state;
+    or, with ``cpt`` None, ``table``, or the indicator of the observed
+    state of its one variable if ``table`` is None.  ``pr_e`` and each of
+    ``tables`` (label to left-out CPT, then the fields) give an output's
+    final product, as a ``Program``'s do, and ``widths`` each elimination's
+    induced width (Pr(e)'s under None)."""
+
+    inputs: tuple[_Input, ...]
+    fixed: dict[str, np.ndarray]
+    buckets: tuple[_Bucket, ...]
+    drops: tuple[tuple[int, ...], ...]
+    pr_e: tuple
+    tables: dict
+    widths: dict
+    width: int
+
+
+def _record_refit(net, derive, ev_index, wrt, width_cap) -> _Refit:
+    """``derived_derivatives``' miss path: derive the network, record its
+    eliminations in call order, each ordered under ``width_cap``, and keep
+    each distinct input and bucket once."""
+    derived, names = derive(net)
+    source = {child for child, _, _ in net.layout()}
+    fixed = {}
+    for cpt in derived.cpts():
+        name = cpt.child.name
+        if name not in source:
+            fixed[name] = cpt.shaped
+        elif cpt.shape != net.cpt(name).shape or not np.array_equal(
+            cpt.table, net.cpt(name).table
+        ):
+            raise ModelError(f"derived CPT of {name!r} is not the source network's")
+    labels = (None, *wrt)
+    recordings = []
+    for label in labels:
+        without = () if label is None else (names[label],)
+        keep = () if label is None else derived.cpt(names[label]).layout[1]
+        inputs = _factors(derived, ev_index, without, keep)
+        recordings.append((inputs, _record(derived, inputs, keep, (), width_cap)))
+    ids: dict = {}  # an input's or a bucket's key -> its id
+    kept_inputs, input_ids = [], []
+    for inputs, _ in recordings:
+        input_ids.append([])
+        for inp in inputs:
+            # the observed set is the key's, so the scope left after the
+            # evidence slice tells a CPT's inputs apart
+            key = (inp.cpt, inp.scope)
+            if key not in ids:
+                ids[key] = len(kept_inputs)
+                if inp.take is not None:
+                    scope = derived.cpt(inp.cpt).layout[1]
+                    take = tuple(None if type(t) is slice else n for n, t in zip(scope, inp.take))
+                    inp = inp._replace(take=take)
+                elif inp.cpt is None and inp.scope[0] in ev_index:
+                    inp = inp._replace(table=None)
+                kept_inputs.append(inp)
+            input_ids[-1].append(ids[key])
+    buckets, last = [], {}
+    finals, widths = [], {}
+    for label, (_, recorded), local in zip(labels, recordings, input_ids):
+        for b in recorded.buckets:
+            steps = tuple((local[j], *fit) for j, *fit in b.steps)
+            key = (local[b.first], steps, b.axis, b.shape)
+            if key not in ids:
+                ids[key] = len(kept_inputs) + len(buckets)
+                for j in (local[b.first], *(j for j, *_ in steps)):
+                    last[j] = len(buckets)
+                buckets.append(b._replace(first=local[b.first], steps=steps))
+            local.append(ids[key])
+        finals.append((tuple((local[j], *fit) for j, *fit in recorded.final_steps),
+                       recorded.perm, recorded.shape))
+        widths[label] = recorded.width
+    held = {j for steps, _, _ in finals for j, *_ in steps}
+    drops = [[] for _ in buckets]
+    for j, k in last.items():
+        if j not in held:
+            drops[k].append(j)
+    return _Refit(
+        tuple(kept_inputs), fixed, tuple(buckets), tuple(map(tuple, drops)), finals[0],
+        {label: (names[label], *final) for label, final in zip(wrt, finals[1:])},
+        widths, max(widths.values()),
+    )
+
+
+def derived_derivatives(net: Network, ev: Evidence, derive, wrt, width_cap=None):
+    """Pr(e) and the derivative table of each of ``wrt``'s CPTs on a
+    network derived from ``net``, as ``compile`` and ``cpt_derivatives`` on
+    it give them, bit for bit, without deriving it on every call.
+
+    ``derive(net)`` returns the derived network and a map from each label
+    in ``wrt`` to the name of a CPT in it.  It must depend on ``net`` only
+    through ``net.layout()``, give every variable of ``net`` its source CPT
+    table (refused otherwise) and every variable it adds a fixed table.
+    ``divergence.score_edges``' tie refit derives the all-edges
+    augmentation, and its labels are edge indices.
+
+    The eliminations (Pr(e), then one per label, each ordered and bucketed
+    as ``record`` does) are recorded once per key (``derive``,
+    ``net.layout()``, the observed variables, the set of labels) and kept
+    (``_structure``), a bucket that two of them share once; only a miss
+    calls ``derive``.  Each call checks every width against ``width_cap``,
+    Pr(e)'s first and then ``wrt``'s in order, before any table is read,
+    with ``record``'s message; reads each input once, a source CPT off
+    ``net`` by name, so a kept structure never reads the tables of the
+    network it was recorded on; and replays each distinct bucket once.
+    Each output is checked for overflow as ``replay`` checks its result,
+    and each derivative table by the Euler identity against this Pr(e), as
+    ``cpt_derivatives`` checks its own.  Returns (Pr(e), the tables in
+    ``wrt``'s order).
+    """
+    ev_index = _indexed(net, ev)
+    wrt = tuple(wrt)
+    key = ("refit", derive, net.layout(), frozenset(ev_index), frozenset(wrt))
+    refit = _structure(key, lambda: _record_refit(net, derive, ev_index, wrt, width_cap))
+    for label in (None, *wrt):
+        _check_width(refit.widths[label], (), width_cap)
+
+    def cpt_table(name):
+        table = refit.fixed.get(name)
+        return net.cpt(name).shaped if table is None else table
+
+    tables = []
+    for inp in refit.inputs:
+        if inp.cpt is not None:
+            table = cpt_table(inp.cpt)
+            if inp.take is not None:
+                take = tuple(slice(None) if n is None else ev_index[n] for n in inp.take)
+                table = np.ascontiguousarray(table[take]).reshape(inp.reduced)
+        elif inp.table is None:
+            table = np.zeros(inp.reduced)
+            table[ev_index[inp.scope[0]]] = 1.0
+        else:
+            table = inp.table
+        tables.append(table)
+    for b, drop in zip(refit.buckets, refit.drops):
+        prod = _multiply(tables, tables[b.first], b.steps, release=False)
+        for j in drop:
+            tables[j] = None
+        tables.append(_stored(_sum(prod, b.axis), b.shape))
+    pr_e = float(_result(tables, *refit.pr_e, release=False))
+    out = []
+    for label in wrt:
+        name, *final = refit.tables[label]
+        d = _result(tables, *final, release=False)
+        _check_euler(cpt_table(name), d, pr_e, f"derivative table for {name!r}")
+        out.append(d)
+    return pr_e, out
 
 
 def exact_map(

@@ -149,24 +149,37 @@ class ExperimentSpec:
     real_timings: bool = False
 
     def __post_init__(self):
-        if self.instances < 1:
-            raise ModelError("instances must be >= 1")
-        if self.evidence not in EVIDENCE_MODES:
-            raise ModelError(f"unknown evidence mode {self.evidence!r}")
-        if any(k < 0 for k in self.ks):
-            raise ModelError("k values must be >= 0")
-        if self.states < 2:
-            raise ModelError("states must be >= 2")
-        if self.seed < 0:
-            raise ModelError("seed must be >= 0")
-        for m in self.methods:
-            parametrize.IterationConfig(
-                method=m,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                damping=self.damping,
-            )
-        for s in self.selections:
+        for name in _CHECKED_FIELDS:
+            _check_field(name, getattr(self, name))
+
+
+# the ExperimentSpec fields that ``_check_field`` checks, in checking order
+_CHECKED_FIELDS = (
+    "instances", "evidence", "ks", "states", "seed", "methods", "max_iterations",
+    "tolerance", "damping", "selections",
+)
+
+
+def _check_field(name: str, value) -> None:
+    """Refuse a bad value of the ExperimentSpec field ``name`` with
+    ``ModelError``; the fit settings are checked by ``IterationConfig``."""
+    if name == "instances" and value < 1:
+        raise ModelError("instances must be >= 1")
+    if name == "evidence" and value not in EVIDENCE_MODES:
+        raise ModelError(f"unknown evidence mode {value!r}")
+    if name == "ks" and any(k < 0 for k in value):
+        raise ModelError("k values must be >= 0")
+    if name == "states" and value < 2:
+        raise ModelError("states must be >= 2")
+    if name == "seed" and value < 0:
+        raise ModelError("seed must be >= 0")
+    if name == "methods":
+        for m in value:
+            parametrize.IterationConfig(method=m)
+    if name in ("max_iterations", "tolerance", "damping"):
+        parametrize.IterationConfig(**{name: value})
+    if name == "selections":
+        for s in value:
             if s not in SELECTION_TAGS:
                 raise ModelError(f"unknown selection {s!r}")
 
@@ -204,7 +217,8 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
 
     ``k``, ``methods`` and ``selections`` are comma-separated lists
     (``_spec_list``): an empty list or a repeated entry is a ``FormatError``
-    at the key's line, as is a value that does not convert.
+    at the key's line, as is a value that does not convert, an unknown key
+    (at the first one's line) and a value that ``ExperimentSpec`` refuses.
     """
     values: dict[str, tuple[int, str]] = {}
     for i, content in _logical_lines(text):
@@ -221,18 +235,27 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     if timings not in ("none", "real"):
         raise FormatError(f"timings must be none or real (got {timings!r})", ln)
     kwargs: dict = {"network": values.pop("network")[1], "real_timings": timings == "real"}
+    lines = {}
     for key, (name, convert) in _SPEC_KEYS.items():
         if key not in values:
             continue
-        ln, val = values.pop(key)
+        lines[name], val = values.pop(key)
         try:
             kwargs[name] = convert(val)
         except ModelError as exc:
-            raise FormatError(str(exc), ln) from None
+            raise FormatError(str(exc), lines[name]) from None
         except ValueError as exc:
-            raise FormatError(f"bad spec value: {exc}", ln) from None
+            raise FormatError(f"bad spec value: {exc}", lines[name]) from None
     if values:
-        raise FormatError(f"unknown spec keys: {sorted(values)}")
+        first = min(ln for ln, _ in values.values())
+        raise FormatError(f"unknown spec keys: {sorted(values)}", first)
+    # ExperimentSpec's own checks, in its order, each at its key's line
+    for name in _CHECKED_FIELDS:
+        if name in lines:
+            try:
+                _check_field(name, kwargs[name])
+            except ModelError as exc:
+                raise FormatError(str(exc), lines[name]) from None
     return ExperimentSpec(**kwargs)
 
 

@@ -55,6 +55,23 @@ def count_engine_calls(monkeypatch, names):
     return calls
 
 
+def record_refits(monkeypatch):
+    """Record each ``engine.derived_derivatives`` call, ``score_edges``' tie
+    refit; returns the live list of (labels, Pr(e), tables), one per call."""
+    import edgedel.engine as engine_module
+
+    refits = []
+    real = engine_module.derived_derivatives
+
+    def recording(net, ev, derive, wrt, *args, **kwargs):
+        pr_e, tables = real(net, ev, derive, wrt, *args, **kwargs)
+        refits.append((tuple(wrt), pr_e, tables))
+        return pr_e, tables
+
+    monkeypatch.setattr(engine_module, "derived_derivatives", recording)
+    return refits
+
+
 def tree_input(tree, name, table):
     """``table``, a CPT table of ``name``, as the jointree ``tree`` reads
     it (``Jointree.set_input``): sliced by the evidence, as ``engine._bind``

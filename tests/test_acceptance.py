@@ -47,6 +47,7 @@ from conftest import (
     loopy_polytree_net,
     positive_evidence,
     random_network,
+    record_refits,
     tied_edges,
 )
 
@@ -249,7 +250,7 @@ def test_criterion_05_converged_edkl_matches_true_marginals():
 def test_criterion_06_single_edge_closed_form(monkeypatch):
     """Closed-form single-edge quantities agree with direct compilation at
     1e-10 relative on 50 instances, and the scorer's inner loop never touches
-    the engine after its one adjoint pass (and its tie refits)."""
+    the engine after its one adjoint pass (and its one tie refit)."""
     worst = 0.0
     done = 0
     seed = 0
@@ -284,19 +285,21 @@ def test_criterion_06_single_edge_closed_form(monkeypatch):
             assert rel <= 1e-10
         done += 1
     # structural half: one derivative pass serves the whole scoring pass,
-    # and only the edges of a tie run take their own derivative
-    # elimination, on one compiled state made only if such a run exists
+    # and only the edges of a tie run take their own derivative table, all
+    # in one refit made only if such a run exists
     rng = np.random.default_rng([106, 999])
     net = random_network(rng, n_vars=7)
     ev = positive_evidence(net, rng)
+    refits = record_refits(monkeypatch)
     calls = count_engine_calls(monkeypatch, ["compile", "derivatives", "cpt_derivatives"])
     scores = score_edges(net, ev)
     monkeypatch.undo()
     tied = tied_edges(scores)
-    assert calls == {"compile": int(tied > 0), "derivatives": 1, "cpt_derivatives": tied}
+    assert calls == {"compile": 0, "derivatives": 1, "cpt_derivatives": 0}
+    assert [len(wrt) for wrt, _, _ in refits] == ([tied] if tied else [])
     _ok("criterion 6 single-edge closed form",
         f"50 instances, worst rel {worst:.2e}; scorer used {calls['derivatives']} derivative pass, "
-        f"{calls['cpt_derivatives']} tie refits")
+        f"{tied} tie refits")
 
 
 def test_criterion_07_equality_fixture():

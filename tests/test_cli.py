@@ -428,6 +428,34 @@ seed = 17
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("methods = gibbs", "unknown method 'gibbs'"),
+            ("k = -1,1", "k values must be >= 0"),
+            ("states = 1", "states must be >= 2"),
+            ("instances = 0", "instances must be >= 1"),
+            ("evidence = bogus", "unknown evidence mode 'bogus'"),
+            ("selections = best", "unknown selection 'best'"),
+            ("seed = -1", "seed must be >= 0"),
+            ("max_iters = -2", "max_iterations must be >= 0"),
+            ("tol = 0", "tolerance must be positive"),
+            ("damping = 1", "damping must lie in [0, 1)"),
+            ("colour = red", "unknown spec keys: ['colour']"),
+        ],
+    )
+    def test_each_spec_value_fault_exits_3_at_its_key_s_line(
+        self, tmp_path, capsys, line, message
+    ):
+        key = line.split("=")[0].strip()
+        spec = [ln for ln in self.SPEC.strip().splitlines() if not ln.startswith(key)]
+        spec_file = tmp_path / "bad.spec"
+        spec_file.write_text("\n".join(spec[:1] + [line] + spec[1:]) + "\n")
+        out = tmp_path / "bad.csv"
+        assert main(["experiment", str(spec_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
+
     def test_repeated_spec_key_exits_3_without_rows(self, tmp_path, capsys):
         spec_file = tmp_path / "twice.spec"
         spec_file.write_text(self.SPEC + "network = grid(3x3)\n")

@@ -47,6 +47,7 @@ from conftest import (
     count_engine_calls,
     positive_evidence,
     random_network,
+    record_refits,
     tied_edges,
 )
 from score_reference import reference_scores, routed_scores
@@ -626,7 +627,8 @@ class TestSourcePass:
     @pytest.mark.parametrize("case", ["chain(8)x3", "grid(4x4)"])
     def test_score_edges_builds_the_augmentation_only_for_a_tie_refit(self, monkeypatch, case):
         # the chain's scores hold no tie run; the grid's do, and their
-        # refit builds the all-edges augmentation
+        # refit builds the all-edges augmentation on its kept structure's
+        # first use only: the second call refits on the kept structure
         net, ev = stack_case(case) if case == "chain(8)x3" else self.case()
         real, built = divergence_module.augment, []
 
@@ -635,11 +637,13 @@ class TestSourcePass:
             return real(*args)
 
         monkeypatch.setattr(divergence_module, "augment", counting)
-        calls = count_engine_calls(monkeypatch, ["derivatives", "compile"])
+        refits = record_refits(monkeypatch)
+        calls = count_engine_calls(monkeypatch, ["derivatives", "compile", "cpt_derivatives"])
         first, second = score_edges(net, ev), score_edges(net, ev)
         ties = tied_edges(first) > 0
         assert ties == (case == "grid(4x4)")
-        assert len(built) == 2 * ties and calls == {"derivatives": 1, "compile": 2 * ties}
+        assert len(built) == ties and len(refits) == 2 * ties
+        assert calls == {"derivatives": 1, "compile": 0, "cpt_derivatives": 0}
         assert all(args == (net, net.edges()) for args in built)
         assert all(same_fit(a, b) for a, b in zip(first, second))
 
@@ -765,12 +769,13 @@ class TestScoreEdges:
 
     def test_one_adjoint_pass_for_all_edges(self, monkeypatch):
         # Pr(e) and every clone table come from one derivative pass; only
-        # edges in a tie run take their own derivative elimination, on one
-        # compiled state, and every fit runs in the stacked loop, not edge
-        # by edge
+        # edges in a tie run take their own derivative table, all of them
+        # in one refit, and every fit runs in the stacked loop, not edge by
+        # edge
         rng = np.random.default_rng(7)
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
+        refits = record_refits(monkeypatch)
         calls = count_engine_calls(monkeypatch, ["compile", "derivatives", "cpt_derivatives"])
         updates = []
 
@@ -781,7 +786,8 @@ class TestScoreEdges:
         monkeypatch.setattr(divergence_module, "edge_update", counting)
         scores = score_edges(net, ev)
         tied = tied_edges(scores)
-        assert calls == {"compile": int(tied > 0), "derivatives": 1, "cpt_derivatives": tied}
+        assert calls == {"compile": 0, "derivatives": 1, "cpt_derivatives": 0}
+        assert [len(wrt) for wrt, _, _ in refits] == ([tied] if tied else [])
         assert len(updates) == 0
 
     def test_ranking_ascending_with_declaration_tiebreak(self):
@@ -840,9 +846,14 @@ class TestTieRule:
         edges = lambda scores: [(s.parent, s.child) for s in scores]
         # the fixture is one where sorting the one-pass scores swaps the root's edges
         assert edges(routed_scores(net, ev, one_pass=True)) != edges(want)
-        calls = count_engine_calls(monkeypatch, ["cpt_derivatives"])
+        refits = record_refits(monkeypatch)
+        calls = count_engine_calls(monkeypatch, ["compile", "cpt_derivatives"])
         got = score_edges(net, ev)
-        assert calls == {"cpt_derivatives": 2} and tied_edges(got) == 2
+        # one refit takes the derivative tables of the two tied edges, the root's
+        assert calls == {"compile": 0, "cpt_derivatives": 0} and tied_edges(got) == 2
+        assert [sorted(net.edges()[i] for i in wrt) for wrt, _, _ in refits] == [
+            [("N0_0", "N0_1"), ("N0_0", "N1_0")]
+        ]
         assert edges(got) == edges(want)
         values = [s.score for s in got]
         assert values == sorted(values)
@@ -886,7 +897,8 @@ def same_fit(got, want):
 class TestStackedFit:
     """The stacked fit is bitwise the per-edge ``edge_update`` route on the
     same tables: those derived from the source pass (``_clone_tables``),
-    and, for a tie run, the refit's ``cpt_derivatives`` tables."""
+    and, for a tie run, the refit's tables, which ``reference_scores``
+    takes from ``cpt_derivatives``."""
 
     @pytest.mark.parametrize("case", list(STACK_CASES))
     def test_score_edges_is_the_per_edge_route(self, case):
@@ -902,20 +914,14 @@ class TestStackedFit:
         # and F-ordered 2x2 tables, so the (shape, layout) grouping sees
         # both, and the tie refits read 2x2 and 3x3 tables
         layout = lambda t: (t.shape, t.flags.c_contiguous, t.flags.f_contiguous)
-        derived, refit = set(), set()
-        real = engine_module.cpt_derivatives
-
-        def recording(*args):
-            table = real(*args)
-            refit.add(layout(table))
-            return table
-
-        monkeypatch.setattr(engine_module, "cpt_derivatives", recording)
+        derived = set()
+        refits = record_refits(monkeypatch)
         for case in STACK_CASES:
             net, ev = stack_case(case)
             source = divergence_module.forward_backward(net, ev)
             derived.update(map(layout, divergence_module._clone_tables(source, net.edges())))
             score_edges(net, ev)
+        refit = {layout(t) for _, _, tables in refits for t in tables}
         for card in (2, 3):
             assert ((card, card), True, False) in derived
             assert ((card, card), True, False) in refit
@@ -973,6 +979,141 @@ class TestStackedFit:
             divergence_module._fit_stack([(u, "X") for u in "ABC"], g, true, 1.0)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "update for edge B -> X is degenerate (sum 0.0)"
+
+
+def tie_case(size, seed):
+    """TestTieRule's fixtures: a seeded grid with every leaf in its first state."""
+    net = grid_network(size, size, rng=np.random.default_rng(seed))
+    return net, Evidence({n: net.var(n).states[0] for n in net.leaves()})
+
+
+class TestKeptRefit:
+    """The tie refit reads one kept structure per (source layout, observed
+    variables, tied edges) (``engine.derived_derivatives``): its Pr(e) and
+    each tied edge's clone table are, byte for byte, those of ``compile``
+    and ``cpt_derivatives`` on the all-edges augmentation."""
+
+    @staticmethod
+    def compiled(net, ev, wrt, width_cap=engine_module.WIDTH_CAP_DEFAULT):
+        aug = augment(net, net.edges())
+        st = compile(aug, ev, width_cap)
+        tables = [cpt_derivatives(st, aug.cpt(aug.clone_edges[i].clone)) for i in wrt]
+        return st.pr_e, tables
+
+    def check(self, net, ev, refit):
+        """``refit``, a (labels, Pr(e), tables) of ``record_refits``, is the
+        compiled route's, and the scores are the per-edge route's."""
+        wrt, pr_e, tables = refit
+        want_pr_e, want = self.compiled(net, ev, wrt)
+        assert pr_e.hex() == want_pr_e.hex() and len(tables) == len(want)
+        for got, w in zip(tables, want):
+            assert got.shape == w.shape and got.flags.c_contiguous
+            assert got.tobytes() == w.tobytes()
+        got, want = score_edges(net, ev), reference_scores(net, ev)
+        assert [(s.parent, s.child) for s in got] == [(s.parent, s.child) for s in want]
+        assert all(same_fit(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("size,first,second", [(4, 2, 4), (5, 1, 6)])
+    def test_a_structure_recorded_on_one_instance_serves_another(
+        self, monkeypatch, size, first, second
+    ):
+        score_edges(*tie_case(size, first))
+        net, ev = tie_case(size, second)
+        kept = set(engine_module._structures)
+        built, real = [], divergence_module.augment
+        monkeypatch.setattr(divergence_module, "augment", lambda *a: built.append(a) or real(*a))
+        refits = record_refits(monkeypatch)
+        calls = count_engine_calls(monkeypatch, ["compile", "cpt_derivatives", "_record_refit"])
+        score_edges(net, ev)
+        # a hit: no augmentation, no compile, no structure miss
+        assert set(engine_module._structures) == kept and not built
+        assert calls == {"compile": 0, "cpt_derivatives": 0, "_record_refit": 0}
+        monkeypatch.undo()
+        (refit,) = refits
+        assert len(refit[0]) == 2
+        self.check(net, ev, refit)
+
+    def test_a_tied_parent_that_is_observed(self, monkeypatch):
+        # the out-edges of an observed parent score 0 and tie; their tables
+        # keep the parent unsliced, with its indicator as an input
+        net = grid_network(4, 4, rng=np.random.default_rng(0))
+        ev = Evidence({"N0_0": "s1", "N1_1": "s0", "N3_3": "s0"})
+        refits = record_refits(monkeypatch)
+        score_edges(net, ev)
+        monkeypatch.undo()
+        (refit,) = refits
+        assert {net.edges()[i][0] for i in refit[0]} >= {"N0_0", "N1_1"}
+        self.check(net, ev, refit)
+
+    @pytest.mark.parametrize("case,tied,edges", [("random(6)", 6, 7), ("grid(5x5)", 32, 40)])
+    def test_empty_evidence_refits_most_edges_with_one_pr_e(self, monkeypatch, case, tied, edges):
+        if case == "random(6)":
+            net = random_network(np.random.default_rng(7), n_vars=6)
+        else:
+            net = grid_network(5, 5, rng=np.random.default_rng(26))
+        ev = Evidence({})
+        refits = record_refits(monkeypatch)
+        calls = count_engine_calls(monkeypatch, ["compile", "_result", "_check_euler"])
+        scores = score_edges(net, ev)
+        # one refit for every tie run: Pr(e) once, then one table per tied
+        # edge, each Euler-checked, as is each child's table in the pass
+        assert len(net.edges()) == edges and tied_edges(scores) == tied
+        assert [len(wrt) for wrt, _, _ in refits] == [tied]
+        children = len({x for _, x in net.edges()})
+        assert calls == {"compile": 0, "_result": 1 + tied, "_check_euler": children + tied}
+        monkeypatch.undo()
+        self.check(net, ev, refits[0])
+
+    @pytest.mark.parametrize("size,seed,replayed,compiled", [(4, 2, 55, 113), (5, 1, 84, 188)])
+    def test_each_shared_bucket_is_replayed_once(
+        self, monkeypatch, size, seed, replayed, compiled
+    ):
+        net, ev = tie_case(size, seed)
+        refits = record_refits(monkeypatch)
+        calls = count_engine_calls(monkeypatch, ["_stored", "_record_refit", "compile"])
+        built = []
+        real = divergence_module.augment
+        monkeypatch.setattr(divergence_module, "augment", lambda *a: built.append(a) or real(*a))
+        # the source pass replays no bucket: every stored bucket is the refit's
+        score_edges(net, ev)
+        assert calls == {"_stored": replayed, "_record_refit": 1, "compile": 0}
+        assert len(built) == 1
+        calls.update(dict.fromkeys(calls, 0))
+        score_edges(net, ev)
+        assert calls == {"_stored": replayed, "_record_refit": 0, "compile": 0}
+        assert len(built) == 1
+        # the compiled route's programs replay every bucket of each
+        calls.update(dict.fromkeys(calls, 0))
+        self.compiled(net, ev, refits[0][0])
+        assert calls["_stored"] == compiled
+
+    @pytest.mark.parametrize("seed", [3, 20])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_cap_below_the_refit_s_width_raises_the_compiled_route_s_error(
+        self, monkeypatch, seed, warm
+    ):
+        # the source pass fits the cap and the refit does not: at seed 3
+        # Pr(e)'s elimination is too wide, at seed 20 a tied edge's table's
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars=int(rng.integers(5, 10)))
+        ev = positive_evidence(net, rng) if seed % 2 else Evidence({})
+        cap = engine_module.Jointree(net, ev, [((), ())]).width
+        pr_e_width = engine_module.record(augment(net, net.edges()), ev).width
+        assert (pr_e_width > cap) == (seed == 3)
+        refits = record_refits(monkeypatch)
+        score_edges(net, ev)
+        monkeypatch.undo()
+        with pytest.raises(CapacityError) as want:
+            self.compiled(net, ev, refits[0][0], width_cap=cap)
+        if not warm:
+            engine_module._structures.clear()
+        calls = count_engine_calls(monkeypatch, ["_multiply", "_result"])
+        with pytest.raises(CapacityError) as got:
+            score_edges(net, ev, width_cap=cap)
+        assert str(got.value) == str(want.value)
+        # refused before any table is read; a refused structure is not kept
+        assert calls == {"_multiply": 0, "_result": 0}
+        assert sum(key[0] == "refit" for key in engine_module._structures) == warm
 
 
 class TestOriginalNetworksOnly:

@@ -250,8 +250,11 @@ class TestExperimentSpec:
         assert fault.value.line == 3
 
     def test_no_instance_is_refused(self):
-        with pytest.raises(ModelError, match="^instances must be >= 1$"):
+        # a spec names the key's line; a direct construction has none
+        with pytest.raises(FormatError, match="^line 2: instances must be >= 1$"):
             parse_experiment_spec("network = chain(3)\ninstances = 0\n")
+        with pytest.raises(ModelError, match="^instances must be >= 1$"):
+            ExperimentSpec(network="chain(3)", instances=0)
 
 
 class TestRunExperiment:

@@ -43,6 +43,7 @@ from conftest import (
     loopy_polytree_net,
     positive_evidence,
     random_network,
+    record_refits,
 )
 
 
@@ -905,13 +906,15 @@ class TestWorkCounts:
     def test_score_edges_reads_posteriors_from_derivative_tables(self, monkeypatch):
         net, ev, *_ = grid_case(k=4)
         names = ["compile", "derivatives", "cpt_derivatives", "posterior_marginal"]
+        refits = record_refits(monkeypatch)
         calls = count_engine_calls(monkeypatch, names)
         score_edges(net, ev)
         # one pass gives every clone table; only the root's two
-        # mathematically tied out-edges take their own derivative
-        # elimination, on one compiled state
-        want = {"compile": 1, "derivatives": 1, "cpt_derivatives": 2, "posterior_marginal": 0}
+        # mathematically tied out-edges take their own derivative table,
+        # in one refit
+        want = {"compile": 0, "derivatives": 1, "cpt_derivatives": 0, "posterior_marginal": 0}
         assert calls == want
+        assert [len(wrt) for wrt, _, _ in refits] == [2]
 
 
 def enumerated_posterior(net, ev, name):
