@@ -32,6 +32,7 @@ from .model import (
     Network,
     Variable,
     equivalence_table,
+    validate_network,
 )
 
 SE_STATES = ("yes", "no")
@@ -129,7 +130,8 @@ def augment(net: Network, edges) -> Network:
     """Replace each edge U -> X in ``edges`` with a chain U -> U' -> X.
 
     The result is distribution-equivalent to ``net`` over the source
-    variables.  With no edges the input network is returned unchanged.
+    variables, and records ``net`` as its ``origin``.  With no edges the
+    input network is returned unchanged.
     """
     edges = [tuple(e) for e in edges]
     if not edges:
@@ -160,10 +162,10 @@ def augment(net: Network, edges) -> Network:
     for x, parents in rewired.items():
         cpt = net.cpt(x)
         cpts[x] = Cpt(cpt.child, tuple(parents), cpt.table)
-    return _derive(net, "augmented", "clone", clones, cpts, records)
+    return _derive(net, "augmented", "clone", clones, cpts, records, origin=net)
 
 
-def _derive(net: Network, kind: str, what: str, added, cpts, registry) -> Network:
+def _derive(net: Network, kind: str, what: str, added, cpts, registry, origin=None) -> Network:
     """``net``'s variables, then the ``what`` variables ``added`` (distinct
     by their edge index), each with its CPT in ``cpts`` if it is there, as
     a network of ``kind`` with clone-edge registry ``registry``."""
@@ -173,7 +175,25 @@ def _derive(net: Network, kind: str, what: str, added, cpts, registry) -> Networ
             raise ModelError(f"{what} name {v.name!r} collides with a variable")
     variables = [*net.variables, *added]
     tables = [cpts[v.name] if v.name in cpts else net.cpt(v.name) for v in variables]
-    return Network(variables, tables, kind=kind, clone_edges=registry)
+    return Network(variables, tables, kind=kind, clone_edges=registry, origin=origin)
+
+
+def _collapsed(aug: Network) -> Network | None:
+    """The original network that the augmentation ``aug`` augments, rebuilt:
+    its variables less the clones, each CPT reading a clone's parent in the
+    clone's place.  None unless every registry entry is an intact
+    equivalence edge (``validate_network``'s "equivalence-cpt" rule), the
+    one case in which ``aug`` is distribution-equivalent to the result."""
+    broken = any(v.rule == "equivalence-cpt" for v in validate_network(aug))
+    if broken or any(rec.sevid for rec in aug.clone_edges):
+        return None
+    parent_of = {rec.clone: aug.var(rec.parent) for rec in aug.clone_edges}
+    try:
+        tables = [Cpt(c.child, tuple(parent_of.get(p.name, p) for p in c.parents), c.table)
+                  for c in aug.cpts() if c.child.name not in parent_of]
+        return Network([v for v in aug.variables if v.name not in parent_of], tables)
+    except ModelError:
+        return None
 
 
 def se_table(se) -> np.ndarray:

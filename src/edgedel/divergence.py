@@ -9,12 +9,12 @@ of the deleted edges' children and one soft-evidence term per edge differ.
 Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and a derivative
 pass on the source network (``forward_backward``: Pr(e) and every CPT's
 derivative table, off one jointree by ``engine.derivatives``), which a fit
-with a reference hands back (``parametrize.run``; from an (augmented
-network, evidence) reference it answers only the plan's parents, all that
-``read_kl_bound`` reads); ``kl_bound`` and ``exact_kl`` make both
-themselves.  ``source_pass`` keeps the most recent (network, evidence)
-pair's pass on the source network, which ``score_edges`` and the harness's
-fits share.  ``edge_update`` is the one fixed-point update of a single
+with a reference hands back (``parametrize.run``); ``kl_bound`` and
+``exact_kl`` make both themselves.  ``source_pass`` keeps the most recent
+(network, evidence) pair's pass on the source network, which
+``score_edges``, the harness's fits and, through ``reference_pass``, every
+(original or augmented network, evidence) reference share: no pass is made
+on an augmentation.  ``edge_update`` is the one fixed-point update of a single
 deleted edge (ed-bp or ed-kl), read off Pr'(e') and its derivatives with
 respect to the edge's parameters, and in a sequential update off the
 edge's table too; the parametrization sweeps call it once per edge.
@@ -153,6 +153,18 @@ def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engi
     return grads
 
 
+def reference_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
+    """``source_pass`` on the original network ``net``, or on the one that
+    the augmentation ``net`` augments (``Network.origin``): the two agree
+    on every source posterior and family layout, and the original's pass is
+    the one ``score_edges`` keeps.  Any other network raises ``ModelError``.
+    """
+    origin = net if net.kind == "original" else net.origin
+    if origin is None:
+        raise ModelError(f"a network of kind {net.kind!r} records no original network")
+    return source_pass(origin, ev, width_cap)
+
+
 def _clone_tables(source: engine.Adjoints, edges) -> list[np.ndarray]:
     """Each edge U -> X's clone-CPT derivative table in the all-edges
     augmentation, over (parent, clone), from ``source``, a pass on the
@@ -209,9 +221,9 @@ def kl_bound(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
     """Closed-form divergence over all augmented-network variables, read
-    (``read_kl_bound``) off its own source pass and a Pr'(e')-only
-    jointree of N' at the plan's parameters."""
-    source = forward_backward(aug, ev, width_cap)
+    (``read_kl_bound``) off the source pass (``reference_pass`` of ``aug``)
+    and a Pr'(e')-only jointree of N' at the plan's parameters."""
+    source = reference_pass(aug, ev, width_cap)
     pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
     return read_kl_bound(source, pr_ep, plan)
 
@@ -264,13 +276,13 @@ def exact_kl(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> float:
     """Divergence between the two posteriors restricted to source variables,
-    read (``read_exact_kl``) off its own pass on ``source`` and a
-    Pr'(e')-only jointree of N' at the plan's parameters.
+    read (``read_exact_kl``) off the source pass and a Pr'(e')-only jointree
+    of N' at the plan's parameters.
 
-    ``source`` is the source network or its augmentation: both give the same
-    posterior and family layout (``augment`` puts a clone in its parent's axis).
+    ``source`` is the source network or its augmentation, which resolve to
+    one pass (``reference_pass``).
     """
-    grads = forward_backward(source, ev, width_cap)
+    grads = reference_pass(source, ev, width_cap)
     pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
     return read_exact_kl(grads, pr_ep, nprime, plan)
 

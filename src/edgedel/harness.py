@@ -12,6 +12,7 @@ A spec's lists and the CLI's ``--map-vars`` have one reader
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -70,25 +71,28 @@ def grid_network(rows: int, cols: int, states: int = 2, rng=None) -> Network:
     return Network(variables, cpts)
 
 
+# generator name -> (what its argument is, how many 'x'-separated sizes it has)
+_GENERATORS = {"chain": ("chain size", 1), "grid": ("grid shape", 2)}
+
+
 def parse_synthetic(token: str):
-    """Recognize 'chain(N)' and 'grid(RxC)' network tokens; None otherwise."""
-    token = token.strip().lower()
-    if token.startswith("chain(") and token.endswith(")"):
-        inner = token[6:-1]
-        try:
-            return ("chain", int(inner))
-        except ValueError:
-            raise FormatError(f"bad chain size {inner!r}") from None
-    if token.startswith("grid(") and token.endswith(")"):
-        inner = token[5:-1]
-        parts = inner.split("x")
-        if len(parts) != 2:
-            raise FormatError(f"bad grid shape {inner!r}")
-        try:
-            return ("grid", int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise FormatError(f"bad grid shape {inner!r}") from None
-    return None
+    """Recognize 'chain(N)' and 'grid(RxC)' network tokens; None for a token
+    not shaped 'name(...)', which names a file.  A bad size or shape, or a
+    name that is neither generator, raises ``FormatError``."""
+    shaped = re.fullmatch(r"(\w+)\((.*)\)", token.strip().lower())
+    if shaped is None:
+        return None
+    name, inner = shaped.groups()
+    if name not in _GENERATORS:
+        raise FormatError(f"unknown generator {name!r}")
+    what, count = _GENERATORS[name]
+    sizes = inner.split("x")
+    try:
+        if len(sizes) == count:
+            return (name, *map(int, sizes))
+    except ValueError:
+        pass
+    raise FormatError(f"bad {what} {inner!r}")
 
 
 def make_synthetic(token: str, states: int, rng) -> Network:
@@ -217,8 +221,9 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
 
     ``k``, ``methods`` and ``selections`` are comma-separated lists
     (``_spec_list``): an empty list or a repeated entry is a ``FormatError``
-    at the key's line, as is a value that does not convert, an unknown key
-    (at the first one's line) and a value that ``ExperimentSpec`` refuses.
+    at the key's line, as is a value that does not convert, a ``network``
+    generator token that ``parse_synthetic`` refuses, an unknown key (at
+    the first one's line) and a value that ``ExperimentSpec`` refuses.
     """
     values: dict[str, tuple[int, str]] = {}
     for i, content in _logical_lines(text):
@@ -234,7 +239,12 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     ln, timings = values.pop("timings", (None, "none"))
     if timings not in ("none", "real"):
         raise FormatError(f"timings must be none or real (got {timings!r})", ln)
-    kwargs: dict = {"network": values.pop("network")[1], "real_timings": timings == "real"}
+    ln, network = values.pop("network")
+    try:
+        parse_synthetic(network)
+    except FormatError as exc:
+        raise FormatError(str(exc), ln) from None
+    kwargs: dict = {"network": network, "real_timings": timings == "real"}
     lines = {}
     for key, (name, convert) in _SPEC_KEYS.items():
         if key not in values:

@@ -47,7 +47,7 @@ import re
 import typing
 from dataclasses import dataclass, fields
 
-from .deletion import DeletionPlan, EdgeParams
+from .deletion import DeletionPlan, EdgeParams, _collapsed
 from .model import NETWORK_KINDS, Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
 from .parametrize import METHODS
 
@@ -81,7 +81,9 @@ def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Netwo
     unknown parent, a table ``Cpt`` rejects, (at the variable's line) a
     variable with no CPT, and a registry record naming an unknown variable.
     ``Network`` makes the same checks, at no line, for networks that
-    programs build directly.
+    programs build directly.  An augmented document's network records, as
+    ``augment``'s do, the original it augments (``Network.origin``),
+    rebuilt by ``deletion._collapsed``.
     """
     ln, kind = kind
     if kind not in NETWORK_KINDS:
@@ -115,7 +117,10 @@ def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Netwo
             if n is not None and n not in declared:
                 raise FormatError(f"registry names unknown variable {n!r}", ln)
     records = [rec for _, rec in clone_edges]
-    return Network([var for _, var in declared.values()], built.values(), kind, records)
+    net = Network([var for _, var in declared.values()], built.values(), kind, records)
+    if kind != "augmented":
+        return net
+    return Network(net.variables, net.cpts(), kind, records, origin=_collapsed(net))
 
 
 def parse_network(text: str) -> Network:

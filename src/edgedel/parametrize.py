@@ -36,8 +36,8 @@ import numpy as np
 from . import engine
 from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params
 from .deletion import _checked_vectors, deleted_records
-from .divergence import edge_update, forward_backward, kl_breakdown, single_edge_evaluate
-from .divergence import true_edge_marginals
+from .divergence import edge_update, forward_backward, kl_breakdown, reference_pass
+from .divergence import single_edge_evaluate, true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, ModelError, Network
 
@@ -258,10 +258,9 @@ def run(
     the true parent posteriors are read (``true_edge_marginals``): either
     the pass itself (``engine.Adjoints``), made on the source network
     (``divergence.source_pass`` keeps one per (network, evidence)) or on
-    any augmentation of it, or the (augmented network, evidence) pair the
-    approximation was built from, on which ``run`` makes a pass under
-    ``width_cap`` that answers the plan's parents only
-    (``engine.derivatives``), since nothing else is read.  It is required
+    any augmentation of it, or an (original or augmented network,
+    evidence) pair, which resolves to the kept pass on the original network
+    under ``width_cap`` (``divergence.reference_pass``).  It is required
     for "ed-kl" (the updates need the true parent posteriors) and optional
     for "ed-bp", where it only enables the KL-bound column of the trace.
     Non-convergence is reported, not raised; Pr'(e') = 0 raises
@@ -288,8 +287,7 @@ def run(
     fit = _Fit(nprime, evp, records, vectors, sequential, width_cap)
     source = reference
     if reference is not None and not isinstance(reference, engine.Adjoints):
-        parents = dict.fromkeys(rec.parent for rec in plan.edges)
-        source = engine.derivatives(*reference, parents, width_cap)
+        source = reference_pass(*reference, width_cap)
     true_marginals = None if source is None else true_edge_marginals(source, plan)
     bounded = source is not None and source.pr_e > 0
 
@@ -340,15 +338,16 @@ def check_conditions(
     gap additionally compares both posteriors against the true Pr(u|e) from
     the source network.
 
-    Every posterior comes from one derivative pass on each network
-    (``forward_backward``).  Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'),
-    the soft-evidence adjoint d_se is Pr'(u, e' minus s'), so
+    Every posterior comes from one derivative pass on each network: on N'
+    (``forward_backward``) and on the source (``reference_pass`` of
+    ``aug``).  Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'), the
+    soft-evidence adjoint d_se is Pr'(u, e' minus s'), so
     Pr'(u | e' minus s') = d_se / sum(d_se).
     """
     records = deleted_records(nprime, plan)
     current = apply_params(nprime, plan)
     grads = forward_backward(current, evp, width_cap)
-    true_marginals = true_edge_marginals(forward_backward(aug, ev, width_cap), plan)
+    true_marginals = true_edge_marginals(reference_pass(aug, ev, width_cap), plan)
     match_gaps = []
     exact_gaps = []
     for rec, params, true in zip(records, plan.params, true_marginals):

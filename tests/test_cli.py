@@ -442,6 +442,9 @@ seed = 17
             ("tol = 0", "tolerance must be positive"),
             ("damping = 1", "damping must lie in [0, 1)"),
             ("colour = red", "unknown spec keys: ['colour']"),
+            ("network = grid(4x)", "bad grid shape '4x'"),
+            ("network = chain(x)", "bad chain size 'x'"),
+            ("network = grod(4x4)", "unknown generator 'grod'"),
         ],
     )
     def test_each_spec_value_fault_exits_3_at_its_key_s_line(

@@ -119,6 +119,18 @@ class TestAugment:
         assert clone_cpt.table.tolist() == [1.0, 0.0, 0.0, 1.0]
         assert aug.parent_names("B") == ("A__clone0",)
         assert validate_network(aug) == []
+        # it records the network it augments, which equality ignores
+        assert aug.origin is net and net.origin is None
+        assert aug == Network(aug.variables, aug.cpts(), "augmented", aug.clone_edges)
+
+    @pytest.mark.parametrize("kind", ["augmented", "approximate"])
+    def test_a_network_other_than_original_is_refused(self, kind):
+        net = two_node()
+        aug, nprime, _ = approximate_network(net, [("A", "B")])
+        other = aug if kind == "augmented" else nprime
+        fault = "^augment expects an original network$"
+        with pytest.raises(ModelError, match=fault):
+            augment(other, [("A", "A__clone0")])
 
     def test_distribution_unchanged_over_source_variables(self):
         rng = np.random.default_rng(0)

@@ -20,6 +20,7 @@ from edgedel import (
     approximate_network,
     augment,
     augmented_evidence,
+    check_conditions,
     compile,
     cpt_derivatives,
     enumerate_joint,
@@ -27,9 +28,11 @@ from edgedel import (
     kl_bound,
     mutual_information_scores,
     pairwise_marginal,
+    parse_network,
     posterior_marginal,
     run,
     score_edges,
+    serialize_network,
     single_edge_evaluate,
 )
 from edgedel.deletion import apply_params
@@ -51,6 +54,7 @@ from conftest import (
     tied_edges,
 )
 from score_reference import reference_scores, routed_scores
+import record_fit_golden as fit_cases
 
 
 def build(net, ev, edges, params=None):
@@ -356,22 +360,26 @@ class TestClosedFormExactKl:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             assert got <= bound + 1e-9
 
-    def test_read_exact_kl_refuses_run_s_parents_only_pass(self):
-        # run's pass from an (aug, ev) reference answers only the deleted
-        # edges' parents; the reads need every deleted edge's child's family
-        # table too, which source_pass's pass answers
+    def test_read_exact_kl_reads_an_aug_ev_run_as_the_harness_route(self):
+        # run's pass from an (aug, ev) reference is the kept pass on the
+        # original network, which answers every deleted edge's child's
+        # family table too: the reads equal the harness route's, which
+        # hands run source_pass's pass, bit for bit
         net = grid_network(3, 3)
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
         edges = [(s.parent, s.child) for s in score_edges(net, ev)[:2]]
         aug, nprime, plan, evp = build(net, ev, edges)
         cfg = IterationConfig(method="ed-kl")
         fitted, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
-        child = fitted.edges[0].child
-        with pytest.raises(ModelError, match=f"^this pass has no derivative table for '{child}'$"):
-            divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
-        full = divergence_module.source_pass(net, ev)
-        fitted, report, _ = run(nprime, plan, evp, cfg, reference=full)
         read = divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
+        full = divergence_module.source_pass(net, ev)
+        assert report.source is full
+        harness_fit, harness_report, _ = run(nprime, plan, evp, cfg, reference=full)
+        assert harness_fit == fitted and harness_report.pr_ep == report.pr_ep
+        harness_read = divergence_module.read_exact_kl(
+            harness_report.source, harness_report.pr_ep, nprime, harness_fit
+        )
+        assert read.hex() == harness_read.hex()
         want = exact_kl(aug, nprime, fitted, ev, evp)
         assert read == pytest.approx(want, rel=1e-9)
 
@@ -1223,3 +1231,132 @@ class TestMutualInformation:
                     if pair[i, j] > 0:
                         want += pair[i, j] * math.log(pair[i, j] / (pu[i] * px[j]))
             assert mi == pytest.approx(want, abs=1e-9)
+
+
+class TestReferencePass:
+    """A reference given as (network, evidence) resolves to the kept pass on
+    the original network (``reference_pass``): an augmentation to the one
+    it augments, so no pass is made on an augmentation, and the answers are
+    those read off ``source_pass(net, ev)``, bit for bit, whether the kept
+    pass is a hit or a miss."""
+
+    CASES = ("grid4x4-leaves", "grid3x3-observed-parent", "chain8x3")
+
+    @staticmethod
+    def passes_by_kind(monkeypatch):
+        kinds = []
+        real = engine_module.derivatives
+
+        def recording(net, *args, **kwargs):
+            kinds.append(net.kind)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "derivatives", recording)
+        return kinds
+
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_fit_on_aug_ev_is_the_fit_on_the_source_pass(
+        self, monkeypatch, case, method, schedule
+    ):
+        net, ev, aug, nprime, plan, evp = fit_cases.build(case)
+        assert aug.origin is net
+        cfg = IterationConfig(method=method, schedule=schedule, max_iterations=30)
+        kinds = self.passes_by_kind(monkeypatch)
+        fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        assert kinds == ["original"]
+        # a new pass on the original, not the one kept above
+        divergence_module._kept_pass = None
+        source = divergence_module.source_pass(net, ev)
+        assert source is not report.source
+        want = run(nprime, plan, evp, cfg, reference=source)
+        assert fit_cases.encode(fitted, report, trace) == fit_cases.encode(*want)
+        assert report.pr_ep.hex() == want[1].pr_ep.hex()
+        assert report.source.pr_e.hex() == source.pr_e.hex()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kl_bound_exact_kl_and_check_conditions_read_the_source_pass(
+        self, monkeypatch, case
+    ):
+        net, ev, aug, nprime, plan, evp = fit_cases.build(case)
+        plan, _, _ = run(nprime, plan, evp, IterationConfig(max_iterations=2),
+                         reference=(aug, ev))
+        kinds = self.passes_by_kind(monkeypatch)
+        bound = kl_bound(aug, nprime, plan, ev, evp)
+        exact = exact_kl(aug, nprime, plan, ev, evp)
+        gaps = check_conditions(aug, nprime, plan, ev, evp)
+        assert "augmented" not in kinds
+        divergence_module._kept_pass = None
+        source = divergence_module.source_pass(net, ev)
+        current = apply_params(nprime, plan)
+        pr_ep = engine_module.derivatives(current, evp, ()).pr_e
+        assert bound == divergence_module.read_kl_bound(source, pr_ep, plan)
+        assert exact.hex() == divergence_module.read_exact_kl(source, pr_ep, nprime, plan).hex()
+        grads = divergence_module.forward_backward(current, evp)
+        want = [
+            max(np.max(np.abs(grads.posterior(rec.parent) - true)),
+                np.max(np.abs(grads.posterior(rec.clone) - true)))
+            for rec, true in zip(plan.edges, divergence_module.true_edge_marginals(source, plan))
+        ]
+        assert gaps.eq_exact_gaps == tuple(map(float, want))
+
+    def test_a_parsed_augmentation_resolves_as_the_built_one(self):
+        net, ev, aug, nprime, plan, evp = fit_cases.build("grid3x3-observed-parent")
+        parsed = parse_network(serialize_network(aug))
+        assert parsed == aug and parsed.origin == net and parsed.origin is not net
+        cfg = IterationConfig(method="ed-kl", max_iterations=30)
+        built = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        divergence_module._kept_pass = None
+        read = run(nprime, plan, evp, cfg, reference=(parsed, ev))
+        assert read[1].source.net is parsed.origin
+        assert fit_cases.encode(*read) == fit_cases.encode(*built)
+        fitted = built[0]
+        assert (kl_bound(parsed, nprime, fitted, ev, evp)
+                == kl_bound(aug, nprime, fitted, ev, evp))
+        assert (exact_kl(parsed, nprime, fitted, ev, evp).hex()
+                == exact_kl(aug, nprime, fitted, ev, evp).hex())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(("  N1_1__clone0 | N1_1 : 1.0 0.0 0.0 1.0",
+                          "  N1_1__clone0 | N1_1 : 0.9 0.1 0.0 1.0"), id="clone-cpt"),
+            pytest.param(("N1_1 N1_1__clone0 N1_2 -", "N1_1 N1_1__clone0 N1_2 N2_2"),
+                         id="cut-edge"),
+        ],
+    )
+    def test_an_augmentation_without_its_original_is_refused(self, edit):
+        # a document whose registry is not an intact equivalence edge is not
+        # distribution-equivalent to any original, so it records none
+        net, ev, aug, nprime, plan, evp = fit_cases.build("grid3x3-observed-parent")
+        text = serialize_network(aug)
+        assert edit[0] in text
+        parsed = parse_network(text.replace(*edit))
+        assert parsed.kind == "augmented" and parsed.origin is None
+        fault = "^a network of kind 'augmented' records no original network$"
+        with pytest.raises(ModelError, match=fault):
+            run(nprime, plan, evp, IterationConfig(), reference=(parsed, ev))
+        with pytest.raises(ModelError, match=fault):
+            kl_bound(parsed, nprime, plan, ev, evp)
+        with pytest.raises(ModelError, match="^a network of kind 'approximate' records no"):
+            exact_kl(nprime, nprime, plan, ev, evp)
+
+    def test_the_reference_is_checked_at_the_original_s_width(self):
+        # augmenting can widen the network; the reference pass is the
+        # original's, so a cap that refuses the augmentation's pass but
+        # admits the original's and N''s no longer refuses the reads
+        rng = np.random.default_rng(4)
+        net = random_network(rng, n_vars=10, max_card=3, max_parents=3)
+        edges = net.edges()
+        k = int(rng.integers(1, len(edges) + 1))
+        edges = [edges[i] for i in sorted(rng.choice(len(edges), size=k, replace=False))]
+        ev = Evidence({})
+        aug, nprime, plan, evp = build(net, ev, edges)
+        width = engine_module.Jointree(net, ev, [((), ())]).width
+        assert engine_module.Jointree(aug, ev, [((), ())]).width == width + 1
+        with pytest.raises(CapacityError):
+            divergence_module.forward_backward(aug, ev, width)
+        got = exact_kl(aug, nprime, plan, ev, evp, width_cap=width)
+        assert got == exact_kl(aug, nprime, plan, ev, evp)
+        assert kl_bound(aug, nprime, plan, ev, evp, width_cap=width).total >= got

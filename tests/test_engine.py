@@ -1191,8 +1191,8 @@ class TestAdjoints:
 
     @pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (5, 2), (6, 3)])
     def test_a_table_is_the_same_whatever_else_the_pass_answers(self, n, seed):
-        # so a parents-only pass, as ``run`` makes from an (aug, ev)
-        # reference, reads the full pass's posteriors bit for bit
+        # so a pass that answers some CPTs only, such as the source
+        # marginals' pass on N', reads the full pass's tables bit for bit
         rng = np.random.default_rng(seed)
         net = grid_network(n, n, rng=rng)
         aug = augment(net, net.edges())

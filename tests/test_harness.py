@@ -118,9 +118,10 @@ class TestGenerators:
             ("chain(x)", "bad chain size 'x'"),
             ("grid(4by4)", "bad grid shape '4by4'"),
             ("grid(4x)", "bad grid shape '4x'"),
+            ("grod(4x4)", "unknown generator 'grod'"),
             ("alarm.net", "unknown synthetic network 'alarm.net'"),
         ],
-        ids=["chain-size", "grid-separator", "grid-size", "not-synthetic"],
+        ids=["chain-size", "grid-separator", "grid-size", "generator", "not-synthetic"],
     )
     def test_each_synthetic_token_fault_is_refused(self, token, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as fault:

@@ -94,6 +94,19 @@ class TestCanonicalFormat:
         aug, nprime, plan = approximate_network(net, [("U1", "X1")])
         assert parse_network(serialize_network(aug)) == aug
         assert parse_network(serialize_network(nprime)) == nprime
+        # an augmented document records the original it augments, rebuilt
+        assert parse_network(serialize_network(aug)).origin == net
+        assert parse_network(serialize_network(nprime)).origin is None
+
+    def test_an_augmentation_of_no_original_records_none(self):
+        # B would read A twice once the clone C is folded back into A
+        doc = (
+            "kind: augmented\nvariables:\n  A a0 a1\n  B b0 b1\n  C a0 a1\ncpts:\n"
+            "  A : 0.5 0.5\n  C | A : 1 0 0 1\n  B | A C : 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"
+            "edges:\n  A C B -\n"
+        )
+        net = parse_network(doc)
+        assert validate_network(net) == [] and net.origin is None
 
     def test_syntax_error_is_positioned(self):
         bad = "variables:\n  A a0 a1\ncpts:\n  A 0.3 0.7\n"

@@ -764,33 +764,43 @@ class TestWorkCounts:
             "_bind",
         ]
         calls = count_engine_calls(monkeypatch, names)
-        source = forward_backward(aug, ev)
+        source = divergence_module.source_pass(net, ev)
         own = dict(calls)
         # the source pass: one tree, ordered and bound once, and no recording
         assert own == {
             **dict.fromkeys(names, 0),
             "_order": 1, "derivatives": 1, "_bind": 1,
         }
+        # scoring reads the kept pass and makes none of its own
+        score_edges(net, ev)
+        assert calls["derivatives"] == own["derivatives"]
+        builds = []
+        real = engine_module.Jointree.__init__
+
+        def building(tree, *args, **kwargs):
+            builds.append(args[0])
+            return real(tree, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module.Jointree, "__init__", building)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
+        before = dict(calls)
         _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
-        assert report.iterations == 3
-        got = {name: calls[name] - own[name] for name in calls}
-        # given (aug, ev), run makes its own pass on the same augmentation,
-        # asking for the plan's parents only: another tree structure, so
-        # one order and one binding; beyond it, in either schedule: one
-        # jointree of N', one order and one binding, and no recording,
-        # replay or pass on N'
-        assert got == {
-            **dict.fromkeys(names, 0),
-            "_order": 2, "derivatives": 1, "_bind": 2,
-        }
-        # given the pass itself, run makes none: the tree is all, and its
+        assert report.iterations == 3 and report.source is source
+        got = {name: calls[name] - before[name] for name in calls}
+        # given (aug, ev) after scoring, run reads the pass scoring kept
+        # and builds no tree but its own: in either schedule, one jointree
+        # of N', one order and one binding, and no recording, replay or
+        # pass
+        assert builds == [nprime]
+        assert got == {**dict.fromkeys(names, 0), "_order": 1, "_bind": 1}
+        # given the pass itself, run makes none either, and its tree's
         # structure is kept too
         before = dict(calls)
         _, given, _ = run(nprime, plan, evp, cfg, reference=source)
         assert given.source is source and given.pr_ep == report.pr_ep
         got = {name: calls[name] - before[name] for name in calls}
         assert got == {**dict.fromkeys(names, 0), "_bind": 1}
+        assert builds == [nprime, nprime]
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_nothing(self, monkeypatch, schedule):
@@ -976,8 +986,10 @@ class TestReportTypes:
         fields = [f.name for f in dataclasses.fields(report)]
         assert fields == ["residuals", "iterations", "converged", "source", "pr_ep"]
         assert len(report.residuals) == 2 and report.iterations == 2
-        # the source pass the fit read its true posteriors off, handed back
-        assert report.source.pr_e == compile(aug, ev).pr_e
+        # the source pass the fit read its true posteriors off, handed back:
+        # the pass on the original network that aug augments
+        assert report.source.pr_e == divergence_module.source_pass(net, ev).pr_e
+        assert report.source.net is net
         cfg = IterationConfig(method="ed-bp", max_iterations=2)
         _, unreferenced, _ = run(nprime, plan, evp, cfg)
         assert unreferenced.source is None and unreferenced.pr_ep is None
