@@ -7,14 +7,16 @@ Commands:
   experiment  run a seeded (instance x method x selection x k) matrix to CSV
 
 Exit codes: 0 success/converged, 2 not converged, 3 input error (any
-``ModelError`` or ``OSError``), 4 capacity (induced width cap).  A plan
-file is read against the loaded network (``netio.parse_plan``), and
+``ModelError`` or ``OSError``), 4 capacity (induced width cap), 141 (128 +
+SIGPIPE, printing nothing) stdout's reader gone, as in ``… | head -1``.  A
+plan file is read against the loaded network (``netio.parse_plan``), and
 ``--map-vars`` by the spec's list reader (``harness._spec_list``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_INPUT = 3
 EXIT_CAPACITY = 4
+EXIT_PIPE = 141
 
 
 def load_network(path: str) -> Network:
@@ -250,7 +253,13 @@ def main(argv=None) -> int:
         for flag in ("seed", "width_cap", "target_width"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise ModelError(f"{flag.replace('_', '-')} must be >= 0")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's recipe: the exit flush then writes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return EXIT_CAPACITY

@@ -1,12 +1,14 @@
-"""Record ``tests/data/report_*``: the bytes of the CLI outputs that CI
-compares across hash seeds.
+"""Record ``tests/data/report_*``: the bytes of the CLI outputs that
+``test_processes.py`` compares across hash seeds.
 
-CI's ``cmp`` steps only compare two runs of one checkout, so they cannot
-see a report row or a score tie move from one commit to the next.  These
-files pin those bytes across commits: ``test_report_golden.py`` regenerates
-each output and demands the same bytes.  The cases are CI's:
+A comparison across hash seeds only sees two runs of one checkout, so it
+cannot see a report row or a score tie move from one commit to the next.
+These files pin those bytes across commits: ``test_report_golden.py``
+regenerates each output in process and demands the same bytes, and
+``test_processes.py`` demands them of its children.  The cases are three of
+``test_processes.COMMANDS``:
 
-- ``grid``, ``chain3``: the ``experiment`` CSVs of its two specs;
+- ``grid``, ``chain3``: the ``experiment`` CSVs of the two ``SPECS``;
 - ``score``: ``edgedel score`` on its ``grid.bn``/``grid.ev`` (grid(4x4),
   leaf evidence sampled from the joint with rng 3).
 

@@ -129,6 +129,31 @@ class TestGenerators:
         assert fault.value.line is None
 
 
+def _zero_row_network():
+    # B's row under a0, the only state A takes, is all zero: Cpt accepts it
+    a = Variable("A", ("a0", "a1"))
+    b = Variable("B", ("b0", "b1"))
+    return Network([a, b], [Cpt(a, (), [1.0, 0.0]), Cpt(b, (a,), [0.0, 0.0, 0.5, 0.5])])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chain_network(0), "chain needs at least one variable"),
+        (lambda: grid_network(0, 3), "grid needs positive dimensions"),
+        (
+            lambda: forward_sample(_zero_row_network(), np.random.default_rng(0)),
+            "cpt row for 'B' sums to zero; cannot sample",
+        ),
+        (lambda: run_experiment(ExperimentSpec("grid.bn")), "file networks need a loader"),
+    ],
+    ids=["empty-chain", "empty-grid", "all-zero-row", "file-network-without-loader"],
+)
+def test_each_refusal_names_its_fault(call, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestSampling:
     def test_deterministic_network_forces_unique_sample(self):
         a = Variable("A", ("a0", "a1"))
@@ -339,12 +364,9 @@ class TestRunExperiment:
         assert sum(n for (name, *_), n in calls.items() if name == "derivatives") == instances
 
     def test_an_mi_ranking_reads_the_instance_s_source_pass(self, monkeypatch):
-        # the spec of CI's report check: mi's family tables come off the
+        # the report golden's grid spec: mi's family tables come off the
         # pass the guided ranking and every cell read, one per instance
-        spec = parse_experiment_spec(
-            "network = grid(4x4)\ninstances = 3\nk = 1,2,4\nmethods = ed-kl,ed-bp\n"
-            "selections = rand,guided,mi\nseed = 5\n"
-        )
+        spec = parse_experiment_spec(record_report_golden.SPECS["grid"])
         calls = count_passes_by_network(monkeypatch)
         rows = run_experiment(spec)
         assert len(rows) == 3 * 3 * 2 * 3

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from edgedel import (
     enumerate_joint,
     validate_network,
 )
-from edgedel.model import equivalence_table
+from edgedel.model import EdgeRecord, equivalence_table
 
 from conftest import random_evidence, random_network
 
@@ -27,6 +28,28 @@ def chain_ab():
     return Network(
         [a, b],
         [Cpt(a, (), [0.4, 0.6]), Cpt(b, (a,), [0.1, 0.9, 0.7, 0.3])],
+    )
+
+
+def one_variable(states, table):
+    a = Variable("A", states)
+    return Network([a], [Cpt(a, (), table)])
+
+
+def clone_chain(soft_evidence_states=None):
+    """A -> C -> B with C the clone of A, its registry on an original network;
+    or, given S's states, the approximation that cuts A -> C and gives A the
+    soft-evidence child S."""
+    a, c, b = (Variable(n, ("s0", "s1")) for n in "ACB")
+    b_cpt = Cpt(b, (c,), [0.1, 0.9, 0.7, 0.3])
+    if soft_evidence_states is None:
+        cpts = [Cpt(a, (), [0.5, 0.5]), Cpt(c, (a,), equivalence_table(2)), b_cpt]
+        return Network([a, c, b], cpts, clone_edges=[EdgeRecord("A", "C", "B")])
+    s = Variable("S", soft_evidence_states)
+    s_cpt = Cpt(s, (a,), [1 / s.card] * 2 * s.card)
+    cpts = [Cpt(a, (), [0.5, 0.5]), Cpt(c, (), [0.5, 0.5]), b_cpt, s_cpt]
+    return Network(
+        [a, c, b, s], cpts, kind="approximate", clone_edges=[EdgeRecord("A", "C", "B", "S")]
     )
 
 
@@ -67,21 +90,61 @@ class TestValidation:
         net = Network([a], [Cpt(a, (), [1.0])])
         assert any(v.rule == "cardinality" for v in validate_network(net))
 
-    def test_out_of_range_entry_flagged(self):
-        a = Variable("A", ("a0", "a1"))
-        net = Network([a], [Cpt(a, (), [-0.2, 1.2])])
-        assert any(v.rule == "range" for v in validate_network(net))
-
-    def test_duplicate_names_rejected_at_construction(self):
-        a = Variable("A", ("a0", "a1"))
-        a2 = Variable("A", ("x", "y"))
-        with pytest.raises(ModelError):
-            Network([a, a2], [Cpt(a, (), [0.5, 0.5]), Cpt(a2, (), [0.5, 0.5])])
-
     def test_wrong_table_length_rejected(self):
         a = Variable("A", ("a0", "a1"))
         with pytest.raises(ModelError):
             Cpt(a, (), [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize(
+        "build, violation",
+        [
+            (
+                lambda: one_variable(("x", "x"), [0.5, 0.5]),
+                ("A", "state-labels", "state labels not unique"),
+            ),
+            (
+                lambda: clone_chain(("s0", "s1", "s2")),
+                ("S", "cardinality", "soft-evidence variable must be binary"),
+            ),
+            (
+                lambda: one_variable(("a0", "a1"), [np.nan, 1.0]),
+                ("A", "range", "non-finite cpt entry"),
+            ),
+            (
+                lambda: one_variable(("a0", "a1"), [-0.2, 1.2]),
+                ("A", "range", "cpt entry outside [0, 1]"),
+            ),
+            (lambda: clone_chain(), ("", "registry", "original network carries a clone registry")),
+        ],
+        ids=["state-labels", "soft-evidence-card", "non-finite", "out-of-range", "original-registry"],
+    )
+    def test_each_rule_reports_its_message(self, build, violation):
+        assert [(v.variable, v.rule, v.message) for v in validate_network(build())] == [violation]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda a, b: Network([a, Variable("A", ("x", "y"))], [Cpt(a, (), [0.5, 0.5])]),
+                "duplicate variable names in network",
+            ),
+            (
+                lambda a, b: Network([a, b], [Cpt(a, (), [0.5, 0.5])]),
+                "variables without a cpt: ['B']",
+            ),
+            (
+                lambda a, b: Network(
+                    [a, b], [Cpt(a, (b,), [0.1, 0.9, 0.7, 0.3]), Cpt(b, (a,), [0.5] * 4)]
+                ).topo_order(),
+                "network graph has a cycle",
+            ),
+        ],
+        ids=["duplicate-names", "missing-cpt", "cycle"],
+    )
+    def test_each_structural_fault_is_refused(self, build, message):
+        a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1"))
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            build(a, b)
 
     def test_equivalence_table_is_exact(self):
         assert equivalence_table(3).tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1]

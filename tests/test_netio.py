@@ -364,6 +364,8 @@ class TestReports:
                 "exact_kl 0.2 exceeds kl_bound 0.1",
             ),
             (dict(map_ratio=np.float64(1.5)), "map_ratio must be in (0, 1] (got 1.5)"),
+            (dict(method="gibbs"), "unknown method tag 'gibbs'"),
+            (dict(selection="best"), "unknown selection tag 'best'"),
         ],
     )
     def test_validation_errors_print_plain_floats(self, overrides, message):
