@@ -8,12 +8,11 @@ Cutting the equivalence edge U -> U' then turns U' into a root with a prior
 positive row is ``se`` (deletion).  Conditioning is always on the augmented
 evidence: the source evidence plus every S' observed positive.
 
-``augment`` and ``delete_edges`` share one assembly step (``_derive``): it
-appends the new variables after the network's own, refuses a new name that
-a variable already has, puts the new CPTs in place and makes the result in
-one ``Network`` call.  A plan's vectors reach N' (and ``parametrize.run``)
-through one length check, ``_checked_vectors``, and N''s source marginals
-through one derivative pass, ``_source_marginals``.
+``augment`` and ``delete_edges`` share one assembly step (``_derive``),
+``augment`` and ``netio.parse_plan`` one rule for the edges a request may
+delete (``check_deletable``).  A plan's vectors reach N' (and
+``parametrize.run``) through one length check, ``_checked_vectors``, and
+N''s source marginals through one derivative pass, ``_source_marginals``.
 """
 
 from __future__ import annotations
@@ -131,19 +130,15 @@ def augment(net: Network, edges) -> Network:
 
     The result is distribution-equivalent to ``net`` over the source
     variables, and records ``net`` as its ``origin``.  With no edges the
-    input network is returned unchanged.
+    input network is returned unchanged; an edge ``net`` lacks, or one
+    given twice, is refused (``check_deletable``).
     """
     edges = [tuple(e) for e in edges]
     if not edges:
         return net
     if net.kind != "original":
         raise ModelError("augment expects an original network")
-    if len(set(edges)) != len(edges):
-        raise ModelError("duplicate edge in augmentation request")
-    present = set(net.edges())
-    for e in edges:
-        if e not in present:
-            raise ModelError(f"edge {e[0]} -> {e[1]} is not in the network")
+    check_deletable(net, edges)
 
     clones, cpts, records = [], {}, []
     equivalence: dict[int, np.ndarray] = {}
@@ -162,17 +157,26 @@ def augment(net: Network, edges) -> Network:
     for x, parents in rewired.items():
         cpt = net.cpt(x)
         cpts[x] = Cpt(cpt.child, tuple(parents), cpt.table)
-    return _derive(net, "augmented", "clone", clones, cpts, records, origin=net)
+    return _derive(net, "augmented", clones, cpts, records, origin=net)
 
 
-def _derive(net: Network, kind: str, what: str, added, cpts, registry, origin=None) -> Network:
-    """``net``'s variables, then the ``what`` variables ``added`` (distinct
-    by their edge index), each with its CPT in ``cpts`` if it is there, as
-    a network of ``kind`` with clone-edge registry ``registry``."""
-    taken = {v.name for v in net.variables}
-    for v in added:
-        if v.name in taken:
-            raise ModelError(f"{what} name {v.name!r} collides with a variable")
+def check_deletable(net: Network, edges) -> None:
+    """Refuse, as a ``ModelError`` whose ``at`` is ("edge", its position),
+    the first of the (parent, child) ``edges`` that ``net`` lacks or that
+    an earlier position already gives."""
+    present, seen = set(net.edges()), set()
+    for i, e in enumerate(edges):
+        if e not in present:
+            raise ModelError(f"edge {e[0]} -> {e[1]} is not in the network", ("edge", i))
+        if e in seen:
+            raise ModelError(f"edge {e[0]} -> {e[1]} is listed twice", ("edge", i))
+        seen.add(e)
+
+
+def _derive(net: Network, kind: str, added, cpts, registry, origin=None) -> Network:
+    """``net``'s variables, then the variables ``added``, each with its CPT
+    in ``cpts`` if it is there, as one ``Network`` of ``kind`` with
+    clone-edge registry ``registry``."""
     variables = [*net.variables, *added]
     tables = [cpts[v.name] if v.name in cpts else net.cpt(v.name) for v in variables]
     return Network(variables, tables, kind=kind, clone_edges=registry, origin=origin)
@@ -243,7 +247,7 @@ def delete_edges(net: Network, plan: DeletionPlan) -> Network:
             parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid.name
         )
     registry = [new_records.get(r.key(), r) for r in net.clone_edges]
-    return _derive(net, "approximate", "soft-evidence", sevids, cpts, registry)
+    return _derive(net, "approximate", sevids, cpts, registry)
 
 
 def deleted_records(nprime: Network, plan: DeletionPlan) -> list[EdgeRecord]:

@@ -24,7 +24,7 @@ from .deletion import augmented_evidence
 from .engine import WIDTH_CAP_DEFAULT, constrained_order, min_fill_order
 from .mapapprox import MapResult, approximate_map_quality
 from .model import Cpt, Evidence, ModelError, Network, Variable
-from .netio import SELECTION_TAGS, FormatError, ReportRow, _logical_lines
+from .netio import SELECTION_TAGS, FormatError, ReportRow, _at, _logical_lines
 
 EVIDENCE_MODES = ("leaves-from-joint", "random")
 
@@ -240,10 +240,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     if timings not in ("none", "real"):
         raise FormatError(f"timings must be none or real (got {timings!r})", ln)
     ln, network = values.pop("network")
-    try:
-        parse_synthetic(network)
-    except FormatError as exc:
-        raise FormatError(str(exc), ln) from None
+    _at(ln, parse_synthetic, network)
     kwargs: dict = {"network": network, "real_timings": timings == "real"}
     lines = {}
     for key, (name, convert) in _SPEC_KEYS.items():
@@ -262,10 +259,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     # ExperimentSpec's own checks, in its order, each at its key's line
     for name in _CHECKED_FIELDS:
         if name in lines:
-            try:
-                _check_field(name, kwargs[name])
-            except ModelError as exc:
-                raise FormatError(str(exc), lines[name]) from None
+            _at(lines[name], _check_field, name, kwargs[name])
     return ExperimentSpec(**kwargs)
 
 

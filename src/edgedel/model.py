@@ -23,7 +23,13 @@ NETWORK_KINDS = ("original", "augmented", "approximate")
 
 
 class ModelError(ValueError):
-    """Invalid model construction or use."""
+    """Invalid model construction or use.  ``at``, if set, names the input
+    at fault (``Network``, ``deletion.check_deletable``), for a reader to
+    place at the line that declares it."""
+
+    def __init__(self, message: str, at: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class CapacityError(ModelError):
@@ -203,6 +209,14 @@ class Layout(tuple):
         return self._hash
 
 
+def scope_fault(child: str, name: str) -> str:
+    """``Network``'s words for a CPT of ``child`` whose scope names an unknown
+    ``name``: one the network lacks, or declares with other states."""
+    if name == child:
+        return f"cpt for unknown variable {child!r}"
+    return f"cpt for {child!r}: unknown parent {name!r}"
+
+
 class Network:
     """A DAG of discrete variables with one CPT per variable.
 
@@ -213,6 +227,13 @@ class Network:
     name correspond to deleted edges.  ``origin`` is, on an augmentation,
     the original network it augments (``deletion.augment``), and None on
     any other network; equality and serialization ignore it.
+
+    Construction refuses, in this order, an unknown kind, a duplicate
+    variable, a CPT whose child or a parent is not the network's variable
+    of that name (``scope_fault``) or whose child has one, a variable with
+    no CPT and a registry record naming an unknown variable.  The
+    ``ModelError``'s ``at`` is ("kind", 0), or ("variable" | "cpt" |
+    "record", the position among those inputs).
     """
 
     __slots__ = (
@@ -222,45 +243,40 @@ class Network:
 
     def __init__(self, variables, cpts, kind: str = "original", clone_edges=(), origin=None):
         variables = tuple(variables)
+        clone_edges = tuple(clone_edges)
         if kind not in NETWORK_KINDS:
-            raise ModelError(f"unknown network kind {kind!r}")
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise ModelError("duplicate variable names in network")
-        by_name = {v.name: v for v in variables}
+            raise ModelError(f"unknown network kind {kind!r}", ("kind", 0))
+        by_name: dict[str, Variable] = {}
+        for i, v in enumerate(variables):
+            if v.name in by_name:
+                raise ModelError(f"duplicate variable {v.name!r}", ("variable", i))
+            by_name[v.name] = v
         cpt_map: dict[str, Cpt] = {}
-        for cpt in cpts:
-            if cpt.child.name not in by_name:
-                raise ModelError(f"cpt for unknown variable {cpt.child.name!r}")
-            if by_name[cpt.child.name] != cpt.child:
-                raise ModelError(
-                    f"cpt child {cpt.child.name!r} disagrees with network variable"
-                )
+        for i, cpt in enumerate(cpts):
+            name = cpt.child.name
+            if by_name.get(name) != cpt.child:
+                raise ModelError(scope_fault(name, name), ("cpt", i))
             for p in cpt.parents:
-                if p.name not in by_name or by_name[p.name] != p:
-                    raise ModelError(
-                        f"cpt for {cpt.child.name!r}: unknown parent {p.name!r}"
-                    )
-            if cpt.child.name in cpt_map:
-                raise ModelError(f"two cpts for variable {cpt.child.name!r}")
-            cpt_map[cpt.child.name] = cpt
-        missing = [n for n in names if n not in cpt_map]
-        if missing:
-            raise ModelError(f"variables without a cpt: {missing}")
+                if by_name.get(p.name) != p:
+                    raise ModelError(scope_fault(name, p.name), ("cpt", i))
+            if name in cpt_map:
+                raise ModelError(f"two cpts for variable {name!r}", ("cpt", i))
+            cpt_map[name] = cpt
+        for i, v in enumerate(variables):
+            if v.name not in cpt_map:
+                raise ModelError(f"variable {v.name!r} has no cpt", ("variable", i))
+        for i, rec in enumerate(clone_edges):
+            for n in (rec.parent, rec.clone, rec.child, rec.sevid):
+                if n is not None and n not in by_name:
+                    raise ModelError(f"registry names unknown variable {n!r}", ("record", i))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "clone_edges", tuple(clone_edges))
+        object.__setattr__(self, "clone_edges", clone_edges)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "_vars_by_name", by_name)
         object.__setattr__(self, "_cpts", cpt_map)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_index", {v.name: i for i, v in enumerate(variables)})
         object.__setattr__(self, "_layout", None)
-        for rec in self.clone_edges:
-            for n in (rec.parent, rec.clone, rec.child):
-                if n not in by_name:
-                    raise ModelError(f"registry names unknown variable {n!r}")
-            if rec.sevid is not None and rec.sevid not in by_name:
-                raise ModelError(f"registry names unknown variable {rec.sevid!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")

@@ -30,14 +30,15 @@ nested block anywhere else is refused.
 
 Both readers check only their own syntax and hand each declared variable
 and CPT (and the canonical format's kind and registry records), with its
-line, to one assembler (``_assemble``), which makes every structural check
-and raises each fault as a ``FormatError`` at the line that declares it.
-Value checks (duplicate state labels, ranges, row sums, cycles) are
-``model.validate_network``'s.
+line, to one assembler (``_assemble``).  ``Network`` makes every
+structural check; the assembler only places each fault, as a
+``FormatError`` at the line that declares it.  Value checks (duplicate
+state labels, ranges, row sums, cycles) are ``model.validate_network``'s.
 
 ``parse_plan(text, net)`` reads a deletion plan against the network it
-cuts: an edge ``net`` lacks, an edge listed twice and a start vector that
-``EdgeParams`` refuses are each a ``FormatError`` at their line.
+cuts: an edge ``net`` lacks and an edge listed twice (``augment``'s rule,
+``deletion.check_deletable``), and a start vector that ``EdgeParams``
+refuses, are each a ``FormatError`` at their line.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import re
 import typing
 from dataclasses import dataclass, fields
 
-from .deletion import DeletionPlan, EdgeParams, _collapsed
-from .model import NETWORK_KINDS, Cpt, EdgeRecord, Evidence, ModelError, Network, Variable
+from .deletion import DeletionPlan, EdgeParams, _collapsed, check_deletable
+from .model import Cpt, EdgeRecord, Evidence, ModelError, Network, Variable, scope_fault
 from .parametrize import METHODS
 
 SELECTION_TAGS = ("rand", "guided", "mi")
@@ -70,57 +71,48 @@ def _logical_lines(text: str):
             yield i, content
 
 
+def _at(line, make, *args):
+    """``make(*args)``; a ``ModelError`` from it becomes a ``FormatError`` at
+    ``line``, or, for a dict ``line``, at ``line[what][i]``, where (what, i)
+    is the fault's ``at``: the line that declares the input at fault."""
+    try:
+        return make(*args)
+    except ModelError as exc:
+        if isinstance(line, dict):
+            what, i = exc.at
+            line = line[what][i]
+        raise FormatError(str(exc), line) from None
+
+
 def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Network:
     """The ``Network`` a document declares, from its variables as (line,
     name, states), its CPTs as (line, child, parent names, table), its kind
     as (line, kind) and its clone-edge registry as (line, ``EdgeRecord``).
 
-    Every structural fault raises ``FormatError`` at the line that declares
-    it: an unknown kind, a duplicate variable, a ``Variable`` that cannot be
-    built, a CPT for an unknown variable, a second CPT for one variable, an
-    unknown parent, a table ``Cpt`` rejects, (at the variable's line) a
-    variable with no CPT, and a registry record naming an unknown variable.
-    ``Network`` makes the same checks, at no line, for networks that
-    programs build directly.  An augmented document's network records, as
-    ``augment``'s do, the original it augments (``Network.origin``),
+    Each ``Variable`` and ``Cpt`` is built at its line, the CPT's child and
+    parents looked up by name (a name no variable declares is refused in
+    ``Network``'s words, ``scope_fault``).  ``Network`` makes every
+    structural check, and ``_at`` places its fault at the line that
+    declares the input at fault.  An augmented document's network records,
+    as ``augment``'s do, the original it augments (``Network.origin``),
     rebuilt by ``deletion._collapsed``.
     """
-    ln, kind = kind
-    if kind not in NETWORK_KINDS:
-        raise FormatError(f"unknown network kind {kind!r}", ln)
-    declared: dict[str, tuple[int, Variable]] = {}
-    for ln, name, states in variables:
-        if name in declared:
-            raise FormatError(f"duplicate variable {name!r}", ln)
-        try:
-            declared[name] = ln, Variable(name, states)
-        except ModelError as exc:
-            raise FormatError(str(exc), ln) from None
-    built: dict[str, Cpt] = {}
+    built = [_at(ln, Variable, name, states) for ln, name, states in variables]
+    # a name declared twice reads its first declaration: Network refuses the second
+    by_name = {v.name: v for v in reversed(built)}
+    tables = []
     for ln, child, parents, table in cpts:
-        if child not in declared:
-            raise FormatError(f"cpt for unknown variable {child!r}", ln)
-        if child in built:
-            raise FormatError(f"two cpts for variable {child!r}", ln)
-        for p in parents:
-            if p not in declared:
-                raise FormatError(f"cpt for {child!r}: unknown parent {p!r}", ln)
-        try:
-            built[child] = Cpt(declared[child][1], [declared[p][1] for p in parents], table)
-        except ModelError as exc:
-            raise FormatError(str(exc), ln) from None
-    for name, (ln, _) in declared.items():
-        if name not in built:
-            raise FormatError(f"variable {name!r} has no cpt", ln)
-    for ln, rec in clone_edges:
-        for n in (rec.parent, rec.clone, rec.child, rec.sevid):
-            if n is not None and n not in declared:
-                raise FormatError(f"registry names unknown variable {n!r}", ln)
+        for name in (child, *parents):
+            if name not in by_name:
+                raise FormatError(scope_fault(child, name), ln)
+        tables.append(_at(ln, Cpt, by_name[child], [by_name[p] for p in parents], table))
+    lines = {"kind": [kind[0]], "variable": [v[0] for v in variables],
+             "cpt": [c[0] for c in cpts], "record": [ln for ln, _ in clone_edges]}
     records = [rec for _, rec in clone_edges]
-    net = Network([var for _, var in declared.values()], built.values(), kind, records)
-    if kind != "augmented":
+    net = _at(lines, Network, built, tables, kind[1], records)
+    if net.kind != "augmented":
         return net
-    return Network(net.variables, net.cpts(), kind, records, origin=_collapsed(net))
+    return Network(net.variables, net.cpts(), net.kind, records, origin=_collapsed(net))
 
 
 def parse_network(text: str) -> Network:
@@ -213,10 +205,7 @@ def parse_evidence(text: str, net: Network) -> Evidence:
             raise FormatError("evidence line needs 'variable = state'", ln)
         if name in assignments:
             raise FormatError(f"variable {name!r} assigned twice", ln)
-        try:
-            net.var(name).index_of(state)
-        except ModelError as exc:
-            raise FormatError(str(exc), ln) from None
+        _at(ln, lambda: net.var(name).index_of(state))
         assignments[name] = state
     return Evidence(assignments)
 
@@ -232,11 +221,11 @@ def parse_plan(text: str, net: Network) -> tuple[list[tuple[str, str]], list[Edg
     Returns the (parent, child) edges and their start vectors, one
     ``EdgeParams`` per line, or None for the vectors when no line gives
     them.  Either every line gives its vectors or none does.  An edge that
-    ``net`` does not have, an edge listed twice and a vector that
-    ``EdgeParams`` refuses are each a ``FormatError`` at their line.
+    ``net`` does not have, an edge listed twice (``check_deletable``) and a
+    vector that ``EdgeParams`` refuses are each a ``FormatError`` at their
+    line.
     """
-    present = set(net.edges())
-    edges, vectors, bare = [], [], []
+    edges, lines, vectors, bare = [], [], [], []
     for ln, content in _logical_lines(text):
         head, *rest = [part.strip() for part in content.split("|")]
         if "->" not in head:
@@ -245,10 +234,6 @@ def parse_plan(text: str, net: Network) -> tuple[list[tuple[str, str]], list[Edg
         parent, child = parent.strip(), child.strip()
         if not parent or not child or len(parent.split()) != 1 or len(child.split()) != 1:
             raise FormatError("plan line needs 'parent -> child'", ln)
-        if (parent, child) not in present:
-            raise FormatError(f"edge {parent} -> {child} is not in the network", ln)
-        if (parent, child) in edges:
-            raise FormatError(f"edge {parent} -> {child} is listed twice", ln)
         pm = se = None
         for part in rest:
             key, _, vals = part.partition(":")
@@ -266,13 +251,12 @@ def parse_plan(text: str, net: Network) -> tuple[list[tuple[str, str]], list[Edg
         if (pm is None) != (se is None):
             raise FormatError("plan line must give both pm and se or neither", ln)
         edges.append((parent, child))
+        lines.append(ln)
         if pm is None:
             bare.append(ln)
-            continue
-        try:
-            vectors.append(EdgeParams(pm, se))
-        except ModelError as exc:
-            raise FormatError(str(exc), ln) from None
+        else:
+            vectors.append(_at(ln, EdgeParams, pm, se))
+    _at({"edge": lines}, check_deletable, net, edges)
     if bare and vectors:
         raise FormatError("plan line gives no pm/se vectors, but other lines do", bare[0])
     return edges, vectors or None

@@ -147,13 +147,22 @@ class TestAugment:
             after = after.reorder(before.names())
             assert np.allclose(before.values, after.values, atol=1e-12)
 
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ModelError):
-            augment(two_node(), [("A", "B"), ("A", "B")])
-
-    def test_missing_edge_rejected(self):
-        with pytest.raises(ModelError):
-            augment(two_node(), [("B", "A")])
+    @pytest.mark.parametrize(
+        "edges, message, at",
+        [
+            pytest.param([("A", "B"), ("A", "B")], "edge A -> B is listed twice", ("edge", 1),
+                         id="duplicate"),
+            pytest.param([("A", "B"), ("B", "A")], "edge B -> A is not in the network",
+                         ("edge", 1), id="missing"),
+        ],
+    )
+    def test_an_edge_the_network_cannot_delete_is_refused_at_its_position(
+        self, edges, message, at
+    ):
+        # parse_plan places the same fault at the edge's line (test_netio, test_cli)
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$") as fault:
+            augment(two_node(), edges)
+        assert fault.value.at == at
 
     def test_clone_name_collision_detected(self):
         a = Variable("A", ("a0", "a1"))
@@ -167,7 +176,7 @@ class TestAugment:
                 Cpt(shadow, (), [0.5, 0.5]),
             ],
         )
-        with pytest.raises(ModelError, match="^clone name 'A__clone0' collides with a variable$"):
+        with pytest.raises(ModelError, match="^duplicate variable 'A__clone0'$"):
             augment(net, [("A", "B")])
 
 
@@ -209,7 +218,7 @@ class TestDeleteEdges:
             ],
         )
         aug = augment(net, [("A", "B")])
-        fault = "^soft-evidence name 'A__se0' collides with a variable$"
+        fault = "^duplicate variable 'A__se0'$"
         with pytest.raises(ModelError, match=fault):
             delete_edges(aug, DeletionPlan.uniform(aug))
 

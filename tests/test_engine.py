@@ -1030,6 +1030,14 @@ def late_overflowing_network():
 
 
 class TestReplayGuards:
+    def test_a_contraction_over_more_variables_than_letters_is_refused(self):
+        # a tree reaches it only through a cluster of 53 variables, far past
+        # any width cap: direct, then at the 52 letters there are
+        scopes = [(f"V{i}",) for i in range(53)]
+        with pytest.raises(CapacityError, match="^a jointree contraction over more than 52 "):
+            engine_module._subscripts(scopes, ())
+        assert engine_module._subscripts(scopes[:52], ("V0",)).endswith("->a")
+
     def test_overflow_in_a_later_bucket_raises_from_every_pass(self):
         net = late_overflowing_network()
         program = engine_module.record(net, Evidence({}))

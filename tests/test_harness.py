@@ -29,6 +29,7 @@ from edgedel.harness import (
     make_synthetic,
     parse_experiment_spec,
     parse_synthetic,
+    rank_edges,
     run_deletion_instance,
     run_experiment,
     sample_evidence,
@@ -193,6 +194,17 @@ class TestSampling:
             ev = sample_evidence(net, "random", rng)
             counts[net.var("X3").index_of(ev["X3"])] += 1
         assert np.allclose(counts / 2000, [0.5, 0.5], atol=0.05)
+
+    def test_an_unknown_mode_is_refused(self):
+        net = chain_network(3, rng=np.random.default_rng(6))
+        with pytest.raises(ModelError, match="^unknown evidence mode 'leaves'$"):
+            sample_evidence(net, "leaves", np.random.default_rng(7))
+
+    def test_an_unknown_selection_is_refused(self):
+        net = chain_network(3, rng=np.random.default_rng(6))
+        ev = sample_evidence(net, "random", np.random.default_rng(7))
+        with pytest.raises(ModelError, match="^unknown selection 'best'$"):
+            rank_edges(net, ev, "best", np.random.default_rng(7))
 
 
 class TestExperimentSpec:

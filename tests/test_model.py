@@ -122,29 +122,89 @@ class TestValidation:
         assert [(v.variable, v.rule, v.message) for v in validate_network(build())] == [violation]
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, message, at",
         [
-            (
+            pytest.param(
+                lambda a, b: Network([a], [Cpt(a, (), [0.5, 0.5])], kind="bogus"),
+                "unknown network kind 'bogus'", ("kind", 0), id="kind",
+            ),
+            pytest.param(
                 lambda a, b: Network([a, Variable("A", ("x", "y"))], [Cpt(a, (), [0.5, 0.5])]),
-                "duplicate variable names in network",
+                "duplicate variable 'A'", ("variable", 1), id="duplicate-names",
             ),
-            (
+            pytest.param(
+                lambda a, b: Network([a], [Cpt(a, (), [0.5, 0.5]), Cpt(b, (), [0.5, 0.5])]),
+                "cpt for unknown variable 'B'", ("cpt", 1), id="unknown-child",
+            ),
+            pytest.param(
+                lambda a, b: Network(
+                    [a, b], [Cpt(a, (), [0.5, 0.5]), Cpt(Variable("B", ("x",)), (), [1.0])]
+                ),
+                "cpt for unknown variable 'B'", ("cpt", 1), id="mismatched-child",
+            ),
+            pytest.param(
+                lambda a, b: Network([b], [Cpt(b, (a,), [0.5] * 4)]),
+                "cpt for 'B': unknown parent 'A'", ("cpt", 0), id="unknown-parent",
+            ),
+            pytest.param(
+                lambda a, b: Network(
+                    [a, b], [Cpt(a, (), [0.5, 0.5]), Cpt(b, (Variable("A", ("x",)),), [0.5] * 2)]
+                ),
+                "cpt for 'B': unknown parent 'A'", ("cpt", 1), id="mismatched-parent",
+            ),
+            pytest.param(
+                lambda a, b: Network(
+                    [a, b],
+                    [Cpt(a, (), [0.5, 0.5]), Cpt(b, (a,), [0.5] * 4), Cpt(a, (), [0.2, 0.8])],
+                ),
+                "two cpts for variable 'A'", ("cpt", 2), id="second-cpt",
+            ),
+            pytest.param(
                 lambda a, b: Network([a, b], [Cpt(a, (), [0.5, 0.5])]),
-                "variables without a cpt: ['B']",
+                "variable 'B' has no cpt", ("variable", 1), id="missing-cpt",
             ),
-            (
+            *(
+                pytest.param(
+                    lambda a, b, rec=rec: Network(
+                        [a, b], [Cpt(a, (), [0.5, 0.5]), Cpt(b, (a,), [0.5] * 4)],
+                        clone_edges=[EdgeRecord("A", "A", "B"), rec],
+                    ),
+                    "registry names unknown variable 'Q'", ("record", 1), id=f"registry-{field}",
+                )
+                for field, rec in [
+                    ("parent", EdgeRecord("Q", "A", "B")),
+                    ("clone", EdgeRecord("A", "Q", "B")),
+                    ("child", EdgeRecord("A", "A", "Q")),
+                    ("sevid", EdgeRecord("A", "A", "B", "Q")),
+                ]
+            ),
+            pytest.param(
                 lambda a, b: Network(
                     [a, b], [Cpt(a, (b,), [0.1, 0.9, 0.7, 0.3]), Cpt(b, (a,), [0.5] * 4)]
                 ).topo_order(),
-                "network graph has a cycle",
+                "network graph has a cycle", None, id="cycle",
             ),
         ],
-        ids=["duplicate-names", "missing-cpt", "cycle"],
     )
-    def test_each_structural_fault_is_refused(self, build, message):
+    def test_each_structural_fault_is_refused(self, build, message, at):
         a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1"))
-        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$") as fault:
             build(a, b)
+        assert fault.value.at == at
+
+    @pytest.mark.parametrize("name", ["", "A B", "A\tB"])
+    def test_a_variable_name_must_be_one_nonblank_word(self, name):
+        with pytest.raises(ModelError, match=f"^bad variable name {re.escape(repr(name))}$"):
+            Variable(name, ("s0", "s1"))
+
+    def test_a_network_is_immutable(self):
+        with pytest.raises(AttributeError, match="^Network is immutable$"):
+            chain_ab().kind = "augmented"
+
+    def test_reprs_name_the_scope_and_the_size(self):
+        net = chain_ab()
+        assert repr(net.cpt("B")) == "Cpt(B | A)"
+        assert repr(net) == "Network(2 vars, kind=original)"
 
     def test_equivalence_table_is_exact(self):
         assert equivalence_table(3).tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
@@ -323,6 +383,11 @@ class TestEvidence:
         ev = Evidence({"A": "a0"})
         with pytest.raises(AttributeError):
             ev.anything = 1
+
+    def test_len_and_repr_follow_the_assignments(self):
+        ev = Evidence({"A": "a0", "B": "b1"})
+        assert len(ev) == 2 and len(Evidence()) == 0
+        assert repr(ev) == "Evidence(A=a0, B=b1)"
 
     def test_with_added_and_without(self):
         ev = Evidence({"A": "a0"})

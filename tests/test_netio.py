@@ -193,6 +193,15 @@ class TestCanonicalFormat:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_network(doc.replace(*edit))
 
+    def test_a_variable_or_cpt_fault_comes_before_the_network_s_own(self):
+        # each variable and CPT is built at its line before Network checks
+        # the kind or the duplicates
+        doc = "kind: bogus\nvariables:\n  A a0 a1\n  A\ncpts:\n  A : 0.3 0.7\n"
+        with pytest.raises(FormatError, match="^line 4: variable 'A' has no states$"):
+            parse_network(doc)
+        with pytest.raises(FormatError, match="^line 1: unknown network kind 'bogus'$"):
+            parse_network(doc.replace("  A\n", "  A a0\n"))
+
     @pytest.mark.parametrize(
         "edit, line, message",
         [
@@ -294,6 +303,12 @@ class TestEvidenceAndPlanFormats:
         net = parse_network(PAIRS_DOC)
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_plan(text, net)
+
+    def test_edges_are_checked_once_every_line_is_read(self):
+        # the edge rule is augment's (check_deletable), run on the whole plan
+        text = "A -> Q\nA -> B | pm: 0.5 x | se: 1 1\n"
+        with pytest.raises(FormatError, match="^line 2: bad number in 'pm' vector$"):
+            parse_plan(text, parse_network(PAIRS_DOC))
 
 
 def make_row(**overrides):

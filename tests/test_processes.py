@@ -8,8 +8,13 @@ wrote to its report file and returned into one JSON file each:
 
 - under ``PYTHONHASHSEED=0``, the fit golden's cases first (cold), then the
   table twice in order, then the fit golden's cases twice more (warm);
-- under ``PYTHONHASHSEED=1``, the table once in reverse order, so that each
+- under ``PYTHONHASHSEED=5``, the table once in reverse order, so that each
   command meets a different warm process.
+
+Both children also record how their Python orders each spec's
+``selections`` and ``methods`` as a set: the cross-seed cases can only
+catch a loop over such a set if the two hash seeds order every one of them
+differently, and a test checks that they do.
 
 The ``COLD`` cases also run in a fresh ``python -m edgedel.cli`` each, and
 ``GOLDEN`` names the cases whose output ``tests/data`` pins across commits.
@@ -103,6 +108,12 @@ GOLDEN = {
 # the name under which a child records ``record_fit_golden``'s whole file
 FIT_GOLDEN = "fit-golden"
 
+# the name under which a child records its set orders (``set_orders``)
+SET_ORDERS = "set-orders"
+
+# the hash seed of the second child; seed 0 orders every tag set otherwise
+OTHER_SEED = 5
+
 
 def argv(case: str, report: Path) -> list[str]:
     return [str(report) if a == "{out}" else a for a in COMMANDS[case][0].split()]
@@ -110,6 +121,16 @@ def argv(case: str, report: Path) -> list[str]:
 
 def read_report(report: Path) -> str | None:
     return report.read_bytes().decode() if report.exists() else None
+
+
+def set_orders() -> dict[str, list[str]]:
+    """Per spec of ``record_report_golden`` and per tag list, the order in
+    which this process iterates the list's entries as a set."""
+    return {
+        f"{name} {key}": list(set(getattr(harness.parse_experiment_spec(text), key)))
+        for name, text in report_golden.SPECS.items()
+        for key in ("selections", "methods")
+    }
 
 
 def run_in_this_process(results: Path, cases: list[str]) -> None:
@@ -120,6 +141,9 @@ def run_in_this_process(results: Path, cases: list[str]) -> None:
     for case in cases:
         if case == FIT_GOLDEN:
             runs.append([case, 0, fit_golden.dump(fit_golden.record()), "", None])
+            continue
+        if case == SET_ORDERS:
+            runs.append([case, 0, json.dumps(set_orders()), "", None])
             continue
         report.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -174,8 +198,8 @@ def runs(inputs):
     """hash seed -> case -> the (status, stdout, stderr, report) of each of
     its runs, in order."""
     orders = {
-        0: [FIT_GOLDEN, *COMMANDS, *COMMANDS, FIT_GOLDEN, FIT_GOLDEN],
-        1: list(reversed(COMMANDS)),
+        0: [SET_ORDERS, FIT_GOLDEN, *COMMANDS, *COMMANDS, FIT_GOLDEN, FIT_GOLDEN],
+        OTHER_SEED: [SET_ORDERS, *reversed(COMMANDS)],
     }
     out = {}
     for seed, cases in orders.items():
@@ -201,16 +225,24 @@ def cold_runs(inputs):
     return out
 
 
+def test_the_two_hash_seeds_order_every_tag_set_differently(runs):
+    # the premise of the cross-seed cases below; a Python whose string hash
+    # changes may break it, and then OTHER_SEED needs another value
+    zero, other = (json.loads(runs[seed][SET_ORDERS][0][1]) for seed in (0, OTHER_SEED))
+    assert zero.keys() == other.keys() and len(zero) == 2 * len(report_golden.SPECS)
+    assert [key for key in zero if zero[key] == other[key]] == []
+
+
 @pytest.mark.parametrize("case", COMMANDS)
 def test_every_run_exits_with_its_status(runs, case):
-    # two runs under seed 0, one under seed 1
+    # two runs under seed 0, one under the other seed
     want = COMMANDS[case][1]
     assert [run[0] for seed in runs for run in runs[seed][case]] == [want] * 3
 
 
 @pytest.mark.parametrize("case", COMMANDS)
 def test_both_hash_seeds_give_the_same_output(runs, case):
-    assert runs[1][case][0] == runs[0][case][0]
+    assert runs[OTHER_SEED][case][0] == runs[0][case][0]
 
 
 @pytest.mark.parametrize("case", COMMANDS)
@@ -223,7 +255,7 @@ def test_a_second_run_in_one_process_gives_the_same_output(runs, case):
 def test_a_cold_process_gives_what_the_warm_ones_do(runs, cold_runs, case):
     # the cold process's status is the one ``python -m edgedel.cli`` exits with
     assert cold_runs[case] == runs[0][case][0]
-    assert cold_runs[case] == runs[1][case][0]
+    assert cold_runs[case] == runs[OTHER_SEED][case][0]
 
 
 @pytest.mark.parametrize("case", GOLDEN)
