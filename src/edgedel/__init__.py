@@ -15,7 +15,6 @@ from .deletion import (
     approximate_network,
     augment,
     augmented_evidence,
-    delete_edges,
     deleted_records,
     recover_marginals,
 )

@@ -1,18 +1,21 @@
 """Network transformations for edge deletion.
 
-An edge U -> X is never removed outright.  It is first replaced by a chain
-U -> U' -> X through a clone U' carrying an exact 0/1 equivalence CPT
-(augmentation; the distribution over the source variables is unchanged).
-Cutting the equivalence edge U -> U' then turns U' into a root with a prior
-``pm`` and hangs an observed binary soft-evidence child S' off U whose
-positive row is ``se`` (deletion).  Conditioning is always on the augmented
+Deleting an edge U -> X gives X a clone parent U' in U's place, a root with
+a prior ``pm``, and hangs an observed binary soft-evidence child S' off U
+whose positive row is ``se``.  ``approximate_network`` builds N', the source
+network with its edges so deleted, in one ``Network``, and returns the
+source network itself in its first slot: the source is every reference
+(``divergence.source_pass``).  Conditioning is always on the augmented
 evidence: the source evidence plus every S' observed positive.
 
-``augment`` and ``delete_edges`` share one assembly step (``_derive``),
-``augment`` and ``netio.parse_plan`` one rule for the edges a request may
-delete (``check_deletable``).  A plan's vectors reach N' (and
-``parametrize.run``) through one length check, ``_checked_vectors``, and
-N''s source marginals through one derivative pass, ``_source_marginals``.
+``augment`` replaces an edge with a chain U -> U' -> X through a clone
+carrying an exact 0/1 equivalence CPT (the distribution over the source
+variables is unchanged); only ``score_edges``' tie refit builds one.  It
+shares its rewiring with ``approximate_network`` (``_clone_chains``), and
+``netio.parse_plan`` its rule for the edges a request may delete
+(``check_deletable``).  A plan's vectors reach N' (and ``parametrize.run``)
+through one length check, ``_checked_vectors``, and N''s source marginals
+through one derivative pass, ``_source_marginals``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     Network,
     Variable,
     equivalence_table,
-    validate_network,
 )
 
 SE_STATES = ("yes", "no")
@@ -116,48 +118,28 @@ class DeletionPlan:
         return DeletionPlan(self.edges, tuple(params_list))
 
     @staticmethod
-    def uniform(aug: Network, records=None) -> "DeletionPlan":
-        """Plan covering ``records`` (default: every equivalence edge) with
-        uniform parameters."""
-        if records is None:
-            records = [r for r in aug.clone_edges if r.sevid is None]
-        params = tuple(EdgeParams.uniform(aug.var(r.clone).card) for r in records)
+    def uniform(net: Network, records) -> "DeletionPlan":
+        """Plan covering ``records``, clone chains of ``net``, with uniform
+        parameters."""
+        params = tuple(EdgeParams.uniform(net.var(r.clone).card) for r in records)
         return DeletionPlan(tuple(records), params)
 
 
 def augment(net: Network, edges) -> Network:
-    """Replace each edge U -> X in ``edges`` with a chain U -> U' -> X.
+    """Replace each edge U -> X in ``edges`` with a chain U -> U' -> X, the
+    clone U' reading U through the exact 0/1 equivalence CPT.
 
     The result is distribution-equivalent to ``net`` over the source
-    variables, and records ``net`` as its ``origin``.  With no edges the
-    input network is returned unchanged; an edge ``net`` lacks, or one
-    given twice, is refused (``check_deletable``).
+    variables.  With no edges the input network is returned unchanged; a
+    network of another kind than original, an edge ``net`` lacks, or one
+    given twice is refused (``_clone_chains``).
     """
-    edges = [tuple(e) for e in edges]
-    if not edges:
+    clones, records, cpts = _clone_chains(net, edges)
+    if not clones:
         return net
-    if net.kind != "original":
-        raise ModelError("augment expects an original network")
-    check_deletable(net, edges)
-
-    clones, cpts, records = [], {}, []
-    equivalence: dict[int, np.ndarray] = {}
-    # per child, its parents with each deleted one's clone in its place
-    rewired: dict[str, list[Variable]] = {}
-    for k, (u, x) in enumerate(edges):
-        uvar = net.var(u)
-        clone = Variable(f"{u}__clone{k}", uvar.states)
-        clones.append(clone)
-        if uvar.card not in equivalence:
-            equivalence[uvar.card] = equivalence_table(uvar.card)
-        cpts[clone.name] = Cpt(clone, (uvar,), equivalence[uvar.card])
-        parents = rewired.setdefault(x, list(net.cpt(x).parents))
-        parents[[p.name for p in parents].index(u)] = clone
-        records.append(EdgeRecord(parent=u, clone=clone.name, child=x))
-    for x, parents in rewired.items():
-        cpt = net.cpt(x)
-        cpts[x] = Cpt(cpt.child, tuple(parents), cpt.table)
-    return _derive(net, "augmented", clones, cpts, records, origin=net)
+    for clone, rec in zip(clones, records):
+        cpts[clone.name] = Cpt(clone, (net.var(rec.parent),), equivalence_table(clone.card))
+    return _derive(net, "augmented", clones, cpts, records)
 
 
 def check_deletable(net: Network, edges) -> None:
@@ -173,31 +155,38 @@ def check_deletable(net: Network, edges) -> None:
         seen.add(e)
 
 
-def _derive(net: Network, kind: str, added, cpts, registry, origin=None) -> Network:
+def _clone_chains(net: Network, edges):
+    """The rewiring that ``augment`` and ``approximate_network`` share: for
+    each edge U -> X of ``edges`` at position k, the clone ``U__clone{k}``
+    (U's states) and its registry record, and, by child name, each child's
+    CPT reading its deleted parents' clones in their places.
+
+    ``net`` must be an original network, and ``check_deletable`` must pass.
+    """
+    if net.kind != "original":
+        raise ModelError(f"expected an original network, got kind {net.kind!r}")
+    edges = [tuple(e) for e in edges]
+    check_deletable(net, edges)
+    clones, records = [], []
+    # per child, its parents with each deleted one's clone in its place
+    rewired: dict[str, list[Variable]] = {}
+    for k, (u, x) in enumerate(edges):
+        clone = Variable(f"{u}__clone{k}", net.var(u).states)
+        clones.append(clone)
+        parents = rewired.setdefault(x, list(net.cpt(x).parents))
+        parents[[p.name for p in parents].index(u)] = clone
+        records.append(EdgeRecord(parent=u, clone=clone.name, child=x))
+    cpts = {x: Cpt(net.cpt(x).child, tuple(ps), net.cpt(x).table) for x, ps in rewired.items()}
+    return clones, records, cpts
+
+
+def _derive(net: Network, kind: str, added, cpts, registry) -> Network:
     """``net``'s variables, then the variables ``added``, each with its CPT
     in ``cpts`` if it is there, as one ``Network`` of ``kind`` with
     clone-edge registry ``registry``."""
     variables = [*net.variables, *added]
     tables = [cpts[v.name] if v.name in cpts else net.cpt(v.name) for v in variables]
-    return Network(variables, tables, kind=kind, clone_edges=registry, origin=origin)
-
-
-def _collapsed(aug: Network) -> Network | None:
-    """The original network that the augmentation ``aug`` augments, rebuilt:
-    its variables less the clones, each CPT reading a clone's parent in the
-    clone's place.  None unless every registry entry is an intact
-    equivalence edge (``validate_network``'s "equivalence-cpt" rule), the
-    one case in which ``aug`` is distribution-equivalent to the result."""
-    broken = any(v.rule == "equivalence-cpt" for v in validate_network(aug))
-    if broken or any(rec.sevid for rec in aug.clone_edges):
-        return None
-    parent_of = {rec.clone: aug.var(rec.parent) for rec in aug.clone_edges}
-    try:
-        tables = [Cpt(c.child, tuple(parent_of.get(p.name, p) for p in c.parents), c.table)
-                  for c in aug.cpts() if c.child.name not in parent_of]
-        return Network([v for v in aug.variables if v.name not in parent_of], tables)
-    except ModelError:
-        return None
+    return Network(variables, tables, kind=kind, clone_edges=registry)
 
 
 def se_table(se) -> np.ndarray:
@@ -206,48 +195,21 @@ def se_table(se) -> np.ndarray:
     return np.column_stack([se, 1.0 - se])
 
 
-def _checked_vectors(net: Network, rec: EdgeRecord, params: EdgeParams):
+def _checked_vectors(var, rec: EdgeRecord, params: EdgeParams):
     """``params``' (pm, se), whose lengths must be the cardinalities of
-    ``rec``'s clone and parent in ``net``; a wrong length raises
-    ``ModelError`` naming the plan edge (parent -> child), not the clone."""
-    if params.pm.size != net.var(rec.clone).card or params.se.size != net.var(rec.parent).card:
+    ``rec``'s clone and parent, each the ``Variable`` that ``var`` gives for
+    its name (``Network.var``); a wrong length raises ``ModelError`` naming
+    the plan edge (parent -> child), not the clone."""
+    if params.pm.size != var(rec.clone).card or params.se.size != var(rec.parent).card:
         raise ModelError(f"parameters for {rec.parent} -> {rec.child} have the wrong length")
     return params.pm, params.se
 
 
-def _edge_cpts(net: Network, rec: EdgeRecord, sevid: Variable, params: EdgeParams):
+def _edge_cpts(var, rec: EdgeRecord, sevid: Variable, params: EdgeParams):
     """The clone prior and the soft-evidence CPT that encode ``params`` on
-    ``rec``'s edge of ``net`` (``_checked_vectors``)."""
-    pm, se = _checked_vectors(net, rec, params)
-    return Cpt(net.var(rec.clone), (), pm), Cpt(sevid, (net.var(rec.parent),), se_table(se))
-
-
-def delete_edges(net: Network, plan: DeletionPlan) -> Network:
-    """Cut the plan's equivalence edges, installing the plan's parameters.
-
-    Each clone becomes a root with prior ``pm`` and the parent gains an
-    observed binary soft-evidence child with positive row ``se``.  With an
-    empty plan the input network is returned unchanged.
-    """
-    if len(plan) == 0:
-        return net
-    equivalence = {r.key(): r for r in net.clone_edges if r.sevid is None}
-    for rec in plan.edges:
-        if rec.key() not in equivalence:
-            raise ModelError(
-                f"{rec.parent} -> {rec.clone} is not an equivalence edge of this network"
-            )
-
-    sevids, cpts, new_records = [], {}, {}
-    for k, (rec, params) in enumerate(zip(plan.edges, plan.params)):
-        sevid = Variable(f"{rec.parent}__se{k}", SE_STATES)
-        sevids.append(sevid)
-        cpts[rec.clone], cpts[sevid.name] = _edge_cpts(net, rec, sevid, params)
-        new_records[rec.key()] = EdgeRecord(
-            parent=rec.parent, clone=rec.clone, child=rec.child, sevid=sevid.name
-        )
-    registry = [new_records.get(r.key(), r) for r in net.clone_edges]
-    return _derive(net, "approximate", sevids, cpts, registry)
+    ``rec``'s edge, its variables looked up by ``var`` (``_checked_vectors``)."""
+    pm, se = _checked_vectors(var, rec, params)
+    return Cpt(var(rec.clone), (), pm), Cpt(sevid, (var(rec.parent),), se_table(se))
 
 
 def deleted_records(nprime: Network, plan: DeletionPlan) -> list[EdgeRecord]:
@@ -281,24 +243,42 @@ def apply_params(nprime: Network, plan: DeletionPlan) -> Network:
     replacements: dict[str, Cpt] = {}
     for rec, params in zip(deleted_records(nprime, plan), plan.params):
         replacements[rec.clone], replacements[rec.sevid] = _edge_cpts(
-            nprime, rec, nprime.var(rec.sevid), params
+            nprime.var, rec, nprime.var(rec.sevid), params
         )
     return nprime.replace_cpts(replacements)
 
 
 def approximate_network(net: Network, edges, params=None):
-    """Augment ``net`` along ``edges`` and cut every introduced equivalence edge.
+    """N', the original network ``net`` with ``edges`` deleted, built in one
+    ``Network``.
 
-    Returns (augmented, approximate, plan).  ``params`` defaults to uniform.
+    Each edge U -> X at position k is cut: X reads the clone root
+    ``U__clone{k}`` with prior ``pm`` in U's place (``_clone_chains``), and
+    U gains the observed binary soft-evidence child ``U__se{k}`` with
+    positive row ``se``.  ``params``, one ``EdgeParams`` per edge, defaults
+    to uniform; a vector of the wrong length names its edge
+    (``_checked_vectors``).
+
+    Returns (``net``, N', plan).  The first slot is the source network
+    itself, the one reference of every fit and divergence
+    (``divergence.source_pass``).  The plan's records name each clone chain
+    with no soft-evidence variable (N''s registry binds them,
+    ``deleted_records``).  With no edges N' is ``net``.
     """
-    aug = augment(net, edges)
-    records = [r for r in aug.clone_edges if r.sevid is None]
+    clones, records, cpts = _clone_chains(net, edges)
     if params is None:
-        plan = DeletionPlan.uniform(aug, records)
-    else:
-        plan = DeletionPlan(tuple(records), tuple(params))
-    nprime = delete_edges(aug, plan)
-    return aug, nprime, plan
+        params = [EdgeParams.uniform(clone.card) for clone in clones]
+    plan = DeletionPlan(tuple(records), tuple(params))
+    if not clones:
+        return net, net, plan
+    var = {v.name: v for v in (*net.variables, *clones)}.__getitem__
+    sevids, registry = [], []
+    for k, (rec, p) in enumerate(zip(records, plan.params)):
+        sevid = Variable(f"{rec.parent}__se{k}", SE_STATES)
+        sevids.append(sevid)
+        cpts[rec.clone], cpts[sevid.name] = _edge_cpts(var, rec, sevid, p)
+        registry.append(EdgeRecord(rec.parent, rec.clone, rec.child, sevid.name))
+    return net, _derive(net, "approximate", [*clones, *sevids], cpts, registry), plan
 
 
 def recover_marginals(nprime: Network, plan: DeletionPlan, st) -> dict[str, np.ndarray]:

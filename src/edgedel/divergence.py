@@ -10,14 +10,15 @@ Both read (``read_kl_bound``, ``read_exact_kl``) Pr'(e') and a derivative
 pass on the source network (``forward_backward``: Pr(e) and every CPT's
 derivative table, off one jointree by ``engine.derivatives``), which a fit
 with a reference hands back (``parametrize.run``); ``kl_bound`` and
-``exact_kl`` make both themselves.  ``source_pass`` keeps the most recent
-(network, evidence) pair's pass on the source network, which
-``score_edges``, the harness's fits and, through ``reference_pass``, every
-(original or augmented network, evidence) reference share: no pass is made
-on an augmentation.  ``edge_update`` is the one fixed-point update of a single
-deleted edge (ed-bp or ed-kl), read off Pr'(e') and its derivatives with
-respect to the edge's parameters, and in a sequential update off the
-edge's table too; the parametrization sweeps call it once per edge.
+``exact_kl`` make both themselves.  A reference is the source network:
+``source_pass`` is the one resolver of a (network, evidence) reference,
+refuses a network of another kind than original before any pass, and
+keeps the most recent pair's pass, which ``score_edges``, the harness's
+fits and every reference of the same pair share.  ``edge_update`` is the
+one fixed-point update of a single deleted edge (ed-bp or ed-kl), read off
+Pr'(e') and its derivatives with respect to the edge's parameters, and in
+a sequential update off the edge's table too; the parametrization sweeps
+call it once per edge.
 ``score_edges`` ranks every edge of a source network by the divergence
 achievable when it alone is deleted with ed-kl parameters: every clone
 CPT's derivative table in the all-edges augmentation is one contraction of
@@ -29,8 +30,9 @@ one refit per call, on the tables of one derivative elimination each on the
 all-edges augmentation, which fixes their order to that route's.  The
 refit's eliminations are recorded once per (source layout, observed
 variables, tied edges) and kept by the engine
-(``engine.derived_derivatives``), so a call builds no augmentation and
-replays each bucket they share once.  ``score_edges`` and
+(``engine.derived_derivatives``), so only a call that records them builds
+the augmentation (``_augmentation``), and a call replays each bucket they
+share once.  ``score_edges`` and
 ``mutual_information_scores`` score original networks only; an augmented
 or approximate input is refused before any pass.
 """
@@ -109,10 +111,8 @@ def forward_backward(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) ->
 
 def true_edge_marginals(source: engine.Adjoints, plan: DeletionPlan):
     """Exact parent posteriors per plan edge, read off ``source``, a
-    derivative pass (``engine.derivatives``, such as ``forward_backward``)
-    on the source network or on any augmentation of it that answers the
-    plan's parents: ``augment`` leaves every source variable's posterior as
-    it was.
+    derivative pass (``engine.derivatives``, such as ``source_pass``) on the
+    source network.
 
     ``Adjoints.posterior`` reads each parent's posterior off its own CPT's
     derivative table (each checked by the Euler identity).  A non-empty plan
@@ -131,7 +131,9 @@ _kept_pass = None
 
 def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
     """The derivative pass (``forward_backward``) on the original network
-    ``net`` under ``ev``.
+    ``net`` under ``ev``: the one resolver of a (network, evidence)
+    reference.  A network of another kind is refused, as ``ModelError``
+    naming its kind, before any pass.
 
     Pr(e), every source variable's posterior and every family table are
     fixed by (``net``, ``ev``), and every clone table of the all-edges
@@ -148,21 +150,11 @@ def source_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engi
     kept = _kept_pass
     if kept is not None and kept[0] is net and kept[1] is ev and kept[2] == width_cap:
         return kept[3]
+    if net.kind != "original":
+        raise ModelError(f"a reference must be an original network, got kind {net.kind!r}")
     grads = forward_backward(net, ev, width_cap)
     _kept_pass = (net, ev, width_cap, grads)
     return grads
-
-
-def reference_pass(net: Network, ev: Evidence, width_cap=WIDTH_CAP_DEFAULT) -> engine.Adjoints:
-    """``source_pass`` on the original network ``net``, or on the one that
-    the augmentation ``net`` augments (``Network.origin``): the two agree
-    on every source posterior and family layout, and the original's pass is
-    the one ``score_edges`` keeps.  Any other network raises ``ModelError``.
-    """
-    origin = net if net.kind == "original" else net.origin
-    if origin is None:
-        raise ModelError(f"a network of kind {net.kind!r} records no original network")
-    return source_pass(origin, ev, width_cap)
 
 
 def _clone_tables(source: engine.Adjoints, edges) -> list[np.ndarray]:
@@ -212,7 +204,7 @@ def read_kl_bound(source: engine.Adjoints, pr_ep: float, plan: DeletionPlan) -> 
 
 
 def kl_bound(
-    aug: Network,
+    net: Network,
     nprime: Network,
     plan: DeletionPlan,
     ev: Evidence,
@@ -221,9 +213,10 @@ def kl_bound(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> KlBreakdown:
     """Closed-form divergence over all augmented-network variables, read
-    (``read_kl_bound``) off the source pass (``reference_pass`` of ``aug``)
-    and a Pr'(e')-only jointree of N' at the plan's parameters."""
-    source = reference_pass(aug, ev, width_cap)
+    (``read_kl_bound``) off the source pass (``source_pass`` of the source
+    network ``net``) and a Pr'(e')-only jointree of N' at the plan's
+    parameters."""
+    source = source_pass(net, ev, width_cap)
     pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
     return read_kl_bound(source, pr_ep, plan)
 
@@ -267,7 +260,7 @@ def read_exact_kl(source: engine.Adjoints, pr_ep: float, nprime: Network, plan) 
 
 
 def exact_kl(
-    source: Network,
+    net: Network,
     nprime: Network,
     plan: DeletionPlan,
     ev: Evidence,
@@ -276,13 +269,10 @@ def exact_kl(
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> float:
     """Divergence between the two posteriors restricted to source variables,
-    read (``read_exact_kl``) off the source pass and a Pr'(e')-only jointree
-    of N' at the plan's parameters.
-
-    ``source`` is the source network or its augmentation, which resolve to
-    one pass (``reference_pass``).
-    """
-    grads = reference_pass(source, ev, width_cap)
+    read (``read_exact_kl``) off the source pass (``source_pass`` of the
+    source network ``net``) and a Pr'(e')-only jointree of N' at the plan's
+    parameters."""
+    grads = source_pass(net, ev, width_cap)
     pr_ep = engine.derivatives(apply_params(nprime, plan), evp, (), width_cap).pr_e
     return read_exact_kl(grads, pr_ep, nprime, plan)
 
@@ -356,7 +346,7 @@ def _damp(new: np.ndarray, old: np.ndarray, damping: float, what: str) -> np.nda
     return _normalize(mixed, what)
 
 
-def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarray:
+def _update_rule(method, true_marg, pr_ep, own, cross, label) -> np.ndarray:
     """New "pm" or "se" vector from Pr'(e') and the derivatives of Pr'(e')
     with respect to that vector (``own``) and to its partner (``cross``)."""
     if pr_ep <= 0.0:
@@ -366,10 +356,6 @@ def _update_rule(method, true_marg, pr_ep, own, cross, which, label) -> np.ndarr
     if method == "ed-bp":
         # cross-pairing: the prior comes from the soft-evidence derivative
         # and the soft evidence from the prior derivative
-        if not np.any(cross > 0):
-            raise DegenerateUpdateError(
-                f"all-zero derivative vector for {label} ({which} update)"
-            )
         return _normalize(cross, label)
     return _normalize(edkl_vector(true_marg, pr_ep, own, label), label)
 
@@ -405,14 +391,14 @@ def edge_update(reads, pm, se, method, true_marg, label, damping=0.0, g=None):
     """
     pr, d_pm, d_se = reads
     new_pm = _damp(
-        _update_rule(method, true_marg, pr, d_pm, d_se, "pm", label), pm, damping, label
+        _update_rule(method, true_marg, pr, d_pm, d_se, label), pm, damping, label
     )
     new_pm = new_pm / np.add.reduce(new_pm)
     if g is not None:
         d_se = g @ new_pm
         pr = float(d_pm @ new_pm)
     new_se = _damp(
-        _update_rule(method, true_marg, pr, d_se, d_pm, "se", label), se, damping, label
+        _update_rule(method, true_marg, pr, d_se, d_pm, label), se, damping, label
     )
     new_pm = new_pm / np.add.reduce(new_pm)
     # as Python floats (each vector is finite, so there is no NaN to propagate)

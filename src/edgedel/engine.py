@@ -477,8 +477,6 @@ def _record(net, inputs, keep, maximize, width_cap) -> _Recorded:
     buckets = []
     for name in elim.order:
         ids = [i for i in holding.pop(name, ()) if i in live]
-        if not ids:
-            continue
         live.difference_update(ids)
         first = ids[0]
         scope, shape, steps = _product_steps(

@@ -297,7 +297,8 @@ def run_deletion_instance(
 
     ``warm_params`` (one EdgeParams per edge) switches initialization from
     uniform to the given values.  With ``map_vars`` set, the fitted network
-    also answers MAP over them: the row carries the p/q ratio and the
+    also answers MAP over them: the row carries the p/q ratio, with p and
+    q read in ``net`` itself (``approximate_map_quality``), and the
     constrained width instead of the min-fill width.
 
     The fit's reference is ``divergence.source_pass(net, ev, width_cap)``,
@@ -314,7 +315,7 @@ def run_deletion_instance(
     ``recover_marginals``' route (``deletion._source_marginals``).
     """
     start = time.perf_counter()
-    aug, nprime, plan = approximate_network(net, edges, warm_params)
+    _, nprime, plan = approximate_network(net, edges, warm_params)
     evp = augmented_evidence(nprime, ev)
     cfg = parametrize.IterationConfig(
         method=method,
@@ -336,7 +337,7 @@ def run_deletion_instance(
         width = min_fill_order(nprime).width
     else:
         map_result = approximate_map_quality(
-            aug, nprime, plan, ev, evp, map_vars, width_cap=width_cap
+            net, nprime, plan, ev, evp, map_vars, width_cap=width_cap
         )
         width = constrained_order(nprime, map_vars).width
     elapsed_ms = int(round((time.perf_counter() - start) * 1000)) if real_timings else 0

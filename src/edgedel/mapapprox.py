@@ -2,8 +2,10 @@
 
 The approximate instantiation is found by exact MAP on the approximate
 network under the augmented evidence.  Quality is always measured in the
-source network: p = Pr(m, e) for the approximate solution m, against the
-true optimum q, so p/q = 1 exactly when m is an exact MAP solution.
+source network, ``approximate_network``'s first slot: p = Pr(m, e) for the
+approximate solution m, against the true optimum q, so p/q = 1 exactly
+when m is an exact MAP solution.  Neither p nor q reads a clone or a
+soft-evidence variable.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def map_quality(
 
 
 def approximate_map_quality(
-    aug: Network,
+    net: Network,
     nprime: Network,
     plan: DeletionPlan,
     ev: Evidence,
@@ -96,9 +98,10 @@ def approximate_map_quality(
     *,
     width_cap: int = WIDTH_CAP_DEFAULT,
 ) -> MapResult:
-    """End to end: approximate MAP on N', scored in the source network."""
+    """End to end: approximate MAP on N', scored in the source network
+    ``net`` (``map_quality``)."""
     assignment, _ = approximate_map(nprime, plan, evp, map_vars, width_cap=width_cap)
-    return map_quality(aug, ev, assignment, map_vars, width_cap=width_cap)
+    return map_quality(net, ev, assignment, map_vars, width_cap=width_cap)
 
 
 def default_map_vars(net: Network, ev: Evidence) -> list[str]:

@@ -224,9 +224,7 @@ class Network:
     approximation pipeline: "original", "augmented" (clone chains inserted),
     or "approximate" (equivalence edges cut, soft-evidence children added).
     ``clone_edges`` is the registry of clone chains; entries with a ``sevid``
-    name correspond to deleted edges.  ``origin`` is, on an augmentation,
-    the original network it augments (``deletion.augment``), and None on
-    any other network; equality and serialization ignore it.
+    name correspond to deleted edges.
 
     Construction refuses, in this order, an unknown kind, a duplicate
     variable, a CPT whose child or a parent is not the network's variable
@@ -237,11 +235,10 @@ class Network:
     """
 
     __slots__ = (
-        "variables", "kind", "clone_edges", "origin", "_vars_by_name", "_cpts", "_index",
-        "_layout",
+        "variables", "kind", "clone_edges", "_vars_by_name", "_cpts", "_index", "_layout",
     )
 
-    def __init__(self, variables, cpts, kind: str = "original", clone_edges=(), origin=None):
+    def __init__(self, variables, cpts, kind: str = "original", clone_edges=()):
         variables = tuple(variables)
         clone_edges = tuple(clone_edges)
         if kind not in NETWORK_KINDS:
@@ -272,7 +269,6 @@ class Network:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "clone_edges", clone_edges)
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "_vars_by_name", by_name)
         object.__setattr__(self, "_cpts", cpt_map)
         object.__setattr__(self, "_index", {v.name: i for i, v in enumerate(variables)})
@@ -374,8 +370,7 @@ class Network:
         return [v.name for v in self.variables if v.name not in aux]
 
     def replace_cpts(self, replacements: dict[str, Cpt]) -> "Network":
-        """Functional update: a new network with some CPTs swapped out.  It
-        records no ``origin``, which the new tables need not augment."""
+        """Functional update: a new network with some CPTs swapped out."""
         for name in replacements:
             self.var(name)
         new_cpts = [replacements.get(v.name, self._cpts[v.name]) for v in self.variables]

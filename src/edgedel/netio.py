@@ -34,11 +34,16 @@ line, to one assembler (``_assemble``).  ``Network`` makes every
 structural check; the assembler only places each fault, as a
 ``FormatError`` at the line that declares it.  Value checks (duplicate
 state labels, ranges, row sums, cycles) are ``model.validate_network``'s.
+Documents of every kind read and write alike.  Only one of kind original
+can be a reference (``divergence.source_pass``): a reference is the source
+network, and an augmented document is read as written, with no original
+rebuilt from it.
 
 ``parse_plan(text, net)`` reads a deletion plan against the network it
-cuts: an edge ``net`` lacks and an edge listed twice (``augment``'s rule,
-``deletion.check_deletable``), and a start vector that ``EdgeParams``
-refuses, are each a ``FormatError`` at their line.
+cuts: an edge ``net`` lacks and an edge listed twice
+(``approximate_network``'s rule, ``deletion.check_deletable``), and a
+start vector that ``EdgeParams`` refuses, are each a ``FormatError`` at
+their line.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import re
 import typing
 from dataclasses import dataclass, fields
 
-from .deletion import DeletionPlan, EdgeParams, _collapsed, check_deletable
+from .deletion import DeletionPlan, EdgeParams, check_deletable
 from .model import Cpt, EdgeRecord, Evidence, ModelError, Network, Variable, scope_fault
 from .parametrize import METHODS
 
@@ -93,9 +98,7 @@ def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Netwo
     parents looked up by name (a name no variable declares is refused in
     ``Network``'s words, ``scope_fault``).  ``Network`` makes every
     structural check, and ``_at`` places its fault at the line that
-    declares the input at fault.  An augmented document's network records,
-    as ``augment``'s do, the original it augments (``Network.origin``),
-    rebuilt by ``deletion._collapsed``.
+    declares the input at fault.
     """
     built = [_at(ln, Variable, name, states) for ln, name, states in variables]
     # a name declared twice reads its first declaration: Network refuses the second
@@ -108,11 +111,7 @@ def _assemble(variables, cpts, kind=(None, "original"), clone_edges=()) -> Netwo
         tables.append(_at(ln, Cpt, by_name[child], [by_name[p] for p in parents], table))
     lines = {"kind": [kind[0]], "variable": [v[0] for v in variables],
              "cpt": [c[0] for c in cpts], "record": [ln for ln, _ in clone_edges]}
-    records = [rec for _, rec in clone_edges]
-    net = _at(lines, Network, built, tables, kind[1], records)
-    if net.kind != "augmented":
-        return net
-    return Network(net.variables, net.cpts(), net.kind, records, origin=_collapsed(net))
+    return _at(lines, Network, built, tables, kind[1], [rec for _, rec in clone_edges])
 
 
 def parse_network(text: str) -> Network:

@@ -13,6 +13,10 @@ between the source network and its approximation.
 ``run`` is the one entry point: the method, the schedule, the number of
 sweeps and whether to start from the plan's parameters all come from its
 ``IterationConfig``, so a single sweep is ``run`` with ``max_iterations=1``.
+Its reference, from which ed-kl reads the true parent posteriors, is the
+source network (``deletion.approximate_network``'s first slot) or its
+pass: a reference is always the source network, resolved by
+``divergence.source_pass``.
 What its sweeps read is built once, before the first sweep: one jointree
 of N' and its evidence (``engine.Jointree``) in both schedules.  A
 sequential run reads each edge's table over (parent, clone) off it, and a
@@ -36,7 +40,7 @@ import numpy as np
 from . import engine
 from .deletion import SE_OBSERVED, DeletionPlan, EdgeParams, apply_params
 from .deletion import _checked_vectors, deleted_records
-from .divergence import edge_update, forward_backward, kl_breakdown, reference_pass
+from .divergence import edge_update, forward_backward, kl_breakdown, source_pass
 from .divergence import single_edge_evaluate, true_edge_marginals
 from .engine import WIDTH_CAP_DEFAULT
 from .model import Evidence, ModelError, Network
@@ -256,11 +260,10 @@ def run(
 
     ``reference`` gives the source network's derivative pass, from which
     the true parent posteriors are read (``true_edge_marginals``): either
-    the pass itself (``engine.Adjoints``), made on the source network
-    (``divergence.source_pass`` keeps one per (network, evidence)) or on
-    any augmentation of it, or an (original or augmented network,
-    evidence) pair, which resolves to the kept pass on the original network
-    under ``width_cap`` (``divergence.reference_pass``).  It is required
+    the pass itself (``engine.Adjoints``), made on the source network, or
+    a (source network, evidence) pair, which resolves to the kept pass
+    under ``width_cap`` (``divergence.source_pass``); a network of another
+    kind than original is refused there, before any pass.  It is required
     for "ed-kl" (the updates need the true parent posteriors) and optional
     for "ed-bp", where it only enables the KL-bound column of the trace.
     Non-convergence is reported, not raised; Pr'(e') = 0 raises
@@ -283,11 +286,11 @@ def run(
                 f"soft-evidence variable {rec.sevid} must be observed as {SE_OBSERVED!r}"
             )
     sequential = cfg.schedule == "sequential"
-    vectors = [_checked_vectors(nprime, rec, params) for rec, params in zip(records, plan.params)]
-    fit = _Fit(nprime, evp, records, vectors, sequential, width_cap)
+    vectors = [_checked_vectors(nprime.var, rec, p) for rec, p in zip(records, plan.params)]
     source = reference
     if reference is not None and not isinstance(reference, engine.Adjoints):
-        source = reference_pass(*reference, width_cap)
+        source = source_pass(*reference, width_cap)
+    fit = _Fit(nprime, evp, records, vectors, sequential, width_cap)
     true_marginals = None if source is None else true_edge_marginals(source, plan)
     bounded = source is not None and source.pr_e > 0
 
@@ -321,7 +324,7 @@ def run(
 
 
 def check_conditions(
-    aug: Network,
+    net: Network,
     nprime: Network,
     plan: DeletionPlan,
     ev: Evidence,
@@ -338,16 +341,16 @@ def check_conditions(
     gap additionally compares both posteriors against the true Pr(u|e) from
     the source network.
 
-    Every posterior comes from one derivative pass on each network: on N'
-    (``forward_backward``) and on the source (``reference_pass`` of
-    ``aug``).  Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'), the
-    soft-evidence adjoint d_se is Pr'(u, e' minus s'), so
-    Pr'(u | e' minus s') = d_se / sum(d_se).
+    Every posterior comes from one derivative pass on each network: on the
+    source network ``net`` (``source_pass``, made first, so a network of
+    another kind is refused before any pass) and on N' (``forward_backward``).
+    Since Pr'(e') = sum_u se_u Pr'(u, e' minus s'), the soft-evidence
+    adjoint d_se is Pr'(u, e' minus s'), so Pr'(u | e' minus s') =
+    d_se / sum(d_se).
     """
     records = deleted_records(nprime, plan)
-    current = apply_params(nprime, plan)
-    grads = forward_backward(current, evp, width_cap)
-    true_marginals = true_edge_marginals(reference_pass(aug, ev, width_cap), plan)
+    true_marginals = true_edge_marginals(source_pass(net, ev, width_cap), plan)
+    grads = forward_backward(apply_params(nprime, plan), evp, width_cap)
     match_gaps = []
     exact_gaps = []
     for rec, params, true in zip(records, plan.params, true_marginals):

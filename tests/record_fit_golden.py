@@ -87,10 +87,10 @@ NETWORKS = {
 
 
 def build(name):
-    """(source net, evidence, augmented, N', plan, augmented evidence) of a case."""
+    """(source net, evidence, N', plan, augmented evidence) of a case."""
     net, ev, edges = NETWORKS[name]()
-    aug, nprime, plan = approximate_network(net, edges)
-    return net, ev, aug, nprime, plan, augmented_evidence(nprime, ev)
+    _, nprime, plan = approximate_network(net, edges)
+    return net, ev, nprime, plan, augmented_evidence(nprime, ev)
 
 
 def warm_params(nprime, plan, seed):
@@ -103,14 +103,14 @@ def warm_params(nprime, plan, seed):
 
 
 def fit(name, method, schedule, start):
-    net, ev, aug, nprime, plan, evp = build(name)
+    net, ev, nprime, plan, evp = build(name)
     if start == "warm":
         plan = warm_params(nprime, plan, 31)
     cfg = IterationConfig(
         method=method, schedule=schedule, max_iterations=MAX_ITERATIONS,
         initialization="plan" if start == "warm" else "uniform",
     )
-    return run(nprime, plan, evp, cfg, reference=(aug, ev))
+    return run(nprime, plan, evp, cfg, reference=(net, ev))
 
 
 def _hex(x):

@@ -14,7 +14,6 @@ import pytest
 
 from edgedel import (
     Cpt,
-    DeletionPlan,
     EdgeParams,
     Evidence,
     IterationConfig,
@@ -24,7 +23,6 @@ from edgedel import (
     check_conditions,
     compile,
     cpt_derivatives,
-    delete_edges,
     enumerate_joint,
     exact_kl,
     kl_bound,
@@ -176,7 +174,8 @@ def _divergence_instances(n):
     return out
 
 
-def _enumeration_kl_all_vars(aug, nprime, plan, ev, evp):
+def _enumeration_kl_all_vars(net, nprime, plan, ev, evp):
+    aug = augment(net, [(rec.parent, rec.child) for rec in plan.edges])
     p = enumerate_joint(aug, ev).normalize()
     current = apply_params(nprime, plan)
     q = enumerate_joint(current, evp)
@@ -197,13 +196,13 @@ def test_criterion_03_and_04_divergence_identity_and_inequality():
     worst_id = 0.0
     worst_gap = -math.inf
     for net, ev, take, params in _divergence_instances(50):
-        aug, nprime, plan = approximate_network(net, take, params)
+        _, nprime, plan = approximate_network(net, take, params)
         evp = augmented_evidence(nprime, ev)
-        got = kl_bound(aug, nprime, plan, ev, evp).total
-        want = _enumeration_kl_all_vars(aug, nprime, plan, ev, evp)
+        got = kl_bound(net, nprime, plan, ev, evp).total
+        want = _enumeration_kl_all_vars(net, nprime, plan, ev, evp)
         assert got == pytest.approx(want, abs=1e-9)
         worst_id = max(worst_id, abs(got - want))
-        exact = exact_kl(aug, nprime, plan, ev, evp)
+        exact = exact_kl(net, nprime, plan, ev, evp)
         assert exact <= got + 1e-9
         worst_gap = max(worst_gap, exact - got)
     _ok("criterion 3 divergence identity", f"50 triples, worst |diff| {worst_id:.2e}")
@@ -227,18 +226,18 @@ def test_criterion_05_converged_edkl_matches_true_marginals():
         take_n = int(rng.integers(1, min(2, len(edges)) + 1))
         take = [edges[int(i)] for i in rng.choice(len(edges), size=take_n, replace=False)]
         ev = positive_evidence(net, rng)
-        aug, nprime, plan = approximate_network(net, take)
+        _, nprime, plan = approximate_network(net, take)
         evp = augmented_evidence(nprime, ev)
         attempts += 1
         plan, report, _ = run(
             nprime, plan, evp,
             IterationConfig(method="ed-kl", tolerance=1e-8, max_iterations=300),
-            reference=(aug, ev),
+            reference=(net, ev),
         )
         if not report.converged:
             continue
         converged += 1
-        rep = check_conditions(aug, nprime, plan, ev, evp)
+        rep = check_conditions(net, nprime, plan, ev, evp)
         gap = max(rep.eq_exact_gaps)
         worst = max(worst, gap)
         assert gap <= 1e-6
@@ -269,8 +268,8 @@ def test_criterion_06_single_edge_closed_form(monkeypatch):
         derivs = cpt_derivatives(st, aug.cpt(rec.clone))
         params = _random_params(net, [edge], rng)[0]
         pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params.pm, params.se)
-        plan = DeletionPlan((rec,), (params,))
-        nprime = delete_edges(aug, plan)
+        _, nprime, plan = approximate_network(net, [edge], [params])
+        assert plan.edges == (rec,)
         evp = augmented_evidence(nprime, ev)
         st_direct = compile(nprime, evp)
         rel = abs(pr_ep - st_direct.pr_e) / max(st_direct.pr_e, 1e-300)
@@ -307,17 +306,17 @@ def test_criterion_07_equality_fixture():
     satisfies the match conditions but not the exactness ones; (c) the
     divergence iteration recovers from the biased start."""
     net, ev = equality_witness_net()
-    aug, nprime, plan = approximate_network(net, [("U1", "X1")])
+    _, nprime, plan = approximate_network(net, [("U1", "X1")])
     evp = augmented_evidence(nprime, ev)
     # (a)
-    assert kl_bound(aug, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
-    rep = check_conditions(aug, nprime, plan, ev, evp)
+    assert kl_bound(net, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
+    rep = check_conditions(net, nprime, plan, ev, evp)
     assert max(rep.eq_match_gaps) <= 1e-12
     assert max(rep.eq_exact_gaps) <= 1e-12
     # (b) frozen by enumeration: the biased prior shifts both posteriors to
     # 0.7 while the true posterior stays 0.5, so the exactness gap is 0.2
     biased = plan.with_params(0, EdgeParams([0.7, 0.3], [0.5, 0.5]))
-    rep_b = check_conditions(aug, nprime, biased, ev, evp)
+    rep_b = check_conditions(net, nprime, biased, ev, evp)
     assert max(rep_b.eq_match_gaps) <= 1e-12
     assert rep_b.eq_exact_gaps[0] > 1e-3
     assert rep_b.eq_exact_gaps[0] == pytest.approx(0.2, abs=1e-12)
@@ -325,10 +324,10 @@ def test_criterion_07_equality_fixture():
     plan_c, report, _ = run(
         nprime, biased, evp,
         IterationConfig(method="ed-kl", initialization="plan"),
-        reference=(aug, ev),
+        reference=(net, ev),
     )
     assert report.converged
-    final = kl_bound(aug, nprime, plan_c, ev, evp).total
+    final = kl_bound(net, nprime, plan_c, ev, evp).total
     assert final <= 1e-10
     _ok("criterion 7 equality fixture",
         f"match gap {max(rep_b.eq_match_gaps):.1e}, exact gap {rep_b.eq_exact_gaps[0]:.3f}, "
@@ -357,7 +356,7 @@ def test_criterion_08_bp_equivalence():
         ev = Evidence(ev_map)
         if enumerate_joint(net, ev).total() <= 0:
             continue
-        aug, nprime, plan = approximate_network(net, extras)
+        _, nprime, plan = approximate_network(net, extras)
         evp = augmented_evidence(nprime, ev)
         oracle = FactorGraphBP(net, ev, extras)
         one_sweep = IterationConfig(
@@ -395,7 +394,7 @@ def test_criterion_09_disconnection_exactness():
         ev = Evidence(ev_map)
         if enumerate_joint(net, ev).total() <= 0:
             ev = Evidence({})
-        aug, nprime, plan = approximate_network(net, [bridge])
+        _, nprime, plan = approximate_network(net, [bridge])
         evp = augmented_evidence(nprime, ev)
         plan, report, _ = run(nprime, plan, evp, IterationConfig(method="ed-bp"))
         assert report.converged
@@ -467,18 +466,18 @@ def test_criterion_11_map_quality():
         rank_rand = harness.rank_edges(net, ev, "rand", rng)[0]
         rank_guided, _ = harness.rank_edges(net, ev, "guided", rng)
         if inst < 5:
-            aug, nprime, plan = approximate_network(net, [])
+            _, nprime, plan = approximate_network(net, [])
             evp = augmented_evidence(nprime, ev)
-            res0 = approximate_map_quality(aug, nprime, plan, ev, evp, map_vars)
+            res0 = approximate_map_quality(net, nprime, plan, ev, evp, map_vars)
             assert res0.ratio == pytest.approx(1.0, abs=1e-9)
         for sel, ranking in (("guided", rank_guided), ("rand", rank_rand)):
             edges = ranking[:k]
-            aug, nprime, plan = approximate_network(net, edges)
+            _, nprime, plan = approximate_network(net, edges)
             evp = augmented_evidence(nprime, ev)
             plan, _, _ = run(
-                nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(aug, ev)
+                nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(net, ev)
             )
-            res = approximate_map_quality(aug, nprime, plan, ev, evp, map_vars)
+            res = approximate_map_quality(net, nprime, plan, ev, evp, map_vars)
             assert res.ratio is not None
             assert 0.0 < res.ratio <= 1.0
             ratios[sel].append(res.ratio)

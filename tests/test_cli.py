@@ -488,8 +488,9 @@ class TestNonOriginalDocuments:
     @pytest.fixture(params=["augmented", "approximate"])
     def documents(self, request, tmp_path):
         net = grid_network(3, 3, rng=np.random.default_rng(0))
-        aug, nprime, _ = approximate_network(net, net.edges()[:2])
-        other = aug if request.param == "augmented" else nprime
+        edges = net.edges()[:2]
+        other = augment(net, edges) if request.param == "augmented" else (
+            approximate_network(net, edges)[1])
         net_file, ev_file = tmp_path / "other.bn", tmp_path / "grid.ev"
         net_file.write_text(serialize_network(other))
         ev_file.write_text(serialize_evidence(Evidence({"N2_2": "s0"})))

@@ -7,6 +7,7 @@ from edgedel import (
     Cpt,
     DeletionPlan,
     EdgeParams,
+    EdgeRecord,
     Evidence,
     ModelError,
     Network,
@@ -16,7 +17,6 @@ from edgedel import (
     augment,
     augmented_evidence,
     compile,
-    delete_edges,
     enumerate_joint,
     min_fill_order,
     posterior_marginal,
@@ -119,18 +119,18 @@ class TestAugment:
         assert clone_cpt.table.tolist() == [1.0, 0.0, 0.0, 1.0]
         assert aug.parent_names("B") == ("A__clone0",)
         assert validate_network(aug) == []
-        # it records the network it augments, which equality ignores
-        assert aug.origin is net and net.origin is None
-        assert aug == Network(aug.variables, aug.cpts(), "augmented", aug.clone_edges)
 
+    @pytest.mark.parametrize("build", [augment, approximate_network])
     @pytest.mark.parametrize("kind", ["augmented", "approximate"])
-    def test_a_network_other_than_original_is_refused(self, kind):
+    def test_a_network_other_than_original_is_refused(self, kind, build):
+        # also with no edge: only an original network has edges to delete
         net = two_node()
-        aug, nprime, _ = approximate_network(net, [("A", "B")])
-        other = aug if kind == "augmented" else nprime
-        fault = "^augment expects an original network$"
-        with pytest.raises(ModelError, match=fault):
-            augment(other, [("A", "A__clone0")])
+        other = augment(net, [("A", "B")]) if kind == "augmented" else (
+            approximate_network(net, [("A", "B")])[1])
+        fault = f"^expected an original network, got kind '{kind}'$"
+        for edges in ([("A", "A__clone0")], []):
+            with pytest.raises(ModelError, match=fault):
+                build(other, edges)
 
     def test_distribution_unchanged_over_source_variables(self):
         rng = np.random.default_rng(0)
@@ -156,12 +156,13 @@ class TestAugment:
                          ("edge", 1), id="missing"),
         ],
     )
+    @pytest.mark.parametrize("build", [augment, approximate_network])
     def test_an_edge_the_network_cannot_delete_is_refused_at_its_position(
-        self, edges, message, at
+        self, edges, message, at, build
     ):
         # parse_plan places the same fault at the edge's line (test_netio, test_cli)
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$") as fault:
-            augment(two_node(), edges)
+            build(two_node(), edges)
         assert fault.value.at == at
 
     def test_clone_name_collision_detected(self):
@@ -176,34 +177,48 @@ class TestAugment:
                 Cpt(shadow, (), [0.5, 0.5]),
             ],
         )
-        with pytest.raises(ModelError, match="^duplicate variable 'A__clone0'$"):
-            augment(net, [("A", "B")])
+        for build in (augment, approximate_network):
+            with pytest.raises(ModelError, match="^duplicate variable 'A__clone0'$"):
+                build(net, [("A", "B")])
 
 
-class TestDeleteEdges:
-    def test_empty_plan_is_identity(self):
-        net = augment(two_node(), [("A", "B")])
-        plan = DeletionPlan((), ())
-        assert delete_edges(net, plan) is net
+class TestApproximateNetwork:
+    def test_no_edges_is_identity(self):
+        net = two_node()
+        source, nprime, plan = approximate_network(net, [])
+        assert source is net and nprime is net and plan == DeletionPlan((), ())
 
     def test_structure_after_deletion(self):
-        aug = augment(two_node(), [("A", "B")])
-        plan = DeletionPlan.uniform(aug)
-        nprime = delete_edges(aug, plan)
+        net = two_node()
+        source, nprime, plan = approximate_network(net, [("A", "B")])
+        assert source is net
         assert nprime.kind == "approximate"
+        assert [v.name for v in nprime.variables] == ["A", "B", "A__clone0", "A__se0"]
+        assert nprime.parent_names("B") == ("A__clone0",)
         assert nprime.cpt("A__clone0").parents == ()
+        assert nprime.cpt("A__clone0").table.tolist() == [0.5, 0.5]
         se_cpt = nprime.cpt("A__se0")
         assert se_cpt.parents[0].name == "A"
         assert se_cpt.shaped[:, 0].tolist() == [0.5, 0.5]
+        assert plan.edges == (EdgeRecord("A", "A__clone0", "B"),)
+        assert nprime.clone_edges == (EdgeRecord("A", "A__clone0", "B", "A__se0"),)
         evp = augmented_evidence(nprime, Evidence({}))
         assert dict(evp.items()) == {"A__se0": "yes"}
+        assert validate_network(nprime) == []
 
-    def test_plan_edge_must_be_equivalence_edge(self):
-        aug = augment(two_node(), [("A", "B")])
-        plan = DeletionPlan.uniform(aug)
-        nprime = delete_edges(aug, plan)
-        with pytest.raises(ModelError):
-            delete_edges(nprime, plan)
+    def test_one_network_is_built_per_call(self, monkeypatch):
+        import edgedel.deletion as deletion_module
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(Network(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(deletion_module, "Network", counting)
+        net = grid_network(3, 3)
+        _, nprime, _ = approximate_network(net, net.edges()[:4])
+        assert [n.kind for n in built] == ["approximate"] and built[0] is nprime
 
     def test_soft_evidence_name_collision_detected(self):
         a = Variable("A", ("a0", "a1"))
@@ -217,24 +232,21 @@ class TestDeleteEdges:
                 Cpt(shadow, (), [0.5, 0.5]),
             ],
         )
-        aug = augment(net, [("A", "B")])
         fault = "^duplicate variable 'A__se0'$"
         with pytest.raises(ModelError, match=fault):
-            delete_edges(aug, DeletionPlan.uniform(aug))
+            approximate_network(net, [("A", "B")])
 
     @pytest.mark.parametrize("vector", ["pm", "se"])
     def test_wrong_length_vector_names_the_source_edge(self, vector):
-        aug = augment(two_node(), [("A", "B")])
-        (rec,) = aug.clone_edges
         bad = EdgeParams([0.2, 0.3, 0.5], [0.5, 0.5]) if vector == "pm" else (
             EdgeParams([0.5, 0.5], [0.5, 0.5, 0.5])
         )
         with pytest.raises(ModelError, match="^parameters for A -> B have the wrong length$"):
-            delete_edges(aug, DeletionPlan((rec,), (bad,)))
+            approximate_network(two_node(), [("A", "B")], [bad])
 
     @pytest.mark.parametrize("vector", ["pm", "se"])
     def test_apply_params_names_the_plan_edge_of_a_wrong_length_vector(self, vector):
-        # the check is delete_edges' own, not Cpt's, which would name the clone
+        # the check is approximate_network's own, not Cpt's, which would name the clone
         _, nprime, plan = approximate_network(grid_network(2, 2), [("N0_0", "N0_1")])
         bad = EdgeParams([0.2, 0.3, 0.5], [0.5, 0.5]) if vector == "pm" else (
             EdgeParams([0.5, 0.5], [0.5, 0.5, 0.5])
@@ -246,28 +258,30 @@ class TestDeleteEdges:
     @pytest.mark.parametrize(
         "call, message",
         [
-            pytest.param(lambda rec, aug, nprime: DeletionPlan((rec,), ()),
+            pytest.param(lambda net, nprime, plan: DeletionPlan(plan.edges, ()),
                          "plan edges and params are misaligned", id="misaligned-plan"),
-            pytest.param(lambda rec, aug, nprime: DeletionPlan((rec, rec), (None, None)),
+            pytest.param(lambda net, nprime, plan: DeletionPlan(plan.edges * 2, (None, None)),
                          "plan repeats a deleted edge", id="repeated-plan-edge"),
-            pytest.param(lambda rec, aug, nprime: deleted_records(aug, DeletionPlan.uniform(aug)),
+            pytest.param(lambda net, nprime, plan: approximate_network(
+                             net, [("A", "B")], plan.params * 2),
+                         "plan edges and params are misaligned", id="misaligned-params"),
+            pytest.param(lambda net, nprime, plan: deleted_records(net, plan),
                          "plan edge A -> A__clone0 was not deleted in this network",
                          id="undeleted-edge"),
-            pytest.param(lambda rec, aug, nprime: augmented_evidence(
+            pytest.param(lambda net, nprime, plan: augmented_evidence(
                              nprime, Evidence({"A__se0": "yes"})),
                          "evidence already assigns soft-evidence variables: ['A__se0']",
                          id="soft-evidence-clash"),
         ],
     )
     def test_each_plan_fault_is_refused(self, call, message):
-        aug, nprime, _ = approximate_network(two_node(), [("A", "B")])
-        (rec,) = aug.clone_edges
+        net, nprime, plan = approximate_network(two_node(), [("A", "B")])
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-            call(rec, aug, nprime)
+            call(net, nprime, plan)
 
     def test_disconnecting_equality_fixture_marginals(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan = approximate_network(net, [("U1", "X1")])
+        _, nprime, plan = approximate_network(net, [("U1", "X1")])
         evp = augmented_evidence(nprime, ev)
         st = compile(nprime, evp)
         assert posterior_marginal(st, "U1").tolist() == pytest.approx([0.5, 0.5])
@@ -277,7 +291,7 @@ class TestDeleteEdges:
         rng = np.random.default_rng(1)
         net = random_network(rng, n_vars=6)
         edges = net.edges()
-        aug, nprime, plan = approximate_network(net, edges[:2])
+        _, nprime, plan = approximate_network(net, edges[:2])
         ev = positive_evidence(net, rng)
         evp = augmented_evidence(nprime, ev)
         scaled = [
@@ -304,7 +318,7 @@ class TestDeleteEdges:
                 Cpt(c, (a,), [0.6, 0.4, 0.1, 0.9]),
             ],
         )
-        aug, nprime, plan = approximate_network(net, [("A", "B"), ("A", "C")])
+        _, nprime, plan = approximate_network(net, [("A", "B"), ("A", "C")])
         sevids = sorted(r.sevid for r in nprime.clone_edges)
         assert sevids == ["A__se0", "A__se1"]
         evp = augmented_evidence(nprime, Evidence({}))
@@ -320,14 +334,14 @@ class TestDeleteEdges:
                 continue
             k = int(rng.integers(1, min(3, len(edges)) + 1))
             take = [edges[int(i)] for i in rng.choice(len(edges), size=k, replace=False)]
-            aug, nprime, plan = approximate_network(net, take)
-            assert min_fill_order(nprime).width <= min_fill_order(aug).width
+            _, nprime, plan = approximate_network(net, take)
+            assert min_fill_order(nprime).width <= min_fill_order(augment(net, take)).width
 
 
 class TestRecoverMarginals:
     def test_no_deletion_recovers_exact(self):
         net = two_node()
-        aug, nprime, plan = approximate_network(net, [])
+        _, nprime, plan = approximate_network(net, [])
         ev = Evidence({"B": "b0"})
         evp = augmented_evidence(nprime, ev)
         st = compile(nprime, evp)
@@ -339,7 +353,7 @@ class TestRecoverMarginals:
 
     def test_accepts_state_compiled_with_applied_params(self):
         net = two_node()
-        aug, nprime, plan = approximate_network(net, [("A", "B")])
+        _, nprime, plan = approximate_network(net, [("A", "B")])
         updated = plan.with_params(0, EdgeParams([0.2, 0.8], [0.9, 0.4]))
         evp = augmented_evidence(nprime, Evidence({}))
         st = compile(apply_params(nprime, updated), evp)
@@ -351,7 +365,7 @@ class TestRecoverMarginals:
 
     def test_clones_and_soft_evidence_excluded(self):
         net = two_node()
-        aug, nprime, plan = approximate_network(net, [("A", "B")])
+        _, nprime, plan = approximate_network(net, [("A", "B")])
         evp = augmented_evidence(nprime, Evidence({}))
         st = compile(nprime, evp)
         recovered = recover_marginals(nprime, plan, st)
@@ -361,7 +375,7 @@ class TestRecoverMarginals:
         rng = np.random.default_rng(3)
         net = random_network(rng, n_vars=6)
         edges = net.edges()
-        aug, nprime, plan = approximate_network(
+        _, nprime, plan = approximate_network(
             net, edges[:1], [EdgeParams([0.35, 0.65], [0.2, 0.9])]
             if net.var(edges[0][0]).card == 2
             else None,
@@ -385,7 +399,7 @@ class TestRecoverMarginals:
         edges = net.edges()[:3]
         # the parent of the first deleted edge is observed
         ev = Evidence({edges[0][0]: net.var(edges[0][0]).states[1]})
-        aug, nprime, plan = approximate_network(net, edges)
+        _, nprime, plan = approximate_network(net, edges)
         plan = plan.with_params(0, EdgeParams([0.35, 0.65], [0.2, 0.9]))
         evp = augmented_evidence(nprime, ev)
         current = apply_params(nprime, plan)

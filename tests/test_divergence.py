@@ -11,7 +11,6 @@ import edgedel.engine as engine_module
 from edgedel import (
     CapacityError,
     Cpt,
-    DeletionPlan,
     EdgeParams,
     Evidence,
     InconsistentEvidenceError,
@@ -58,9 +57,8 @@ import record_fit_golden as fit_cases
 
 
 def build(net, ev, edges, params=None):
-    aug, nprime, plan = approximate_network(net, edges, params)
-    evp = augmented_evidence(nprime, ev)
-    return aug, nprime, plan, evp
+    _, nprime, plan = approximate_network(net, edges, params)
+    return nprime, plan, augmented_evidence(nprime, ev)
 
 
 def random_params(net, edges, rng):
@@ -73,9 +71,11 @@ def random_params(net, edges, rng):
     return out
 
 
-def enumeration_kl_over_all_vars(aug, nprime, plan, ev, evp):
-    """Brute-force divergence over every augmented-network variable."""
-    p = enumerate_joint(aug, ev).normalize()
+def enumeration_kl_over_all_vars(net, nprime, plan, ev, evp):
+    """Brute-force divergence over every variable of the source network
+    ``net``'s augmentation along the plan's edges."""
+    p = enumerate_joint(augment(net, [(rec.parent, rec.child) for rec in plan.edges]), ev)
+    p = p.normalize()
     current = apply_params(nprime, plan)
     q = enumerate_joint(current, evp)
     q = q.marginalize_to(set(p.names())).normalize().reorder(p.names())
@@ -114,13 +114,13 @@ class TestKlBound:
         rng = np.random.default_rng(0)
         net = random_network(rng, n_vars=5)
         ev = positive_evidence(net, rng)
-        aug, nprime, plan, evp = build(net, ev, [])
-        assert kl_bound(aug, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
+        nprime, plan, evp = build(net, ev, [])
+        assert kl_bound(net, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
 
     def test_equality_fixture_uniform_params_zero(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
-        assert kl_bound(aug, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        assert kl_bound(net, nprime, plan, ev, evp).total == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -132,9 +132,9 @@ class TestKlBound:
                 continue
             take = [edges[int(i)] for i in rng.choice(len(edges), size=2, replace=False)]
             ev = positive_evidence(net, rng)
-            aug, nprime, plan, evp = build(net, ev, take, random_params(net, take, rng))
-            got = kl_bound(aug, nprime, plan, ev, evp)
-            want = enumeration_kl_over_all_vars(aug, nprime, plan, ev, evp)
+            nprime, plan, evp = build(net, ev, take, random_params(net, take, rng))
+            got = kl_bound(net, nprime, plan, ev, evp)
+            want = enumeration_kl_over_all_vars(net, nprime, plan, ev, evp)
             assert got.total == pytest.approx(want, abs=1e-9)
             assert got.total >= -1e-9
             assert got.total == pytest.approx(sum(got.edge_terms) + got.correction, abs=1e-12)
@@ -151,15 +151,15 @@ class TestKlBound:
             [a, b], [Cpt(a, (), [1.0, 0.0]), Cpt(b, (a,), [0.9, 0.1, 0.2, 0.8])]
         )
         ev = Evidence({"A": "a1"})
-        aug, nprime, plan, evp = build(net, ev, [("A", "B")])
+        nprime, plan, evp = build(net, ev, [("A", "B")])
         with pytest.raises(InconsistentEvidenceError, match="source network"):
-            kl_bound(aug, nprime, plan, ev, evp)
+            kl_bound(net, nprime, plan, ev, evp)
 
     def test_zero_parameter_against_positive_mass_is_infinite(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         p = plan.with_params(0, EdgeParams([1.0, 0.0], [0.5, 0.5]))
-        breakdown = kl_bound(aug, nprime, p, ev, evp)
+        breakdown = kl_bound(net, nprime, p, ev, evp)
         assert breakdown.infinite
         assert math.isinf(breakdown.total)
 
@@ -169,8 +169,8 @@ class TestExactKl:
         rng = np.random.default_rng(2)
         net = random_network(rng, n_vars=5)
         ev = positive_evidence(net, rng)
-        aug, nprime, plan, evp = build(net, ev, [])
-        assert exact_kl(aug, nprime, plan, ev, evp) == pytest.approx(0.0, abs=1e-12)
+        nprime, plan, evp = build(net, ev, [])
+        assert exact_kl(net, nprime, plan, ev, evp) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_by_kl_bound(self):
         rng = np.random.default_rng(3)
@@ -183,9 +183,9 @@ class TestExactKl:
             k = int(rng.integers(1, min(2, len(edges)) + 1))
             take = [edges[int(i)] for i in rng.choice(len(edges), size=k, replace=False)]
             ev = positive_evidence(net, rng)
-            aug, nprime, plan, evp = build(net, ev, take, random_params(net, take, rng))
-            bound = kl_bound(aug, nprime, plan, ev, evp).total
-            exact = exact_kl(aug, nprime, plan, ev, evp)
+            nprime, plan, evp = build(net, ev, take, random_params(net, take, rng))
+            bound = kl_bound(net, nprime, plan, ev, evp).total
+            exact = exact_kl(net, nprime, plan, ev, evp)
             assert exact <= bound + 1e-9
             assert exact >= -1e-12
             done += 1
@@ -196,30 +196,30 @@ class TestExactKl:
         # approximate one is (0.7, 0.3):
         # KL = 0.5 log(0.5/0.7) + 0.5 log(0.5/0.3)
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         p = plan.with_params(0, EdgeParams([0.7, 0.3], [0.5, 0.5]))
         want = 0.5 * math.log(0.5 / 0.7) + 0.5 * math.log(0.5 / 0.3)
-        assert exact_kl(aug, nprime, p, ev, evp) == pytest.approx(want, abs=1e-12)
-        assert exact_kl(aug, nprime, p, ev, evp) > 0
+        assert exact_kl(net, nprime, p, ev, evp) == pytest.approx(want, abs=1e-12)
+        assert exact_kl(net, nprime, p, ev, evp) > 0
 
     def test_positive_mass_against_zero_approximate_mass_is_infinite(self, coins_fixture):
         # pm = (1, 0) leaves the approximate posterior no mass on (t, t),
         # where the source posterior has 0.5
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         p = plan.with_params(0, EdgeParams([1.0, 0.0], [0.5, 0.5]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert exact_kl(aug, nprime, p, ev, evp) == math.inf
+            assert exact_kl(net, nprime, p, ev, evp) == math.inf
 
     def test_zero_true_mass_contributes_nothing(self, coins_fixture):
         # the source posterior is zero off the diagonal of (U1, U2); those
         # worlds add nothing, with or without approximate mass there
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         for se in ([0.5, 0.5], [0.2, 0.9]):
             p = plan.with_params(0, EdgeParams([0.7, 0.3], se))
-            source = enumerate_joint(aug, ev).marginalize_to({"U1", "U2"}).normalize()
+            source = enumerate_joint(net, ev).marginalize_to({"U1", "U2"}).normalize()
             approx = enumerate_joint(apply_params(nprime, p), evp)
             approx = approx.marginalize_to({"U1", "U2"}).normalize().reorder(source.names())
             assert np.count_nonzero(source.values == 0.0) == 2
@@ -229,20 +229,20 @@ class TestExactKl:
                     want += pi * math.log(pi / qi)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = exact_kl(aug, nprime, p, ev, evp)
+                got = exact_kl(net, nprime, p, ev, evp)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-            assert got <= kl_bound(aug, nprime, p, ev, evp).total + 1e-9
+            assert got <= kl_bound(net, nprime, p, ev, evp).total + 1e-9
 
     def test_zero_evidence_raises_on_either_side(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         with pytest.raises(InconsistentEvidenceError, match="source network"):
-            exact_kl(aug, nprime, plan, Evidence({"X1": "on", "X2": "off"}), evp)
+            exact_kl(net, nprime, plan, Evidence({"X1": "on", "X2": "off"}), evp)
         # pm puts all mass on U1' = t and se all on U1 = h, so no world of N'
         # satisfies both witnesses
         p = plan.with_params(0, EdgeParams([0.0, 1.0], [1.0, 0.0]))
         with pytest.raises(InconsistentEvidenceError, match="approximate network"):
-            exact_kl(aug, nprime, p, ev, evp)
+            exact_kl(net, nprime, p, ev, evp)
 
 
 def closed_form_case(seed, n_vars, k, zero, zero_rows, observed_parent, fit):
@@ -259,7 +259,7 @@ def closed_form_case(seed, n_vars, k, zero, zero_rows, observed_parent, fit):
     that without zero rows Pr'(e') > 0.  Otherwise the edges get random
     parameters, fitted by ``run`` if ``fit`` is set.
 
-    Returns (net, aug, nprime, plan, ev, evp).
+    Returns (net, nprime, plan, ev, evp).
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -305,21 +305,20 @@ def closed_form_case(seed, n_vars, k, zero, zero_rows, observed_parent, fit):
         se = params[-1].se.copy()
         se[u_at] = 0.0
         params[-1] = EdgeParams(params[-1].pm, se)
-    aug, nprime, plan, evp = build(net, ev, edges, params)
+    nprime, plan, evp = build(net, ev, edges, params)
     if fit:
         cfg = IterationConfig(initialization="plan", max_iterations=50)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                plan, _, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+                plan, _, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
             except ModelError:
                 pass  # keep the random parameters
-    return net, aug, nprime, plan, ev, evp
+    return net, nprime, plan, ev, evp
 
 
 class TestClosedFormExactKl:
-    """``exact_kl`` in closed form against the enumeration oracle, called
-    with the augmented network and with the source network."""
+    """``exact_kl`` in closed form against the enumeration oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -336,41 +335,39 @@ class TestClosedFormExactKl:
     ):
         # with zero rows, a zeroed parameter can leave Pr'(e') = 0
         fit, zero_rows = (fit, zero_rows) if zero is None else (False, False)
-        net, aug, nprime, plan, ev, evp = closed_form_case(
+        net, nprime, plan, ev, evp = closed_form_case(
             seed, n_vars, k, zero, zero_rows, observed_parent, fit
         )
         try:
             want = enumeration_exact_kl(net, nprime, plan, ev, evp)
         except InconsistentEvidenceError:
             assert zero is None
-            for source in (aug, net):
-                with pytest.raises(InconsistentEvidenceError):
-                    exact_kl(source, nprime, plan, ev, evp)
+            with pytest.raises(InconsistentEvidenceError):
+                exact_kl(net, nprime, plan, ev, evp)
             return
         if zero is not None:
             assert want == math.inf
-        bound = kl_bound(aug, nprime, plan, ev, evp).total
-        for source in (aug, net):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = exact_kl(source, nprime, plan, ev, evp)
-            if math.isinf(want):
-                assert got == math.inf
-            else:
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-            assert got <= bound + 1e-9
+        bound = kl_bound(net, nprime, plan, ev, evp).total
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_kl(net, nprime, plan, ev, evp)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert got <= bound + 1e-9
 
     def test_read_exact_kl_reads_an_aug_ev_run_as_the_harness_route(self):
-        # run's pass from an (aug, ev) reference is the kept pass on the
+        # run's pass from an (net, ev) reference is the kept pass on the
         # original network, which answers every deleted edge's child's
         # family table too: the reads equal the harness route's, which
         # hands run source_pass's pass, bit for bit
         net = grid_network(3, 3)
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
         edges = [(s.parent, s.child) for s in score_edges(net, ev)[:2]]
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         cfg = IterationConfig(method="ed-kl")
-        fitted, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        fitted, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
         read = divergence_module.read_exact_kl(report.source, report.pr_ep, nprime, fitted)
         full = divergence_module.source_pass(net, ev)
         assert report.source is full
@@ -380,7 +377,7 @@ class TestClosedFormExactKl:
             harness_report.source, harness_report.pr_ep, nprime, harness_fit
         )
         assert read.hex() == harness_read.hex()
-        want = exact_kl(aug, nprime, fitted, ev, evp)
+        want = exact_kl(net, nprime, fitted, ev, evp)
         assert read == pytest.approx(want, rel=1e-9)
 
 
@@ -402,10 +399,8 @@ class TestSingleEdgeEvaluate:
             for _ in range(3):
                 params = random_params(net, [edge], rng)[0]
                 pr_ep, d_pm, d_se = single_edge_evaluate(derivs, params.pm, params.se)
-                plan = DeletionPlan((rec,), (params,))
-                from edgedel import delete_edges
-
-                nprime = delete_edges(aug, plan)
+                _, nprime, plan = approximate_network(net, [edge], [params])
+                assert plan.edges == (rec,)
                 evp = augmented_evidence(nprime, ev)
                 st_direct = compile(nprime, evp)
                 assert pr_ep == pytest.approx(st_direct.pr_e, rel=1e-10, abs=1e-14)
@@ -558,10 +553,10 @@ class TestRowsNeedNoClip:
         for seed in range(3):
             net = chain_network(6, 2, rng=np.random.default_rng(seed))
             ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(seed + 10))
-            aug, nprime, plan, evp = build(net, ev, net.edges()[:3])
+            nprime, plan, evp = build(net, ev, net.edges()[:3])
             cfg = IterationConfig(method=method, damping=damping, schedule=schedule,
                                   max_iterations=20)
-            run(nprime, plan, evp, cfg, reference=(aug, ev))
+            run(nprime, plan, evp, cfg, reference=(net, ev))
         assert len(rows) > 9
         assert all(((0.0 <= se) & (se <= 1.0)).all() for se in rows)
         # each row is divided by its own sum, which is why it needs no clip
@@ -720,8 +715,8 @@ class TestScoreIsOneEdgeRun:
         scores = score_edges(net, ev)
         assert len(scores) == len(net.edges())
         for s in scores:
-            aug, nprime, plan, evp = build(net, ev, [(s.parent, s.child)])
-            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            nprime, plan, evp = build(net, ev, [(s.parent, s.child)])
+            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
             (params,) = fitted.params
             np.testing.assert_allclose(params.pm, s.params.pm, rtol=0, atol=1e-12)
             np.testing.assert_allclose(params.se, s.params.se, rtol=0, atol=1e-12)
@@ -769,8 +764,8 @@ class TestScoreEdges:
         ev = Evidence({"B2": "0"})
         by_edge = {(s.parent, s.child): s for s in score_edges(net, ev)}
         s = by_edge[bridge]
-        aug, nprime, plan, evp = build(net, ev, [bridge], [s.params])
-        want = enumeration_kl_over_all_vars(aug, nprime, plan, ev, evp)
+        nprime, plan, evp = build(net, ev, [bridge], [s.params])
+        want = enumeration_kl_over_all_vars(net, nprime, plan, ev, evp)
         assert s.score == pytest.approx(want, abs=1e-9)
         assert s.score > 0.0
         assert type(s.score) is float
@@ -1133,8 +1128,9 @@ class TestOriginalNetworksOnly:
     @pytest.mark.parametrize("kind", ["augmented", "approximate"])
     def test_a_non_original_network_is_refused(self, monkeypatch, scorer, kind):
         net, ev = stack_case("grid(4x4)")
-        aug, nprime, _ = approximate_network(net, net.edges()[:2])
-        other = aug if kind == "augmented" else nprime
+        edges = net.edges()[:2]
+        other = augment(net, edges) if kind == "augmented" else (
+            approximate_network(net, edges)[1])
         assert other.kind == kind
         kept = divergence_module._kept_pass
         calls = count_engine_calls(monkeypatch, ["derivatives", "compile", "record"])
@@ -1234,11 +1230,11 @@ class TestMutualInformation:
 
 
 class TestReferencePass:
-    """A reference given as (network, evidence) resolves to the kept pass on
-    the original network (``reference_pass``): an augmentation to the one
-    it augments, so no pass is made on an augmentation, and the answers are
+    """A reference is the source network.  A (network, evidence) reference
+    resolves to the kept pass on it (``source_pass``), so the answers are
     those read off ``source_pass(net, ev)``, bit for bit, whether the kept
-    pass is a hit or a miss."""
+    pass is a hit or a miss; a network of another kind is refused by its
+    kind, before any pass."""
 
     CASES = ("grid4x4-leaves", "grid3x3-observed-parent", "chain8x3")
 
@@ -1257,16 +1253,15 @@ class TestReferencePass:
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
     @pytest.mark.parametrize("case", CASES)
-    def test_a_fit_on_aug_ev_is_the_fit_on_the_source_pass(
+    def test_a_fit_on_net_ev_is_the_fit_on_the_source_pass(
         self, monkeypatch, case, method, schedule
     ):
-        net, ev, aug, nprime, plan, evp = fit_cases.build(case)
-        assert aug.origin is net
+        net, ev, nprime, plan, evp = fit_cases.build(case)
         cfg = IterationConfig(method=method, schedule=schedule, max_iterations=30)
         kinds = self.passes_by_kind(monkeypatch)
-        fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        fitted, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert kinds == ["original"]
-        # a new pass on the original, not the one kept above
+        # a new pass on the source, not the one kept above
         divergence_module._kept_pass = None
         source = divergence_module.source_pass(net, ev)
         assert source is not report.source
@@ -1279,14 +1274,15 @@ class TestReferencePass:
     def test_kl_bound_exact_kl_and_check_conditions_read_the_source_pass(
         self, monkeypatch, case
     ):
-        net, ev, aug, nprime, plan, evp = fit_cases.build(case)
+        net, ev, nprime, plan, evp = fit_cases.build(case)
         plan, _, _ = run(nprime, plan, evp, IterationConfig(max_iterations=2),
-                         reference=(aug, ev))
+                         reference=(net, ev))
         kinds = self.passes_by_kind(monkeypatch)
-        bound = kl_bound(aug, nprime, plan, ev, evp)
-        exact = exact_kl(aug, nprime, plan, ev, evp)
-        gaps = check_conditions(aug, nprime, plan, ev, evp)
-        assert "augmented" not in kinds
+        bound = kl_bound(net, nprime, plan, ev, evp)
+        exact = exact_kl(net, nprime, plan, ev, evp)
+        gaps = check_conditions(net, nprime, plan, ev, evp)
+        # the fit's kept source pass, and one pass each on N'
+        assert kinds == ["approximate"] * 3
         divergence_module._kept_pass = None
         source = divergence_module.source_pass(net, ev)
         current = apply_params(nprime, plan)
@@ -1301,62 +1297,48 @@ class TestReferencePass:
         ]
         assert gaps.eq_exact_gaps == tuple(map(float, want))
 
-    def test_a_parsed_augmentation_resolves_as_the_built_one(self):
-        net, ev, aug, nprime, plan, evp = fit_cases.build("grid3x3-observed-parent")
-        parsed = parse_network(serialize_network(aug))
-        assert parsed == aug and parsed.origin == net and parsed.origin is not net
-        cfg = IterationConfig(method="ed-kl", max_iterations=30)
-        built = run(nprime, plan, evp, cfg, reference=(aug, ev))
-        divergence_module._kept_pass = None
-        read = run(nprime, plan, evp, cfg, reference=(parsed, ev))
-        assert read[1].source.net is parsed.origin
-        assert fit_cases.encode(*read) == fit_cases.encode(*built)
-        fitted = built[0]
-        assert (kl_bound(parsed, nprime, fitted, ev, evp)
-                == kl_bound(aug, nprime, fitted, ev, evp))
-        assert (exact_kl(parsed, nprime, fitted, ev, evp).hex()
-                == exact_kl(aug, nprime, fitted, ev, evp).hex())
-
     @pytest.mark.parametrize(
-        "edit",
+        "call",
         [
-            pytest.param(("  N1_1__clone0 | N1_1 : 1.0 0.0 0.0 1.0",
-                          "  N1_1__clone0 | N1_1 : 0.9 0.1 0.0 1.0"), id="clone-cpt"),
-            pytest.param(("N1_1 N1_1__clone0 N1_2 -", "N1_1 N1_1__clone0 N1_2 N2_2"),
-                         id="cut-edge"),
+            pytest.param(lambda ref, nprime, plan, ev, evp: run(
+                nprime, plan, evp, IterationConfig(), reference=(ref, ev)), id="run"),
+            pytest.param(lambda ref, *args: kl_bound(ref, *args), id="kl_bound"),
+            pytest.param(lambda ref, *args: exact_kl(ref, *args), id="exact_kl"),
+            pytest.param(lambda ref, *args: check_conditions(ref, *args), id="check_conditions"),
         ],
     )
-    def test_an_augmentation_without_its_original_is_refused(self, edit):
-        # a document whose registry is not an intact equivalence edge is not
-        # distribution-equivalent to any original, so it records none
-        net, ev, aug, nprime, plan, evp = fit_cases.build("grid3x3-observed-parent")
-        text = serialize_network(aug)
-        assert edit[0] in text
-        parsed = parse_network(text.replace(*edit))
-        assert parsed.kind == "augmented" and parsed.origin is None
-        fault = "^a network of kind 'augmented' records no original network$"
+    @pytest.mark.parametrize("kind", ["augmented", "approximate"])
+    def test_a_reference_of_another_kind_is_refused_before_any_pass(
+        self, monkeypatch, kind, call
+    ):
+        # the augmentation is a parsed document: netio reads kind augmented,
+        # but no original network is rebuilt from it
+        net, ev, nprime, plan, evp = fit_cases.build("grid3x3-observed-parent")
+        aug = augment(net, [(rec.parent, rec.child) for rec in plan.edges])
+        ref = parse_network(serialize_network(aug)) if kind == "augmented" else nprime
+        assert ref.kind == kind
+        kinds = self.passes_by_kind(monkeypatch)
+        fault = f"^a reference must be an original network, got kind '{kind}'$"
         with pytest.raises(ModelError, match=fault):
-            run(nprime, plan, evp, IterationConfig(), reference=(parsed, ev))
-        with pytest.raises(ModelError, match=fault):
-            kl_bound(parsed, nprime, plan, ev, evp)
-        with pytest.raises(ModelError, match="^a network of kind 'approximate' records no"):
-            exact_kl(nprime, nprime, plan, ev, evp)
+            call(ref, nprime, plan, ev, evp)
+        assert kinds == [] and divergence_module._kept_pass is None
 
-    def test_the_reference_is_checked_at_the_original_s_width(self):
+    def test_the_reference_is_checked_at_the_source_s_width(self):
         # augmenting can widen the network; the reference pass is the
-        # original's, so a cap that refuses the augmentation's pass but
-        # admits the original's and N''s no longer refuses the reads
+        # source's, so a cap that refuses the augmentation's pass but admits
+        # the source's and N''s does not refuse the reads
         rng = np.random.default_rng(4)
         net = random_network(rng, n_vars=10, max_card=3, max_parents=3)
         edges = net.edges()
         k = int(rng.integers(1, len(edges) + 1))
         edges = [edges[i] for i in sorted(rng.choice(len(edges), size=k, replace=False))]
         ev = Evidence({})
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         width = engine_module.Jointree(net, ev, [((), ())]).width
+        aug = augment(net, edges)
         assert engine_module.Jointree(aug, ev, [((), ())]).width == width + 1
         with pytest.raises(CapacityError):
             divergence_module.forward_backward(aug, ev, width)
-        got = exact_kl(aug, nprime, plan, ev, evp, width_cap=width)
-        assert got == exact_kl(aug, nprime, plan, ev, evp)
-        assert kl_bound(aug, nprime, plan, ev, evp, width_cap=width).total >= got
+        got = exact_kl(net, nprime, plan, ev, evp, width_cap=width)
+        assert got == exact_kl(net, nprime, plan, ev, evp)
+        assert kl_bound(net, nprime, plan, ev, evp, width_cap=width).total >= got

@@ -31,10 +31,10 @@ def test_observed_parent_trace_matches_enumeration(method, schedule):
     # the first deleted edge's parent is observed, so its soft-evidence input
     # is one entry of se; the trace's Pr'(e') must still be N''s at the plan
     name = "grid3x3-observed-parent"
-    net, ev, aug, nprime, plan, evp = golden.build(name)
+    net, ev, nprime, plan, evp = golden.build(name)
     assert plan.edges[0].parent in ev
     fitted, _, trace = golden.fit(name, method, schedule, "cold")
-    source = forward_backward(aug, ev)
+    source = forward_backward(net, ev)
     marginals = true_edge_marginals(source, fitted)
     pr_e = source.pr_e
     vectors = [(p.pm, p.se) for p in fitted.params]

@@ -17,6 +17,7 @@ from edgedel import (
     augmented_evidence,
     compile,
     constrained_order,
+    enumerate_joint,
     exact_kl,
     kl_bound,
     posterior_marginal,
@@ -468,12 +469,12 @@ class TestRunExperiment:
         assert len(rows) == 12 and all(math.isfinite(r.kl_bound) for r in rows)
         net = grid_network(3, 3, rng=np.random.default_rng(0))
         ev = sample_evidence(net, "leaves-from-joint", np.random.default_rng(1))
-        aug, nprime, plan = approximate_network(net, net.edges()[:2])
+        _, nprime, plan = approximate_network(net, net.edges()[:2])
         evp = augmented_evidence(nprime, ev)
-        approximate_map_quality(aug, nprime, plan, ev, evp, net.roots())
-        kl_bound(aug, nprime, plan, ev, evp)
-        exact_kl(aug, nprime, plan, ev, evp)
-        check_conditions(aug, nprime, plan, ev, evp)
+        approximate_map_quality(net, nprime, plan, ev, evp, net.roots())
+        kl_bound(net, nprime, plan, ev, evp)
+        exact_kl(net, nprime, plan, ev, evp)
+        check_conditions(net, nprime, plan, ev, evp)
         assert callers and set(callers) == {"edgedel.engine"}
 
 class TestRunDeletionInstance:
@@ -537,11 +538,11 @@ class TestRunDeletionInstance:
 
         def checking(net, ev, edges, method, **kwargs):
             outcome = real(net, ev, edges, method, **kwargs)
-            aug, nprime, _ = approximate_network(net, edges, kwargs.get("warm_params"))
+            _, nprime, _ = approximate_network(net, edges, kwargs.get("warm_params"))
             evp = augmented_evidence(nprime, ev)
             want = (
-                clamped(kl_bound(aug, nprime, outcome.plan, ev, evp).total),
-                clamped(exact_kl(aug, nprime, outcome.plan, ev, evp)),
+                clamped(kl_bound(net, nprime, outcome.plan, ev, evp).total),
+                clamped(exact_kl(net, nprime, outcome.plan, ev, evp)),
             )
             got = (outcome.row.kl_bound, outcome.row.exact_kl)
             # the same source pass; the fit's Pr'(e') against a replay of N'
@@ -612,9 +613,9 @@ class TestRunDeletionInstance:
         edges = net.edges()[:3]
         map_vars = ["N0_0", "N1_1"]
         got = run_deletion_instance(net, ev, edges, "ed-kl", map_vars=map_vars)
-        aug, nprime, _ = approximate_network(net, edges)
+        _, nprime, _ = approximate_network(net, edges)
         evp = augmented_evidence(nprime, ev)
-        want = approximate_map_quality(aug, nprime, got.plan, ev, evp, map_vars)
+        want = approximate_map_quality(net, nprime, got.plan, ev, evp, map_vars)
         assert got.map_result == want
         assert got.row.map_ratio == want.ratio
         current = apply_params(nprime, got.plan)
@@ -624,3 +625,32 @@ class TestRunDeletionInstance:
         assert plain.row.kl_bound == got.row.kl_bound
         assert got.row.exact_kl is not None
         assert plain.row.exact_kl == got.row.exact_kl
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_map_cell_reads_p_and_q_in_the_source_network(self, monkeypatch, seed):
+        # the cell builds N' and no augmentation, and p and q are the
+        # enumerated Pr(m, e) and max_m Pr(m, e) of the source network
+        rng = np.random.default_rng([53, seed])
+        net = grid_network(4, 4, rng=rng)
+        ev = sample_evidence(net, "leaves-from-joint", rng)
+        edges, params = rank_edges(net, ev, "guided", rng)
+        leaves = set(net.leaves())
+        inner = [v.name for v in net.variables if v.name not in leaves]
+        map_vars = [inner[int(i)] for i in sorted(rng.choice(len(inner), 5, replace=False))]
+        kinds = []
+        real = Network.__init__
+
+        def recording(self, variables, cpts, kind="original", *args, **kwargs):
+            kinds.append(kind)
+            real(self, variables, cpts, kind, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", recording)
+        got = run_deletion_instance(net, ev, edges[:6], "ed-kl", warm_params=params[:6],
+                                    map_vars=map_vars).map_result
+        monkeypatch.undo()
+        assert "approximate" in kinds and "augmented" not in kinds
+        p = enumerate_joint(net, ev.with_added({v: got.assignment[v] for v in map_vars}))
+        q = enumerate_joint(net, ev).marginalize_to(set(map_vars)).values.max()
+        assert got.value == pytest.approx(p.total(), rel=1e-12, abs=0.0)
+        assert got.best_value == pytest.approx(float(q), rel=1e-12, abs=0.0)
+        assert 0.0 < got.ratio <= 1.0

@@ -56,7 +56,7 @@ def mixed_network(rng, cards, n_vars=7, prefix="V"):
 
 
 def edge_case(seed, cards, k, observe_parent=False, hide_se=False, disconnected=False):
-    """(augmented network, evidence, N', plan, evidence on N') for k random
+    """(source network, evidence, N', plan, evidence on N') for k random
     deleted edges of a random network, with random edge vectors installed in
     N'.  ``observe_parent`` observes the first edge's parent; ``hide_se``
     drops the last edge's soft evidence; ``disconnected`` makes the source
@@ -74,13 +74,13 @@ def edge_case(seed, cards, k, observe_parent=False, hide_se=False, disconnected=
     if observe_parent:
         parent = net.var(take[0][0])
         ev[parent.name] = parent.states[-1]
-    aug, nprime, plan = approximate_network(net, take)
+    _, nprime, plan = approximate_network(net, take)
     plan = plan.with_all_params(random_params(nprime, plan, rng))
     ev = Evidence(ev)
     evp = augmented_evidence(nprime, ev)
     if hide_se:
         evp = evp.without(deleted_records(nprime, plan)[-1].sevid)
-    return aug, ev, apply_params(nprime, plan), plan, evp
+    return net, ev, apply_params(nprime, plan), plan, evp
 
 
 def random_params(nprime, plan, rng):
@@ -323,7 +323,7 @@ def test_a_variable_kept_and_maximized_is_refused_by_name(observed):
 def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedule, state):
     # Pr'(e') = se g pm holds only with every soft-evidence variable
     # observed in its positive state
-    aug, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3, hide_se=True)
+    net, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3, hide_se=True)
     sevid = deleted_records(nprime, plan)[-1].sevid
     if state != "unobserved":
         evp = evp.with_added({sevid: state})
@@ -331,7 +331,7 @@ def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedul
     monkeypatch.setattr(engine, "Jointree", lambda *args: built.append(args))
     cfg = IterationConfig(method="ed-bp", schedule=schedule, initialization="plan")
     with pytest.raises(ModelError, match=f"soft-evidence variable {sevid} must be observed"):
-        run(nprime, plan, evp, cfg, reference=(aug, ev))
+        run(nprime, plan, evp, cfg, reference=(net, ev))
     assert built == []
 
 
@@ -339,7 +339,7 @@ def test_unusable_soft_evidence_is_refused_before_any_sweep(monkeypatch, schedul
 def test_an_observed_clone_is_refused_before_any_sweep(monkeypatch, schedule):
     # a fit writes each clone prior as the clone's whole input, which an
     # observed clone's 0-d input cannot take
-    aug, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3)
+    net, ev, nprime, plan, evp = edge_case(7, cards=(2, 3), k=3)
     clone = deleted_records(nprime, plan)[1].clone
     evp = evp.with_added({clone: nprime.var(clone).states[0]})
     built = []
@@ -347,7 +347,7 @@ def test_an_observed_clone_is_refused_before_any_sweep(monkeypatch, schedule):
     for method in ("ed-bp", "ed-kl"):
         cfg = IterationConfig(method=method, schedule=schedule, initialization="plan")
         with pytest.raises(ModelError, match=f"clone {clone} must not be observed"):
-            run(nprime, plan, evp, cfg, reference=(aug, ev))
+            run(nprime, plan, evp, cfg, reference=(net, ev))
     assert built == []
 
 
@@ -392,13 +392,13 @@ FIT_CASES = ["mixed", "observed-parent", "disconnected", "one-edge"]
 
 
 def assert_fits_match(monkeypatch, case, method, schedule, reference_fit):
-    aug, ev, nprime, plan, evp = edge_case(7, **CASES[case])
+    net, ev, nprime, plan, evp = edge_case(7, **CASES[case])
     cfg = IterationConfig(
         method=method, schedule=schedule, max_iterations=10, initialization="plan"
     )
-    got, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+    got, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
     monkeypatch.setattr(parametrize_module, "_Fit", reference_fit)
-    want, want_report, want_trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+    want, want_report, want_trace = run(nprime, plan, evp, cfg, reference=(net, ev))
     assert report.iterations == want_report.iterations
     assert len(trace) == len(want_trace)
     for a, b in zip(got.params, want.params):

@@ -53,6 +53,15 @@ def clone_chain(soft_evidence_states=None):
     )
 
 
+def broken_clone():
+    """``clone_chain()`` as an augmentation whose clone C does not copy A."""
+    net = clone_chain()
+    c = net.var("C")
+    bent = Cpt(c, (net.var("A"),), [0.9, 0.1, 0.0, 1.0])
+    cpts = [bent if cpt.child == c else cpt for cpt in net.cpts()]
+    return Network(net.variables, cpts, kind="augmented", clone_edges=net.clone_edges)
+
+
 class TestLayout:
     def test_a_layout_is_built_and_hashed_once(self):
         net = chain_ab()
@@ -115,8 +124,13 @@ class TestValidation:
                 ("A", "range", "cpt entry outside [0, 1]"),
             ),
             (lambda: clone_chain(), ("", "registry", "original network carries a clone registry")),
+            (
+                broken_clone,
+                ("C", "equivalence-cpt", "clone cpt is not the exact 0/1 identity of its parent"),
+            ),
         ],
-        ids=["state-labels", "soft-evidence-card", "non-finite", "out-of-range", "original-registry"],
+        ids=["state-labels", "soft-evidence-card", "non-finite", "out-of-range", "original-registry",
+             "equivalence-cpt"],
     )
     def test_each_rule_reports_its_message(self, build, violation):
         assert [(v.variable, v.rule, v.message) for v in validate_network(build())] == [violation]

@@ -10,6 +10,7 @@ from edgedel import (
     ModelError,
     ReportRow,
     approximate_network,
+    augment,
     enumerate_joint,
     parse_evidence,
     parse_hugin_subset,
@@ -91,22 +92,21 @@ class TestCanonicalFormat:
 
     def test_round_trip_preserves_kind_and_registry(self):
         net, _ = equality_witness_net()
-        aug, nprime, plan = approximate_network(net, [("U1", "X1")])
+        aug = augment(net, [("U1", "X1")])
+        _, nprime, plan = approximate_network(net, [("U1", "X1")])
         assert parse_network(serialize_network(aug)) == aug
         assert parse_network(serialize_network(nprime)) == nprime
-        # an augmented document records the original it augments, rebuilt
-        assert parse_network(serialize_network(aug)).origin == net
-        assert parse_network(serialize_network(nprime)).origin is None
 
-    def test_an_augmentation_of_no_original_records_none(self):
-        # B would read A twice once the clone C is folded back into A
+    def test_an_augmented_document_is_read_as_written(self):
+        # B reads A and its clone C; no original network is rebuilt from it
         doc = (
             "kind: augmented\nvariables:\n  A a0 a1\n  B b0 b1\n  C a0 a1\ncpts:\n"
-            "  A : 0.5 0.5\n  C | A : 1 0 0 1\n  B | A C : 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"
+            "  A : 0.5 0.5\n  B | A C : 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n  C | A : 1.0 0.0 0.0 1.0\n"
             "edges:\n  A C B -\n"
         )
         net = parse_network(doc)
-        assert validate_network(net) == [] and net.origin is None
+        assert net.kind == "augmented" and validate_network(net) == []
+        assert serialize_network(net) == doc
 
     def test_syntax_error_is_positioned(self):
         bad = "variables:\n  A a0 a1\ncpts:\n  A 0.3 0.7\n"

@@ -48,9 +48,8 @@ from conftest import (
 
 
 def build(net, ev, edges, params=None):
-    aug, nprime, plan = approximate_network(net, edges, params)
-    evp = augmented_evidence(nprime, ev)
-    return aug, nprime, plan, evp
+    _, nprime, plan = approximate_network(net, edges, params)
+    return nprime, plan, augmented_evidence(nprime, ev)
 
 
 class TestConfig:
@@ -81,17 +80,17 @@ class TestConfig:
 class TestFixturePoints:
     def test_uniform_start_is_edkl_fixed_point(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         plan2, report, trace = run(
-            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(aug, ev)
+            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(net, ev)
         )
         assert report.converged and report.iterations == 1
         assert np.allclose(plan2.params[0].pm, [0.5, 0.5], atol=1e-12)
-        assert kl_bound(aug, nprime, plan2, ev, evp).total == pytest.approx(0.0, abs=1e-12)
+        assert kl_bound(net, nprime, plan2, ev, evp).total == pytest.approx(0.0, abs=1e-12)
 
     def test_any_start_is_edbp_fixed_point(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         for theta in (0.3, 0.6, 0.9):
             start = plan.with_params(0, EdgeParams([theta, 1 - theta], [0.5, 0.5]))
             plan2, report, _ = run(
@@ -103,10 +102,10 @@ class TestFixturePoints:
 
     def test_match_conditions_hold_for_family_but_exact_only_at_uniform(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         for theta in (0.3, 0.5, 0.7, 0.9):
             p = plan.with_params(0, EdgeParams([theta, 1 - theta], [0.5, 0.5]))
-            rep = check_conditions(aug, nprime, p, ev, evp)
+            rep = check_conditions(net, nprime, p, ev, evp)
             assert rep.eq_match_gaps[0] <= 1e-12
             if theta == 0.5:
                 assert rep.eq_exact_gaps[0] <= 1e-12
@@ -115,25 +114,25 @@ class TestFixturePoints:
 
     def test_edkl_recovers_from_nonuniform_start(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         start = plan.with_params(0, EdgeParams([0.7, 0.3], [0.5, 0.5]))
         plan2, report, _ = run(
             nprime, start, evp,
             IterationConfig(method="ed-kl", initialization="plan"),
-            reference=(aug, ev),
+            reference=(net, ev),
         )
         assert report.converged
-        assert kl_bound(aug, nprime, plan2, ev, evp).total == pytest.approx(0.0, abs=1e-10)
+        assert kl_bound(net, nprime, plan2, ev, evp).total == pytest.approx(0.0, abs=1e-10)
 
 
 class TestRunControl:
     def test_zero_iterations_returns_initial_plan(self, coins_fixture):
         net, ev = coins_fixture
-        aug, nprime, plan, evp = build(net, ev, [("U1", "X1")])
+        nprime, plan, evp = build(net, ev, [("U1", "X1")])
         plan2, report, trace = run(
             nprime, plan, evp,
             IterationConfig(method="ed-kl", max_iterations=0),
-            reference=(aug, ev),
+            reference=(net, ev),
         )
         assert not report.converged
         assert report.iterations == 0
@@ -143,16 +142,16 @@ class TestRunControl:
     def test_empty_plan_is_noop(self):
         rng = np.random.default_rng(0)
         net = random_network(rng, n_vars=5)
-        aug, nprime, plan, evp = build(net, Evidence({}), [])
+        nprime, plan, evp = build(net, Evidence({}), [])
         plan2, report, _ = run(
-            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(aug, Evidence({}))
+            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(net, Evidence({}))
         )
         assert report.converged and report.iterations == 1
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     @pytest.mark.parametrize("vector", ["pm", "se"])
     def test_wrong_length_vector_raises_before_any_sweep(self, monkeypatch, schedule, vector):
-        net, ev, aug, nprime, plan, evp = grid_case(k=2)
+        net, ev, nprime, plan, evp = grid_case(k=2)
         good = plan.params[1]
         bad = EdgeParams(np.full(3, 1 / 3), good.se) if vector == "pm" else (
             EdgeParams(good.pm, np.full(3, 0.5))
@@ -161,28 +160,28 @@ class TestRunControl:
         calls = count_engine_calls(monkeypatch, ["_bind", "replay", "derivatives"])
         cfg = IterationConfig(method="ed-kl", schedule=schedule, initialization="plan")
         with pytest.raises(ModelError, match="^parameters for N0_1 -> N0_2 have the wrong length$"):
-            run(nprime, plan, evp, cfg, reference=(aug, ev))
+            run(nprime, plan, evp, cfg, reference=(net, ev))
         assert calls == {"_bind": 0, "replay": 0, "derivatives": 0}
 
     def test_edkl_without_reference_rejected(self):
         rng = np.random.default_rng(1)
         net = random_network(rng, n_vars=5)
         edges = net.edges()[:1]
-        aug, nprime, plan, evp = build(net, Evidence({}), edges)
+        nprime, plan, evp = build(net, Evidence({}), edges)
         with pytest.raises(ModelError):
             run(nprime, plan, evp, IterationConfig(method="ed-kl"))
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_edbp_refuses_zero_probability_evidence_as_edkl_does(self, schedule):
         # X2 is never s1, so Pr'(e') is 0 at every parameter: with no
-        # reference, ed-bp raises ed-kl's error, not its all-zero derivatives'
+        # reference, ed-bp raises ed-kl's error, not a degenerate update's
         from edgedel import Cpt, InconsistentEvidenceError
         from edgedel.harness import chain_network
 
         net = chain_network(3, rng=np.random.default_rng(0))
         x2 = net.cpt("X2")
         net = net.replace_cpts({"X2": Cpt(x2.child, x2.parents, [1, 0, 1, 0])})
-        _, nprime, plan, evp = build(net, Evidence({"X2": "s1"}), [("X1", "X2")])
+        nprime, plan, evp = build(net, Evidence({"X2": "s1"}), [("X1", "X2")])
         cfg = IterationConfig(method="ed-bp", schedule=schedule)
         fault = "^approximate network assigns zero probability to the augmented evidence$"
         with pytest.raises(InconsistentEvidenceError, match=fault):
@@ -193,9 +192,9 @@ class TestRunControl:
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
         edges = net.edges()[:2]
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         _, report, trace = run(
-            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(aug, ev)
+            nprime, plan, evp, IterationConfig(method="ed-kl"), reference=(net, ev)
         )
         assert len(trace) == report.iterations
         assert all(t.kl_bound is not None for t in trace)
@@ -206,11 +205,11 @@ class TestRunControl:
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
         edges = net.edges()[:1]
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         _, report, _ = run(
             nprime, plan, evp,
             IterationConfig(method="ed-kl", damping=0.3, max_iterations=400),
-            reference=(aug, ev),
+            reference=(net, ev),
         )
         assert report.converged
 
@@ -221,7 +220,7 @@ class TestRunControl:
         net = random_network(rng, n_vars=6)
         ev = positive_evidence(net, rng)
         edges = net.edges()[:2]
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         for method in ("ed-kl", "ed-bp"):
             for schedule in ("sequential", "simultaneous"):
                 cfg = IterationConfig(
@@ -230,10 +229,10 @@ class TestRunControl:
                 )
                 stepped = plan
                 for _ in range(2):
-                    stepped, _, _ = run(nprime, stepped, evp, cfg, reference=(aug, ev))
+                    stepped, _, _ = run(nprime, stepped, evp, cfg, reference=(net, ev))
                 ran, report, _ = run(
                     nprime, plan, evp, dataclasses.replace(cfg, max_iterations=2),
-                    reference=(aug, ev),
+                    reference=(net, ev),
                 )
                 assert report.iterations == 2
                 assert stepped.params == ran.params
@@ -250,16 +249,16 @@ class TestFixedPointGuarantees:
             if len(edges) < 2:
                 continue
             take = [edges[int(i)] for i in rng.choice(len(edges), size=2, replace=False)]
-            aug, nprime, plan, evp = build(net, ev, take)
+            nprime, plan, evp = build(net, ev, take)
             plan2, report, _ = run(
                 nprime, plan, evp,
                 IterationConfig(method="ed-kl", tolerance=1e-8, max_iterations=300),
-                reference=(aug, ev),
+                reference=(net, ev),
             )
             if not report.converged:
                 continue
             hits += 1
-            rep = check_conditions(aug, nprime, plan2, ev, evp)
+            rep = check_conditions(net, nprime, plan2, ev, evp)
             assert max(rep.eq_exact_gaps) <= 100 * 1e-8
         assert hits >= 8
 
@@ -272,17 +271,17 @@ class TestFixedPointGuarantees:
             edges = net.edges()
             if not edges:
                 continue
-            aug, nprime, plan, evp = build(net, ev, edges[:1])
+            nprime, plan, evp = build(net, ev, edges[:1])
             plan2, report, _ = run(
                 nprime, plan, evp,
                 IterationConfig(method="ed-kl", tolerance=1e-13, max_iterations=500),
-                reference=(aug, ev),
+                reference=(net, ev),
             )
-            rep = check_conditions(aug, nprime, plan2, ev, evp)
+            rep = check_conditions(net, nprime, plan2, ev, evp)
             if max(rep.eq_exact_gaps) > 1e-9:
                 continue
             probes += 1
-            base = kl_bound(aug, nprime, plan2, ev, evp).total
+            base = kl_bound(net, nprime, plan2, ev, evp).total
             h = 1e-8
             params = plan2.params[0]
             for j in range(params.pm.size):
@@ -291,7 +290,7 @@ class TestFixedPointGuarantees:
                 moved = plan2.with_params(
                     0, EdgeParams(params.pm + h * direction, params.se)
                 )
-                shifted = kl_bound(aug, nprime, moved, ev, evp).total
+                shifted = kl_bound(net, nprime, moved, ev, evp).total
                 assert abs(shifted - base) <= 1e-6 * h + 5e-15
         assert probes >= 3
 
@@ -304,7 +303,7 @@ class TestFixedPointGuarantees:
                 continue
             leaves = net.leaves()
             ev = Evidence({leaves[0]: net.var(leaves[0]).states[0]}) if leaves else Evidence({})
-            aug, nprime, plan, evp = build(net, ev, extras)
+            nprime, plan, evp = build(net, ev, extras)
             oracle = FactorGraphBP(net, ev, extras)
             one_sweep = IterationConfig(
                 method="ed-bp", schedule="simultaneous", max_iterations=1,
@@ -323,7 +322,7 @@ class TestFixedPointGuarantees:
         rng = np.random.default_rng(8)
         net, bridge = bridged_net(rng)
         ev = Evidence({"A0": "1", "B2": "0"})
-        aug, nprime, plan, evp = build(net, ev, [bridge])
+        nprime, plan, evp = build(net, ev, [bridge])
         plan2, report, _ = run(nprime, plan, evp, IterationConfig(method="ed-bp"))
         assert report.converged
         exact = compile(net, ev)
@@ -372,18 +371,18 @@ class TestEdgeTableSweep:
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
     def test_step_matches_oracle_sweep(self, method, schedule):
-        net, ev, aug, nprime, plan, evp = grid_case(k=5, seed=1)
+        net, ev, nprime, plan, evp = grid_case(k=5, seed=1)
         rng = np.random.default_rng(2)
         plan = plan.with_all_params(
             EdgeParams(rng.dirichlet([1.0, 1.0]), rng.uniform(0.1, 0.9, 2)) for _ in plan.edges
         )
-        tm = true_edge_marginals(forward_backward(aug, ev), plan)
+        tm = true_edge_marginals(forward_backward(net, ev), plan)
         got, _, _ = run(
             nprime, plan, evp,
             IterationConfig(
                 method=method, schedule=schedule, max_iterations=1, initialization="plan"
             ),
-            reference=(aug, ev),
+            reference=(net, ev),
         )
         want = oracle_sweep(
             nprime, plan, evp, method, tm if method == "ed-kl" else None,
@@ -395,11 +394,11 @@ class TestEdgeTableSweep:
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_trace_bound_matches_kl_bound(self, schedule):
-        net, ev, aug, nprime, plan, evp = grid_case(k=4, seed=3)
+        net, ev, nprime, plan, evp = grid_case(k=4, seed=3)
         for max_iterations in (1, 3):
             cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=max_iterations)
-            plan2, _, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
-            want = kl_bound(aug, nprime, plan2, ev, evp).total
+            plan2, _, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
+            want = kl_bound(net, nprime, plan2, ev, evp).total
             assert trace[-1].kl_bound == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
@@ -410,10 +409,10 @@ class TestEdgeTableSweep:
         # previous sweep; simultaneous: the last edge's second dPr'/dpm
         # read, then, in a second run, its second dPr'/dse read, each checked
         # against the Pr'(e') read off the tree after the first sweep
-        net, ev, aug, nprime, plan, evp = grid_case(k=k, seed=4)
+        net, ev, nprime, plan, evp = grid_case(k=k, seed=4)
         # the source pass reads its own tree, so it is made before the
         # corruption
-        source = forward_backward(aug, ev)
+        source = forward_backward(net, ev)
         real_table = engine_module.Jointree.table
         targets = [None] if schedule == "sequential" else [2 * k - 2, 2 * k - 1]
         cfg = IterationConfig(method="ed-kl", schedule=schedule)
@@ -441,7 +440,7 @@ class TestBoundSlots:
 
     @pytest.mark.parametrize("evidence", ["augmented", "observed-parent"])
     def test_written_tables_are_the_rebuilt_network_s(self, evidence):
-        net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
+        net, ev, nprime, plan, evp = grid_case(k=3, seed=5)
         records = deleted_records(nprime, plan)
         if evidence == "observed-parent":
             evp = evp.with_added({records[1].parent: "s1"})
@@ -503,7 +502,7 @@ class TestStartWrites:
         assert writes == per_edge * (outcome.row.iterations + 1)
 
     def test_a_fit_writes_every_start_vector(self, monkeypatch):
-        net, ev, aug, nprime, plan, evp = grid_case(k=3, seed=5)
+        net, ev, nprime, plan, evp = grid_case(k=3, seed=5)
         records = deleted_records(nprime, plan)
         vectors = [(p.pm, p.se) for p in plan.params]
         per_edge = [w for rec in records for w in ((rec.clone, (2,)), (rec.sevid, (2,)))]
@@ -525,7 +524,7 @@ class TestStartWrites:
         net, ev = grid_case()[:2]
         scores = score_edges(net, ev)[:4]
         edges = [(s.parent, s.child) for s in scores]
-        aug, guided, warm = approximate_network(net, edges, [s.params for s in scores])
+        _, guided, warm = approximate_network(net, edges, [s.params for s in scores])
         _, uniform, cold = approximate_network(net, edges)
         evp = augmented_evidence(uniform, ev)
         cfg = IterationConfig(
@@ -533,7 +532,7 @@ class TestStartWrites:
         )
 
         def bits(nprime, plan):
-            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+            fitted, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
             vectors = [(p.pm.tobytes(), p.se.tobytes()) for p in fitted.params]
             return vectors, report.residuals, report.pr_ep.hex(), trace
 
@@ -553,8 +552,8 @@ class TestWorkCounts:
         # one jointree, ordered and bound once, in either schedule;
         # sequential: one table read off it per edge; simultaneous: each
         # edge's dPr'/dpm and dPr'/dse, all read before any write
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        tm = true_edge_marginals(forward_backward(aug, ev), plan)
+        net, ev, nprime, plan, evp = grid_case(k=4)
+        tm = true_edge_marginals(forward_backward(net, ev), plan)
         names = [
             "compile", "cpt_derivatives", "record", "_order", "replay", "derivatives", "_bind",
         ]
@@ -582,7 +581,7 @@ class TestWorkCounts:
         # a sequential update reads Pr'(e') and both derivative vectors off
         # its edge table once, and edge_update takes those reads; a
         # simultaneous one reads them off the tree and evaluates nothing
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         evaluations, updates = [], []
         for name, log in (("single_edge_evaluate", evaluations), ("edge_update", updates)):
             real = getattr(parametrize_module, name)
@@ -593,7 +592,7 @@ class TestWorkCounts:
 
             monkeypatch.setattr(parametrize_module, name, counting)
         cfg = IterationConfig(method=method, schedule=schedule, max_iterations=3)
-        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert len(updates) == report.iterations * len(plan) > 0
         assert len(evaluations) == (len(updates) if schedule == "sequential" else 0)
 
@@ -601,13 +600,13 @@ class TestWorkCounts:
     def test_a_second_tree_of_one_structure_orders_nothing(self, monkeypatch, sequential):
         # the second fit's tree reuses the first's kept structure: no
         # order, and its own inputs bound once
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         records = deleted_records(nprime, plan)
         vectors = [(p.pm, p.se) for p in plan.params]
         cap = engine_module.WIDTH_CAP_DEFAULT
         _Fit(nprime, evp, records, vectors, sequential, cap)
         calls = count_engine_calls(monkeypatch, ["_order", "_bind"])
-        _, other, other_plan, other_evp = build(*grid_case(k=4, seed=1)[:2], net.edges()[:4])
+        other, other_plan, other_evp = build(*grid_case(k=4, seed=1)[:2], net.edges()[:4])
         fit = _Fit(
             other, other_evp, deleted_records(other, other_plan),
             [(p.pm, p.se) for p in other_plan.params], sequential, cap,
@@ -634,8 +633,8 @@ class TestWorkCounts:
         """Messages sent by each of four sweeps on grid(4x4), k = 4, and by
         the Pr'(e') read after each where the sweep leaves it unknown (as a
         run with a KL bound reads it)."""
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        tm = true_edge_marginals(forward_backward(aug, ev), plan)
+        net, ev, nprime, plan, evp = grid_case(k=4)
+        tm = true_edge_marginals(forward_backward(net, ev), plan)
         vectors = [(p.pm, p.se) for p in plan.params]
         fit = _Fit(
             nprime, evp, deleted_records(nprime, plan), vectors, sequential,
@@ -669,8 +668,8 @@ class TestWorkCounts:
     def test_sweeps_never_call_np_einsum(self, monkeypatch, sequential):
         # every message and query table is numpy's C einsum, called without
         # the np.einsum wrapper; the tree still sends the pinned messages
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
-        tm = true_edge_marginals(forward_backward(aug, ev), plan)
+        net, ev, nprime, plan, evp = grid_case(k=4)
+        tm = true_edge_marginals(forward_backward(net, ev), plan)
 
         def refused(*args, **kwargs):
             raise AssertionError("np.einsum called")
@@ -694,7 +693,7 @@ class TestWorkCounts:
         # queries' homes, one clique in sequential mode; writing both
         # forgets the messages leaving each home once (a second stale loop
         # into one home would forget each of them again)
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         records = deleted_records(nprime, plan)
         fit = _Fit(
             nprime, evp, records, [(p.pm, p.se) for p in plan.params], sequential,
@@ -727,7 +726,7 @@ class TestWorkCounts:
         # source pass's Pr(e); a too-wide N' is refused by that tree, at the
         # cap and with its message
         net, ev = grid_case()[:2]
-        aug, nprime, plan, evp = build(net, ev, [])
+        nprime, plan, evp = build(net, ev, [])
         width = engine_module.Jointree(nprime, evp, [((), ())]).width
         with pytest.raises(CapacityError) as tree_refused:
             engine_module.Jointree(nprime, evp, [((), ())], width - 1)
@@ -758,7 +757,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_run_records_each_edge_program_once(self, monkeypatch, schedule):
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         names = [
             "compile", "posterior_marginal", "record", "_order", "replay", "derivatives",
             "_bind",
@@ -784,10 +783,10 @@ class TestWorkCounts:
         monkeypatch.setattr(engine_module.Jointree, "__init__", building)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
         before = dict(calls)
-        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert report.iterations == 3 and report.source is source
         got = {name: calls[name] - before[name] for name in calls}
-        # given (aug, ev) after scoring, run reads the pass scoring kept
+        # given (net, ev) after scoring, run reads the pass scoring kept
         # and builds no tree but its own: in either schedule, one jointree
         # of N', one order and one binding, and no recording, replay or
         # pass
@@ -806,7 +805,7 @@ class TestWorkCounts:
     def test_run_records_nothing(self, monkeypatch, schedule):
         # no run compiles or records: the source pass and N' are read
         # through jointrees only
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         calls = count_engine_calls(monkeypatch, ["compile"])
         real_record = engine_module.record
         recorded = []
@@ -818,7 +817,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(engine_module, "record", recording)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
-        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert report.iterations == 3
         assert calls == {"compile": 0}
         assert recorded == []
@@ -829,7 +828,7 @@ class TestWorkCounts:
         # read, recording nothing; a sweep only writes edge vectors into
         # the tree, so no sweep orders, records, binds, replays, runs a
         # pass or builds N' (apply_params)
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         names = ["_bind", "record", "_order", "replay", "derivatives"]
         calls = count_engine_calls(monkeypatch, names)
         applied = []
@@ -861,7 +860,7 @@ class TestWorkCounts:
         monkeypatch.setattr(parametrize_module, "_Fit", fit)
         monkeypatch.setattr(parametrize_module, "_sweep", sweep)
         cfg = IterationConfig(method="ed-kl", schedule=schedule, max_iterations=3)
-        _, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        _, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert report.iterations == 3
         marks = starts + [mark()]
         per_sweep = [{n: b[n] - a[n] for n in a} for a, b in zip(marks, marks[1:])]
@@ -873,7 +872,7 @@ class TestWorkCounts:
         # with no reference there is no KL bound, so no sweep reads the
         # tree's Pr'(e') query: each reads its eight derivative vectors,
         # sending every message once, one pass over the tree
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         reads, trees = [], []
         real_table = engine_module.Jointree.table
 
@@ -890,14 +889,14 @@ class TestWorkCounts:
         assert trees[0].sent == 3 * 36
 
     def test_check_conditions_reads_posteriors_off_two_passes(self, monkeypatch):
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         calls = count_engine_calls(monkeypatch, ["compile", "posterior_marginal", "derivatives"])
-        check_conditions(aug, nprime, plan, ev, evp)
+        check_conditions(net, nprime, plan, ev, evp)
         # one pass on the source network, one on N'
         assert calls == {"compile": 0, "posterior_marginal": 0, "derivatives": 2}
 
     def test_recover_marginals_reads_one_pass(self, monkeypatch):
-        net, ev, aug, nprime, plan, evp = grid_case(k=4)
+        net, ev, nprime, plan, evp = grid_case(k=4)
         st = engine_module.compile(nprime, evp)
         names = ["compile", "record", "_bind", "posterior_marginal", "derivatives"]
         calls = count_engine_calls(monkeypatch, names)
@@ -945,14 +944,14 @@ class TestCheckConditionsAgreement:
     per posterior, on the same definitions."""
 
     @staticmethod
-    def reference_gaps(aug, nprime, plan, ev, evp, posterior):
+    def reference_gaps(net, nprime, plan, ev, evp, posterior):
         current = apply_params(nprime, plan)
         match, exact = [], []
         for rec, params in zip(deleted_records(nprime, plan), plan.params):
             pu = posterior(current, evp, rec.parent)
             puc = posterior(current, evp, rec.clone)
             pu_r = posterior(current, evp.without(rec.sevid), rec.parent)
-            true = posterior(aug, ev, rec.parent)
+            true = posterior(net, ev, rec.parent)
             match.append(max(np.max(np.abs(pu - puc)), np.max(np.abs(pu_r - params.pm))))
             exact.append(max(np.max(np.abs(pu - true)), np.max(np.abs(puc - true))))
         return match, exact
@@ -966,11 +965,11 @@ class TestCheckConditionsAgreement:
         if observed:
             # the parent of the first deleted edge is observed
             ev = ev.with_added({edges[0][0]: "s1"})
-        aug, nprime, plan, evp = build(net, ev, edges)
+        nprime, plan, evp = build(net, ev, edges)
         cfg = IterationConfig(method="ed-kl", max_iterations=2)
-        plan, _, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
-        gaps = check_conditions(aug, nprime, plan, ev, evp)
-        match, exact = self.reference_gaps(aug, nprime, plan, ev, evp, posterior)
+        plan, _, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
+        gaps = check_conditions(net, nprime, plan, ev, evp)
+        match, exact = self.reference_gaps(net, nprime, plan, ev, evp, posterior)
         assert np.allclose(gaps.eq_match_gaps, match, rtol=0, atol=1e-12)
         assert np.allclose(gaps.eq_exact_gaps, exact, rtol=0, atol=1e-12)
         assert max(gaps.eq_match_gaps) > 1e-6
@@ -978,16 +977,16 @@ class TestCheckConditionsAgreement:
 
 class TestReportTypes:
     def test_run_and_check_conditions_each_fill_their_own_type(self):
-        net, ev, aug, nprime, plan, evp = grid_case(k=2)
+        net, ev, nprime, plan, evp = grid_case(k=2)
         cfg = IterationConfig(method="ed-kl", max_iterations=2)
-        plan2, report, _ = run(nprime, plan, evp, cfg, reference=(aug, ev))
-        gaps = check_conditions(aug, nprime, plan2, ev, evp)
+        plan2, report, _ = run(nprime, plan, evp, cfg, reference=(net, ev))
+        gaps = check_conditions(net, nprime, plan2, ev, evp)
         assert isinstance(report, FixedPointReport)
         fields = [f.name for f in dataclasses.fields(report)]
         assert fields == ["residuals", "iterations", "converged", "source", "pr_ep"]
         assert len(report.residuals) == 2 and report.iterations == 2
         # the source pass the fit read its true posteriors off, handed back:
-        # the pass on the original network that aug augments
+        # the pass on the source network
         assert report.source.pr_e == divergence_module.source_pass(net, ev).pr_e
         assert report.source.net is net
         cfg = IterationConfig(method="ed-bp", max_iterations=2)
@@ -1011,13 +1010,13 @@ class TestFitPrEp:
     @pytest.mark.parametrize("method", ["ed-kl", "ed-bp"])
     @pytest.mark.parametrize("case", ["grid4x4-leaves", "grid3x3-observed-parent"])
     def test_matches_a_fresh_replay(self, case, method, schedule, sweeps):
-        _, ev, aug, nprime, plan, evp = fit_cases.build(case)
+        net, ev, nprime, plan, evp = fit_cases.build(case)
         # damped, every combination converges within 200 sweeps here
         cfg = IterationConfig(
             method=method, schedule=schedule, max_iterations=sweeps,
             damping=0.3 if sweeps > 1 else 0.0,
         )
-        plan, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        plan, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert report.converged if sweeps > 1 else report.iterations == sweeps
         assert report.pr_ep == pytest.approx(self.replayed(nprime, plan, evp), rel=1e-12)
         if trace:
@@ -1028,9 +1027,9 @@ class TestFitPrEp:
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_empty_plan(self, schedule, sweeps):
         net, ev, _ = fit_cases.NETWORKS["grid4x4-leaves"]()
-        aug, nprime, plan, evp = build(net, ev, [])
+        nprime, plan, evp = build(net, ev, [])
         cfg = IterationConfig(schedule=schedule, max_iterations=sweeps)
-        plan, report, trace = run(nprime, plan, evp, cfg, reference=(aug, ev))
+        plan, report, trace = run(nprime, plan, evp, cfg, reference=(net, ev))
         assert report.pr_ep == pytest.approx(self.replayed(nprime, plan, evp), rel=1e-12)
         # N' is the source network: Pr'(e') is read as the pass's Pr(e)
         assert report.pr_ep == report.source.pr_e
@@ -1039,7 +1038,7 @@ class TestFitPrEp:
     @pytest.mark.parametrize("sweeps", [0, 1])
     @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
     def test_none_without_a_reference(self, schedule, sweeps):
-        _, _, _, nprime, plan, evp = fit_cases.build("grid4x4-leaves")
+        _, _, nprime, plan, evp = fit_cases.build("grid4x4-leaves")
         cfg = IterationConfig(method="ed-bp", schedule=schedule, max_iterations=sweeps)
         _, report, _ = run(nprime, plan, evp, cfg)
         assert report.pr_ep is None and report.source is None
